@@ -74,20 +74,6 @@ const COMMANDS: &[Cmd] = &[
         run: cmd_bench_sinr,
     },
     Cmd {
-        name: "bench-shards",
-        args: "[repeats]",
-        summary: "sharded engine benchmark -> BENCH_shard.json\n\
-                  (arms incl. the SIMD lanes-vs-scalar pair and\n\
-                   a reduced 1M-node dense case;\n\
-                   SHARD_BENCH_SMOKE=1 for the reduced CI gate;\n\
-                   exits non-zero if sharded resolution regresses\n\
-                   below the sequential baseline, the lanes arm\n\
-                   loses to scalar on a dense 10k+ world, or any\n\
-                   bit-identity audit fails)",
-        help: "",
-        run: cmd_bench_shards,
-    },
-    Cmd {
         name: "repair-bench",
         args: "[seeds]",
         summary: "incremental repair vs rebuild -> BENCH_repair.json\n\
@@ -467,19 +453,6 @@ fn run_gated_bench(
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// `experiments bench-shards [repeats]`
-fn cmd_bench_shards(args: &[String]) -> ExitCode {
-    run_gated_bench(
-        args,
-        "bench-shards",
-        "SHARD_BENCH_SMOKE",
-        3,
-        "BENCH_shard.json",
-        "a bench-shards case failed its gate",
-        mca_bench::shard_bench_json,
-    )
 }
 
 /// `experiments repair-bench [seeds]`

@@ -5,12 +5,13 @@
 //! the flood max-aggregation workload ([`crate::scenario_flood_trial`])
 //! for a fixed set of seeds and commits the resulting metrics to
 //! `scenarios/GOLDEN_trials.json`. The CI determinism job re-runs the same
-//! trials under `MCA_FORCE_PAR=1` — which forces `par_channels`,
-//! `par_shards`, and a shard grid onto every engine — and
+//! trials under `MCA_FORCE_PAR=1` — which forces a shard grid onto every
+//! engine and zeroes the pooling bar, so every multi-unit slot runs on
+//! the work-stealing pool — and
 //! `experiments golden-trials` (check mode) exits non-zero unless the
 //! regenerated metrics match the committed bytes exactly. Floats are
 //! rendered with shortest-round-trip formatting, so byte equality is bit
-//! equality: any parallel or sharded path that flips a single ULP anywhere
+//! equality: any pooled or sharded unit that flips a single ULP anywhere
 //! in a trial fails the gate.
 
 use crate::scenario_run::{scenario_flood_trial, scenario_flood_trial_observed, ScenarioTrial};
@@ -46,7 +47,7 @@ fn render_golden(trial: impl Fn(&mca_scenario::Scenario, u64) -> ScenarioTrial) 
     format!(
         concat!(
             "{{\n  \"golden\": \"scenario flood trials\",\n",
-            "  \"contract\": \"bit-identical under MCA_FORCE_PAR=1 (par_channels + par_shards + forced shard grid)\",\n",
+            "  \"contract\": \"bit-identical under MCA_FORCE_PAR=1 (forced shard grid + zero pooling bar)\",\n",
             "  \"trials\": [\n{}\n  ]\n}}\n"
         ),
         entries.join(",\n")

@@ -15,7 +15,6 @@ pub mod profile;
 pub mod repair_bench;
 pub mod scenario_run;
 pub mod serve;
-pub mod shard_bench;
 pub mod sinr_bench;
 pub mod sweep;
 
@@ -32,7 +31,6 @@ pub use scenario_run::{
     run_scenario, scenario_flood_trial, scenario_flood_trial_observed, ScenarioTrial,
 };
 pub use serve::{pending_inputs, serve, serve_once, ServeConfig, ServeReport};
-pub use shard_bench::shard_bench_json;
 pub use sweep::{run_sweep, run_sweep_file, SweepConfig, SweepError, SweepSummary};
 
 /// Verbosity of the `experiments` binary's progress stream (stderr).

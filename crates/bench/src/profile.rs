@@ -10,10 +10,9 @@
 //! spans (event drain, gather, stage, resolve, deliver) must account for
 //! at least [`COVERAGE_GATE`] of measured slot wall time, or the
 //! instrumentation has a hole — `experiments profile` exits non-zero.
-//! The default world is the 100k-node dense deployment of
-//! `SHARD_BENCH_CASES`' largest case (16 channels, 8×8 shards, fast
-//! resolve) so the committed `BENCH_profile.json` profiles the same
-//! regime the shard benchmark gates.
+//! The default world is a 100k-node dense deployment (16 channels, 8×8
+//! shards, fast resolve): twice the benchmark's `dense-engine` world, the
+//! regime where nearly every slot runs its units on the pool.
 //!
 //! Everything here requires the `obs` cargo feature; without it the
 //! recorder is the no-op kind, [`profile_supported`] reports `false`,
@@ -38,9 +37,8 @@ pub const fn profile_supported() -> bool {
     mca_obs::enabled()
 }
 
-/// The default profile world: the shard benchmark's largest dense case
-/// as a scenario — 100k nodes at 4 nodes per unit², 16 channels, 8×8
-/// shards resolved in parallel, Fast-mode reception.
+/// The default profile world: 100k nodes at 4 nodes per unit², 16
+/// channels, 8×8 shards, Fast-mode reception.
 pub fn default_profile_scenario(slots: u64) -> Scenario {
     let n = 100_000;
     Scenario::builder("profile-dense-100k")
@@ -51,9 +49,7 @@ pub fn default_profile_scenario(slots: u64) -> Scenario {
         .sinr(SinrParams::default().with_resolve(ResolveMode::fast()))
         .channels(16)
         .max_slots(slots)
-        .par_channels(true)
-        .shards(crate::shard_bench::shards_for(n))
-        .par_shards(true)
+        .shards(8)
         .build()
 }
 
@@ -223,12 +219,11 @@ mod tests {
     }
 
     #[test]
-    fn default_profile_world_matches_the_shard_bench_case() {
+    fn default_profile_world_is_the_sharded_dense_100k() {
         let s = default_profile_scenario(30);
         assert_eq!(s.len(), 100_000);
         assert_eq!(s.channels, 16);
-        assert_eq!(s.shards, crate::shard_bench::shards_for(100_000));
-        assert!(s.par_shards);
+        assert_eq!(s.shards, 8);
         assert_eq!(s.max_slots, 30);
     }
 }

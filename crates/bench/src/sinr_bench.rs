@@ -94,7 +94,7 @@ pub fn batch_slot(params: &SinrParams, world: &SinrWorld) -> f64 {
     let mut acc = 0.0;
     for (tx, rx) in world.tx.iter().zip(&world.rx) {
         let resolver = ChannelResolver::new(params, tx);
-        resolver.resolve_into(rx, 0.0, &mut out);
+        resolver.resolve_batch_into(rx, 0.0, &mut out);
         for o in &out {
             acc += o.total_power + f64::from(u8::from(o.decoded.is_some()));
         }
@@ -175,7 +175,7 @@ mod tests {
         let mut out = Vec::new();
         for (tx, rx) in world.tx.iter().zip(&world.rx) {
             let resolver = ChannelResolver::new(&params, tx);
-            resolver.resolve_into(rx, 0.0, &mut out);
+            resolver.resolve_batch_into(rx, 0.0, &mut out);
             for (k, &l) in rx.iter().enumerate() {
                 let (decoded, total) = seed_resolve_listener(&params, tx, l);
                 assert_eq!(out[k].decoded.is_some(), decoded);

@@ -1,14 +1,13 @@
-//! The SIMD lane kernels can never move a golden byte — the bit-exactness
-//! contract of `docs/SIMD_LANES.md`, pinned against the committed goldens
-//! under maximum fan-out.
+//! The lane walk is what produces the goldens — the bit-exactness contract
+//! of `docs/EXECUTION_MODEL.md`, pinned against the committed file.
 //!
-//! The catalog's golden trials are regenerated twice in-process — once
-//! with the lane kernels forced *off* (the scalar reference walk) and
-//! once forced *on* — under `MCA_FORCE_PAR=1` (forced `par_channels` +
-//! `par_shards` + shard grid) and a pinned worker count. Both renderings
-//! must be byte-identical to each other and to the committed
-//! `scenarios/GOLDEN_trials.json`: lane batching, like sharding and
-//! threading, must be invisible in the results.
+//! The in-crate proptests pin the lane walk to the scalar reference walks
+//! one listener at a time; this pins it over whole runs. The catalog's
+//! golden trials, regenerated in-process through the one production path —
+//! the listener-lane batch walk, padded remainders included — under
+//! `MCA_FORCE_PAR=1` (forced shard grid, zero pooling bar) and a pinned
+//! worker count, must be the committed `scenarios/GOLDEN_trials.json`
+//! byte for byte.
 //!
 //! Lives in its own test binary: the force-par override is read once per
 //! process, so it must be set before the first `Engine` is built and
@@ -20,25 +19,14 @@ use mca_bench::golden_trials_json;
 fn lane_kernels_never_move_a_golden_byte_under_forced_fanout() {
     std::env::set_var("MCA_FORCE_PAR", "1");
     rayon::set_num_threads(2);
-
-    mca_sinr::lanes::set_enabled(false);
-    let scalar = golden_trials_json();
-    mca_sinr::lanes::set_enabled(true);
-    let lanes = golden_trials_json();
-    mca_sinr::lanes::clear_override();
-
-    assert_eq!(
-        scalar, lanes,
-        "lane kernels changed a golden byte vs the scalar walk"
-    );
-
     let committed = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../scenarios/GOLDEN_trials.json"
     ))
     .expect("committed goldens exist");
     assert_eq!(
-        lanes, committed,
-        "lane-kernel trials diverge from the committed goldens"
+        golden_trials_json(),
+        committed,
+        "lane-walk trials diverge from the committed goldens"
     );
 }

@@ -3,8 +3,8 @@
 //!
 //! With the `obs` feature compiled in and a recorder attached to every
 //! engine, the catalog's golden trials must stay *byte-identical* to
-//! `scenarios/GOLDEN_trials.json`, under `MCA_FORCE_PAR=1` (forced
-//! `par_channels` + `par_shards` + shard grid) and a pinned worker count.
+//! `scenarios/GOLDEN_trials.json`, under `MCA_FORCE_PAR=1` (forced shard
+//! grid + zero pooling bar) and a pinned worker count.
 //! Lives in its own test binary: the force-par override is read once per
 //! process, so it must be set before the first `Engine` is built and
 //! would leak into unrelated tests otherwise.

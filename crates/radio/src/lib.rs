@@ -25,12 +25,13 @@
 //! ([`mca_sinr::ResolverCache`] — rebuilt only when the staged positions
 //! change), and resolves the resulting (channel × shard) units — the
 //! plane partitioned by [`Engine::with_shards`] into a [`ShardMap`]
-//! maintained incrementally off lifecycle events — sequentially or in
-//! parallel ([`Engine::with_par_channels`], [`Engine::with_par_shards`]).
-//! Every combination is **bit-identical**: per-listener outcomes are pure
-//! functions of the channel's transmitter set, so shard count, thread
-//! count, and fan-out flags never change a result (the `MCA_FORCE_PAR=1`
-//! override CI uses to prove it).
+//! maintained incrementally off lifecycle events — inline on the slot
+//! thread, or as tasks on the work-stealing pool when a slot has at least
+//! two units past [`POOL_UNIT_WORK`]. The engine decides that per slot;
+//! there is no flag. Every schedule is **bit-identical**: per-listener
+//! outcomes are pure functions of the channel's transmitter set, so shard
+//! count and thread count never change a result (the `MCA_FORCE_PAR=1`
+//! override CI uses to prove it; see `docs/EXECUTION_MODEL.md`).
 //!
 //! The engine also exposes dynamic-environment hooks used by the
 //! `mca-scenario` crate: [`Engine::positions_mut`] (mobility),
@@ -67,7 +68,7 @@ mod trace;
 
 pub use condition::ChannelCondition;
 pub use detect::{DegradationDetector, DetectionEvent, DetectorConfig};
-pub use engine::{Engine, INLINE_CHANNEL_PAIRS};
+pub use engine::{Engine, POOL_UNIT_WORK};
 pub use events::NodeEvent;
 pub use fault::{FaultPlan, JamSpec, SleepSchedule, ZoneJam};
 pub use ids::{Channel, NodeId};

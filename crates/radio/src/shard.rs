@@ -4,9 +4,10 @@
 //! grid of shards and maintains a node→shard assignment. The engine's
 //! sharded Phase 2 ([`Engine::with_shards`](crate::Engine::with_shards))
 //! groups each channel's listeners by shard and resolves the resulting
-//! (channel × shard) units independently — sequentially or, with
-//! [`Engine::with_par_shards`](crate::Engine::with_par_shards), across
-//! threads — merging outcomes in deterministic shard-major order.
+//! (channel × shard) units independently — inline, or across the pool's
+//! threads when the slot's units are big enough
+//! ([`POOL_UNIT_WORK`](crate::POOL_UNIT_WORK)) — merging outcomes in
+//! deterministic shard-major order.
 //!
 //! # The assignment is a hint, never an input to physics
 //!
@@ -34,9 +35,7 @@ pub const MAX_SHARDS_PER_AXIS: u16 = 64;
 /// at all only with at least `4 · MIN_UNIT_RX` listeners (the smallest
 /// count whose effective grid reaches 2×2); below that it resolves as a
 /// single unit. Execution-only: whether and how finely sharding engages
-/// never changes an outcome. Shared by the engine and
-/// `experiments bench-shards` so the benchmark measures exactly the
-/// engine's policy.
+/// never changes an outcome.
 pub const MIN_UNIT_RX: usize = 32;
 
 /// Effective shards per axis for a channel with `rx` listeners: the

@@ -88,16 +88,15 @@ fn dense_cluster() -> CatalogEntry {
             .channels(8)
             .max_slots(400)
             .resolve_mode(ResolveMode::fast())
-            .par_channels(true)
             .build(),
         blurb: "dense-cluster: the paper's dense regime (PAPER.md section 5-6).\n\
                 300 nodes on a 6 x 6 plane -- nearly a clique at R_T = 8, the regime\n\
                 where multi-channel aggregation earns its F-fold speedup (Theorem 22).\n\
                 Dense per-channel groups make this the stress case for the SINR\n\
                 resolver, so the scenario also turns on the grid-batched fast resolve\n\
-                mode and parallel per-channel resolution (both keep results\n\
-                bit-identical to the sequential exact path for decode outcomes within\n\
-                the published error bound; par_channels is exactly bit-identical).",
+                mode (decode outcomes match the exact path within the published\n\
+                error bound). At 300 nodes every channel's work stays below the\n\
+                engine's pooling bar, so slots resolve inline on the slot thread.",
     }
 }
 
@@ -111,20 +110,19 @@ fn sharded_dense() -> CatalogEntry {
             .channels(8)
             .max_slots(300)
             .resolve_mode(ResolveMode::fast())
-            .par_channels(true)
             .shards(4)
-            .par_shards(true)
             .build(),
         blurb: "sharded-dense: the dense regime at engine scale, resolved in shards.\n\
                 2000 nodes at 4 nodes per unit area -- per-channel groups of hundreds\n\
                 of transmitters, the workload the sharded engine targets. The\n\
                 [engine] table partitions the plane into a 4 x 4 shard grid whose\n\
-                (channel x shard) units resolve independently (par_shards), with the\n\
-                grid-batched fast resolver underneath. Sharding is an execution\n\
-                knob, not a physics knob: trial metrics are bit-identical to the\n\
-                same world with shards = 0 under any thread count -- the contract\n\
-                the CI determinism job (MCA_FORCE_PAR=1) pins against the committed\n\
-                golden trial metrics.",
+                (channel x shard) units resolve independently -- as pool tasks\n\
+                whenever a slot has two or more units past the engine's pooling bar,\n\
+                inline otherwise -- with the grid-batched fast resolver underneath.\n\
+                Sharding is an execution knob, not a physics knob: trial metrics are\n\
+                bit-identical to the same world with shards = 0 under any thread\n\
+                count -- the contract the CI determinism job (MCA_FORCE_PAR=1) pins\n\
+                against the committed golden trial metrics.",
     }
 }
 
@@ -392,12 +390,9 @@ mod tests {
             .iter()
             .any(|e| !matches!(e.scenario.churn, ChurnSpec::None)));
         assert!(entries.iter().any(|e| !e.scenario.faults.is_trivial()));
-        assert!(entries.iter().any(|e| e.scenario.par_channels));
-        // Sharded-engine coverage: at least one world runs the (channel ×
-        // shard) fan-out.
-        assert!(entries
-            .iter()
-            .any(|e| e.scenario.shards >= 2 && e.scenario.par_shards));
+        // Sharded-engine coverage: at least one world resolves as
+        // (channel × shard) units.
+        assert!(entries.iter().any(|e| e.scenario.shards >= 2));
         // Maintenance coverage: one churn-only and one mobility+churn world.
         assert!(entries.iter().any(|e| e.scenario.maintenance.is_some()
             && matches!(e.scenario.mobility, MobilitySpec::Static)));

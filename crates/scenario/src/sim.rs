@@ -40,9 +40,7 @@ impl<P: Protocol> ScenarioSim<P> {
         let faults = scenario.faults_for(seed);
         let mut engine = Engine::new(scenario.params, deploy.into_points(), protocols, seed)
             .with_faults(faults)
-            .with_par_channels(scenario.par_channels)
-            .with_shards(scenario.shards)
-            .with_par_shards(scenario.par_shards);
+            .with_shards(scenario.shards);
         // Honor the scenario's `[obs]` request only when the recorder is
         // compiled in: a no-op recorder would still flip the engine's
         // timing branches on for nothing.

@@ -502,18 +502,18 @@ pub struct Scenario {
     pub channels: u16,
     /// Default slot budget for drivers that need one.
     pub max_slots: u64,
-    /// Whether the engine resolves per-slot channel groups in parallel
-    /// (bit-identical to sequential; see
-    /// [`Engine::with_par_channels`](mca_radio::Engine::with_par_channels)).
+    // Ignored; kept only because the frozen `benchmark/` crate assigns it.
+    // Removed when the benchmark is next re-baselined.
+    #[doc(hidden)]
     pub par_channels: bool,
     /// Shards per axis for the engine's spatial partition (0 or 1 = off;
     /// bit-identical for any value — see
     /// [`Engine::with_shards`](mca_radio::Engine::with_shards)).
     /// Serialized as the `[engine]` table's `shards` key.
     pub shards: u16,
-    /// Whether (channel × shard) units resolve in parallel (bit-identical;
-    /// see [`Engine::with_par_shards`](mca_radio::Engine::with_par_shards)).
-    /// Serialized as the `[engine]` table's `par_shards` key.
+    // Ignored; kept only because the frozen `benchmark/` crate assigns it.
+    // Removed when the benchmark is next re-baselined.
+    #[doc(hidden)]
     pub par_shards: bool,
     /// Structure-maintenance policy, if structure-driving harnesses should
     /// repair on a cadence ([`ScenarioSim::run_epochs`](crate::ScenarioSim::run_epochs)).
@@ -682,10 +682,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Enables parallel per-channel resolution in the engine (bit-identical
-    /// to sequential, so replay guarantees are unaffected).
-    pub fn par_channels(mut self, par: bool) -> Self {
-        self.scenario.par_channels = par;
+    // Kept only because the frozen `benchmark/` crate calls it; removed
+    // when the benchmark is next re-baselined.
+    #[doc(hidden)]
+    pub fn par_channels(self, _par: bool) -> Self {
         self
     }
 
@@ -707,10 +707,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Enables parallel resolution of the engine's (channel × shard)
-    /// units (bit-identical to sequential).
-    pub fn par_shards(mut self, par: bool) -> Self {
-        self.scenario.par_shards = par;
+    // Kept only because the frozen `benchmark/` crate calls it; removed
+    // when the benchmark is next re-baselined.
+    #[doc(hidden)]
+    pub fn par_shards(self, _par: bool) -> Self {
         self
     }
 
@@ -766,15 +766,12 @@ mod tests {
     }
 
     #[test]
-    fn resolve_and_parallel_options_plumb_through() {
-        let s = Scenario::builder("fastpar")
+    fn resolve_mode_plumbs_through() {
+        let s = Scenario::builder("fast")
             .resolve_mode(ResolveMode::fast())
-            .par_channels(true)
             .build();
-        assert!(s.par_channels);
         assert!(matches!(s.params.resolve, ResolveMode::Fast { .. }));
         let d = Scenario::builder("default").build();
-        assert!(!d.par_channels);
         assert_eq!(d.params.resolve, ResolveMode::Exact);
     }
 

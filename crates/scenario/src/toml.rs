@@ -1,8 +1,8 @@
 //! Scenario ⇄ TOML (de)serialization.
 //!
 //! Implements [`ToToml`] / [`FromToml`] for [`Scenario`] and every spec it
-//! contains — geometry, SINR parameters (including `resolve` mode and
-//! `par_channels`), mobility, fading, churn, and fault plans — so a whole
+//! contains — geometry, SINR parameters (including `resolve` mode),
+//! mobility, fading, churn, and fault plans — so a whole
 //! experimental world round-trips through a version-controlled `.toml`
 //! file. The schema is documented key-by-key in `docs/SCENARIO_FORMAT.md`;
 //! the committed catalog under `scenarios/` holds worked examples.
@@ -42,13 +42,12 @@ impl ToToml for Scenario {
             .with("name", Value::str(&self.name))
             .with("channels", Value::int(self.channels))
             .with("max_slots", Value::int(self.max_slots))
-            .with("par_channels", Value::bool(self.par_channels))
             .with("sinr", Value::table(sinr_table(&self.params)))
             .with(
                 "deployment",
                 Value::table(deployment_table(&self.deployment)),
             );
-        if self.shards > 0 || self.par_shards {
+        if self.shards > 0 {
             root.insert("engine", Value::table(engine_table(self)));
         }
         if let Some(area) = self.area {
@@ -93,9 +92,7 @@ fn obs_table(o: &ObsSpec) -> Table {
 /// The `[engine]` table: execution knobs (sharding) that never change
 /// trial results, only how the engine schedules the work.
 fn engine_table(s: &Scenario) -> Table {
-    Table::new()
-        .with("shards", Value::int(s.shards))
-        .with("par_shards", Value::bool(s.par_shards))
+    Table::new().with("shards", Value::int(s.shards))
 }
 
 fn maintenance_table(m: &MaintenanceSpec) -> Table {
@@ -341,14 +338,17 @@ impl FromToml for Scenario {
             return Err(root.invalid("channels", "must be at least 1"));
         }
         let max_slots = root.opt_u64("max_slots")?.unwrap_or(10_000);
-        let par_channels = root.opt_bool("par_channels")?.unwrap_or(false);
+        // Accepted and ignored (deprecated): files written before the
+        // engine chose its own schedule carry `par_channels` here and
+        // `par_shards` under `[engine]`.
+        root.opt_bool("par_channels")?;
         let params = match root.opt_fields("sinr")? {
             Some(f) => decode_sinr(f)?,
             None => SinrParams::default(),
         };
-        let (shards, par_shards) = match root.opt_fields("engine")? {
+        let shards = match root.opt_fields("engine")? {
             Some(f) => decode_engine(f)?,
-            None => (0, false),
+            None => 0,
         };
         let deployment = {
             let line = root.line();
@@ -408,9 +408,9 @@ impl FromToml for Scenario {
             faults,
             channels,
             max_slots,
-            par_channels,
+            par_channels: false,
             shards,
-            par_shards,
+            par_shards: false,
             maintenance,
             obs,
         })
@@ -427,7 +427,7 @@ fn decode_obs(mut f: Fields<'_>) -> Result<ObsSpec, TomlError> {
     })
 }
 
-fn decode_engine(mut f: Fields<'_>) -> Result<(u16, bool), TomlError> {
+fn decode_engine(mut f: Fields<'_>) -> Result<u16, TomlError> {
     let shards = f.opt_u16("shards")?.unwrap_or(0);
     if shards > mca_radio::shard::MAX_SHARDS_PER_AXIS {
         return Err(f.invalid(
@@ -438,9 +438,9 @@ fn decode_engine(mut f: Fields<'_>) -> Result<(u16, bool), TomlError> {
             ),
         ));
     }
-    let par_shards = f.opt_bool("par_shards")?.unwrap_or(false);
+    f.opt_bool("par_shards")?;
     f.finish()?;
-    Ok((shards, par_shards))
+    Ok(shards)
 }
 
 fn decode_maintenance(mut f: Fields<'_>) -> Result<MaintenanceSpec, TomlError> {
@@ -1103,9 +1103,7 @@ mod tests {
             .faults(faults)
             .channels(4)
             .max_slots(2_000)
-            .par_channels(true)
             .shards(3)
-            .par_shards(true)
             .maintenance(crate::spec::MaintenanceSpec {
                 every: 150,
                 handover_hysteresis: 1.4,
@@ -1143,7 +1141,6 @@ mod tests {
         assert_eq!(s.name, "tiny");
         assert_eq!(s.channels, 8);
         assert_eq!(s.max_slots, 10_000);
-        assert!(!s.par_channels);
         assert_eq!(s.params, SinrParams::default());
         assert_eq!(s.mobility, MobilitySpec::Static);
         assert!(s.fading.is_none());
@@ -1157,12 +1154,10 @@ mod tests {
         // Absent table: sharding off, and the emitter omits the table.
         let s = Scenario::from_toml_str(base).unwrap();
         assert_eq!(s.shards, 0);
-        assert!(!s.par_shards);
         assert!(!s.to_toml().contains("[engine]"));
         // Present table round-trips.
         let s = Scenario::from_toml_str(&format!("{base}[engine]\nshards = 4\n")).unwrap();
         assert_eq!(s.shards, 4);
-        assert!(!s.par_shards);
         let back = Scenario::from_toml_str(&s.to_toml()).unwrap();
         assert_eq!(back, s);
         // Out-of-range shard counts are rejected with the field path.
@@ -1172,6 +1167,33 @@ mod tests {
         // Unknown keys are rejected.
         let e = Scenario::from_toml_str(&format!("{base}[engine]\nthreads = 4\n")).unwrap_err();
         assert_eq!(e.path, "engine.threads");
+    }
+
+    #[test]
+    fn deprecated_schedule_flags_are_accepted_ignored_and_not_reemitted() {
+        let file = |flags: (&str, &str)| {
+            format!(
+                "name = \"old\"\n{}[engine]\nshards = 4\n{}[deployment]\nkind = \"line\"\nn = 4\nspacing = 2.0\n",
+                flags.0, flags.1
+            )
+        };
+        let with = Scenario::from_toml_str(&file(("par_channels = true\n", "par_shards = true\n")))
+            .unwrap();
+        let without = Scenario::from_toml_str(&file(("", ""))).unwrap();
+        assert_eq!(with, without);
+        assert_eq!(with.shards, 4);
+        let emitted = with.to_toml();
+        assert_eq!(emitted, without.to_toml());
+        assert!(!emitted.contains("par_"), "{emitted}");
+        // An `[engine]` table that held only the deprecated flag vanishes.
+        let bare = Scenario::from_toml_str(
+            "name = \"old\"\n[engine]\npar_shards = true\n[deployment]\nkind = \"line\"\nn = 4\nspacing = 2.0\n",
+        )
+        .unwrap();
+        assert!(!bare.to_toml().contains("[engine]"));
+        // Still type-checked: the keys are tolerated, not free-form.
+        let e = Scenario::from_toml_str(&file(("par_channels = 1\n", ""))).unwrap_err();
+        assert_eq!(e.path, "par_channels");
     }
 
     #[test]

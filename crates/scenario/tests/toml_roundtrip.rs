@@ -110,7 +110,7 @@ proptest! {
         (lo, hi, frac) in (0.0..0.5f64, 0.0..2.0f64, 0.0..1.0f64),
         (pause, w0, w1, seed) in (0u64..12, 0u64..200, 0u64..200, 0u64..u64::MAX),
         (channels, slots) in (1u16..17, 1u64..5_000),
-        (with_area, with_fading, drop, par, fast) in (0u8..2, 0u8..2, 0u8..2, 0u8..2, 0u8..2),
+        (with_area, with_fading, drop, sharded, fast) in (0u8..2, 0u8..2, 0u8..2, 0u8..2, 0u8..2),
     ) {
         let deployment = deployment_for(dep_sel, n, a, b);
         let n_nodes = deployment.len().max(1);
@@ -121,7 +121,7 @@ proptest! {
             .faults(faults_for(fault_sel, seed, 1.0 + a, n_nodes, channels))
             .channels(channels)
             .max_slots(slots)
-            .par_channels(par == 1);
+            .shards(3 * u16::from(sharded));
         if with_area == 1 {
             builder = builder.area(BoundingBox::new(
                 Point::new(-a, -b),

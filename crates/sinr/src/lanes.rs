@@ -31,78 +31,35 @@
 //! (exactly-rounded at any vector width, no FMA contraction — Rust never
 //! contracts by default). Lane resolution is therefore **bit-for-bit**
 //! the scalar resolution, not merely close: goldens stay byte-identical
-//! at every thread/shard/lane configuration, which the proptests in
+//! at every thread/shard configuration, which the proptests in
 //! `tests/lane_kernels.rs` and the forced-parallel golden re-run prove.
 //! What the lanes buy is the *element-wise math* (distance and power, the
 //! actual hot work); the in-order adds are a few scalar cycles per lane.
 //!
 //! # When lanes engage
 //!
-//! Lanes are **on by default** and toggled per process:
-//!
-//! * environment: `MCA_LANES=0` disables them (any other value, or unset,
-//!   leaves them on);
-//! * programmatic: [`set_enabled`] overrides the environment (the bench
-//!   harness uses this for its `lanes`-vs-`scalar` arm pair);
-//!   [`clear_override`] returns to the environment default.
-//!
-//! A resolver samples the toggle once at construction
-//! ([`crate::ChannelResolver::with_lanes`] can pin it per resolver).
-//! Because lane and scalar resolution are bit-identical, the toggle is a
-//! pure performance knob — it can never change a simulation outcome.
+//! Always: there is no toggle. The batched resolver's one production walk
+//! is built on these kernels, and the scalar walks it is pinned against
+//! ([`crate::resolve_listener`] and
+//! [`crate::ChannelResolver::resolve_with_bound`]) survive only as test
+//! references. See `docs/EXECUTION_MODEL.md`.
 
 // The kernels mirror the scalar accumulator state as flat `&mut`
 // parameters and walk the fixed-size lane arrays by index: that is the
 // exact shape the autovectorizer was measured against (see
-// docs/SIMD_LANES.md); the argument-count and range-loop lints would
+// docs/EXECUTION_MODEL.md); the argument-count and range-loop lints would
 // trade it for unverified codegen on the hottest loop in the workspace.
 #![allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 
 use crate::params::PowerKernel;
-use std::sync::atomic::{AtomicI8, Ordering};
-use std::sync::OnceLock;
 
 /// Elements processed per vector chunk. Eight `f64`s fill one AVX-512
 /// register, two AVX2 registers, or four SSE2/NEON registers — wide
 /// enough that the autovectorizer unrolls profitably on all of them.
 pub const LANE_WIDTH: usize = 8;
 
-/// Process-wide lane toggle: `-1` = follow the `MCA_LANES` environment
-/// default, `0` = forced off, `1` = forced on.
-static OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-
-/// Whether the lane kernels are currently enabled (see module docs for
-/// the `MCA_LANES` / [`set_enabled`] precedence).
-pub fn enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => {
-            static ENV: OnceLock<bool> = OnceLock::new();
-            *ENV.get_or_init(|| std::env::var("MCA_LANES").map_or(true, |v| v != "0"))
-        }
-    }
-}
-
-/// Forces the lane kernels on or off for subsequently constructed
-/// resolvers, overriding `MCA_LANES`. Safe at any time: lanes are
-/// bit-identical to the scalar path, so flipping mid-run cannot change
-/// any outcome — only throughput.
-pub fn set_enabled(on: bool) {
-    OVERRIDE.store(i8::from(on), Ordering::Relaxed);
-}
-
-/// Drops a [`set_enabled`] override, returning to the `MCA_LANES`
-/// environment default.
-pub fn clear_override() {
-    OVERRIDE.store(-1, Ordering::Relaxed);
-}
-
 /// The widest packed-`f64` instruction set this binary was compiled for —
-/// recorded in bench artifacts so speedup figures read honestly. The ≥2×
-/// lane gate engages only when this is at least 4 lanes wide ("avx2" or
-/// "avx512"); an SSE2-baseline build (2-wide) cannot be expected to
-/// double a memory-and-sqrt-bound kernel.
+/// recorded in bench artifacts so timings read honestly across hosts.
 pub fn simd_level() -> &'static str {
     if cfg!(target_feature = "avx512f") {
         "avx512"
@@ -114,75 +71,6 @@ pub fn simd_level() -> &'static str {
         "neon"
     } else {
         "none"
-    }
-}
-
-/// Whether the compiled SIMD level is wide enough (≥ 4 `f64` lanes) for
-/// the bench's ≥2× lanes-vs-scalar gate to engage.
-pub fn simd_capable() -> bool {
-    cfg!(target_feature = "avx512f") || cfg!(target_feature = "avx2")
-}
-
-/// Near-field accumulation over an indexed SoA span: `xs[k]`/`ys[k]` are
-/// the coordinates of transmitter `ids[k]`. Adds every element's power to
-/// `total` and tracks the argmax in ascending `k` order with the
-/// first-strongest-wins tie-break on the *original* transmitter index
-/// (`p > best_pow`, or `p == best_pow` with a smaller id) — bitwise the
-/// resolver's scalar near-cell loop.
-#[inline(always)]
-pub fn accumulate_indexed(
-    kernel: &PowerKernel,
-    xs: &[f64],
-    ys: &[f64],
-    ids: &[u32],
-    lx: f64,
-    ly: f64,
-    total: &mut f64,
-    best_pow: &mut f64,
-    best: &mut usize,
-) {
-    debug_assert!(xs.len() == ys.len() && xs.len() == ids.len());
-    // Fixed-size chunk references (`&[f64; LANE_WIDTH]`) are what lets the
-    // autovectorizer emit clean packed code: they eliminate per-element
-    // bounds checks, which otherwise break the straight-line lane shape at
-    // inlined call sites (measured 2.4× slower without them).
-    let mut cxs = xs.chunks_exact(LANE_WIDTH);
-    let mut cys = ys.chunks_exact(LANE_WIDTH);
-    let mut cids = ids.chunks_exact(LANE_WIDTH);
-    let mut k = 0;
-    for ((sx, sy), sid) in (&mut cxs).zip(&mut cys).zip(&mut cids) {
-        let sx: &[f64; LANE_WIDTH] = sx.try_into().expect("exact chunk");
-        let sy: &[f64; LANE_WIDTH] = sy.try_into().expect("exact chunk");
-        let sid: &[u32; LANE_WIDTH] = sid.try_into().expect("exact chunk");
-        let mut d = [0.0f64; LANE_WIDTH];
-        for j in 0..LANE_WIDTH {
-            let dx = sx[j] - lx;
-            let dy = sy[j] - ly;
-            d[j] = dx * dx + dy * dy;
-        }
-        let p = kernel.eval_lanes(d);
-        for j in 0..LANE_WIDTH {
-            let pj = p[j];
-            *total += pj;
-            let i = sid[j] as usize;
-            if pj > *best_pow || (pj == *best_pow && i < *best) {
-                *best_pow = pj;
-                *best = i;
-            }
-        }
-        k += LANE_WIDTH;
-    }
-    // Remainder: the scalar kernel, still in ascending order.
-    for j in k..xs.len() {
-        let dx = xs[j] - lx;
-        let dy = ys[j] - ly;
-        let pj = kernel.eval(dx * dx + dy * dy);
-        *total += pj;
-        let i = ids[j] as usize;
-        if pj > *best_pow || (pj == *best_pow && i < *best) {
-            *best_pow = pj;
-            *best = i;
-        }
     }
 }
 
@@ -237,95 +125,8 @@ pub fn accumulate_identity(
     }
 }
 
-/// The vector phase of the descended-block cell scan: for one
-/// [`LANE_WIDTH`] chunk of cells (rect bounds, centers — the index's
-/// per-cell metadata SoA), computes each cell's squared distance from the
-/// listener to its rectangle and the power at its center.
-///
-/// Both outputs are **bitwise** their scalar counterparts:
-///
-/// * the rect distance mirrors [`BoundingBox::dist_sq_to`] — `clamp` via
-///   `max`/`min` yields the same clamped coordinate (a sign-of-zero
-///   difference at the boundary is killed by the squaring), and the
-///   subtract/multiply/add sequence is identical;
-/// * the center power is `kernel.eval` of `center.dist_sq(listener)` —
-///   the same subtract/square/add followed by [`PowerKernel::eval_lanes`],
-///   whose every element is bitwise [`PowerKernel::eval`].
-///
-/// The caller classifies each cell against the near cutoff with `d_min²`
-/// (agreeing exactly with the scalar resolver's branch) and folds the far
-/// cells' pre-multiplied `count · power` terms into its running estimate
-/// in cell order — the one serial `fadd` chain the bitwise contract
-/// requires is all that stays scalar.
-///
-/// [`BoundingBox::dist_sq_to`]: mca_geom::BoundingBox::dist_sq_to
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub fn cell_chunk_metrics(
-    kernel: &PowerKernel,
-    min_x: &[f64; LANE_WIDTH],
-    min_y: &[f64; LANE_WIDTH],
-    max_x: &[f64; LANE_WIDTH],
-    max_y: &[f64; LANE_WIDTH],
-    cx: &[f64; LANE_WIDTH],
-    cy: &[f64; LANE_WIDTH],
-    count: &[f64; LANE_WIDTH],
-    lx: f64,
-    ly: f64,
-) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH]) {
-    let mut d_min = [0.0f64; LANE_WIDTH];
-    let mut d_center = [0.0f64; LANE_WIDTH];
-    for j in 0..LANE_WIDTH {
-        let px = lx.max(min_x[j]).min(max_x[j]);
-        let py = ly.max(min_y[j]).min(max_y[j]);
-        let dx = px - lx;
-        let dy = py - ly;
-        d_min[j] = dx * dx + dy * dy;
-        let ex = cx[j] - lx;
-        let ey = cy[j] - ly;
-        d_center[j] = ex * ex + ey * ey;
-    }
-    let mut terms = kernel.eval_lanes(d_center);
-    for j in 0..LANE_WIDTH {
-        // One exactly-rounded multiply per lane — bitwise the scalar
-        // path's `n · received_power_sq(d²)` term.
-        terms[j] *= count[j];
-    }
-    (d_min, terms)
-}
-
-/// [`cell_chunk_metrics`] without the rect-distance classification, for
-/// descended blocks whose rectangle is entirely beyond the near cutoff:
-/// every cell's minimum distance is at least the block's (already tested
-/// by the descend branch), so no cell can classify near and the scan
-/// needs only the far terms. Element `j` is bitwise the scalar far-cell
-/// term `count · P/d(center)^α`; the caller folds the chunk into its far
-/// estimate in cell order.
-#[inline(always)]
-pub fn far_chunk_terms(
-    kernel: &PowerKernel,
-    cx: &[f64; LANE_WIDTH],
-    cy: &[f64; LANE_WIDTH],
-    count: &[f64; LANE_WIDTH],
-    lx: f64,
-    ly: f64,
-) -> [f64; LANE_WIDTH] {
-    let mut d_center = [0.0f64; LANE_WIDTH];
-    for j in 0..LANE_WIDTH {
-        let ex = cx[j] - lx;
-        let ey = cy[j] - ly;
-        d_center[j] = ex * ex + ey * ey;
-    }
-    let mut terms = kernel.eval_lanes(d_center);
-    for j in 0..LANE_WIDTH {
-        terms[j] *= count[j];
-    }
-    terms
-}
-
-/// The listener-lane dual of [`cell_chunk_metrics`]: one rectangle
-/// (bounds, center, transmitter count — scalars), [`LANE_WIDTH`]
-/// *listeners*. Element `l` is bitwise the scalar
+/// Rectangle metrics across listener lanes: one rectangle (bounds,
+/// center, transmitter count — scalars), [`LANE_WIDTH`] *listeners*. Element `l` is bitwise the scalar
 /// `rect.dist_sq_to(listener_l)` and the scalar aggregated term
 /// `count · P/d(center, listener_l)^α` — the same `max`/`min` clamp and
 /// subtract/square/add sequences, with [`PowerKernel::eval_lanes`]
@@ -515,96 +316,5 @@ mod tests {
                 assert_eq!(b, sb, "α={alpha} n={n}");
             }
         }
-    }
-
-    #[test]
-    fn indexed_accumulation_matches_scalar_with_tie_break() {
-        let k = kernel(3.0);
-        let (xs, ys) = coords(21, 7);
-        // Duplicate a coordinate so the power ties; ids deliberately
-        // descending so the tie-break (smaller id wins) is exercised.
-        let mut xs = xs;
-        let mut ys = ys;
-        xs[20] = xs[0];
-        ys[20] = ys[0];
-        let ids: Vec<u32> = (0..21u32).rev().collect();
-        let (mut t, mut p, mut b) = (0.5, f64::NEG_INFINITY, 0usize);
-        accumulate_indexed(&k, &xs, &ys, &ids, 1.0, 1.0, &mut t, &mut p, &mut b);
-        let (mut st, mut sp, mut sb) = (0.5, f64::NEG_INFINITY, 0usize);
-        for j in 0..21 {
-            let dx = xs[j] - 1.0;
-            let dy = ys[j] - 1.0;
-            let pw = k.eval(dx * dx + dy * dy);
-            st += pw;
-            let i = ids[j] as usize;
-            if pw > sp || (pw == sp && i < sb) {
-                sp = pw;
-                sb = i;
-            }
-        }
-        assert_eq!(t.to_bits(), st.to_bits());
-        assert_eq!(p.to_bits(), sp.to_bits());
-        assert_eq!(b, sb);
-    }
-
-    #[test]
-    fn cell_chunk_metrics_is_bitwise_rect_distance_and_center_power() {
-        use mca_geom::{BoundingBox, Point};
-        for alpha in [3.0, 3.7] {
-            let k = kernel(alpha);
-            let (cx, cy) = coords(LANE_WIDTH, 40 + alpha as u64);
-            // Rect half-extents vary per cell; one listener inside a rect,
-            // the rest outside, so both clamp regimes are exercised.
-            let (mut min_x, mut min_y, mut max_x, mut max_y) = (
-                [0.0; LANE_WIDTH],
-                [0.0; LANE_WIDTH],
-                [0.0; LANE_WIDTH],
-                [0.0; LANE_WIDTH],
-            );
-            for j in 0..LANE_WIDTH {
-                let h = 0.5 + j as f64 * 0.3;
-                min_x[j] = cx[j] - h;
-                max_x[j] = cx[j] + h;
-                min_y[j] = cy[j] - h;
-                max_y[j] = cy[j] + h;
-            }
-            let (lx, ly) = (cx[3], cy[3]);
-            let cxa: [f64; LANE_WIDTH] = cx.clone().try_into().unwrap();
-            let cya: [f64; LANE_WIDTH] = cy.clone().try_into().unwrap();
-            let mut cnt = [0.0f64; LANE_WIDTH];
-            for (j, c) in cnt.iter_mut().enumerate() {
-                *c = (j % 5 + 1) as f64;
-            }
-            let (d_min, terms) =
-                cell_chunk_metrics(&k, &min_x, &min_y, &max_x, &max_y, &cxa, &cya, &cnt, lx, ly);
-            let listener = Point::new(lx, ly);
-            for j in 0..LANE_WIDTH {
-                let rect = BoundingBox::from_points([
-                    Point::new(min_x[j], min_y[j]),
-                    Point::new(max_x[j], max_y[j]),
-                ])
-                .unwrap();
-                assert_eq!(
-                    d_min[j].to_bits(),
-                    rect.dist_sq_to(listener).to_bits(),
-                    "α={alpha} j={j}"
-                );
-                let scalar = cnt[j] * k.eval(Point::new(cx[j], cy[j]).dist_sq(listener));
-                assert_eq!(terms[j].to_bits(), scalar.to_bits(), "α={alpha} j={j}");
-            }
-        }
-    }
-
-    #[test]
-    fn toggle_precedence() {
-        // Programmatic override beats the environment; clearing returns
-        // to the default (on, unless MCA_LANES=0 — not set in tests).
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        clear_override();
-        assert!(enabled());
-        assert!(!simd_level().is_empty());
     }
 }

@@ -17,10 +17,10 @@
 //!   error-bounded — see [`resolve_batch`] for the `α > 2` tail-bound
 //!   derivation). [`ResolverCache`] persists the spatial index across
 //!   slots; [`TaskResolver`] is the per-shard-task view the engine's
-//!   sharded fan-out resolves through (bit-identical to the resolver);
+//!   sharded resolve units go through (bit-identical to the resolver);
 //! * [`lanes`] — SIMD-friendly structure-of-arrays power kernels with a
-//!   deterministic reduction order, bit-identical to the scalar path (the
-//!   resolvers use them by default; `MCA_LANES=0` opts out);
+//!   deterministic reduction order, bit-identical to the scalar reference
+//!   walks (the resolvers' one production path);
 //! * [`is_clear_reception`] — Definition 4;
 //! * [`bounds`] — closed forms of Lemmas 2–3 plus the far-field tail bounds
 //!   for validation experiments.

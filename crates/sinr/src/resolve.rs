@@ -133,7 +133,7 @@ pub fn resolve_channel(
 ) -> Vec<ListenOutcome> {
     let resolver = crate::ChannelResolver::new(params, tx_positions);
     let mut out = Vec::with_capacity(listeners.len());
-    resolver.resolve_into(listeners, 0.0, &mut out);
+    resolver.resolve_batch_into(listeners, 0.0, &mut out);
     out
 }
 

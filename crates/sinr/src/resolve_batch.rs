@@ -23,8 +23,7 @@
 //!   contributes a *single* aggregated term for all of its cells. On a
 //!   100k-node dense world this cuts the per-listener far-field loop from
 //!   every occupied cell (thousands) to a ring of descended blocks plus
-//!   one term per far block — the single-slot speedup `experiments
-//!   bench-shards` records against the frozen PR 2 flat-grid baseline.
+//!   one term per far block.
 //!
 //! # Determinism contract
 //!
@@ -35,8 +34,8 @@
 //! row-major order; within a descended block, cells in row-major order;
 //! within a near cell, transmitters in input order), so sharded, parallel,
 //! and sequential resolution of the same channel are bit-for-bit identical.
-//! The engine's shard fan-out and `MCA_FORCE_PAR` override lean on exactly
-//! this property.
+//! The engine's unit schedule and `MCA_FORCE_PAR` override lean on exactly
+//! this property (see `docs/EXECUTION_MODEL.md`).
 //!
 //! # The far-field error bound (why truncation is principled)
 //!
@@ -72,20 +71,6 @@ use crate::lanes::{self, LANE_WIDTH};
 use crate::params::{PowerKernel, ResolveMode, SinrParams};
 use crate::resolve::{decide, resolve_listener_ext, ListenOutcome};
 use mca_geom::{BoundingBox, Point, SpatialGrid};
-use rayon::prelude::*;
-
-/// Listener count above which [`ChannelResolver::resolve_into`] may fan
-/// out across threads (no-op on single-core hosts; results are identical
-/// either way).
-const PAR_LISTENERS: usize = 256;
-
-/// Minimum per-batch work volume (listeners × estimated power evaluations
-/// per listener, mode-aware) before the fan-out engages. The vendored
-/// rayon runs on a persistent work-stealing pool, so dispatch is a task
-/// handoff to an already-parked worker (~single-digit µs), not a thread
-/// spawn — the bar is set by chunking/merge overhead and cache effects,
-/// an order of magnitude lower than the old spawn-per-call economics.
-const PAR_MIN_PAIRS: usize = 1_000_000;
 
 /// Transmitter count below which Fast mode falls back to the exact scan —
 /// the grid build would cost more than it saves.
@@ -144,11 +129,9 @@ struct FastIndex {
     lane_xs: Vec<f64>,
     lane_ys: Vec<f64>,
     /// Per-cell metadata SoA aligned with `cells`: rectangle bounds,
-    /// center, and widened transmitter count. The descended-block scan
-    /// reads these [`LANE_WIDTH`] cells at a time —
-    /// [`lanes::cell_chunk_metrics`] turns the rect-distance
-    /// classification and the far-field center powers into packed `f64`
-    /// SIMD, which per-cell loads of the `CellSpan` AoS cannot.
+    /// center, and widened transmitter count — the scalars the batch
+    /// walk broadcasts against its listener lanes
+    /// ([`lanes::rect_metrics_lanes`]).
     cell_min_x: Vec<f64>,
     cell_min_y: Vec<f64>,
     cell_max_x: Vec<f64>,
@@ -157,11 +140,7 @@ struct FastIndex {
     cell_cy: Vec<f64>,
     cell_cnt: Vec<f64>,
     /// Per-block metadata SoA aligned with `blocks` — same shape as the
-    /// per-cell SoA, for the same reason: the block pass (descend
-    /// classification plus the aggregated far term of every non-descended
-    /// block) is itself a rect-distance + center-power scan, and chunking
-    /// it through [`lanes::cell_chunk_metrics`] vectorizes the ~`O(blocks)`
-    /// scalar evaluations each listener otherwise pays up front.
+    /// per-cell SoA, for the same reason.
     blk_min_x: Vec<f64>,
     blk_min_y: Vec<f64>,
     blk_max_x: Vec<f64>,
@@ -175,7 +154,7 @@ struct FastIndex {
     /// blocks farther than this from a listener are aggregated whole.
     descend_sq: f64,
     /// Estimated power-evaluation count per resolved listener — the
-    /// quantity the listener fan-out threshold is measured in.
+    /// quantity the engine's pooling threshold is measured in.
     work_per_listener: usize,
     /// Grid origin (minimum y) and cell side — the quantization the
     /// batched resolver sorts listeners by so the [`LANE_WIDTH`] lanes of
@@ -474,33 +453,11 @@ impl FastIndex {
     }
 }
 
-/// Mutable accumulator state threaded through the lane-mode fast scan:
-/// the running near total/argmax, the far estimate, and the pending near
-/// run — a contiguous range of [`FastIndex::items`]. Consecutive near
-/// cells have adjacent CSR spans, so runs extend while contiguous and
-/// flush when broken (or once, after the block pass).
-struct LaneScan {
-    total: f64,
-    best_pow: f64,
-    best: usize,
-    far_est: f64,
-    run_s: usize,
-    run_e: usize,
-}
-
 thread_local! {
-    /// Per-thread scratch for the lane-mode block pass: squared rect
-    /// distance and aggregated far term per block, filled by one vector
-    /// sweep and consumed by the scalar block walk. Thread-local (not on
-    /// the resolver) because the listener fan-out resolves on multiple
-    /// threads through `&self`; reused across resolves so the steady
-    /// state allocates nothing.
-    static BLOCK_SCRATCH: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-
     /// Per-thread scratch for the batched resolver's spatial sort:
-    /// `(key, original position)` per listener. Thread-local for the same
-    /// reason as [`BLOCK_SCRATCH`]; reused so steady-state batches
+    /// `(key, original position)` per listener. Thread-local (not on the
+    /// resolver) because pool tasks resolve units of one channel
+    /// concurrently through `&self`; reused so steady-state batches
     /// allocate nothing.
     static SORT_SCRATCH: std::cell::RefCell<Vec<(u64, u32)>> =
         const { std::cell::RefCell::new(Vec::new()) };
@@ -508,9 +465,8 @@ thread_local! {
 
 /// Persistent per-channel resolver state: the spatial grid and two-level
 /// index survive across slots and are rebuilt **only when the transmitter
-/// positions (or physical parameters) actually change** — fixing the PR 2
-/// headroom note that the grid was rebuilt from scratch every slot even in
-/// static worlds.
+/// positions (or physical parameters) actually change** — a static world
+/// builds its index once.
 ///
 /// Invalidation is by exact snapshot comparison of the staged transmitter
 /// positions (cheap, early-exit, and *sound*: the index is a pure function
@@ -520,6 +476,9 @@ thread_local! {
 /// event, which would leave a stale index and break bit-reproducibility.
 /// The shard partition, whose correctness does *not* depend on freshness,
 /// is what consumes the event stream.
+///
+/// [`ResolveMode::Exact`] never has an index, so the cache does nothing
+/// for it: no snapshot, no comparison, no build counted.
 #[derive(Default)]
 pub struct ResolverCache {
     /// Transmitter positions the current index was built from.
@@ -532,15 +491,10 @@ pub struct ResolverCache {
     scratch: BuildScratch,
     /// The current index (`None` when Exact mode or the grid was refused).
     index: Option<FastIndex>,
-    /// SoA copy of the snapshot for the exact-scan lane path, maintained
-    /// only when there is no index to carry its own CSR lanes (and the set
-    /// is at least one lane wide).
-    soa_xs: Vec<f64>,
-    soa_ys: Vec<f64>,
-    /// Rebuilds performed (observable, for tests and diagnostics).
+    /// Indexes built (observable, for tests and diagnostics).
     builds: u64,
-    /// Wall nanoseconds spent rebuilding (0 unless the `obs` feature is
-    /// on — the stopwatch is compiled out otherwise).
+    /// Wall nanoseconds spent building them (0 unless the `obs` feature
+    /// is on — the stopwatch is compiled out otherwise).
     build_ns: u64,
 }
 
@@ -550,13 +504,13 @@ impl ResolverCache {
         Self::default()
     }
 
-    /// Number of index (re)builds this cache has performed — stays flat
-    /// across slots of a static world.
+    /// Number of spatial indexes this cache has built — stays flat across
+    /// slots of a static world, and at 0 in Exact mode.
     pub fn builds(&self) -> u64 {
         self.builds
     }
 
-    /// Wall nanoseconds spent in index rebuilds. Always 0 without the
+    /// Wall nanoseconds spent in index builds. Always 0 without the
     /// `obs` cargo feature (the clock is never read); with it, the
     /// engine surfaces this as the `resolver_cache_build_ns` counter.
     pub fn build_ns(&self) -> u64 {
@@ -566,7 +520,12 @@ impl ResolverCache {
     /// Ensures the cached index matches `(params, tx)`, rebuilding in
     /// place (buffers reused) when it does not.
     fn ensure(&mut self, params: &SinrParams, tx: &[Point]) {
-        if self.matches(params, tx) {
+        if params.resolve == ResolveMode::Exact {
+            self.params = None;
+            self.index = None;
+            return;
+        }
+        if self.params.as_ref() == Some(params) && self.snapshot == tx {
             return;
         }
         let sw = mca_obs::Stopwatch::start_if(mca_obs::enabled());
@@ -580,51 +539,10 @@ impl ResolverCache {
             &mut self.scratch,
             self.index.take(),
         );
-        self.soa_xs.clear();
-        self.soa_ys.clear();
-        if self.index.is_none() && tx.len() >= LANE_WIDTH {
-            self.soa_xs.extend(tx.iter().map(|p| p.x));
-            self.soa_ys.extend(tx.iter().map(|p| p.y));
+        if self.index.is_some() {
+            self.builds += 1;
+            self.build_ns += sw.elapsed_ns();
         }
-        self.builds += 1;
-        self.build_ns += sw.elapsed_ns();
-    }
-
-    /// Whether the cached index was built for exactly `(params, tx)`.
-    pub fn matches(&self, params: &SinrParams, tx: &[Point]) -> bool {
-        self.params.as_ref() == Some(params) && self.snapshot == tx
-    }
-
-    /// A resolver over the cached index **without** rebuilding — `None`
-    /// unless the cache [`matches`](ResolverCache::matches) `(params, tx)`.
-    /// Lets callers that warmed their caches up front (a sequential ensure
-    /// pass, as the engine's Phase 2 does) hand shared resolver views to
-    /// parallel workers.
-    pub fn resolver_for<'a>(
-        &'a self,
-        params: &'a SinrParams,
-        tx: &'a [Point],
-    ) -> Option<ChannelResolver<'a>> {
-        if !self.matches(params, tx) {
-            return None;
-        }
-        let fast = match &self.index {
-            Some(ix) => IndexRef::Cached(ix),
-            None => IndexRef::None,
-        };
-        let soa = if self.soa_xs.len() == tx.len() && !tx.is_empty() {
-            SoaRef::Borrowed(&self.soa_xs, &self.soa_ys)
-        } else {
-            SoaRef::None
-        };
-        Some(ChannelResolver {
-            kernel: params.power_kernel(),
-            lanes: lanes::enabled(),
-            params,
-            tx,
-            fast,
-            soa,
-        })
     }
 }
 
@@ -657,12 +575,7 @@ pub struct ChannelResolver<'a> {
     /// The power kernel, extracted once (the α dispatch is hoisted out of
     /// every hot loop).
     kernel: PowerKernel,
-    /// Whether this resolver runs the lane kernels — sampled from
-    /// [`lanes::enabled`] at construction, overridable per resolver with
-    /// [`ChannelResolver::with_lanes`]. Purely a throughput knob: lane and
-    /// scalar resolution are bit-identical.
-    lanes: bool,
-    /// SoA transmitter coordinates for the exact-scan lane path (the Fast
+    /// SoA transmitter coordinates for the exact-scan lane fold (the Fast
     /// index carries its own CSR lanes instead).
     soa: SoaRef<'a>,
 }
@@ -687,7 +600,7 @@ impl IndexRef<'_> {
 }
 
 /// Where the exact-path SoA coordinates live: transposed by this resolver,
-/// staged by the engine (or a [`ResolverCache`]), or absent (scalar scan).
+/// staged by the engine, or absent (scalar reference scan).
 enum SoaRef<'a> {
     None,
     Owned(Vec<f64>, Vec<f64>),
@@ -707,39 +620,31 @@ impl SoaRef<'_> {
 
 impl<'a> ChannelResolver<'a> {
     /// Indexes `tx_positions` for batched resolution under
-    /// `params.resolve`, building a fresh index.
+    /// `params.resolve`, building a fresh index — or, where there is none
+    /// (Exact mode, or a geometry the grid cannot help) and the set is at
+    /// least one lane wide, the SoA transpose the exact-scan lane fold
+    /// reads.
     pub fn new(params: &'a SinrParams, tx_positions: &'a [Point]) -> Self {
         let mut grid = None;
         let mut scratch = BuildScratch::default();
-        let fast = match FastIndex::build(params, tx_positions, &mut grid, &mut scratch, None) {
-            Some(ix) => IndexRef::Owned(Box::new(ix)),
-            None => IndexRef::None,
-        };
-        let mut r = ChannelResolver {
+        let (fast, soa) =
+            match FastIndex::build(params, tx_positions, &mut grid, &mut scratch, None) {
+                Some(ix) => (IndexRef::Owned(Box::new(ix)), SoaRef::None),
+                None if tx_positions.len() >= LANE_WIDTH => (
+                    IndexRef::None,
+                    SoaRef::Owned(
+                        tx_positions.iter().map(|p| p.x).collect(),
+                        tx_positions.iter().map(|p| p.y).collect(),
+                    ),
+                ),
+                None => (IndexRef::None, SoaRef::None),
+            };
+        ChannelResolver {
             kernel: params.power_kernel(),
-            lanes: lanes::enabled(),
             params,
             tx: tx_positions,
             fast,
-            soa: SoaRef::None,
-        };
-        r.ensure_soa();
-        r
-    }
-
-    /// Builds the owned exact-path SoA transpose when the lane path needs
-    /// one and nothing staged it (no Fast index with CSR lanes, no
-    /// engine/cache buffer).
-    fn ensure_soa(&mut self) {
-        if self.lanes
-            && matches!(self.fast, IndexRef::None)
-            && matches!(self.soa, SoaRef::None)
-            && self.tx.len() >= LANE_WIDTH
-        {
-            self.soa = SoaRef::Owned(
-                self.tx.iter().map(|p| p.x).collect(),
-                self.tx.iter().map(|p| p.y).collect(),
-            );
+            soa,
         }
     }
 
@@ -756,26 +661,13 @@ impl<'a> ChannelResolver<'a> {
         self
     }
 
-    /// Pins the lane toggle for this resolver regardless of the global
-    /// [`lanes::enabled`] state — the bench harness' `lanes`-vs-`scalar`
-    /// arms and the bit-identity audits use this for race-free control.
-    /// Outcomes are identical either way; only throughput changes.
-    pub fn with_lanes(mut self, on: bool) -> Self {
-        self.lanes = on;
-        self.ensure_soa();
-        self
-    }
-
-    /// Whether this resolver runs the lane kernels.
-    pub fn lanes_enabled(&self) -> bool {
-        self.lanes
-    }
-
     /// Like [`ChannelResolver::new`], but reusing `cache`: if the
     /// transmitter positions and parameters match the cache's snapshot the
     /// index is reused as-is (zero build work — the static-world steady
     /// state), otherwise it is rebuilt in place into the cache's buffers.
-    /// Outcomes are identical to a freshly built resolver's.
+    /// Outcomes are identical to a freshly built resolver's. The cache
+    /// holds no SoA transpose: a caller that wants the exact-scan lane
+    /// fold stages one through [`ChannelResolver::with_soa`].
     pub fn cached(
         params: &'a SinrParams,
         tx_positions: &'a [Point],
@@ -786,18 +678,12 @@ impl<'a> ChannelResolver<'a> {
             Some(ix) => IndexRef::Cached(ix),
             None => IndexRef::None,
         };
-        let soa = if cache.soa_xs.len() == tx_positions.len() && !tx_positions.is_empty() {
-            SoaRef::Borrowed(&cache.soa_xs, &cache.soa_ys)
-        } else {
-            SoaRef::None
-        };
         ChannelResolver {
             kernel: params.power_kernel(),
-            lanes: lanes::enabled(),
             params,
             tx: tx_positions,
             fast,
-            soa,
+            soa: SoaRef::None,
         }
     }
 
@@ -827,8 +713,8 @@ impl<'a> ChannelResolver<'a> {
     }
 
     /// Estimated power evaluations per resolved listener (exact scan: all
-    /// transmitters) — the quantity the engine's per-channel inline/pool
-    /// gating and the resolver's own listener fan-out are measured in.
+    /// transmitters) — the quantity the engine's pooling threshold is
+    /// measured in.
     pub fn estimated_work_per_listener(&self) -> usize {
         self.fast
             .get()
@@ -837,22 +723,16 @@ impl<'a> ChannelResolver<'a> {
 
     /// Resolves one listener. `extra_interference` is the per-channel
     /// environmental term (fading, out-of-network traffic), exactly as in
-    /// [`crate::resolve_listener_ext`].
+    /// [`crate::resolve_listener_ext`]. In Fast mode this is the batch
+    /// walk with the listener in every lane.
     #[inline]
     pub fn resolve(&self, listener: Point, extra_interference: f64) -> ListenOutcome {
         match self.fast.get() {
-            None => {
-                if self.lanes {
-                    if let Some((xs, ys)) = self.soa.get() {
-                        return self.resolve_exact_lanes(xs, ys, listener, extra_interference);
-                    }
-                }
-                resolve_listener_ext(self.params, self.tx, listener, extra_interference)
-            }
-            Some(index) => {
-                self.resolve_fast::<false>(index, listener, extra_interference, None)
-                    .0
-            }
+            None => match self.soa.get() {
+                Some((xs, ys)) => self.resolve_exact_lanes(xs, ys, listener, extra_interference),
+                None => resolve_listener_ext(self.params, self.tx, listener, extra_interference),
+            },
+            Some(index) => self.resolve_fast_one(index, listener, extra_interference, None),
         }
     }
 
@@ -885,12 +765,14 @@ impl<'a> ChannelResolver<'a> {
         decide(self.params, best, best_pow, total)
     }
 
-    /// Like [`ChannelResolver::resolve`], additionally returning the
-    /// rigorous bound on the absolute interference error of this outcome
-    /// (always 0 on the exact path). A decode decision can differ from
-    /// [`ResolveMode::Exact`] only if moving the interference by the bound
-    /// — plus ulp-scale rounding slack from the cell-order near-field sum —
-    /// crosses the `β` threshold.
+    /// Resolves one listener through the scalar reference walk,
+    /// additionally returning the rigorous bound on the absolute
+    /// interference error of this outcome (always 0 on the exact path).
+    /// The outcome is bit-for-bit [`ChannelResolver::resolve`]'s — the
+    /// property that pins the lane walk — and a decode decision can differ
+    /// from [`ResolveMode::Exact`] only if moving the interference by the
+    /// bound — plus ulp-scale rounding slack from the cell-order near-field
+    /// sum — crosses the `β` threshold.
     pub fn resolve_with_bound(
         &self,
         listener: Point,
@@ -901,7 +783,7 @@ impl<'a> ChannelResolver<'a> {
                 resolve_listener_ext(self.params, self.tx, listener, extra_interference),
                 0.0,
             ),
-            Some(index) => self.resolve_fast::<true>(index, listener, extra_interference, None),
+            Some(index) => self.resolve_fast_scalar(index, listener, extra_interference),
         }
     }
 
@@ -931,184 +813,19 @@ impl<'a> ChannelResolver<'a> {
         }
     }
 
-    /// Fast-mode core: blocks in row-major order; aggregated blocks (past
-    /// the descend radius) contribute one far term; descended blocks visit
-    /// their cells — near cells (inside the cutoff) exactly, far cells as
-    /// one term each. `BOUND` selects whether the per-rectangle error
-    /// interval is accumulated; the hot path resolves with `BOUND = false`
-    /// and reports 0. `candidates` (from [`ChannelResolver::task`]) marks
-    /// the blocks that may descend for this listener's task; `None` means
-    /// every block is tested.
-    /// Accumulates one pending near run — a contiguous range of
-    /// `index.items` covering consecutive near cells — through the lane
-    /// kernel, which adds each item's power to `total` and tracks the
-    /// argmax in ascending CSR order with the smallest-original-index
-    /// tie-break: bitwise the scalar per-cell loop over the same cells.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn flush_near_run(
-        &self,
-        index: &FastIndex,
-        s: usize,
-        e: usize,
-        listener: Point,
-        total: &mut f64,
-        best_pow: &mut f64,
-        best: &mut usize,
-    ) {
-        if e > s {
-            lanes::accumulate_indexed(
-                &self.kernel,
-                &index.lane_xs[s..e],
-                &index.lane_ys[s..e],
-                &index.items[s..e],
-                listener.x,
-                listener.y,
-                total,
-                best_pow,
-                best,
-            );
-        }
-    }
-
-    /// Merges a near cell's CSR span `[s, e)` into the pending near run,
-    /// flushing the previous run first when the spans are not contiguous.
-    #[inline]
-    fn near_run_push(
-        &self,
-        index: &FastIndex,
-        s: usize,
-        e: usize,
-        listener: Point,
-        st: &mut LaneScan,
-    ) {
-        if st.run_e == s {
-            st.run_e = e;
-        } else {
-            self.flush_near_run(
-                index,
-                st.run_s,
-                st.run_e,
-                listener,
-                &mut st.total,
-                &mut st.best_pow,
-                &mut st.best,
-            );
-            st.run_s = s;
-            st.run_e = e;
-        }
-    }
-
-    /// Cell scan of one descended block under lane mode. `entirely_far`
-    /// records that the block's rectangle lies beyond the near cutoff: no
-    /// cell's minimum distance can undercut the block's, so the scan skips
-    /// classification and folds the far terms straight (vector eval,
-    /// in-order adds). Otherwise the vector phase computes rect distance +
-    /// center power for LANE_WIDTH cells at once — both bitwise their
-    /// scalar counterparts ([`lanes::cell_chunk_metrics`]) — and a scalar
-    /// in-order pass classifies each cell: near cells merge into the
-    /// pending CSR run, far cells fold their pre-multiplied term. Zipped
-    /// `chunks_exact` iterators (not index-and-slice per chunk) keep the
-    /// vector phases free of per-chunk bounds checks — the same codegen
-    /// lesson as `accumulate_indexed`.
-    #[inline]
-    fn lane_block_cells(
-        &self,
-        index: &FastIndex,
-        cs: usize,
-        ce: usize,
-        entirely_far: bool,
-        listener: Point,
-        st: &mut LaneScan,
-    ) {
-        if entirely_far {
-            let mut icx = index.cell_cx[cs..ce].chunks_exact(LANE_WIDTH);
-            let mut icy = index.cell_cy[cs..ce].chunks_exact(LANE_WIDTH);
-            let mut icn = index.cell_cnt[cs..ce].chunks_exact(LANE_WIDTH);
-            for ((cx, cy), cn) in (&mut icx).zip(&mut icy).zip(&mut icn) {
-                let cx: &[f64; LANE_WIDTH] = cx.try_into().expect("exact chunk");
-                let cy: &[f64; LANE_WIDTH] = cy.try_into().expect("exact chunk");
-                let cn: &[f64; LANE_WIDTH] = cn.try_into().expect("exact chunk");
-                let terms =
-                    lanes::far_chunk_terms(&self.kernel, cx, cy, cn, listener.x, listener.y);
-                for &t in &terms {
-                    st.far_est += t;
-                }
-            }
-            // Scalar remainder off the cached centers — bitwise the scalar
-            // far-cell term.
-            for ((&cx, &cy), &cn) in icx
-                .remainder()
-                .iter()
-                .zip(icy.remainder())
-                .zip(icn.remainder())
-            {
-                let dx = cx - listener.x;
-                let dy = cy - listener.y;
-                st.far_est += cn * self.kernel.eval(dx * dx + dy * dy);
-            }
-            return;
-        }
-        let m = ce - cs;
-        let mnx = index.cell_min_x[cs..ce].chunks_exact(LANE_WIDTH);
-        let mny = index.cell_min_y[cs..ce].chunks_exact(LANE_WIDTH);
-        let mxx = index.cell_max_x[cs..ce].chunks_exact(LANE_WIDTH);
-        let mxy = index.cell_max_y[cs..ce].chunks_exact(LANE_WIDTH);
-        let ccx = index.cell_cx[cs..ce].chunks_exact(LANE_WIDTH);
-        let ccy = index.cell_cy[cs..ce].chunks_exact(LANE_WIDTH);
-        let ccn = index.cell_cnt[cs..ce].chunks_exact(LANE_WIDTH);
-        let mut k = 0usize;
-        for ((((((mnx, mny), mxx), mxy), cx), cy), cn) in
-            mnx.zip(mny).zip(mxx).zip(mxy).zip(ccx).zip(ccy).zip(ccn)
-        {
-            let mnx: &[f64; LANE_WIDTH] = mnx.try_into().expect("exact chunk");
-            let mny: &[f64; LANE_WIDTH] = mny.try_into().expect("exact chunk");
-            let mxx: &[f64; LANE_WIDTH] = mxx.try_into().expect("exact chunk");
-            let mxy: &[f64; LANE_WIDTH] = mxy.try_into().expect("exact chunk");
-            let cx: &[f64; LANE_WIDTH] = cx.try_into().expect("exact chunk");
-            let cy: &[f64; LANE_WIDTH] = cy.try_into().expect("exact chunk");
-            let cn: &[f64; LANE_WIDTH] = cn.try_into().expect("exact chunk");
-            let (d_min, terms) = lanes::cell_chunk_metrics(
-                &self.kernel,
-                mnx,
-                mny,
-                mxx,
-                mxy,
-                cx,
-                cy,
-                cn,
-                listener.x,
-                listener.y,
-            );
-            for j in 0..LANE_WIDTH {
-                if d_min[j] <= index.cutoff_sq {
-                    let cell = &index.cells[cs + k + j];
-                    self.near_run_push(index, cell.start as usize, cell.end as usize, listener, st);
-                } else {
-                    st.far_est += terms[j];
-                }
-            }
-            k += LANE_WIDTH;
-        }
-        // Remainder cells: scalar classification, same branches and the
-        // same term values as the vector phase.
-        for cell in &index.cells[cs + (m - m % LANE_WIDTH)..ce] {
-            if cell.rect.dist_sq_to(listener) <= index.cutoff_sq {
-                self.near_run_push(index, cell.start as usize, cell.end as usize, listener, st);
-            } else {
-                let n = f64::from(cell.end - cell.start);
-                let c = cell.rect.center();
-                st.far_est += n * self.params.received_power_sq(c.dist_sq(listener));
-            }
-        }
-    }
-
-    fn resolve_fast<const BOUND: bool>(
+    /// The scalar reference walk of Fast mode: blocks in row-major order;
+    /// aggregated blocks (past the descend radius) contribute one far
+    /// term; descended blocks visit their cells — near cells (inside the
+    /// cutoff) exactly, far cells as one term each — and every aggregated
+    /// rectangle widens the error interval. Not a production path: it
+    /// exists so the lane walk ([`ChannelResolver::resolve_fast_batch`])
+    /// has a one-listener-at-a-time walk to be bitwise equal to, and to
+    /// publish the bound.
+    fn resolve_fast_scalar(
         &self,
         index: &FastIndex,
         listener: Point,
         extra_interference: f64,
-        candidates: Option<&[u32]>,
     ) -> (ListenOutcome, f64) {
         debug_assert!(extra_interference >= 0.0, "interference cannot be negative");
         let params = self.params;
@@ -1118,205 +835,45 @@ impl<'a> ChannelResolver<'a> {
         let mut far_lo = 0.0;
         let mut far_hi = 0.0;
         let mut far_est = 0.0;
-        // Lane mode (hot path only — the bound path evaluates three powers
-        // per rectangle and is not hot): the block pass and the descended
-        // cell scans both read the index's metadata SoA LANE_WIDTH entries
-        // at a time — descend classification, rect distances, and
-        // far-field center powers vectorized, every fold kept scalar in
-        // traversal order — and consecutive near cells merge into
-        // contiguous CSR runs accumulated by the lane kernel. Near items
-        // and far terms feed *separate* accumulators (`total` /
-        // `far_est`), each in the scalar traversal's own order, so their
-        // interleaving is free and the final sum is bitwise the scalar
-        // path's.
-        let lanes_on = !BOUND && self.lanes;
-        let mut cand = candidates.map(|c| c.iter().copied().peekable());
-        if lanes_on {
-            let mut st = LaneScan {
-                total,
-                best_pow,
-                best,
-                far_est: 0.0,
-                run_s: 0,
-                run_e: 0,
-            };
-            BLOCK_SCRATCH.with(|scratch| {
-                let (d_blk, bterms) = &mut *scratch.borrow_mut();
-                let nb = index.blocks.len();
-                d_blk.clear();
-                d_blk.resize(nb, 0.0);
-                bterms.clear();
-                bterms.resize(nb, 0.0);
-                // Vector sweep: squared rect distance (bitwise
-                // `rect.dist_sq_to`) and the aggregated far term (bitwise
-                // `count · P/d(center)^α`) for LANE_WIDTH blocks at a
-                // time, staged into the scratch so the walk below carries
-                // no vector state across its calls into the cell scans.
-                let bnx = index.blk_min_x.chunks_exact(LANE_WIDTH);
-                let bny = index.blk_min_y.chunks_exact(LANE_WIDTH);
-                let bxx = index.blk_max_x.chunks_exact(LANE_WIDTH);
-                let bxy = index.blk_max_y.chunks_exact(LANE_WIDTH);
-                let bcx = index.blk_cx.chunks_exact(LANE_WIDTH);
-                let bcy = index.blk_cy.chunks_exact(LANE_WIDTH);
-                let bcn = index.blk_cnt.chunks_exact(LANE_WIDTH);
-                let od = d_blk.chunks_exact_mut(LANE_WIDTH);
-                let ot = bterms.chunks_exact_mut(LANE_WIDTH);
-                for ((((((((mnx, mny), mxx), mxy), cx), cy), cn), od), ot) in bnx
-                    .zip(bny)
-                    .zip(bxx)
-                    .zip(bxy)
-                    .zip(bcx)
-                    .zip(bcy)
-                    .zip(bcn)
-                    .zip(od)
-                    .zip(ot)
-                {
-                    let mnx: &[f64; LANE_WIDTH] = mnx.try_into().expect("exact chunk");
-                    let mny: &[f64; LANE_WIDTH] = mny.try_into().expect("exact chunk");
-                    let mxx: &[f64; LANE_WIDTH] = mxx.try_into().expect("exact chunk");
-                    let mxy: &[f64; LANE_WIDTH] = mxy.try_into().expect("exact chunk");
-                    let cx: &[f64; LANE_WIDTH] = cx.try_into().expect("exact chunk");
-                    let cy: &[f64; LANE_WIDTH] = cy.try_into().expect("exact chunk");
-                    let cn: &[f64; LANE_WIDTH] = cn.try_into().expect("exact chunk");
-                    let (d, t) = lanes::cell_chunk_metrics(
-                        &self.kernel,
-                        mnx,
-                        mny,
-                        mxx,
-                        mxy,
-                        cx,
-                        cy,
-                        cn,
-                        listener.x,
-                        listener.y,
-                    );
-                    od.copy_from_slice(&d);
-                    ot.copy_from_slice(&t);
-                }
-                // Scalar remainder, same expressions.
-                for b in nb - nb % LANE_WIDTH..nb {
-                    let block = &index.blocks[b];
-                    d_blk[b] = block.rect.dist_sq_to(listener);
-                    bterms[b] =
-                        block.count * params.received_power_sq(block.center.dist_sq(listener));
-                }
-                // Scalar walk in block order: fold the aggregated term or
-                // descend into the cell scan. A block not in the task's
-                // candidate list never descends — and its aggregated term
-                // is the same value the per-listener test would produce,
-                // so candidacy only steers the branch.
-                for (b, (block, (&d, &t))) in index
-                    .blocks
-                    .iter()
-                    .zip(d_blk.iter().zip(bterms.iter()))
-                    .enumerate()
-                {
-                    let may_descend = match cand.as_mut() {
-                        None => true,
-                        Some(it) => {
-                            if it.peek() == Some(&(b as u32)) {
-                                it.next();
-                                true
-                            } else {
-                                false
+        for block in &index.blocks {
+            let block_d_sq = block.rect.dist_sq_to(listener);
+            if block_d_sq <= index.descend_sq {
+                let (cs, ce) = (block.cell_start as usize, block.cell_end as usize);
+                for cell in &index.cells[cs..ce] {
+                    let d_min_sq = cell.rect.dist_sq_to(listener);
+                    if d_min_sq <= index.cutoff_sq {
+                        // Near cell: exact per-transmitter summation.
+                        // Ties on power go to the smallest transmitter
+                        // index, matching the scalar reference's
+                        // first-strongest-wins scan.
+                        let (s, e) = (cell.start as usize, cell.end as usize);
+                        for &i in &index.items[s..e] {
+                            let p = params.received_power_sq(self.tx[i as usize].dist_sq(listener));
+                            total += p;
+                            if p > best_pow || (p == best_pow && (i as usize) < best) {
+                                best_pow = p;
+                                best = i as usize;
                             }
                         }
-                    };
-                    if may_descend && d <= index.descend_sq {
-                        self.lane_block_cells(
-                            index,
-                            block.cell_start as usize,
-                            block.cell_end as usize,
-                            d > index.cutoff_sq,
-                            listener,
-                            &mut st,
-                        );
                     } else {
-                        st.far_est += t;
+                        // Far cell: one aggregated term; the true cell
+                        // power lies in [n·P/d_max^α, n·P/d_min^α] and
+                        // so does the center estimate.
+                        let n = f64::from(cell.end - cell.start);
+                        let c = cell.rect.center();
+                        far_est += n * params.received_power_sq(c.dist_sq(listener));
+                        far_hi += n * params.received_power_sq(d_min_sq);
+                        far_lo += n * params.received_power_sq(cell.rect.max_dist_sq_to(listener));
                     }
                 }
-            });
-            self.flush_near_run(
-                index,
-                st.run_s,
-                st.run_e,
-                listener,
-                &mut st.total,
-                &mut st.best_pow,
-                &mut st.best,
-            );
-            total = st.total;
-            best_pow = st.best_pow;
-            best = st.best;
-            far_est = st.far_est;
-        } else {
-            for (bi, block) in index.blocks.iter().enumerate() {
-                // A block not in the task's candidate list is beyond the
-                // descend radius for every listener of the task — same
-                // branch the per-listener test below would take, decided
-                // once.
-                let may_descend = match cand.as_mut() {
-                    None => true,
-                    Some(it) => {
-                        if it.peek() == Some(&(bi as u32)) {
-                            it.next();
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                };
-                let block_d_sq = if may_descend {
-                    block.rect.dist_sq_to(listener)
-                } else {
-                    f64::INFINITY
-                };
-                if block_d_sq <= index.descend_sq {
-                    let (cs, ce) = (block.cell_start as usize, block.cell_end as usize);
-                    for cell in &index.cells[cs..ce] {
-                        let d_min_sq = cell.rect.dist_sq_to(listener);
-                        if d_min_sq <= index.cutoff_sq {
-                            // Near cell: exact per-transmitter summation.
-                            // Ties on power go to the smallest transmitter
-                            // index, matching the scalar reference's
-                            // first-strongest-wins scan.
-                            let (s, e) = (cell.start as usize, cell.end as usize);
-                            for &i in &index.items[s..e] {
-                                let p =
-                                    params.received_power_sq(self.tx[i as usize].dist_sq(listener));
-                                total += p;
-                                if p > best_pow || (p == best_pow && (i as usize) < best) {
-                                    best_pow = p;
-                                    best = i as usize;
-                                }
-                            }
-                        } else {
-                            // Far cell: one aggregated term; the true cell
-                            // power lies in [n·P/d_max^α, n·P/d_min^α] and
-                            // so does the center estimate.
-                            let n = f64::from(cell.end - cell.start);
-                            let c = cell.rect.center();
-                            far_est += n * params.received_power_sq(c.dist_sq(listener));
-                            if BOUND {
-                                far_hi += n * params.received_power_sq(d_min_sq);
-                                far_lo += n * params
-                                    .received_power_sq(cell.rect.max_dist_sq_to(listener));
-                            }
-                        }
-                    }
-                } else {
-                    // Far block: one aggregated term for all of its cells.
-                    // The descend radius is at least the cutoff, so no
-                    // cell of an aggregated block can be near.
-                    far_est +=
-                        block.count * params.received_power_sq(block.center.dist_sq(listener));
-                    if BOUND {
-                        far_hi +=
-                            block.count * params.received_power_sq(block.rect.dist_sq_to(listener));
-                        far_lo += block.count
-                            * params.received_power_sq(block.rect.max_dist_sq_to(listener));
-                    }
-                }
+            } else {
+                // Far block: one aggregated term for all of its cells.
+                // The descend radius is at least the cutoff, so no
+                // cell of an aggregated block can be near.
+                far_est += block.count * params.received_power_sq(block.center.dist_sq(listener));
+                far_hi += block.count * params.received_power_sq(block_d_sq);
+                far_lo +=
+                    block.count * params.received_power_sq(block.rect.max_dist_sq_to(listener));
             }
         }
         total += far_est;
@@ -1361,7 +918,8 @@ impl<'a> ChannelResolver<'a> {
     /// eight accumulator/argmax chains advanced per element under the
     /// per-lane near mask, with the same greater-or-tie-on-smaller-index
     /// predicate as the scalar loop. Hence each lane's outcome is
-    /// bit-for-bit `resolve_fast::<false>` of that listener alone.
+    /// bit-for-bit [`ChannelResolver::resolve_fast_scalar`] of that
+    /// listener alone.
     fn resolve_fast_batch(
         &self,
         index: &FastIndex,
@@ -1543,96 +1101,71 @@ impl<'a> ChannelResolver<'a> {
         out
     }
 
-    /// Resolves one listener under an optional task candidate list — the
-    /// per-listener fallback of the batched path, bitwise
-    /// [`TaskResolver::resolve`] / [`ChannelResolver::resolve`].
+    /// One listener through the batch walk: the listener fills every lane
+    /// (identical lanes diverge nowhere, so the walk takes its unmasked
+    /// paths) and lane 0 is the outcome.
     #[inline]
-    fn resolve_one(
+    fn resolve_fast_one(
         &self,
+        index: &FastIndex,
         listener: Point,
         extra_interference: f64,
         candidates: Option<&[u32]>,
     ) -> ListenOutcome {
-        match (self.fast.get(), candidates) {
-            (Some(index), Some(cand)) => {
-                self.resolve_fast::<false>(index, listener, extra_interference, Some(cand))
-                    .0
-            }
-            _ => self.resolve(listener, extra_interference),
-        }
-    }
-
-    /// Core of the batched drivers: sorts listeners into row-major spatial
-    /// order (so the lanes of each batch share their descended-block
-    /// neighborhood and the common all-aggregate / all-descend vector
-    /// paths dominate), resolves [`LANE_WIDTH`] at a time through
-    /// [`ChannelResolver::resolve_fast_batch`], and scatters outcomes back
-    /// to the **caller's listener order**. The sort permutes only which
-    /// listeners share a walk — each outcome is a pure function of its own
-    /// listener, so `out` is bitwise the per-listener loop. Falls back to
-    /// that loop when lanes are off, the index is absent (Exact mode), or
-    /// the batch is narrower than a lane.
-    fn resolve_batch_impl(
-        &self,
-        listeners: &[Point],
-        extra_interference: f64,
-        candidates: Option<&[u32]>,
-        out: &mut Vec<ListenOutcome>,
-    ) {
-        self.resolve_batch_core(
-            listeners.len(),
-            |i| listeners[i],
+        self.resolve_fast_batch(
+            index,
+            &[listener.x; LANE_WIDTH],
+            &[listener.y; LANE_WIDTH],
             extra_interference,
             candidates,
-            out,
-        );
+        )[0]
     }
 
-    /// Shared machinery of the slice and indexed batch drivers: `get(i)`
-    /// yields the `i`-th listener of the batch, `out[i]` its outcome.
+    /// Core of the batched drivers: `get(i)` yields the `i`-th listener of
+    /// the batch, `out[i]` receives its outcome. In Fast mode, sorts the
+    /// listeners into row-major spatial order (so the lanes of each batch
+    /// share their descended-block neighborhood and the common
+    /// all-aggregate / all-descend vector paths dominate), resolves
+    /// [`LANE_WIDTH`] at a time through
+    /// [`ChannelResolver::resolve_fast_batch`], and scatters outcomes back
+    /// to the **caller's listener order**. A final chunk narrower than a
+    /// lane rides a padded batch: its last listener repeats in the spare
+    /// lanes, whose outcomes are dropped. The sort and the padding permute
+    /// only which listeners share a walk — each outcome is a pure function
+    /// of its own listener, so `out` is bitwise the per-listener loop.
+    /// Without an index (Exact mode) it *is* that loop.
     fn resolve_batch_core(
         &self,
-        n: usize,
-        get: impl Fn(usize) -> Point + Copy,
+        get: impl Fn(usize) -> Point,
         extra_interference: f64,
         candidates: Option<&[u32]>,
-        out: &mut Vec<ListenOutcome>,
+        out: &mut [ListenOutcome],
     ) {
-        out.clear();
-        let index = match self.fast.get() {
-            Some(ix) if self.lanes && n >= LANE_WIDTH => ix,
-            _ => {
-                out.extend(
-                    (0..n).map(|i| self.resolve_one(get(i), extra_interference, candidates)),
-                );
-                return;
+        let Some(index) = self.fast.get() else {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = self.resolve(get(i), extra_interference);
             }
+            return;
         };
-        out.resize(n, ListenOutcome::SILENT);
         SORT_SCRATCH.with(|scratch| {
             let order = &mut *scratch.borrow_mut();
             order.clear();
-            order.extend((0..n).map(|i| (index.batch_key(get(i)), i as u32)));
+            order.extend((0..out.len()).map(|i| (index.batch_key(get(i)), i as u32)));
             order.sort_unstable();
-            let mut chunks = order.chunks_exact(LANE_WIDTH);
             let mut lxs = [0.0f64; LANE_WIDTH];
             let mut lys = [0.0f64; LANE_WIDTH];
-            for chunk in &mut chunks {
-                for (j, &(_, i)) in chunk.iter().enumerate() {
+            for chunk in order.chunks(LANE_WIDTH) {
+                for j in 0..LANE_WIDTH {
+                    let (_, i) = chunk[j.min(chunk.len() - 1)];
                     let p = get(i as usize);
                     lxs[j] = p.x;
                     lys[j] = p.y;
                 }
                 let outs =
                     self.resolve_fast_batch(index, &lxs, &lys, extra_interference, candidates);
-                for (j, &(_, i)) in chunk.iter().enumerate() {
-                    out[i as usize] = outs[j];
+                for (&(_, i), o) in chunk.iter().zip(outs) {
+                    out[i as usize] = o;
                 }
-            }
-            for &(_, i) in chunks.remainder() {
-                out[i as usize] = self
-                    .resolve_fast::<false>(index, get(i as usize), extra_interference, candidates)
-                    .0;
             }
         });
     }
@@ -1649,70 +1182,29 @@ impl<'a> ChannelResolver<'a> {
         extra_interference: f64,
         out: &mut Vec<ListenOutcome>,
     ) {
-        self.resolve_batch_impl(listeners, extra_interference, None, out);
+        out.clear();
+        out.resize(listeners.len(), ListenOutcome::SILENT);
+        self.resolve_batch_core(|i| listeners[i], extra_interference, None, out);
     }
 
-    /// Resolves a batch of listeners into `out` (cleared first), in
-    /// listener order. Batches whose work volume dwarfs the pool's task
-    /// handoff and merge cost are resolved in parallel on multi-core
-    /// hosts; per-listener outcomes are independent, so the result is
-    /// identical to the sequential loop on any thread count. When the
-    /// fan-out engages, the caller's buffer is replaced by the collected
-    /// one (one allocation, amortized against `PAR_MIN_PAIRS` (1M) pair
-    /// resolutions).
-    pub fn resolve_into(
-        &self,
-        listeners: &[Point],
-        extra_interference: f64,
-        out: &mut Vec<ListenOutcome>,
-    ) {
-        let work = listeners
-            .len()
-            .saturating_mul(self.estimated_work_per_listener().max(1));
-        if listeners.len() >= PAR_LISTENERS
-            && work >= PAR_MIN_PAIRS
-            && rayon::current_num_threads() > 1
-        {
-            // The vendored rayon has no collect_into_vec; hand the collected
-            // buffer to the caller instead of copying it into `out`.
-            *out = listeners
-                .par_iter()
-                .map(|&l| self.resolve(l, extra_interference))
-                .collect();
-        } else {
-            self.resolve_into_sequential(listeners, extra_interference, out);
-        }
-    }
-
-    /// [`ChannelResolver::resolve_into`] without the listener fan-out —
-    /// for callers that already parallelize at a coarser grain (the
-    /// engine's shard tasks and channel groups) or that rely on `out`'s
-    /// buffer being reused. Runs the lane-batched walk when the fast index
-    /// and lanes are available — outcomes are bitwise the per-listener
-    /// loop either way.
-    pub fn resolve_into_sequential(
-        &self,
-        listeners: &[Point],
-        extra_interference: f64,
-        out: &mut Vec<ListenOutcome>,
-    ) {
-        self.resolve_batch_impl(listeners, extra_interference, None, out);
-    }
-
-    /// Indexed form of [`ChannelResolver::resolve_batch_into`]:
-    /// `out[i]` is the outcome for `positions[keys[i]]`. Lets callers
-    /// that address listeners through index lists (the engine's shard
-    /// units) feed the lane-batched walk without gathering a point
-    /// buffer first.
+    /// Indexed form of [`ChannelResolver::resolve_batch_into`]: `out[i]`
+    /// receives the outcome for `positions[keys[i]]`. Lets callers that
+    /// address listeners through index lists (the engine's resolve units)
+    /// feed the batch walk without gathering a point buffer first, and
+    /// write straight into their slice of a shared output buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `keys` differ in length.
     pub fn resolve_indexed_into(
         &self,
         positions: &[Point],
         keys: &[u32],
         extra_interference: f64,
-        out: &mut Vec<ListenOutcome>,
+        out: &mut [ListenOutcome],
     ) {
+        assert_eq!(out.len(), keys.len(), "one outcome slot per key");
         self.resolve_batch_core(
-            keys.len(),
             |i| positions[keys[i] as usize],
             extra_interference,
             None,
@@ -1734,80 +1226,72 @@ pub struct TaskResolver<'r, 'a> {
 }
 
 impl TaskResolver<'_, '_> {
-    /// Resolves one listener of this task — bitwise identical to
-    /// [`ChannelResolver::resolve`] on the same inputs.
-    #[inline]
-    pub fn resolve(&self, listener: Point, extra_interference: f64) -> ListenOutcome {
+    fn debug_assert_inside(&self, listener: Point) {
         debug_assert!(
             self.bbox.contains(listener),
             "task listener {listener:?} outside its task bbox"
         );
-        match (self.resolver.fast.get(), &self.candidates) {
-            (Some(index), Some(cand)) => {
-                self.resolver
-                    .resolve_fast::<false>(index, listener, extra_interference, Some(cand))
-                    .0
-            }
-            _ => self.resolver.resolve(listener, extra_interference),
+    }
+
+    /// Resolves one listener of this task — bitwise identical to
+    /// [`ChannelResolver::resolve`] on the same inputs.
+    #[inline]
+    pub fn resolve(&self, listener: Point, extra_interference: f64) -> ListenOutcome {
+        self.debug_assert_inside(listener);
+        match self.resolver.fast.get() {
+            Some(index) => self.resolver.resolve_fast_one(
+                index,
+                listener,
+                extra_interference,
+                self.candidates.as_deref(),
+            ),
+            None => self.resolver.resolve(listener, extra_interference),
         }
     }
 
     /// Resolves a batch of this task's listeners into `out` (cleared
-    /// first; outcomes in listener order) through the lane-batched index
-    /// walk — each outcome bit-for-bit [`TaskResolver::resolve`] of that
-    /// listener. This is the engine's and bench harness' hot entry: shard
-    /// tasks hand over whole listener runs, and the batch walk amortizes
-    /// one block traversal across [`LANE_WIDTH`] of them.
+    /// first; outcomes in listener order) through the batch walk — each
+    /// outcome bit-for-bit [`TaskResolver::resolve`] of that listener.
     pub fn resolve_batch_into(
         &self,
         listeners: &[Point],
         extra_interference: f64,
         out: &mut Vec<ListenOutcome>,
     ) {
-        #[cfg(debug_assertions)]
-        for &l in listeners {
-            debug_assert!(
-                self.bbox.contains(l),
-                "task listener {l:?} outside its task bbox"
-            );
-        }
-        match (self.resolver.fast.get(), &self.candidates) {
-            (Some(_), Some(cand)) => {
-                self.resolver
-                    .resolve_batch_impl(listeners, extra_interference, Some(cand), out);
-            }
-            _ => self
-                .resolver
-                .resolve_batch_impl(listeners, extra_interference, None, out),
-        }
+        listeners.iter().for_each(|&l| self.debug_assert_inside(l));
+        out.clear();
+        out.resize(listeners.len(), ListenOutcome::SILENT);
+        self.resolver.resolve_batch_core(
+            |i| listeners[i],
+            extra_interference,
+            self.candidates.as_deref(),
+            out,
+        );
     }
 
-    /// Indexed form of [`TaskResolver::resolve_batch_into`]: `out[i]` is
-    /// the outcome for `positions[keys[i]]`.
+    /// Indexed form of [`TaskResolver::resolve_batch_into`]: `out[i]`
+    /// receives the outcome for `positions[keys[i]]`. This is the engine's
+    /// hot entry: a resolve unit hands over its listener keys and its
+    /// slice of the channel's output buffer, and the batch walk amortizes
+    /// one block traversal across [`LANE_WIDTH`] listeners.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `keys` differ in length.
     pub fn resolve_indexed_into(
         &self,
         positions: &[Point],
         keys: &[u32],
         extra_interference: f64,
-        out: &mut Vec<ListenOutcome>,
+        out: &mut [ListenOutcome],
     ) {
-        #[cfg(debug_assertions)]
-        for &k in keys {
-            debug_assert!(
-                self.bbox.contains(positions[k as usize]),
-                "task listener {:?} outside its task bbox",
-                positions[k as usize]
-            );
-        }
-        let candidates = match (self.resolver.fast.get(), &self.candidates) {
-            (Some(_), Some(cand)) => Some(cand.as_slice()),
-            _ => None,
-        };
+        assert_eq!(out.len(), keys.len(), "one outcome slot per key");
+        keys.iter()
+            .for_each(|&k| self.debug_assert_inside(positions[k as usize]));
         self.resolver.resolve_batch_core(
-            keys.len(),
             |i| positions[keys[i] as usize],
             extra_interference,
-            candidates,
+            self.candidates.as_deref(),
             out,
         );
     }
@@ -1880,7 +1364,7 @@ mod tests {
             let params = exact();
             let resolver = ChannelResolver::new(&params, &txs);
             let mut out = Vec::new();
-            resolver.resolve_into(&listeners, 0.3, &mut out);
+            resolver.resolve_batch_into(&listeners, 0.3, &mut out);
             for (i, &l) in listeners.iter().enumerate() {
                 assert_eq!(out[i], resolve_listener_ext(&params, &txs, l, 0.3));
             }
@@ -2013,10 +1497,20 @@ mod tests {
         }
     }
 
+    /// Bitwise equality of two outcomes, field by field on float bits.
+    fn assert_bitwise(a: ListenOutcome, b: ListenOutcome, what: &str) {
+        assert_eq!(a.decoded, b.decoded, "{what}");
+        assert_eq!(a.signal.to_bits(), b.signal.to_bits(), "{what}");
+        assert_eq!(a.sinr.to_bits(), b.sinr.to_bits(), "{what}");
+        assert_eq!(a.total_power.to_bits(), b.total_power.to_bits(), "{what}");
+    }
+
     #[test]
     fn lane_and_scalar_resolvers_are_bitwise_identical() {
         // Both modes, fractional and integer α, enough transmitters that
-        // the lane chunks and the scalar remainder both run.
+        // the lane chunks and the scalar remainder both run. The scalar
+        // side is the reference walk behind `resolve_with_bound` — and in
+        // Exact mode also `resolve_listener_ext` itself.
         for alpha in [3.0, 3.7] {
             for params in [
                 SinrParams::with_range(alpha, 1.5, 1.0, 8.0, 0.5),
@@ -2024,65 +1518,59 @@ mod tests {
                     .with_resolve(ResolveMode::Fast { cutoff_factor: 1.5 }),
             ] {
                 let (txs, listeners) = dense_blocky_world(17, 5_000);
-                let lanes_on = ChannelResolver::new(&params, &txs).with_lanes(true);
-                let lanes_off = ChannelResolver::new(&params, &txs).with_lanes(false);
-                assert!(lanes_on.lanes_enabled() && !lanes_off.lanes_enabled());
-                for &l in &listeners {
-                    let a = lanes_on.resolve(l, 0.25);
-                    let b = lanes_off.resolve(l, 0.25);
-                    assert_eq!(a.decoded, b.decoded);
-                    assert_eq!(a.signal.to_bits(), b.signal.to_bits());
-                    assert_eq!(a.sinr.to_bits(), b.sinr.to_bits());
-                    assert_eq!(
-                        a.total_power.to_bits(),
-                        b.total_power.to_bits(),
-                        "lane total diverged at {l:?} (α={alpha})"
-                    );
+                let resolver = ChannelResolver::new(&params, &txs);
+                let mut batch = Vec::new();
+                resolver.resolve_batch_into(&listeners, 0.25, &mut batch);
+                for (k, &l) in listeners.iter().enumerate() {
+                    let what = format!("{l:?} (α={alpha}, {:?})", params.resolve);
+                    let scalar = resolver.resolve_with_bound(l, 0.25).0;
+                    assert_bitwise(resolver.resolve(l, 0.25), scalar, &what);
+                    assert_bitwise(batch[k], scalar, &what);
+                    if !resolver.is_fast() {
+                        assert_bitwise(scalar, resolve_listener_ext(&params, &txs, l, 0.25), &what);
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn batched_resolution_is_bitwise_per_listener() {
-        // The listener-lane walk (spatial sort, shared block traversal,
-        // masked folds) must be invisible in the outcomes — through the
-        // resolver directly and through a task's candidate list, with a
-        // remainder narrower than a lane, for integer and fractional α.
+    fn padded_remainder_batches_are_bitwise_the_scalar_walk() {
+        // Every batch length around the lane width — sub-lane batches and
+        // short final chunks ride a padded batch — through the resolver
+        // and through a task's candidate list, slice and indexed entries.
         for alpha in [3.0, 3.7] {
             let params = SinrParams::with_range(alpha, 1.5, 1.0, 8.0, 0.5)
                 .with_resolve(ResolveMode::Fast { cutoff_factor: 1.5 });
-            let (txs, mut listeners) = dense_blocky_world(23, 8_000);
-            // Odd count so the chunked walk leaves a scalar remainder.
-            listeners.truncate(45);
-            let resolver = ChannelResolver::new(&params, &txs).with_lanes(true);
+            let (txs, _) = dense_blocky_world(23, 8_000);
+            let resolver = ChannelResolver::new(&params, &txs);
             assert!(resolver.is_fast());
-            let mut out = Vec::new();
-            resolver.resolve_batch_into(&listeners, 0.25, &mut out);
-            assert_eq!(out.len(), listeners.len());
-            for (k, &l) in listeners.iter().enumerate() {
-                let one = resolver.resolve(l, 0.25);
-                assert_eq!(out[k].decoded, one.decoded);
-                assert_eq!(out[k].total_power.to_bits(), one.total_power.to_bits());
-                assert_eq!(out[k].signal.to_bits(), one.signal.to_bits());
-                assert_eq!(out[k].sinr.to_bits(), one.sinr.to_bits());
-            }
-            // Task-scoped batches: same contract under a candidate list.
-            let bbox = BoundingBox::from_points(listeners.iter().copied()).unwrap();
-            let task = resolver.task(bbox);
-            let mut task_out = Vec::new();
-            task.resolve_batch_into(&listeners, 0.25, &mut task_out);
-            for (k, &l) in listeners.iter().enumerate() {
-                let one = task.resolve(l, 0.25);
-                assert_eq!(task_out[k].total_power.to_bits(), one.total_power.to_bits());
-                assert_eq!(task_out[k], one);
-            }
-            // Lanes off: the same entry point degrades to the scalar loop.
-            let scalar = ChannelResolver::new(&params, &txs).with_lanes(false);
-            let mut scalar_out = Vec::new();
-            scalar.resolve_batch_into(&listeners, 0.25, &mut scalar_out);
-            for (k, o) in out.iter().enumerate() {
-                assert_eq!(scalar_out[k].total_power.to_bits(), o.total_power.to_bits());
+            // A corner cluster, so the task's candidate list really prunes.
+            let listeners: Vec<Point> = (0..=2 * LANE_WIDTH)
+                .map(|k| Point::new(1.0 + 0.37 * k as f64, 2.0 + 0.21 * k as f64))
+                .collect();
+            for n in 1..=listeners.len() {
+                let batch = &listeners[..n];
+                let keys: Vec<u32> = (0..n as u32).rev().collect();
+                let task = resolver.task(BoundingBox::from_points(batch.iter().copied()).unwrap());
+                assert!(task.halo_blocks() < resolver.block_count());
+                let mut out = Vec::new();
+                let mut task_out = Vec::new();
+                let mut indexed = vec![ListenOutcome::SILENT; n];
+                let mut task_indexed = vec![ListenOutcome::SILENT; n];
+                resolver.resolve_batch_into(batch, 0.25, &mut out);
+                task.resolve_batch_into(batch, 0.25, &mut task_out);
+                resolver.resolve_indexed_into(batch, &keys, 0.25, &mut indexed);
+                task.resolve_indexed_into(batch, &keys, 0.25, &mut task_indexed);
+                for (k, &l) in batch.iter().enumerate() {
+                    let what = format!("batch of {n}, listener {k} (α={alpha})");
+                    let scalar = resolver.resolve_with_bound(l, 0.25).0;
+                    assert_bitwise(out[k], scalar, &what);
+                    assert_bitwise(task_out[k], scalar, &what);
+                    assert_bitwise(indexed[n - 1 - k], scalar, &what);
+                    assert_bitwise(task_indexed[n - 1 - k], scalar, &what);
+                    assert_bitwise(task.resolve(l, 0.25), scalar, &what);
+                }
             }
         }
     }
@@ -2120,6 +1608,17 @@ mod tests {
         let wide = fast(2.5);
         let _ = ChannelResolver::cached(&wide, &moved, &mut cache);
         assert_eq!(cache.builds(), 3);
+        // Exact mode has nothing to build, whatever the cache held before.
+        let pe = exact();
+        for tx in [&txs, &moved] {
+            let r = ChannelResolver::cached(&pe, tx, &mut cache);
+            assert!(!r.is_fast());
+            assert_eq!(
+                r.resolve(listeners[0], 0.0),
+                resolve_listener(&pe, tx, listeners[0])
+            );
+        }
+        assert_eq!(cache.builds(), 3, "Exact mode never counts a build");
     }
 
     #[test]

@@ -9,9 +9,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Random chatter: every node picks a random channel and transmits or
-/// listens at random; listeners record every decode.
+/// listens at random; listeners record every decode. A `crowd` share of
+/// the channel picks lands on channels 0 and 1 (0 = uniform).
 struct Chatter {
     channels: u16,
+    crowd: f64,
     p: f64,
     decodes: Vec<(u64, NodeId)>,
     tx_count: u64,
@@ -20,7 +22,11 @@ struct Chatter {
 impl Protocol for Chatter {
     type Msg = u64;
     fn act(&mut self, slot: u64, rng: &mut SmallRng) -> Action<u64> {
-        let ch = Channel(rng.gen_range(0..self.channels));
+        let ch = if self.crowd > 0.0 && rng.gen_bool(self.crowd) {
+            Channel(rng.gen_range(0..self.channels.min(2)))
+        } else {
+            Channel(rng.gen_range(0..self.channels))
+        };
         if rng.gen_bool(self.p) {
             self.tx_count += 1;
             Action::Transmit {
@@ -44,6 +50,7 @@ fn chatter_net(n: usize, side: f64, channels: u16, p: f64, seed: u64) -> Engine<
     let protocols = (0..n)
         .map(|_| Chatter {
             channels,
+            crowd: 0.0,
             p,
             decodes: Vec::new(),
             tx_count: 0,
@@ -148,9 +155,10 @@ type ScriptEvent = (u64, u8, u32, f64, f64);
 /// log plus the transmit count.
 type NodeLog = (Vec<(u64, NodeId)>, u64);
 
-/// Runs a scripted chatter world and returns everything observable:
-/// full metrics plus each node's verbatim decode log and tx count.
-#[allow(clippy::too_many_arguments)]
+/// Runs a scripted chatter world — 90% of the nodes crowded onto
+/// channels 0 and 1, the rest spread thin — and returns everything
+/// observable: full metrics plus each node's verbatim decode log and tx
+/// count.
 fn run_scripted(
     positions: &[Point],
     channels: u16,
@@ -158,7 +166,6 @@ fn run_scripted(
     seed: u64,
     script: &[ScriptEvent],
     shards: u16,
-    par: bool,
     slots: u64,
 ) -> (Metrics, Vec<NodeLog>) {
     use multichannel_adhoc::radio::FaultPlan;
@@ -179,6 +186,7 @@ fn run_scripted(
     let protocols = (0..n)
         .map(|_| Chatter {
             channels,
+            crowd: 0.9,
             p,
             decodes: Vec::new(),
             tx_count: 0,
@@ -186,9 +194,7 @@ fn run_scripted(
         .collect();
     let mut engine = Engine::new(SinrParams::default(), positions.to_vec(), protocols, seed)
         .with_faults(faults)
-        .with_shards(shards)
-        .with_par_channels(par)
-        .with_par_shards(par);
+        .with_shards(shards);
     for slot in 0..slots {
         for &(at, kind, node, dx, dy) in script {
             if kind == 2 && at == slot {
@@ -209,49 +215,61 @@ fn run_scripted(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-    /// Phase-overlap stress: under the pooled pipeline (double-buffered
-    /// slot state, Phase-1-derived feedback delivered while resolve
-    /// units are still in flight, delivery of earlier channels
-    /// overlapping resolution of later ones) a run with random
+    #![proptest_config(ProptestConfig::with_cases(3))]
+    /// Phase-overlap stress: in a pooled slot the Phase-1-derived
+    /// feedback and the light channels' units run on the slot thread
+    /// while the heavy units are in flight. Channels 0 and 1 carry ~1000
+    /// nodes each — enough that their units clear the pooling bar as one
+    /// unit or as a shard grid — and the others a few dozen, so every
+    /// slot mixes pooled and inline units. A run with random
     /// crash/join/motion interleavings must be bit-identical — metrics
-    /// and every node's decode log — to the sequential engine, at every
-    /// thread count and even when a tiny test deque capacity forces
-    /// near-every task to be stolen.
+    /// and every node's decode log — to the unsharded one-thread run at
+    /// every (shards, threads) pair, even when a tiny test deque capacity
+    /// forces near-every task to be stolen; and the multi-worker arms
+    /// must really have used the pool.
     #[test]
     fn overlapped_pipeline_matches_sequential_under_random_churn(
         seed in 0u64..10_000,
-        channels in 1u16..5,
-        p in 0.15f64..0.45,
+        channels in 3u16..6,
+        p in 0.45f64..0.65,
         script in proptest::collection::vec(
-            (1u64..40, 0u8..3, 0u32..90, -1.5f64..1.5, -1.5f64..1.5),
+            (1u64..12, 0u8..3, 0u32..2400, -1.5f64..1.5, -1.5f64..1.5),
             0..10,
         ),
     ) {
+        const SLOTS: u64 = 12;
         let mut rng = SmallRng::seed_from_u64(seed);
-        let deploy = Deployment::uniform(90, 8.0, &mut rng);
+        let deploy = Deployment::uniform(2400, 49.0, &mut rng);
         let positions = deploy.into_points();
 
-        // Sequential reference: no sharding, no parallel dispatch,
-        // single-threaded pool (everything runs inline).
+        // Reference: no sharding, single-threaded pool (every unit runs
+        // inline).
         rayon::set_num_threads(1);
-        let baseline = run_scripted(&positions, channels, p, seed, &script, 0, false, 40);
+        let baseline = run_scripted(&positions, channels, p, seed, &script, 0, SLOTS);
 
-        // Pooled pipeline at several thread counts, each with a steal
-        // funnel of a different severity (0 = normal submission).
-        for (threads, cap) in [(2usize, 0usize), (4, 1), (8, 2)] {
-            rayon::set_num_threads(threads);
-            rayon::set_test_deque_capacity(cap);
-            let pooled = run_scripted(&positions, channels, p, seed, &script, 4, true, 40);
-            rayon::set_test_deque_capacity(0);
-            prop_assert_eq!(
-                &baseline.0, &pooled.0,
-                "metrics diverged at {} threads (cap {})", threads, cap
-            );
-            prop_assert_eq!(
-                &baseline.1, &pooled.1,
-                "decode logs diverged at {} threads (cap {})", threads, cap
-            );
+        // Each thread count with a steal funnel of a different severity
+        // (0 = normal submission).
+        for shards in [0u16, 4] {
+            for (threads, cap) in [(1usize, 0usize), (2, 0), (4, 1), (8, 2)] {
+                rayon::set_num_threads(threads);
+                rayon::set_test_deque_capacity(cap);
+                let tasks = rayon::pool_stats().tasks;
+                let run = run_scripted(&positions, channels, p, seed, &script, shards, SLOTS);
+                let pooled = rayon::pool_stats().tasks > tasks;
+                rayon::set_test_deque_capacity(0);
+                prop_assert_eq!(
+                    &baseline.0, &run.0,
+                    "metrics diverged at shards {}, {} threads (cap {})", shards, threads, cap
+                );
+                prop_assert_eq!(
+                    &baseline.1, &run.1,
+                    "decode logs diverged at shards {}, {} threads (cap {})", shards, threads, cap
+                );
+                prop_assert!(
+                    threads == 1 || pooled,
+                    "the pool was bypassed at shards {}, {} threads (cap {})", shards, threads, cap
+                );
+            }
         }
         rayon::set_num_threads(0);
     }

@@ -1,5 +1,7 @@
 //! The `MCA_FORCE_PAR=1` override — the lever CI's determinism job pulls
-//! to re-run the whole suite under maximum fan-out.
+//! to re-run the whole suite with every multi-unit slot on the pool: it
+//! forces a 4×4 shard grid onto engines that left sharding off and zeroes
+//! the pooling bar.
 //!
 //! Lives in its own test binary: the override is read once per process,
 //! so it must be set before the first `Engine` is built and would leak
@@ -9,19 +11,17 @@ use multichannel_adhoc::prelude::*;
 use multichannel_adhoc::radio::{Action, Observation, Protocol};
 use rand::rngs::SmallRng;
 
+/// Node `i` uses channel `i / 2`; the first of each pair transmits, the
+/// second listens.
 struct Beacon(u32);
 impl Protocol for Beacon {
     type Msg = u32;
     fn act(&mut self, _s: u64, _r: &mut SmallRng) -> Action<u32> {
-        if self.0 == 0 {
-            Action::Transmit {
-                channel: Channel::FIRST,
-                msg: 7,
-            }
+        let channel = Channel((self.0 / 2) as u16);
+        if self.0 & 1 == 0 {
+            Action::Transmit { channel, msg: 7 }
         } else {
-            Action::Listen {
-                channel: Channel::FIRST,
-            }
+            Action::Listen { channel }
         }
     }
     fn observe(&mut self, _s: u64, _o: Observation<u32>, _r: &mut SmallRng) {}
@@ -30,31 +30,38 @@ impl Protocol for Beacon {
 #[test]
 fn mca_force_par_forces_every_fanout_axis() {
     std::env::set_var("MCA_FORCE_PAR", "1");
-    let positions = vec![Point::new(0.0, 0.0), Point::new(2.0, 0.0)];
+    rayon::set_num_threads(2);
+    let positions: Vec<Point> = (0..4)
+        .map(|i| Point::new(2.0 * f64::from(i), 0.0))
+        .collect();
     let engine = Engine::new(
         SinrParams::default(),
-        positions.clone(),
-        vec![Beacon(0), Beacon(1)],
+        positions,
+        (0..4).map(Beacon).collect(),
         42,
     );
-    assert!(engine.par_channels(), "par_channels must be forced on");
-    assert!(engine.par_shards(), "par_shards must be forced on");
     assert!(engine.shards() >= 2, "a shard grid must be forced on");
 
-    // Builder calls cannot switch the forced flags back off...
-    let engine = engine
-        .with_par_channels(false)
-        .with_par_shards(false)
-        .with_shards(0);
-    assert!(engine.par_channels() && engine.par_shards() && engine.shards() >= 2);
+    // A builder call cannot switch the forced grid back off...
+    let engine = engine.with_shards(0);
+    assert!(engine.shards() >= 2);
     // ...and an explicit larger shard grid is respected as-is.
     let mut engine = engine.with_shards(9);
     assert_eq!(engine.shards(), 9);
 
+    // The pooling bar is zero: two one-listener units — microseconds of
+    // work no unforced engine would hand to the pool — make the slot enter
+    // it (the pool spawns lazily, at its first scope).
+    assert_eq!(rayon::pool_stats().workers, 0, "nothing has pooled yet");
     engine.step();
     assert_eq!(
+        rayon::pool_stats().workers,
+        2,
+        "the two-unit slot must have been submitted to the pool"
+    );
+    assert_eq!(
         engine.metrics().receptions,
-        1,
+        2,
         "the forced engine still runs"
     );
 }

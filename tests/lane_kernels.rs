@@ -2,8 +2,8 @@
 //! exercised through the public facade over random geometry.
 //!
 //! Every property here is *exact* equality on float bits, not tolerance:
-//! the lane kernels' whole value proposition is that turning them on can
-//! never change a golden byte. The properties cover:
+//! the lane kernels' whole value proposition is that they produce the
+//! scalar reference walks' bytes. The properties cover:
 //!
 //! 1. [`PowerKernel::eval_lanes`] is element-wise bitwise
 //!    [`PowerKernel::eval`] on every α path (integer fast paths and the
@@ -13,8 +13,9 @@
 //! 3. the single-listener SoA fold (`accumulate_identity`) equals the
 //!    scalar walk, including `chunks_exact` remainders of every size;
 //! 4. batched resolution (`resolve_batch_into` / `resolve_indexed_into`)
-//!    is bitwise the per-listener `resolve`, in Exact and Fast modes,
-//!    lanes on or off, for any batch length (remainder lanes included).
+//!    is bitwise the per-listener `resolve` and the scalar reference walk
+//!    (`resolve_with_bound`), in Exact and Fast modes, for any batch
+//!    length (padded remainder lanes included).
 //!
 //! [`PowerKernel::eval_lanes`]: multichannel_adhoc::sinr::PowerKernel::eval_lanes
 //! [`PowerKernel::eval`]: multichannel_adhoc::sinr::PowerKernel::eval
@@ -195,9 +196,10 @@ proptest! {
         prop_assert_eq!(best, b);
     }
 
-    /// Property 4: batched resolution is bitwise the per-listener walk —
-    /// Exact and Fast, lanes on and off, slice and indexed entry points,
-    /// any batch length (including sub-lane batches and odd remainders).
+    /// Property 4: batched resolution is bitwise the per-listener walk and
+    /// the scalar reference walk — Exact and Fast, slice and indexed entry
+    /// points, any batch length (including sub-lane batches and odd
+    /// remainders, which ride a padded batch).
     #[test]
     fn batched_resolution_is_bitwise_per_listener(
         alpha in alpha_strategy(),
@@ -209,33 +211,32 @@ proptest! {
         let params = params_for(alpha, fast_bit == 1);
         let txs: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let listeners: Vec<Point> = lraw.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        for lanes_on in [true, false] {
-            let resolver = ChannelResolver::new(&params, &txs).with_lanes(lanes_on);
-            let mut batch = Vec::new();
-            resolver.resolve_batch_into(&listeners, extra, &mut batch);
-            prop_assert_eq!(batch.len(), listeners.len());
-            for (k, &l) in listeners.iter().enumerate() {
-                let one = resolver.resolve(l, extra);
+        let resolver = ChannelResolver::new(&params, &txs);
+        let mut batch = Vec::new();
+        resolver.resolve_batch_into(&listeners, extra, &mut batch);
+        prop_assert_eq!(batch.len(), listeners.len());
+        for (k, &l) in listeners.iter().enumerate() {
+            for one in [resolver.resolve(l, extra), resolver.resolve_with_bound(l, extra).0] {
                 prop_assert_eq!(batch[k].decoded, one.decoded);
                 prop_assert_eq!(batch[k].total_power.to_bits(), one.total_power.to_bits());
                 prop_assert_eq!(batch[k].signal.to_bits(), one.signal.to_bits());
                 prop_assert_eq!(batch[k].sinr.to_bits(), one.sinr.to_bits());
             }
-            // The indexed entry point sees the same world through keys.
-            let keys: Vec<u32> = (0..listeners.len() as u32).rev().collect();
-            let mut indexed = Vec::new();
-            resolver.resolve_indexed_into(&listeners, &keys, extra, &mut indexed);
-            for (j, &k) in keys.iter().enumerate() {
-                prop_assert_eq!(indexed[j], batch[k as usize]);
-            }
-            // Task-scoped batches agree too (candidate-pruned walk).
-            let bbox = BoundingBox::from_points(listeners.iter().copied()).unwrap();
-            let task = resolver.task(bbox);
-            let mut task_out = Vec::new();
-            task.resolve_batch_into(&listeners, extra, &mut task_out);
-            for (k, o) in batch.iter().enumerate() {
-                prop_assert_eq!(&task_out[k], o);
-            }
+        }
+        // The indexed entry point sees the same world through keys.
+        let keys: Vec<u32> = (0..listeners.len() as u32).rev().collect();
+        let mut indexed = vec![batch[0]; keys.len()];
+        resolver.resolve_indexed_into(&listeners, &keys, extra, &mut indexed);
+        for (j, &k) in keys.iter().enumerate() {
+            prop_assert_eq!(indexed[j], batch[k as usize]);
+        }
+        // Task-scoped batches agree too (candidate-pruned walk).
+        let bbox = BoundingBox::from_points(listeners.iter().copied()).unwrap();
+        let task = resolver.task(bbox);
+        let mut task_out = Vec::new();
+        task.resolve_batch_into(&listeners, extra, &mut task_out);
+        for (k, o) in batch.iter().enumerate() {
+            prop_assert_eq!(&task_out[k], o);
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Shard-boundary correctness of the sharded engine.
 //!
-//! The contract under test (see `docs/SHARDED_ENGINE.md`): sharding is an
-//! *execution* knob — for any shard count, parallel or sequential, under
-//! churn and motion, every observation a protocol makes is bit-for-bit
-//! what the unsharded sequential engine delivers. The proptests place
+//! The contract under test (see `docs/EXECUTION_MODEL.md`): sharding is an
+//! *execution* knob — for any shard count and worker count, under churn
+//! and motion, every observation a protocol makes is bit-for-bit what the
+//! unsharded one-thread engine delivers. The proptests place
 //! transmitters at arbitrary positions (including exactly on shard edges
 //! and inside halo rings) and interleave churn; the deterministic tests
 //! pin transmitters *exactly* onto the partition lines, where any
@@ -63,11 +63,15 @@ impl Protocol for Recorder {
 
 type Logs = Vec<(Vec<(u64, u32, u64, f64, f64, f64)>, Vec<(u64, f64)>)>;
 
-/// Runs `slots` slots of chatter over `positions` with the given engine
-/// configuration, churn, and a deterministic motion schedule (node
-/// `slot % n` drifts a little each slot — enough to cross shard
-/// boundaries and fire reassignment events). Returns the full metrics and
-/// every node's verbatim observation log.
+/// The pool's worker count is process-global; runs that pin it take turns.
+static POOL_CONFIG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Runs `slots` slots of chatter over `positions` on a `threads`-worker
+/// pool with the given shard grid, churn, and a deterministic motion
+/// schedule (node `slot % n` drifts a little each slot — enough to cross
+/// shard boundaries and fire reassignment events). Returns the full
+/// metrics, every node's verbatim observation log, and whether pool
+/// workers executed any task during the run.
 #[allow(clippy::too_many_arguments)]
 fn run_chatter(
     positions: &[Point],
@@ -75,19 +79,20 @@ fn run_chatter(
     mode: ResolveMode,
     faults: FaultPlan,
     shards: u16,
-    par: bool,
+    threads: usize,
     slots: u64,
     moving: bool,
-) -> (Metrics, Logs) {
+) -> (Metrics, Logs, bool) {
+    let _turn = POOL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
+    rayon::set_num_threads(threads);
+    let tasks = rayon::pool_stats().tasks;
     let params = SinrParams::default().with_resolve(mode);
     let protocols = (0..positions.len())
         .map(|_| Recorder::new(channels, 0.4))
         .collect();
     let mut engine = Engine::new(params, positions.to_vec(), protocols, 9)
         .with_faults(faults)
-        .with_shards(shards)
-        .with_par_channels(par)
-        .with_par_shards(par);
+        .with_shards(shards);
     for slot in 0..slots {
         if moving && !positions.is_empty() {
             // Deterministic drift, identical across configurations: one
@@ -98,18 +103,21 @@ fn run_chatter(
         }
         engine.step();
     }
+    let pooled = rayon::pool_stats().tasks > tasks;
+    rayon::set_num_threads(0);
     let metrics = engine.metrics().clone();
     let logs = engine
         .into_protocols()
         .into_iter()
         .map(|r| (r.heard, r.noise))
         .collect();
-    (metrics, logs)
+    (metrics, logs, pooled)
 }
 
 /// A world large enough that single-channel sharding actually engages
-/// (listeners comfortably beyond the engagement threshold), with corner
-/// pins so the shard partition's bounding box — and therefore its edge
+/// (listeners comfortably beyond the engagement threshold) — and, from
+/// ~1500 nodes, that its shard units clear the engine's pooling bar —
+/// with corner pins so the shard partition's bounding box — and therefore its edge
 /// coordinates — are exactly known.
 fn pinned_world(n: usize, side: f64, shards: u16) -> Vec<Point> {
     let mut rng = SmallRng::seed_from_u64(77);
@@ -136,25 +144,24 @@ fn pinned_world(n: usize, side: f64, shards: u16) -> Vec<Point> {
 #[test]
 fn shard_edge_transmitters_heard_identically_exact_and_fast() {
     for mode in [ResolveMode::Exact, ResolveMode::fast()] {
-        let positions = pinned_world(380, 32.0, 4);
-        let (m_ref, l_ref) =
-            run_chatter(&positions, 1, mode, FaultPlan::none(), 0, false, 30, false);
-        for (shards, par) in [(4, false), (4, true), (3, true), (7, true)] {
-            let (m, l) = run_chatter(
+        let positions = pinned_world(1500, 32.0, 4);
+        let (m_ref, l_ref, _) =
+            run_chatter(&positions, 1, mode, FaultPlan::none(), 0, 1, 20, false);
+        for (shards, threads) in [(4, 1), (4, 2), (3, 4), (7, 8)] {
+            let (m, l, pooled) = run_chatter(
                 &positions,
                 1,
                 mode,
                 FaultPlan::none(),
                 shards,
-                par,
-                30,
+                threads,
+                20,
                 false,
             );
-            assert_eq!(m_ref, m, "metrics diverged (shards={shards}, par={par})");
-            assert_eq!(
-                l_ref, l,
-                "an observation diverged (shards={shards}, par={par}, mode={mode:?})"
-            );
+            let arm = format!("shards={shards}, threads={threads}, mode={mode:?}");
+            assert_eq!(m_ref, m, "metrics diverged ({arm})");
+            assert_eq!(l_ref, l, "an observation diverged ({arm})");
+            assert!(threads == 1 || pooled, "the pool was bypassed ({arm})");
         }
     }
 }
@@ -184,13 +191,15 @@ fn sharded_engine_builds_and_maintains_its_partition() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tentpole property: for random worlds, shard counts, resolve modes,
-    /// churn interleavings, and motion, the sharded parallel engine's
-    /// observations are bit-for-bit the unsharded sequential engine's.
+    /// Tentpole property: for random worlds, shard counts, worker counts,
+    /// resolve modes, churn interleavings, and motion, the sharded
+    /// engine's observations are bit-for-bit the unsharded one-thread
+    /// engine's.
     #[test]
     fn sharded_runs_are_bit_identical_to_unsharded(
         raw in proptest::collection::vec((0.0..50.0f64, 0.0..50.0f64), 280..400),
         shards in 2u16..7,
+        threads_log2 in 0u32..4,
         channels in 1u16..3,
         fastmode in 0u8..2,
         moving in 0u8..2,
@@ -207,11 +216,11 @@ proptest! {
             }
         }
         let mode = if fastmode == 1 { ResolveMode::fast() } else { ResolveMode::Exact };
-        let (m_ref, l_ref) = run_chatter(
-            &positions, channels, mode, faults.clone(), 0, false, 40, moving,
+        let (m_ref, l_ref, _) = run_chatter(
+            &positions, channels, mode, faults.clone(), 0, 1, 40, moving,
         );
-        let (m_shard, l_shard) = run_chatter(
-            &positions, channels, mode, faults, shards, true, 40, moving,
+        let (m_shard, l_shard, _) = run_chatter(
+            &positions, channels, mode, faults, shards, 1 << threads_log2, 40, moving,
         );
         prop_assert_eq!(m_ref, m_shard);
         prop_assert_eq!(l_ref, l_shard);

@@ -5,8 +5,8 @@
 //!    default `Exact` mode, bit-for-bit the per-listener scalar reference;
 //! 2. `Fast` mode never flips a decode whose SINR margin exceeds the
 //!    resolver's published per-listener error bound;
-//! 3. `par_channels` engine/scenario runs are bit-identical to sequential
-//!    ones, end to end, mobility and fading included.
+//! 3. scenario runs are bit-identical at every worker count and shard
+//!    grid, end to end, mobility and fading included.
 
 use multichannel_adhoc::prelude::*;
 use multichannel_adhoc::radio::{Action, Observation};
@@ -104,14 +104,16 @@ fn dynamic_scenario() -> Scenario {
         .build()
 }
 
-fn run_scenario(par: bool) -> (Metrics, Vec<Vec<(u64, String)>>) {
+fn run_scenario(threads: usize, shards: u16) -> (Metrics, Vec<Vec<(u64, String)>>) {
+    rayon::set_num_threads(threads);
     let mut scenario = dynamic_scenario();
-    scenario.par_channels = par;
+    scenario.shards = shards;
     let mut sim = ScenarioSim::new(&scenario, 11, |_, _| Recorder {
         channels: 5,
         log: Vec::new(),
     });
     sim.run(150);
+    rayon::set_num_threads(0);
     let metrics = sim.metrics().clone();
     let logs = sim
         .into_engine()
@@ -125,12 +127,17 @@ fn run_scenario(par: bool) -> (Metrics, Vec<Vec<(u64, String)>>) {
 use multichannel_adhoc::radio::Metrics;
 
 #[test]
-fn scenario_par_channels_bit_identical_to_sequential() {
-    let (m_seq, l_seq) = run_scenario(false);
-    let (m_par, l_par) = run_scenario(true);
-    assert_eq!(m_seq, m_par, "metrics diverged under par_channels");
-    assert_eq!(l_seq, l_par, "an observation diverged under par_channels");
-    assert!(m_seq.receptions > 0, "the workload should deliver traffic");
+fn scenario_runs_bit_identical_across_threads_and_shards() {
+    let (m_ref, l_ref) = run_scenario(1, 0);
+    assert!(m_ref.receptions > 0, "the workload should deliver traffic");
+    for threads in [1, 2, 4, 8] {
+        for shards in [0, 4] {
+            let (m, l) = run_scenario(threads, shards);
+            let arm = format!("{threads} threads, shards {shards}");
+            assert_eq!(m_ref, m, "metrics diverged at {arm}");
+            assert_eq!(l_ref, l, "an observation diverged at {arm}");
+        }
+    }
 }
 
 #[test]
