@@ -534,6 +534,12 @@ impl<A: Aggregate> Protocol for FollowerAgg<A> {
                 }
             )
     }
+
+    /// `act` and `observe` both open with the `my_slot` gate: outside its own
+    /// color block the node is a no-op.
+    fn quiet_until(&self, slot: u64) -> Option<u64> {
+        self.cfg.tdma.next_my_slot(slot, self.color)
+    }
 }
 
 #[cfg(test)]
@@ -719,5 +725,33 @@ mod tests {
             worst <= 0.5 + 1e-9,
             "contention per channel exceeded lambda: {worst}"
         );
+    }
+
+    #[test]
+    fn quiet_hints_are_sound() {
+        use mca_radio::reference::{assert_quiet_hints_sound, random_observation};
+        for seed in 0..24u64 {
+            let phi = 2 + (seed % 4) as u16;
+            let mut c = cfg(3);
+            c.tdma = Tdma::new(phi, SLOTS_PER_ROUND);
+            let (color, cluster, me) = ((seed % phi as u64) as u16, NodeId(0), NodeId(5));
+            for p in [
+                FollowerAgg::follower(SumAgg, c, me, cluster, color, 2, 1, 0.25),
+                FollowerAgg::reporter(SumAgg, c, me, cluster, color, Channel(1), 0),
+                FollowerAgg::dominator(SumAgg, c, cluster, color, seed % 2 == 0),
+                FollowerAgg::passive(SumAgg, c, me),
+            ] {
+                assert_quiet_hints_sound(p, seed, 1500, |_, _, g| {
+                    let cluster = NodeId(g.gen_range(0..2));
+                    let who = NodeId(g.gen_range(4..8));
+                    let msg = match g.gen_range(0..3u8) {
+                        0 => FollowerMsg::Data { cluster, value: 1 },
+                        1 => FollowerMsg::Ack { to: who, cluster },
+                        _ => FollowerMsg::Backoff { cluster },
+                    };
+                    random_observation(g, 8, msg)
+                });
+            }
+        }
     }
 }

@@ -355,6 +355,12 @@ impl<A: Aggregate> Protocol for TreeCast<A> {
     fn is_done(&self) -> bool {
         self.finished
     }
+
+    /// `act` and `observe` both open with the `my_slot` gate: outside its own
+    /// color block the node is a no-op.
+    fn quiet_until(&self, slot: u64) -> Option<u64> {
+        self.cfg.tdma.next_my_slot(slot, self.color)
+    }
 }
 
 #[cfg(test)]
@@ -478,5 +484,42 @@ mod tests {
             tdma: Tdma::new(1, SLOTS_PER_ROUND),
         };
         let _ = TreeCast::reporter(SumAgg, cfg, NodeId(0), 0, 5, 0);
+    }
+
+    #[test]
+    fn quiet_hints_are_sound() {
+        use mca_radio::reference::{assert_quiet_hints_sound, random_observation};
+        use rand::Rng;
+        for seed in 0..24u64 {
+            let phi = 2 + (seed % 4) as u16;
+            let cfg = TreeCfg {
+                fv: 7,
+                tdma: Tdma::new(phi, SLOTS_PER_ROUND),
+            };
+            let (color, cluster) = ((seed % phi as u64) as u16, NodeId(0));
+            for p in [
+                TreeCast::dominator(SumAgg, cfg, cluster, color, 1000),
+                TreeCast::reporter(SumAgg, cfg, cluster, color, 1 + (seed % 7) as u16, 3),
+                TreeCast::passive(SumAgg, cfg, cluster),
+            ] {
+                assert_quiet_hints_sound(p, seed, 400, |_, _, g| {
+                    let cluster = NodeId(g.gen_range(0..2));
+                    let pos = g.gen_range(1..8);
+                    let msg = if g.gen_bool(0.5) {
+                        TreeMsg::Up {
+                            cluster,
+                            from_pos: pos,
+                            value: 7,
+                        }
+                    } else {
+                        TreeMsg::Ack {
+                            cluster,
+                            to_pos: pos,
+                        }
+                    };
+                    random_observation(g, 8, msg)
+                });
+            }
+        }
     }
 }

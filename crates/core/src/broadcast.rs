@@ -330,6 +330,12 @@ impl Protocol for HoistCast {
             }
         )
     }
+
+    /// `act` opens with the `my_slot` gate and `observe` ignores everything
+    /// but a reception, so outside its own color block the node is a no-op.
+    fn quiet_until(&self, slot: u64) -> Option<u64> {
+        self.cfg.tdma.next_my_slot(slot, self.color)
+    }
 }
 
 /// Gossip phase: dominators broadcast uniformly random held messages under
@@ -683,5 +689,41 @@ mod tests {
     fn duplicate_source_rejected() {
         let (env, s, algo) = setup(40, 7.0, 2, 209);
         let _ = broadcast_many(&env, &s, &algo, &[(NodeId(1), 1), (NodeId(1), 2)], 4, 1);
+    }
+
+    #[test]
+    fn quiet_hints_are_sound() {
+        use mca_radio::reference::{assert_quiet_hints_sound, random_observation};
+        for seed in 0..24u64 {
+            let phi = 2 + (seed % 4) as u16;
+            let cfg = HoistCfg {
+                sweep_len: 4,
+                rounds: 40,
+                tdma: Tdma::new(phi, HoistCast::SLOTS_PER_ROUND),
+            };
+            let color = (seed % phi as u64) as u16;
+            let mine = Sourced {
+                src: NodeId(3),
+                payload: 9,
+            };
+            for p in [
+                HoistCast::source(cfg, color, mine),
+                HoistCast::dominator(cfg, color),
+                HoistCast::bystander(cfg),
+            ] {
+                assert_quiet_hints_sound(p, seed, 600, |_, _, g| {
+                    let m = Sourced {
+                        src: NodeId(g.gen_range(3..5)),
+                        payload: 9,
+                    };
+                    let msg = if g.gen_bool(0.5) {
+                        GossipMsg::Data(m)
+                    } else {
+                        GossipMsg::Ack(m)
+                    };
+                    random_observation(g, 8, msg)
+                });
+            }
+        }
     }
 }

@@ -251,6 +251,12 @@ impl Protocol for RangeCast {
     fn is_done(&self) -> bool {
         self.finished
     }
+
+    /// Outside its own color block `act` idles (passive or gated) and
+    /// `observe` returns at the `my_slot` gate.
+    fn quiet_until(&self, slot: u64) -> Option<u64> {
+        self.tdma.next_my_slot(slot, self.color)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -406,6 +412,12 @@ impl Protocol for AssignColors {
 
     fn is_done(&self) -> bool {
         self.finished
+    }
+
+    /// `act` and `observe` both open with the `my_slot` gate: outside its own
+    /// color block the node is a no-op.
+    fn quiet_until(&self, slot: u64) -> Option<u64> {
+        self.tdma.next_my_slot(slot, self.color)
     }
 }
 
@@ -810,5 +822,63 @@ mod tests {
             out.p1_slots + out.p2_slots + out.p3_slots + out.p4_slots
         );
         assert!(out.p1_slots > 0 && out.p4_slots > 0);
+    }
+
+    #[test]
+    fn quiet_hints_are_sound() {
+        use mca_radio::reference::{assert_quiet_hints_sound, random_observation};
+        use rand::Rng;
+        for seed in 0..24u64 {
+            let phi = 2 + (seed % 4) as u16;
+            let tdma = Tdma::new(phi, 1);
+            let (color, cluster, me) = ((seed % phi as u64) as u16, NodeId(0), NodeId(9));
+            for p in [
+                RangeCast::new(
+                    7,
+                    tdma,
+                    cluster,
+                    color,
+                    vec![0],
+                    2,
+                    vec![(1, 3), (2, 4)],
+                    Some(10),
+                ),
+                RangeCast::new(7, tdma, cluster, color, vec![3, 1], 1, vec![(2, 2)], None),
+                RangeCast::passive(7, tdma, cluster),
+            ] {
+                assert_quiet_hints_sound(p, seed, 200, |_, _, g| {
+                    let msg = RangeMsg {
+                        cluster: NodeId(g.gen_range(0..2)),
+                        assigns: vec![RangeAssign {
+                            pos: g.gen_range(1..8),
+                            lo: 1,
+                            hi: g.gen_range(2..9),
+                        }],
+                    };
+                    random_observation(g, 8, msg)
+                });
+            }
+            for p in [
+                AssignColors::sender(
+                    tdma,
+                    cluster,
+                    color,
+                    Channel(1),
+                    vec![(me, 4), (NodeId(3), 5)],
+                    12,
+                ),
+                AssignColors::listener(tdma, cluster, color, Channel(1), me, 12),
+                AssignColors::passive(tdma, cluster),
+            ] {
+                assert_quiet_hints_sound(p, seed, 200, |_, _, g| {
+                    let msg = AssignMsg {
+                        cluster: NodeId(g.gen_range(0..2)),
+                        follower: NodeId(g.gen_range(8..11)),
+                        index: g.gen_range(0..9),
+                    };
+                    random_observation(g, 8, msg)
+                });
+            }
+        }
     }
 }

@@ -251,6 +251,12 @@ impl Protocol for CsaProtocol {
     fn is_done(&self) -> bool {
         self.finished
     }
+
+    /// `act` and `observe` both open with the `my_slot` gate: outside its own
+    /// color block the node is a no-op.
+    fn quiet_until(&self, slot: u64) -> Option<u64> {
+        self.cfg.tdma.next_my_slot(slot, self.color)
+    }
 }
 
 #[cfg(test)]
@@ -406,5 +412,29 @@ mod tests {
         let mut rng = mca_radio::rng::derive_rng(0, 0);
         assert!(matches!(p.act(0, &mut rng), Action::Idle)); // color 0 block
         assert!(!matches!(p.act(1, &mut rng), Action::Idle)); // color 1 block
+    }
+
+    #[test]
+    fn quiet_hints_are_sound() {
+        use mca_radio::reference::{assert_quiet_hints_sound, random_observation};
+        for seed in 0..24u64 {
+            let phi = 2 + (seed % 4) as u16;
+            let c = cfg(8, phi);
+            for role in [CsaRole::Coordinator, CsaRole::Member, CsaRole::Passive] {
+                let p = CsaProtocol::new(role, NodeId(0), (seed % phi as u64) as u16, c);
+                assert_quiet_hints_sound(p, seed, 900, |_, _, g| {
+                    let group = NodeId(g.gen_range(0..2));
+                    let msg = if g.gen_bool(0.5) {
+                        CsaMsg::Data { group }
+                    } else {
+                        CsaMsg::Estimate {
+                            group,
+                            size: g.gen_range(1..9),
+                        }
+                    };
+                    random_observation(g, 9, msg)
+                });
+            }
+        }
     }
 }

@@ -502,6 +502,12 @@ impl Protocol for RulingSet {
             Status::Passive | Status::InSet { .. } | Status::Dominated { .. } | Status::Expired
         )
     }
+
+    /// `act` and `observe` both open with the `my_slot` gate: outside its own
+    /// color block the node is a no-op.
+    fn quiet_until(&self, slot: u64) -> Option<u64> {
+        self.cfg.tdma.next_my_slot(slot, self.cfg.color)
+    }
 }
 
 #[cfg(test)]
@@ -719,5 +725,33 @@ mod tests {
         let mut cfg = base_cfg(1.0, 4);
         cfg.tdma = Tdma::trivial(2);
         RulingSet::new(NodeId(0), cfg);
+    }
+
+    #[test]
+    fn quiet_hints_are_sound() {
+        use mca_radio::reference::{assert_quiet_hints_sound, random_observation};
+        use rand::Rng;
+        for seed in 0..24u64 {
+            let phi = 2 + (seed % 4) as u16;
+            let mut cfg = base_cfg(1.0, 30);
+            cfg.tdma = Tdma::new(phi, SLOTS_PER_ROUND);
+            cfg.color = (seed % phi as u64) as u16;
+            cfg.group = (seed % 2 == 0).then_some(NodeId(0));
+            for p in [
+                RulingSet::new(NodeId(1), cfg),
+                RulingSet::helper(NodeId(1), cfg),
+                RulingSet::passive(NodeId(1), cfg),
+            ] {
+                assert_quiet_hints_sound(p, seed, 600, |_, _, g| {
+                    let (who, group) = (NodeId(g.gen_range(1..4)), cfg.group);
+                    let msg = match g.gen_range(0..3u8) {
+                        0 => RulingMsg::Hello { from: who, group },
+                        1 => RulingMsg::Ack { to: who, group },
+                        _ => RulingMsg::In { from: who, group },
+                    };
+                    random_observation(g, 8, msg)
+                });
+            }
+        }
     }
 }

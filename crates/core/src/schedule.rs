@@ -88,6 +88,29 @@ impl Tdma {
         (d.active_color == color).then_some(d)
     }
 
+    /// The first slot after `slot` inside a block of cluster color
+    /// `color` — the least `u > slot` with [`Tdma::my_slot`]`(u, color)`
+    /// set; `None` when the schedule has no such color. What a protocol
+    /// that does nothing outside its own block answers to
+    /// [`Protocol::quiet_until`](mca_radio::Protocol::quiet_until).
+    pub fn next_my_slot(&self, slot: u64, color: u16) -> Option<u64> {
+        if color >= self.phi {
+            return None;
+        }
+        let next = slot.checked_add(1)?;
+        let spr = self.slots_per_round as u64;
+        let spsr = self.slots_per_super_round();
+        let rem = next % spsr;
+        let block_start = color as u64 * spr;
+        if rem < block_start {
+            next.checked_add(block_start - rem)
+        } else if rem < block_start + spr {
+            Some(next)
+        } else {
+            next.checked_add(spsr - rem + block_start)
+        }
+    }
+
     /// Total slots needed for `rounds` protocol rounds.
     pub fn slots_for_rounds(&self, rounds: u64) -> u64 {
         rounds * self.slots_per_super_round()
@@ -162,6 +185,17 @@ mod tests {
             for &c in &per_color {
                 prop_assert_eq!(c, rounds * spr as u64);
             }
+        }
+
+        #[test]
+        fn next_my_slot_is_the_least_later_slot_of_the_color(
+            phi in 1u16..8, spr in 1u16..6, color in 0u16..9, slot in 0u64..10_000,
+        ) {
+            let t = Tdma::new(phi, spr);
+            let horizon = slot + 1 + t.slots_per_super_round();
+            let expect = (slot + 1..=horizon).find(|&u| t.my_slot(u, color).is_some());
+            prop_assert_eq!(t.next_my_slot(slot, color), expect);
+            prop_assert_eq!(expect.is_some(), color < phi);
         }
 
         #[test]

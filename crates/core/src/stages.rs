@@ -32,15 +32,7 @@ use std::collections::{HashMap, HashSet};
 /// A fault plan that keeps every node not marked alive out of a stage
 /// engine (crash-stopped from slot 0). `alive = None` is the trivial plan.
 pub fn absence_plan(alive: Option<&[bool]>) -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    if let Some(alive) = alive {
-        for (i, &a) in alive.iter().enumerate() {
-            if !a {
-                plan.crash_at(i as u32, 0);
-            }
-        }
-    }
-    plan
+    alive.map_or_else(FaultPlan::none, FaultPlan::from_alive_mask)
 }
 
 /// Whether node `i` is live under an optional mask.

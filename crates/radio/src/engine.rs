@@ -21,6 +21,8 @@ use mca_geom::{BoundingBox, Point};
 use mca_obs::{ChannelSlotRecord, SpanKind, Stopwatch};
 use mca_sinr::{ChannelResolver, ListenOutcome, ResolverCache, SinrParams};
 use rand::rngs::SmallRng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 /// Shards per axis forced by `MCA_FORCE_PAR=1` when the caller left
@@ -119,11 +121,17 @@ pub struct Engine<P: Protocol> {
     obs_pool: (u64, u64, u64),
     shards: u16,
     shard_state: Option<ShardState>,
+    /// One slot per node, persistent across slots: a node outside the
+    /// roster always reads `Off`, a polled node's entry is overwritten by
+    /// the gather.
+    actions: Vec<SlotAction<P::Msg>>,
+    /// Phase 1's polling set (see `docs/EXECUTION_MODEL.md`, "Phase 1: who
+    /// gets polled").
+    roster: Roster,
     // Scratch buffers reused across steps: `groups` is dense (index =
     // channel), so iteration order is the channel order — deterministic,
     // no hashing — and `active` lists the channels touched this slot so
     // clearing is O(channels in use), not O(max channel).
-    actions: Vec<SlotAction<P::Msg>>,
     groups: Vec<ChannelGroup>,
     active: Vec<u16>,
     /// Counting-sort scratch for the per-channel shard bucketing
@@ -153,9 +161,88 @@ struct ShardState {
 
 /// Internal, flattened per-node action for one slot.
 enum SlotAction<M> {
-    Tx(Channel, M),
-    Rx(Channel),
+    Tx(M),
+    Rx,
     Off,
+}
+
+/// Who Phase 1 polls. `live` holds, in ascending id order, every node that
+/// could act this slot; a node leaves it for good once it is crash-stopped
+/// or done, and for a while — into `wake`, keyed by the slot it returns
+/// at — while it has not joined yet, sleeps on its duty cycle, or promised
+/// quiet through [`Protocol::quiet_until`]. Everyone outside `live` is
+/// idle by construction and accounted arithmetically.
+///
+/// Ascending order is architectural, not cosmetic: gather order fixes each
+/// channel's transmitter order and with it the Exact-mode summation order.
+struct Roster {
+    live: Vec<u32>,
+    wake: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Scratch for the nodes due back this slot.
+    woken: Vec<u32>,
+    /// The plan's [`FaultPlan::lifecycle_epoch`] `live`/`wake` were derived
+    /// under.
+    epoch: u64,
+    /// Set by whatever may un-finish a node or void a quiet promise behind
+    /// the engine's back ([`Engine::protocols_mut`], a replaced plan).
+    stale: bool,
+}
+
+impl Roster {
+    /// Brings the roster up to date for `slot`: from scratch (everyone
+    /// live, nobody parked — the gather re-derives the rest) if it went
+    /// stale or presence changed, else by merging back the nodes due.
+    fn refresh(&mut self, n: usize, slot: u64, epoch: u64) {
+        if self.stale || self.epoch != epoch {
+            self.live.clear();
+            self.live.extend(0..n as u32);
+            self.wake.clear();
+            self.epoch = epoch;
+            self.stale = false;
+            return;
+        }
+        while let Some(&Reverse((t, node))) = self.wake.peek() {
+            if t > slot {
+                break;
+            }
+            self.wake.pop();
+            self.woken.push(node);
+        }
+        if self.woken.is_empty() {
+            return;
+        }
+        // Every park is for a later slot and every slot drains, so the
+        // entries due now all carry this slot and the heap yields them by
+        // id.
+        debug_assert!(self.woken.windows(2).all(|w| w[0] < w[1]));
+        // Backward in-place merge of two ascending runs.
+        let mut i = self.live.len();
+        let mut w = i + self.woken.len();
+        self.live.resize(w, 0);
+        while let Some(&node) = self.woken.last() {
+            w -= 1;
+            if i > 0 && self.live[i - 1] > node {
+                i -= 1;
+                self.live[w] = self.live[i];
+            } else {
+                self.live[w] = node;
+                self.woken.pop();
+            }
+        }
+    }
+
+    fn park(&mut self, node: u32, until: u64) {
+        self.wake.push(Reverse((until, node)));
+    }
+}
+
+/// What the gather does with one roster node this slot.
+enum Poll {
+    Act,
+    /// Absent until the given slot (late join, duty-cycle sleep).
+    Park(u64),
+    /// Crash-stopped, done, or asleep forever: never polled again.
+    Drop,
 }
 
 /// Per-channel scratch for one slot, every buffer reused across slots
@@ -232,6 +319,7 @@ impl<P: Protocol> Engine<P> {
         let rngs = (0..positions.len())
             .map(|i| derive_rng(master_seed, i as u64))
             .collect();
+        let actions = (0..positions.len()).map(|_| SlotAction::Off).collect();
         Engine {
             params,
             positions,
@@ -252,7 +340,14 @@ impl<P: Protocol> Engine<P> {
             },
             shards: if force_par() { FORCED_SHARDS } else { 0 },
             shard_state: None,
-            actions: Vec::new(),
+            actions,
+            roster: Roster {
+                live: Vec::new(),
+                wake: BinaryHeap::new(),
+                woken: Vec::new(),
+                epoch: 0,
+                stale: true,
+            },
             groups: Vec::new(),
             active: Vec::new(),
             shard_counts: Vec::new(),
@@ -265,6 +360,7 @@ impl<P: Protocol> Engine<P> {
     /// Installs a fault plan (builder-style).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
+        self.roster.stale = true;
         self
     }
 
@@ -507,9 +603,19 @@ impl<P: Protocol> Engine<P> {
         &self.protocols
     }
 
-    /// Mutable access to protocol states (for harness-driven phase stitching).
+    /// Mutable access to protocol states (for harness-driven phase
+    /// stitching). The caller may un-finish a node or void a
+    /// [`Protocol::quiet_until`] promise, so the next slot polls every
+    /// node again.
     pub fn protocols_mut(&mut self) -> &mut [P] {
+        self.roster.stale = true;
         &mut self.protocols
+    }
+
+    /// The per-node RNG streams (for the oracle comparison).
+    #[cfg(test)]
+    pub(crate) fn rngs(&self) -> &[SmallRng] {
+        &self.rngs
     }
 
     /// Consumes the engine, returning the protocol states.
@@ -640,6 +746,7 @@ impl<P: Protocol> Engine<P> {
             detector,
             obs,
             faults,
+            roster,
             unit_out,
             unit_ns,
             merged,
@@ -785,22 +892,31 @@ impl<P: Protocol> Engine<P> {
         // on the gathered actions, never on resolution, and each node
         // observes exactly once per slot with its own RNG stream — so
         // this loop commutes with channel delivery bit-for-bit. A pooled
-        // slot runs it while its units are in flight.
+        // slot runs it while its units are in flight. After the gather
+        // the roster is exactly the nodes that acted, so only they are
+        // visited; an idler that promises quiet leaves the roster here.
         fn deliver_slept<P: Protocol>(
             slot: u64,
             actions: &[SlotAction<P::Msg>],
             protocols: &mut [P],
             rngs: &mut [SmallRng],
-            faults: &FaultPlan,
+            roster: &mut Roster,
         ) {
-            for i in 0..actions.len() {
-                if matches!(actions[i], SlotAction::Off)
-                    && !faults.is_absent(i as u32, slot)
-                    && !protocols[i].is_done()
-                {
+            let mut kept = 0;
+            for r in 0..roster.live.len() {
+                let node = roster.live[r];
+                let i = node as usize;
+                if matches!(actions[i], SlotAction::Off) && !protocols[i].is_done() {
                     protocols[i].observe(slot, Observation::Slept, &mut rngs[i]);
+                    if let Some(until) = protocols[i].quiet_until(slot).filter(|&t| t > slot + 1) {
+                        roster.park(node, until);
+                        continue;
+                    }
                 }
+                roster.live[kept] = node;
+                kept += 1;
             }
+            roster.live.truncate(kept);
         }
 
         // Delivers one resolved channel: listener observations (deep
@@ -852,7 +968,7 @@ impl<P: Protocol> Engine<P> {
                 let obs_msg = Observation::from_outcome(&outcome, |j| {
                     let sender = w.tx[j] as usize;
                     let msg = match &actions[sender] {
-                        SlotAction::Tx(_, m) => m.clone(),
+                        SlotAction::Tx(m) => m.clone(),
                         _ => unreachable!("decoded node was not transmitting"),
                     };
                     (NodeId(w.tx[j]), msg)
@@ -922,7 +1038,7 @@ impl<P: Protocol> Engine<P> {
             let sw_wait = rayon::scope(|s| {
                 run_units(&mut jobs, Some(s), bar, timing);
                 let sw = Stopwatch::start_if(timing);
-                deliver_slept::<P>(slot, actions, protocols, rngs, faults);
+                deliver_slept::<P>(slot, actions, protocols, rngs, roster);
                 deliver_ns += sw.elapsed_ns();
                 // From here the slot thread only helps the pool finish.
                 Stopwatch::start_if(timing)
@@ -933,7 +1049,7 @@ impl<P: Protocol> Engine<P> {
         } else {
             run_units(&mut jobs, None, bar, timing);
             let sw = Stopwatch::start_if(timing);
-            deliver_slept::<P>(slot, actions, protocols, rngs, faults);
+            deliver_slept::<P>(slot, actions, protocols, rngs, roster);
             deliver_ns += sw.elapsed_ns();
         }
 
@@ -1068,42 +1184,70 @@ impl<P: Protocol> Engine<P> {
             }
         }
 
-        self.actions.clear();
         for ch in self.active.drain(..) {
             self.groups[ch as usize].clear();
         }
         let drain_ns = sw.elapsed_ns();
         let sw = Stopwatch::start_if(timing);
 
-        // Phase 1: gather actions. Absent (crashed or not-yet-joined) or
-        // finished nodes stay silent.
-        for i in 0..self.protocols.len() {
-            let act = if self.faults.is_absent(i as u32, slot) || self.protocols[i].is_done() {
-                SlotAction::Off
+        // Phase 1: gather actions — from the roster only. Whoever is not
+        // on it (crashed, done, not yet joined, asleep, or quiet by its
+        // own promise) is idle this slot without being asked.
+        let n = self.protocols.len();
+        self.roster.refresh(n, slot, self.faults.lifecycle_epoch());
+        let (mut kept, mut busy) = (0, 0u64);
+        for r in 0..self.roster.live.len() {
+            let node = self.roster.live[r];
+            let i = node as usize;
+            let poll = if self.faults.is_crashed(node, slot) || self.protocols[i].is_done() {
+                // Crash-stop is permanent under an unchanged plan, and a
+                // node that is done now gets no call that could undo it.
+                Poll::Drop
+            } else if let Some(join) = self.faults.join_slot(node).filter(|&j| slot < j) {
+                Poll::Park(join)
             } else {
-                match self.protocols[i].act(slot, &mut self.rngs[i]) {
-                    Action::Transmit { channel, msg } => SlotAction::Tx(channel, msg),
-                    Action::Listen { channel } => SlotAction::Rx(channel),
-                    Action::Idle => SlotAction::Off,
+                let schedule = self.faults.sleep_schedule(node);
+                match schedule.map_or(Some(slot), |s| s.next_awake(slot)) {
+                    Some(awake) if awake == slot => Poll::Act,
+                    Some(awake) => Poll::Park(awake),
+                    None => Poll::Drop,
                 }
             };
-            match &act {
-                SlotAction::Tx(ch, _) => {
-                    self.metrics.record_tx(ch.index());
-                    Self::touch(&mut self.groups, &mut self.active, ch.0)
-                        .tx
-                        .push(i as u32);
+            self.actions[i] = match poll {
+                Poll::Act => {
+                    self.roster.live[kept] = node;
+                    kept += 1;
+                    match self.protocols[i].act(slot, &mut self.rngs[i]) {
+                        Action::Transmit { channel, msg } => {
+                            busy += 1;
+                            self.metrics.record_tx(channel.index());
+                            Self::touch(&mut self.groups, &mut self.active, channel.0)
+                                .tx
+                                .push(node);
+                            SlotAction::Tx(msg)
+                        }
+                        Action::Listen { channel } => {
+                            busy += 1;
+                            self.metrics.listens += 1;
+                            Self::touch(&mut self.groups, &mut self.active, channel.0)
+                                .rx
+                                .push(node);
+                            SlotAction::Rx
+                        }
+                        Action::Idle => SlotAction::Off,
+                    }
                 }
-                SlotAction::Rx(ch) => {
-                    self.metrics.listens += 1;
-                    Self::touch(&mut self.groups, &mut self.active, ch.0)
-                        .rx
-                        .push(i as u32);
+                Poll::Park(until) => {
+                    self.roster.park(node, until);
+                    SlotAction::Off
                 }
-                SlotAction::Off => self.metrics.idles += 1,
-            }
-            self.actions.push(act);
+                Poll::Drop => SlotAction::Off,
+            };
         }
+        self.roster.live.truncate(kept);
+        // Every node that neither transmits nor listens idles, polled or not.
+        self.metrics.idles += n as u64 - busy;
+        let polled = kept as u64;
 
         // Deliver in ascending channel order (deterministic) regardless of
         // the order channels were first touched; also lets every loop below
@@ -1181,6 +1325,10 @@ impl<P: Protocol> Engine<P> {
                 build_ns - self.obs_cache_builds.1,
             );
             self.obs_cache_builds = (builds, build_ns);
+            // What Phase 1 touched: `act` calls this slot, and nodes
+            // waiting in the wake queue after it.
+            rec.add("nodes_polled", polled);
+            rec.add("nodes_parked", self.roster.wake.len() as u64);
             // Work-stealing pool activity, as per-slot deltas of the
             // process-global cumulative stats (see `obs_pool`).
             let ps = rayon::pool_stats();
@@ -1976,6 +2124,24 @@ mod tests {
         assert_eq!(plain.metrics(), observed.metrics());
         assert!(observed.take_obs().is_some());
         assert!(observed.obs().is_none());
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn obs_counts_what_phase_one_touched() {
+        // Node 0 crashes at slot 2, node 1 joins at slot 3: polled 1, 1,
+        // 0, 1 over four slots; node 1 waits in the wake queue for three.
+        let mut faults = FaultPlan::none();
+        faults.crash_at(0, 2);
+        faults.join_at(1, 3);
+        let mut e = two_node_setup(Channel::FIRST).with_faults(faults);
+        e.attach_obs(mca_obs::Recorder::new());
+        e.run(4);
+        let counters = e.obs().unwrap().counters();
+        let get = |name| counters.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
+        assert_eq!(get("nodes_polled"), Some(3));
+        assert_eq!(get("nodes_parked"), Some(3));
+        assert_eq!(e.metrics().idles, 2 * 4 - 3);
     }
 
     #[cfg(feature = "obs")]

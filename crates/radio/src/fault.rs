@@ -7,7 +7,7 @@
 
 use crate::rng::mix64;
 use mca_geom::Point;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A channel-jamming specification.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,6 +110,18 @@ impl SleepSchedule {
     pub fn asleep_at(&self, slot: u64) -> bool {
         self.period > 0 && self.on < self.period && (slot + self.phase) % self.period >= self.on
     }
+
+    /// The first slot at or after `slot` the schedule has the node awake —
+    /// `None` if it never wakes (`on == 0`).
+    pub fn next_awake(&self, slot: u64) -> Option<u64> {
+        if !self.asleep_at(slot) {
+            return Some(slot);
+        }
+        if self.on == 0 {
+            return None;
+        }
+        slot.checked_add(self.period - (slot + self.phase) % self.period)
+    }
 }
 
 /// A spatially-scoped jammer: receptions decoded by listeners inside
@@ -144,13 +156,77 @@ impl ZoneJam {
 }
 
 /// A plan of faults injected into a run.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Presence (crash slots, join slots, sleep schedules) is stored densely,
+/// indexed by node id, so the per-node queries the engine asks every slot
+/// are one bounds-checked load each. The vectors grow lazily to the
+/// largest node id that has an entry; two plans with the same entries are
+/// equal whatever their vector lengths.
+#[derive(Clone, Default)]
 pub struct FaultPlan {
-    crashes: HashMap<u32, u64>,
-    joins: HashMap<u32, u64>,
+    crashes: Vec<Option<u64>>,
+    joins: Vec<Option<u64>>,
     jams: Vec<JamSpec>,
-    sleeps: HashMap<u32, SleepSchedule>,
+    sleeps: Vec<Option<SleepSchedule>>,
     zone_jams: Vec<ZoneJam>,
+    /// See [`FaultPlan::lifecycle_epoch`]. Not part of equality.
+    epoch: u64,
+}
+
+/// Source of [`FaultPlan::lifecycle_epoch`] stamps: process-unique, so
+/// equal stamps imply equal presence entries even across plans that
+/// replaced one another wholesale (`*engine.faults_mut() = other`).
+/// `Relaxed` suffices — the value publishes nothing but its own uniqueness.
+static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_epoch() -> u64 {
+    NEXT_EPOCH.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Stores `value` at `node`, growing the dense vector to cover it.
+fn set_entry<T: Clone>(entries: &mut Vec<Option<T>>, node: u32, value: T) {
+    let i = node as usize;
+    if entries.len() <= i {
+        entries.resize(i + 1, None);
+    }
+    entries[i] = Some(value);
+}
+
+/// The `(node, entry)` pairs of a dense vector, in node order.
+fn entries<T: Copy>(entries: &[Option<T>]) -> Vec<(u32, T)> {
+    entries
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| e.map(|e| (i as u32, e)))
+        .collect()
+}
+
+/// Dense-vector equality up to trailing empty entries.
+fn same_entries<T: PartialEq>(a: &[Option<T>], b: &[Option<T>]) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    short == &long[..short.len()] && long[short.len()..].iter().all(Option::is_none)
+}
+
+impl PartialEq for FaultPlan {
+    fn eq(&self, other: &Self) -> bool {
+        same_entries(&self.crashes, &other.crashes)
+            && same_entries(&self.joins, &other.joins)
+            && same_entries(&self.sleeps, &other.sleeps)
+            && self.jams == other.jams
+            && self.zone_jams == other.zone_jams
+    }
+}
+
+impl std::fmt::Debug for FaultPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FaultPlan")
+            .field("crashes", &self.crash_events())
+            .field("joins", &self.join_events())
+            .field("jams", &self.jams)
+            .field("sleeps", &self.sleep_schedules())
+            .field("zone_jams", &self.zone_jams)
+            .finish()
+    }
 }
 
 impl FaultPlan {
@@ -159,10 +235,22 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
+    /// A plan that keeps every node with `alive[i] == false` out of the
+    /// run (crash-stopped from slot 0) — one pass over the mask instead of
+    /// one [`FaultPlan::crash_at`] per absent node.
+    pub fn from_alive_mask(alive: &[bool]) -> Self {
+        FaultPlan {
+            crashes: alive.iter().map(|&a| (!a).then_some(0)).collect(),
+            epoch: fresh_epoch(),
+            ..FaultPlan::default()
+        }
+    }
+
     /// Crash-stops node `node` from slot `slot` onward (it neither
     /// transmits nor listens after that).
     pub fn crash_at(&mut self, node: u32, slot: u64) -> &mut Self {
-        self.crashes.insert(node, slot);
+        set_entry(&mut self.crashes, node, slot);
+        self.epoch = fresh_epoch();
         self
     }
 
@@ -170,7 +258,8 @@ impl FaultPlan {
     /// part of the network (it neither transmits, listens, nor observes).
     /// Models churn — devices powering on after the run has started.
     pub fn join_at(&mut self, node: u32, slot: u64) -> &mut Self {
-        self.joins.insert(node, slot);
+        set_entry(&mut self.joins, node, slot);
+        self.epoch = fresh_epoch();
         self
     }
 
@@ -183,7 +272,8 @@ impl FaultPlan {
     /// Puts node `node` on a duty-cycle sleep schedule (replacing any
     /// previous schedule for the node).
     pub fn sleep(&mut self, node: u32, schedule: SleepSchedule) -> &mut Self {
-        self.sleeps.insert(node, schedule);
+        set_entry(&mut self.sleeps, node, schedule);
+        self.epoch = fresh_epoch();
         self
     }
 
@@ -195,20 +285,47 @@ impl FaultPlan {
         self.zone_jams.len() - 1
     }
 
+    /// A stamp that changes whenever a presence entry does
+    /// ([`FaultPlan::crash_at`], [`FaultPlan::join_at`],
+    /// [`FaultPlan::sleep`]): two plans — or one plan at two times — with
+    /// equal stamps have identical crash, join and sleep entries. It lets
+    /// the engine tell "someone borrowed the plan mutably" (a tracking
+    /// jammer re-aiming its zone every slot) from "who is present changed",
+    /// and re-derive its polling roster only on the latter. Clones share
+    /// their original's stamp; it is not part of equality.
+    pub fn lifecycle_epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The slot `node` crash-stops at, if it has one.
+    pub(crate) fn crash_slot(&self, node: u32) -> Option<u64> {
+        self.crashes.get(node as usize).copied().flatten()
+    }
+
+    /// The slot a late joiner `node` powers on at, if its join is delayed.
+    pub(crate) fn join_slot(&self, node: u32) -> Option<u64> {
+        self.joins.get(node as usize).copied().flatten()
+    }
+
+    /// `node`'s duty-cycle schedule, if it has one.
+    pub(crate) fn sleep_schedule(&self, node: u32) -> Option<SleepSchedule> {
+        self.sleeps.get(node as usize).copied().flatten()
+    }
+
     /// Whether `node` is crashed at `slot`.
     pub fn is_crashed(&self, node: u32, slot: u64) -> bool {
-        self.crashes.get(&node).is_some_and(|&s| slot >= s)
+        self.crash_slot(node).is_some_and(|s| slot >= s)
     }
 
     /// Whether `node` has joined the network by `slot` (true unless a
     /// [`FaultPlan::join_at`] entry delays it).
     pub fn has_joined(&self, node: u32, slot: u64) -> bool {
-        self.joins.get(&node).is_none_or(|&s| slot >= s)
+        self.join_slot(node).is_none_or(|s| slot >= s)
     }
 
     /// Whether `node` is powered down by a duty-cycle schedule at `slot`.
     pub fn is_asleep(&self, node: u32, slot: u64) -> bool {
-        self.sleeps.get(&node).is_some_and(|s| s.asleep_at(slot))
+        self.sleep_schedule(node).is_some_and(|s| s.asleep_at(slot))
     }
 
     /// Whether `node`'s *lifecycle* keeps it out of `slot` — crashed, or
@@ -239,26 +356,22 @@ impl FaultPlan {
 
     /// Whether the plan injects anything at all.
     pub fn is_trivial(&self) -> bool {
-        self.crashes.is_empty()
-            && self.joins.is_empty()
+        self.crashes.iter().all(Option::is_none)
+            && self.joins.iter().all(Option::is_none)
             && self.jams.is_empty()
-            && self.sleeps.is_empty()
+            && self.sleeps.iter().all(Option::is_none)
             && self.zone_jams.is_empty()
     }
 
     /// The scheduled crash-stops as `(node, slot)` pairs, sorted by node —
     /// a deterministic view for serialization and reporting.
     pub fn crash_events(&self) -> Vec<(u32, u64)> {
-        let mut v: Vec<(u32, u64)> = self.crashes.iter().map(|(&n, &s)| (n, s)).collect();
-        v.sort_unstable();
-        v
+        entries(&self.crashes)
     }
 
     /// The scheduled late joins as `(node, slot)` pairs, sorted by node.
     pub fn join_events(&self) -> Vec<(u32, u64)> {
-        let mut v: Vec<(u32, u64)> = self.joins.iter().map(|(&n, &s)| (n, s)).collect();
-        v.sort_unstable();
-        v
+        entries(&self.joins)
     }
 
     /// The jamming specs, in insertion order.
@@ -269,9 +382,7 @@ impl FaultPlan {
     /// The duty-cycle schedules as `(node, schedule)` pairs, sorted by
     /// node — a deterministic view for serialization and reporting.
     pub fn sleep_schedules(&self) -> Vec<(u32, SleepSchedule)> {
-        let mut v: Vec<(u32, SleepSchedule)> = self.sleeps.iter().map(|(&n, &s)| (n, s)).collect();
-        v.sort_unstable_by_key(|&(n, _)| n);
-        v
+        entries(&self.sleeps)
     }
 
     /// The zone jams, in insertion order.
@@ -424,6 +535,84 @@ mod tests {
             phase: 3,
         };
         assert!((0..40).all(|s| !always_on.asleep_at(s)));
+    }
+
+    #[test]
+    fn next_awake_is_the_first_awake_slot() {
+        for (period, on, phase) in [(10, 6, 0), (10, 6, 4), (7, 1, 3), (5, 5, 2), (0, 0, 0)] {
+            let s = SleepSchedule { period, on, phase };
+            for slot in 0..40 {
+                let expect = (slot..slot + 40).find(|&u| !s.asleep_at(u));
+                assert_eq!(s.next_awake(slot), expect, "{s:?} at {slot}");
+            }
+        }
+        let never = SleepSchedule {
+            period: 4,
+            on: 0,
+            phase: 1,
+        };
+        assert_eq!(never.next_awake(9), None);
+    }
+
+    #[test]
+    fn alive_mask_plan_equals_crash_at_loop() {
+        let alive = [true, false, true, true, false, true, true];
+        let mut looped = FaultPlan::none();
+        for (i, &a) in alive.iter().enumerate() {
+            if !a {
+                looped.crash_at(i as u32, 0);
+            }
+        }
+        let masked = FaultPlan::from_alive_mask(&alive);
+        // Equal although the dense vectors differ in length (7 vs 5).
+        assert_eq!(masked, looped);
+        assert_eq!(masked.crash_events(), vec![(1, 0), (4, 0)]);
+        assert!(masked.is_crashed(4, 0) && !masked.is_crashed(6, 99));
+        assert!(FaultPlan::from_alive_mask(&[true; 4]).is_trivial());
+        assert_eq!(FaultPlan::from_alive_mask(&[true; 4]), FaultPlan::none());
+    }
+
+    #[test]
+    fn lifecycle_epoch_moves_exactly_with_presence_entries() {
+        let mut p = FaultPlan::none();
+        let e0 = p.lifecycle_epoch();
+        p.jam(JamSpec::Fixed {
+            channel: 0,
+            from: 0,
+            to: 1,
+            power: 1.0,
+        });
+        let z = p.zone_jam(ZoneJam {
+            center: Point::new(0.0, 0.0),
+            radius: 1.0,
+            channel: None,
+            from: 0,
+            to: 9,
+        });
+        p.zone_jams_mut()[z].radius = 2.0;
+        assert_eq!(p.lifecycle_epoch(), e0, "jams are not presence");
+        p.crash_at(1, 5);
+        let e1 = p.lifecycle_epoch();
+        assert_ne!(e1, e0);
+        let clone = p.clone();
+        assert_eq!(clone.lifecycle_epoch(), e1);
+        p.join_at(2, 3);
+        let e2 = p.lifecycle_epoch();
+        p.sleep(
+            0,
+            SleepSchedule {
+                period: 2,
+                on: 1,
+                phase: 0,
+            },
+        );
+        assert!(e2 != e1 && p.lifecycle_epoch() != e2);
+        // Another plan never reuses a stamp, and the stamp is not part of
+        // equality.
+        let mut q = clone.clone();
+        q.crash_at(1, 5);
+        assert_ne!(q.lifecycle_epoch(), e1);
+        assert_eq!(q, clone);
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! channels per the *t-disrupted* adversary) is available through
 //! [`FaultPlan`].
 //!
+//! A slot costs what its awake nodes cost: Phase 1 polls a roster of the
+//! nodes that can still act — crash-stopped and finished nodes leave it
+//! for good; late joiners, duty-cycle sleepers and nodes that promised
+//! quiet through [`Protocol::quiet_until`] wait in one wake queue — and
+//! counts everyone else as idle arithmetically, bit-identically to polling
+//! every node (`docs/EXECUTION_MODEL.md`, "Phase 1: who gets polled").
+//!
 //! Reception is resolved per channel by the batched
 //! [`ChannelResolver`](mca_sinr::ChannelResolver) (mode selected via
 //! [`SinrParams::resolve`](mca_sinr::SinrParams)): the engine stages each
@@ -62,6 +69,8 @@ mod ids;
 mod message;
 mod metrics;
 mod node;
+#[doc(hidden)]
+pub mod reference;
 pub mod rng;
 pub mod shard;
 mod trace;

@@ -24,11 +24,39 @@ pub trait Protocol {
     /// Receive the outcome of the slot.
     fn observe(&mut self, slot: u64, obs: Observation<Self::Msg>, rng: &mut SmallRng);
 
-    /// Whether the node has terminated its protocol. Once `true`, the engine
-    /// stops calling [`Protocol::act`] (the node stays silent) and a run
-    /// driven by `run_until_done` may stop.
+    /// Whether the node has terminated its protocol. A run driven by
+    /// `run_until_done` may stop once every node reports `true`.
+    ///
+    /// The engine asks once per slot, before [`Protocol::act`]. A node that
+    /// answers `true` receives no `act` and no `observe` in that slot — so
+    /// nothing can change its state, it is still done in the next slot, and
+    /// the engine stops polling it for good. The answer may depend on
+    /// protocol state only (it is a `&self` query with no slot argument),
+    /// and may flip back to `false` only through
+    /// [`Engine::protocols_mut`](crate::Engine::protocols_mut), after which
+    /// the engine polls every node again.
     fn is_done(&self) -> bool {
         false
+    }
+
+    /// A wake hint: `Some(t)` promises that in every slot `u` with
+    /// `slot < u < t` this node would be a no-op — [`Protocol::act`]`(u)`
+    /// would return [`Action::Idle`] without drawing from its RNG, and
+    /// neither that call nor the [`Observation::Slept`] that follows an
+    /// idle slot would change anything a later call could observe
+    /// ([`Protocol::is_done`] included). The engine then skips the node
+    /// until slot `t` instead of polling it, bit-identically.
+    ///
+    /// Asked only right after the node idled in `slot` and was handed its
+    /// `Slept` observation; the promise must hold given the state at that
+    /// moment, and it is void once anyone takes
+    /// [`Engine::protocols_mut`](crate::Engine::protocols_mut). `None` (the
+    /// default) and any `t <= slot + 1` mean "poll me next slot". A
+    /// protocol that listens outside its own schedule block must not
+    /// promise quiet for those slots.
+    fn quiet_until(&self, slot: u64) -> Option<u64> {
+        let _ = slot;
+        None
     }
 }
 

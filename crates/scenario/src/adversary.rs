@@ -81,17 +81,17 @@ impl TrackingJammer {
     /// blast radius, ties to the smallest node id.
     fn densest(&self, slot: u64, world: &World<'_>) -> Option<Point> {
         let r2 = self.radius * self.radius;
+        // One absence query per node, not one per pair.
+        let live: Vec<Point> = world
+            .positions
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !world.faults.is_absent(i as u32, slot))
+            .map(|(_, &p)| p)
+            .collect();
         let mut best: Option<(usize, Point)> = None;
-        for (i, &p) in world.positions.iter().enumerate() {
-            if world.faults.is_absent(i as u32, slot) {
-                continue;
-            }
-            let mut score = 0usize;
-            for (j, &q) in world.positions.iter().enumerate() {
-                if !world.faults.is_absent(j as u32, slot) && p.dist_sq(q) <= r2 {
-                    score += 1;
-                }
-            }
+        for &p in &live {
+            let score = live.iter().filter(|q| p.dist_sq(**q) <= r2).count();
             if best.is_none_or(|(s, _)| score > s) {
                 best = Some((score, p));
             }
