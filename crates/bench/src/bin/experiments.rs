@@ -276,8 +276,10 @@ fn main() -> ExitCode {
         return code;
     }
 
-    // Flag form: run a scenario file.
-    if args.iter().any(|a| a == "--scenario") {
+    // Flag form: run a scenario file. Only where no subcommand leads —
+    // after one, `--scenario` is that subcommand's own flag (`profile`).
+    let leads_with_flag = args.first().is_some_and(|a| a.starts_with('-'));
+    if leads_with_flag && args.iter().any(|a| a == "--scenario") {
         return run_scenario_file(&args);
     }
     if let Some(first) = args.first() {

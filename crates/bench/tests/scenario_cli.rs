@@ -70,6 +70,29 @@ fn malformed_scenario_file_reports_line_and_field() {
 }
 
 #[test]
+fn profile_with_a_scenario_file_reaches_the_profile_handler() {
+    // `--scenario` after a subcommand is that subcommand's flag, not the
+    // flag form: this must end in `run_profile`, never in the flag form's
+    // "unexpected argument `profile`".
+    let path = scenarios_dir().join("static-uniform.toml");
+    let (code, stdout, stderr) = run_cli(&[
+        "profile",
+        "--scenario",
+        path.to_str().unwrap(),
+        "--slots",
+        "5",
+    ]);
+    assert!(!stderr.contains("unexpected argument"), "{stderr}");
+    if mca_bench::profile_supported() {
+        // Exit status is the coverage gate's business; the table is ours.
+        assert!(stdout.contains("static-uniform"), "{stdout}\n{stderr}");
+    } else {
+        assert_eq!(code, 2, "{stderr}");
+        assert!(stderr.contains("compiled out"), "{stderr}");
+    }
+}
+
+#[test]
 fn scenario_run_via_cli_prints_a_table_and_exits_0() {
     let path = scenarios_dir().join("static-uniform.toml");
     let (code, stdout, _) = run_cli(&["--scenario", path.to_str().unwrap(), "--seeds", "2"]);

@@ -729,7 +729,7 @@ mod tests {
 
     #[test]
     fn quiet_hints_are_sound() {
-        use mca_radio::reference::{assert_quiet_hints_sound, random_observation};
+        use mca_radio::reference::{assert_hints_sound, random_observation};
         for seed in 0..24u64 {
             let phi = 2 + (seed % 4) as u16;
             let mut c = cfg(3);
@@ -741,7 +741,7 @@ mod tests {
                 FollowerAgg::dominator(SumAgg, c, cluster, color, seed % 2 == 0),
                 FollowerAgg::passive(SumAgg, c, me),
             ] {
-                assert_quiet_hints_sound(p, seed, 1500, |_, _, g| {
+                assert_hints_sound(p, seed, 1500, |_, _, g| {
                     let cluster = NodeId(g.gen_range(0..2));
                     let who = NodeId(g.gen_range(4..8));
                     let msg = match g.gen_range(0..3u8) {

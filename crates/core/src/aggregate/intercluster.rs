@@ -170,6 +170,32 @@ impl<A: Aggregate> Protocol for FloodCombine<A> {
     fn is_done(&self) -> bool {
         self.finished
     }
+
+    fn listen_until(&self, slot: u64) -> Option<(Channel, u64)> {
+        // A hopping flood changes channel every slot: nothing to stand on.
+        if self.finished || self.cfg.hop_channels > 1 {
+            return None;
+        }
+        // Before the last round ends a silent slot teaches nothing; from
+        // there on any observation finishes the node.
+        let end = self.cfg.tdma.slots_for_rounds(self.cfg.total_rounds());
+        let sender = self.is_dominator.then_some(self.color);
+        Some((
+            Channel::FIRST,
+            listen_window_end(&self.cfg.tdma, slot, sender, end),
+        ))
+    }
+}
+
+/// Where the listen-only window that opens after `slot` closes, for the
+/// two backbone protocols ([`Protocol::listen_until`]): a dominator
+/// (`sender` = its colour) flips its coin again in its next own block;
+/// everyone else — and a dominator whose colour has no block — listens
+/// straight through to `end`, the first slot past the last round.
+fn listen_window_end(tdma: &Tdma, slot: u64, sender: Option<u16>, end: u64) -> u64 {
+    sender
+        .and_then(|color| tdma.next_my_slot(slot, color))
+        .map_or(end, |mine| mine.min(end))
 }
 
 // ---------------------------------------------------------------------------
@@ -412,6 +438,20 @@ impl<A: Aggregate> Protocol for TreeExact<A> {
     fn is_done(&self) -> bool {
         self.finished
     }
+
+    fn listen_until(&self, slot: u64) -> Option<(Channel, u64)> {
+        // As in the flood: silence teaches nothing before the last round
+        // ends, and a dominator acts (and may draw) only in its own block.
+        if self.finished {
+            return None;
+        }
+        let end = self.cfg.tdma.slots_for_rounds(self.cfg.total_rounds());
+        let sender = self.is_dominator.then_some(self.color);
+        Some((
+            Channel::FIRST,
+            listen_window_end(&self.cfg.tdma, slot, sender, end),
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -482,6 +522,40 @@ mod tests {
         let _ = FloodCombine::dominator(SumAgg, cfg, 0, 1);
     }
 
+    #[test]
+    fn flood_listen_hints_are_sound() {
+        use mca_radio::reference::{assert_hints_sound, random_observation};
+        for seed in 0..30u64 {
+            let phi = 1 + (seed % 5) as u16;
+            let cfg = FloodCfg {
+                q: 0.25,
+                flood_rounds: 24,
+                tail_rounds: 8,
+                tdma: Tdma::new(phi, 1 + (seed % 2) as u16),
+                hop_channels: if seed % 6 == 5 { 3 } else { 0 },
+            };
+            // One colour past the palette: a node that never has a block.
+            let color = (seed % (u64::from(phi) + 1)) as u16;
+            let end = cfg.tdma.slots_for_rounds(cfg.total_rounds());
+            for p in [
+                FloodCombine::dominator(MaxAgg, cfg, color, 5),
+                FloodCombine::listener(MaxAgg, cfg, color),
+            ] {
+                // A hopping flood has no channel to stand on; a pinned one
+                // stands from the first slot, a dominatee to the very end.
+                let first = p.listen_until(0);
+                assert_eq!(first.is_none(), cfg.hop_channels > 1);
+                if !p.is_dominator && cfg.hop_channels <= 1 {
+                    assert_eq!(first, Some((Channel::FIRST, end)));
+                }
+                assert_hints_sound(p, seed, end + 5, |_, _, g| {
+                    let value = g.gen_range(0..100);
+                    random_observation(g, 8, FloodMsg(value))
+                });
+            }
+        }
+    }
+
     fn exact_cfg(max_levels: u32) -> ExactCfg {
         ExactCfg {
             q: 0.25,
@@ -527,6 +601,49 @@ mod tests {
                 l as usize <= i.max(1),
                 "dominator {i} has level {l}, expected at most {i}"
             );
+        }
+    }
+
+    #[test]
+    fn exact_listen_hints_are_sound() {
+        use mca_radio::reference::{assert_hints_sound, random_observation};
+        for seed in 0..30u64 {
+            let phi = 1 + (seed % 5) as u16;
+            let cfg = ExactCfg {
+                q: 0.25,
+                level_rounds: 10,
+                window: 4,
+                max_levels: 3,
+                result_rounds: 10,
+                tdma: Tdma::new(phi, 1),
+            };
+            let color = (seed % (u64::from(phi) + 1)) as u16;
+            let end = cfg.tdma.slots_for_rounds(cfg.total_rounds());
+            let me = NodeId(1);
+            for p in [
+                TreeExact::dominator(SumAgg, cfg, me, color, 7, true),
+                TreeExact::dominator(SumAgg, cfg, me, color, 7, false),
+                TreeExact::listener(SumAgg, cfg, me, color),
+            ] {
+                if !p.is_dominator {
+                    assert_eq!(p.listen_until(0), Some((Channel::FIRST, end)));
+                }
+                assert_hints_sound(p, seed, end + 5, |_, _, g| {
+                    let msg = match g.gen_range(0..3u8) {
+                        0 => ExactMsg::Level {
+                            level: g.gen_range(0..3),
+                        },
+                        1 => ExactMsg::Up {
+                            to: NodeId(g.gen_range(0..3)),
+                            value: g.gen_range(0..50),
+                        },
+                        _ => ExactMsg::Result {
+                            value: g.gen_range(0..50),
+                        },
+                    };
+                    random_observation(g, 4, msg)
+                });
+            }
         }
     }
 

@@ -488,7 +488,7 @@ mod tests {
 
     #[test]
     fn quiet_hints_are_sound() {
-        use mca_radio::reference::{assert_quiet_hints_sound, random_observation};
+        use mca_radio::reference::{assert_hints_sound, random_observation};
         use rand::Rng;
         for seed in 0..24u64 {
             let phi = 2 + (seed % 4) as u16;
@@ -502,7 +502,7 @@ mod tests {
                 TreeCast::reporter(SumAgg, cfg, cluster, color, 1 + (seed % 7) as u16, 3),
                 TreeCast::passive(SumAgg, cfg, cluster),
             ] {
-                assert_quiet_hints_sound(p, seed, 400, |_, _, g| {
+                assert_hints_sound(p, seed, 400, |_, _, g| {
                     let cluster = NodeId(g.gen_range(0..2));
                     let pos = g.gen_range(1..8);
                     let msg = if g.gen_bool(0.5) {

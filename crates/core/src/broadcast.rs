@@ -693,7 +693,7 @@ mod tests {
 
     #[test]
     fn quiet_hints_are_sound() {
-        use mca_radio::reference::{assert_quiet_hints_sound, random_observation};
+        use mca_radio::reference::{assert_hints_sound, random_observation};
         for seed in 0..24u64 {
             let phi = 2 + (seed % 4) as u16;
             let cfg = HoistCfg {
@@ -711,7 +711,7 @@ mod tests {
                 HoistCast::dominator(cfg, color),
                 HoistCast::bystander(cfg),
             ] {
-                assert_quiet_hints_sound(p, seed, 600, |_, _, g| {
+                assert_hints_sound(p, seed, 600, |_, _, g| {
                     let m = Sourced {
                         src: NodeId(g.gen_range(3..5)),
                         payload: 9,

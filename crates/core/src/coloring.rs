@@ -826,7 +826,7 @@ mod tests {
 
     #[test]
     fn quiet_hints_are_sound() {
-        use mca_radio::reference::{assert_quiet_hints_sound, random_observation};
+        use mca_radio::reference::{assert_hints_sound, random_observation};
         use rand::Rng;
         for seed in 0..24u64 {
             let phi = 2 + (seed % 4) as u16;
@@ -846,7 +846,7 @@ mod tests {
                 RangeCast::new(7, tdma, cluster, color, vec![3, 1], 1, vec![(2, 2)], None),
                 RangeCast::passive(7, tdma, cluster),
             ] {
-                assert_quiet_hints_sound(p, seed, 200, |_, _, g| {
+                assert_hints_sound(p, seed, 200, |_, _, g| {
                     let msg = RangeMsg {
                         cluster: NodeId(g.gen_range(0..2)),
                         assigns: vec![RangeAssign {
@@ -870,7 +870,7 @@ mod tests {
                 AssignColors::listener(tdma, cluster, color, Channel(1), me, 12),
                 AssignColors::passive(tdma, cluster),
             ] {
-                assert_quiet_hints_sound(p, seed, 200, |_, _, g| {
+                assert_hints_sound(p, seed, 200, |_, _, g| {
                     let msg = AssignMsg {
                         cluster: NodeId(g.gen_range(0..2)),
                         follower: NodeId(g.gen_range(8..11)),

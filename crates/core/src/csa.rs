@@ -416,13 +416,13 @@ mod tests {
 
     #[test]
     fn quiet_hints_are_sound() {
-        use mca_radio::reference::{assert_quiet_hints_sound, random_observation};
+        use mca_radio::reference::{assert_hints_sound, random_observation};
         for seed in 0..24u64 {
             let phi = 2 + (seed % 4) as u16;
             let c = cfg(8, phi);
             for role in [CsaRole::Coordinator, CsaRole::Member, CsaRole::Passive] {
                 let p = CsaProtocol::new(role, NodeId(0), (seed % phi as u64) as u16, c);
-                assert_quiet_hints_sound(p, seed, 900, |_, _, g| {
+                assert_hints_sound(p, seed, 900, |_, _, g| {
                     let group = NodeId(g.gen_range(0..2));
                     let msg = if g.gen_bool(0.5) {
                         CsaMsg::Data { group }

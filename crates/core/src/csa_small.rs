@@ -116,6 +116,14 @@ impl Protocol for BroadcastSize {
     fn is_done(&self) -> bool {
         self.finished || (self.sending.is_none() && self.received.is_some() && !self.passive)
     }
+
+    fn listen_until(&self, _slot: u64) -> Option<(Channel, u64)> {
+        // A member still missing its size listens in every block until the
+        // last round ends; silence changes nothing before that.
+        let waiting =
+            !self.passive && !self.finished && self.sending.is_none() && self.received.is_none();
+        waiting.then(|| (Channel::FIRST, self.tdma.slots_for_rounds(self.rounds)))
+    }
 }
 
 /// Outcome of the small-`Δ̂` CSA.
@@ -419,6 +427,42 @@ mod tests {
             }
         }
         assert!(missed <= 2, "{missed} members missed the broadcast");
+    }
+
+    #[test]
+    fn listen_hints_are_sound() {
+        use mca_radio::reference::{assert_hints_sound, random_observation};
+        for seed in 0..24u64 {
+            let phi = 1 + (seed % 4) as u16;
+            let tdma = Tdma::new(phi, 1);
+            let rounds = 12;
+            let end = tdma.slots_for_rounds(rounds);
+            let node = |sending| BroadcastSize {
+                cluster: NodeId(0),
+                color: (seed % u64::from(phi)) as u16,
+                tdma,
+                p: 0.3,
+                rounds,
+                sending,
+                received: None,
+                passive: false,
+                finished: false,
+            };
+            // Only a member still missing its size stands; the sender
+            // idles off its block and draws inside it.
+            assert_eq!(node(None).listen_until(0), Some((Channel::FIRST, end)));
+            assert_eq!(node(Some(9)).listen_until(0), None);
+            for p in [node(None), node(Some(9))] {
+                // Mostly other clusters' sizes, so the member keeps waiting.
+                assert_hints_sound(p, seed, end + 3, |_, _, g| {
+                    let msg = SizeMsg {
+                        cluster: NodeId(g.gen_range(0..6)),
+                        size: g.gen_range(1..40),
+                    };
+                    random_observation(g, 6, msg)
+                });
+            }
+        }
     }
 
     #[test]

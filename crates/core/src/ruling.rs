@@ -729,7 +729,7 @@ mod tests {
 
     #[test]
     fn quiet_hints_are_sound() {
-        use mca_radio::reference::{assert_quiet_hints_sound, random_observation};
+        use mca_radio::reference::{assert_hints_sound, random_observation};
         use rand::Rng;
         for seed in 0..24u64 {
             let phi = 2 + (seed % 4) as u16;
@@ -742,7 +742,7 @@ mod tests {
                 RulingSet::helper(NodeId(1), cfg),
                 RulingSet::passive(NodeId(1), cfg),
             ] {
-                assert_quiet_hints_sound(p, seed, 600, |_, _, g| {
+                assert_hints_sound(p, seed, 600, |_, _, g| {
                     let (who, group) = (NodeId(g.gen_range(1..4)), cfg.group);
                     let msg = match g.gen_range(0..3u8) {
                         0 => RulingMsg::Hello { from: who, group },

@@ -98,6 +98,11 @@ impl Tdma {
             return None;
         }
         let next = slot.checked_add(1)?;
+        // A one-colour schedule is one block: no remainder to take (this
+        // is asked once per node-slot by protocols that hint).
+        if self.phi == 1 {
+            return Some(next);
+        }
         let spr = self.slots_per_round as u64;
         let spsr = self.slots_per_super_round();
         let rem = next % spsr;

@@ -19,7 +19,7 @@ use crate::shard::ShardMap;
 use crate::trace::{TraceEvent, TraceRecorder};
 use mca_geom::{BoundingBox, Point};
 use mca_obs::{ChannelSlotRecord, SpanKind, Stopwatch};
-use mca_sinr::{ChannelResolver, ListenOutcome, ResolverCache, SinrParams};
+use mca_sinr::{resolve_listener_ext, ChannelResolver, ListenOutcome, ResolverCache, SinrParams};
 use rand::rngs::SmallRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -121,9 +121,9 @@ pub struct Engine<P: Protocol> {
     obs_pool: (u64, u64, u64),
     shards: u16,
     shard_state: Option<ShardState>,
-    /// One slot per node, persistent across slots: a node outside the
-    /// roster always reads `Off`, a polled node's entry is overwritten by
-    /// the gather.
+    /// One slot per node, persistent across slots: a polled node's entry
+    /// is overwritten by the gather, and only entries written this slot
+    /// are ever read.
     actions: Vec<SlotAction<P::Msg>>,
     /// Phase 1's polling set (see `docs/EXECUTION_MODEL.md`, "Phase 1: who
     /// gets polled").
@@ -166,37 +166,126 @@ enum SlotAction<M> {
     Off,
 }
 
-/// Who Phase 1 polls. `live` holds, in ascending id order, every node that
-/// could act this slot; a node leaves it for good once it is crash-stopped
-/// or done, and for a while — into `wake`, keyed by the slot it returns
-/// at — while it has not joined yet, sleeps on its duty cycle, or promised
-/// quiet through [`Protocol::quiet_until`]. Everyone outside `live` is
-/// idle by construction and accounted arithmetically.
+/// Who Phase 1 polls, and who listens without being polled. `live` holds,
+/// in ascending id order, every node that could act this slot; a node
+/// leaves it for good once it is crash-stopped or done, and for a while —
+/// into `wake`, keyed by the slot it returns at — while it has not joined
+/// yet, sleeps on its duty cycle, promised quiet through
+/// [`Protocol::quiet_until`], or *stands*: it promised through
+/// [`Protocol::listen_until`] to do nothing but listen on one channel, and
+/// waits on that channel's ascending standing list. Everyone outside `live`
+/// idles or listens by construction and is accounted arithmetically.
 ///
 /// Ascending order is architectural, not cosmetic: gather order fixes each
-/// channel's transmitter order and with it the Exact-mode summation order.
+/// channel's transmitter order and with it the Exact-mode summation order,
+/// and listener order is the order of the trace, detector and obs streams.
 struct Roster {
     live: Vec<u32>,
     wake: BinaryHeap<Reverse<(u64, u32)>>,
     /// Scratch for the nodes due back this slot.
     woken: Vec<u32>,
+    /// Per node, the key of its one valid `wake` entry ([`UNSET`] = none).
+    /// An entry that pops under any other key is inert, which is how a
+    /// standing node that leaves early abandons its old entry without a
+    /// heap search.
+    due: Vec<u64>,
+    /// How many nodes have one (parked or standing).
+    waiting: usize,
+    /// Per node, the channel it stands on.
+    stands_on: Vec<Option<u16>>,
+    /// The standing lists, dense by channel, each ascending.
+    standing: Vec<Vec<u32>>,
+    /// The channels whose standing list is not empty.
+    standing_channels: Vec<u16>,
+    /// Scratch: the `(channel, node)` pairs entering the standing lists
+    /// (collected during delivery) or leaving them (at the next refresh).
+    moves: Vec<(u16, u32)>,
+    /// Scratch: the nodes of one channel's run of `moves`.
+    run: Vec<u32>,
     /// The plan's [`FaultPlan::lifecycle_epoch`] `live`/`wake` were derived
     /// under.
     epoch: u64,
-    /// Set by whatever may un-finish a node or void a quiet promise behind
-    /// the engine's back ([`Engine::protocols_mut`], a replaced plan).
+    /// Set by whatever may un-finish a node or void a hint behind the
+    /// engine's back ([`Engine::protocols_mut`], a replaced plan).
     stale: bool,
 }
 
+/// The [`Roster::due`] value of a node with no valid wake entry: every
+/// park is for a later slot, so no entry is ever keyed by slot 0.
+const UNSET: u64 = 0;
+
+/// Merges the ascending `src` into the ascending `dst` (no common
+/// element), in place and back to front. Runs are located by binary search
+/// and moved whole, so a few nodes joining a long list — or a long list
+/// joining a few — cost a handful of `memmove`s, not a pass per element.
+fn merge_sorted(dst: &mut Vec<u32>, src: &[u32]) {
+    let (mut i, mut j) = (dst.len(), src.len());
+    dst.resize(i + j, 0);
+    while j > 0 {
+        // What is left of `dst` above `src`'s last moves up by `j` ...
+        let at = dst[..i].partition_point(|&v| v < src[j - 1]);
+        dst.copy_within(at..i, at + j);
+        i = at;
+        // ... and what is left of `src` above `dst`'s last lands below it.
+        let from = match i {
+            0 => 0,
+            _ => src[..j].partition_point(|&v| v < dst[i - 1]),
+        };
+        dst[i + from..i + j].copy_from_slice(&src[from..j]);
+        j = from;
+    }
+}
+
+/// Removes the ascending `gone`, every element of which is present, from
+/// the ascending `list` — the inverse of [`merge_sorted`], front to back.
+fn remove_sorted(list: &mut Vec<u32>, gone: &[u32]) {
+    let (mut read, mut write) = (0, 0);
+    for &node in gone {
+        let at = read + list[read..].partition_point(|&v| v < node);
+        debug_assert_eq!(list[at], node);
+        list.copy_within(read..at, write);
+        write += at - read;
+        read = at + 1;
+    }
+    list.copy_within(read.., write);
+    list.truncate(list.len() - gone.len());
+}
+
 impl Roster {
+    fn new() -> Self {
+        Roster {
+            live: Vec::new(),
+            wake: BinaryHeap::new(),
+            woken: Vec::new(),
+            due: Vec::new(),
+            waiting: 0,
+            stands_on: Vec::new(),
+            standing: Vec::new(),
+            standing_channels: Vec::new(),
+            moves: Vec::new(),
+            run: Vec::new(),
+            epoch: 0,
+            stale: true,
+        }
+    }
+
     /// Brings the roster up to date for `slot`: from scratch (everyone
-    /// live, nobody parked — the gather re-derives the rest) if it went
-    /// stale or presence changed, else by merging back the nodes due.
+    /// live, nobody parked or standing — the gather and the hints re-derive
+    /// the rest) if it went stale or presence changed, else by merging back
+    /// the nodes due.
     fn refresh(&mut self, n: usize, slot: u64, epoch: u64) {
         if self.stale || self.epoch != epoch {
             self.live.clear();
             self.live.extend(0..n as u32);
             self.wake.clear();
+            self.due.clear();
+            self.due.resize(n, UNSET);
+            self.waiting = 0;
+            self.stands_on.clear();
+            self.stands_on.resize(n, None);
+            for ch in self.standing_channels.drain(..) {
+                self.standing[ch as usize].clear();
+            }
             self.epoch = epoch;
             self.stale = false;
             return;
@@ -206,33 +295,151 @@ impl Roster {
                 break;
             }
             self.wake.pop();
-            self.woken.push(node);
+            if self.due[node as usize] == t {
+                self.due[node as usize] = UNSET;
+                self.waiting -= 1;
+                self.woken.push(node);
+            }
         }
         if self.woken.is_empty() {
             return;
         }
         // Every park is for a later slot and every slot drains, so the
-        // entries due now all carry this slot and the heap yields them by
-        // id.
+        // valid entries due now all carry this slot and the heap yields
+        // them by id, once each (a repeated entry went inert with the
+        // first).
         debug_assert!(self.woken.windows(2).all(|w| w[0] < w[1]));
-        // Backward in-place merge of two ascending runs.
-        let mut i = self.live.len();
-        let mut w = i + self.woken.len();
-        self.live.resize(w, 0);
-        while let Some(&node) = self.woken.last() {
-            w -= 1;
-            if i > 0 && self.live[i - 1] > node {
-                i -= 1;
-                self.live[w] = self.live[i];
-            } else {
-                self.live[w] = node;
-                self.woken.pop();
+        // Those that stood leave their lists, a channel at a time.
+        let Roster {
+            woken,
+            stands_on,
+            standing,
+            standing_channels,
+            moves,
+            run,
+            ..
+        } = self;
+        moves.extend(
+            woken
+                .iter()
+                .filter_map(|&v| stands_on[v as usize].take().map(|ch| (ch, v))),
+        );
+        for_each_run(moves, run, |ch, gone| {
+            let list = &mut standing[ch as usize];
+            remove_sorted(list, gone);
+            if list.is_empty() {
+                standing_channels.retain(|&c| c != ch);
             }
-        }
+        });
+        merge_sorted(&mut self.live, &self.woken);
+        self.woken.clear();
     }
 
     fn park(&mut self, node: u32, until: u64) {
+        debug_assert_ne!(until, UNSET);
+        if self.due[node as usize] == UNSET {
+            self.waiting += 1;
+        }
+        self.due[node as usize] = until;
         self.wake.push(Reverse((until, node)));
+    }
+
+    /// Nodes waiting on a standing list.
+    fn standing_len(&self) -> usize {
+        let lists = self.standing_channels.iter();
+        lists.map(|&ch| self.standing[ch as usize].len()).sum()
+    }
+
+    /// Whether `node` waits on a standing list.
+    fn stands(&self, node: u32) -> bool {
+        self.stands_on[node as usize].is_some()
+    }
+
+    /// Books `node` for `channel`'s standing list until slot `until`; it
+    /// moves there once the slot's deliveries are over ([`Roster::admit`]).
+    fn stand_until(&mut self, node: u32, channel: u16, until: u64) {
+        self.park(node, until);
+        self.moves.push((channel, node));
+    }
+
+    /// Moves the nodes booked this slot from `live` to their standing
+    /// lists.
+    fn admit(&mut self) {
+        if self.moves.is_empty() {
+            return;
+        }
+        let Roster {
+            live,
+            stands_on,
+            standing,
+            standing_channels,
+            moves,
+            run,
+            ..
+        } = self;
+        for_each_run(moves, run, |ch, new| {
+            if standing.len() <= ch as usize {
+                standing.resize_with(ch as usize + 1, Vec::new);
+            }
+            let list = &mut standing[ch as usize];
+            if list.is_empty() {
+                standing_channels.push(ch);
+            }
+            merge_sorted(list, new);
+            for &v in new {
+                stands_on[v as usize] = Some(ch);
+            }
+        });
+        live.retain(|&v| stands_on[v as usize].is_none());
+    }
+}
+
+/// Sorts `moves`, calls `f(channel, nodes)` once per channel with that
+/// channel's nodes in ascending order (staged in `run`), and empties
+/// `moves`.
+fn for_each_run(moves: &mut Vec<(u16, u32)>, run: &mut Vec<u32>, mut f: impl FnMut(u16, &[u32])) {
+    moves.sort_unstable();
+    for pairs in moves.chunk_by(|a, b| a.0 == b.0) {
+        run.clear();
+        run.extend(pairs.iter().map(|&(_, node)| node));
+        f(pairs[0].0, run);
+    }
+    moves.clear();
+}
+
+/// `node`'s [`Protocol::listen_until`] answer at `slot` as the engine
+/// honours it — `(channel, wake slot)`, the window cut short at the node's
+/// crash slot — or `None` where it does not: the node is done, has a duty
+/// cycle (its `act` is not asked every slot, so it cannot listen in every
+/// slot), or the window does not reach past the next slot.
+fn standing_hint<P: Protocol>(
+    slot: u64,
+    node: u32,
+    protocols: &[P],
+    faults: &FaultPlan,
+) -> Option<(u16, u64)> {
+    let p = &protocols[node as usize];
+    let (channel, until) = p.listen_until(slot)?;
+    // Cheapest test first: most answers of a busy protocol are "next slot".
+    if until <= slot + 1 || p.is_done() || faults.sleep_schedule(node).is_some() {
+        return None;
+    }
+    let until = faults.crash_slot(node).map_or(until, |c| until.min(c));
+    (until > slot + 1).then_some((channel.0, until))
+}
+
+/// Asked of a polled node right after the `observe` of a slot it
+/// transmitted or listened in: if all it will do from here on is listen,
+/// it is booked for its channel's standing list.
+fn offer_standing<P: Protocol>(
+    slot: u64,
+    node: u32,
+    protocols: &[P],
+    faults: &FaultPlan,
+    roster: &mut Roster,
+) {
+    if let Some((channel, until)) = standing_hint(slot, node, protocols, faults) {
+        roster.stand_until(node, channel, until);
     }
 }
 
@@ -341,13 +548,7 @@ impl<P: Protocol> Engine<P> {
             shards: if force_par() { FORCED_SHARDS } else { 0 },
             shard_state: None,
             actions,
-            roster: Roster {
-                live: Vec::new(),
-                wake: BinaryHeap::new(),
-                woken: Vec::new(),
-                epoch: 0,
-                stale: true,
-            },
+            roster: Roster::new(),
             groups: Vec::new(),
             active: Vec::new(),
             shard_counts: Vec::new(),
@@ -605,8 +806,8 @@ impl<P: Protocol> Engine<P> {
 
     /// Mutable access to protocol states (for harness-driven phase
     /// stitching). The caller may un-finish a node or void a
-    /// [`Protocol::quiet_until`] promise, so the next slot polls every
-    /// node again.
+    /// [`Protocol::quiet_until`] or [`Protocol::listen_until`] promise, so
+    /// the next slot polls every node again.
     pub fn protocols_mut(&mut self) -> &mut [P] {
         self.roster.stale = true;
         &mut self.protocols
@@ -685,7 +886,7 @@ impl<P: Protocol> Engine<P> {
         let (mut listeners, mut units) = (0, 0);
         for &ch in &self.active {
             let group = &mut self.groups[ch as usize];
-            if group.rx.is_empty() {
+            if group.tx.is_empty() || group.rx.is_empty() {
                 continue;
             }
             // The channel's grid is coarsened so units stay large enough
@@ -787,13 +988,40 @@ impl<P: Protocol> Engine<P> {
             unit_ns: &'g mut [(u64, u64)],
         }
 
-        // One pass over the dense groups: a job per listening channel,
-        // the transmit-only leftovers for the post-delivery feedback loop.
+        /// A channel somebody listens on and nobody transmits on: nothing
+        /// to resolve, every listener's outcome is the one empty-set
+        /// constant, and only the polled listeners are told.
+        struct Silent<'g> {
+            ch: u16,
+            polled: &'g [u32],
+            standing: u64,
+            outcome: ListenOutcome,
+        }
+
+        // One pass over the dense groups: a job per channel with both
+        // transmitters and listeners, the silent channels beside them, the
+        // transmit-only leftovers for the post-delivery feedback loop.
         let mut jobs: Vec<(Work<'_>, Out<'_>)> = Vec::with_capacity(active.len());
+        let mut silent: Vec<Silent<'_>> = Vec::new();
         let mut txonly: Vec<(u16, &[u32])> = Vec::new();
         let (mut out_rest, mut ns_rest) = (&mut unit_out[..], &mut unit_ns[..]);
         for (ch, group) in groups.iter_mut().enumerate() {
-            if group.is_idle() {
+            let standing = roster.standing.get(ch).map_or(0, Vec::len);
+            if group.is_idle() && standing == 0 {
+                continue;
+            }
+            if group.tx.is_empty() {
+                silent.push(Silent {
+                    ch: ch as u16,
+                    polled: &group.rx,
+                    standing: standing as u64,
+                    outcome: resolve_listener_ext(
+                        &group.params,
+                        &[],
+                        Point::ORIGIN,
+                        group.cond.extra_interference,
+                    ),
+                });
                 continue;
             }
             if group.rx.is_empty() {
@@ -935,6 +1163,7 @@ impl<P: Protocol> Engine<P> {
             trace: &mut Option<TraceRecorder>,
             detector: &mut Option<DegradationDetector>,
             faults: &FaultPlan,
+            roster: &mut Roster,
             obs: &mut Option<mca_obs::Recorder>,
         ) {
             // Per-channel outcome stream: metric deltas around this
@@ -1003,11 +1232,23 @@ impl<P: Protocol> Engine<P> {
                         det.sample(li, slot, delivered);
                     }
                 }
-                protocols[li as usize].observe(slot, obs_msg, &mut rngs[li as usize]);
+                if !roster.stands(li) {
+                    protocols[li as usize].observe(slot, obs_msg, &mut rngs[li as usize]);
+                    offer_standing(slot, li, protocols, faults, roster);
+                } else if matches!(&obs_msg, Observation::Received(_)) {
+                    // A standing listener is told only what it waits for,
+                    // and stays only if it goes on waiting for the same.
+                    protocols[li as usize].observe(slot, obs_msg, &mut rngs[li as usize]);
+                    let waits_on = Some((w.ch, roster.due[li as usize]));
+                    if standing_hint(slot, li, protocols, faults) != waits_on {
+                        roster.park(li, slot + 1);
+                    }
+                }
             }
             // Transmitters learn nothing.
             for &ti in w.tx {
                 protocols[ti as usize].observe(slot, Observation::Sent, &mut rngs[ti as usize]);
+                offer_standing(slot, ti, protocols, faults, roster);
             }
             if let Some(rec) = obs.as_mut() {
                 rec.chan(ChannelSlotRecord {
@@ -1018,6 +1259,46 @@ impl<P: Protocol> Engine<P> {
                     rx: (metrics.receptions - rx0c) as u32,
                     busy: (metrics.busy_failures - busy0c) as u32,
                     env: (metrics.env_drops - env0c) as u32,
+                });
+            }
+        }
+
+        // Delivers one silent channel: its listens are booked by count,
+        // busy if the environment puts power on the channel and silent
+        // otherwise; the polled listeners observe that, the standing ones
+        // promised it changes nothing. Called in ascending channel order
+        // with the resolved channels, so the outcome records interleave
+        // as they always did.
+        #[allow(clippy::too_many_arguments)]
+        fn deliver_silent<P: Protocol>(
+            slot: u64,
+            s: &Silent<'_>,
+            protocols: &mut [P],
+            rngs: &mut [SmallRng],
+            metrics: &mut Metrics,
+            faults: &FaultPlan,
+            roster: &mut Roster,
+            obs: &mut Option<mca_obs::Recorder>,
+        ) {
+            let listens = s.polled.len() as u64 + s.standing;
+            let total_power = s.outcome.total_power;
+            let busy = if total_power > 0.0 { listens } else { 0 };
+            metrics.busy_failures += busy;
+            metrics.silent_listens += listens - busy;
+            for &li in s.polled {
+                let heard = Observation::Noise { total_power };
+                protocols[li as usize].observe(slot, heard, &mut rngs[li as usize]);
+                offer_standing(slot, li, protocols, faults, roster);
+            }
+            if let Some(rec) = obs.as_mut() {
+                rec.chan(ChannelSlotRecord {
+                    slot,
+                    channel: s.ch,
+                    tx: 0,
+                    listens: listens as u32,
+                    rx: 0,
+                    busy: busy as u32,
+                    env: 0,
                 });
             }
         }
@@ -1059,7 +1340,13 @@ impl<P: Protocol> Engine<P> {
         // identical under every schedule (only the `ns` values differ).
         let mut merged_units = 0u32;
         let mut merge_ns = 0u64;
+        let mut silent = silent.iter().peekable();
         for (w, o) in jobs.iter_mut() {
+            let sw_del = Stopwatch::start_if(timing);
+            while let Some(s) = silent.next_if(|s| s.ch < w.ch) {
+                deliver_silent::<P>(slot, s, protocols, rngs, metrics, faults, roster, obs);
+            }
+            deliver_ns += sw_del.elapsed_ns();
             if let Some(rec) = obs.as_mut() {
                 for (ui, &(ns, halo_ns)) in o.unit_ns.iter().enumerate() {
                     rec.span(SpanKind::Unit, slot, u32::from(w.ch), ui as u32, ns);
@@ -1084,18 +1371,24 @@ impl<P: Protocol> Engine<P> {
             };
             let sw_del = Stopwatch::start_if(timing);
             deliver_channel::<P>(
-                slot, w, outcomes, actions, protocols, rngs, metrics, trace, detector, faults, obs,
+                slot, w, outcomes, actions, protocols, rngs, metrics, trace, detector, faults,
+                roster, obs,
             );
             deliver_ns += sw_del.elapsed_ns();
         }
 
-        // Transmitters on channels nobody listened to still need
-        // feedback; their records trail the listening channels in the
+        // The silent channels above the last resolved one; then the
+        // transmitters on channels nobody listened to, who still need
+        // feedback — their records trail the listening channels in the
         // outcome stream, as always.
         let sw = Stopwatch::start_if(timing);
+        for s in silent {
+            deliver_silent::<P>(slot, s, protocols, rngs, metrics, faults, roster, obs);
+        }
         for &(ch, tx) in &txonly {
             for &ti in tx {
                 protocols[ti as usize].observe(slot, Observation::Sent, &mut rngs[ti as usize]);
+                offer_standing(slot, ti, protocols, faults, roster);
             }
             if let Some(rec) = obs.as_mut() {
                 rec.chan(ChannelSlotRecord {
@@ -1109,6 +1402,8 @@ impl<P: Protocol> Engine<P> {
                 });
             }
         }
+        // Whoever promised to only listen from here on leaves the roster.
+        roster.admit();
         deliver_ns += sw.elapsed_ns();
 
         if let Some(rec) = obs.as_mut() {
@@ -1191,8 +1486,9 @@ impl<P: Protocol> Engine<P> {
         let sw = Stopwatch::start_if(timing);
 
         // Phase 1: gather actions — from the roster only. Whoever is not
-        // on it (crashed, done, not yet joined, asleep, or quiet by its
-        // own promise) is idle this slot without being asked.
+        // on it idles (crashed, done, not yet joined, asleep, or quiet by
+        // its own promise) or listens on its standing channel this slot
+        // without being asked.
         let n = self.protocols.len();
         self.roster.refresh(n, slot, self.faults.lifecycle_epoch());
         let (mut kept, mut busy) = (0, 0u64);
@@ -1245,9 +1541,16 @@ impl<P: Protocol> Engine<P> {
             };
         }
         self.roster.live.truncate(kept);
-        // Every node that neither transmits nor listens idles, polled or not.
-        self.metrics.idles += n as u64 - busy;
         let polled = kept as u64;
+        // The standing listeners listen: their channels are in use
+        // whether or not a polled node touched them.
+        for &ch in &self.roster.standing_channels {
+            Self::touch(&mut self.groups, &mut self.active, ch);
+        }
+        let standing = self.roster.standing_len() as u64;
+        self.metrics.listens += standing;
+        // Every node that neither transmits nor listens idles, polled or not.
+        self.metrics.idles += n as u64 - busy - standing;
 
         // Deliver in ascending channel order (deterministic) regardless of
         // the order channels were first touched; also lets every loop below
@@ -1258,6 +1561,10 @@ impl<P: Protocol> Engine<P> {
 
         // Phase 2a: stage each active channel's inputs — transmitter and
         // listener positions (reused scratch), jamming, fading condition.
+        // A channel without a transmitter has nothing to resolve and
+        // stages nothing; on any other, the standing listeners join the
+        // polled ones in ascending id order.
+        let mut silent_channels = 0u64;
         for &ch in &self.active {
             let jam = self.faults.jam_power(ch, slot);
             let cond = self
@@ -1273,6 +1580,13 @@ impl<P: Protocol> Engine<P> {
                 group.params.noise += jam;
             }
             group.cond = cond;
+            if group.tx.is_empty() {
+                silent_channels += 1;
+                continue;
+            }
+            if let Some(list) = self.roster.standing.get(ch as usize) {
+                merge_sorted(&mut group.rx, list);
+            }
             if group.rx.is_empty() {
                 continue;
             }
@@ -1328,7 +1642,12 @@ impl<P: Protocol> Engine<P> {
             // What Phase 1 touched: `act` calls this slot, and nodes
             // waiting in the wake queue after it.
             rec.add("nodes_polled", polled);
-            rec.add("nodes_parked", self.roster.wake.len() as u64);
+            let waiting = self.roster.waiting - self.roster.standing_len();
+            rec.add("nodes_parked", waiting as u64);
+            // Who listened without being asked, and how many channels
+            // were booked without being resolved.
+            rec.add("nodes_standing", standing);
+            rec.add("channels_silent", silent_channels);
             // Work-stealing pool activity, as per-slot deltas of the
             // process-global cumulative stats (see `obs_pool`).
             let ps = rayon::pool_stats();
@@ -2142,6 +2461,75 @@ mod tests {
         assert_eq!(get("nodes_polled"), Some(3));
         assert_eq!(get("nodes_parked"), Some(3));
         assert_eq!(e.metrics().idles, 2 * 4 - 3);
+    }
+
+    /// Node 0 transmits every third slot and idles in between; node 1
+    /// waits on the first channel until slot 5.
+    enum Pair {
+        Blink,
+        Wait { heard: u32, noise: u32 },
+    }
+    impl Protocol for Pair {
+        type Msg = u32;
+        fn act(&mut self, slot: u64, _r: &mut SmallRng) -> Action<u32> {
+            let channel = Channel::FIRST;
+            match self {
+                Pair::Blink if slot.is_multiple_of(3) => Action::Transmit { channel, msg: 1 },
+                Pair::Blink => Action::Idle,
+                Pair::Wait { .. } => Action::Listen { channel },
+            }
+        }
+        fn observe(&mut self, _s: u64, obs: Observation<u32>, _r: &mut SmallRng) {
+            if let Pair::Wait { heard, noise } = self {
+                match obs {
+                    Observation::Received(_) => *heard += 1,
+                    _ => *noise += 1,
+                }
+            }
+        }
+        fn listen_until(&self, _slot: u64) -> Option<(Channel, u64)> {
+            matches!(self, Pair::Wait { .. }).then_some((Channel::FIRST, 5))
+        }
+    }
+
+    #[test]
+    fn standing_listener_is_counted_every_slot_and_told_only_what_it_decodes() {
+        let positions = vec![Point::new(0.0, 0.0), Point::new(2.0, 0.0)];
+        let protocols = vec![Pair::Blink, Pair::Wait { heard: 0, noise: 0 }];
+        let mut e = Engine::new(SinrParams::default(), positions, protocols, 7);
+        e.attach_obs(mca_obs::Recorder::new());
+        e.run(6);
+        // Slot 0: heard, then standing through slots 1..=4 (a second
+        // decode in slot 3, silence in 1, 2 and 4 — not delivered); polled
+        // again in slot 5, where the silence is delivered.
+        match &e.protocols()[1] {
+            Pair::Wait { heard, noise } => assert_eq!((*heard, *noise), (2, 1)),
+            Pair::Blink => unreachable!(),
+        }
+        let m = e.metrics();
+        assert_eq!((m.listens, m.receptions, m.silent_listens), (6, 2, 4));
+        assert_eq!((m.transmissions, m.idles), (2, 4));
+        #[cfg(feature = "obs")]
+        {
+            let rec = e.obs().unwrap();
+            let counters = rec.counters();
+            let get = |name| counters.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
+            assert_eq!(get("nodes_polled"), Some(2 + 4 + 2));
+            assert_eq!(get("nodes_standing"), Some(4));
+            assert_eq!(get("channels_silent"), Some(4));
+            assert_eq!(get("nodes_parked"), Some(0));
+            // One record per slot, silent or not, the standing listener in
+            // its `listens`; a unit span only where there was a transmitter.
+            let chans = rec.channel_records();
+            let stream: Vec<_> = chans.iter().map(|c| (c.tx, c.listens, c.rx)).collect();
+            let silent = (0, 1, 0);
+            assert_eq!(
+                stream,
+                [(1, 1, 1), silent, silent, (1, 1, 1), silent, silent]
+            );
+            let units = rec.spans().iter().filter(|s| s.kind == SpanKind::Unit);
+            assert_eq!(units.count(), 2);
+        }
     }
 
     #[cfg(feature = "obs")]

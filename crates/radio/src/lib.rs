@@ -17,12 +17,16 @@
 //! channels per the *t-disrupted* adversary) is available through
 //! [`FaultPlan`].
 //!
-//! A slot costs what its awake nodes cost: Phase 1 polls a roster of the
+//! A slot costs what its acting nodes cost: Phase 1 polls a roster of the
 //! nodes that can still act — crash-stopped and finished nodes leave it
 //! for good; late joiners, duty-cycle sleepers and nodes that promised
-//! quiet through [`Protocol::quiet_until`] wait in one wake queue — and
-//! counts everyone else as idle arithmetically, bit-identically to polling
-//! every node (`docs/EXECUTION_MODEL.md`, "Phase 1: who gets polled").
+//! quiet through [`Protocol::quiet_until`] wait in one wake queue; nodes
+//! that promised through [`Protocol::listen_until`] to only listen wait on
+//! their channel's standing list — and counts everyone else as idle or
+//! listening arithmetically. A channel nobody transmits on is booked, not
+//! resolved, and a standing listener is handed only what it decodes. All
+//! of it is bit-identical to polling every node
+//! (`docs/EXECUTION_MODEL.md`, "Phase 1: who gets polled").
 //!
 //! Reception is resolved per channel by the batched
 //! [`ChannelResolver`](mca_sinr::ChannelResolver) (mode selected via

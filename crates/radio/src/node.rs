@@ -1,5 +1,6 @@
 //! The node-program abstraction.
 
+use crate::ids::Channel;
 use crate::message::{Action, Observation};
 use rand::rngs::SmallRng;
 
@@ -58,12 +59,42 @@ pub trait Protocol {
         let _ = slot;
         None
     }
+
+    /// A standing-listener hint: `Some((channel, t))` promises that in
+    /// every slot `u` with `slot < u < t` this node is only waiting to
+    /// hear something — [`Protocol::act`]`(u)` would return
+    /// [`Action::Listen`]` { channel }` (that same channel every time)
+    /// without drawing from its RNG or changing state, and an
+    /// [`Observation::Noise`] of any `total_power` would change nothing a
+    /// later call could observe ([`Protocol::is_done`] included). The
+    /// engine then stops polling the node: it counts its listen every
+    /// slot, resolves it only in slots where its channel carries a
+    /// transmitter, and calls [`Protocol::observe`] only with an
+    /// [`Observation::Received`] — bit-identically, because everything it
+    /// skips is a no-op by this promise.
+    ///
+    /// Asked right after the `observe` of a slot in which the node
+    /// transmitted or listened (never of a done node), given the state at
+    /// that moment, and again after every reception the node is handed
+    /// while it stands: answering the same `(channel, t)` keeps it
+    /// standing, anything else returns it to per-slot polling from the
+    /// next slot. At slot `t` it is polled again. The promise is void once
+    /// anyone takes [`Engine::protocols_mut`](crate::Engine::protocols_mut)
+    /// or the fault plan's presence entries change — the engine then
+    /// polls every node again — and the engine itself ends it at the
+    /// node's crash slot and ignores it for a node on a duty cycle.
+    /// `None` (the default) and any `t <= slot + 1` mean "poll me next
+    /// slot". A protocol whose listen channel hops, or whose `observe`
+    /// counts silent slots, must not answer for those slots.
+    fn listen_until(&self, slot: u64) -> Option<(Channel, u64)> {
+        let _ = slot;
+        None
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::Channel;
 
     /// A protocol that transmits its id forever — exercises the trait's
     /// default `is_done`.

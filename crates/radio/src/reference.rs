@@ -1,7 +1,8 @@
 //! The reference semantics the optimized [`Engine`](crate::Engine) is
 //! checked against: a poll-everyone engine with no roster, wake queue,
 //! channel groups, shards, resolver cache, lanes or pool, and a harness
-//! that checks a protocol's [`Protocol::quiet_until`] promises.
+//! that checks a protocol's [`Protocol::quiet_until`] and
+//! [`Protocol::listen_until`] promises.
 //!
 //! Test support, kept out of the rendered docs: nothing here is fast, and
 //! nothing in the production engine calls it.
@@ -13,9 +14,12 @@ use crate::message::{Action, Observation};
 use crate::metrics::Metrics;
 use crate::node::Protocol;
 use crate::rng::derive_rng;
+use crate::trace::TraceEvent;
 use mca_geom::Point;
+use mca_obs::ChannelSlotRecord;
 use mca_sinr::{resolve_listener_ext, ListenOutcome, SinrParams};
 use rand::rngs::SmallRng;
+use std::collections::BTreeMap;
 
 /// One slot = visit every node, ask the plan, call `act`; resolve each
 /// listener by scanning the same-channel transmitters in ascending id
@@ -37,6 +41,13 @@ pub struct ReferenceEngine<P: Protocol> {
     pub slot: u64,
     /// Run metrics so far.
     pub metrics: Metrics,
+    /// Every decode so far, in the order the engine owes its trace: by
+    /// slot, then channel, then listener id.
+    pub trace: Vec<TraceEvent>,
+    /// The per-channel outcome stream the engine owes a recorder: per
+    /// slot, the channels somebody listened on in ascending order, then
+    /// the transmit-only ones.
+    pub channel_records: Vec<ChannelSlotRecord>,
 }
 
 impl<P: Protocol> ReferenceEngine<P> {
@@ -54,6 +65,8 @@ impl<P: Protocol> ReferenceEngine<P> {
             conditions: Vec::new(),
             slot: 0,
             metrics: Metrics::new(),
+            trace: Vec::new(),
+            channel_records: Vec::new(),
         }
     }
 
@@ -61,29 +74,70 @@ impl<P: Protocol> ReferenceEngine<P> {
     pub fn step(&mut self) {
         let slot = self.slot;
         let n = self.protocols.len();
+        // One outcome record per channel in use, in channel order.
+        let mut records: BTreeMap<u16, ChannelSlotRecord> = BTreeMap::new();
+        let blank = |channel| ChannelSlotRecord {
+            slot,
+            channel,
+            tx: 0,
+            listens: 0,
+            rx: 0,
+            busy: 0,
+            env: 0,
+        };
         // Phase 1: `None` = not asked (absent or done).
         let mut actions: Vec<Option<Action<P::Msg>>> = Vec::with_capacity(n);
         for i in 0..n {
             let asked = !self.faults.is_absent(i as u32, slot) && !self.protocols[i].is_done();
             let action = asked.then(|| self.protocols[i].act(slot, &mut self.rngs[i]));
             match &action {
-                Some(Action::Transmit { channel, .. }) => self.metrics.record_tx(channel.index()),
-                Some(Action::Listen { .. }) => self.metrics.listens += 1,
+                Some(Action::Transmit { channel, .. }) => {
+                    self.metrics.record_tx(channel.index());
+                    records.entry(channel.0).or_insert(blank(channel.0)).tx += 1;
+                }
+                Some(Action::Listen { channel }) => {
+                    self.metrics.listens += 1;
+                    records.entry(channel.0).or_insert(blank(channel.0)).listens += 1;
+                }
                 Some(Action::Idle) | None => self.metrics.idles += 1,
             }
             actions.push(action);
         }
         // Phase 2: every node that acted observes exactly once.
+        let decodes = self.trace.len();
         for i in 0..n {
             let obs = match &actions[i] {
                 None => continue,
                 Some(Action::Idle) if self.protocols[i].is_done() => continue,
                 Some(Action::Idle) => Observation::Slept,
                 Some(Action::Transmit { .. }) => Observation::Sent,
-                Some(Action::Listen { channel }) => self.listen(i, channel.0, &actions),
+                Some(Action::Listen { channel }) => {
+                    let m = &self.metrics;
+                    let before = [m.receptions, m.busy_failures, m.env_drops];
+                    let obs = self.listen(i, channel.0, &actions);
+                    let m = &self.metrics;
+                    let rec = records.get_mut(&channel.0).expect("tallied in phase 1");
+                    rec.rx += (m.receptions - before[0]) as u32;
+                    rec.busy += (m.busy_failures - before[1]) as u32;
+                    rec.env += (m.env_drops - before[2]) as u32;
+                    if let Observation::Received(r) = &obs {
+                        self.trace.push(TraceEvent {
+                            slot,
+                            channel: *channel,
+                            from: r.from,
+                            to: NodeId(i as u32),
+                        });
+                    }
+                    obs
+                }
             };
             self.protocols[i].observe(slot, obs, &mut self.rngs[i]);
         }
+        // Visited by listener id; stable, so each channel keeps that order.
+        self.trace[decodes..].sort_by_key(|e| e.channel);
+        let listened = records.values().filter(|r| r.listens > 0);
+        let transmit_only = records.values().filter(|r| r.listens == 0);
+        self.channel_records.extend(listened.chain(transmit_only));
         self.slot += 1;
         self.metrics.slots += 1;
     }
@@ -144,7 +198,7 @@ impl<P: Protocol> ReferenceEngine<P> {
     }
 }
 
-/// A random thing a listener may experience, for [`assert_quiet_hints_sound`]
+/// A random thing a listener may experience, for [`assert_hints_sound`]
 /// feeds: silence, noise, or `msg` decoded from one of `nodes` senders at a
 /// random strength.
 pub fn random_observation<M>(rng: &mut SmallRng, nodes: u32, msg: M) -> Observation<M> {
@@ -167,27 +221,32 @@ pub fn random_observation<M>(rng: &mut SmallRng, nodes: u32, msg: M) -> Observat
     }
 }
 
-/// Checks the [`Protocol::quiet_until`] contract along one run of `proto`.
+/// Checks the [`Protocol::quiet_until`] and [`Protocol::listen_until`]
+/// contracts along one run of `proto`.
 ///
 /// Drives `proto` for `slots` slots the way the engine would: `act`, then
 /// the observation `feed` chooses for the action (it gets the slot, the
 /// action and the harness RNG — return receptions, noise, whatever the
 /// protocol should cope with; `Sent`/`Slept` are supplied for
-/// transmit/idle). Whenever the node idled and then promises quiet until
-/// `t`, a clone is walked through every slot in between and must idle
-/// without touching its RNG and come out of each `Slept` unchanged
-/// (`Debug` rendering and `is_done`).
+/// transmit/idle). After every slot it asks the hint the engine would ask
+/// — `quiet_until` if the node idled, `listen_until` if it transmitted or
+/// listened — and walks a clone through every slot of the promised window:
+/// the ghost must idle (resp. listen on the promised channel) without
+/// touching its RNG and come out of each `Slept` (resp. each `Noise`, of
+/// random power) unchanged (`Debug` rendering and `is_done`).
 ///
 /// # Panics
 ///
 /// Panics on the first broken promise.
-pub fn assert_quiet_hints_sound<P, F>(mut proto: P, seed: u64, slots: u64, mut feed: F)
+pub fn assert_hints_sound<P, F>(mut proto: P, seed: u64, slots: u64, mut feed: F)
 where
     P: Protocol + Clone + std::fmt::Debug,
     F: FnMut(u64, &Action<P::Msg>, &mut SmallRng) -> Observation<P::Msg>,
 {
+    use rand::Rng;
     let mut rng = derive_rng(seed, 0);
     let mut env_rng = derive_rng(seed, 1);
+    let mut noise_rng = derive_rng(seed, 2);
     for slot in 0..slots {
         if proto.is_done() {
             return;
@@ -199,13 +258,17 @@ where
             Action::Transmit { .. } => Observation::Sent,
             Action::Listen { .. } => feed(slot, &action, &mut env_rng),
         };
-        let idled = matches!(action, Action::Idle);
         proto.observe(slot, obs, &mut rng);
-        // Like the engine, ask only a node that idled and is still running.
-        let Some(until) = proto
-            .quiet_until(slot)
-            .filter(|_| idled && !proto.is_done())
-        else {
+        // Like the engine, ask only a node that is still running, and only
+        // the hint that goes with what it just did.
+        if proto.is_done() {
+            continue;
+        }
+        let hint = match action {
+            Action::Idle => proto.quiet_until(slot).map(|until| (None, until)),
+            _ => proto.listen_until(slot).map(|(c, until)| (Some(c), until)),
+        };
+        let Some((channel, until)) = hint else {
             continue;
         };
         let (mut ghost, mut ghost_rng) = (proto.clone(), rng.clone());
@@ -213,14 +276,33 @@ where
         // Walking a bounded stretch keeps far-future promises testable.
         for u in slot + 1..until.min(slot + 1 + 4096) {
             let a = ghost.act(u, &mut ghost_rng);
-            assert!(
-                matches!(a, Action::Idle),
-                "slot {u}: acted inside ({slot}, {until})"
-            );
-            ghost.observe(u, Observation::Slept, &mut ghost_rng);
-            assert_eq!(ghost_rng, rng, "slot {u}: drew from the RNG while quiet");
+            let obs = match channel {
+                None => {
+                    assert!(
+                        matches!(a, Action::Idle),
+                        "slot {u}: acted inside the quiet window ({slot}, {until})"
+                    );
+                    Observation::Slept
+                }
+                Some(channel) => {
+                    assert!(
+                        matches!(a, Action::Listen { channel: c } if c == channel),
+                        "slot {u}: did not listen on {channel:?} inside ({slot}, {until})"
+                    );
+                    let busy = noise_rng.gen_bool(0.5);
+                    Observation::Noise {
+                        total_power: if busy {
+                            noise_rng.gen_range(0.0..2.0)
+                        } else {
+                            0.0
+                        },
+                    }
+                }
+            };
+            ghost.observe(u, obs, &mut ghost_rng);
+            assert_eq!(ghost_rng, rng, "slot {u}: drew from the RNG in its window");
             assert_eq!(format!("{ghost:?}"), before, "slot {u}: state moved");
-            assert!(!ghost.is_done(), "slot {u}: finished while quiet");
+            assert!(!ghost.is_done(), "slot {u}: finished inside its window");
         }
     }
 }
@@ -239,6 +321,13 @@ mod tests {
     /// included) into a digest, draws randomness in `act` and on every
     /// reception, and finishes at the first in-block slot at or after
     /// `finish_at`.
+    ///
+    /// With `stands` set it also goes *waiting* now and then, after a slot
+    /// it transmitted or listened in: until a slot and on a channel both
+    /// read off its digest it only listens there, across its own blocks
+    /// too, deaf to noise; a reception folds in as ever (RNG draw
+    /// included) and then, by the message, ends the wait, finishes the
+    /// node, moves the window, or changes nothing.
     #[derive(Clone, Debug, PartialEq)]
     struct Probe {
         phi: u64,
@@ -248,6 +337,8 @@ mod tests {
         finish_at: u64,
         done: bool,
         hints: bool,
+        stands: bool,
+        wait: Option<(Channel, u64)>,
         digest: u64,
     }
 
@@ -259,12 +350,38 @@ mod tests {
         fn fold(&mut self, x: u64) {
             self.digest = (self.digest ^ x).wrapping_mul(0x0000_0100_0000_01b3);
         }
+
+        fn fold_reception(&mut self, r: crate::message::Reception<u64>, rng: &mut SmallRng) {
+            let salt: u64 = rng.gen();
+            for x in [u64::from(r.from.0), r.msg, salt] {
+                self.fold(x);
+            }
+            for x in [r.signal, r.sinr, r.total_power] {
+                self.fold(x.to_bits());
+            }
+        }
+
+        /// The wait in force at `slot`, if any.
+        fn waiting(&self, slot: u64) -> Option<(Channel, u64)> {
+            self.wait.filter(|&(_, until)| slot < until)
+        }
+
+        /// A `(channel, until)` read off the digest: windows of 0..48
+        /// slots, so some are too short to stand in and some span blocks.
+        fn window(&self, slot: u64) -> (Channel, u64) {
+            let channel = Channel((self.digest >> 8) as u16 % self.channels);
+            (channel, slot + 1 + (self.digest >> 24) % 48)
+        }
     }
 
     impl Protocol for Probe {
         type Msg = u64;
 
         fn act(&mut self, slot: u64, rng: &mut SmallRng) -> Action<u64> {
+            if let Some((channel, _)) = self.waiting(slot) {
+                return Action::Listen { channel };
+            }
+            self.wait = None;
             if !self.in_block(slot) {
                 return Action::Idle;
             }
@@ -280,24 +397,33 @@ mod tests {
         }
 
         fn observe(&mut self, slot: u64, obs: Observation<u64>, rng: &mut SmallRng) {
+            if self.waiting(slot).is_some() {
+                if let Observation::Received(r) = obs {
+                    let msg = r.msg;
+                    self.fold_reception(r, rng);
+                    match msg % 4 {
+                        0 => self.wait = None,
+                        1 => self.done = true,
+                        2 => self.wait = Some(self.window(slot)),
+                        _ => {}
+                    }
+                }
+                return;
+            }
             if !self.in_block(slot) {
                 return;
             }
+            let slept = matches!(obs, Observation::Slept);
             match obs {
-                Observation::Received(r) => {
-                    let salt: u64 = rng.gen();
-                    for x in [u64::from(r.from.0), r.msg, salt] {
-                        self.fold(x);
-                    }
-                    for x in [r.signal, r.sinr, r.total_power] {
-                        self.fold(x.to_bits());
-                    }
-                }
+                Observation::Received(r) => self.fold_reception(r, rng),
                 Observation::Noise { total_power } => self.fold(total_power.to_bits()),
                 Observation::Sent => self.fold(1),
                 Observation::Slept => self.fold(2),
             }
             self.done = slot >= self.finish_at;
+            if self.stands && !slept && self.digest.is_multiple_of(3) {
+                self.wait = Some(self.window(slot));
+            }
         }
 
         fn is_done(&self) -> bool {
@@ -305,9 +431,13 @@ mod tests {
         }
 
         fn quiet_until(&self, slot: u64) -> Option<u64> {
-            self.hints
+            (self.hints && self.wait.is_none())
                 .then(|| (slot + 1..).find(|&u| self.in_block(u)))
                 .flatten()
+        }
+
+        fn listen_until(&self, _slot: u64) -> Option<(Channel, u64)> {
+            self.wait
         }
     }
 
@@ -357,6 +487,8 @@ mod tests {
                 finish_at: g.gen_range(0..slots * 3 / 2),
                 done: false,
                 hints: g.gen_bool(0.7),
+                stands: g.gen_bool(0.7),
+                wait: None,
                 digest: 0,
             })
             .collect();
@@ -482,9 +614,11 @@ mod tests {
     }
 
     proptest! {
-        /// Whole runs of the roster/wake-queue/hint engine against the
-        /// poll-everyone oracle: equal metrics after every slot, equal
-        /// final protocol states, equal per-node RNG states.
+        /// Whole runs of the roster/wake-queue/standing-list engine against
+        /// the poll-everyone oracle: equal metrics after every slot, equal
+        /// final protocol states, equal per-node RNG states, equal decode
+        /// traces (listener order included) and, in an `obs` build, equal
+        /// per-channel outcome streams.
         #[test]
         fn reference_oracle_matches_the_active_set_engine(seed in 0u64..u64::MAX) {
             let c = case(seed);
@@ -492,6 +626,8 @@ mod tests {
             let mut e = Engine::new(params, c.positions.clone(), c.protocols.clone(), seed)
                 .with_faults(c.faults.clone())
                 .with_shards(c.shards);
+            e.enable_trace(1 << 20);
+            e.attach_obs(mca_obs::Recorder::new());
             let mut r = ReferenceEngine::new(params, c.positions, c.protocols, seed);
             r.faults = c.faults;
             for slot in 0..c.slots {
@@ -504,10 +640,18 @@ mod tests {
             }
             prop_assert_eq!(e.protocols(), &r.protocols[..], "seed {}", seed);
             prop_assert_eq!(e.rngs(), &r.rngs[..], "seed {}", seed);
+            let traced: Vec<_> = e.trace().expect("enabled above").iter().copied().collect();
+            prop_assert_eq!(traced, r.trace, "seed {}", seed);
+            // Compiled out, the recorder keeps nothing to compare.
+            if mca_obs::enabled() {
+                let stream = e.obs().expect("attached above").channel_records();
+                prop_assert_eq!(stream, &r.channel_records[..], "seed {}", seed);
+            }
         }
     }
 
-    /// A [`Probe`] that promises to sleep through its next block.
+    /// A [`Probe`] that stretches its promises: quiet through its next
+    /// block, or waiting one slot past the end of its wait.
     #[derive(Clone, Debug)]
     struct Liar(Probe);
 
@@ -524,29 +668,39 @@ mod tests {
                 .quiet_until(slot)
                 .map(|t| t + self.0.phi * self.0.spr)
         }
+        fn listen_until(&self, slot: u64) -> Option<(Channel, u64)> {
+            self.0.listen_until(slot).map(|(c, t)| (c, t + 1))
+        }
     }
 
     #[test]
     fn reference_hint_harness_accepts_the_probe_and_rejects_a_liar() {
-        let probe = Probe {
+        let probe = |hints, stands| Probe {
             phi: 3,
             spr: 2,
             colour: 1,
             channels: 2,
             finish_at: 150,
             done: false,
-            hints: true,
+            hints,
+            stands,
+            wait: None,
             digest: 0,
         };
-        let feed = |_: u64, _: &Action<u64>, g: &mut SmallRng| random_observation(g, 4, 7u64);
-        assert_quiet_hints_sound(probe.clone(), 1, 200, feed);
-        let lied = std::panic::catch_unwind(|| {
-            assert_quiet_hints_sound(Liar(probe), 1, 200, feed);
-        });
-        assert!(
-            lied.is_err(),
-            "a promise covering an active block must fail"
-        );
+        let feed = |_: u64, _: &Action<u64>, g: &mut SmallRng| {
+            let msg = g.gen();
+            random_observation(g, 4, msg)
+        };
+        for seed in 0..16 {
+            assert_hints_sound(probe(true, true), seed, 200, feed);
+        }
+        // One lie at a time: the other hint is switched off.
+        for (hints, stands, lie) in [(true, false, "quiet"), (false, true, "listen")] {
+            let lied = std::panic::catch_unwind(|| {
+                assert_hints_sound(Liar(probe(hints, stands)), 1, 200, feed);
+            });
+            assert!(lied.is_err(), "a {lie} promise past its end must fail");
+        }
     }
 
     #[test]
@@ -559,6 +713,8 @@ mod tests {
             finish_at: 0,
             done: false,
             hints: true,
+            stands: true,
+            wait: None,
             digest: 0,
         };
         let mut e = Engine::new(

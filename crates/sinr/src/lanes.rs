@@ -228,6 +228,48 @@ pub fn accumulate_span_lanes(
     }
 }
 
+/// Whole-set fold of a transmitter set smaller than one lane against
+/// [`LANE_WIDTH`] listeners at once — the exact scan's answer to sets the
+/// transmitter-lane fold ([`accumulate_identity`]) has no full chunk for.
+/// Transmitter `j` *is* id `j`, every lane takes every transmitter, and
+/// the ids ascend, so this is [`accumulate_span_lanes`] with its mask and
+/// its tie clause gone: one vector add per transmitter advances all
+/// LANE_WIDTH `total` chains, and the argmax is one strict-`>` compare
+/// and select — which, unlike that kernel's short-circuit predicate,
+/// compiles without a branch per lane (on colliding transmitters those
+/// branches are coin flips: measured 2× the time per evaluation). Per
+/// lane the value sequence is the scalar `resolve_listener_ext` scan's.
+#[inline(always)]
+pub fn accumulate_few_lanes(
+    kernel: &PowerKernel,
+    xs: &[f64],
+    ys: &[f64],
+    lxs: &[f64; LANE_WIDTH],
+    lys: &[f64; LANE_WIDTH],
+    total: &mut [f64; LANE_WIDTH],
+    best_pow: &mut [f64; LANE_WIDTH],
+    best: &mut [f64; LANE_WIDTH],
+) {
+    for (j, (&x, &y)) in xs.iter().zip(ys).enumerate() {
+        let mut d = [0.0f64; LANE_WIDTH];
+        for l in 0..LANE_WIDTH {
+            let dx = x - lxs[l];
+            let dy = y - lys[l];
+            d[l] = dx * dx + dy * dy;
+        }
+        let pw = kernel.eval_lanes(d);
+        let id = j as f64;
+        for l in 0..LANE_WIDTH {
+            total[l] += pw[l];
+        }
+        for l in 0..LANE_WIDTH {
+            let upd = pw[l] > best_pow[l];
+            best_pow[l] = if upd { pw[l] } else { best_pow[l] };
+            best[l] = if upd { id } else { best[l] };
+        }
+    }
+}
+
 /// Far-only variant of [`rect_metrics_lanes`]: just the aggregated center
 /// term, no rectangle clamp. For a block (or cell) already known to be
 /// beyond the near cutoff for **every** lane of the batch, the rectangle

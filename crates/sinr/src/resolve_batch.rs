@@ -1133,7 +1133,10 @@ impl<'a> ChannelResolver<'a> {
     /// lanes, whose outcomes are dropped. The sort and the padding permute
     /// only which listeners share a walk — each outcome is a pure function
     /// of its own listener, so `out` is bitwise the per-listener loop.
-    /// Without an index (Exact mode) it *is* that loop.
+    /// Without an index (Exact mode) it *is* that loop — except below one
+    /// lane of transmitters, where the transmitter-lane fold has no full
+    /// chunk to vectorize and the listeners ride the lanes instead
+    /// ([`ChannelResolver::resolve_few_tx`]).
     fn resolve_batch_core(
         &self,
         get: impl Fn(usize) -> Point,
@@ -1142,6 +1145,10 @@ impl<'a> ChannelResolver<'a> {
         out: &mut [ListenOutcome],
     ) {
         let Some(index) = self.fast.get() else {
+            if (1..LANE_WIDTH).contains(&self.tx.len()) {
+                self.resolve_few_tx(get, extra_interference, out);
+                return;
+            }
             for (i, o) in out.iter_mut().enumerate() {
                 *o = self.resolve(get(i), extra_interference);
             }
@@ -1168,6 +1175,58 @@ impl<'a> ChannelResolver<'a> {
                 }
             }
         });
+    }
+
+    /// Exact scan of `1..LANE_WIDTH` transmitters, [`LANE_WIDTH`]
+    /// listeners per pass through [`lanes::accumulate_few_lanes`]: the
+    /// sqrt/div chain a lone listener would run by itself is shared eight
+    /// ways. Per lane it is bitwise [`resolve_listener_ext`] — the same
+    /// `d²` expression and power kernel, the same ascending fold from
+    /// `extra_interference`, the same strict-`>` argmax. A final chunk
+    /// narrower than a lane repeats its last listener in the spare lanes,
+    /// whose outcomes are dropped.
+    ///
+    /// Not taken from one full lane of transmitters up: there the
+    /// transmitter-lane fold has vector work of its own.
+    fn resolve_few_tx(
+        &self,
+        get: impl Fn(usize) -> Point,
+        extra_interference: f64,
+        out: &mut [ListenOutcome],
+    ) {
+        debug_assert!(extra_interference >= 0.0, "interference cannot be negative");
+        let t = self.tx.len();
+        let mut xs = [0.0f64; LANE_WIDTH];
+        let mut ys = [0.0f64; LANE_WIDTH];
+        for (j, p) in self.tx.iter().enumerate() {
+            xs[j] = p.x;
+            ys[j] = p.y;
+        }
+        let mut lxs = [0.0f64; LANE_WIDTH];
+        let mut lys = [0.0f64; LANE_WIDTH];
+        for (c, chunk) in out.chunks_mut(LANE_WIDTH).enumerate() {
+            for l in 0..LANE_WIDTH {
+                let p = get(c * LANE_WIDTH + l.min(chunk.len() - 1));
+                lxs[l] = p.x;
+                lys[l] = p.y;
+            }
+            let mut total = [extra_interference; LANE_WIDTH];
+            let mut best_pow = [f64::NEG_INFINITY; LANE_WIDTH];
+            let mut best = [0.0f64; LANE_WIDTH];
+            lanes::accumulate_few_lanes(
+                &self.kernel,
+                &xs[..t],
+                &ys[..t],
+                &lxs,
+                &lys,
+                &mut total,
+                &mut best_pow,
+                &mut best,
+            );
+            for (l, o) in chunk.iter_mut().enumerate() {
+                *o = decide(self.params, best[l] as usize, best_pow[l], total[l]);
+            }
+        }
     }
 
     /// Resolves every listener into `out` (cleared first; outcomes in

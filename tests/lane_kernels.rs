@@ -15,7 +15,9 @@
 //! 4. batched resolution (`resolve_batch_into` / `resolve_indexed_into`)
 //!    is bitwise the per-listener `resolve` and the scalar reference walk
 //!    (`resolve_with_bound`), in Exact and Fast modes, for any batch
-//!    length (padded remainder lanes included).
+//!    length (padded remainder lanes included);
+//! 5. below one lane of transmitters the Exact batch rides listener lanes
+//!    and is still bitwise the scalar `resolve_listener_ext`.
 //!
 //! [`PowerKernel::eval_lanes`]: multichannel_adhoc::sinr::PowerKernel::eval_lanes
 //! [`PowerKernel::eval`]: multichannel_adhoc::sinr::PowerKernel::eval
@@ -24,7 +26,7 @@ use multichannel_adhoc::geom::{BoundingBox, Point};
 use multichannel_adhoc::sinr::lanes::{
     accumulate_identity, accumulate_span_lanes, far_terms_lanes, rect_metrics_lanes, LANE_WIDTH,
 };
-use multichannel_adhoc::sinr::{ChannelResolver, ResolveMode, SinrParams};
+use multichannel_adhoc::sinr::{resolve_listener_ext, ChannelResolver, ResolveMode, SinrParams};
 use proptest::prelude::*;
 
 /// α values spanning every `PowerKernel` dispatch arm: the cubic,
@@ -237,6 +239,47 @@ proptest! {
         task.resolve_batch_into(&listeners, extra, &mut task_out);
         for (k, o) in batch.iter().enumerate() {
             prop_assert_eq!(&task_out[k], o);
+        }
+    }
+
+    /// Property 5: with fewer than `LANE_WIDTH` transmitters (none
+    /// included) the index-free batch takes eight listeners per pass
+    /// through the listener lanes; every outcome stays bitwise the scalar
+    /// reference — for any batch length (1..=17 covers sub-lane, exact and
+    /// ragged batches), with and without environmental interference, in
+    /// Exact mode and in Fast mode's small-set fallback, and with two
+    /// transmitters on one spot (the tie must go to the earlier one).
+    #[test]
+    fn few_transmitter_batches_are_bitwise_scalar(
+        alpha in alpha_strategy(),
+        fast_bit in 0u8..2,
+        pts in proptest::collection::vec((0.0..30.0f64, 0.0..30.0f64), 0..LANE_WIDTH),
+        twin in 0u8..2,
+        lraw in proptest::collection::vec((0.0..30.0f64, 0.0..30.0f64), 1..18),
+        extra in (0u8..2, 0.0..2.0f64),
+    ) {
+        let params = params_for(alpha, fast_bit == 1);
+        let mut txs: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
+        if twin == 1 && (1..LANE_WIDTH - 1).contains(&txs.len()) {
+            txs.push(txs[0]);
+        }
+        let listeners: Vec<Point> = lraw.iter().map(|&(x, y)| Point::new(x, y)).collect();
+        let extra = if extra.0 == 1 { extra.1 } else { 0.0 };
+        let resolver = ChannelResolver::new(&params, &txs);
+        prop_assert!(!resolver.is_fast());
+        let mut batch = Vec::new();
+        resolver.resolve_batch_into(&listeners, extra, &mut batch);
+        let keys: Vec<u32> = (0..listeners.len() as u32).rev().collect();
+        let mut indexed = vec![batch[0]; keys.len()];
+        resolver.resolve_indexed_into(&listeners, &keys, extra, &mut indexed);
+        for (k, &l) in listeners.iter().enumerate() {
+            let one = resolve_listener_ext(&params, &txs, l, extra);
+            for got in [batch[k], indexed[listeners.len() - 1 - k]] {
+                prop_assert_eq!(got.decoded, one.decoded);
+                prop_assert_eq!(got.total_power.to_bits(), one.total_power.to_bits());
+                prop_assert_eq!(got.signal.to_bits(), one.signal.to_bits());
+                prop_assert_eq!(got.sinr.to_bits(), one.sinr.to_bits());
+            }
         }
     }
 }
