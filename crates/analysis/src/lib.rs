@@ -1,8 +1,8 @@
 //! # `mca-analysis` — experiment harness utilities
 //!
 //! Statistics ([`stats`]), markdown/CSV table rendering ([`table`]), and
-//! seeded trial sweeps ([`sweep`]) shared by the `experiments` binary, the
-//! criterion benches and the integration tests.
+//! seeded trial sweeps ([`sweep`]) shared by the `experiments` binary and
+//! the integration tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,11 +19,9 @@
 //! progress stream on stderr (results on stdout are unaffected).
 //!
 //! `profile` runs the flood workload with the `mca-obs` recorder attached
-//! and prints the per-phase time breakdown; it needs the `obs` cargo
-//! feature and exits with status 2 without it. On the default world it
-//! writes `BENCH_profile.json`; the run fails unless the phase spans
-//! cover ≥ 95% of slot wall time (`PROFILE_SMOKE=1` profiles the small
-//! catalog world instead — the CI configuration).
+//! and prints the per-phase time breakdown and the engine's counters; the
+//! run fails unless the phase spans cover ≥ 95% of slot wall time (CI
+//! profiles `scenarios/sharded-dense.toml` for 40 slots).
 //!
 //! `--scenario` runs any TOML world (see `docs/SCENARIO_FORMAT.md`)
 //! through the flood max-aggregation workload; `sweep` expands a
@@ -67,13 +65,6 @@ struct Cmd {
 /// dispatch through [`run_tables`] instead of a row here.
 const COMMANDS: &[Cmd] = &[
     Cmd {
-        name: "bench-sinr",
-        args: "[repeats]",
-        summary: "SINR resolver benchmark -> BENCH_sinr.json",
-        help: "",
-        run: cmd_bench_sinr,
-    },
-    Cmd {
         name: "repair-bench",
         args: "[seeds]",
         summary: "incremental repair vs rebuild -> BENCH_repair.json\n\
@@ -97,11 +88,10 @@ const COMMANDS: &[Cmd] = &[
     Cmd {
         name: "profile",
         args: "[--scenario <file.toml>] [--slots N] [--jsonl <path>]",
-        summary: "per-phase time breakdown via the mca-obs recorder\n\
-                  (needs --features obs; default world writes\n\
-                   BENCH_profile.json; PROFILE_SMOKE=1 profiles the\n\
-                   small catalog world instead; exits non-zero if\n\
-                   phase spans cover < 95% of slot wall time)",
+        summary: "per-phase time breakdown and engine counters via the\n\
+                  mca-obs recorder (default world: 100k dense nodes;\n\
+                  exits non-zero if phase spans cover < 95% of slot\n\
+                  wall time)",
         help: "",
         run: run_profile,
     },
@@ -401,21 +391,6 @@ fn run_tables(which: &str, rest: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `experiments bench-sinr [repeats]`
-fn cmd_bench_sinr(args: &[String]) -> ExitCode {
-    let repeats = match parse_runs(args, 3) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let json = mca_bench::sinr_bench::bench_sinr_json(repeats.max(3));
-    std::fs::write("BENCH_sinr.json", &json).expect("write BENCH_sinr.json");
-    print!("{json}");
-    if logs(LogLevel::Summary) {
-        eprintln!("[wrote BENCH_sinr.json]");
-    }
-    ExitCode::SUCCESS
-}
-
 /// Shared body of the three gated bench subcommands: run, print the JSON,
 /// write the committed artifact (or log the smoke gate), fail on a gate
 /// violation. The `<env>=1` smoke mode (CI) shrinks the run count but
@@ -632,13 +607,6 @@ fn flag_needs(flag: &str, what: &str) -> ExitCode {
 
 /// `experiments profile [--scenario <file.toml>] [--slots N] [--jsonl <path>]`
 fn run_profile(args: &[String]) -> ExitCode {
-    if !mca_bench::profile_supported() {
-        eprintln!(
-            "error: the observability layer is compiled out; rebuild with \
-             `--features obs` to run `experiments profile`"
-        );
-        return ExitCode::from(2);
-    }
     let mut scenario_path: Option<&str> = None;
     let mut slots: Option<u64> = None;
     let mut jsonl_path: Option<&str> = None;
@@ -663,35 +631,18 @@ fn run_profile(args: &[String]) -> ExitCode {
             }
         }
     }
-    // Which world: an explicit file, the small catalog world (CI smoke),
-    // or the default 100k dense deployment. Only the default run writes
-    // the committed artifact — a custom or shrunk world must not
-    // masquerade as the reference profile.
-    let smoke = env::var("PROFILE_SMOKE").is_ok_and(|v| v == "1");
-    let (scenario, write_artifact) = if let Some(path) = scenario_path {
-        let mut s = match Scenario::load(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+    let scenario = match scenario_path.map(Scenario::load) {
+        Some(Ok(mut s)) => {
+            if let Some(n) = slots {
+                s.max_slots = n;
             }
-        };
-        if let Some(n) = slots {
-            s.max_slots = n;
+            s
         }
-        (s, false)
-    } else if smoke {
-        let mut s = builtin_scenarios()
-            .iter()
-            .find(|e| e.scenario.name == "sharded-dense")
-            .expect("catalog has sharded-dense")
-            .scenario
-            .clone();
-        s.max_slots = slots.unwrap_or(40);
-        (s, false)
-    } else {
-        let s = mca_bench::default_profile_scenario(slots.unwrap_or(30));
-        (s, true)
+        Some(Err(e)) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+        None => mca_bench::default_profile_scenario(slots.unwrap_or(30)),
     };
     let t0 = Instant::now();
     let run = mca_bench::profile_scenario(&scenario, mca_bench::PROFILE_SEED);
@@ -715,13 +666,6 @@ fn run_profile(args: &[String]) -> ExitCode {
         }
         if logs(LogLevel::Summary) {
             eprintln!("[wrote {path}]");
-        }
-    }
-    if write_artifact {
-        let json = mca_bench::profile_json(&scenario, &run);
-        std::fs::write("BENCH_profile.json", &json).expect("write BENCH_profile.json");
-        if logs(LogLevel::Summary) {
-            eprintln!("[wrote BENCH_profile.json]");
         }
     }
     if logs(LogLevel::Summary) {

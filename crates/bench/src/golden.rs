@@ -26,9 +26,9 @@ pub fn golden_trials_json() -> String {
 }
 
 /// Renders the same golden metrics with an `mca-obs` recorder attached to
-/// every trial. Must be byte-identical to [`golden_trials_json`] whatever
-/// features are compiled in — the obs determinism test pins this against
-/// the committed file under `MCA_FORCE_PAR=1`.
+/// every trial. Must be byte-identical to [`golden_trials_json`] — the
+/// obs determinism test pins this against the committed file under
+/// `MCA_FORCE_PAR=1`.
 pub fn golden_trials_json_observed() -> String {
     render_golden(|scenario, seed| scenario_flood_trial_observed(scenario, seed).0)
 }

@@ -3,8 +3,8 @@
 //! One function per experiment of `EXPERIMENTS.md` (the paper is a theory
 //! paper: its "tables and figures" are the complexity claims of Theorems
 //! 22/24 and Lemmas 6-21, reproduced here as scaling tables). The
-//! `experiments` binary prints any subset; the criterion benches wrap the
-//! same harness for wall-clock tracking.
+//! `experiments` binary prints any subset; host time is tracked by the
+//! repository's benchmark (`benchmark/`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,7 +15,6 @@ pub mod profile;
 pub mod repair_bench;
 pub mod scenario_run;
 pub mod serve;
-pub mod sinr_bench;
 pub mod sweep;
 
 pub use adversary_bench::{
@@ -23,8 +22,8 @@ pub use adversary_bench::{
 };
 pub use golden::{check_golden_trials, golden_trials_json, golden_trials_json_observed};
 pub use profile::{
-    default_profile_scenario, profile_json, profile_scenario, profile_supported, profile_table,
-    ProfileRun, COVERAGE_GATE, PROFILE_SEED,
+    default_profile_scenario, profile_scenario, profile_table, ProfileRun, COVERAGE_GATE,
+    PROFILE_SEED,
 };
 pub use repair_bench::{repair_bench_json, repair_trial, run_repair_bench, RepairBenchCase};
 pub use scenario_run::{

@@ -1,4 +1,4 @@
-//! The profiling harness: `experiments profile` → `BENCH_profile.json`.
+//! The profiling harness behind `experiments profile`.
 //!
 //! Runs the flood max-aggregation workload (the same one behind
 //! `--scenario`) with an `mca-obs` recorder attached, then renders where
@@ -13,10 +13,6 @@
 //! The default world is a 100k-node dense deployment (16 channels, 8×8
 //! shards, fast resolve): twice the benchmark's `dense-engine` world, the
 //! regime where nearly every slot runs its units on the pool.
-//!
-//! Everything here requires the `obs` cargo feature; without it the
-//! recorder is the no-op kind, [`profile_supported`] reports `false`,
-//! and the binary refuses to run rather than print an empty table.
 
 use crate::scenario_run::{scenario_flood_trial_observed, ScenarioTrial};
 use mca_analysis::Table;
@@ -27,15 +23,9 @@ use mca_sinr::{ResolveMode, SinrParams};
 /// Minimum fraction of slot wall time the phase spans must cover.
 pub const COVERAGE_GATE: f64 = 0.95;
 
-/// Trial seed of the committed profile (fixed so `BENCH_profile.json`
-/// regenerates against the same world).
+/// Trial seed of every profile (fixed so two profiles of one scenario
+/// describe the same world).
 pub const PROFILE_SEED: u64 = 7;
-
-/// Whether the profiling harness can run (the `obs` feature compiled the
-/// recorder in).
-pub const fn profile_supported() -> bool {
-    mca_obs::enabled()
-}
 
 /// The default profile world: 100k nodes at 4 nodes per unit², 16
 /// channels, 8×8 shards, Fast-mode reception.
@@ -89,10 +79,11 @@ pub fn profile_scenario(scenario: &Scenario, seed: u64) -> ProfileRun {
     }
 }
 
-/// Renders the per-phase breakdown as a table (one row per span kind, in
-/// the report's fixed kind order).
-pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> Table {
-    let mut t = Table::new(
+/// Renders the profile as markdown: the per-phase breakdown (one row per
+/// span kind, in the report's fixed kind order), then the recorder's
+/// counters and how many records its retention caps discarded.
+pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> String {
+    let mut spans = Table::new(
         format!(
             "profile `{}`: n={}, F={}, {} slots -- phase spans cover {:.1}% of slot time",
             scenario.name,
@@ -106,7 +97,7 @@ pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> Table {
         ],
     );
     for k in &run.report.kinds {
-        t.row([
+        spans.row([
             k.kind.name().to_string(),
             k.count.to_string(),
             format!("{:.2}", k.total_ns as f64 / 1e6),
@@ -116,61 +107,18 @@ pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> Table {
             format!("{:.1}", k.max_ns as f64 / 1e3),
         ]);
     }
-    t
-}
-
-/// Renders `BENCH_profile.json`: the per-phase breakdown plus counters
-/// and the gate verdict, in the same hand-formatted style as the other
-/// committed benchmark artifacts.
-pub fn profile_json(scenario: &Scenario, run: &ProfileRun) -> String {
-    let mut phases = Vec::new();
-    for k in &run.report.kinds {
-        phases.push(format!(
-            concat!(
-                "    {{\"span\": \"{}\", \"count\": {}, \"total_ns\": {}, \"self_ns\": {}, ",
-                "\"p50_ns\": {}, \"p95_ns\": {}, \"max_ns\": {}}}"
-            ),
-            k.kind.name(),
-            k.count,
-            k.total_ns,
-            k.self_ns,
-            k.p50_ns,
-            k.p95_ns,
-            k.max_ns,
-        ));
-    }
-    let mut counters = Vec::new();
+    let mut counters = Table::new("counters", ["counter", "value"]);
     for (name, value) in &run.report.counters {
-        counters.push(format!("    {{\"name\": \"{name}\", \"value\": {value}}}"));
+        counters.row([name.clone(), value.to_string()]);
     }
-    format!(
-        concat!(
-            "{{\n  \"bench\": \"profile\",\n",
-            "  \"scope\": \"flood max-aggregation workload with mca-obs spans on every engine phase\",\n",
-            "  \"scenario\": \"{}\",\n  \"n\": {},\n  \"channels\": {},\n  \"shards\": {},\n",
-            "  \"slots\": {},\n  \"seed\": {},\n  \"threads\": {},\n",
-            "  \"slot_coverage\": {:.4},\n  \"coverage_gate\": {:.2},\n  \"gate_ok\": {},\n",
-            "  \"records_dropped\": {},\n",
-            "  \"phases\": [\n{}\n  ],\n  \"counters\": [\n{}\n  ]\n}}\n"
-        ),
-        scenario.name,
-        scenario.len(),
-        scenario.channels,
-        scenario.shards,
-        run.trial.slots,
-        PROFILE_SEED,
-        rayon::current_num_threads(),
-        run.slot_coverage(),
-        COVERAGE_GATE,
-        run.gate_ok(),
-        run.report.dropped,
-        phases.join(",\n"),
-        counters.join(",\n"),
-    )
+    counters.row([
+        "records_dropped".to_string(),
+        run.report.dropped.to_string(),
+    ]);
+    format!("{spans}\n{counters}")
 }
 
 #[cfg(test)]
-#[cfg(feature = "obs")]
 mod tests {
     use super::*;
     use mca_obs::SpanKind;
@@ -201,11 +149,16 @@ mod tests {
         );
         let slot = run.report.kind(SpanKind::Slot).expect("slot spans");
         assert_eq!(slot.count, run.trial.slots);
-        let table = format!("{}", profile_table(&s, &run));
-        assert!(table.contains("resolve"), "{table}");
-        let json = profile_json(&s, &run);
-        assert!(json.contains("\"gate_ok\": true"), "{json}");
-        assert!(json.contains("\"span\": \"unit\""), "{json}");
+        let table = profile_table(&s, &run);
+        for row in [
+            "| resolve |",
+            "| unit |",
+            "| nodes_polled |",
+            "| pool_tasks |",
+        ] {
+            assert!(table.contains(row), "no `{row}` row in:\n{table}");
+        }
+        assert!(table.contains("| records_dropped | 0 |"), "{table}");
     }
 
     #[test]

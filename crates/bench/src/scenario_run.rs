@@ -60,8 +60,7 @@ pub fn scenario_flood_trial(scenario: &Scenario, seed: u64) -> ScenarioTrial {
 ///
 /// Recording is observation-only: the returned [`ScenarioTrial`] is
 /// bit-identical to [`scenario_flood_trial`]'s for the same inputs (the
-/// workspace determinism suite pins this). Without the `obs` feature the
-/// recorder is the no-op kind and comes back empty.
+/// workspace determinism suite pins this).
 pub fn scenario_flood_trial_observed(
     scenario: &Scenario,
     seed: u64,

@@ -88,6 +88,20 @@ fn resume_is_byte_identical_at_every_interrupt_point() {
     let total = sweep.trial_set().expect("trial set").len();
     assert_eq!(total, 8);
 
+    // One more input: the same sweep with a recorder requested on every
+    // trial must not move a byte of either file.
+    let observed = SweepFile::from_toml_str(&format!("{SWEEP_TOML}\n[obs]\nenabled = true\n"))
+        .expect("parse observed sweep");
+    assert!(observed.scenarios().iter().all(|s| s.obs.is_some()));
+    let cfg = scratch.config("observed");
+    assert!(run_sweep(&observed, &cfg).expect("observed sweep").complete);
+    assert_eq!(read(&cfg.out_path), out, "[obs] changed the out stream");
+    assert_eq!(
+        read(&cfg.journal_path),
+        journal,
+        "[obs] changed the journal"
+    );
+
     for limit in 0..=total {
         let cfg = SweepConfig {
             limit: Some(limit),

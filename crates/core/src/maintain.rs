@@ -502,8 +502,8 @@ impl StructureMaintainer {
     /// [`StructureMaintainer::repair`] records a wall-clock span and one
     /// typed event per repair action class (re-home, MIS patch, recolor,
     /// merge, re-election, rebuild) with slot/epoch attribution, and a
-    /// full rebuild records its stage breakdown. Requires the `obs` cargo
-    /// feature for real data; recording never influences the repair.
+    /// full rebuild records its stage breakdown. Recording never
+    /// influences the repair.
     pub fn attach_obs(&mut self, rec: mca_obs::Recorder) {
         self.obs = Some(rec);
     }
@@ -1598,7 +1598,6 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_repair_emits_typed_events() {
         use mca_obs::EventKind;
@@ -1703,7 +1702,7 @@ mod tests {
         assert_eq!(report.kind, RepairKind::Repaired);
         assert_eq!(report.proactive_demotions, 1);
         assert!(
-            report.seekers >= orphans + 1,
+            report.seekers > orphans,
             "the demoted dominator and its members all re-home"
         );
         // The victim may be re-promoted by the MIS patch (an uncovered

@@ -501,9 +501,7 @@ mod tests {
     fn dominating_stage_respects_participation() {
         let (env, cfg) = env_and_cfg(80, 9.0, 3);
         let mut active = vec![true; 80];
-        for i in 0..40 {
-            active[i] = false;
-        }
+        active[..40].fill(false);
         let out = dominating_stage(&env, &cfg, &active, 3);
         for i in 0..40 {
             assert!(!out.is_dominator[i], "inactive node {i} became dominator");

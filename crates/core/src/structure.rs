@@ -265,8 +265,7 @@ pub fn build_structure_masked(
 /// `build` root) and a typed event carrying its slot cost, attributed to
 /// the stage's slot offset within the build. Recording never influences
 /// the construction — the returned structure is identical with `obs =
-/// None`. Requires the `obs` cargo feature for real data; without it the
-/// recorder is a no-op.
+/// None`.
 pub fn build_structure_observed(
     env: &NetworkEnv,
     cfg: &StructureConfig,

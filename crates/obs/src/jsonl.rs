@@ -13,6 +13,9 @@
 //! {"v":1,"t":"trial","scenario":"dense-16ch","seed":2,"coverage":0.98,"full":false,"rx":812,"busy":31,"env":0,"slots":400}
 //! ```
 //!
+//! A [`Recorder`] export whose retention caps discarded records ends with
+//! one more `"counter"` line, `"k":"records_dropped"`, carrying the tally.
+//!
 //! `"trace"` lines are emitted by `mca-radio`'s `TraceRecorder` export,
 //! `"trial"` lines by the `experiments sweep`/`serve` trial service
 //! ([`trial_line`]); the other four by [`Recorder`]. `"trial"` is the one
@@ -32,8 +35,9 @@ pub const SCHEMA_VERSION: u64 = 1;
 impl Recorder {
     /// Serializes every retained record as JSONL, in a deterministic
     /// order: spans, events, channel records (each in recording order),
-    /// then counters by name. Empty when the recorder is (or the feature
-    /// is compiled out).
+    /// then counters by name. Empty when the recorder is. If a retention
+    /// cap discarded records, a final `records_dropped` counter line says
+    /// how many, so a truncated export never reads as complete.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for s in self.spans() {
@@ -65,7 +69,9 @@ impl Recorder {
                 c.slot, c.channel, c.tx, c.listens, c.rx, c.busy, c.env
             );
         }
-        for (k, v) in self.counters() {
+        // The drop tally rides as one more counter line, only when non-zero.
+        let dropped = (self.dropped() > 0).then(|| ("records_dropped", self.dropped()));
+        for (k, v) in self.counters().into_iter().chain(dropped) {
             let _ = writeln!(
                 out,
                 "{{\"v\":{SCHEMA_VERSION},\"t\":\"counter\",\"k\":\"{k}\",\"n\":{v}}}"
@@ -430,7 +436,6 @@ mod tests {
         assert!(validate_jsonl_line("{}").is_err());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn recorder_round_trips_through_validator() {
         use crate::{ChannelSlotRecord, EventKind, Recorder, SpanKind};
@@ -456,11 +461,29 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "enabled"))]
     #[test]
-    fn noop_recorder_writes_nothing() {
-        let mut r = crate::Recorder::new();
-        r.span(SpanKind::Slot, 0, 0, 0, 1234);
-        assert!(r.to_jsonl().is_empty());
+    fn capped_export_says_how_much_it_dropped() {
+        use crate::{EventKind, Recorder, SpanKind};
+        let mut r = Recorder::with_caps(2, 1, 1);
+        for slot in 0..4 {
+            r.span(SpanKind::Unit, slot, 0, 0, 1);
+        }
+        r.event(EventKind::RepairClean, 0, 0, 0, 1);
+        r.event(EventKind::RepairClean, 1, 1, 0, 1);
+        let jsonl = r.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        // Two spans and one event retained, then the tally of the three lost.
+        assert_eq!(lines.len(), 4);
+        assert_eq!(
+            lines[3],
+            r#"{"v":1,"t":"counter","k":"records_dropped","n":3}"#
+        );
+        for line in lines {
+            validate_jsonl_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        }
+        // A recorder that lost nothing writes no such line.
+        let mut whole = Recorder::new();
+        whole.span(SpanKind::Unit, 0, 0, 0, 1);
+        assert!(!whole.to_jsonl().contains("records_dropped"));
     }
 }

@@ -54,11 +54,13 @@ pub struct Report {
     pub dropped: u64,
 }
 
+/// Nearest-rank: the smallest sample with at least `p`% of the samples at
+/// or below it (`p` in `1..=100`).
 fn percentile(sorted: &[u64], p: usize) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    sorted[(sorted.len() - 1) * p / 100]
+    sorted[(p * sorted.len()).div_ceil(100) - 1]
 }
 
 impl Report {
@@ -159,23 +161,26 @@ impl Report {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn percentiles_nearest_rank() {
-        let mut r = Recorder::new();
-        for ns in 1..=100u64 {
-            r.span(SpanKind::Unit, 0, 0, 0, ns);
+        // Spans of 1..=n ns, so the value at a rank is the rank itself:
+        // (n, p50, p95) with rank = ceil(p·n / 100).
+        for (n, p50, p95) in [(1u64, 1, 1), (10, 5, 10), (30, 15, 29), (100, 50, 95)] {
+            let mut r = Recorder::new();
+            for ns in (1..=n).rev() {
+                r.span(SpanKind::Unit, 0, 0, 0, ns);
+            }
+            let rep = r.report();
+            let u = rep.kind(SpanKind::Unit).unwrap();
+            assert_eq!(u.count, n);
+            assert_eq!((u.p50_ns, u.p95_ns), (p50, p95), "n = {n}");
+            assert_eq!(u.max_ns, n);
+            assert_eq!(u.total_ns, n * (n + 1) / 2);
         }
-        let rep = r.report();
-        let u = rep.kind(SpanKind::Unit).unwrap();
-        assert_eq!(u.count, 100);
-        assert_eq!(u.p50_ns, 50);
-        assert_eq!(u.p95_ns, 95);
-        assert_eq!(u.max_ns, 100);
-        assert_eq!(u.total_ns, 5050);
     }
 
     #[test]

@@ -102,10 +102,9 @@ pub struct Engine<P: Protocol> {
     /// never changes a bit of the simulation.
     detector: Option<DegradationDetector>,
     /// Observability recorder ([`Engine::attach_obs`]). `None` costs one
-    /// predictable branch per phase; with the `obs` feature off the
-    /// recorder is a zero-sized no-op either way. Recording never feeds
-    /// back into simulation state, so outcomes are bit-identical with or
-    /// without it.
+    /// predictable branch per phase and never reads the clock. Recording
+    /// never feeds back into simulation state, so outcomes are
+    /// bit-identical with or without it.
     obs: Option<mca_obs::Recorder>,
     /// Last reported totals of per-channel resolver-cache rebuilds and
     /// rebuild nanoseconds (the `resolver_cache_builds` /
@@ -738,11 +737,9 @@ impl<P: Protocol> Engine<P> {
     /// [`Engine::step`] records per-phase spans (gather, staging, each
     /// (channel × shard) resolve unit with its halo construction, merge,
     /// delivery, event drain), a per-channel outcome record per active
-    /// channel, and resolver-cache counters. Requires the `obs` cargo
-    /// feature for real data — without it the recorder is a no-op and
-    /// attaching is harmless. Recording is observation only: trial
-    /// outcomes are bit-identical with or without a recorder, under any
-    /// execution schedule.
+    /// channel, and resolver-cache counters. Recording is observation
+    /// only: trial outcomes are bit-identical with or without a recorder,
+    /// under any execution schedule.
     pub fn attach_obs(&mut self, rec: mca_obs::Recorder) {
         self.obs = Some(rec);
     }
@@ -1428,8 +1425,7 @@ impl<P: Protocol> Engine<P> {
         let silent0 = self.metrics.silent_listens;
 
         // Observability: wall-clock phase spans, recorded only when a
-        // recorder is attached (and compiled out entirely without the
-        // `obs` feature). Timings are measurement, never simulation
+        // recorder is attached. Timings are measurement, never simulation
         // input — outcomes cannot depend on them.
         let timing = self.obs.is_some();
         let sw_slot = Stopwatch::start_if(timing);
@@ -2445,7 +2441,6 @@ mod tests {
         assert!(observed.obs().is_none());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_counts_what_phase_one_touched() {
         // Node 0 crashes at slot 2, node 1 joins at slot 3: polled 1, 1,
@@ -2509,33 +2504,28 @@ mod tests {
         let m = e.metrics();
         assert_eq!((m.listens, m.receptions, m.silent_listens), (6, 2, 4));
         assert_eq!((m.transmissions, m.idles), (2, 4));
-        #[cfg(feature = "obs")]
-        {
-            let rec = e.obs().unwrap();
-            let counters = rec.counters();
-            let get = |name| counters.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
-            assert_eq!(get("nodes_polled"), Some(2 + 4 + 2));
-            assert_eq!(get("nodes_standing"), Some(4));
-            assert_eq!(get("channels_silent"), Some(4));
-            assert_eq!(get("nodes_parked"), Some(0));
-            // One record per slot, silent or not, the standing listener in
-            // its `listens`; a unit span only where there was a transmitter.
-            let chans = rec.channel_records();
-            let stream: Vec<_> = chans.iter().map(|c| (c.tx, c.listens, c.rx)).collect();
-            let silent = (0, 1, 0);
-            assert_eq!(
-                stream,
-                [(1, 1, 1), silent, silent, (1, 1, 1), silent, silent]
-            );
-            let units = rec.spans().iter().filter(|s| s.kind == SpanKind::Unit);
-            assert_eq!(units.count(), 2);
-        }
+        let rec = e.obs().unwrap();
+        let counters = rec.counters();
+        let get = |name| counters.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
+        assert_eq!(get("nodes_polled"), Some(2 + 4 + 2));
+        assert_eq!(get("nodes_standing"), Some(4));
+        assert_eq!(get("channels_silent"), Some(4));
+        assert_eq!(get("nodes_parked"), Some(0));
+        // One record per slot, silent or not, the standing listener in
+        // its `listens`; a unit span only where there was a transmitter.
+        let chans = rec.channel_records();
+        let stream: Vec<_> = chans.iter().map(|c| (c.tx, c.listens, c.rx)).collect();
+        let silent = (0, 1, 0);
+        assert_eq!(
+            stream,
+            [(1, 1, 1), silent, silent, (1, 1, 1), silent, silent]
+        );
+        let units = rec.spans().iter().filter(|s| s.kind == SpanKind::Unit);
+        assert_eq!(units.count(), 2);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_records_phase_spans_and_channel_stream() {
-        use mca_obs::SpanKind;
         let mut e = two_node_setup(Channel::FIRST);
         e.attach_obs(mca_obs::Recorder::new());
         e.run(3);

@@ -617,8 +617,8 @@ mod tests {
         /// Whole runs of the roster/wake-queue/standing-list engine against
         /// the poll-everyone oracle: equal metrics after every slot, equal
         /// final protocol states, equal per-node RNG states, equal decode
-        /// traces (listener order included) and, in an `obs` build, equal
-        /// per-channel outcome streams.
+        /// traces (listener order included) and equal per-channel outcome
+        /// streams.
         #[test]
         fn reference_oracle_matches_the_active_set_engine(seed in 0u64..u64::MAX) {
             let c = case(seed);
@@ -642,11 +642,8 @@ mod tests {
             prop_assert_eq!(e.rngs(), &r.rngs[..], "seed {}", seed);
             let traced: Vec<_> = e.trace().expect("enabled above").iter().copied().collect();
             prop_assert_eq!(traced, r.trace, "seed {}", seed);
-            // Compiled out, the recorder keeps nothing to compare.
-            if mca_obs::enabled() {
-                let stream = e.obs().expect("attached above").channel_records();
-                prop_assert_eq!(stream, &r.channel_records[..], "seed {}", seed);
-            }
+            let stream = e.obs().expect("attached above").channel_records();
+            prop_assert_eq!(stream, &r.channel_records[..], "seed {}", seed);
         }
     }
 

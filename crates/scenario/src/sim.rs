@@ -41,13 +41,8 @@ impl<P: Protocol> ScenarioSim<P> {
         let mut engine = Engine::new(scenario.params, deploy.into_points(), protocols, seed)
             .with_faults(faults)
             .with_shards(scenario.shards);
-        // Honor the scenario's `[obs]` request only when the recorder is
-        // compiled in: a no-op recorder would still flip the engine's
-        // timing branches on for nothing.
-        if mca_obs::enabled() {
-            if let Some(o) = scenario.obs.filter(|o| o.enabled) {
-                engine.attach_obs(mca_obs::Recorder::new().with_channel_stream(o.channel_stream));
-            }
+        if let Some(o) = scenario.obs.filter(|o| o.enabled) {
+            engine.attach_obs(mca_obs::Recorder::new().with_channel_stream(o.channel_stream));
         }
         let (env, env_rng) = scenario.environment_for(seed);
         let env_static = env.is_static();
@@ -250,16 +245,12 @@ mod tests {
     }
 
     #[test]
-    fn obs_request_attaches_iff_compiled_in() {
+    fn obs_request_attaches() {
         let mut sim = beacons(Some(ObsSpec::default()));
         sim.run(10);
-        if mca_obs::enabled() {
-            let rec = sim.obs().expect("recorder attached");
-            assert!(!rec.is_empty());
-            assert!(sim.take_obs().is_some());
-        } else {
-            assert!(sim.obs().is_none());
-        }
+        let rec = sim.obs().expect("recorder attached");
+        assert!(!rec.is_empty());
+        assert!(sim.take_obs().is_some());
         // A disabled request never attaches.
         let sim = beacons(Some(ObsSpec {
             enabled: false,

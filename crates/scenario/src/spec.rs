@@ -445,11 +445,8 @@ impl MaintenanceSpec {
 /// Observability request for drivers that can attach an `mca-obs`
 /// recorder to the engine. Serialized as the scenario's `[obs]` table.
 ///
-/// The request is honored only when the `obs` cargo feature compiled the
-/// recorder in (`mca_obs::enabled()`); otherwise it is carried losslessly
-/// through TOML round-trips but attaches nothing. Recording is
-/// observation-only either way: trial results are bit-identical with and
-/// without it.
+/// `ScenarioSim::new` honors the request in every build. Recording is
+/// observation-only: trial results are bit-identical with and without it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObsSpec {
     /// Whether drivers should attach a recorder.
@@ -519,7 +516,7 @@ pub struct Scenario {
     /// repair on a cadence ([`ScenarioSim::run_epochs`](crate::ScenarioSim::run_epochs)).
     pub maintenance: Option<MaintenanceSpec>,
     /// Observability request ([`ScenarioSim::new`](crate::ScenarioSim::new)
-    /// attaches a recorder when present, enabled, and compiled in).
+    /// attaches a recorder when present and enabled).
     /// Serialized as the `[obs]` table.
     pub obs: Option<ObsSpec>,
 }

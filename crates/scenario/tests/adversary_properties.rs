@@ -30,7 +30,7 @@ fn tracking_jammer_for(
         speed,
         // chan_sel doubles as the Some/None switch: half the draws jam
         // one (in-range) channel, the other half jam the whole spectrum.
-        channel: (chan_sel % 2 == 0).then_some(chan_sel % channels),
+        channel: chan_sel.is_multiple_of(2).then_some(chan_sel % channels),
     }
 }
 
@@ -51,7 +51,9 @@ fn duty_cycle_for(period: u64, on_frac: u64, stride: u64, nodes_sel: u64) -> Dut
         period,
         on: (on_frac % period).max(1),
         stride,
-        nodes: (nodes_sel % 2 == 0).then_some((nodes_sel % 64) as usize),
+        nodes: nodes_sel
+            .is_multiple_of(2)
+            .then_some((nodes_sel % 64) as usize),
     }
 }
 
@@ -121,7 +123,9 @@ impl Protocol for Beacon {
 
 fn beacon_for(i: usize, channels: u16) -> Beacon {
     Beacon {
-        tx: (i % 5 == 0).then_some(Channel((i / 5) as u16 % channels)),
+        tx: i
+            .is_multiple_of(5)
+            .then_some(Channel((i / 5) as u16 % channels)),
         listen: Channel(i as u16 % channels),
         heard: 0,
     }

@@ -1,7 +1,7 @@
 //! # `mca-serde` — offline TOML (de)serialization
 //!
 //! This workspace builds in an environment with no crates.io access, so —
-//! matching the `vendor/{rand, rayon, criterion, proptest}` shims — the
+//! matching the `vendor/{rand, rayon, proptest}` shims — the
 //! TOML support the scenario system needs is implemented locally rather
 //! than pulled from `serde` + `toml`. The crate provides:
 //!

@@ -493,8 +493,7 @@ pub struct ResolverCache {
     index: Option<FastIndex>,
     /// Indexes built (observable, for tests and diagnostics).
     builds: u64,
-    /// Wall nanoseconds spent building them (0 unless the `obs` feature
-    /// is on — the stopwatch is compiled out otherwise).
+    /// Wall nanoseconds spent building them.
     build_ns: u64,
 }
 
@@ -510,9 +509,10 @@ impl ResolverCache {
         self.builds
     }
 
-    /// Wall nanoseconds spent in index builds. Always 0 without the
-    /// `obs` cargo feature (the clock is never read); with it, the
-    /// engine surfaces this as the `resolver_cache_build_ns` counter.
+    /// Wall nanoseconds spent in index builds (two clock reads per
+    /// rebuild, none on a cache hit or in Exact mode); an engine with a
+    /// recorder attached surfaces this as the `resolver_cache_build_ns`
+    /// counter.
     pub fn build_ns(&self) -> u64 {
         self.build_ns
     }
@@ -528,7 +528,7 @@ impl ResolverCache {
         if self.params.as_ref() == Some(params) && self.snapshot == tx {
             return;
         }
-        let sw = mca_obs::Stopwatch::start_if(mca_obs::enabled());
+        let sw = mca_obs::Stopwatch::start();
         self.snapshot.clear();
         self.snapshot.extend_from_slice(tx);
         self.params = Some(*params);

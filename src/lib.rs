@@ -20,8 +20,8 @@
 //! * [`scenario`] — dynamic environments (mobility, fading, churn) and the
 //!   parallel scenario runner;
 //! * [`obs`] — the determinism-preserving observability layer (phase
-//!   spans, typed events, JSONL export); a true no-op unless this crate's
-//!   `obs` cargo feature is on.
+//!   spans, typed events, JSONL export); records only where a recorder
+//!   is attached.
 //!
 //! # Quickstart
 //!
