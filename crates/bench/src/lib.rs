@@ -22,8 +22,8 @@ pub use adversary_bench::{
 };
 pub use golden::{check_golden_trials, golden_trials_json, golden_trials_json_observed};
 pub use profile::{
-    default_profile_scenario, profile_scenario, profile_table, ProfileRun, COVERAGE_GATE,
-    PROFILE_SEED,
+    default_profile_scenario, profile_scenario, profile_table, ProfileRun, ResolveCost,
+    COVERAGE_GATE, PROFILE_SEED,
 };
 pub use repair_bench::{repair_bench_json, repair_trial, run_repair_bench, RepairBenchCase};
 pub use scenario_run::{

@@ -3,8 +3,8 @@
 //! Runs the flood max-aggregation workload (the same one behind
 //! `--scenario`) with an `mca-obs` recorder attached, then renders where
 //! the engine's slot time goes: one row per span kind with wall, self,
-//! and p50/p95/max durations, the engine's resolver-cache counters, and
-//! the per-phase slot coverage.
+//! and p50/p95/max durations, what one resolved listen cost, the engine's
+//! resolver-cache counters, and the per-phase slot coverage.
 //!
 //! The coverage figure is also the harness's acceptance gate: the phase
 //! spans (event drain, gather, stage, resolve, deliver) must account for
@@ -16,7 +16,7 @@
 
 use crate::scenario_run::{scenario_flood_trial_observed, ScenarioTrial};
 use mca_analysis::Table;
-use mca_obs::{Recorder, Report};
+use mca_obs::{Recorder, Report, SpanKind};
 use mca_scenario::{DeploymentSpec, Scenario};
 use mca_sinr::{ResolveMode, SinrParams};
 
@@ -65,6 +65,51 @@ impl ProfileRun {
     pub fn gate_ok(&self) -> bool {
         self.slot_coverage() >= COVERAGE_GATE
     }
+
+    /// What the resolver kernels cost per listen, read off the records
+    /// the recorder already holds: the `unit` spans' total time over the
+    /// listens of every channel-slot that had a transmitter (the resolved
+    /// ones; a silent channel is booked without a unit). `None` when no
+    /// such channel-slot was recorded (nothing resolved, or a scenario
+    /// whose `[obs]` table turned the channel stream off).
+    pub fn resolve_cost(&self) -> Option<ResolveCost> {
+        let unit_ns = self.report.kind(SpanKind::Unit)?.total_ns;
+        let (mut channel_slots, mut listens, mut tx) = (0u64, 0u64, 0u64);
+        for c in self.recorder.channel_records() {
+            if c.tx > 0 && c.listens > 0 {
+                channel_slots += 1;
+                listens += u64::from(c.listens);
+                tx += u64::from(c.tx);
+            }
+        }
+        (channel_slots > 0).then(|| ResolveCost {
+            listens,
+            ns_per_listen: unit_ns as f64 / listens as f64,
+            tx_per_channel: tx as f64 / channel_slots as f64,
+        })
+    }
+}
+
+/// The derived line of the profile: see [`ProfileRun::resolve_cost`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResolveCost {
+    /// Listens resolved (on channel-slots that had a transmitter).
+    pub listens: u64,
+    /// Σ `unit` span ns ÷ `listens`.
+    pub ns_per_listen: f64,
+    /// Mean transmitters per resolved channel-slot — the set size each of
+    /// those listens was resolved against.
+    pub tx_per_channel: f64,
+}
+
+impl std::fmt::Display for ResolveCost {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "resolve: {:.1} ns per listen ({} listens, {:.1} transmitters per resolved channel)",
+            self.ns_per_listen, self.listens, self.tx_per_channel
+        )
+    }
 }
 
 /// Profiles `scenario` for trial `seed`: the flood workload with a
@@ -80,8 +125,9 @@ pub fn profile_scenario(scenario: &Scenario, seed: u64) -> ProfileRun {
 }
 
 /// Renders the profile as markdown: the per-phase breakdown (one row per
-/// span kind, in the report's fixed kind order), then the recorder's
-/// counters and how many records its retention caps discarded.
+/// span kind, in the report's fixed kind order), the derived cost of one
+/// resolved listen, then the recorder's counters and how many records its
+/// retention caps discarded.
 pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> String {
     let mut spans = Table::new(
         format!(
@@ -115,13 +161,16 @@ pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> String {
         "records_dropped".to_string(),
         run.report.dropped.to_string(),
     ]);
-    format!("{spans}\n{counters}")
+    let resolve = match run.resolve_cost() {
+        Some(cost) => cost.to_string(),
+        None => "resolve: no channel with both a transmitter and a listener was recorded".into(),
+    };
+    format!("{spans}\n{resolve}\n\n{counters}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mca_obs::SpanKind;
     use mca_scenario::builtin_scenarios;
 
     fn small_run() -> (Scenario, ProfileRun) {
@@ -159,6 +208,26 @@ mod tests {
             assert!(table.contains(row), "no `{row}` row in:\n{table}");
         }
         assert!(table.contains("| records_dropped | 0 |"), "{table}");
+    }
+
+    #[test]
+    fn resolve_cost_is_unit_time_over_resolved_listens() {
+        let (s, run) = small_run();
+        let cost = run.resolve_cost().expect("the flood resolves listens");
+        // This world has no fading, so a listen senses power exactly when
+        // its channel had a transmitter: the trial's own tallies count the
+        // resolved listens a second way.
+        let t = &run.trial;
+        assert_eq!(cost.listens, t.receptions + t.busy_failures + t.env_drops);
+        assert!(cost.tx_per_channel >= 1.0 && cost.tx_per_channel < s.len() as f64);
+        let unit = run.report.kind(SpanKind::Unit).expect("unit spans");
+        assert_eq!(
+            cost.ns_per_listen,
+            unit.total_ns as f64 / cost.listens as f64
+        );
+        let table = profile_table(&s, &run);
+        let line = format!("\n{cost}\n");
+        assert!(table.contains(&line), "no `{line}` in:\n{table}");
     }
 
     #[test]

@@ -469,10 +469,17 @@ mod tests {
         script: Vec<(u64, Op)>,
     }
 
+    /// A quarter of the cases are *wide*: up to 160 nodes on one channel,
+    /// so that channel-slots with a full lane of transmitters and a full
+    /// lane of listeners — the resolver's widest Exact batches — are
+    /// common; the rest spread at most 64 nodes over 1–4 channels.
     fn case(seed: u64) -> Case {
         let mut g = SmallRng::seed_from_u64(seed);
-        let n = g.gen_range(1..=64usize);
-        let channels = g.gen_range(1..=4u16);
+        let (n, channels) = if g.gen_bool(0.25) {
+            (g.gen_range(65..=160usize), 1)
+        } else {
+            (g.gen_range(1..=64usize), g.gen_range(1..=4u16))
+        };
         let slots = g.gen_range(30..=120u64);
         let side = (n as f64).sqrt() * g.gen_range(0.5..3.0);
         let point = |g: &mut SmallRng| Point::new(g.gen_range(0.0..side), g.gen_range(0.0..side));
@@ -613,14 +620,19 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// Whole runs of the roster/wake-queue/standing-list engine against
-        /// the poll-everyone oracle: equal metrics after every slot, equal
-        /// final protocol states, equal per-node RNG states, equal decode
-        /// traces (listener order included) and equal per-channel outcome
-        /// streams.
-        #[test]
-        fn reference_oracle_matches_the_active_set_engine(seed in 0u64..u64::MAX) {
+    /// Whole runs of the roster/wake-queue/standing-list engine against
+    /// the poll-everyone oracle: equal metrics after every slot, equal
+    /// final protocol states, equal per-node RNG states, equal decode
+    /// traces (listener order included) and equal per-channel outcome
+    /// streams. One run per proptest case (`PROPTEST_CASES` deepens it);
+    /// a plain loop, because the run as a whole owes one more thing: it
+    /// must have reached channel-slots with at least a lane of
+    /// transmitters *and* a lane of listeners.
+    #[test]
+    fn reference_oracle_matches_the_active_set_engine() {
+        let mut full_lane_channel_slots = 0;
+        for i in 0..u64::from(ProptestConfig::default().cases) {
+            let seed: u64 = proptest::test_rng(i).gen();
             let c = case(seed);
             let params = SinrParams::default();
             let mut e = Engine::new(params, c.positions.clone(), c.protocols.clone(), seed)
@@ -636,15 +648,25 @@ mod tests {
                 }
                 e.step();
                 r.step();
-                prop_assert_eq!(e.metrics(), &r.metrics, "seed {} slot {}", seed, slot);
+                assert_eq!(e.metrics(), &r.metrics, "seed {seed} slot {slot}");
             }
-            prop_assert_eq!(e.protocols(), &r.protocols[..], "seed {}", seed);
-            prop_assert_eq!(e.rngs(), &r.rngs[..], "seed {}", seed);
+            assert_eq!(e.protocols(), &r.protocols[..], "seed {seed}");
+            assert_eq!(e.rngs(), &r.rngs[..], "seed {seed}");
             let traced: Vec<_> = e.trace().expect("enabled above").iter().copied().collect();
-            prop_assert_eq!(traced, r.trace, "seed {}", seed);
+            assert_eq!(traced, r.trace, "seed {seed}");
             let stream = e.obs().expect("attached above").channel_records();
-            prop_assert_eq!(stream, &r.channel_records[..], "seed {}", seed);
+            assert_eq!(stream, &r.channel_records[..], "seed {seed}");
+            let lane = mca_sinr::lanes::LANE_WIDTH as u32;
+            full_lane_channel_slots += r
+                .channel_records
+                .iter()
+                .filter(|c| c.tx >= lane && c.listens >= lane)
+                .count();
         }
+        assert!(
+            full_lane_channel_slots > 0,
+            "no case resolved a full lane of listeners against a full lane of transmitters"
+        );
     }
 
     /// A [`Probe`] that stretches its promises: quiet through its next

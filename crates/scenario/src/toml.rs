@@ -562,8 +562,7 @@ fn decode_sinr(mut f: Fields<'_>) -> Result<SinrParams, TomlError> {
             ))
         }
     };
-    f.finish()?;
-    Ok(SinrParams {
+    let params = SinrParams {
         alpha,
         beta,
         noise,
@@ -571,7 +570,18 @@ fn decode_sinr(mut f: Fields<'_>) -> Result<SinrParams, TomlError> {
         eps,
         min_dist,
         resolve,
-    })
+    };
+    // A clamp can be positive and still too small: once `min_dist^alpha`
+    // underflows, a listener on top of a transmitter reads `P/0`.
+    let peak = params.peak_power();
+    if !peak.is_finite() {
+        return Err(f.invalid(
+            "min_dist",
+            format!("clamped peak power `P/min_dist^α` must be finite, got {peak} at min_dist = {min_dist}"),
+        ));
+    }
+    f.finish()?;
+    Ok(params)
 }
 
 fn decode_deployment(mut f: Fields<'_>) -> Result<DeploymentSpec, TomlError> {
@@ -1240,6 +1250,17 @@ mod tests {
         assert_eq!(e.path, "sinr.alpha");
         assert_eq!(e.line, 3);
         assert!(e.message.contains("exceed 2"), "{e}");
+    }
+
+    #[test]
+    fn clamp_whose_peak_power_overflows_is_rejected() {
+        let e = Scenario::from_toml_str(
+            "name = \"x\"\n[sinr]\nalpha = 3.0\nmin_dist = 1e-120\n[deployment]\nkind = \"uniform\"\nn = 1\nside = 1.0\n",
+        )
+        .unwrap_err();
+        assert_eq!(e.path, "sinr.min_dist");
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("must be finite"), "{e}");
     }
 
     #[test]

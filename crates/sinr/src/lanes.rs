@@ -1,46 +1,58 @@
 //! SIMD listener lanes: batched structure-of-arrays power kernels.
 //!
-//! The per-listener hot loop of the batched resolver sums
-//! `received_power_sq` over a span of transmitters. Done one `Point` at a
-//! time, the compiler cannot vectorize it: the array-of-structs layout
-//! interleaves `x` and `y`, and the running sum + argmax form a loop-carried
-//! dependence. This module restructures the kernel so it *does* vectorize —
+//! The per-listener hot loop of reception resolution sums
+//! `received_power_sq` over a span of transmitters: a running sum plus an
+//! argmax, a loop-carried dependence the compiler cannot vectorize one
+//! listener at a time. The kernels here turn the loop on its side — the
+//! lanes of a vector hold [`LANE_WIDTH`] *listeners*, and one transmitter
+//! (or one aggregated rectangle) at a time is broadcast against them —
 //! without changing a single output bit:
 //!
 //! 1. **SoA inputs.** Callers pass separate `xs`/`ys` coordinate slices
 //!    (the resolver's spatial index stores a per-cell CSR copy of them;
 //!    the engine stages per-channel transmitter coordinates directly into
-//!    SoA buffers, so no per-slot transpose happens anywhere).
-//! 2. **Lane-wise evaluation, sequential reduction.** Each
-//!    [`LANE_WIDTH`]-element chunk computes `dx`, `dy`, `d² = dx² + dy²`,
-//!    and the power `P/(d²)^{α/2}` element-wise into stack arrays —
-//!    straight-line max/sqrt/mul/div code the autovectorizer compiles to
-//!    packed `f64` SIMD ([`PowerKernel::eval_lanes`]). The *accumulation*
-//!    of those lane values into the running total and argmax then happens
-//!    in a scalar loop over the chunk, in ascending index order.
+//!    SoA buffers, so no per-slot transpose happens anywhere) and the
+//!    batch's listeners as `[f64; LANE_WIDTH]` coordinate arrays.
+//! 2. **Lane-wise evaluation, lane-wise reduction.** Per transmitter, `dx`,
+//!    `dy`, `d² = dx² + dy²` and the power `P/(d²)^{α/2}` are computed
+//!    element-wise into stack arrays — straight-line max/sqrt/mul/div code
+//!    the autovectorizer compiles to packed `f64` SIMD
+//!    ([`PowerKernel::eval_lanes`]) — and one vector add advances every
+//!    lane's running total, one compare-and-select every lane's argmax.
 //!
 //! # The deterministic reduction-order contract
 //!
-//! Step 2 is the whole trick. A conventional SIMD sum keeps `LANE_WIDTH`
-//! partial accumulators and reduces them horizontally at the end — which
-//! reassociates the floating-point sum and changes the result by rounding.
-//! Here the chunked reduction adds the **same values in the same
-//! architectural order** as the scalar reference (`total += p_0; total +=
-//! p_1; …`), the remainder is handled by the scalar kernel itself, and
-//! every element's power is produced by the same IEEE operation sequence
-//! (exactly-rounded at any vector width, no FMA contraction — Rust never
-//! contracts by default). Lane resolution is therefore **bit-for-bit**
-//! the scalar resolution, not merely close: goldens stay byte-identical
-//! at every thread/shard configuration, which the proptests in
-//! `tests/lane_kernels.rs` and the forced-parallel golden re-run prove.
-//! What the lanes buy is the *element-wise math* (distance and power, the
-//! actual hot work); the in-order adds are a few scalar cycles per lane.
+//! A conventional SIMD sum keeps `LANE_WIDTH` partial accumulators of
+//! *one* sum and reduces them horizontally at the end — which reassociates
+//! the floating-point sum and changes the result by rounding. Here no two
+//! lanes ever meet: lane `l` is listener `l`'s own serial chain, folding
+//! the **same values in the same architectural order** as the scalar
+//! reference (`total += p_0; total += p_1; …`), and every element's power
+//! is produced by the same IEEE operation sequence (exactly-rounded at any
+//! vector width, no FMA contraction — Rust never contracts by default).
+//! Lane resolution is therefore **bit-for-bit** the scalar resolution, not
+//! merely close: goldens stay byte-identical at every thread/shard
+//! configuration and every vector width, which the proptests in
+//! `tests/lane_kernels.rs`, the forced-parallel golden re-run and the
+//! baseline-ISA CI leg prove.
+//!
+//! The masked kernels lean on one precondition: every power they fold is
+//! **strictly positive and finite**, so that `pw · 0.0 == +0.0` exactly
+//! (an infinite power would make it NaN). Powers peak at the near-field
+//! clamp, `P/min_dist^α`, and parameters whose peak overflows are rejected
+//! where they enter (the `SinrParams` constructors and the scenario
+//! decoder), so no kernel ever sees one.
 //!
 //! # When lanes engage
 //!
-//! Always: there is no toggle. The batched resolver's one production walk
-//! is built on these kernels, and the scalar walks it is pinned against
-//! ([`crate::resolve_listener`] and
+//! Always: there is no toggle, and which kernel runs is read off the
+//! resolver alone. With a spatial index (Fast mode) the batch walk folds
+//! near cells through [`accumulate_span_lanes`] and aggregated rectangles
+//! through [`rect_metrics_lanes`]/[`far_terms_lanes`]; without one (Exact
+//! mode, or a set the grid cannot help) every batch — any transmitter
+//! count, any listener count, a lone listener included — folds the whole
+//! set through [`accumulate_scan_lanes`]. The scalar walks these are
+//! pinned against ([`crate::resolve_listener`] and
 //! [`crate::ChannelResolver::resolve_with_bound`]) survive only as test
 //! references. See `docs/EXECUTION_MODEL.md`.
 
@@ -74,57 +86,6 @@ pub fn simd_level() -> &'static str {
     }
 }
 
-/// Whole-set accumulation over identity-indexed SoA coordinates (the
-/// exact-scan path): element `k` *is* transmitter `k`. Ascending order
-/// with a strict `>` argmax — bitwise the scalar reference
-/// `resolve_listener_ext` scan (first strongest wins).
-#[inline(always)]
-pub fn accumulate_identity(
-    kernel: &PowerKernel,
-    xs: &[f64],
-    ys: &[f64],
-    lx: f64,
-    ly: f64,
-    total: &mut f64,
-    best_pow: &mut f64,
-    best: &mut usize,
-) {
-    debug_assert_eq!(xs.len(), ys.len());
-    let mut cxs = xs.chunks_exact(LANE_WIDTH);
-    let mut cys = ys.chunks_exact(LANE_WIDTH);
-    let mut k = 0;
-    for (sx, sy) in (&mut cxs).zip(&mut cys) {
-        let sx: &[f64; LANE_WIDTH] = sx.try_into().expect("exact chunk");
-        let sy: &[f64; LANE_WIDTH] = sy.try_into().expect("exact chunk");
-        let mut d = [0.0f64; LANE_WIDTH];
-        for j in 0..LANE_WIDTH {
-            let dx = sx[j] - lx;
-            let dy = sy[j] - ly;
-            d[j] = dx * dx + dy * dy;
-        }
-        let p = kernel.eval_lanes(d);
-        for j in 0..LANE_WIDTH {
-            let pj = p[j];
-            *total += pj;
-            if pj > *best_pow {
-                *best_pow = pj;
-                *best = k + j;
-            }
-        }
-        k += LANE_WIDTH;
-    }
-    for j in k..xs.len() {
-        let dx = xs[j] - lx;
-        let dy = ys[j] - ly;
-        let pj = kernel.eval(dx * dx + dy * dy);
-        *total += pj;
-        if pj > *best_pow {
-            *best_pow = pj;
-            *best = j;
-        }
-    }
-}
-
 /// Rectangle metrics across listener lanes: one rectangle (bounds,
 /// center, transmitter count — scalars), [`LANE_WIDTH`] *listeners*. Element `l` is bitwise the scalar
 /// `rect.dist_sq_to(listener_l)` and the scalar aggregated term
@@ -139,7 +100,6 @@ pub fn accumulate_identity(
 /// reduction chains — in each lane's own scalar order — in one
 /// instruction.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub fn rect_metrics_lanes(
     kernel: &PowerKernel,
     min_x: f64,
@@ -187,14 +147,20 @@ pub fn rect_metrics_lanes(
 /// Per lane `l`, the value sequence is exactly the scalar near loop over
 /// `l`'s own near cells: elements arrive in the same CSR order, masked-out
 /// elements contribute `+0.0` (an exact identity on the non-negative
-/// accumulator), and the argmax update uses the identical
-/// greater-or-tie-on-smaller-index predicate, so `total`/`best_pow`/`best`
-/// are bit-for-bit the per-listener fold. This is the structural win of
-/// listener batching: the near fold is a serial dependency chain per
-/// listener (~4-cycle add latency each), and one vector add here advances
-/// eight such chains in the time the scalar code advances one.
+/// accumulator), and the argmax update has the scalar loop's truth table —
+/// greater, or equal with a smaller id, and only on unmasked lanes — so
+/// `total`/`best_pow`/`best` are bit-for-bit the per-listener fold. This
+/// is the structural win of listener batching: the near fold is a serial
+/// dependency chain per listener (~4-cycle add latency each), and one
+/// vector add here advances eight such chains in the time the scalar code
+/// advances one.
+///
+/// The predicate is written with `&`/`|` and two selects, never `&&`/`||`:
+/// a short-circuit operator is a branch per lane, and wherever
+/// transmitters compete for strongest those branches are coin flips
+/// (measured on one 50k-node slot: 134–158 ms with them, 113–118 ms
+/// without — within a tenth of the bare sqrt/div evaluation loop).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub fn accumulate_span_lanes(
     kernel: &PowerKernel,
     xs: &[f64],
@@ -220,27 +186,26 @@ pub fn accumulate_span_lanes(
             total[l] += pw[l] * mask[l];
         }
         for l in 0..LANE_WIDTH {
-            let upd =
-                mask[l] != 0.0 && (pw[l] > best_pow[l] || (pw[l] == best_pow[l] && i < best[l]));
+            let gt = pw[l] > best_pow[l];
+            let tie = (pw[l] == best_pow[l]) & (i < best[l]);
+            let upd = (mask[l] != 0.0) & (gt | tie);
             best_pow[l] = if upd { pw[l] } else { best_pow[l] };
             best[l] = if upd { i } else { best[l] };
         }
     }
 }
 
-/// Whole-set fold of a transmitter set smaller than one lane against
-/// [`LANE_WIDTH`] listeners at once — the exact scan's answer to sets the
-/// transmitter-lane fold ([`accumulate_identity`]) has no full chunk for.
-/// Transmitter `j` *is* id `j`, every lane takes every transmitter, and
-/// the ids ascend, so this is [`accumulate_span_lanes`] with its mask and
-/// its tie clause gone: one vector add per transmitter advances all
-/// LANE_WIDTH `total` chains, and the argmax is one strict-`>` compare
-/// and select — which, unlike that kernel's short-circuit predicate,
-/// compiles without a branch per lane (on colliding transmitters those
-/// branches are coin flips: measured 2× the time per evaluation). Per
-/// lane the value sequence is the scalar `resolve_listener_ext` scan's.
+/// The exact scan against [`LANE_WIDTH`] listeners at once: every
+/// transmitter of the set (`xs[j]`/`ys[j]`, broadcast scalars), whatever
+/// its size. Transmitter `j` *is* id `j`, every lane takes every
+/// transmitter, and the ids ascend, so this is [`accumulate_span_lanes`]
+/// with its mask and its tie clause gone: one vector add per transmitter
+/// advances all LANE_WIDTH `total` chains, and the argmax is one
+/// strict-`>` compare and select (first strongest wins). Per lane the
+/// value sequence is the scalar `resolve_listener_ext` scan's, bit for
+/// bit.
 #[inline(always)]
-pub fn accumulate_few_lanes(
+pub fn accumulate_scan_lanes(
     kernel: &PowerKernel,
     xs: &[f64],
     ys: &[f64],
@@ -296,67 +261,4 @@ pub fn far_terms_lanes(
         terms[l] *= count;
     }
     terms
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::SinrParams;
-
-    fn kernel(alpha: f64) -> PowerKernel {
-        SinrParams::with_range(alpha, 1.5, 1.0, 8.0, 0.5).power_kernel()
-    }
-
-    /// Deterministic pseudo-random coordinates without pulling rand in.
-    fn coords(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
-        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64 * 100.0 - 50.0
-        };
-        (
-            (0..n).map(|_| next()).collect(),
-            (0..n).map(|_| next()).collect(),
-        )
-    }
-
-    fn scalar_identity(
-        k: &PowerKernel,
-        xs: &[f64],
-        ys: &[f64],
-        lx: f64,
-        ly: f64,
-    ) -> (f64, f64, usize) {
-        let (mut total, mut best_pow, mut best) = (0.0, f64::NEG_INFINITY, 0usize);
-        for j in 0..xs.len() {
-            let dx = xs[j] - lx;
-            let dy = ys[j] - ly;
-            let p = k.eval(dx * dx + dy * dy);
-            total += p;
-            if p > best_pow {
-                best_pow = p;
-                best = j;
-            }
-        }
-        (total, best_pow, best)
-    }
-
-    #[test]
-    fn identity_accumulation_is_bitwise_scalar_for_all_remainders() {
-        for alpha in [2.5, 3.0, 4.0, 5.0, 6.0] {
-            let k = kernel(alpha);
-            // Lengths straddling every remainder class of LANE_WIDTH.
-            for n in 0..=2 * LANE_WIDTH + 3 {
-                let (xs, ys) = coords(n, n as u64 + 1);
-                let (st, sp, sb) = scalar_identity(&k, &xs, &ys, 3.0, -2.0);
-                let (mut t, mut p, mut b) = (0.0, f64::NEG_INFINITY, 0usize);
-                accumulate_identity(&k, &xs, &ys, 3.0, -2.0, &mut t, &mut p, &mut b);
-                assert_eq!(t.to_bits(), st.to_bits(), "α={alpha} n={n}");
-                assert_eq!(p.to_bits(), sp.to_bits(), "α={alpha} n={n}");
-                assert_eq!(b, sb, "α={alpha} n={n}");
-            }
-        }
-    }
 }

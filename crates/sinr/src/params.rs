@@ -96,7 +96,9 @@ impl SinrParams {
     ///
     /// # Panics
     ///
-    /// Panics unless `α > 2`, `β ≥ 1`, `N > 0`, `P > 0`, `0 < ε < 1`.
+    /// Panics unless `α > 2`, `β ≥ 1`, `N > 0`, `P > 0`, `0 < ε < 1` (and,
+    /// for the default near-field clamp, [`SinrParams::peak_power`] is
+    /// finite).
     pub fn new(alpha: f64, beta: f64, noise: f64, power: f64, eps: f64) -> Self {
         let p = SinrParams {
             alpha,
@@ -116,7 +118,9 @@ impl SinrParams {
     /// # Panics
     ///
     /// Panics if a [`ResolveMode::Fast`] cutoff factor is not finite or is
-    /// below 1.
+    /// below 1 — or if a field edited since construction breaks its own
+    /// rule (every check of [`SinrParams::new`] runs again, so a `min_dist`
+    /// too small for a finite [`SinrParams::peak_power`] stops here).
     pub fn with_resolve(mut self, resolve: ResolveMode) -> Self {
         self.resolve = resolve;
         self.validate();
@@ -144,12 +148,29 @@ impl SinrParams {
             "eps must lie in (0,1), got {}",
             self.eps
         );
+        assert!(
+            self.min_dist > 0.0 && self.peak_power().is_finite(),
+            "clamped peak power `P/min_dist^α` must be finite, got {} at min_dist {}",
+            self.peak_power(),
+            self.min_dist
+        );
         if let ResolveMode::Fast { cutoff_factor } = self.resolve {
             assert!(
                 cutoff_factor.is_finite() && cutoff_factor >= 1.0,
                 "Fast cutoff_factor must be finite and at least 1, got {cutoff_factor}"
             );
         }
+    }
+
+    /// The largest power any evaluation can return: `P/min_dist^α`, what a
+    /// listener reads from a transmitter at (or inside) the near-field
+    /// clamp — computed by the kernel itself, so it is the value a
+    /// coincident pair really produces. It must be finite: a clamp so
+    /// small that `min_dist^α` underflows turns that reading into `+∞`,
+    /// the listener's SINR into `∞/∞`, and the lane kernels' `pw · 0.0`
+    /// mask into NaN.
+    pub fn peak_power(&self) -> f64 {
+        self.received_power_sq(0.0)
     }
 
     /// Transmission range `R_T = (P/(β·N))^{1/α}` — the maximum distance at
@@ -679,14 +700,23 @@ mod tests {
     fn power_kernel_lane_eval_is_bitwise_scalar_eval() {
         // Every α arm (integer fast paths and the powf fallback), lane
         // widths 4 and 8, including clamped (sub-min_dist) inputs.
+        //
+        // The inputs go through `black_box`: a `powf` on compile-time
+        // constants is folded by the compiler's own `pow`, which is not
+        // the runtime libm's to the last bit, and which calls get folded
+        // depends on how the surrounding loop was vectorized (at the SSE2
+        // baseline the lane side folded and the scalar side did not). The
+        // contract is about the code production runs — nothing there is
+        // a constant.
+        use std::hint::black_box;
         for alpha in [2.5, 3.0, 3.7, 4.0, 5.0, 6.0] {
-            let p = SinrParams::with_range(alpha, 1.5, 1.0, 8.0, 0.5);
+            let p = black_box(SinrParams::with_range(alpha, 1.5, 1.0, 8.0, 0.5));
             let k = p.power_kernel();
             assert_eq!(
                 k.is_integer_fast_path(),
                 alpha.fract() == 0.0 && alpha <= 6.0
             );
-            let d = [0.0, 1e-14, 0.25, 1.0, 7.3, 64.0, 144.0, 900.0];
+            let d = black_box([0.0, 1e-14, 0.25, 1.0, 7.3, 64.0, 144.0, 900.0]);
             let out8 = k.eval_lanes(d);
             for j in 0..8 {
                 assert_eq!(out8[j].to_bits(), k.eval(d[j]).to_bits(), "α={alpha} j={j}");
@@ -701,6 +731,23 @@ mod tests {
                 assert_eq!(out4[j].to_bits(), k.eval(d[i]).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn clamp_whose_peak_power_overflows_is_rejected() {
+        let mut p = SinrParams::default();
+        assert!(p.peak_power().is_finite());
+        // Positive and finite, yet `min_dist² · min_dist` underflows to 0:
+        // a coincident pair would read `P/0 = +∞`.
+        p.min_dist = 1e-120;
+        assert_eq!(p.peak_power(), f64::INFINITY);
+        let rejected = std::panic::catch_unwind(|| p.with_resolve(ResolveMode::Exact));
+        assert!(
+            rejected.is_err(),
+            "an infinite peak power must not validate"
+        );
+        p.min_dist = 0.0;
+        assert!(std::panic::catch_unwind(|| p.with_resolve(ResolveMode::Exact)).is_err());
     }
 
     #[test]

@@ -575,8 +575,8 @@ pub struct ChannelResolver<'a> {
     /// The power kernel, extracted once (the α dispatch is hoisted out of
     /// every hot loop).
     kernel: PowerKernel,
-    /// SoA transmitter coordinates for the exact-scan lane fold (the Fast
-    /// index carries its own CSR lanes instead).
+    /// SoA transmitter coordinates the exact scan's listener lanes read
+    /// (the Fast index carries its own CSR lanes instead).
     soa: SoaRef<'a>,
 }
 
@@ -599,8 +599,9 @@ impl IndexRef<'_> {
     }
 }
 
-/// Where the exact-path SoA coordinates live: transposed by this resolver,
-/// staged by the engine, or absent (scalar reference scan).
+/// Where the exact scan's SoA transmitter coordinates live: transposed by
+/// this resolver, staged by the engine, or absent (no transmitters, an
+/// index that carries its own lanes, or a cached resolver nobody staged).
 enum SoaRef<'a> {
     None,
     Owned(Vec<f64>, Vec<f64>),
@@ -621,23 +622,22 @@ impl SoaRef<'_> {
 impl<'a> ChannelResolver<'a> {
     /// Indexes `tx_positions` for batched resolution under
     /// `params.resolve`, building a fresh index — or, where there is none
-    /// (Exact mode, or a geometry the grid cannot help) and the set is at
-    /// least one lane wide, the SoA transpose the exact-scan lane fold
-    /// reads.
+    /// (Exact mode, or a geometry the grid cannot help), the SoA transpose
+    /// the exact scan's listener lanes read.
     pub fn new(params: &'a SinrParams, tx_positions: &'a [Point]) -> Self {
         let mut grid = None;
         let mut scratch = BuildScratch::default();
         let (fast, soa) =
             match FastIndex::build(params, tx_positions, &mut grid, &mut scratch, None) {
                 Some(ix) => (IndexRef::Owned(Box::new(ix)), SoaRef::None),
-                None if tx_positions.len() >= LANE_WIDTH => (
+                None if tx_positions.is_empty() => (IndexRef::None, SoaRef::None),
+                None => (
                     IndexRef::None,
                     SoaRef::Owned(
                         tx_positions.iter().map(|p| p.x).collect(),
                         tx_positions.iter().map(|p| p.y).collect(),
                     ),
                 ),
-                None => (IndexRef::None, SoaRef::None),
             };
         ChannelResolver {
             kernel: params.power_kernel(),
@@ -648,10 +648,10 @@ impl<'a> ChannelResolver<'a> {
         }
     }
 
-    /// Replaces the resolver's exact-path SoA coordinates with
-    /// caller-staged buffers (the engine keeps per-channel `xs`/`ys` hot
-    /// across slots, so no per-slot transpose happens). `xs`/`ys` must
-    /// mirror the transmitter slice exactly — debug-asserted.
+    /// Hands the exact scan caller-staged SoA coordinates (the engine
+    /// keeps per-channel `xs`/`ys` hot across slots, so no per-slot
+    /// transpose happens). `xs`/`ys` must mirror the transmitter slice
+    /// exactly — debug-asserted.
     pub fn with_soa(mut self, xs: &'a [f64], ys: &'a [f64]) -> Self {
         debug_assert_eq!(xs.len(), self.tx.len());
         debug_assert_eq!(ys.len(), self.tx.len());
@@ -666,8 +666,10 @@ impl<'a> ChannelResolver<'a> {
     /// index is reused as-is (zero build work — the static-world steady
     /// state), otherwise it is rebuilt in place into the cache's buffers.
     /// Outcomes are identical to a freshly built resolver's. The cache
-    /// holds no SoA transpose: a caller that wants the exact-scan lane
-    /// fold stages one through [`ChannelResolver::with_soa`].
+    /// holds no SoA transpose: the caller stages one through
+    /// [`ChannelResolver::with_soa`] (the engine does, in the pass that
+    /// stages the points), or an index-free resolver falls back to the
+    /// scalar reference scan, one listener at a time.
     pub fn cached(
         params: &'a SinrParams,
         tx_positions: &'a [Point],
@@ -723,46 +725,30 @@ impl<'a> ChannelResolver<'a> {
 
     /// Resolves one listener. `extra_interference` is the per-channel
     /// environmental term (fading, out-of-network traffic), exactly as in
-    /// [`crate::resolve_listener_ext`]. In Fast mode this is the batch
-    /// walk with the listener in every lane.
+    /// [`crate::resolve_listener_ext`]. This is the batch walk with the
+    /// listener in every lane.
     #[inline]
     pub fn resolve(&self, listener: Point, extra_interference: f64) -> ListenOutcome {
-        match self.fast.get() {
-            None => match self.soa.get() {
-                Some((xs, ys)) => self.resolve_exact_lanes(xs, ys, listener, extra_interference),
-                None => resolve_listener_ext(self.params, self.tx, listener, extra_interference),
-            },
-            Some(index) => self.resolve_fast_one(index, listener, extra_interference, None),
-        }
+        self.resolve_one(listener, extra_interference, None)
     }
 
-    /// Exact scan over the SoA transpose through the lane kernels —
-    /// bitwise [`resolve_listener_ext`]: same distance expression, same
-    /// power kernel, same ascending-order accumulation and strict-`>`
-    /// argmax (the lane chunks only restructure the element-wise math).
-    fn resolve_exact_lanes(
+    /// One listener as a batch of one: its padded lanes are copies of it,
+    /// which diverge nowhere, so the walk takes its unmasked paths.
+    #[inline]
+    fn resolve_one(
         &self,
-        xs: &[f64],
-        ys: &[f64],
         listener: Point,
         extra_interference: f64,
+        candidates: Option<&[u32]>,
     ) -> ListenOutcome {
-        debug_assert!(extra_interference >= 0.0, "interference cannot be negative");
-        debug_assert!(!xs.is_empty(), "SoA staged only for non-empty channels");
-        let mut total = extra_interference;
-        let mut best = 0usize;
-        let mut best_pow = f64::NEG_INFINITY;
-        lanes::accumulate_identity(
-            &self.kernel,
-            xs,
-            ys,
-            listener.x,
-            listener.y,
-            &mut total,
-            &mut best_pow,
-            &mut best,
+        let mut out = ListenOutcome::SILENT;
+        self.resolve_batch_core(
+            |_| listener,
+            extra_interference,
+            candidates,
+            std::slice::from_mut(&mut out),
         );
-        decide(self.params, best, best_pow, total)
+        out
     }
 
     /// Resolves one listener through the scalar reference walk,
@@ -1101,26 +1087,6 @@ impl<'a> ChannelResolver<'a> {
         out
     }
 
-    /// One listener through the batch walk: the listener fills every lane
-    /// (identical lanes diverge nowhere, so the walk takes its unmasked
-    /// paths) and lane 0 is the outcome.
-    #[inline]
-    fn resolve_fast_one(
-        &self,
-        index: &FastIndex,
-        listener: Point,
-        extra_interference: f64,
-        candidates: Option<&[u32]>,
-    ) -> ListenOutcome {
-        self.resolve_fast_batch(
-            index,
-            &[listener.x; LANE_WIDTH],
-            &[listener.y; LANE_WIDTH],
-            extra_interference,
-            candidates,
-        )[0]
-    }
-
     /// Core of the batched drivers: `get(i)` yields the `i`-th listener of
     /// the batch, `out[i]` receives its outcome. In Fast mode, sorts the
     /// listeners into row-major spatial order (so the lanes of each batch
@@ -1133,10 +1099,9 @@ impl<'a> ChannelResolver<'a> {
     /// lanes, whose outcomes are dropped. The sort and the padding permute
     /// only which listeners share a walk — each outcome is a pure function
     /// of its own listener, so `out` is bitwise the per-listener loop.
-    /// Without an index (Exact mode) it *is* that loop — except below one
-    /// lane of transmitters, where the transmitter-lane fold has no full
-    /// chunk to vectorize and the listeners ride the lanes instead
-    /// ([`ChannelResolver::resolve_few_tx`]).
+    /// Without an index (Exact mode, or a set the grid cannot help) the
+    /// listeners ride the lanes of the exact scan instead, in caller order
+    /// ([`ChannelResolver::resolve_scan_batch`]).
     fn resolve_batch_core(
         &self,
         get: impl Fn(usize) -> Point,
@@ -1145,12 +1110,15 @@ impl<'a> ChannelResolver<'a> {
         out: &mut [ListenOutcome],
     ) {
         let Some(index) = self.fast.get() else {
-            if (1..LANE_WIDTH).contains(&self.tx.len()) {
-                self.resolve_few_tx(get, extra_interference, out);
-                return;
-            }
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = self.resolve(get(i), extra_interference);
+            match self.soa.get() {
+                Some((xs, ys)) => self.resolve_scan_batch(xs, ys, get, extra_interference, out),
+                // Nothing to fold (no transmitters), or nothing staged to
+                // fold over: the scalar reference itself.
+                None => {
+                    for (i, o) in out.iter_mut().enumerate() {
+                        *o = resolve_listener_ext(self.params, self.tx, get(i), extra_interference);
+                    }
+                }
             }
             return;
         };
@@ -1177,31 +1145,25 @@ impl<'a> ChannelResolver<'a> {
         });
     }
 
-    /// Exact scan of `1..LANE_WIDTH` transmitters, [`LANE_WIDTH`]
-    /// listeners per pass through [`lanes::accumulate_few_lanes`]: the
-    /// sqrt/div chain a lone listener would run by itself is shared eight
-    /// ways. Per lane it is bitwise [`resolve_listener_ext`] — the same
-    /// `d²` expression and power kernel, the same ascending fold from
+    /// The exact scan as a batch fold: every transmitter of the set
+    /// (`xs`/`ys`, its SoA coordinates) against [`LANE_WIDTH`] listeners
+    /// per pass through [`lanes::accumulate_scan_lanes`], so the sqrt/div
+    /// chain a lone listener would run by itself is shared eight ways.
+    /// Per lane it is bitwise [`resolve_listener_ext`] — the same `d²`
+    /// expression and power kernel, the same ascending fold from
     /// `extra_interference`, the same strict-`>` argmax. A final chunk
     /// narrower than a lane repeats its last listener in the spare lanes,
     /// whose outcomes are dropped.
-    ///
-    /// Not taken from one full lane of transmitters up: there the
-    /// transmitter-lane fold has vector work of its own.
-    fn resolve_few_tx(
+    fn resolve_scan_batch(
         &self,
+        xs: &[f64],
+        ys: &[f64],
         get: impl Fn(usize) -> Point,
         extra_interference: f64,
         out: &mut [ListenOutcome],
     ) {
         debug_assert!(extra_interference >= 0.0, "interference cannot be negative");
-        let t = self.tx.len();
-        let mut xs = [0.0f64; LANE_WIDTH];
-        let mut ys = [0.0f64; LANE_WIDTH];
-        for (j, p) in self.tx.iter().enumerate() {
-            xs[j] = p.x;
-            ys[j] = p.y;
-        }
+        debug_assert!(!xs.is_empty(), "SoA staged only for non-empty channels");
         let mut lxs = [0.0f64; LANE_WIDTH];
         let mut lys = [0.0f64; LANE_WIDTH];
         for (c, chunk) in out.chunks_mut(LANE_WIDTH).enumerate() {
@@ -1213,10 +1175,10 @@ impl<'a> ChannelResolver<'a> {
             let mut total = [extra_interference; LANE_WIDTH];
             let mut best_pow = [f64::NEG_INFINITY; LANE_WIDTH];
             let mut best = [0.0f64; LANE_WIDTH];
-            lanes::accumulate_few_lanes(
+            lanes::accumulate_scan_lanes(
                 &self.kernel,
-                &xs[..t],
-                &ys[..t],
+                xs,
+                ys,
                 &lxs,
                 &lys,
                 &mut total,
@@ -1297,15 +1259,8 @@ impl TaskResolver<'_, '_> {
     #[inline]
     pub fn resolve(&self, listener: Point, extra_interference: f64) -> ListenOutcome {
         self.debug_assert_inside(listener);
-        match self.resolver.fast.get() {
-            Some(index) => self.resolver.resolve_fast_one(
-                index,
-                listener,
-                extra_interference,
-                self.candidates.as_deref(),
-            ),
-            None => self.resolver.resolve(listener, extra_interference),
-        }
+        self.resolver
+            .resolve_one(listener, extra_interference, self.candidates.as_deref())
     }
 
     /// Resolves a batch of this task's listeners into `out` (cleared
@@ -1566,10 +1521,11 @@ mod tests {
 
     #[test]
     fn lane_and_scalar_resolvers_are_bitwise_identical() {
-        // Both modes, fractional and integer α, enough transmitters that
-        // the lane chunks and the scalar remainder both run. The scalar
-        // side is the reference walk behind `resolve_with_bound` — and in
-        // Exact mode also `resolve_listener_ext` itself.
+        // Both modes, fractional and integer α, a world big enough that
+        // Fast mode aggregates whole blocks and a listener count (50) that
+        // leaves a ragged final chunk. The scalar side is the reference
+        // walk behind `resolve_with_bound` — and in Exact mode also
+        // `resolve_listener_ext` itself.
         for alpha in [3.0, 3.7] {
             for params in [
                 SinrParams::with_range(alpha, 1.5, 1.0, 8.0, 0.5),

@@ -8,25 +8,28 @@
 //! 1. [`PowerKernel::eval_lanes`] is element-wise bitwise
 //!    [`PowerKernel::eval`] on every α path (integer fast paths and the
 //!    general `powf` arm alike);
-//! 2. the transposed listener-lane fold (`accumulate_span_lanes`) equals
-//!    eight independent scalar accumulator chains, masks included;
-//! 3. the single-listener SoA fold (`accumulate_identity`) equals the
-//!    scalar walk, including `chunks_exact` remainders of every size;
-//! 4. batched resolution (`resolve_batch_into` / `resolve_indexed_into`)
+//! 2. the listener-lane near fold (`accumulate_span_lanes`) equals eight
+//!    independent scalar accumulator chains, masks included — over
+//!    continuous geometry, and over lattice geometry with shuffled ids,
+//!    where powers tie and the tie clause and the mask meet;
+//! 3. batched resolution (`resolve_batch_into` / `resolve_indexed_into`)
 //!    is bitwise the per-listener `resolve` and the scalar reference walk
 //!    (`resolve_with_bound`), in Exact and Fast modes, for any batch
 //!    length (padded remainder lanes included);
-//! 5. below one lane of transmitters the Exact batch rides listener lanes
-//!    and is still bitwise the scalar `resolve_listener_ext`.
+//! 4. without an index the batch rides the listener lanes of the exact
+//!    scan (`accumulate_scan_lanes`) at every transmitter count and batch
+//!    length, and is still bitwise the scalar `resolve_listener_ext`.
 //!
 //! [`PowerKernel::eval_lanes`]: multichannel_adhoc::sinr::PowerKernel::eval_lanes
 //! [`PowerKernel::eval`]: multichannel_adhoc::sinr::PowerKernel::eval
 
 use multichannel_adhoc::geom::{BoundingBox, Point};
 use multichannel_adhoc::sinr::lanes::{
-    accumulate_identity, accumulate_span_lanes, far_terms_lanes, rect_metrics_lanes, LANE_WIDTH,
+    accumulate_span_lanes, far_terms_lanes, rect_metrics_lanes, LANE_WIDTH,
 };
-use multichannel_adhoc::sinr::{resolve_listener_ext, ChannelResolver, ResolveMode, SinrParams};
+use multichannel_adhoc::sinr::{
+    resolve_listener_ext, ChannelResolver, ListenOutcome, ResolveMode, SinrParams,
+};
 use proptest::prelude::*;
 
 /// α values spanning every `PowerKernel` dispatch arm: the cubic,
@@ -164,41 +167,7 @@ proptest! {
         }
     }
 
-    /// Property 3: the single-listener SoA fold equals the scalar walk
-    /// for every length (the `chunks_exact` remainder sweep).
-    #[test]
-    fn identity_fold_matches_scalar_walk(
-        alpha in alpha_strategy(),
-        pts in proptest::collection::vec((0.0..60.0f64, 0.0..60.0f64), 0..26),
-        lpt in (0.0..60.0f64, 0.0..60.0f64),
-    ) {
-        let kernel = params_for(alpha, false).power_kernel();
-        let (lx, ly) = lpt;
-        let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = pts.iter().map(|p| p.1).collect();
-        let mut total = 0.0;
-        let mut best_pow = f64::NEG_INFINITY;
-        let mut best = usize::MAX;
-        accumulate_identity(&kernel, &xs, &ys, lx, ly, &mut total, &mut best_pow, &mut best);
-        let mut t = 0.0;
-        let mut bp = f64::NEG_INFINITY;
-        let mut b = usize::MAX;
-        for (k, &(x, y)) in pts.iter().enumerate() {
-            let dx = x - lx;
-            let dy = y - ly;
-            let pw = kernel.eval(dx * dx + dy * dy);
-            t += pw;
-            if pw > bp || (pw == bp && k < b) {
-                bp = pw;
-                b = k;
-            }
-        }
-        prop_assert_eq!(total.to_bits(), t.to_bits());
-        prop_assert_eq!(best_pow.to_bits(), bp.to_bits());
-        prop_assert_eq!(best, b);
-    }
-
-    /// Property 4: batched resolution is bitwise the per-listener walk and
+    /// Property 3: batched resolution is bitwise the per-listener walk and
     /// the scalar reference walk — Exact and Fast, slice and indexed entry
     /// points, any batch length (including sub-lane batches and odd
     /// remainders, which ride a padded batch).
@@ -241,40 +210,160 @@ proptest! {
             prop_assert_eq!(&task_out[k], o);
         }
     }
+}
 
-    /// Property 5: with fewer than `LANE_WIDTH` transmitters (none
-    /// included) the index-free batch takes eight listeners per pass
-    /// through the listener lanes; every outcome stays bitwise the scalar
-    /// reference — for any batch length (1..=17 covers sub-lane, exact and
-    /// ragged batches), with and without environmental interference, in
-    /// Exact mode and in Fast mode's small-set fallback, and with two
-    /// transmitters on one spot (the tie must go to the earlier one).
+proptest! {
+    // Cheap cases over small worlds, and many shapes to reach: every
+    // remainder class of transmitter count × batch length, ties from both
+    // sides under every mask.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Property 2c: the half of the near fold's predicate that continuous
+    /// geometry never reaches — ties and masks together. Transmitters and
+    /// listeners sit on a small integer lattice (equidistant transmitters
+    /// are the norm, as on every grid deployment), ids arrive in a
+    /// shuffled order (so a tie is met from both sides: `id < best_id`
+    /// true and false), and the fold runs over several spans with a mask
+    /// each, as the batch walk's cells do — random masks, an all-zero one,
+    /// and, half the time per lane, one that masks off the span holding
+    /// that lane's strongest transmitter. The accumulators start either
+    /// empty (`−∞`) or at a power some lattice transmitter ties, under an
+    /// id in the middle of the range. Bit for bit the scalar loop with its
+    /// short-circuit predicate.
     #[test]
-    fn few_transmitter_batches_are_bitwise_scalar(
+    fn span_lanes_ties_and_masks_match_the_short_circuit_loop(
+        alpha in alpha_strategy(),
+        spans in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u8..6, 0u8..6, 0u32..u32::MAX), 0..8),
+                proptest::collection::vec(0u8..2, LANE_WIDTH),
+            ),
+            1..4,
+        ),
+        lraw in proptest::collection::vec((0u8..6, 0u8..6), LANE_WIDTH),
+        zeroed_span in 0usize..6,
+        seeded in (0u8..2, 0u8..6, 0u8..6),
+    ) {
+        let kernel = params_for(alpha, false).power_kernel();
+        let lpts: Vec<(f64, f64)> = lraw.iter().map(|&(x, y)| (f64::from(x), f64::from(y))).collect();
+        let (lxs, lys) = to_lanes(&lpts);
+        // Shuffled, non-contiguous ids: each transmitter's rank under its
+        // random key, in walk order.
+        let keys: Vec<u32> = spans.iter().flat_map(|(txs, _)| txs.iter().map(|t| t.2)).collect();
+        let mut by_key: Vec<usize> = (0..keys.len()).collect();
+        by_key.sort_by_key(|&k| (keys[k], k));
+        let mut ids = vec![0u32; keys.len()];
+        for (rank, &k) in by_key.iter().enumerate() {
+            ids[k] = 7 + 3 * rank as u32;
+        }
+        let (seed_tie, sx, sy) = seeded;
+        let mid_id = f64::from(7 + 3 * (keys.len() as u32 / 2)) + 1.0;
+        let mut total = [0.25; LANE_WIDTH];
+        let mut best_pow = [f64::NEG_INFINITY; LANE_WIDTH];
+        let mut best = [0.0f64; LANE_WIDTH];
+        if seed_tie == 1 {
+            for l in 0..LANE_WIDTH {
+                let (dx, dy) = (f64::from(sx) - lxs[l], f64::from(sy) - lys[l]);
+                best_pow[l] = kernel.eval(dx * dx + dy * dy);
+                best[l] = mid_id;
+            }
+        }
+        let (mut t, mut bp, mut b) = (total, best_pow, best);
+
+        let mut at = 0;
+        for (si, (txs, mask_bits)) in spans.iter().enumerate() {
+            let xs: Vec<f64> = txs.iter().map(|t| f64::from(t.0)).collect();
+            let ys: Vec<f64> = txs.iter().map(|t| f64::from(t.1)).collect();
+            let span_ids = &ids[at..at + txs.len()];
+            at += txs.len();
+            let mut mask = [0.0; LANE_WIDTH];
+            if si != zeroed_span {
+                for l in 0..LANE_WIDTH {
+                    mask[l] = f64::from(mask_bits[l]);
+                }
+            }
+            accumulate_span_lanes(
+                &kernel, &xs, &ys, span_ids, &lxs, &lys, &mask,
+                &mut total, &mut best_pow, &mut best,
+            );
+            // Scalar reference: one chain per lane, the predicate as the
+            // scalar walk writes it.
+            for l in 0..LANE_WIDTH {
+                for k in 0..txs.len() {
+                    let (dx, dy) = (xs[k] - lxs[l], ys[k] - lys[l]);
+                    let pw = kernel.eval(dx * dx + dy * dy);
+                    t[l] += pw * mask[l];
+                    let i = f64::from(span_ids[k]);
+                    if mask[l] != 0.0 && (pw > bp[l] || (pw == bp[l] && i < b[l])) {
+                        bp[l] = pw;
+                        b[l] = i;
+                    }
+                }
+            }
+        }
+        for l in 0..LANE_WIDTH {
+            prop_assert_eq!(total[l].to_bits(), t[l].to_bits(), "total lane {}", l);
+            prop_assert_eq!(best_pow[l].to_bits(), bp[l].to_bits(), "best_pow lane {}", l);
+            prop_assert_eq!(best[l].to_bits(), b[l].to_bits(), "best lane {}", l);
+        }
+    }
+
+    /// Property 4: without an index every batch rides the listener lanes
+    /// of the exact scan, whatever its shape — no transmitters to five
+    /// lanes of them, one listener to a ragged fourth chunk — and every
+    /// outcome stays bitwise the scalar reference: with and without
+    /// environmental interference, in Exact mode and in Fast mode's
+    /// no-index fallback (an all-near world), through the slice and the
+    /// indexed entry points, a task's, and the one-listener `resolve`.
+    /// Twin transmitters (two on one spot) and lattice worlds (equidistant
+    /// transmitters everywhere) hold the argmax to first-strongest-wins.
+    #[test]
+    fn exact_batches_are_bitwise_scalar_at_every_size(
         alpha in alpha_strategy(),
         fast_bit in 0u8..2,
-        pts in proptest::collection::vec((0.0..30.0f64, 0.0..30.0f64), 0..LANE_WIDTH),
-        twin in 0u8..2,
-        lraw in proptest::collection::vec((0.0..30.0f64, 0.0..30.0f64), 1..18),
+        pts in proptest::collection::vec((0.0..1.0f64, 0.0..1.0f64), 0..41),
+        shape in 0u8..3,
+        lraw in proptest::collection::vec((0.0..1.0f64, 0.0..1.0f64), 1..31),
         extra in (0u8..2, 0.0..2.0f64),
     ) {
         let params = params_for(alpha, fast_bit == 1);
-        let mut txs: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        if twin == 1 && (1..LANE_WIDTH - 1).contains(&txs.len()) {
-            txs.push(txs[0]);
+        // Fast mode builds no index over a world whose diagonal fits inside
+        // its cutoff (1.5 · R_T = 12): keep those worlds that small.
+        let side = if fast_bit == 1 { 8.0 } else { 30.0 };
+        let place = |&(x, y): &(f64, f64)| match shape {
+            2 => Point::new((x * 6.0).floor(), (y * 6.0).floor()),
+            _ => Point::new(x * side, y * side),
+        };
+        let mut txs: Vec<Point> = pts.iter().map(place).collect();
+        if shape == 1 && !txs.is_empty() {
+            let twin = txs[0];
+            txs.insert(txs.len() / 2 + 1, twin);
         }
-        let listeners: Vec<Point> = lraw.iter().map(|&(x, y)| Point::new(x, y)).collect();
+        let listeners: Vec<Point> = lraw.iter().map(place).collect();
         let extra = if extra.0 == 1 { extra.1 } else { 0.0 };
         let resolver = ChannelResolver::new(&params, &txs);
         prop_assert!(!resolver.is_fast());
-        let mut batch = Vec::new();
-        resolver.resolve_batch_into(&listeners, extra, &mut batch);
+        let task = resolver.task(BoundingBox::from_points(listeners.iter().copied()).unwrap());
         let keys: Vec<u32> = (0..listeners.len() as u32).rev().collect();
-        let mut indexed = vec![batch[0]; keys.len()];
+        let mut batch = Vec::new();
+        let mut task_batch = Vec::new();
+        let mut indexed = vec![ListenOutcome::SILENT; keys.len()];
+        let mut task_indexed = indexed.clone();
+        resolver.resolve_batch_into(&listeners, extra, &mut batch);
+        task.resolve_batch_into(&listeners, extra, &mut task_batch);
         resolver.resolve_indexed_into(&listeners, &keys, extra, &mut indexed);
+        task.resolve_indexed_into(&listeners, &keys, extra, &mut task_indexed);
         for (k, &l) in listeners.iter().enumerate() {
             let one = resolve_listener_ext(&params, &txs, l, extra);
-            for got in [batch[k], indexed[listeners.len() - 1 - k]] {
+            let back = listeners.len() - 1 - k;
+            for got in [
+                batch[k],
+                task_batch[k],
+                indexed[back],
+                task_indexed[back],
+                resolver.resolve(l, extra),
+                task.resolve(l, extra),
+            ] {
                 prop_assert_eq!(got.decoded, one.decoded);
                 prop_assert_eq!(got.total_power.to_bits(), one.total_power.to_bits());
                 prop_assert_eq!(got.signal.to_bits(), one.signal.to_bits());
