@@ -10,8 +10,7 @@
 pub enum SpanKind {
     /// One whole engine slot ([`crate::Recorder::span`] attrs: none).
     Slot,
-    /// Lifecycle watch, shard maintenance, and scratch clearing at the
-    /// top of a slot.
+    /// Lifecycle watch and scratch clearing at the top of a slot.
     EventDrain,
     /// Phase 1: protocol `act` gather plus the active-channel sort.
     Gather,

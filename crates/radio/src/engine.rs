@@ -119,7 +119,6 @@ pub struct Engine<P: Protocol> {
     /// input.
     obs_pool: (u64, u64, u64),
     shards: u16,
-    shard_state: Option<ShardState>,
     /// One slot per node, persistent across slots: a polled node's entry
     /// is overwritten by the gather, and only entries written this slot
     /// are ever read.
@@ -146,16 +145,6 @@ pub struct Engine<P: Protocol> {
     /// Merge scratch: one sharded channel's outcomes scattered back into
     /// listener order, reused channel after channel.
     merged: Vec<ListenOutcome>,
-}
-
-/// Engine-internal shard partition state: the map itself plus the event
-/// watch that feeds it incremental reassignments (motion beyond a quarter
-/// shard, joins). Assignment staleness below the watch threshold is
-/// harmless — the partition is a locality hint, not a physics input (see
-/// [`crate::shard`]).
-struct ShardState {
-    map: ShardMap,
-    watch: EventWatch,
 }
 
 /// Internal, flattened per-node action for one slot.
@@ -462,11 +451,6 @@ struct ChannelGroup {
     rx: Vec<u32>,
     tx_pos: Vec<Point>,
     rx_pos: Vec<Point>,
-    /// SoA transpose of `tx_pos`, staged in the same Phase 2a pass — the
-    /// resolver's exact-path lane kernels consume these directly, so no
-    /// per-slot transpose happens downstream.
-    tx_xs: Vec<f64>,
-    tx_ys: Vec<f64>,
     cond: ChannelCondition,
     /// The engine's parameters with this slot's jamming folded into the
     /// noise floor — what the channel's resolver runs under.
@@ -487,8 +471,6 @@ impl ChannelGroup {
         self.rx.clear();
         self.tx_pos.clear();
         self.rx_pos.clear();
-        self.tx_xs.clear();
-        self.tx_ys.clear();
         self.shard_rx.clear();
         self.unit_ranges.clear();
         self.cond = ChannelCondition::CLEAR;
@@ -545,7 +527,6 @@ impl<P: Protocol> Engine<P> {
                 (ps.steals, ps.tasks, ps.parks)
             },
             shards: if force_par() { FORCED_SHARDS } else { 0 },
-            shard_state: None,
             actions,
             roster: Roster::new(),
             groups: Vec::new(),
@@ -571,14 +552,14 @@ impl<P: Protocol> Engine<P> {
         self
     }
 
-    /// Partitions the plane into an `s × s` grid of shards (builder-style;
-    /// `0` or `1` disables sharding). Each channel's listeners are grouped
-    /// by shard and resolved as independent (channel × shard) units with a
-    /// deterministic shard-major merge — **bit-identical to the unsharded
-    /// engine for any `s`**, because per-listener outcomes are
-    /// pure functions of the channel's transmitter set (see
-    /// [`crate::shard`]). The shard assignment is maintained incrementally
-    /// from the engine's own lifecycle events rather than rebuilt per
+    /// Partitions each channel's listeners over an `s × s` grid of shards
+    /// (builder-style; `0` or `1` disables sharding). The listeners are
+    /// grouped by shard and resolved as independent (channel × shard)
+    /// units with a deterministic shard-major merge — **bit-identical to
+    /// the unsharded engine for any `s`**, because per-listener outcomes
+    /// are pure functions of the channel's transmitter set (see
+    /// [`crate::shard`]). The engine keeps nothing about the partition: a
+    /// listener's shard is read off the position staged for it, slot by
     /// slot. Whether the units run on the pool is decided per slot from
     /// their work estimates ([`POOL_UNIT_WORK`]), never by a flag. Under
     /// `MCA_FORCE_PAR=1`, leaving sharding off forces a 4-way grid
@@ -598,7 +579,6 @@ impl<P: Protocol> Engine<P> {
         } else {
             s
         };
-        self.shard_state = None;
         self
     }
 
@@ -612,13 +592,6 @@ impl<P: Protocol> Engine<P> {
     #[doc(hidden)]
     pub fn with_par_shards(self, _par: bool) -> Self {
         self
-    }
-
-    /// The current shard partition, if sharding is enabled and the first
-    /// slot has run (the map is built lazily from the first slot's
-    /// positions).
-    pub fn shard_map(&self) -> Option<&ShardMap> {
-        self.shard_state.as_ref().map(|s| &s.map)
     }
 
     /// The fault plan in force.
@@ -879,7 +852,6 @@ impl<P: Protocol> Engine<P> {
         // Stage the listener partition: shard-major bucketing (counting
         // sort, reused scratch) where sharding engages, identity order
         // otherwise.
-        let shard_map = self.shard_state.as_ref().map(|s| &s.map);
         let (mut listeners, mut units) = (0, 0);
         for &ch in &self.active {
             let group = &mut self.groups[ch as usize];
@@ -887,41 +859,39 @@ impl<P: Protocol> Engine<P> {
                 continue;
             }
             // The channel's grid is coarsened so units stay large enough
-            // to amortize their scheduling overhead (execution-only: the
+            // to amortize their scheduling overhead, and laid over the box
+            // of the listeners staged this slot (execution-only: the
             // chosen grid never changes an outcome).
-            let s_eff = shard_map
-                .map(|m| crate::shard::effective_shards(m.shards(), group.rx.len()))
-                .unwrap_or(1);
-            match shard_map {
-                Some(map) if s_eff >= 2 => {
-                    let nshards = usize::from(s_eff) * usize::from(s_eff);
-                    self.shard_counts.clear();
-                    self.shard_counts.resize(nshards + 1, 0);
-                    for &node in &group.rx {
-                        self.shard_counts[usize::from(map.coarse_shard_of(node, s_eff)) + 1] += 1;
-                    }
-                    for sid in 0..nshards {
-                        self.shard_counts[sid + 1] += self.shard_counts[sid];
-                    }
-                    for sid in 0..nshards {
-                        let (s, e) = (self.shard_counts[sid], self.shard_counts[sid + 1]);
-                        if s != e {
-                            group.unit_ranges.push((s, e));
-                        }
-                    }
-                    // Scatter, reusing the prefix sums as cursors.
-                    group.shard_rx.resize(group.rx.len(), 0);
-                    for (k, &node) in group.rx.iter().enumerate() {
-                        let cursor =
-                            &mut self.shard_counts[usize::from(map.coarse_shard_of(node, s_eff))];
-                        group.shard_rx[*cursor as usize] = k as u32;
-                        *cursor += 1;
+            let s_eff = crate::shard::effective_shards(self.shards, group.rx.len());
+            if s_eff >= 2 {
+                let bounds = BoundingBox::from_points(group.rx_pos.iter().copied())
+                    .expect("a sharded channel has listeners");
+                let grid = ShardMap::over(s_eff, bounds);
+                let nshards = grid.shard_count();
+                self.shard_counts.clear();
+                self.shard_counts.resize(nshards + 1, 0);
+                for &p in &group.rx_pos {
+                    self.shard_counts[usize::from(grid.locate(p)) + 1] += 1;
+                }
+                for sid in 0..nshards {
+                    self.shard_counts[sid + 1] += self.shard_counts[sid];
+                }
+                for sid in 0..nshards {
+                    let (s, e) = (self.shard_counts[sid], self.shard_counts[sid + 1]);
+                    if s != e {
+                        group.unit_ranges.push((s, e));
                     }
                 }
-                _ => {
-                    group.shard_rx.extend(0..group.rx.len() as u32);
-                    group.unit_ranges.push((0, group.rx.len() as u32));
+                // Scatter, reusing the prefix sums as cursors.
+                group.shard_rx.resize(group.rx.len(), 0);
+                for (k, &p) in group.rx_pos.iter().enumerate() {
+                    let cursor = &mut self.shard_counts[usize::from(grid.locate(p))];
+                    group.shard_rx[*cursor as usize] = k as u32;
+                    *cursor += 1;
                 }
+            } else {
+                group.shard_rx.extend(0..group.rx.len() as u32);
+                group.unit_ranges.push((0, group.rx.len() as u32));
             }
             listeners += group.rx.len();
             units += group.unit_ranges.len();
@@ -1030,15 +1000,13 @@ impl<P: Protocol> Engine<P> {
                 rx,
                 tx_pos,
                 rx_pos,
-                tx_xs,
-                tx_ys,
                 cond,
                 params,
                 shard_rx,
                 unit_ranges,
                 cache,
             } = group;
-            let resolver = ChannelResolver::cached(params, tx_pos, cache).with_soa(tx_xs, tx_ys);
+            let resolver = ChannelResolver::cached(params, tx_pos, cache);
             let work_per_listener = resolver.estimated_work_per_listener().max(1);
             let (unit_out, tail) = out_rest.split_at_mut(rx.len());
             out_rest = tail;
@@ -1443,38 +1411,6 @@ impl<P: Protocol> Engine<P> {
             });
         }
 
-        // Shard partition maintenance: build lazily from the first sharded
-        // slot's positions, then piggyback on the engine's own lifecycle
-        // events — a node is reassigned when it joins or drifts beyond a
-        // quarter shard, not re-bucketed from scratch every slot.
-        if self.shards >= 2 {
-            let state = self.shard_state.get_or_insert_with(|| {
-                let map = ShardMap::new(self.shards, &self.positions);
-                let (w, h) = map.shard_size();
-                let threshold = (w.min(h) / 4.0).max(1e-9);
-                let present = (0..self.positions.len())
-                    .map(|i| !self.faults.is_absent(i as u32, slot))
-                    .collect();
-                let watch = EventWatch::new(present, self.positions.clone(), threshold);
-                ShardState { map, watch }
-            });
-            let faults = &self.faults;
-            state
-                .watch
-                .observe(slot, &self.positions, |i| faults.is_absent(i as u32, slot));
-            for event in state.watch.drain() {
-                match event {
-                    NodeEvent::Moved { node, to, .. } => state.map.reassign(node.0, to),
-                    NodeEvent::Joined { node, .. } => {
-                        state.map.reassign(node.0, self.positions[node.0 as usize])
-                    }
-                    // A crashed node stays silent; its stale assignment is
-                    // never consulted and self-corrects on rejoin.
-                    NodeEvent::Crashed { .. } => {}
-                }
-            }
-        }
-
         for ch in self.active.drain(..) {
             self.groups[ch as usize].clear();
         }
@@ -1591,16 +1527,9 @@ impl<P: Protocol> Engine<P> {
                 rx,
                 tx_pos,
                 rx_pos,
-                tx_xs,
-                tx_ys,
                 ..
             } = group;
-            for &i in tx.iter() {
-                let p = self.positions[i as usize];
-                tx_pos.push(p);
-                tx_xs.push(p.x);
-                tx_ys.push(p.y);
-            }
+            tx_pos.extend(tx.iter().map(|&i| self.positions[i as usize]));
             rx_pos.extend(rx.iter().map(|&i| self.positions[i as usize]));
         }
 

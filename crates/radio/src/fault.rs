@@ -1,7 +1,7 @@
 //! Failure injection: crash-stop nodes and jammed channels.
 //!
 //! Extensions beyond the paper's fault-free model, motivated by its related
-//! work on disrupted channels (Dolev et al., DISC'11, cited as [9]): an
+//! work on disrupted channels (Dolev et al., DISC'11, cited as \[9\]): an
 //! adversary may disrupt up to `t` channels per slot. Experiments A2 uses
 //! these to probe the robustness of the aggregation structure.
 

@@ -34,9 +34,9 @@
 //! channel's transmitter/listener positions once per slot in reused dense
 //! scratch buffers, keeps the resolver's spatial index alive across slots
 //! ([`mca_sinr::ResolverCache`] — rebuilt only when the staged positions
-//! change), and resolves the resulting (channel × shard) units — the
-//! plane partitioned by [`Engine::with_shards`] into a [`ShardMap`]
-//! maintained incrementally off lifecycle events — inline on the slot
+//! change), and resolves the resulting (channel × shard) units — a big
+//! channel's listeners bucketed by [`Engine::with_shards`]' [`ShardMap`]
+//! grid over the positions staged for them — inline on the slot
 //! thread, or as tasks on the work-stealing pool when a slot has at least
 //! two units past [`POOL_UNIT_WORK`]. The engine decides that per slot;
 //! there is no flag. Every schedule is **bit-identical**: per-listener

@@ -313,6 +313,7 @@ mod tests {
     use crate::fault::{JamSpec, SleepSchedule, ZoneJam};
     use crate::ids::Channel;
     use crate::Engine;
+    use mca_obs::SpanKind;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -469,14 +470,16 @@ mod tests {
         script: Vec<(u64, Op)>,
     }
 
-    /// A quarter of the cases are *wide*: up to 160 nodes on one channel,
+    /// A quarter of the cases are *wide*: up to 640 nodes on one channel,
     /// so that channel-slots with a full lane of transmitters and a full
     /// lane of listeners — the resolver's widest Exact batches — are
-    /// common; the rest spread at most 64 nodes over 1–4 channels.
+    /// common, and some reach the 128 listeners from which a channel is
+    /// bucketed into shard units; the rest spread at most 64 nodes over
+    /// 1–4 channels.
     fn case(seed: u64) -> Case {
         let mut g = SmallRng::seed_from_u64(seed);
         let (n, channels) = if g.gen_bool(0.25) {
-            (g.gen_range(65..=160usize), 1)
+            (g.gen_range(65..=640usize), 1)
         } else {
             (g.gen_range(1..=64usize), g.gen_range(1..=4u16))
         };
@@ -625,12 +628,14 @@ mod tests {
     /// final protocol states, equal per-node RNG states, equal decode
     /// traces (listener order included) and equal per-channel outcome
     /// streams. One run per proptest case (`PROPTEST_CASES` deepens it);
-    /// a plain loop, because the run as a whole owes one more thing: it
+    /// a plain loop, because the run as a whole owes two more things: it
     /// must have reached channel-slots with at least a lane of
-    /// transmitters *and* a lane of listeners.
+    /// transmitters *and* a lane of listeners, and channel-slots big
+    /// enough to be bucketed into shard units (a `Halo` span each), so
+    /// that sharding after a scripted move is part of what is compared.
     #[test]
     fn reference_oracle_matches_the_active_set_engine() {
-        let mut full_lane_channel_slots = 0;
+        let (mut full_lane_channel_slots, mut sharded_units) = (0, 0);
         for i in 0..u64::from(ProptestConfig::default().cases) {
             let seed: u64 = proptest::test_rng(i).gen();
             let c = case(seed);
@@ -654,8 +659,10 @@ mod tests {
             assert_eq!(e.rngs(), &r.rngs[..], "seed {seed}");
             let traced: Vec<_> = e.trace().expect("enabled above").iter().copied().collect();
             assert_eq!(traced, r.trace, "seed {seed}");
-            let stream = e.obs().expect("attached above").channel_records();
-            assert_eq!(stream, &r.channel_records[..], "seed {seed}");
+            let rec = e.obs().expect("attached above");
+            assert_eq!(rec.channel_records(), &r.channel_records[..], "seed {seed}");
+            let halos = rec.spans().iter().filter(|s| s.kind == SpanKind::Halo);
+            sharded_units += halos.count();
             let lane = mca_sinr::lanes::LANE_WIDTH as u32;
             full_lane_channel_slots += r
                 .channel_records
@@ -666,6 +673,10 @@ mod tests {
         assert!(
             full_lane_channel_slots > 0,
             "no case resolved a full lane of listeners against a full lane of transmitters"
+        );
+        assert!(
+            sharded_units > 0,
+            "no case bucketed a channel into shard units"
         );
     }
 

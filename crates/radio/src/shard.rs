@@ -1,26 +1,25 @@
-//! Spatial sharding of the simulation plane.
+//! Spatial sharding of a channel's listeners.
 //!
-//! A [`ShardMap`] partitions the deployment's bounding box into an `S×S`
-//! grid of shards and maintains a node→shard assignment. The engine's
-//! sharded Phase 2 ([`Engine::with_shards`](crate::Engine::with_shards))
-//! groups each channel's listeners by shard and resolves the resulting
-//! (channel × shard) units independently — inline, or across the pool's
-//! threads when the slot's units are big enough
+//! A [`ShardMap`] slices a bounding box into an `S×S` grid of shards. The
+//! engine's sharded Phase 2 ([`Engine::with_shards`](crate::Engine::with_shards))
+//! lays one over the box of each big channel's staged listener positions,
+//! every slot, groups the listeners by the cell they stand in and resolves
+//! the resulting (channel × shard) units independently — inline, or across
+//! the pool's threads when the slot's units are big enough
 //! ([`POOL_UNIT_WORK`](crate::POOL_UNIT_WORK)) — merging outcomes in
 //! deterministic shard-major order.
 //!
-//! # The assignment is a hint, never an input to physics
+//! # The partition is a hint, never an input to physics
 //!
 //! Reception is resolved per listener by a pure function of the channel's
 //! transmitter set (`mca-sinr`'s `ChannelResolver`/`TaskResolver`), so
 //! *which* shard a listener is grouped under affects cache locality and
-//! parallel granularity — never a single output bit. That is what lets the
-//! assignment be maintained **incrementally** off the engine's
-//! [`NodeEvent`](crate::NodeEvent) stream (motion beyond a threshold,
-//! joins) instead of being recomputed from positions every slot: a node
-//! that has drifted sub-threshold is simply resolved under its last
-//! shard's task, whose halo classification is computed from the task's
-//! *actual* listener bounding box and therefore stays sound.
+//! parallel granularity — never a single output bit. A unit's halo
+//! classification is computed from the bounding box of the listeners it
+//! actually holds, not from its cell's rectangle, so it is sound wherever
+//! the grid lines fall. That is also why nothing about the partition is
+//! kept: a listener's shard is a function of the position the slot staged
+//! for it, read off when the channel is bucketed and forgotten after.
 
 use mca_geom::{BoundingBox, Point};
 
@@ -48,18 +47,19 @@ pub fn effective_shards(s: u16, rx: usize) -> u16 {
     s.min(cap).max(1)
 }
 
-/// An `S×S` spatial partition of the plane with a per-node assignment.
+/// An `S×S` grid over a bounding box: dimensions, bounds and the two
+/// per-axis scale factors [`ShardMap::locate`] multiplies by.
 ///
 /// # Examples
 ///
 /// ```
 /// use mca_radio::ShardMap;
-/// use mca_geom::Point;
+/// use mca_geom::{BoundingBox, Point};
 ///
-/// let positions = vec![Point::new(0.0, 0.0), Point::new(9.0, 9.0)];
-/// let map = ShardMap::new(2, &positions);
-/// assert_eq!(map.shards(), 2);
-/// assert_ne!(map.shard_of(0), map.shard_of(1));
+/// let map = ShardMap::over(2, BoundingBox::new(Point::new(0.0, 0.0), Point::new(9.0, 9.0)));
+/// assert_eq!(map.shard_count(), 4);
+/// assert_eq!(map.locate(Point::new(1.0, 1.0)), 0);
+/// assert_eq!(map.locate(Point::new(8.0, 8.0)), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardMap {
@@ -67,73 +67,44 @@ pub struct ShardMap {
     bounds: BoundingBox,
     inv_w: f64,
     inv_h: f64,
-    assign: Vec<u16>,
 }
 
 impl ShardMap {
-    /// Partitions the bounding box of `positions` into `s × s` shards and
-    /// assigns every node to the shard containing its position.
+    /// Slices `bounds` into `s × s` shards.
+    ///
+    /// A degenerate axis (every point on one line, or on one spot) has no
+    /// extent to slice: its scale factor is 0, so every point lands in its
+    /// first column or row. Both factors are finite whatever the bounds —
+    /// `s / extent` overflows for a vanishing extent, and `0 · ∞` in
+    /// [`ShardMap::locate`] would be NaN.
     ///
     /// # Panics
     ///
-    /// Panics if `s` is 0 or exceeds [`MAX_SHARDS_PER_AXIS`], or if any
-    /// position is non-finite.
-    pub fn new(s: u16, positions: &[Point]) -> Self {
+    /// Panics if `s` is 0 or exceeds [`MAX_SHARDS_PER_AXIS`].
+    pub fn over(s: u16, bounds: BoundingBox) -> Self {
         assert!(
             (1..=MAX_SHARDS_PER_AXIS).contains(&s),
             "shard count per axis must lie in 1..={MAX_SHARDS_PER_AXIS}, got {s}"
         );
-        for (i, p) in positions.iter().enumerate() {
-            assert!(p.is_finite(), "node {i} has a non-finite position");
-        }
-        let bounds = BoundingBox::from_points(positions.iter().copied())
-            .unwrap_or_else(|| BoundingBox::square(1.0));
-        // Degenerate extents (all nodes colinear or coincident) still get a
-        // well-defined partition: every inverse stays finite.
-        let inv_w = f64::from(s) / bounds.width().max(f64::MIN_POSITIVE);
-        let inv_h = f64::from(s) / bounds.height().max(f64::MIN_POSITIVE);
-        let mut map = ShardMap {
+        let inverse = |extent: f64| {
+            let inv = f64::from(s) / extent;
+            if inv.is_finite() {
+                inv
+            } else {
+                0.0
+            }
+        };
+        ShardMap {
             s,
             bounds,
-            inv_w,
-            inv_h,
-            assign: Vec::new(),
-        };
-        map.assign = positions.iter().map(|&p| map.locate(p)).collect();
-        map
-    }
-
-    /// Shards per axis (`S`; the partition has `S²` shards).
-    pub fn shards(&self) -> u16 {
-        self.s
+            inv_w: inverse(bounds.width()),
+            inv_h: inverse(bounds.height()),
+        }
     }
 
     /// Total number of shards (`S²`).
     pub fn shard_count(&self) -> usize {
         usize::from(self.s) * usize::from(self.s)
-    }
-
-    /// Number of assigned nodes.
-    pub fn len(&self) -> usize {
-        self.assign.len()
-    }
-
-    /// Whether no nodes are assigned.
-    pub fn is_empty(&self) -> bool {
-        self.assign.is_empty()
-    }
-
-    /// The partitioned area (the deployment bounding box at build time).
-    pub fn bounds(&self) -> BoundingBox {
-        self.bounds
-    }
-
-    /// Shard side lengths `(width, height)`.
-    pub fn shard_size(&self) -> (f64, f64) {
-        (
-            self.bounds.width().max(f64::MIN_POSITIVE) / f64::from(self.s),
-            self.bounds.height().max(f64::MIN_POSITIVE) / f64::from(self.s),
-        )
     }
 
     /// The shard id containing `p` (positions outside the bounds clamp to
@@ -145,38 +116,12 @@ impl ShardMap {
         (cy * s + cx) as u16
     }
 
-    /// The node's current shard assignment.
-    #[inline]
-    pub fn shard_of(&self, node: u32) -> u16 {
-        self.assign[node as usize]
-    }
-
-    /// The node's shard under a coarsened `s_eff × s_eff` view of this
-    /// map's grid (`s_eff ≤ S`; see [`effective_shards`]): full-grid
-    /// columns/rows merge evenly into coarse ones, so nearby shards stay
-    /// nearby.
-    #[inline]
-    pub fn coarse_shard_of(&self, node: u32, s_eff: u16) -> u16 {
-        debug_assert!((1..=self.s).contains(&s_eff));
-        let sid = self.assign[node as usize];
-        let (sx, sy) = (sid % self.s, sid / self.s);
-        (sy * s_eff / self.s) * s_eff + sx * s_eff / self.s
-    }
-
-    /// Reassigns `node` to the shard containing `p` — the incremental
-    /// update applied when the engine observes a
-    /// [`NodeEvent::Moved`](crate::NodeEvent::Moved) or
-    /// [`NodeEvent::Joined`](crate::NodeEvent::Joined) for it.
-    pub fn reassign(&mut self, node: u32, p: Point) {
-        let sid = self.locate(p);
-        self.assign[node as usize] = sid;
-    }
-
     /// The rectangle of shard `sid` (edge shards conceptually extend
     /// beyond the bounds; this is the in-bounds rectangle).
     pub fn rect(&self, sid: u16) -> BoundingBox {
         let s = usize::from(self.s);
-        let (w, h) = self.shard_size();
+        let w = self.bounds.width() / f64::from(self.s);
+        let h = self.bounds.height() / f64::from(self.s);
         let (cx, cy) = (usize::from(sid) % s, usize::from(sid) / s);
         let min = Point::new(
             self.bounds.min().x + cx as f64 * w,
@@ -192,20 +137,22 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    fn over_points(s: u16, points: &[Point]) -> ShardMap {
+        ShardMap::over(s, BoundingBox::from_points(points.iter().copied()).unwrap())
+    }
+
     #[test]
     fn partition_covers_and_clamps() {
         let mut rng = SmallRng::seed_from_u64(5);
         let positions: Vec<Point> = (0..200)
             .map(|_| Point::new(rng.gen_range(0.0..40.0), rng.gen_range(0.0..40.0)))
             .collect();
-        let map = ShardMap::new(4, &positions);
-        assert_eq!(map.len(), 200);
+        let map = over_points(4, &positions);
         assert_eq!(map.shard_count(), 16);
         for (i, &p) in positions.iter().enumerate() {
-            let sid = map.shard_of(i as u32);
+            let sid = map.locate(p);
             assert!(usize::from(sid) < 16);
-            assert_eq!(sid, map.locate(p));
-            // The in-bounds rectangle of the assigned shard contains the
+            // The in-bounds rectangle of the located shard contains the
             // point up to boundary ties (locate uses half-open cells).
             let r = map.rect(sid).inflated(1e-9);
             assert!(r.contains(p), "node {i} at {p:?} outside shard {sid}");
@@ -216,35 +163,50 @@ mod tests {
     }
 
     #[test]
-    fn reassign_follows_motion() {
-        let positions = vec![Point::new(1.0, 1.0), Point::new(9.0, 9.0)];
-        let mut map = ShardMap::new(2, &positions);
-        let before = map.shard_of(0);
-        map.reassign(0, Point::new(9.0, 9.0));
-        assert_ne!(map.shard_of(0), before);
-        assert_eq!(map.shard_of(0), map.shard_of(1));
-    }
-
-    #[test]
     fn degenerate_geometries_are_fine() {
-        // Single node, coincident nodes, a perfect line: all partition.
-        for positions in [
-            vec![Point::new(3.0, 3.0)],
-            vec![Point::new(1.0, 1.0); 5],
-            (0..10).map(|i| Point::new(i as f64, 2.0)).collect(),
-        ] {
-            let map = ShardMap::new(3, &positions);
-            for i in 0..positions.len() {
-                assert!(usize::from(map.shard_of(i as u32)) < 9);
+        // An axis without extent has one column (or row), the first, and
+        // the other axis still slices: a line from 0 to 10 with one point
+        // at the middle of every cell. `S = 3` is the largest grid whose
+        // `S / f64::MIN_POSITIVE` stays finite; the sizes straddle it.
+        for s in [2u16, 3, 4, 8, 64] {
+            let mids: Vec<f64> = (0..s)
+                .map(|c| (f64::from(c) + 0.5) * 10.0 / f64::from(s))
+                .collect();
+            let along: Vec<f64> = [0.0, 10.0].into_iter().chain(mids).collect();
+            let cell = |k: usize| match k {
+                0 => 0,
+                1 => s - 1,
+                _ => k as u16 - 2,
+            };
+            // A horizontal line, a vertical one, and a vertical one whose
+            // width is too small to divide by.
+            let line = |place: fn(f64) -> Point| along.iter().map(|&t| place(t)).collect();
+            let lines: [(Vec<Point>, u16); 3] = [
+                (line(|t| Point::new(t, 2.0)), 1),
+                (line(|t| Point::new(-3.0, t)), s),
+                (
+                    line(|t| Point::new(if t < 10.0 { 0.0 } else { 5e-324 }, t)),
+                    s,
+                ),
+            ];
+            for (line, stride) in lines {
+                let map = over_points(s, &line);
+                for (k, &p) in line.iter().enumerate() {
+                    assert_eq!(map.locate(p), cell(k) * stride, "S = {s}, {p:?}");
+                }
+            }
+            for spot in [vec![Point::new(3.0, 3.0)], vec![Point::new(1.0, 1.0); 5]] {
+                let map = over_points(s, &spot);
+                assert_eq!(map.locate(spot[0]), 0, "S = {s}");
+                // Clamping still holds around a grid of one point.
+                assert_eq!(map.locate(Point::new(-7.0, 9.0)), 0, "S = {s}");
             }
         }
-        let empty = ShardMap::new(2, &[]);
-        assert!(empty.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "shard count per axis")]
     fn zero_shards_rejected() {
-        ShardMap::new(0, &[]);
+        ShardMap::over(0, BoundingBox::square(1.0));
     }
 }

@@ -7,12 +7,13 @@
 //!
 //! * a document model ([`Value`], [`Table`]) in which every node carries
 //!   the 1-based source line it was parsed from;
-//! * a recursive-descent [`parse`]r for the TOML subset the scenario
-//!   schema uses (tables, array-of-tables, inline tables, nested
+//! * a recursive-descent [`parse`](fn@parse)r for the TOML subset the
+//!   scenario schema uses (tables, array-of-tables, inline tables, nested
 //!   multi-line arrays, strings with escapes, `i128`-wide integers,
-//!   floats, booleans, comments — see [`parse`] for the exact envelope);
-//! * a canonical, byte-deterministic [`emit`]ter whose float formatting
-//!   round-trips bit-exactly;
+//!   floats, booleans, comments — see [`parse`](fn@parse) for the exact
+//!   envelope);
+//! * a canonical, byte-deterministic [`emit`](fn@emit)ter whose float
+//!   formatting round-trips bit-exactly;
 //! * [`Fields`], a decode helper with required/optional typed accessors
 //!   and *unknown-field rejection* — every decode error is a
 //!   [`TomlError`] carrying the line and dotted field path;
@@ -61,7 +62,7 @@ pub trait ToToml {
     /// This value as a TOML [`Table`] (the root of its document).
     fn to_toml_table(&self) -> Table;
 
-    /// This value rendered as TOML text (canonical layout; see [`emit`]).
+    /// This value rendered as TOML text (canonical layout; see [`emit`](fn@emit)).
     fn to_toml(&self) -> String {
         emit(&self.to_toml_table())
     }

@@ -1,4 +1,4 @@
-//! SIMD listener lanes: batched structure-of-arrays power kernels.
+//! SIMD listener lanes: batched power kernels with listeners in the lanes.
 //!
 //! The per-listener hot loop of reception resolution sums
 //! `received_power_sq` over a span of transmitters: a running sum plus an
@@ -8,11 +8,15 @@
 //! (or one aggregated rectangle) at a time is broadcast against them —
 //! without changing a single output bit:
 //!
-//! 1. **SoA inputs.** Callers pass separate `xs`/`ys` coordinate slices
-//!    (the resolver's spatial index stores a per-cell CSR copy of them;
-//!    the engine stages per-channel transmitter coordinates directly into
-//!    SoA buffers, so no per-slot transpose happens anywhere) and the
-//!    batch's listeners as `[f64; LANE_WIDTH]` coordinate arrays.
+//! 1. **Listeners are lanes; everything else is a broadcast scalar.** A
+//!    batch's listeners arrive as `[f64; LANE_WIDTH]` coordinate arrays.
+//!    What they are evaluated against — a transmitter, a rectangle, a
+//!    center, a count — enters each kernel as a scalar, so it is read from
+//!    wherever its owner already stores it: the exact scan folds over the
+//!    caller's `&[Point]`, rectangle and center scalars come straight off
+//!    the index's cell and block structs. The one coordinate copy is the
+//!    index's per-cell CSR `xs`/`ys` — a *gather* of the transmitters into
+//!    cell order, which no other structure holds.
 //! 2. **Lane-wise evaluation, lane-wise reduction.** Per transmitter, `dx`,
 //!    `dy`, `d² = dx² + dy²` and the power `P/(d²)^{α/2}` are computed
 //!    element-wise into stack arrays — straight-line max/sqrt/mul/div code
@@ -64,6 +68,7 @@
 #![allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 
 use crate::params::PowerKernel;
+use mca_geom::Point;
 
 /// Elements processed per vector chunk. Eight `f64`s fill one AVX-512
 /// register, two AVX2 registers, or four SSE2/NEON registers — wide
@@ -196,7 +201,7 @@ pub fn accumulate_span_lanes(
 }
 
 /// The exact scan against [`LANE_WIDTH`] listeners at once: every
-/// transmitter of the set (`xs[j]`/`ys[j]`, broadcast scalars), whatever
+/// transmitter of the set (`tx[j]`, a broadcast scalar pair), whatever
 /// its size. Transmitter `j` *is* id `j`, every lane takes every
 /// transmitter, and the ids ascend, so this is [`accumulate_span_lanes`]
 /// with its mask and its tie clause gone: one vector add per transmitter
@@ -207,19 +212,18 @@ pub fn accumulate_span_lanes(
 #[inline(always)]
 pub fn accumulate_scan_lanes(
     kernel: &PowerKernel,
-    xs: &[f64],
-    ys: &[f64],
+    tx: &[Point],
     lxs: &[f64; LANE_WIDTH],
     lys: &[f64; LANE_WIDTH],
     total: &mut [f64; LANE_WIDTH],
     best_pow: &mut [f64; LANE_WIDTH],
     best: &mut [f64; LANE_WIDTH],
 ) {
-    for (j, (&x, &y)) in xs.iter().zip(ys).enumerate() {
+    for (j, t) in tx.iter().enumerate() {
         let mut d = [0.0f64; LANE_WIDTH];
         for l in 0..LANE_WIDTH {
-            let dx = x - lxs[l];
-            let dy = y - lys[l];
+            let dx = t.x - lxs[l];
+            let dy = t.y - lys[l];
             d[l] = dx * dx + dy * dy;
         }
         let pw = kernel.eval_lanes(d);

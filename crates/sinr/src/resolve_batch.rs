@@ -95,9 +95,14 @@ pub const BLOCK_FAR_FACTOR: f64 = 1.5;
 /// One occupied transmitter cell of the Fast-mode index.
 struct CellSpan {
     rect: BoundingBox,
+    /// Center of `rect` — the cell's far-field evaluation point.
+    center: Point,
     /// Range into [`FastIndex::items`].
     start: u32,
     end: u32,
+    /// Transmitters in the cell (`end - start`), pre-widened for the
+    /// power sum.
+    count: f64,
 }
 
 /// One block of up to [`BLOCK_CELLS`]² occupied cells: the unit of
@@ -121,33 +126,14 @@ struct FastIndex {
     blocks: Vec<BlockSpan>,
     cells: Vec<CellSpan>,
     items: Vec<u32>,
-    /// SoA lanes aligned with `items`: `lane_xs[k]`/`lane_ys[k]` are the
-    /// coordinates of transmitter `items[k]`. The per-cell CSR slices
-    /// (`&lane_xs[cell.start..cell.end]`) feed the lane kernels directly —
-    /// contiguous coordinates per cell, no per-listener gather through the
-    /// `Point` AoS.
+    /// Coordinates gathered into `items` order: `lane_xs[k]`/`lane_ys[k]`
+    /// are those of transmitter `items[k]`, so a cell's CSR slices
+    /// (`&lane_xs[cell.start..cell.end]`) feed the near fold contiguous
+    /// coordinates with no per-listener gather through `tx`. Everything
+    /// else the batch walk reads — a rectangle, a center, a count — is a
+    /// broadcast scalar and comes straight off `cells`/`blocks`.
     lane_xs: Vec<f64>,
     lane_ys: Vec<f64>,
-    /// Per-cell metadata SoA aligned with `cells`: rectangle bounds,
-    /// center, and widened transmitter count — the scalars the batch
-    /// walk broadcasts against its listener lanes
-    /// ([`lanes::rect_metrics_lanes`]).
-    cell_min_x: Vec<f64>,
-    cell_min_y: Vec<f64>,
-    cell_max_x: Vec<f64>,
-    cell_max_y: Vec<f64>,
-    cell_cx: Vec<f64>,
-    cell_cy: Vec<f64>,
-    cell_cnt: Vec<f64>,
-    /// Per-block metadata SoA aligned with `blocks` — same shape as the
-    /// per-cell SoA, for the same reason.
-    blk_min_x: Vec<f64>,
-    blk_min_y: Vec<f64>,
-    blk_max_x: Vec<f64>,
-    blk_max_y: Vec<f64>,
-    blk_cx: Vec<f64>,
-    blk_cy: Vec<f64>,
-    blk_cnt: Vec<f64>,
     /// Squared near-field cutoff `R_c²`.
     cutoff_sq: f64,
     /// Squared block-descend radius `max(R_c, BLOCK_FAR_FACTOR·diag)²`:
@@ -245,20 +231,6 @@ impl FastIndex {
                 old.items.clear();
                 old.lane_xs.clear();
                 old.lane_ys.clear();
-                old.cell_min_x.clear();
-                old.cell_min_y.clear();
-                old.cell_max_x.clear();
-                old.cell_max_y.clear();
-                old.cell_cx.clear();
-                old.cell_cy.clear();
-                old.cell_cnt.clear();
-                old.blk_min_x.clear();
-                old.blk_min_y.clear();
-                old.blk_max_x.clear();
-                old.blk_max_y.clear();
-                old.blk_cx.clear();
-                old.blk_cy.clear();
-                old.blk_cnt.clear();
                 old
             }
             None => FastIndex {
@@ -267,20 +239,6 @@ impl FastIndex {
                 items: Vec::with_capacity(tx.len()),
                 lane_xs: Vec::with_capacity(tx.len()),
                 lane_ys: Vec::with_capacity(tx.len()),
-                cell_min_x: Vec::new(),
-                cell_min_y: Vec::new(),
-                cell_max_x: Vec::new(),
-                cell_max_y: Vec::new(),
-                cell_cx: Vec::new(),
-                cell_cy: Vec::new(),
-                cell_cnt: Vec::new(),
-                blk_min_x: Vec::new(),
-                blk_min_y: Vec::new(),
-                blk_max_x: Vec::new(),
-                blk_max_y: Vec::new(),
-                blk_cx: Vec::new(),
-                blk_cy: Vec::new(),
-                blk_cnt: Vec::new(),
                 cutoff_sq: 0.0,
                 descend_sq: 0.0,
                 work_per_listener: 0,
@@ -294,20 +252,6 @@ impl FastIndex {
             items,
             lane_xs,
             lane_ys,
-            cell_min_x,
-            cell_min_y,
-            cell_max_x,
-            cell_max_y,
-            cell_cx,
-            cell_cy,
-            cell_cnt,
-            blk_min_x,
-            blk_min_y,
-            blk_max_x,
-            blk_max_y,
-            blk_cx,
-            blk_cy,
-            blk_cnt,
             ..
         } = &mut parts;
 
@@ -365,17 +309,11 @@ impl FastIndex {
                 lane_ys.extend(span.iter().map(|&i| tx[i as usize].y));
                 cells.push(CellSpan {
                     rect: cell_rect,
+                    center: cell_rect.center(),
                     start,
                     end: items.len() as u32,
+                    count: f64::from(p.hi - p.lo),
                 });
-                cell_min_x.push(cell_rect.min().x);
-                cell_min_y.push(cell_rect.min().y);
-                cell_max_x.push(cell_rect.max().x);
-                cell_max_y.push(cell_rect.max().y);
-                let c = cell_rect.center();
-                cell_cx.push(c.x);
-                cell_cy.push(c.y);
-                cell_cnt.push(f64::from(p.hi - p.lo));
                 count += p.hi - p.lo;
                 rect = Some(match rect {
                     None => cell_rect,
@@ -387,17 +325,9 @@ impl FastIndex {
                 });
             }
             let rect = rect.expect("non-empty block");
-            let center = rect.center();
-            blk_min_x.push(rect.min().x);
-            blk_min_y.push(rect.min().y);
-            blk_max_x.push(rect.max().x);
-            blk_max_y.push(rect.max().y);
-            blk_cx.push(center.x);
-            blk_cy.push(center.y);
-            blk_cnt.push(f64::from(count));
             blocks.push(BlockSpan {
                 rect,
-                center,
+                center: rect.center(),
                 cell_start,
                 cell_end: cells.len() as u32,
                 count: f64::from(count),
@@ -474,8 +404,6 @@ thread_local! {
 /// [`NodeEvent`](../mca_radio/enum.NodeEvent.html) stream was evaluated and
 /// rejected: motion below the watch threshold changes positions without an
 /// event, which would leave a stale index and break bit-reproducibility.
-/// The shard partition, whose correctness does *not* depend on freshness,
-/// is what consumes the event stream.
 ///
 /// [`ResolveMode::Exact`] never has an index, so the cache does nothing
 /// for it: no snapshot, no comparison, no build counted.
@@ -575,9 +503,6 @@ pub struct ChannelResolver<'a> {
     /// The power kernel, extracted once (the α dispatch is hoisted out of
     /// every hot loop).
     kernel: PowerKernel,
-    /// SoA transmitter coordinates the exact scan's listener lanes read
-    /// (the Fast index carries its own CSR lanes instead).
-    soa: SoaRef<'a>,
 }
 
 /// Where the resolver's index lives: built fresh for this resolver, or
@@ -599,77 +524,33 @@ impl IndexRef<'_> {
     }
 }
 
-/// Where the exact scan's SoA transmitter coordinates live: transposed by
-/// this resolver, staged by the engine, or absent (no transmitters, an
-/// index that carries its own lanes, or a cached resolver nobody staged).
-enum SoaRef<'a> {
-    None,
-    Owned(Vec<f64>, Vec<f64>),
-    Borrowed(&'a [f64], &'a [f64]),
-}
-
-impl SoaRef<'_> {
-    #[inline]
-    fn get(&self) -> Option<(&[f64], &[f64])> {
-        match self {
-            SoaRef::None => None,
-            SoaRef::Owned(xs, ys) => Some((xs, ys)),
-            SoaRef::Borrowed(xs, ys) => Some((xs, ys)),
-        }
-    }
-}
-
 impl<'a> ChannelResolver<'a> {
     /// Indexes `tx_positions` for batched resolution under
-    /// `params.resolve`, building a fresh index — or, where there is none
-    /// (Exact mode, or a geometry the grid cannot help), the SoA transpose
-    /// the exact scan's listener lanes read.
+    /// `params.resolve`, building a fresh index where one pays (Fast mode
+    /// on a geometry the grid can help); without one there is nothing to
+    /// build — the exact scan folds over `tx_positions` as they are.
     pub fn new(params: &'a SinrParams, tx_positions: &'a [Point]) -> Self {
         let mut grid = None;
         let mut scratch = BuildScratch::default();
-        let (fast, soa) =
-            match FastIndex::build(params, tx_positions, &mut grid, &mut scratch, None) {
-                Some(ix) => (IndexRef::Owned(Box::new(ix)), SoaRef::None),
-                None if tx_positions.is_empty() => (IndexRef::None, SoaRef::None),
-                None => (
-                    IndexRef::None,
-                    SoaRef::Owned(
-                        tx_positions.iter().map(|p| p.x).collect(),
-                        tx_positions.iter().map(|p| p.y).collect(),
-                    ),
-                ),
-            };
+        let fast = match FastIndex::build(params, tx_positions, &mut grid, &mut scratch, None) {
+            Some(ix) => IndexRef::Owned(Box::new(ix)),
+            None => IndexRef::None,
+        };
         ChannelResolver {
             kernel: params.power_kernel(),
             params,
             tx: tx_positions,
             fast,
-            soa,
         }
-    }
-
-    /// Hands the exact scan caller-staged SoA coordinates (the engine
-    /// keeps per-channel `xs`/`ys` hot across slots, so no per-slot
-    /// transpose happens). `xs`/`ys` must mirror the transmitter slice
-    /// exactly — debug-asserted.
-    pub fn with_soa(mut self, xs: &'a [f64], ys: &'a [f64]) -> Self {
-        debug_assert_eq!(xs.len(), self.tx.len());
-        debug_assert_eq!(ys.len(), self.tx.len());
-        if xs.len() == self.tx.len() && ys.len() == self.tx.len() && !xs.is_empty() {
-            self.soa = SoaRef::Borrowed(xs, ys);
-        }
-        self
     }
 
     /// Like [`ChannelResolver::new`], but reusing `cache`: if the
     /// transmitter positions and parameters match the cache's snapshot the
     /// index is reused as-is (zero build work — the static-world steady
     /// state), otherwise it is rebuilt in place into the cache's buffers.
-    /// Outcomes are identical to a freshly built resolver's. The cache
-    /// holds no SoA transpose: the caller stages one through
-    /// [`ChannelResolver::with_soa`] (the engine does, in the pass that
-    /// stages the points), or an index-free resolver falls back to the
-    /// scalar reference scan, one listener at a time.
+    /// Outcomes are identical to a freshly built resolver's and computed
+    /// by the same routes: the cache holds the index and nothing else, and
+    /// an index-free resolver folds over `tx_positions` as they are.
     pub fn cached(
         params: &'a SinrParams,
         tx_positions: &'a [Point],
@@ -685,7 +566,6 @@ impl<'a> ChannelResolver<'a> {
             params,
             tx: tx_positions,
             fast,
-            soa: SoaRef::None,
         }
     }
 
@@ -845,9 +725,8 @@ impl<'a> ChannelResolver<'a> {
                         // Far cell: one aggregated term; the true cell
                         // power lies in [n·P/d_max^α, n·P/d_min^α] and
                         // so does the center estimate.
-                        let n = f64::from(cell.end - cell.start);
-                        let c = cell.rect.center();
-                        far_est += n * params.received_power_sq(c.dist_sq(listener));
+                        let n = cell.count;
+                        far_est += n * params.received_power_sq(cell.center.dist_sq(listener));
                         far_hi += n * params.received_power_sq(d_min_sq);
                         far_lo += n * params.received_power_sq(cell.rect.max_dist_sq_to(listener));
                     }
@@ -942,9 +821,9 @@ impl<'a> ChannelResolver<'a> {
                 // rectangle distance, so skip the clamp entirely.
                 let bterms = lanes::far_terms_lanes(
                     &self.kernel,
-                    index.blk_cx[bi],
-                    index.blk_cy[bi],
-                    index.blk_cnt[bi],
+                    block.center.x,
+                    block.center.y,
+                    block.count,
                     lxs,
                     lys,
                 );
@@ -955,13 +834,13 @@ impl<'a> ChannelResolver<'a> {
             }
             let (d_blk, bterms) = lanes::rect_metrics_lanes(
                 &self.kernel,
-                index.blk_min_x[bi],
-                index.blk_min_y[bi],
-                index.blk_max_x[bi],
-                index.blk_max_y[bi],
-                index.blk_cx[bi],
-                index.blk_cy[bi],
-                index.blk_cnt[bi],
+                block.rect.min().x,
+                block.rect.min().y,
+                block.rect.max().x,
+                block.rect.max().y,
+                block.center.x,
+                block.center.y,
+                block.count,
                 lxs,
                 lys,
             );
@@ -999,25 +878,16 @@ impl<'a> ChannelResolver<'a> {
             // could spill the vector state.
             let maybe_near = d_blk.iter().any(|&d| d <= index.cutoff_sq);
             if maybe_near {
-                let iter = index.cells[cs..ce]
-                    .iter()
-                    .zip(&index.cell_min_x[cs..ce])
-                    .zip(&index.cell_min_y[cs..ce])
-                    .zip(&index.cell_max_x[cs..ce])
-                    .zip(&index.cell_max_y[cs..ce])
-                    .zip(&index.cell_cx[cs..ce])
-                    .zip(&index.cell_cy[cs..ce])
-                    .zip(&index.cell_cnt[cs..ce]);
-                for (((((((cell, &mnx), &mny), &mxx), &mxy), &ccx), &ccy), &ccn) in iter {
+                for cell in &index.cells[cs..ce] {
                     let (d_min, terms) = lanes::rect_metrics_lanes(
                         &self.kernel,
-                        mnx,
-                        mny,
-                        mxx,
-                        mxy,
-                        ccx,
-                        ccy,
-                        ccn,
+                        cell.rect.min().x,
+                        cell.rect.min().y,
+                        cell.rect.max().x,
+                        cell.rect.max().y,
+                        cell.center.x,
+                        cell.center.y,
+                        cell.count,
                         lxs,
                         lys,
                     );
@@ -1058,12 +928,15 @@ impl<'a> ChannelResolver<'a> {
                     }
                 }
             } else {
-                let iter = index.cell_cx[cs..ce]
-                    .iter()
-                    .zip(&index.cell_cy[cs..ce])
-                    .zip(&index.cell_cnt[cs..ce]);
-                for ((&ccx, &ccy), &ccn) in iter {
-                    let terms = lanes::far_terms_lanes(&self.kernel, ccx, ccy, ccn, lxs, lys);
+                for cell in &index.cells[cs..ce] {
+                    let terms = lanes::far_terms_lanes(
+                        &self.kernel,
+                        cell.center.x,
+                        cell.center.y,
+                        cell.count,
+                        lxs,
+                        lys,
+                    );
                     for l in 0..LANE_WIDTH {
                         far[l] += terms[l] * desc[l];
                     }
@@ -1110,16 +983,7 @@ impl<'a> ChannelResolver<'a> {
         out: &mut [ListenOutcome],
     ) {
         let Some(index) = self.fast.get() else {
-            match self.soa.get() {
-                Some((xs, ys)) => self.resolve_scan_batch(xs, ys, get, extra_interference, out),
-                // Nothing to fold (no transmitters), or nothing staged to
-                // fold over: the scalar reference itself.
-                None => {
-                    for (i, o) in out.iter_mut().enumerate() {
-                        *o = resolve_listener_ext(self.params, self.tx, get(i), extra_interference);
-                    }
-                }
-            }
+            self.resolve_scan_batch(get, extra_interference, out);
             return;
         };
         SORT_SCRATCH.with(|scratch| {
@@ -1146,24 +1010,31 @@ impl<'a> ChannelResolver<'a> {
     }
 
     /// The exact scan as a batch fold: every transmitter of the set
-    /// (`xs`/`ys`, its SoA coordinates) against [`LANE_WIDTH`] listeners
-    /// per pass through [`lanes::accumulate_scan_lanes`], so the sqrt/div
-    /// chain a lone listener would run by itself is shared eight ways.
-    /// Per lane it is bitwise [`resolve_listener_ext`] — the same `d²`
-    /// expression and power kernel, the same ascending fold from
-    /// `extra_interference`, the same strict-`>` argmax. A final chunk
-    /// narrower than a lane repeats its last listener in the spare lanes,
-    /// whose outcomes are dropped.
+    /// against [`LANE_WIDTH`] listeners per pass through
+    /// [`lanes::accumulate_scan_lanes`], so the sqrt/div chain a lone
+    /// listener would run by itself is shared eight ways. Per lane it is
+    /// bitwise [`resolve_listener_ext`] — the same `d²` expression and
+    /// power kernel, the same ascending fold from `extra_interference`,
+    /// the same strict-`>` argmax — and an empty set, which has nothing to
+    /// fold, is that function's one empty-set outcome for everybody. A
+    /// final chunk narrower than a lane repeats its last listener in the
+    /// spare lanes, whose outcomes are dropped.
     fn resolve_scan_batch(
         &self,
-        xs: &[f64],
-        ys: &[f64],
         get: impl Fn(usize) -> Point,
         extra_interference: f64,
         out: &mut [ListenOutcome],
     ) {
         debug_assert!(extra_interference >= 0.0, "interference cannot be negative");
-        debug_assert!(!xs.is_empty(), "SoA staged only for non-empty channels");
+        if self.tx.is_empty() {
+            out.fill(resolve_listener_ext(
+                self.params,
+                &[],
+                Point::ORIGIN,
+                extra_interference,
+            ));
+            return;
+        }
         let mut lxs = [0.0f64; LANE_WIDTH];
         let mut lys = [0.0f64; LANE_WIDTH];
         for (c, chunk) in out.chunks_mut(LANE_WIDTH).enumerate() {
@@ -1177,8 +1048,7 @@ impl<'a> ChannelResolver<'a> {
             let mut best = [0.0f64; LANE_WIDTH];
             lanes::accumulate_scan_lanes(
                 &self.kernel,
-                xs,
-                ys,
+                self.tx,
                 &lxs,
                 &lys,
                 &mut total,

@@ -28,7 +28,7 @@ use multichannel_adhoc::sinr::lanes::{
     accumulate_span_lanes, far_terms_lanes, rect_metrics_lanes, LANE_WIDTH,
 };
 use multichannel_adhoc::sinr::{
-    resolve_listener_ext, ChannelResolver, ListenOutcome, ResolveMode, SinrParams,
+    resolve_listener_ext, ChannelResolver, ListenOutcome, ResolveMode, ResolverCache, SinrParams,
 };
 use proptest::prelude::*;
 
@@ -314,8 +314,9 @@ proptest! {
     /// outcome stays bitwise the scalar reference: with and without
     /// environmental interference, in Exact mode and in Fast mode's
     /// no-index fallback (an all-near world), through the slice and the
-    /// indexed entry points, a task's, and the one-listener `resolve`.
-    /// Twin transmitters (two on one spot) and lattice worlds (equidistant
+    /// indexed entry points, a task's, and the one-listener `resolve`,
+    /// from a resolver built fresh and from a `cached` one alike. Twin
+    /// transmitters (two on one spot) and lattice worlds (equidistant
     /// transmitters everywhere) hold the argmax to first-strongest-wins.
     #[test]
     fn exact_batches_are_bitwise_scalar_at_every_size(
@@ -341,33 +342,40 @@ proptest! {
         }
         let listeners: Vec<Point> = lraw.iter().map(place).collect();
         let extra = if extra.0 == 1 { extra.1 } else { 0.0 };
-        let resolver = ChannelResolver::new(&params, &txs);
-        prop_assert!(!resolver.is_fast());
-        let task = resolver.task(BoundingBox::from_points(listeners.iter().copied()).unwrap());
-        let keys: Vec<u32> = (0..listeners.len() as u32).rev().collect();
-        let mut batch = Vec::new();
-        let mut task_batch = Vec::new();
-        let mut indexed = vec![ListenOutcome::SILENT; keys.len()];
-        let mut task_indexed = indexed.clone();
-        resolver.resolve_batch_into(&listeners, extra, &mut batch);
-        task.resolve_batch_into(&listeners, extra, &mut task_batch);
-        resolver.resolve_indexed_into(&listeners, &keys, extra, &mut indexed);
-        task.resolve_indexed_into(&listeners, &keys, extra, &mut task_indexed);
-        for (k, &l) in listeners.iter().enumerate() {
-            let one = resolve_listener_ext(&params, &txs, l, extra);
-            let back = listeners.len() - 1 - k;
-            for got in [
-                batch[k],
-                task_batch[k],
-                indexed[back],
-                task_indexed[back],
-                resolver.resolve(l, extra),
-                task.resolve(l, extra),
-            ] {
-                prop_assert_eq!(got.decoded, one.decoded);
-                prop_assert_eq!(got.total_power.to_bits(), one.total_power.to_bits());
-                prop_assert_eq!(got.signal.to_bits(), one.signal.to_bits());
-                prop_assert_eq!(got.sinr.to_bits(), one.sinr.to_bits());
+        // A resolver built fresh and one handed a cache nobody staged
+        // anything into: without an index they are the same scan.
+        let mut cache = ResolverCache::new();
+        for resolver in [
+            ChannelResolver::new(&params, &txs),
+            ChannelResolver::cached(&params, &txs, &mut cache),
+        ] {
+            prop_assert!(!resolver.is_fast());
+            let task = resolver.task(BoundingBox::from_points(listeners.iter().copied()).unwrap());
+            let keys: Vec<u32> = (0..listeners.len() as u32).rev().collect();
+            let mut batch = Vec::new();
+            let mut task_batch = Vec::new();
+            let mut indexed = vec![ListenOutcome::SILENT; keys.len()];
+            let mut task_indexed = indexed.clone();
+            resolver.resolve_batch_into(&listeners, extra, &mut batch);
+            task.resolve_batch_into(&listeners, extra, &mut task_batch);
+            resolver.resolve_indexed_into(&listeners, &keys, extra, &mut indexed);
+            task.resolve_indexed_into(&listeners, &keys, extra, &mut task_indexed);
+            for (k, &l) in listeners.iter().enumerate() {
+                let one = resolve_listener_ext(&params, &txs, l, extra);
+                let back = listeners.len() - 1 - k;
+                for got in [
+                    batch[k],
+                    task_batch[k],
+                    indexed[back],
+                    task_indexed[back],
+                    resolver.resolve(l, extra),
+                    task.resolve(l, extra),
+                ] {
+                    prop_assert_eq!(got.decoded, one.decoded);
+                    prop_assert_eq!(got.total_power.to_bits(), one.total_power.to_bits());
+                    prop_assert_eq!(got.signal.to_bits(), one.signal.to_bits());
+                    prop_assert_eq!(got.sinr.to_bits(), one.sinr.to_bits());
+                }
             }
         }
     }

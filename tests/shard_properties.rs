@@ -9,7 +9,9 @@
 //! pin transmitters *exactly* onto the partition lines, where any
 //! off-by-one in halo classification would first bite.
 
+use multichannel_adhoc::obs::SpanKind;
 use multichannel_adhoc::prelude::*;
+use multichannel_adhoc::radio::shard::{effective_shards, ShardMap};
 use multichannel_adhoc::radio::{Action, Metrics, Observation, Protocol};
 use multichannel_adhoc::sinr::ResolveMode;
 use proptest::prelude::*;
@@ -69,7 +71,7 @@ static POOL_CONFIG: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// Runs `slots` slots of chatter over `positions` on a `threads`-worker
 /// pool with the given shard grid, churn, and a deterministic motion
 /// schedule (node `slot % n` drifts a little each slot — enough to cross
-/// shard boundaries and fire reassignment events). Returns the full
+/// shard boundaries and stretch the listeners' box). Returns the full
 /// metrics, every node's verbatim observation log, and whether pool
 /// workers executed any task during the run.
 #[allow(clippy::too_many_arguments)]
@@ -166,26 +168,67 @@ fn shard_edge_transmitters_heard_identically_exact_and_fast() {
     }
 }
 
+/// A listener's shard is read off the position staged for it in the very
+/// slot it is resolved in: drag a block of nodes across the plane (out of
+/// the deployment's box, so every grid line moves) between two slots, and
+/// the slot after already resolves as many `Unit`s as the grid over its
+/// listeners' *current* positions has occupied cells — observations equal
+/// to the unsharded run's throughout.
 #[test]
-fn sharded_engine_builds_and_maintains_its_partition() {
-    let positions = pinned_world(380, 32.0, 4);
-    let params = SinrParams::default();
-    let protocols = (0..positions.len())
-        .map(|_| Recorder::new(1, 0.4))
-        .collect();
-    let mut engine = Engine::new(params, positions, protocols, 3).with_shards(4);
-    assert!(engine.shard_map().is_none(), "map is built lazily");
-    engine.step();
-    let map = engine.shard_map().expect("built at first sharded slot");
-    assert_eq!(map.shards(), 4);
-    let before = map.shard_of(0);
-    // Drag node 0 across the whole plane: the partition must follow via
-    // the event stream (node 0 is pinned at the bbox corner, so this
-    // crosses every column).
-    engine.positions_mut()[0] = Point::new(31.9, 31.9);
-    engine.step();
-    let map = engine.shard_map().unwrap();
-    assert_ne!(map.shard_of(0), before, "reassignment must follow motion");
+fn sharded_units_follow_the_positions_staged_in_the_same_slot() {
+    let positions = pinned_world(600, 32.0, 4);
+    let engine = |shards: u16| {
+        let protocols = (0..positions.len())
+            .map(|_| Recorder::new(1, 0.4))
+            .collect();
+        Engine::new(SinrParams::default(), positions.clone(), protocols, 3).with_shards(shards)
+    };
+    let (mut sharded, mut plain) = (engine(4), engine(0));
+    sharded.attach_obs(multichannel_adhoc::obs::Recorder::new());
+    let mut occupied_per_slot = Vec::new();
+    for slot in 0..4u64 {
+        if slot == 1 {
+            for e in [&mut sharded, &mut plain] {
+                for p in e.positions_mut().iter_mut().filter(|p| p.x < 8.0) {
+                    *p = Point::new(p.x + 100.0, 31.0 - p.y);
+                }
+            }
+        }
+        sharded.step();
+        plain.step();
+        // Who listened this slot: whoever logged a reception or noise.
+        let listeners: Vec<Point> = sharded
+            .protocols()
+            .iter()
+            .zip(sharded.positions())
+            .filter(|(r, _)| {
+                r.heard.last().is_some_and(|h| h.0 == slot)
+                    || r.noise.last().is_some_and(|n| n.0 == slot)
+            })
+            .map(|(_, &p)| p)
+            .collect();
+        let s_eff = effective_shards(sharded.shards(), listeners.len());
+        assert!(s_eff >= 2, "slot {slot}: the channel must shard");
+        let bounds = BoundingBox::from_points(listeners.iter().copied()).unwrap();
+        let grid = ShardMap::over(s_eff, bounds);
+        let mut cells: Vec<u16> = listeners.iter().map(|&p| grid.locate(p)).collect();
+        cells.sort_unstable();
+        cells.dedup();
+        let spans = sharded.obs().unwrap().spans();
+        let units = spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Unit && s.slot == slot)
+            .count();
+        assert_eq!(units, cells.len(), "slot {slot}: units vs occupied cells");
+        occupied_per_slot.push(cells.len());
+    }
+    // The move empties whole columns of the stretched grid: were the
+    // partition not re-read, the counts above could not all have held.
+    assert!(occupied_per_slot[1] < occupied_per_slot[0]);
+    assert_eq!(sharded.metrics(), plain.metrics());
+    for (a, b) in sharded.protocols().iter().zip(plain.protocols()) {
+        assert_eq!((&a.heard, &a.noise), (&b.heard, &b.noise));
+    }
 }
 
 proptest! {
