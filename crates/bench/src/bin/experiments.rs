@@ -105,6 +105,16 @@ const COMMANDS: &[Cmd] = &[
         run: golden_trials,
     },
     Cmd {
+        name: "flip-audit",
+        args: "[--write] [<scenario.toml> | dense-slot]...",
+        summary: "resolve every listen of a Fast-mode run in both modes,\n\
+                  list every decode flip and hold each to its bound;\n\
+                  no target = every committed run, checked against\n\
+                  (or --write: rewriting) scenarios/GOLDEN_flips.json",
+        help: "",
+        run: cmd_flip_audit,
+    },
+    Cmd {
         name: "sweep",
         args: "<matrix.toml> [--out F] [--journal F] [--limit N] [--fresh] [--sequential]",
         summary: "expand a [matrix] file into a keyed trial set and\n\
@@ -754,6 +764,73 @@ fn golden_trials(args: &[String]) -> ExitCode {
     match mca_bench::check_golden_trials(path) {
         Ok(()) => {
             println!("golden trial metrics match {path} (bit-identical)");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// `experiments flip-audit [--write] [<scenario.toml> | dense-slot]...`
+fn cmd_flip_audit(args: &[String]) -> ExitCode {
+    use mca_bench::flip_audit;
+    const GOLDEN: &str = "scenarios/GOLDEN_flips.json";
+    let write = args.iter().any(|a| a == "--write");
+    let targets: Vec<&String> = args.iter().filter(|a| *a != "--write").collect();
+    if let Some(flag) = targets.iter().find(|a| a.starts_with('-')) {
+        eprintln!("error: unexpected argument `{flag}`\n{}", usage());
+        return ExitCode::from(2);
+    }
+    if write && !targets.is_empty() {
+        eprintln!("error: --write rewrites every committed run; name no target");
+        return ExitCode::from(2);
+    }
+    let t0 = Instant::now();
+    let mut runs = Vec::new();
+    for target in &targets {
+        if *target == flip_audit::DENSE_SLOT {
+            runs.push(flip_audit::audit_dense_slot());
+            continue;
+        }
+        match Scenario::load(target.as_str()) {
+            Ok(s) => runs
+                .extend(flip_audit::AUDIT_SEEDS.map(|seed| flip_audit::audit_scenario(&s, seed))),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    if targets.is_empty() {
+        runs = flip_audit::audit_all();
+    }
+    println!("{}", flip_audit::flip_audit_table(&runs));
+    if logs(LogLevel::Summary) {
+        eprintln!(
+            "[flip audit of {} runs in {:.1}s]",
+            runs.len(),
+            t0.elapsed().as_secs_f64()
+        );
+    }
+    if write {
+        if let Err(e) = std::fs::write(GOLDEN, flip_audit::golden_flips_json(&runs)) {
+            eprintln!("error: cannot write {GOLDEN}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("wrote {GOLDEN}");
+    }
+    let committed = match std::fs::read_to_string(GOLDEN) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("error: cannot read {GOLDEN}: {e} (run `experiments flip-audit --write`?)");
+            return ExitCode::FAILURE;
+        }
+    };
+    match flip_audit::check_flip_audit(&runs, &committed) {
+        Ok(()) => {
+            println!("flip audit matches {GOLDEN}: every flip inside its bound");
             ExitCode::SUCCESS
         }
         Err(e) => {

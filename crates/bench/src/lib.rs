@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 
 pub mod adversary_bench;
+pub mod flip_audit;
 pub mod golden;
 pub mod profile;
 pub mod repair_bench;

@@ -3,8 +3,9 @@
 //! Runs the flood max-aggregation workload (the same one behind
 //! `--scenario`) with an `mca-obs` recorder attached, then renders where
 //! the engine's slot time goes: one row per span kind with wall, self,
-//! and p50/p95/max durations, what one resolved listen cost, the engine's
-//! resolver-cache counters, and the per-phase slot coverage.
+//! and p50/p95/max durations, what one resolved listen cost in time and in
+//! power evaluations, the engine's resolver-cache counters, and the
+//! per-phase slot coverage.
 //!
 //! The coverage figure is also the harness's acceptance gate: the phase
 //! spans (event drain, gather, stage, resolve, deliver) must account for
@@ -52,6 +53,10 @@ pub struct ProfileRun {
     pub recorder: Recorder,
     /// Per-kind statistics derived from `recorder`.
     pub report: Report,
+    /// What those nanoseconds buy — the evaluation count of one listen,
+    /// off the reference walk over a slot sampled from the same world
+    /// ([`crate::flip_audit::sampled_walk`]).
+    pub walk: Option<(f64, f64, usize)>,
 }
 
 impl ProfileRun {
@@ -121,12 +126,13 @@ pub fn profile_scenario(scenario: &Scenario, seed: u64) -> ProfileRun {
         trial,
         recorder,
         report,
+        walk: crate::flip_audit::sampled_walk(scenario, seed),
     }
 }
 
 /// Renders the profile as markdown: the per-phase breakdown (one row per
 /// span kind, in the report's fixed kind order), the derived cost of one
-/// resolved listen, then the recorder's counters and how many records its
+/// resolved listen and its evaluation count, then the recorder's counters and how many records its
 /// retention caps discarded.
 pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> String {
     let mut spans = Table::new(
@@ -165,7 +171,14 @@ pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> String {
         Some(cost) => cost.to_string(),
         None => "resolve: no channel with both a transmitter and a listener was recorded".into(),
     };
-    format!("{spans}\n{resolve}\n\n{counters}")
+    let walk = match run.walk {
+        Some((near, nodes, tx)) => format!(
+            "walk: {near:.1} near + {nodes:.1} node evaluations per listen \
+             (reference walk, one sampled slot of {tx} transmitters)"
+        ),
+        None => "walk: the sampled slot has no transmitter or no listener".into(),
+    };
+    format!("{spans}\n{resolve}\n{walk}\n\n{counters}")
 }
 
 #[cfg(test)]
@@ -226,8 +239,9 @@ mod tests {
             unit.total_ns as f64 / cost.listens as f64
         );
         let table = profile_table(&s, &run);
-        let line = format!("\n{cost}\n");
+        let line = format!("\n{cost}\nwalk: ");
         assert!(table.contains(&line), "no `{line}` in:\n{table}");
+        assert!(table.contains(" node evaluations per listen "), "{table}");
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub struct ScenarioTrial {
 /// The flood configuration used for a scenario of `channels` channels and
 /// `max_slots` slots: the last quarter (capped at 100 slots) is the quiet
 /// tail, and the flood hops over every channel of the world.
-fn flood_cfg(channels: u16, max_slots: u64) -> FloodCfg {
+pub(crate) fn flood_cfg(channels: u16, max_slots: u64) -> FloodCfg {
     let tail_rounds = (max_slots / 4).min(100);
     FloodCfg {
         q: 0.2,

@@ -14,7 +14,7 @@
 //!    center, a count — enters each kernel as a scalar, so it is read from
 //!    wherever its owner already stores it: the exact scan folds over the
 //!    caller's `&[Point]`, rectangle and center scalars come straight off
-//!    the index's cell and block structs. The one coordinate copy is the
+//!    the index's nodes. The one coordinate copy is the
 //!    index's per-cell CSR `xs`/`ys` — a *gather* of the transmitters into
 //!    cell order, which no other structure holds.
 //! 2. **Lane-wise evaluation, lane-wise reduction.** Per transmitter, `dx`,
@@ -240,10 +240,10 @@ pub fn accumulate_scan_lanes(
 }
 
 /// Far-only variant of [`rect_metrics_lanes`]: just the aggregated center
-/// term, no rectangle clamp. For a block (or cell) already known to be
-/// beyond the near cutoff for **every** lane of the batch, the rectangle
-/// distance can steer no branch — this drops half the vector work from
-/// the dominant all-far cell scan. Element `l` is bitwise the scalar
+/// term, no rectangle clamp. For a node already known to be beyond its
+/// opening radius for **every** lane of the batch (a shard task's
+/// candidate list rules it out), the rectangle distance can steer no
+/// branch. Element `l` is bitwise the scalar
 /// `count · P/d(center, listener_l)^α`.
 #[inline(always)]
 pub fn far_terms_lanes(

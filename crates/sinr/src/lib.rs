@@ -13,7 +13,8 @@
 //! * [`ChannelResolver`] — the batched per-channel resolver the engine hot
 //!   path runs on, with [`ResolveMode::Exact`] (bit-for-bit the scalar
 //!   reference) and [`ResolveMode::Fast`] (hierarchical near/far split:
-//!   exact near field, per-cell then per-block aggregated far field, all
+//!   exact near field, far field aggregated node by node up a quadtree
+//!   pyramid under one opening rule, all
 //!   error-bounded — see [`resolve_batch`] for the `α > 2` tail-bound
 //!   derivation). [`ResolverCache`] persists the spatial index across
 //!   slots; [`TaskResolver`] is the per-shard-task view the engine's
@@ -49,4 +50,4 @@ pub use params::{NodeKnowledge, ParamInterval, PowerKernel, ResolveMode, SinrPar
 pub use resolve::{
     is_clear_reception, resolve_channel, resolve_listener, resolve_listener_ext, ListenOutcome,
 };
-pub use resolve_batch::{ChannelResolver, ResolverCache, TaskResolver};
+pub use resolve_batch::{ChannelResolver, ResolverCache, TaskResolver, WalkStats};

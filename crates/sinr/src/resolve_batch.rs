@@ -1,4 +1,4 @@
-//! Batched per-channel SINR resolution over a hierarchical spatial index.
+//! Batched per-channel SINR resolution over a far-field hierarchy.
 //!
 //! [`ChannelResolver`] takes the transmitter set of one channel *once* per
 //! slot and resolves every listener of that channel against it, replacing
@@ -12,28 +12,31 @@
 //!   kernel the scalar reference uses, so outcomes are **bit-for-bit
 //!   identical** to [`resolve_listener`](crate::resolve_listener).
 //!
-//! * **[`ResolveMode::Fast`]** — a near/far split over a two-level spatial
-//!   index built on the transmitter positions. Grid cells whose rectangle
-//!   comes within the cutoff radius `R_c = cutoff_factor · R_T` of the
-//!   listener are summed exactly, transmitter by transmitter. Farther
-//!   cells contribute one aggregated term `n_cell · P / d(center)^α` — and,
-//!   new in the sharded-engine rework, cells are grouped into
-//!   [`BLOCK_CELLS`]×[`BLOCK_CELLS`] **blocks**: a block whose rectangle is
-//!   beyond both the cutoff and [`BLOCK_FAR_FACTOR`]× its own diagonal
-//!   contributes a *single* aggregated term for all of its cells. On a
-//!   100k-node dense world this cuts the per-listener far-field loop from
-//!   every occupied cell (thousands) to a ring of descended blocks plus
-//!   one term per far block.
+//! * **[`ResolveMode::Fast`]** — a near/far split over a hierarchy built
+//!   on the transmitter positions: a quadtree pyramid over an adaptive
+//!   grid (cell → 2×2 cells → 4×4 → … → one root), only occupied nodes
+//!   stored, in one flat pre-order array. Every level answers to one
+//!   **opening rule**: a node whose rectangle lies beyond its level's
+//!   opening radius from the listener contributes a *single* aggregated
+//!   term `n · P / d(center)^α` for everything below it; a closer node is
+//!   *opened* and its children are asked the same question. A cell's
+//!   opening radius is the cutoff `R_c = cutoff_factor · R_T` and an
+//!   opened cell is summed exactly, transmitter by transmitter — the near
+//!   field. A level-`k ≥ 1` node groups `2^k × 2^k` cells and opens inside
+//!   `max(R_c, `[`BLOCK_FAR_FACTOR`]` × its nominal diagonal)`, so the
+//!   grain of the far field grows with distance: on a 10 000-transmitter
+//!   dense slot a listener folds ~400 near transmitters and visits ~340
+//!   nodes, where one term per far cell would be thousands.
 //!
 //! # Determinism contract
 //!
 //! A listener's outcome is a **pure function of `(params, transmitter
 //! positions, listener, extra_interference)`** — never of how listeners are
 //! batched, partitioned into shard tasks ([`ChannelResolver::task`]), or
-//! spread across threads. The per-listener traversal is fixed (blocks in
-//! row-major order; within a descended block, cells in row-major order;
-//! within a near cell, transmitters in input order), so sharded, parallel,
-//! and sequential resolution of the same channel are bit-for-bit identical.
+//! spread across threads. The per-listener traversal is fixed (nodes in
+//! pre-order, a node's children row-major; within a near cell,
+//! transmitters in input order), so sharded, parallel, and sequential
+//! resolution of the same channel are bit-for-bit identical.
 //! The engine's unit schedule and `MCA_FORCE_PAR` override lean on exactly
 //! this property (see `docs/EXECUTION_MODEL.md`).
 //!
@@ -52,17 +55,20 @@
 //! which **converges precisely because `α > 2`** — the same
 //! bounded-far-interference reasoning behind Definition 4's clear-reception
 //! threshold and Lemma 2's annulus argument. Fast mode does not even
-//! discard the tail: it *aggregates* it per cell or per block, so only the
+//! discard the tail: it *aggregates* it node by node, so only the
 //! *variation of distance within the aggregated rectangle* is approximated
 //! (closed-form estimates in [`crate::bounds::far_field_tail`] and
 //! [`crate::bounds::far_cell_error`]). Beyond the analytic estimate, the
 //! resolver computes a **rigorous per-listener bound** from the actual
-//! placement: each aggregated rectangle's true power lies in
+//! placement: each aggregated node's true power lies in
 //! `[n·P/d_max^α, n·P/d_min^α]` (`d_min`/`d_max` the nearest/farthest point
-//! of the rectangle), and the center estimate lies in the same interval, so
+//! of its rectangle — at any level the rectangle contains every
+//! transmitter below the node, so the interval argument is the same one
+//! node by node), and the center estimate lies in the same interval, so
 //! the interference error is at most the summed interval widths — returned
-//! by [`ChannelResolver::resolve_with_bound`]. Because `cutoff_factor ≥ 1`
-//! forces `R_c ≥ R_T`, no aggregated transmitter can ever be decodable
+//! by [`ChannelResolver::resolve_with_bound`]. Every opening radius is at
+//! least `R_c`, and `cutoff_factor ≥ 1`
+//! forces `R_c ≥ R_T`, so no aggregated transmitter can ever be decodable
 //! (decoding requires `d ≤ R_T`), so Fast mode can only differ from Exact
 //! on a decode whose SINR margin is within that published bound plus
 //! floating-point rounding — the property the crate's tests enforce.
@@ -80,100 +86,174 @@ const FAST_MIN_TX: usize = 16;
 /// set cannot blow up the grid's memory.
 const MAX_CELLS_PER_AXIS: f64 = 192.0;
 
-/// Side length of a far-field block, in grid cells (blocks are
-/// `BLOCK_CELLS × BLOCK_CELLS` cells).
-pub const BLOCK_CELLS: usize = 8;
+/// Levels a hierarchy can have: [`MAX_CELLS_PER_AXIS`] caps a grid at 193
+/// cells a side, which a root of `2⁸` cells a side covers.
+const MAX_LEVELS: usize = 9;
 
-/// A block is aggregated as one term only beyond `BLOCK_FAR_FACTOR` times
-/// its own (nominal) diagonal — closer blocks descend to per-cell terms.
-/// At the threshold distance the block's half-diagonal is at most 1/3 of
-/// the distance to any listener, so the center-point estimate's relative
-/// error per block stays bounded; the rigorous per-listener interval bound
-/// reports whatever error actually accrues.
+/// A node above the cells is aggregated as one term only beyond
+/// `BLOCK_FAR_FACTOR` times its level's nominal diagonal (`2^k` cells a
+/// side) — closer nodes are opened. At the threshold distance the node's
+/// half-diagonal is at most 1/3 of the distance to any listener, so the
+/// center-point estimate's relative error per node stays bounded at every
+/// level; the rigorous per-listener interval bound reports whatever error
+/// actually accrues.
 pub const BLOCK_FAR_FACTOR: f64 = 1.5;
 
-/// One occupied transmitter cell of the Fast-mode index.
-struct CellSpan {
+/// What one scalar reference walk evaluated
+/// ([`ChannelResolver::resolve_with_bound`]): the lane walk does the same
+/// work per batch of [`LANE_WIDTH`] listeners that share their
+/// neighborhood, so `near + nodes` is the batch kernel's evaluation count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkStats {
+    /// Transmitters folded exactly (the near field; on the exact path,
+    /// every transmitter).
+    pub near: u64,
+    /// Nodes visited — one rectangle test and one center term each.
+    pub nodes: u64,
+}
+
+/// One occupied node of the Fast-mode hierarchy: a grid cell (level 0) or
+/// the `2^level × 2^level` cells of one quadtree square. One cache line.
+struct Node {
+    /// A cell's grid rectangle; above the cells, the tight bounding box of
+    /// the occupied children's rectangles.
     rect: BoundingBox,
-    /// Center of `rect` — the cell's far-field evaluation point.
+    /// Center of `rect` — the node's far-field evaluation point.
     center: Point,
-    /// Range into [`FastIndex::items`].
+    /// The node's transmitters are `items[start..start + count]` (cells
+    /// of one subtree are contiguous in pre-order, so their items are).
     start: u32,
-    end: u32,
-    /// Transmitters in the cell (`end - start`), pre-widened for the
-    /// power sum.
-    count: f64,
+    count: u32,
+    /// Index of the next node in pre-order that is not below this one;
+    /// the nodes between are this node's subtree.
+    skip: u32,
+    level: u8,
 }
 
-/// One block of up to [`BLOCK_CELLS`]² occupied cells: the unit of
-/// far-field aggregation (and of halo classification in shard tasks).
-struct BlockSpan {
-    /// Tight bounding box of the member cells' rectangles.
-    rect: BoundingBox,
-    /// Center of `rect` — the block's far-field evaluation point.
-    center: Point,
-    /// Range into [`FastIndex::cells`].
-    cell_start: u32,
-    cell_end: u32,
-    /// Total transmitters in the block, pre-widened for the power sum.
-    count: f64,
-}
-
-/// Fast-mode spatial index: occupied cells grouped into row-major blocks,
-/// cells row-major within each block, transmitter indices contiguous per
-/// cell — all orders deterministic.
+/// Fast-mode spatial index: the occupied nodes of a quadtree pyramid over
+/// the adaptive grid in pre-order (children row-major), transmitter
+/// indices contiguous per cell — all orders deterministic.
 struct FastIndex {
-    blocks: Vec<BlockSpan>,
-    cells: Vec<CellSpan>,
+    nodes: Vec<Node>,
     items: Vec<u32>,
     /// Coordinates gathered into `items` order: `lane_xs[k]`/`lane_ys[k]`
-    /// are those of transmitter `items[k]`, so a cell's CSR slices
-    /// (`&lane_xs[cell.start..cell.end]`) feed the near fold contiguous
-    /// coordinates with no per-listener gather through `tx`. Everything
-    /// else the batch walk reads — a rectangle, a center, a count — is a
-    /// broadcast scalar and comes straight off `cells`/`blocks`.
+    /// are those of transmitter `items[k]`, so a cell's CSR slices feed
+    /// the near fold contiguous coordinates with no per-listener gather
+    /// through `tx`. Everything else the batch walk reads — a rectangle, a
+    /// center, a count — is a broadcast scalar and comes straight off
+    /// `nodes`.
     lane_xs: Vec<f64>,
     lane_ys: Vec<f64>,
-    /// Squared near-field cutoff `R_c²`.
-    cutoff_sq: f64,
-    /// Squared block-descend radius `max(R_c, BLOCK_FAR_FACTOR·diag)²`:
-    /// blocks farther than this from a listener are aggregated whole.
-    descend_sq: f64,
+    /// Squared opening radius per level: `R_c²` for the cells (an opened
+    /// cell is the near field), `max(R_c, BLOCK_FAR_FACTOR·diag_k)²` above
+    /// them. Non-decreasing in the level, and a child's rectangle lies
+    /// inside its parent's — so nothing below an aggregated node could
+    /// have opened, and every aggregated transmitter is beyond `R_c`.
+    open_sq: [f64; MAX_LEVELS],
     /// Estimated power-evaluation count per resolved listener — the
     /// quantity the engine's pooling threshold is measured in.
     work_per_listener: usize,
     /// Grid origin (minimum y) and cell side — the quantization the
     /// batched resolver sorts listeners by so the [`LANE_WIDTH`] lanes of
-    /// one batch share their descended-block neighborhood. Locality only:
-    /// outcomes never depend on the sort.
+    /// one batch open the same nodes. Locality only: outcomes never depend
+    /// on the sort.
     origin_y: f64,
     cell_side: f64,
 }
 
-/// One cell staged during the block-major regrouping pass of
-/// [`FastIndex::build`].
-#[derive(Clone, Copy, Default)]
+/// One occupied grid cell staged for [`FastIndex::build`]'s pre-order
+/// pass: its rectangle and its range of [`BuildScratch::flat`].
+#[derive(Clone, Copy)]
 struct Placed {
-    rect: Option<BoundingBox>,
+    rect: BoundingBox,
     lo: u32,
     hi: u32,
 }
 
-/// Reusable temporaries of [`FastIndex::build`]: the counting-sort
-/// layout, cursors, staged cells, and the flattened item copy. Owned by
-/// [`ResolverCache`] so steady-state rebuilds (mobile worlds re-index
-/// every slot) allocate nothing.
+/// Reusable temporaries of [`FastIndex::build`]: the staged cells, the
+/// dense cell → staged-cell table (`0` = empty, else index + 1) and the
+/// flattened item copy. Owned by [`ResolverCache`] so steady-state
+/// rebuilds (mobile worlds re-index every slot) allocate nothing.
 #[derive(Default)]
 struct BuildScratch {
-    starts: Vec<u32>,
-    cursor: Vec<u32>,
+    cell_of: Vec<u32>,
     placed: Vec<Placed>,
     flat: Vec<u32>,
 }
 
+/// The pre-order pass of [`FastIndex::build`]: staged cells in, nodes and
+/// gathered items out.
+struct Emit<'a> {
+    tx: &'a [Point],
+    /// Grid dimensions in cells.
+    dims: (usize, usize),
+    scratch: &'a BuildScratch,
+    out: &'a mut FastIndex,
+    /// Nodes emitted per level (the work estimate's input).
+    per_level: [u32; MAX_LEVELS],
+}
+
+impl Emit<'_> {
+    /// Emits the subtree of the level-`level` square at `(bx, by)` (in
+    /// units of `2^level` cells) — the node, then its occupied children
+    /// row-major — and returns its rectangle and transmitter count, or
+    /// `None` (nothing emitted) when no cell below it is occupied.
+    fn subtree(&mut self, level: usize, bx: usize, by: usize) -> Option<(BoundingBox, u32)> {
+        let (nx, ny) = self.dims;
+        if (bx << level) >= nx || (by << level) >= ny {
+            return None;
+        }
+        // The node precedes what is below it: hold its slot, fill it in
+        // once that is known, give it back if nothing is.
+        let at = self.out.nodes.len();
+        let start = self.out.items.len() as u32;
+        self.out.nodes.push(Node {
+            rect: BoundingBox::new(Point::ORIGIN, Point::ORIGIN),
+            center: Point::ORIGIN,
+            start,
+            count: 0,
+            skip: 0,
+            level: level as u8,
+        });
+        let mut below: Option<(BoundingBox, u32)> = None;
+        if level > 0 {
+            for (dx, dy) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                if let Some((r, n)) = self.subtree(level - 1, 2 * bx + dx, 2 * by + dy) {
+                    below = Some(below.map_or((r, n), |(mut rect, count)| {
+                        rect.expand(r.min());
+                        rect.expand(r.max());
+                        (rect, count + n)
+                    }));
+                }
+            }
+        } else if let Some(staged) = self.scratch.cell_of[by * nx + bx].checked_sub(1) {
+            let cell = self.scratch.placed[staged as usize];
+            let span = &self.scratch.flat[cell.lo as usize..cell.hi as usize];
+            self.out.items.extend_from_slice(span);
+            let tx = self.tx;
+            self.out
+                .lane_xs
+                .extend(span.iter().map(|&i| tx[i as usize].x));
+            self.out
+                .lane_ys
+                .extend(span.iter().map(|&i| tx[i as usize].y));
+            below = Some((cell.rect, cell.hi - cell.lo));
+        }
+        let Some((rect, count)) = below else {
+            self.out.nodes.pop();
+            return None;
+        };
+        let skip = self.out.nodes.len() as u32;
+        let node = &mut self.out.nodes[at];
+        (node.rect, node.center, node.count, node.skip) = (rect, rect.center(), count, skip);
+        self.per_level[level] += 1;
+        Some((rect, count))
+    }
+}
+
 impl FastIndex {
-    /// Builds the two-level index over `tx` under `params`, or `None` when
-    /// the geometry cannot profit from one (mode is Exact, too few
+    /// Builds the hierarchy over `tx` under `params`, or `None` when the
+    /// geometry cannot profit from one (mode is Exact, too few
     /// transmitters, an all-near world, or cell counts rivaling the
     /// transmitter count). `grid` and `scratch` are persistent: the
     /// spatial grid is re-indexed in place ([`SpatialGrid::rebuild`]) and
@@ -220,152 +300,102 @@ impl FastIndex {
             None => *grid = Some(SpatialGrid::build(tx, side)),
         }
         let grid = grid.as_ref().expect("grid just ensured");
-        let (nx, ny) = grid.dims();
-        let bnx = nx.div_ceil(BLOCK_CELLS);
-        let bny = ny.div_ceil(BLOCK_CELLS);
+        let dims = grid.dims();
+        let root_level = dims.0.max(dims.1).next_power_of_two().trailing_zeros() as usize;
+        debug_assert!(root_level < MAX_LEVELS, "grid of {dims:?} cells");
 
-        let mut parts = match recycle {
-            Some(mut old) => {
-                old.blocks.clear();
-                old.cells.clear();
-                old.items.clear();
-                old.lane_xs.clear();
-                old.lane_ys.clear();
-                old
-            }
-            None => FastIndex {
-                blocks: Vec::new(),
-                cells: Vec::new(),
-                items: Vec::with_capacity(tx.len()),
-                lane_xs: Vec::with_capacity(tx.len()),
-                lane_ys: Vec::with_capacity(tx.len()),
-                cutoff_sq: 0.0,
-                descend_sq: 0.0,
-                work_per_listener: 0,
-                origin_y: 0.0,
-                cell_side: 0.0,
-            },
-        };
-        let FastIndex {
-            blocks,
-            cells,
-            items,
-            lane_xs,
-            lane_ys,
-            ..
-        } = &mut parts;
-
-        // Pass 1: count occupied cells per block (counting-sort layout),
-        // in the reused scratch.
-        let starts = &mut scratch.starts;
-        starts.clear();
-        starts.resize(bnx * bny + 1, 0);
-        grid.for_each_cell(|cell| {
-            let b = (cell.cy / BLOCK_CELLS) * bnx + cell.cx / BLOCK_CELLS;
-            starts[b + 1] += 1;
+        let mut index = recycle.unwrap_or_else(|| FastIndex {
+            nodes: Vec::new(),
+            items: Vec::with_capacity(tx.len()),
+            lane_xs: Vec::with_capacity(tx.len()),
+            lane_ys: Vec::with_capacity(tx.len()),
+            open_sq: [0.0; MAX_LEVELS],
+            work_per_listener: 0,
+            origin_y: 0.0,
+            cell_side: 0.0,
         });
-        for b in 0..bnx * bny {
-            starts[b + 1] += starts[b];
-        }
-        let total_cells = starts[bnx * bny] as usize;
-        // Pass 2: place cells block-major (row-major blocks; the grid's
-        // row-major cell visit order is preserved within each block, so the
-        // whole layout is deterministic). Items land contiguously per cell
-        // in a third pass once cell order is fixed.
-        let placed = &mut scratch.placed;
+        index.nodes.clear();
+        index.items.clear();
+        index.lane_xs.clear();
+        index.lane_ys.clear();
+
+        // Stage the occupied cells as the grid visits them, with a dense
+        // table to find one by its coordinates, then emit the pyramid in
+        // pre-order from the root.
+        let BuildScratch {
+            cell_of,
+            placed,
+            flat,
+        } = &mut *scratch;
+        cell_of.clear();
+        cell_of.resize(dims.0 * dims.1, 0);
         placed.clear();
-        placed.resize(total_cells, Placed::default());
-        let cursor = &mut scratch.cursor;
-        cursor.clear();
-        cursor.extend_from_slice(starts);
-        let flat = &mut scratch.flat;
         flat.clear();
         grid.for_each_cell(|cell| {
-            let b = (cell.cy / BLOCK_CELLS) * bnx + cell.cx / BLOCK_CELLS;
             let lo = flat.len() as u32;
             flat.extend_from_slice(cell.items);
-            placed[cursor[b] as usize] = Placed {
-                rect: Some(cell.rect),
+            placed.push(Placed {
+                rect: cell.rect,
                 lo,
                 hi: flat.len() as u32,
-            };
-            cursor[b] += 1;
-        });
-        // Pass 3: emit blocks, cells, and items in final order.
-        for b in 0..bnx * bny {
-            let (lo, hi) = (starts[b] as usize, starts[b + 1] as usize);
-            if lo == hi {
-                continue;
-            }
-            let cell_start = cells.len() as u32;
-            let mut rect: Option<BoundingBox> = None;
-            let mut count = 0u32;
-            for p in &placed[lo..hi] {
-                let cell_rect = p.rect.expect("placed");
-                let start = items.len() as u32;
-                let span = &flat[p.lo as usize..p.hi as usize];
-                items.extend_from_slice(span);
-                lane_xs.extend(span.iter().map(|&i| tx[i as usize].x));
-                lane_ys.extend(span.iter().map(|&i| tx[i as usize].y));
-                cells.push(CellSpan {
-                    rect: cell_rect,
-                    center: cell_rect.center(),
-                    start,
-                    end: items.len() as u32,
-                    count: f64::from(p.hi - p.lo),
-                });
-                count += p.hi - p.lo;
-                rect = Some(match rect {
-                    None => cell_rect,
-                    Some(mut r) => {
-                        r.expand(cell_rect.min());
-                        r.expand(cell_rect.max());
-                        r
-                    }
-                });
-            }
-            let rect = rect.expect("non-empty block");
-            blocks.push(BlockSpan {
-                rect,
-                center: rect.center(),
-                cell_start,
-                cell_end: cells.len() as u32,
-                count: f64::from(count),
             });
+            cell_of[cell.cy * dims.0 + cell.cx] = placed.len() as u32;
+        });
+        let mut emit = Emit {
+            tx,
+            dims,
+            scratch,
+            out: &mut index,
+            per_level: [0; MAX_LEVELS],
+        };
+        emit.subtree(root_level, 0, 0)
+            .expect("a transmitter occupies a cell");
+        let per_level = emit.per_level;
+
+        for (k, open_sq) in index.open_sq.iter_mut().enumerate() {
+            // A cell is the grain the side rule above already sized; only
+            // the groupings of cells answer to their diagonal.
+            let diag = if k == 0 {
+                0.0
+            } else {
+                f64::from(1u32 << k) * side * std::f64::consts::SQRT_2
+            };
+            let open = cutoff.max(BLOCK_FAR_FACTOR * diag);
+            *open_sq = open * open;
         }
 
-        // Blocks aggregate only beyond BLOCK_FAR_FACTOR× their *nominal*
-        // diagonal (full BLOCK_CELLS×BLOCK_CELLS extent — an upper bound on
-        // any block's actual diagonal, so the error-control intent holds
-        // for partial edge blocks too), and never inside the cutoff — so
-        // an aggregated block can contain no near cell.
-        let nominal_diag = (BLOCK_CELLS as f64) * side * std::f64::consts::SQRT_2;
-        let descend = cutoff.max(BLOCK_FAR_FACTOR * nominal_diag);
-        let descend_sq = descend * descend;
-
-        // Per-listener cost estimate: one term per block, plus the cells of
-        // blocks inside the descend ring, plus the expected exact near
-        // field (average transmitter density over the cutoff disk).
+        // Per-listener cost estimate, level by level from the root: a
+        // listener visits the children of the nodes it opened one level
+        // up, and opens those of them whose square comes within the
+        // level's opening radius — a disk swept by a square, at the
+        // level's node density. What it "visits" below the cells are the
+        // near transmitters.
         let area = bb.area().max(side * side);
-        let cell_density = total_cells as f64 / area;
-        let descended_cells =
-            (std::f64::consts::PI * descend_sq * cell_density).min(total_cells as f64);
-        let near_frac = (std::f64::consts::PI * cutoff_sq / area).min(1.0);
-        let work_per_listener =
-            blocks.len() + descended_cells as usize + (tx.len() as f64 * near_frac).ceil() as usize;
-
-        parts.cutoff_sq = cutoff_sq;
-        parts.descend_sq = descend_sq;
-        parts.work_per_listener = work_per_listener;
-        parts.origin_y = bb.min().y;
-        parts.cell_side = side;
-        Some(parts)
+        let mut visited = 1.0f64;
+        let mut work = 0.0;
+        for k in (0..=root_level).rev() {
+            work += visited;
+            let s = f64::from(1u32 << k) * side;
+            let r = index.open_sq[k].sqrt();
+            let within = std::f64::consts::PI * r * r + 4.0 * r * s + s * s;
+            let opened = visited.min(within * f64::from(per_level[k]) / area);
+            let below = if k == 0 {
+                tx.len() as f64
+            } else {
+                f64::from(per_level[k - 1])
+            };
+            visited = opened * below / f64::from(per_level[k]);
+        }
+        index.work_per_listener = (work + visited) as usize;
+        index.origin_y = bb.min().y;
+        index.cell_side = side;
+        Some(index)
     }
 
     /// Row-major spatial sort key for a listener: quantized grid row, then
     /// a monotone 32-bit image of `x`'s total order. Adjacent keys mean
-    /// nearby listeners, so a sorted batch's lanes walk almost the same
-    /// descended blocks. Key collisions and saturation on out-of-range
+    /// nearby listeners, so a sorted batch's lanes open almost the same
+    /// nodes. Key collisions and saturation on out-of-range
     /// coordinates are harmless — the key steers batching locality, never
     /// an outcome.
     #[inline]
@@ -393,8 +423,8 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Persistent per-channel resolver state: the spatial grid and two-level
-/// index survive across slots and are rebuilt **only when the transmitter
+/// Persistent per-channel resolver state: the spatial grid and the
+/// hierarchy over it survive across slots and are rebuilt **only when the transmitter
 /// positions (or physical parameters) actually change** — a static world
 /// builds its index once.
 ///
@@ -579,9 +609,17 @@ impl<'a> ChannelResolver<'a> {
         self.fast.get().is_some()
     }
 
-    /// Number of far-field blocks in the index (0 on the exact path).
-    pub fn block_count(&self) -> usize {
-        self.fast.get().map_or(0, |ix| ix.blocks.len())
+    /// Number of nodes in the hierarchy (0 on the exact path).
+    pub fn node_count(&self) -> usize {
+        self.fast.get().map_or(0, |ix| ix.nodes.len())
+    }
+
+    /// Number of levels in the hierarchy, cells included (0 on the exact
+    /// path).
+    pub fn levels(&self) -> usize {
+        self.fast
+            .get()
+            .map_or(0, |ix| ix.nodes[0].level as usize + 1)
     }
 
     /// Number of transmitters indexed.
@@ -619,7 +657,7 @@ impl<'a> ChannelResolver<'a> {
         &self,
         listener: Point,
         extra_interference: f64,
-        candidates: Option<&[u32]>,
+        candidates: Option<&[bool]>,
     ) -> ListenOutcome {
         let mut out = ListenOutcome::SILENT;
         self.resolve_batch_core(
@@ -633,44 +671,57 @@ impl<'a> ChannelResolver<'a> {
 
     /// Resolves one listener through the scalar reference walk,
     /// additionally returning the rigorous bound on the absolute
-    /// interference error of this outcome (always 0 on the exact path).
-    /// The outcome is bit-for-bit [`ChannelResolver::resolve`]'s — the
-    /// property that pins the lane walk — and a decode decision can differ
-    /// from [`ResolveMode::Exact`] only if moving the interference by the
-    /// bound — plus ulp-scale rounding slack from the cell-order near-field
-    /// sum — crosses the `β` threshold.
+    /// interference error of this outcome (always 0 on the exact path) and
+    /// what the walk evaluated. The outcome is bit-for-bit
+    /// [`ChannelResolver::resolve`]'s — the property that pins the lane
+    /// walk — and a decode decision can differ from [`ResolveMode::Exact`]
+    /// only if moving the interference by the bound — plus ulp-scale
+    /// rounding slack from the cell-order near-field sum — crosses the `β`
+    /// threshold.
     pub fn resolve_with_bound(
         &self,
         listener: Point,
         extra_interference: f64,
-    ) -> (ListenOutcome, f64) {
+    ) -> (ListenOutcome, f64, WalkStats) {
         match self.fast.get() {
             None => (
                 resolve_listener_ext(self.params, self.tx, listener, extra_interference),
                 0.0,
+                WalkStats {
+                    near: self.tx.len() as u64,
+                    nodes: 0,
+                },
             ),
             Some(index) => self.resolve_fast_scalar(index, listener, extra_interference),
         }
     }
 
     /// A resolver view for one shard task: listeners known to lie inside
-    /// `listeners_bbox`. The task precomputes, once, which blocks can
-    /// possibly descend for *any* listener in the box (the shard's halo
-    /// neighborhood); every other block is aggregate-only for the whole
-    /// task and skips its per-listener distance test. Because a block
-    /// farther than the descend radius from the box is farther than it
-    /// from every listener inside ([`BoundingBox::dist_sq_to_box`]
-    /// monotonicity), every per-listener branch decision is unchanged —
-    /// [`TaskResolver::resolve`] is bit-for-bit
-    /// [`ChannelResolver::resolve`].
+    /// `listeners_bbox`. The task precomputes, once, which nodes can
+    /// possibly open for *any* listener in the box (the shard's halo
+    /// neighborhood); every other node the walk meets is aggregate-only
+    /// for the whole task and skips its per-listener distance test.
+    /// Because a node farther than its opening radius from the box is
+    /// farther than it from every listener inside
+    /// ([`BoundingBox::dist_sq_to_box`] monotonicity), every per-listener
+    /// branch decision is unchanged — [`TaskResolver::resolve`] is
+    /// bit-for-bit [`ChannelResolver::resolve`].
     pub fn task(&self, listeners_bbox: BoundingBox) -> TaskResolver<'_, 'a> {
         let candidates = self.fast.get().map(|ix| {
-            ix.blocks
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.rect.dist_sq_to_box(&listeners_bbox) <= ix.descend_sq)
-                .map(|(i, _)| i as u32)
-                .collect()
+            // A node that cannot open for the box has no descendant that
+            // can (smaller rectangle, no larger radius): skip its subtree.
+            let mut can_open = vec![false; ix.nodes.len()];
+            let mut i = 0;
+            while let Some(node) = ix.nodes.get(i) {
+                let d_sq = node.rect.dist_sq_to_box(&listeners_bbox);
+                can_open[i] = d_sq <= ix.open_sq[node.level as usize];
+                i = if can_open[i] {
+                    i + 1
+                } else {
+                    node.skip as usize
+                };
+            }
+            can_open
         });
         TaskResolver {
             resolver: self,
@@ -679,67 +730,60 @@ impl<'a> ChannelResolver<'a> {
         }
     }
 
-    /// The scalar reference walk of Fast mode: blocks in row-major order;
-    /// aggregated blocks (past the descend radius) contribute one far
-    /// term; descended blocks visit their cells — near cells (inside the
-    /// cutoff) exactly, far cells as one term each — and every aggregated
-    /// rectangle widens the error interval. Not a production path: it
-    /// exists so the lane walk ([`ChannelResolver::resolve_fast_batch`])
-    /// has a one-listener-at-a-time walk to be bitwise equal to, and to
-    /// publish the bound.
+    /// The scalar reference walk of Fast mode: nodes in pre-order; a node
+    /// beyond its level's opening radius contributes one far term for its
+    /// whole subtree, which is skipped, and widens the error interval; an
+    /// opened node hands the question to its children, and an opened cell
+    /// is summed exactly. Not a production path: it exists so the lane
+    /// walk ([`ChannelResolver::resolve_fast_batch`]) has a
+    /// one-listener-at-a-time walk to be bitwise equal to, to publish the
+    /// bound, and to count what a walk evaluates.
     fn resolve_fast_scalar(
         &self,
         index: &FastIndex,
         listener: Point,
         extra_interference: f64,
-    ) -> (ListenOutcome, f64) {
+    ) -> (ListenOutcome, f64, WalkStats) {
         debug_assert!(extra_interference >= 0.0, "interference cannot be negative");
         let params = self.params;
+        let mut stats = WalkStats::default();
         let mut total = extra_interference;
         let mut best = 0usize;
         let mut best_pow = f64::NEG_INFINITY;
         let mut far_lo = 0.0;
         let mut far_hi = 0.0;
         let mut far_est = 0.0;
-        for block in &index.blocks {
-            let block_d_sq = block.rect.dist_sq_to(listener);
-            if block_d_sq <= index.descend_sq {
-                let (cs, ce) = (block.cell_start as usize, block.cell_end as usize);
-                for cell in &index.cells[cs..ce] {
-                    let d_min_sq = cell.rect.dist_sq_to(listener);
-                    if d_min_sq <= index.cutoff_sq {
-                        // Near cell: exact per-transmitter summation.
-                        // Ties on power go to the smallest transmitter
-                        // index, matching the scalar reference's
-                        // first-strongest-wins scan.
-                        let (s, e) = (cell.start as usize, cell.end as usize);
-                        for &i in &index.items[s..e] {
-                            let p = params.received_power_sq(self.tx[i as usize].dist_sq(listener));
-                            total += p;
-                            if p > best_pow || (p == best_pow && (i as usize) < best) {
-                                best_pow = p;
-                                best = i as usize;
-                            }
-                        }
-                    } else {
-                        // Far cell: one aggregated term; the true cell
-                        // power lies in [n·P/d_max^α, n·P/d_min^α] and
-                        // so does the center estimate.
-                        let n = cell.count;
-                        far_est += n * params.received_power_sq(cell.center.dist_sq(listener));
-                        far_hi += n * params.received_power_sq(d_min_sq);
-                        far_lo += n * params.received_power_sq(cell.rect.max_dist_sq_to(listener));
+        let mut at = 0;
+        while let Some(node) = index.nodes.get(at) {
+            stats.nodes += 1;
+            let d_min_sq = node.rect.dist_sq_to(listener);
+            if d_min_sq > index.open_sq[node.level as usize] {
+                // Aggregated: one term for everything below; the true
+                // power lies in [n·P/d_max^α, n·P/d_min^α] and so does
+                // the center estimate.
+                let n = f64::from(node.count);
+                far_est += n * params.received_power_sq(node.center.dist_sq(listener));
+                far_hi += n * params.received_power_sq(d_min_sq);
+                far_lo += n * params.received_power_sq(node.rect.max_dist_sq_to(listener));
+                at = node.skip as usize;
+                continue;
+            }
+            if node.level == 0 {
+                // Near cell: exact per-transmitter summation. Ties on
+                // power go to the smallest transmitter index, matching
+                // the scalar reference's first-strongest-wins scan.
+                stats.near += u64::from(node.count);
+                let (s, e) = (node.start as usize, (node.start + node.count) as usize);
+                for &i in &index.items[s..e] {
+                    let p = params.received_power_sq(self.tx[i as usize].dist_sq(listener));
+                    total += p;
+                    if p > best_pow || (p == best_pow && (i as usize) < best) {
+                        best_pow = p;
+                        best = i as usize;
                     }
                 }
-            } else {
-                // Far block: one aggregated term for all of its cells.
-                // The descend radius is at least the cutoff, so no
-                // cell of an aggregated block can be near.
-                far_est += block.count * params.received_power_sq(block.center.dist_sq(listener));
-                far_hi += block.count * params.received_power_sq(block_d_sq);
-                far_lo +=
-                    block.count * params.received_power_sq(block.rect.max_dist_sq_to(listener));
             }
+            at += 1;
         }
         total += far_est;
         let bound = (far_hi - far_lo).max(0.0);
@@ -747,51 +791,54 @@ impl<'a> ChannelResolver<'a> {
             // No near-field candidate. Aggregated transmitters are all
             // beyond R_c ≥ R_T and therefore undecodable, matching Exact's
             // no-decode outcome (carrier sense still reads the estimate).
-            return (
-                ListenOutcome {
-                    decoded: None,
-                    signal: 0.0,
-                    sinr: 0.0,
-                    total_power: total,
-                },
-                bound,
-            );
+            let silent = ListenOutcome {
+                decoded: None,
+                signal: 0.0,
+                sinr: 0.0,
+                total_power: total,
+            };
+            return (silent, bound, stats);
         }
-        (decide(self.params, best, best_pow, total), bound)
+        (decide(self.params, best, best_pow, total), bound, stats)
     }
 
     /// Listener-lane fast core: resolves [`LANE_WIDTH`] listeners in **one
-    /// walk** of the index. Lane `l` carries listener `l`'s accumulator
-    /// chain, so every vector add advances LANE_WIDTH independent serial
-    /// reduction chains at once — the structural answer to the
-    /// serial-floating-point-add floor that caps what single-listener
-    /// vectorization can reach (each listener's fold is a dependency chain
-    /// of ~thousands of adds at ~4-cycle latency; batching overlaps eight
-    /// such chains instead of trying to shorten one).
+    /// walk** of the hierarchy. Lane `l` carries listener `l`'s
+    /// accumulator chain, so every vector add advances LANE_WIDTH
+    /// independent serial reduction chains at once — the structural answer
+    /// to the serial-floating-point-add floor that caps what
+    /// single-listener vectorization can reach (each listener's fold is a
+    /// dependency chain of hundreds of adds at ~4-cycle latency; batching
+    /// overlaps eight such chains instead of trying to shorten one).
+    ///
+    /// The walk is the scalar walk's loop with a lane mask per level:
+    /// `open[k]` holds the lanes that opened the level-`k` node the walk
+    /// is currently below, so a node's own lanes are those one level up.
+    /// It steps into a node's subtree when any lane opens it and over the
+    /// subtree when none does.
     ///
     /// Bitwise contract, per lane: the fold *sequence* of lane `l` is the
-    /// scalar walk's sequence with `+0.0` identities interspersed. Blocks
-    /// and cells are visited in the same row-major order for all lanes;
-    /// where lanes diverge (one listener descends a block another
-    /// aggregates), the inactive lane adds `+0.0` — an exact identity on
-    /// its non-negative accumulator (`x + 0.0 == x` bitwise for every
-    /// `x ≥ +0.0`, and power terms are strictly positive) — while the
-    /// active lane adds the very value the scalar walk would
-    /// ([`lanes::rect_metrics_lanes`] is element-wise bitwise the scalar
-    /// rect/center expressions). Near cells fold through
-    /// [`lanes::accumulate_span_lanes`] — transmitters in CSR order, all
-    /// eight accumulator/argmax chains advanced per element under the
-    /// per-lane near mask, with the same greater-or-tie-on-smaller-index
-    /// predicate as the scalar loop. Hence each lane's outcome is
-    /// bit-for-bit [`ChannelResolver::resolve_fast_scalar`] of that
-    /// listener alone.
+    /// scalar walk's sequence with `+0.0` identities interspersed. Nodes
+    /// are met in the same pre-order by all lanes; a lane that opened a
+    /// node, or that aggregated one of its ancestors, takes `+0.0` from it
+    /// — an exact identity on its non-negative accumulator (`x + 0.0 == x`
+    /// bitwise for every `x ≥ +0.0`, and power terms are strictly positive
+    /// and finite) — while a lane that aggregates it adds the very value
+    /// the scalar walk would ([`lanes::rect_metrics_lanes`] is
+    /// element-wise bitwise the scalar rect/center expressions). Near
+    /// cells fold through [`lanes::accumulate_span_lanes`] — transmitters
+    /// in CSR order, all eight accumulator/argmax chains advanced per
+    /// element under the per-lane open mask, with the same
+    /// greater-or-tie-on-smaller-index predicate as the scalar loop. Hence
+    /// each lane's outcome is bit-for-bit
+    /// [`ChannelResolver::resolve_fast_scalar`] of that listener alone.
     fn resolve_fast_batch(
         &self,
         index: &FastIndex,
         lxs: &[f64; LANE_WIDTH],
         lys: &[f64; LANE_WIDTH],
         extra_interference: f64,
-        candidates: Option<&[u32]>,
+        candidates: Option<&[bool]>,
     ) -> [ListenOutcome; LANE_WIDTH] {
         debug_assert!(extra_interference >= 0.0, "interference cannot be negative");
         // All lane state is f64 — masks are 1.0/0.0 applied by exact
@@ -801,147 +848,84 @@ impl<'a> ChannelResolver<'a> {
         let mut best_pow = [f64::NEG_INFINITY; LANE_WIDTH];
         let mut best = [0.0f64; LANE_WIDTH];
         let mut far = [0.0f64; LANE_WIDTH];
-        let mut cand = candidates.map(|c| c.iter().copied().peekable());
-        for (bi, block) in index.blocks.iter().enumerate() {
+        // The slot above the root's stays all-ones: every lane meets the
+        // root. Every other slot is written before a child reads it.
+        let mut open = [[1.0f64; LANE_WIDTH]; MAX_LEVELS + 1];
+        let mut at = 0;
+        while let Some(node) = index.nodes.get(at) {
+            let level = node.level as usize;
+            let mine = open[level + 1];
+            let count = f64::from(node.count);
             // Candidacy is a property of the task, not the listener — one
-            // peek serves the whole batch.
-            let may_descend = match cand.as_mut() {
-                None => true,
-                Some(it) => {
-                    if it.peek() == Some(&(bi as u32)) {
-                        it.next();
-                        true
-                    } else {
-                        false
-                    }
-                }
-            };
-            if !may_descend {
+            // look serves the whole batch.
+            if candidates.is_some_and(|c| !c[at]) {
                 // Aggregate-only for the whole task: no lane needs the
                 // rectangle distance, so skip the clamp entirely.
-                let bterms = lanes::far_terms_lanes(
+                let terms = lanes::far_terms_lanes(
                     &self.kernel,
-                    block.center.x,
-                    block.center.y,
-                    block.count,
+                    node.center.x,
+                    node.center.y,
+                    count,
                     lxs,
                     lys,
                 );
                 for l in 0..LANE_WIDTH {
-                    far[l] += bterms[l];
+                    far[l] += terms[l] * mine[l];
                 }
+                at = node.skip as usize;
                 continue;
             }
-            let (d_blk, bterms) = lanes::rect_metrics_lanes(
+            let (d_min, terms) = lanes::rect_metrics_lanes(
                 &self.kernel,
-                block.rect.min().x,
-                block.rect.min().y,
-                block.rect.max().x,
-                block.rect.max().y,
-                block.center.x,
-                block.center.y,
-                block.count,
+                node.rect.min().x,
+                node.rect.min().y,
+                node.rect.max().x,
+                node.rect.max().y,
+                node.center.x,
+                node.center.y,
+                count,
                 lxs,
                 lys,
             );
-            let mut desc = [0.0f64; LANE_WIDTH];
-            let mut ndesc = 0.0f64;
+            let open_sq = index.open_sq[level];
+            let mut opens = [0.0f64; LANE_WIDTH];
+            let mut nopen = 0.0f64;
             for l in 0..LANE_WIDTH {
-                desc[l] = if d_blk[l] <= index.descend_sq {
-                    1.0
-                } else {
-                    0.0
-                };
-                ndesc += desc[l];
+                opens[l] = if d_min[l] <= open_sq { mine[l] } else { 0.0 };
+                nopen += opens[l];
             }
-            if ndesc == 0.0 {
-                // The common case under spatial sorting: the whole batch
-                // aggregates this block — one unmasked vector add.
-                for l in 0..LANE_WIDTH {
-                    far[l] += bterms[l];
-                }
+            // opens ⊆ mine, so (mine − opens) is exactly the lanes that
+            // aggregate this node: those that open it fold what is below
+            // it instead, those that aggregated an ancestor already took
+            // that ancestor's term.
+            for l in 0..LANE_WIDTH {
+                far[l] += terms[l] * (mine[l] - opens[l]);
+            }
+            if nopen == 0.0 {
+                at = node.skip as usize;
                 continue;
             }
-            // Divergent block: descending lanes take +0.0 here (exact
-            // identity) and fold their per-cell terms below; the rest take
-            // the aggregated term at the same position in their fold
-            // sequence as the scalar walk.
-            for l in 0..LANE_WIDTH {
-                far[l] += bterms[l] * (1.0 - desc[l]);
-            }
-            let (cs, ce) = (block.cell_start as usize, block.cell_end as usize);
-            // A cell can be near for lane `l` only if the block itself is
-            // within the cutoff for `l` (cell distance ≥ block distance).
-            // Most descended blocks sit in the (cutoff, descend] annulus
-            // for the whole batch, so the dominant scan is the `else`
-            // branch below: far-only, clamp-free, and free of calls that
-            // could spill the vector state.
-            let maybe_near = d_blk.iter().any(|&d| d <= index.cutoff_sq);
-            if maybe_near {
-                for cell in &index.cells[cs..ce] {
-                    let (d_min, terms) = lanes::rect_metrics_lanes(
-                        &self.kernel,
-                        cell.rect.min().x,
-                        cell.rect.min().y,
-                        cell.rect.max().x,
-                        cell.rect.max().y,
-                        cell.center.x,
-                        cell.center.y,
-                        cell.count,
-                        lxs,
-                        lys,
-                    );
-                    // near ⊆ desc, so (desc − near) is exactly the
-                    // far-fold mask: a lane that aggregated this block
-                    // already took its block term and its cells
-                    // contribute +0.0.
-                    let mut near = [0.0f64; LANE_WIDTH];
-                    let mut nnear = 0.0f64;
-                    for l in 0..LANE_WIDTH {
-                        near[l] = if d_min[l] <= index.cutoff_sq {
-                            desc[l]
-                        } else {
-                            0.0
-                        };
-                        nnear += near[l];
-                    }
-                    for l in 0..LANE_WIDTH {
-                        far[l] += terms[l] * (desc[l] - near[l]);
-                    }
-                    if nnear != 0.0 {
-                        // Cross-lane near fold: each transmitter of the
-                        // cell advances all eight accumulator chains with
-                        // one masked vector add, in CSR order.
-                        let (s, e) = (cell.start as usize, cell.end as usize);
-                        lanes::accumulate_span_lanes(
-                            &self.kernel,
-                            &index.lane_xs[s..e],
-                            &index.lane_ys[s..e],
-                            &index.items[s..e],
-                            lxs,
-                            lys,
-                            &near,
-                            &mut total,
-                            &mut best_pow,
-                            &mut best,
-                        );
-                    }
-                }
+            if level == 0 {
+                // Cross-lane near fold: each transmitter of the cell
+                // advances all eight accumulator chains with one masked
+                // vector add, in CSR order.
+                let (s, e) = (node.start as usize, (node.start + node.count) as usize);
+                lanes::accumulate_span_lanes(
+                    &self.kernel,
+                    &index.lane_xs[s..e],
+                    &index.lane_ys[s..e],
+                    &index.items[s..e],
+                    lxs,
+                    lys,
+                    &opens,
+                    &mut total,
+                    &mut best_pow,
+                    &mut best,
+                );
             } else {
-                for cell in &index.cells[cs..ce] {
-                    let terms = lanes::far_terms_lanes(
-                        &self.kernel,
-                        cell.center.x,
-                        cell.center.y,
-                        cell.count,
-                        lxs,
-                        lys,
-                    );
-                    for l in 0..LANE_WIDTH {
-                        far[l] += terms[l] * desc[l];
-                    }
-                }
+                open[level] = opens;
             }
+            at += 1;
         }
         let mut out = [ListenOutcome::SILENT; LANE_WIDTH];
         for l in 0..LANE_WIDTH {
@@ -979,7 +963,7 @@ impl<'a> ChannelResolver<'a> {
         &self,
         get: impl Fn(usize) -> Point,
         extra_interference: f64,
-        candidates: Option<&[u32]>,
+        candidates: Option<&[bool]>,
         out: &mut [ListenOutcome],
     ) {
         let Some(index) = self.fast.get() else {
@@ -1111,9 +1095,9 @@ impl<'a> ChannelResolver<'a> {
 pub struct TaskResolver<'r, 'a> {
     resolver: &'r ChannelResolver<'a>,
     bbox: BoundingBox,
-    /// Sorted block indices that may descend for some listener of this
-    /// task (`None` on the exact path).
-    candidates: Option<Vec<u32>>,
+    /// Per node, whether it can open for some listener of this task
+    /// (`None` on the exact path).
+    candidates: Option<Vec<bool>>,
 }
 
 impl TaskResolver<'_, '_> {
@@ -1157,7 +1141,7 @@ impl TaskResolver<'_, '_> {
     /// receives the outcome for `positions[keys[i]]`. This is the engine's
     /// hot entry: a resolve unit hands over its listener keys and its
     /// slice of the channel's output buffer, and the batch walk amortizes
-    /// one block traversal across [`LANE_WIDTH`] listeners.
+    /// one traversal of the hierarchy across [`LANE_WIDTH`] listeners.
     ///
     /// # Panics
     ///
@@ -1180,10 +1164,12 @@ impl TaskResolver<'_, '_> {
         );
     }
 
-    /// Number of halo blocks this task may descend into (0 on the exact
-    /// path) — the size of the task's near neighborhood.
-    pub fn halo_blocks(&self) -> usize {
-        self.candidates.as_ref().map_or(0, Vec::len)
+    /// Number of nodes this task may open (0 on the exact path) — the
+    /// size of the task's halo neighborhood.
+    pub fn halo_nodes(&self) -> usize {
+        self.candidates
+            .as_ref()
+            .map_or(0, |c| c.iter().filter(|&&open| open).count())
     }
 }
 
@@ -1219,10 +1205,10 @@ mod tests {
         (txs, listeners)
     }
 
-    /// A dense world large enough that whole blocks aggregate (cells are
-    /// clamped at `R_T/4`, so high density means many cells and several
-    /// blocks beyond the descend radius).
-    fn dense_blocky_world(seed: u64, n_tx: usize) -> (Vec<Point>, Vec<Point>) {
+    /// A dense world large enough that the hierarchy has several levels
+    /// and aggregates at all of them (cells are clamped at `R_T/4`, so
+    /// high density means many cells).
+    fn dense_world(seed: u64, n_tx: usize) -> (Vec<Point>, Vec<Point>) {
         let side = (n_tx as f64 / 4.0).sqrt() * 2.0;
         random_world(seed, n_tx, side)
     }
@@ -1262,7 +1248,7 @@ mod tests {
         assert!(resolver.is_empty());
         assert_eq!(resolver.resolve(Point::ORIGIN, 0.0), ListenOutcome::SILENT);
         assert_eq!(resolver.resolve(Point::ORIGIN, 2.0).total_power, 2.0);
-        let (out, bound) = resolver.resolve_with_bound(Point::ORIGIN, 0.0);
+        let (out, bound, _) = resolver.resolve_with_bound(Point::ORIGIN, 0.0);
         assert_eq!(out, ListenOutcome::SILENT);
         assert_eq!(bound, 0.0);
     }
@@ -1282,64 +1268,63 @@ mod tests {
             "no grid should be built for an all-near world"
         );
         for &l in &listeners {
-            let (out_f, bound) = rf.resolve_with_bound(l, 0.0);
+            let (out_f, bound, _) = rf.resolve_with_bound(l, 0.0);
             assert_eq!(bound, 0.0);
             assert_eq!(out_f, re.resolve(l, 0.0));
         }
     }
 
     #[test]
-    fn fast_grid_engages_and_rarely_disagrees_on_dense_worlds() {
+    fn fast_grid_engages_and_disagrees_only_within_bound_on_dense_worlds() {
         let (txs, listeners) = random_world(5, 400, 60.0);
         let pe = exact();
         let pf = fast(1.5);
         let re = ChannelResolver::new(&pe, &txs);
         let rf = ChannelResolver::new(&pf, &txs);
         assert!(rf.is_fast(), "a dense spread-out world must use the grid");
-        let mut flips = 0usize;
         for &l in &listeners {
-            let out_f = rf.resolve(l, 0.0);
+            let (out_f, bound, _) = rf.resolve_with_bound(l, 0.0);
             let out_e = re.resolve(l, 0.0);
             if out_f.decoded == out_e.decoded {
                 if out_f.decoded.is_some() {
                     assert_eq!(out_f.signal, out_e.signal, "same decoded power term");
                 }
             } else {
-                flips += 1;
+                assert!(
+                    flip_inside_bound(&pf, &txs, l, bound),
+                    "flip outside bound {bound} at {l:?}: fast {:?} vs exact {:?}",
+                    out_f.decoded,
+                    out_e.decoded
+                );
             }
         }
-        assert!(
-            flips * 10 <= listeners.len(),
-            "far-field aggregation flipped {flips}/{} decisions",
-            listeners.len()
-        );
     }
 
     #[test]
-    fn block_aggregation_engages_on_big_dense_worlds() {
-        let (txs, listeners) = dense_blocky_world(11, 20_000);
+    fn hierarchy_builds_levels_and_corner_tasks_prune_it() {
+        let (txs, listeners) = dense_world(11, 20_000);
         let params = fast(1.5);
         let resolver = ChannelResolver::new(&params, &txs);
         assert!(resolver.is_fast());
         assert!(
-            resolver.block_count() >= 9,
-            "expected several blocks, got {}",
-            resolver.block_count()
+            resolver.levels() >= 3,
+            "expected cells and at least two levels above them, got {}",
+            resolver.levels()
         );
-        // A corner listener must see most blocks aggregated: its task from
-        // a tight bbox descends into only a small halo neighborhood.
+        // A corner task can open only its halo neighborhood: its candidate
+        // list is shorter than the node array.
         let task = resolver.task(BoundingBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)));
         assert!(
-            task.halo_blocks() < resolver.block_count(),
-            "corner task should not descend into every block ({}/{})",
-            task.halo_blocks(),
-            resolver.block_count()
+            task.halo_nodes() < resolver.node_count(),
+            "corner task should not open every node ({}/{})",
+            task.halo_nodes(),
+            resolver.node_count()
         );
-        // And block aggregation stays within the published bound contract.
+        // And aggregation at every level stays within the published bound.
         let pe = exact();
         let re = ChannelResolver::new(&pe, &txs);
         for &l in listeners.iter().take(10) {
-            let (out_f, bound) = resolver.resolve_with_bound(l, 0.0);
+            let (out_f, bound, _) = resolver.resolve_with_bound(l, 0.0);
             let out_e = re.resolve(l, 0.0);
             assert!(
                 (out_f.total_power - out_e.total_power).abs()
@@ -1351,8 +1336,28 @@ mod tests {
     }
 
     #[test]
+    fn work_estimate_tracks_the_measured_walk_on_the_dense_slot() {
+        // The `dense-engine` slot: 10 000 transmitters at one per unit².
+        let (txs, _) = random_world(13, 10_000, 100.0);
+        let listeners = random_world(14, 2_000, 100.0).0;
+        let params = fast(1.5);
+        let resolver = ChannelResolver::new(&params, &txs);
+        let evaluated: u64 = listeners
+            .iter()
+            .map(|&l| resolver.resolve_with_bound(l, 0.0).2)
+            .map(|stats| stats.near + stats.nodes)
+            .sum();
+        let measured = evaluated as f64 / listeners.len() as f64;
+        let estimate = resolver.estimated_work_per_listener() as f64;
+        assert!(
+            (estimate - measured).abs() <= 0.25 * measured,
+            "estimated {estimate} evaluations per listener, measured {measured:.0}"
+        );
+    }
+
+    #[test]
     fn task_resolution_is_bitwise_resolver_resolution() {
-        let (txs, listeners) = dense_blocky_world(3, 8_000);
+        let (txs, listeners) = dense_world(3, 8_000);
         for params in [exact(), fast(1.5)] {
             let resolver = ChannelResolver::new(&params, &txs);
             // Partition listeners into quadrant tasks and compare bitwise.
@@ -1402,7 +1407,7 @@ mod tests {
                 SinrParams::with_range(alpha, 1.5, 1.0, 8.0, 0.5)
                     .with_resolve(ResolveMode::Fast { cutoff_factor: 1.5 }),
             ] {
-                let (txs, listeners) = dense_blocky_world(17, 5_000);
+                let (txs, listeners) = dense_world(17, 5_000);
                 let resolver = ChannelResolver::new(&params, &txs);
                 let mut batch = Vec::new();
                 resolver.resolve_batch_into(&listeners, 0.25, &mut batch);
@@ -1419,44 +1424,104 @@ mod tests {
         }
     }
 
+    /// The hierarchy's edge geometries: a dense square (non-power-of-two
+    /// grid, ≥ 4 levels), a cutoff wide enough that `R_c` is the opening
+    /// radius of several levels, and collinear transmitters — a one-row
+    /// and a one-column grid over a zero-area bounding box.
+    fn edge_worlds() -> Vec<(&'static str, f64, Vec<Point>)> {
+        let line = |along_x: bool| -> Vec<Point> {
+            (0..600)
+                .map(|k| {
+                    let t = 0.5 * k as f64 + 0.13 * (k % 7) as f64;
+                    if along_x {
+                        Point::new(t, 4.0)
+                    } else {
+                        Point::new(4.0, t)
+                    }
+                })
+                .collect()
+        };
+        vec![
+            ("dense square", 1.5, dense_world(23, 8_000).0),
+            ("wide cutoff", 6.0, dense_world(29, 8_000).0),
+            ("one row", 1.5, line(true)),
+            ("one column", 1.5, line(false)),
+        ]
+    }
+
     #[test]
-    fn padded_remainder_batches_are_bitwise_the_scalar_walk() {
+    fn lane_scalar_and_task_walks_are_bitwise_identical_at_every_batch_length() {
         // Every batch length around the lane width — sub-lane batches and
         // short final chunks ride a padded batch — through the resolver
-        // and through a task's candidate list, slice and indexed entries.
+        // and through a task's candidate list, slice and indexed entries,
+        // on every edge geometry, with listeners inside the transmitters'
+        // bounding box and outside it.
         for alpha in [3.0, 3.7] {
-            let params = SinrParams::with_range(alpha, 1.5, 1.0, 8.0, 0.5)
-                .with_resolve(ResolveMode::Fast { cutoff_factor: 1.5 });
-            let (txs, _) = dense_blocky_world(23, 8_000);
-            let resolver = ChannelResolver::new(&params, &txs);
-            assert!(resolver.is_fast());
-            // A corner cluster, so the task's candidate list really prunes.
-            let listeners: Vec<Point> = (0..=2 * LANE_WIDTH)
-                .map(|k| Point::new(1.0 + 0.37 * k as f64, 2.0 + 0.21 * k as f64))
-                .collect();
-            for n in 1..=listeners.len() {
-                let batch = &listeners[..n];
-                let keys: Vec<u32> = (0..n as u32).rev().collect();
-                let task = resolver.task(BoundingBox::from_points(batch.iter().copied()).unwrap());
-                assert!(task.halo_blocks() < resolver.block_count());
-                let mut out = Vec::new();
-                let mut task_out = Vec::new();
-                let mut indexed = vec![ListenOutcome::SILENT; n];
-                let mut task_indexed = vec![ListenOutcome::SILENT; n];
-                resolver.resolve_batch_into(batch, 0.25, &mut out);
-                task.resolve_batch_into(batch, 0.25, &mut task_out);
-                resolver.resolve_indexed_into(batch, &keys, 0.25, &mut indexed);
-                task.resolve_indexed_into(batch, &keys, 0.25, &mut task_indexed);
-                for (k, &l) in batch.iter().enumerate() {
-                    let what = format!("batch of {n}, listener {k} (α={alpha})");
-                    let scalar = resolver.resolve_with_bound(l, 0.25).0;
-                    assert_bitwise(out[k], scalar, &what);
-                    assert_bitwise(task_out[k], scalar, &what);
-                    assert_bitwise(indexed[n - 1 - k], scalar, &what);
-                    assert_bitwise(task_indexed[n - 1 - k], scalar, &what);
-                    assert_bitwise(task.resolve(l, 0.25), scalar, &what);
+            for (what, cutoff_factor, txs) in edge_worlds() {
+                let params = SinrParams::with_range(alpha, 1.5, 1.0, 8.0, 0.5)
+                    .with_resolve(ResolveMode::Fast { cutoff_factor });
+                let resolver = ChannelResolver::new(&params, &txs);
+                assert!(resolver.is_fast(), "{what}");
+                assert!(resolver.levels() >= 4, "{what}: {}", resolver.levels());
+                // A corner cluster reaching out of the bounding box, so
+                // the task's candidate list really prunes.
+                let listeners: Vec<Point> = (0..=2 * LANE_WIDTH)
+                    .map(|k| Point::new(-3.0 + 0.61 * k as f64, -2.0 + 0.53 * k as f64))
+                    .collect();
+                for n in 1..=listeners.len() {
+                    let batch = &listeners[..n];
+                    let keys: Vec<u32> = (0..n as u32).rev().collect();
+                    let task =
+                        resolver.task(BoundingBox::from_points(batch.iter().copied()).unwrap());
+                    assert!(task.halo_nodes() < resolver.node_count(), "{what}");
+                    let mut out = Vec::new();
+                    let mut task_out = Vec::new();
+                    let mut indexed = vec![ListenOutcome::SILENT; n];
+                    let mut task_indexed = vec![ListenOutcome::SILENT; n];
+                    resolver.resolve_batch_into(batch, 0.25, &mut out);
+                    task.resolve_batch_into(batch, 0.25, &mut task_out);
+                    resolver.resolve_indexed_into(batch, &keys, 0.25, &mut indexed);
+                    task.resolve_indexed_into(batch, &keys, 0.25, &mut task_indexed);
+                    for (k, &l) in batch.iter().enumerate() {
+                        let what = format!("{what}: batch of {n}, listener {k} (α={alpha})");
+                        let scalar = resolver.resolve_with_bound(l, 0.25).0;
+                        assert_bitwise(out[k], scalar, &what);
+                        assert_bitwise(task_out[k], scalar, &what);
+                        assert_bitwise(indexed[n - 1 - k], scalar, &what);
+                        assert_bitwise(task_indexed[n - 1 - k], scalar, &what);
+                        assert_bitwise(task.resolve(l, 0.25), scalar, &what);
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn cache_rebuilds_recycle_the_node_array() {
+        // A mobile world re-indexes every slot: after the first build the
+        // node and item buffers are the previous index's, not fresh ones.
+        let (mut txs, _) = dense_world(31, 5_000);
+        let params = fast(1.5);
+        let mut cache = ResolverCache::new();
+        let _ = ChannelResolver::cached(&params, &txs, &mut cache);
+        let buffers = |cache: &ResolverCache| {
+            let ix = cache.index.as_ref().expect("index built");
+            (
+                (ix.nodes.as_ptr(), ix.nodes.capacity()),
+                (ix.items.as_ptr(), ix.items.capacity()),
+                (ix.lane_xs.as_ptr(), ix.lane_xs.capacity()),
+            )
+        };
+        let before = buffers(&cache);
+        for step in 1..=3u64 {
+            // Jitter inside the cells: same occupancy, new positions.
+            for t in &mut txs {
+                *t = Point::new(t.x + 1e-3, t.y);
+            }
+            let r = ChannelResolver::cached(&params, &txs, &mut cache);
+            assert!(r.is_fast());
+            assert_eq!(cache.builds(), 1 + step);
+            assert_eq!(buffers(&cache), before, "rebuild {step} reallocated");
         }
     }
 
@@ -1560,7 +1625,7 @@ mod tests {
             let txs: Vec<Point> = raw.iter().map(|&(x, y)| Point::new(x, y)).collect();
             let l = Point::new(lx, ly);
             let resolver = ChannelResolver::new(&params, &txs);
-            let (fast_out, bound) = resolver.resolve_with_bound(l, 0.0);
+            let (fast_out, bound, _) = resolver.resolve_with_bound(l, 0.0);
             let scalar = resolve_listener(&params, &txs, l);
             if fast_out.decoded == scalar.decoded {
                 // Same decision; if decoded, it is the same transmitter and
@@ -1575,67 +1640,55 @@ mod tests {
             } else {
                 // Decisions differ: the scalar margin must be within the
                 // bound — neither robustly decodable nor robustly not.
-                let (sig, interference) = strongest_and_interference(&params, &txs, l);
-                // Ulp-scale slack: the near field is summed in cell order,
-                // so totals differ from the scalar scan by rounding even when
-                // the interval bound is 0.
-                let slack = bound + 1e-9 * (params.noise + interference);
-                let robust_yes = params.decodes(sig, interference + slack);
-                let robust_no = !params.decodes(sig, (interference - slack).max(0.0));
                 prop_assert!(
-                    !robust_yes && !robust_no,
-                    "flip outside bound {}: sig {} interference {} (fast {:?} vs scalar {:?})",
-                    bound, sig, interference, fast_out.decoded, scalar.decoded
+                    flip_inside_bound(&params, &txs, l, bound),
+                    "flip outside bound {}: fast {:?} vs scalar {:?}",
+                    bound, fast_out.decoded, scalar.decoded
                 );
             }
         }
 
-        /// Block-level aggregation (dense worlds, several blocks) also only
-        /// flips within the published bound, and task-partitioned
-        /// resolution is bitwise the direct resolution.
+        /// Aggregation at every level of a deep hierarchy (dense worlds)
+        /// also only flips within the published bound, and
+        /// task-partitioned resolution is bitwise the direct resolution.
         #[test]
-        fn blocky_fast_flips_only_within_bound(
+        fn hierarchy_flips_only_within_bound(
             seed in 0u64..32,
             lx in 0.0..140.0f64,
             ly in 0.0..140.0f64,
         ) {
             let params = fast(1.5);
-            let (txs, _) = dense_blocky_world(seed, 5_000);
+            let (txs, _) = dense_world(seed, 5_000);
             let l = Point::new(lx, ly);
             let resolver = ChannelResolver::new(&params, &txs);
-            prop_assert!(resolver.is_fast());
-            let (fast_out, bound) = resolver.resolve_with_bound(l, 0.0);
+            prop_assert!(resolver.levels() >= 4);
+            let (fast_out, bound, _) = resolver.resolve_with_bound(l, 0.0);
             let task = resolver.task(BoundingBox::new(
                 Point::new(lx - 1.0, ly - 1.0),
                 Point::new(lx + 1.0, ly + 1.0),
             ));
             prop_assert_eq!(task.resolve(l, 0.0), fast_out);
             let scalar = resolve_listener(&params, &txs, l);
-            if fast_out.decoded != scalar.decoded {
-                let (sig, interference) = strongest_and_interference(&params, &txs, l);
-                let slack = bound + 1e-9 * (params.noise + interference);
-                let robust_yes = params.decodes(sig, interference + slack);
-                let robust_no = !params.decodes(sig, (interference - slack).max(0.0));
-                prop_assert!(
-                    !robust_yes && !robust_no,
-                    "flip outside bound {bound}: sig {sig} interference {interference}"
-                );
-            }
+            prop_assert!(
+                fast_out.decoded == scalar.decoded || flip_inside_bound(&params, &txs, l, bound),
+                "flip outside bound {}: fast {:?} vs scalar {:?}",
+                bound, fast_out.decoded, scalar.decoded
+            );
         }
     }
 
-    /// The true strongest signal and the exact residual interference at `l`
-    /// (ground truth for the margin check above).
-    fn strongest_and_interference(params: &SinrParams, txs: &[Point], l: Point) -> (f64, f64) {
-        let mut total = 0.0;
-        let mut best = f64::NEG_INFINITY;
-        for &t in txs {
-            let p = params.received_power_sq(t.dist_sq(l));
-            total += p;
-            if p > best {
-                best = p;
-            }
-        }
-        (best, total - best)
+    /// Whether a decode flip at `l` is inside the published `bound`: moving
+    /// the exact interference by it crosses `β` — the strongest signal is
+    /// neither robustly decodable nor robustly not. Ulp-scale slack on
+    /// top: the near field is summed in cell order, so totals differ from
+    /// the scalar scan by rounding even when the interval bound is 0.
+    fn flip_inside_bound(params: &SinrParams, txs: &[Point], l: Point, bound: f64) -> bool {
+        let powers = txs.iter().map(|t| params.received_power_sq(t.dist_sq(l)));
+        let (sig, total) = powers.fold((f64::NEG_INFINITY, 0.0), |(s, t), p| (s.max(p), t + p));
+        let interference = total - sig;
+        let slack = bound + 1e-9 * (params.noise + interference);
+        let robust_yes = params.decodes(sig, interference + slack);
+        let robust_no = !params.decodes(sig, (interference - slack).max(0.0));
+        !robust_yes && !robust_no
     }
 }

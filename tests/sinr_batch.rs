@@ -47,7 +47,7 @@ proptest! {
         let txs: Vec<Point> = raw.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let l = Point::new(lx, ly);
         let resolver = ChannelResolver::new(&params, &txs);
-        let (fast, bound) = resolver.resolve_with_bound(l, 0.0);
+        let (fast, bound, _) = resolver.resolve_with_bound(l, 0.0);
         let scalar = resolve_listener(&params, &txs, l);
         if fast.decoded != scalar.decoded {
             // Recompute the true strongest signal and interference.
