@@ -216,6 +216,8 @@ mod tests {
             "| resolve |",
             "| unit |",
             "| nodes_polled |",
+            "| nodes_woken |",
+            "| parks_far |",
             "| pool_tasks |",
         ] {
             assert!(table.contains(row), "no `{row}` row in:\n{table}");

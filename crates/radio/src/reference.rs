@@ -628,14 +628,16 @@ mod tests {
     /// final protocol states, equal per-node RNG states, equal decode
     /// traces (listener order included) and equal per-channel outcome
     /// streams. One run per proptest case (`PROPTEST_CASES` deepens it);
-    /// a plain loop, because the run as a whole owes two more things: it
-    /// must have reached channel-slots with at least a lane of
-    /// transmitters *and* a lane of listeners, and channel-slots big
-    /// enough to be bucketed into shard units (a `Halo` span each), so
-    /// that sharding after a scripted move is part of what is compared.
+    /// a plain loop, because the run as a whole owes three more things:
+    /// it must have reached channel-slots with at least a lane of
+    /// transmitters *and* a lane of listeners, channel-slots big enough
+    /// to be bucketed into shard units (a `Halo` span each), so that
+    /// sharding after a scripted move is part of what is compared, and
+    /// parks beyond the wake wheel (8 slots in this build), so that the
+    /// overflow heap and the migration out of it are.
     #[test]
     fn reference_oracle_matches_the_active_set_engine() {
-        let (mut full_lane_channel_slots, mut sharded_units) = (0, 0);
+        let (mut full_lane_channel_slots, mut sharded_units, mut parks_far) = (0, 0, 0);
         for i in 0..u64::from(ProptestConfig::default().cases) {
             let seed: u64 = proptest::test_rng(i).gen();
             let c = case(seed);
@@ -663,6 +665,8 @@ mod tests {
             assert_eq!(rec.channel_records(), &r.channel_records[..], "seed {seed}");
             let halos = rec.spans().iter().filter(|s| s.kind == SpanKind::Halo);
             sharded_units += halos.count();
+            let far = rec.counters().into_iter().find(|(k, _)| *k == "parks_far");
+            parks_far += far.map_or(0, |(_, v)| v);
             let lane = mca_sinr::lanes::LANE_WIDTH as u32;
             full_lane_channel_slots += r
                 .channel_records
@@ -678,6 +682,7 @@ mod tests {
             sharded_units > 0,
             "no case bucketed a channel into shard units"
         );
+        assert!(parks_far > 0, "no case parked a node beyond the wake wheel");
     }
 
     /// A [`Probe`] that stretches its promises: quiet through its next

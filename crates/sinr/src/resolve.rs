@@ -6,6 +6,7 @@
 //! `β ≥ 1`, at most one transmitter can decode per listener per slot — the
 //! strongest-signal candidate is the only one that can pass the threshold.
 
+use crate::lanes::LANE_WIDTH;
 use crate::params::SinrParams;
 use mca_geom::Point;
 
@@ -96,9 +97,9 @@ pub fn resolve_listener_ext(
 
 /// Applies the Eq. 1 threshold to a scanned candidate: `best`/`best_pow` is
 /// the strongest transmitter (earliest index on power ties) and `total` the
-/// carrier-sense sum *including* the candidate. Shared by the scalar
-/// reference above and the batched `ChannelResolver`, so both produce
-/// identical outcomes from identical scans.
+/// carrier-sense sum *including* the candidate. The scalar reference walks
+/// (the scan above, Fast mode's in `ChannelResolver`) end here; the batch
+/// walks end in [`decide_lanes`], which is this function lane by lane.
 #[inline]
 pub(crate) fn decide(params: &SinrParams, best: usize, best_pow: f64, total: f64) -> ListenOutcome {
     let interference = total - best_pow;
@@ -118,6 +119,75 @@ pub(crate) fn decide(params: &SinrParams, best: usize, best_pow: f64, total: f64
             total_power: total,
         }
     }
+}
+
+/// [`decide`] for [`LANE_WIDTH`] listeners at once — the epilogue of both
+/// batch walks. `out[l]` (one per listener of the chunk; a padded chunk has
+/// fewer than a lane of them) is bitwise `decide(params, best[l] as usize,
+/// best_pow[l], total[l])`: [`threshold_lanes`] applies the threshold to
+/// all lanes in packed arithmetic, and each outcome is put together from
+/// its answers without a jump.
+///
+/// Never inlined, and the accumulators arrive by value: copies leaving
+/// through a call boundary are what keeps the walks' own `[f64; LANE_WIDTH]`
+/// state in vector registers. Inlined, the eight scalar consumers here
+/// make LLVM split the accumulators into scalars for the whole fold; by
+/// reference, the escaping arrays live in memory through it (both
+/// measured — see `docs/EXECUTION_MODEL.md`, "Codegen lessons").
+#[inline(never)]
+pub(crate) fn decide_lanes(
+    params: &SinrParams,
+    best: [f64; LANE_WIDTH],
+    best_pow: [f64; LANE_WIDTH],
+    total: [f64; LANE_WIDTH],
+    out: &mut [ListenOutcome],
+) {
+    let (decodes, signal, sinr) = threshold_lanes(params.noise, params.beta, best_pow, total);
+    for (l, o) in out.iter_mut().enumerate().take(LANE_WIDTH) {
+        *o = ListenOutcome {
+            decoded: (decodes[l] != 0.0).then_some(best[l] as usize),
+            signal: signal[l],
+            sinr: sinr[l],
+            total_power: total[l],
+        };
+    }
+}
+
+/// The Eq. 1 threshold across listener lanes: per lane `(1.0, best_pow,
+/// sinr)` where the candidate decodes and `(0.0, 0.0, 0.0)` where it does
+/// not. Lane `l` runs [`decide`]'s operations in [`decide`]'s order —
+/// `interference = total − best_pow`, `sinr = best_pow / (noise +
+/// interference)`, `sinr ≥ β` — so its values are that function's bit for
+/// bit, and the eight divisions are one packed instruction (or four on
+/// SSE2). The answers are *selected*, never multiplied by a mask: a
+/// Fast-mode lane that met no near-field transmitter arrives with
+/// `best_pow = −∞`, its SINR is `−∞ / ∞ = NaN`, `NaN ≥ β` is false and the
+/// selects store zeros — the no-decode outcome the scalar walk writes out
+/// by hand — where `NaN · 0.0` would have stored NaN.
+///
+/// A function of its own, never inlined, because its three arrays leave
+/// through memory: contiguous stores are what LLVM's SLP vectorizer grows
+/// a packed tree from, and the strided `ListenOutcome` stores of the
+/// caller are not.
+#[inline(never)]
+fn threshold_lanes(
+    noise: f64,
+    beta: f64,
+    best_pow: [f64; LANE_WIDTH],
+    total: [f64; LANE_WIDTH],
+) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH], [f64; LANE_WIDTH]) {
+    let mut decodes = [0.0f64; LANE_WIDTH];
+    let mut signal = [0.0f64; LANE_WIDTH];
+    let mut sinr = [0.0f64; LANE_WIDTH];
+    for l in 0..LANE_WIDTH {
+        let interference = total[l] - best_pow[l];
+        let s = best_pow[l] / (noise + interference);
+        let ok = s >= beta;
+        decodes[l] = if ok { 1.0 } else { 0.0 };
+        signal[l] = if ok { best_pow[l] } else { 0.0 };
+        sinr[l] = if ok { s } else { 0.0 };
+    }
+    (decodes, signal, sinr)
 }
 
 /// Batch resolution of many listeners against the same transmitter set.
@@ -323,6 +393,62 @@ mod tests {
             // Total power is the sum of individual powers.
             let sum: f64 = txs.iter().map(|t| params.received_power(t.dist(l))).sum();
             prop_assert!((out.total_power - sum).abs() < 1e-6 * (1.0 + sum));
+        }
+
+        /// The lane-wide threshold is the scalar one, lane by lane and bit
+        /// by bit: random powers, totals and environmental interference
+        /// under random `β` and `N`, a lane on the threshold exactly (`β`
+        /// in eighths, `N` a power of two and the interference a multiple
+        /// of it, so `best_pow / (N + interference)` rounds nowhere), a
+        /// lone transmitter (interference exactly zero), a lane that met
+        /// no candidate (`best_pow = −∞`), and a chunk shorter than a lane.
+        #[test]
+        fn decide_lanes_is_decide_lane_by_lane(
+            beta8 in 8u32..32,
+            noise_exp in -3i32..4,
+            lanes in proptest::collection::vec(
+                (0u8..5, 1e-6..1e6f64, 0.0..1e6f64, 0.0..10.0f64, 0u32..5, 0u32..1000),
+                LANE_WIDTH,
+            ),
+            len in 1usize..=LANE_WIDTH,
+        ) {
+            let mut params = p();
+            params.beta = f64::from(beta8) / 8.0;
+            params.noise = 2f64.powi(noise_exp);
+            let mut best = [0.0; LANE_WIDTH];
+            let mut best_pow = [0.0; LANE_WIDTH];
+            let mut total = [0.0; LANE_WIDTH];
+            for (l, &(kind, pow, others, extra, m, id)) in lanes.iter().enumerate() {
+                best[l] = f64::from(id);
+                (best_pow[l], total[l]) = match kind {
+                    // On the threshold: SINR == β with every step exact.
+                    0 => {
+                        let m = f64::from(m);
+                        let pow = params.beta * params.noise * (1.0 + m);
+                        (pow, pow + m * params.noise)
+                    }
+                    // A lone transmitter, no environment: zero interference.
+                    1 => (pow, pow),
+                    // No near-field candidate; the total is the far estimate.
+                    2 => (f64::NEG_INFINITY, extra + others),
+                    _ => (pow, extra + pow + others),
+                };
+            }
+            let (best, best_pow, total) = std::hint::black_box((best, best_pow, total));
+            let mut out = vec![ListenOutcome::SILENT; len];
+            decide_lanes(&params, best, best_pow, total, &mut out);
+            for (l, got) in out.iter().enumerate() {
+                let want = decide(&params, best[l] as usize, best_pow[l], total[l]);
+                prop_assert_eq!(got.decoded, want.decoded);
+                prop_assert_eq!(got.signal.to_bits(), want.signal.to_bits());
+                prop_assert_eq!(got.sinr.to_bits(), want.sinr.to_bits());
+                prop_assert_eq!(got.total_power.to_bits(), want.total_power.to_bits());
+                match lanes[l].0 {
+                    0 => prop_assert_eq!(got.sinr.to_bits(), params.beta.to_bits()),
+                    2 => prop_assert_eq!((got.decoded, got.sinr), (None, 0.0)),
+                    _ => {}
+                }
+            }
         }
 
         #[test]

@@ -75,7 +75,7 @@
 
 use crate::lanes::{self, LANE_WIDTH};
 use crate::params::{PowerKernel, ResolveMode, SinrParams};
-use crate::resolve::{decide, resolve_listener_ext, ListenOutcome};
+use crate::resolve::{decide, decide_lanes, resolve_listener_ext, ListenOutcome};
 use mca_geom::{BoundingBox, Point, SpatialGrid};
 
 /// Transmitter count below which Fast mode falls back to the exact scan —
@@ -927,20 +927,15 @@ impl<'a> ChannelResolver<'a> {
             }
             at += 1;
         }
-        let mut out = [ListenOutcome::SILENT; LANE_WIDTH];
         for l in 0..LANE_WIDTH {
-            let t = total[l] + far[l];
-            out[l] = if best_pow[l] == f64::NEG_INFINITY {
-                ListenOutcome {
-                    decoded: None,
-                    signal: 0.0,
-                    sinr: 0.0,
-                    total_power: t,
-                }
-            } else {
-                decide(self.params, best[l] as usize, best_pow[l], t)
-            };
+            total[l] += far[l];
         }
+        // A lane without a near-field candidate (`best_pow` still −∞)
+        // fails the threshold on a NaN SINR and comes out as the scalar
+        // walk's explicit no-decode outcome: zeros, and its estimate as
+        // the carrier-sense reading.
+        let mut out = [ListenOutcome::SILENT; LANE_WIDTH];
+        decide_lanes(self.params, best, best_pow, total, &mut out);
         out
     }
 
@@ -1039,9 +1034,7 @@ impl<'a> ChannelResolver<'a> {
                 &mut best_pow,
                 &mut best,
             );
-            for (l, o) in chunk.iter_mut().enumerate() {
-                *o = decide(self.params, best[l] as usize, best_pow[l], total[l]);
-            }
+            decide_lanes(self.params, best, best_pow, total, chunk);
         }
     }
 

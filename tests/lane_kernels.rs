@@ -18,7 +18,13 @@
 //!    length (padded remainder lanes included);
 //! 4. without an index the batch rides the listener lanes of the exact
 //!    scan (`accumulate_scan_lanes`) at every transmitter count and batch
-//!    length, and is still bitwise the scalar `resolve_listener_ext`.
+//!    length, and is still bitwise the scalar `resolve_listener_ext`;
+//! 5. the lane-wide threshold both batch walks end in (`decide_lanes`,
+//!    crate-private, so reached through them) is the scalar `decide` on
+//!    the lanes random geometry does not reach: SINR equal to β to the
+//!    bit, a lone transmitter (zero interference), a Fast-mode lane with
+//!    no near-field candidate (`best_pow = −∞`, whose SINR is NaN), all
+//!    mixed with ordinary lanes in chunks that end in a padded one.
 //!
 //! [`PowerKernel::eval_lanes`]: multichannel_adhoc::sinr::PowerKernel::eval_lanes
 //! [`PowerKernel::eval`]: multichannel_adhoc::sinr::PowerKernel::eval
@@ -31,6 +37,7 @@ use multichannel_adhoc::sinr::{
     resolve_listener_ext, ChannelResolver, ListenOutcome, ResolveMode, ResolverCache, SinrParams,
 };
 use proptest::prelude::*;
+use std::hint::black_box;
 
 /// α values spanning every `PowerKernel` dispatch arm: the cubic,
 /// quartic, quintic, and sextic integer fast paths plus fractional
@@ -376,6 +383,103 @@ proptest! {
                     prop_assert_eq!(got.signal.to_bits(), one.signal.to_bits());
                     prop_assert_eq!(got.sinr.to_bits(), one.sinr.to_bits());
                 }
+            }
+        }
+    }
+}
+
+fn assert_bitwise(
+    got: &ListenOutcome,
+    want: &ListenOutcome,
+) -> Result<(), proptest::TestCaseError> {
+    prop_assert_eq!(got.decoded, want.decoded);
+    prop_assert_eq!(got.total_power.to_bits(), want.total_power.to_bits());
+    prop_assert_eq!(got.signal.to_bits(), want.signal.to_bits());
+    prop_assert_eq!(got.sinr.to_bits(), want.sinr.to_bits());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Property 5, Exact scan: one transmitter at the origin under
+    /// `α = 4, β = 2, N = 1` and a power that puts the threshold at
+    /// distance 2 *exactly* for the drawn environmental interference `e`
+    /// (`P = 32·(1 + e)`: power `2·(1 + e)` at `d⁴ = 16`, SINR
+    /// `2·(1 + e)/(1 + e)`, every step exact in binary). Listeners sit on
+    /// the threshold circle's four axis points (SINR == β: decodes), a
+    /// hair inside and outside it, or anywhere; with `e = 0` the
+    /// interference of every lane is exactly zero. The inputs pass
+    /// through `black_box`, so no build folds the threshold at compile
+    /// time.
+    #[test]
+    fn threshold_lanes_match_the_scalar_decide_on_the_threshold(
+        e in 0u8..3,
+        spots in proptest::collection::vec((0u8..8, -6.0..6.0f64, -6.0..6.0f64), 1..30),
+    ) {
+        let extra = [0.0, 1.0, 3.0][e as usize];
+        let params = SinrParams::new(4.0, 2.0, 1.0, 32.0 * (1.0 + extra), 0.5);
+        let txs = black_box(vec![Point::ORIGIN]);
+        let listeners: Vec<Point> = spots
+            .iter()
+            .map(|&(kind, x, y)| match kind {
+                0 => Point::new(2.0, 0.0),
+                1 => Point::new(0.0, -2.0),
+                2 => Point::new(-2.0, 0.0),
+                3 => Point::new(0.0, 2.0),
+                4 => Point::new(2.0 - f64::EPSILON, 0.0),
+                5 => Point::new(2.0 + 2.0 * f64::EPSILON, 0.0),
+                _ => Point::new(x, y),
+            })
+            .collect();
+        let listeners = black_box(listeners);
+        let resolver = ChannelResolver::new(&params, &txs);
+        let mut batch = Vec::new();
+        resolver.resolve_batch_into(&listeners, black_box(extra), &mut batch);
+        for (k, &l) in listeners.iter().enumerate() {
+            let one = resolve_listener_ext(&params, &txs, l, extra);
+            assert_bitwise(&batch[k], &one)?;
+            if spots[k].0 < 4 {
+                prop_assert_eq!(one.decoded, Some(0));
+                prop_assert_eq!(one.sinr.to_bits(), params.beta.to_bits());
+            }
+        }
+    }
+
+    /// Property 5, Fast walk: a 5 × 5 lattice of transmitters (wider than
+    /// the cutoff, so the index is built) and a batch that mixes listeners
+    /// among them with listeners hundreds of units away, for whom no cell
+    /// opens: their lanes reach the threshold with `best_pow = −∞` and must
+    /// come out exactly as the scalar walk's hand-written no-decode
+    /// outcome, beside lanes that decode, in full and padded chunks alike.
+    #[test]
+    fn threshold_lanes_keep_the_no_candidate_outcome_in_fast_mode(
+        alpha in alpha_strategy(),
+        spots in proptest::collection::vec((0u8..2, 0.0..1.0f64, 0.0..1.0f64), 1..30),
+        extra in (0u8..2, 0.0..2.0f64),
+    ) {
+        let params = params_for(alpha, true);
+        let txs: Vec<Point> = (0..25).map(|i| Point::new(f64::from(i % 5) * 4.0, f64::from(i / 5) * 4.0)).collect();
+        let txs = black_box(txs);
+        let listeners: Vec<Point> = spots
+            .iter()
+            .map(|&(far, x, y)| match far {
+                1 => Point::new(200.0 + 100.0 * x, 200.0 + 100.0 * y),
+                _ => Point::new(16.0 * x, 16.0 * y),
+            })
+            .collect();
+        let listeners = black_box(listeners);
+        let extra = if extra.0 == 1 { extra.1 } else { 0.0 };
+        let resolver = ChannelResolver::new(&params, &txs);
+        prop_assert!(resolver.is_fast());
+        let mut batch = Vec::new();
+        resolver.resolve_batch_into(&listeners, black_box(extra), &mut batch);
+        for (k, &l) in listeners.iter().enumerate() {
+            assert_bitwise(&batch[k], &resolver.resolve_with_bound(l, extra).0)?;
+            if spots[k].0 == 1 {
+                prop_assert_eq!(batch[k].decoded, None);
+                prop_assert_eq!((batch[k].signal, batch[k].sinr), (0.0, 0.0));
+                prop_assert!(batch[k].total_power > extra);
             }
         }
     }
