@@ -4,8 +4,9 @@
 //! `--scenario`) with an `mca-obs` recorder attached, then renders where
 //! the engine's slot time goes: one row per span kind with wall, self,
 //! and p50/p95/max durations, what one resolved listen cost in time and in
-//! power evaluations, the engine's resolver-cache counters, and the
-//! per-phase slot coverage.
+//! power evaluations, what the run held in memory (the process's peak
+//! RSS and the staging arena's high water), the engine's counters, and
+//! the per-phase slot coverage.
 //!
 //! The coverage figure is also the harness's acceptance gate: the phase
 //! spans (event drain, gather, stage, resolve, deliver) must account for
@@ -57,6 +58,10 @@ pub struct ProfileRun {
     /// off the reference walk over a slot sampled from the same world
     /// ([`crate::flip_audit::sampled_walk`]).
     pub walk: Option<(f64, f64, usize)>,
+    /// The process's peak resident set in kB when the run ended (`VmHWM`
+    /// of `/proc/self/status`, read before the reference walk builds its
+    /// own world); `None` where the kernel offers no such line.
+    pub peak_rss_kb: Option<u64>,
 }
 
 impl ProfileRun {
@@ -69,6 +74,24 @@ impl ProfileRun {
     /// Whether the coverage gate holds.
     pub fn gate_ok(&self) -> bool {
         self.slot_coverage() >= COVERAGE_GATE
+    }
+
+    /// The staging arena's high water: the most transmitter positions and
+    /// the most listener positions (one `shard_rx` entry rides with each)
+    /// any slot staged — the per-slot sums over the channel-slots that had
+    /// both, the only ones staged. Neither exceeds the node count, however
+    /// many channels the world has. `None` like
+    /// [`ProfileRun::resolve_cost`].
+    pub fn stage_high_water(&self) -> Option<(u64, u64)> {
+        let records = self.recorder.channel_records();
+        let sums = records.chunk_by(|a, b| a.slot == b.slot).map(|slot| {
+            let staged = slot.iter().filter(|c| c.tx > 0 && c.listens > 0);
+            staged.fold((0, 0), |(tx, rx), c| {
+                (tx + u64::from(c.tx), rx + u64::from(c.listens))
+            })
+        });
+        sums.reduce(|(tx, rx), (t, r)| (tx.max(t), rx.max(r)))
+            .filter(|&(tx, _)| tx > 0)
     }
 
     /// What the resolver kernels cost per listen, read off the records
@@ -121,19 +144,29 @@ impl std::fmt::Display for ResolveCost {
 /// recorder attached for the whole run.
 pub fn profile_scenario(scenario: &Scenario, seed: u64) -> ProfileRun {
     let (trial, recorder) = scenario_flood_trial_observed(scenario, seed);
+    let peak_rss_kb = peak_rss_kb();
     let report = recorder.report();
     ProfileRun {
         trial,
         recorder,
         report,
         walk: crate::flip_audit::sampled_walk(scenario, seed),
+        peak_rss_kb,
     }
+}
+
+/// `VmHWM` of `/proc/self/status`, in kB.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// Renders the profile as markdown: the per-phase breakdown (one row per
 /// span kind, in the report's fixed kind order), the derived cost of one
-/// resolved listen and its evaluation count, then the recorder's counters and how many records its
-/// retention caps discarded.
+/// resolved listen and its evaluation count, the memory line (peak RSS and
+/// the staging arena's high water), then the recorder's counters and how
+/// many records its retention caps discarded.
 pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> String {
     let mut spans = Table::new(
         format!(
@@ -178,7 +211,19 @@ pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> String {
         ),
         None => "walk: the sampled slot has no transmitter or no listener".into(),
     };
-    format!("{spans}\n{resolve}\n{walk}\n\n{counters}")
+    let rss = match run.peak_rss_kb {
+        Some(kb) => format!("peak RSS {:.1} MB (VmHWM)", kb as f64 / 1024.0),
+        None => "peak RSS unavailable".into(),
+    };
+    let memory = match run.stage_high_water() {
+        Some((tx, rx)) => format!(
+            "memory: {rss}; staging arena high water {tx} transmitter + {rx} listener \
+             positions of {} nodes",
+            scenario.len()
+        ),
+        None => format!("memory: {rss}; nothing was staged"),
+    };
+    format!("{spans}\n{resolve}\n{walk}\n{memory}\n\n{counters}")
 }
 
 #[cfg(test)]
@@ -218,6 +263,7 @@ mod tests {
             "| nodes_polled |",
             "| nodes_woken |",
             "| parks_far |",
+            "| staged_positions |",
             "| pool_tasks |",
         ] {
             assert!(table.contains(row), "no `{row}` row in:\n{table}");
@@ -247,10 +293,37 @@ mod tests {
     }
 
     #[test]
+    fn memory_line_reads_the_arena_off_the_channel_stream() {
+        let (s, run) = small_run();
+        let (tx, rx) = run.stage_high_water().expect("the flood stages positions");
+        // A node acts on one channel a slot: neither arena vector can
+        // outgrow the world, and no slot staged more than both peaks (the
+        // two may come from different slots).
+        let n = s.len() as u64;
+        assert!(
+            (1..=n).contains(&tx) && (1..=n).contains(&rx),
+            "{tx}, {rx} of {n}"
+        );
+        let mut counters = run.report.counters.iter();
+        let staged = counters
+            .find(|(k, _)| k == "staged_positions")
+            .expect("counted");
+        assert!(staged.1 <= (tx + rx) * run.trial.slots);
+        let table = profile_table(&s, &run);
+        let line = format!("staging arena high water {tx} transmitter + {rx} listener positions");
+        assert!(table.contains(&line), "no `{line}` in:\n{table}");
+        if cfg!(target_os = "linux") {
+            assert!(run.peak_rss_kb.is_some_and(|kb| kb > 0));
+            assert!(table.contains(" MB (VmHWM); "), "{table}");
+        }
+    }
+
+    #[test]
     fn jsonl_export_of_a_profiled_run_validates() {
         let (_, run) = small_run();
         let jsonl = run.recorder.to_jsonl();
         assert!(!jsonl.is_empty());
+        assert!(jsonl.contains(r#""t":"counter","k":"staged_positions""#));
         for line in jsonl.lines() {
             mca_obs::validate_jsonl_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         }

@@ -73,6 +73,9 @@ pub struct GreedyColor {
     me: NodeId,
     /// Current adapted transmission probability.
     p: f64,
+    /// Signal strength at `cfg.radius`, with a 2% tolerance for parameter
+    /// slack: a sender at least this strong is an `R_{ε/2}`-neighbor.
+    radius_signal: f64,
     /// Colors heard claimed-or-committed by `R_{ε/2}`-neighbors.
     used: Vec<bool>,
     claim: u16,
@@ -90,6 +93,7 @@ impl GreedyColor {
         assert!(cfg.stable_tx >= 1 && cfg.rounds >= 1);
         GreedyColor {
             p: cfg.p,
+            radius_signal: cfg.params.received_power(cfg.radius) * 0.98,
             cfg,
             me,
             used: vec![false; 64],
@@ -144,7 +148,7 @@ impl GreedyColor {
     }
 
     fn within_radius(&self, signal: f64) -> bool {
-        signal >= self.cfg.params.received_power(self.cfg.radius) * 0.98
+        signal >= self.radius_signal
     }
 }
 

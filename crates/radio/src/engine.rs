@@ -19,10 +19,13 @@ use crate::shard::ShardMap;
 use crate::trace::{TraceEvent, TraceRecorder};
 use mca_geom::{BoundingBox, Point};
 use mca_obs::{ChannelSlotRecord, SpanKind, Stopwatch};
-use mca_sinr::{resolve_listener_ext, ChannelResolver, ListenOutcome, ResolverCache, SinrParams};
+use mca_sinr::{
+    resolve_listener_ext, ChannelResolver, IndexScratch, ListenOutcome, ResolverCache, SinrParams,
+};
 use rand::rngs::SmallRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Shards per axis forced by `MCA_FORCE_PAR=1` when the caller left
@@ -132,6 +135,11 @@ pub struct Engine<P: Protocol> {
     // clearing is O(channels in use), not O(max channel).
     groups: Vec<ChannelGroup>,
     active: Vec<u16>,
+    /// Everything Phase 2 stages, for every channel of the slot.
+    stage: Stage,
+    /// What only an index rebuild touches, lent to each channel's
+    /// [`ChannelResolver::cached`] in turn (builds run one at a time).
+    index_scratch: IndexScratch,
     /// Counting-sort scratch for the per-channel shard bucketing
     /// (`S² + 1` counters).
     shard_counts: Vec<u32>,
@@ -519,26 +527,44 @@ enum Poll {
     Drop,
 }
 
-/// Per-channel scratch for one slot, every buffer reused across slots
-/// (the outcome buffers are the engine's, shared by all channels). The
-/// resolver `cache` persists *across* slots: its spatial index is
-/// rebuilt only when the channel's staged transmitter positions actually
-/// change (static worlds build it once).
+/// The slot's staging arena: what Phase 2 derives from the id lists, the
+/// resolving channels one after another in ascending order; emptied at
+/// the top of the slot. A node acts on at most one channel a slot, so each
+/// vector holds at most `n` entries whatever the channel count and however
+/// the channels hop (`docs/EXECUTION_MODEL.md`, "Staging: one arena per
+/// slot").
+#[derive(Default)]
+struct Stage {
+    /// Transmitter positions, in each channel's `tx` order.
+    tx_pos: Vec<Point>,
+    /// Listener positions, in each channel's `rx` order.
+    rx_pos: Vec<Point>,
+    /// Per channel, its listener indices (into its `rx`) grouped
+    /// shard-major; identity order when it resolves as a single unit.
+    shard_rx: Vec<u32>,
+}
+
+/// Per-channel state for one slot: the id lists Phase 1 fills, the
+/// channel's ranges of the engine's [`Stage`] (a group owns no staged
+/// position and no shard order), its condition and unit layout. The
+/// resolver `cache` persists *across* slots: its spatial index is rebuilt
+/// only when the channel's staged transmitter positions actually change
+/// (static worlds build it once), through the engine's [`IndexScratch`].
 #[derive(Default)]
 struct ChannelGroup {
     tx: Vec<u32>,
     rx: Vec<u32>,
-    tx_pos: Vec<Point>,
-    rx_pos: Vec<Point>,
+    /// The channel's stretches of [`Stage`]'s `tx_pos`, `rx_pos` and
+    /// `shard_rx` (as long as `tx`, `rx` and `rx`).
+    tx_span: Range<usize>,
+    rx_span: Range<usize>,
+    shard_span: Range<usize>,
     cond: ChannelCondition,
     /// The engine's parameters with this slot's jamming folded into the
     /// noise floor — what the channel's resolver runs under.
     params: SinrParams,
-    /// Listener indices (into `rx`) grouped shard-major; identity order
-    /// when the channel resolves as a single unit.
-    shard_rx: Vec<u32>,
-    /// Half-open ranges into `shard_rx`, one per resolve unit, in shard-id
-    /// order; together they tile `shard_rx`.
+    /// Half-open ranges into the channel's `shard_rx` stretch, one per
+    /// resolve unit, in shard-id order; together they tile it.
     unit_ranges: Vec<(u32, u32)>,
     /// Persistent spatial-index cache (survives `clear`).
     cache: ResolverCache,
@@ -548,9 +574,7 @@ impl ChannelGroup {
     fn clear(&mut self) {
         self.tx.clear();
         self.rx.clear();
-        self.tx_pos.clear();
-        self.rx_pos.clear();
-        self.shard_rx.clear();
+        (self.tx_span, self.rx_span, self.shard_span) = (0..0, 0..0, 0..0);
         self.unit_ranges.clear();
         self.cond = ChannelCondition::CLEAR;
         // `cache` deliberately survives: it re-validates itself against the
@@ -610,6 +634,8 @@ impl<P: Protocol> Engine<P> {
             roster: Roster::new(),
             groups: Vec::new(),
             active: Vec::new(),
+            stage: Stage::default(),
+            index_scratch: IndexScratch::new(),
             shard_counts: Vec::new(),
             unit_out: Vec::new(),
             unit_ns: Vec::new(),
@@ -942,14 +968,18 @@ impl<P: Protocol> Engine<P> {
             // of the listeners staged this slot (execution-only: the
             // chosen grid never changes an outcome).
             let s_eff = crate::shard::effective_shards(self.shards, group.rx.len());
+            let at = self.stage.shard_rx.len();
+            group.shard_span = at..at + group.rx.len();
             if s_eff >= 2 {
-                let bounds = BoundingBox::from_points(group.rx_pos.iter().copied())
+                // Sliced once: the loops below index a plain slice.
+                let rx_pos = &self.stage.rx_pos[group.rx_span.clone()];
+                let bounds = BoundingBox::from_points(rx_pos.iter().copied())
                     .expect("a sharded channel has listeners");
                 let grid = ShardMap::over(s_eff, bounds);
                 let nshards = grid.shard_count();
                 self.shard_counts.clear();
                 self.shard_counts.resize(nshards + 1, 0);
-                for &p in &group.rx_pos {
+                for &p in rx_pos {
                     self.shard_counts[usize::from(grid.locate(p)) + 1] += 1;
                 }
                 for sid in 0..nshards {
@@ -962,14 +992,15 @@ impl<P: Protocol> Engine<P> {
                     }
                 }
                 // Scatter, reusing the prefix sums as cursors.
-                group.shard_rx.resize(group.rx.len(), 0);
-                for (k, &p) in group.rx_pos.iter().enumerate() {
+                self.stage.shard_rx.resize(at + rx_pos.len(), 0);
+                let shard_rx = &mut self.stage.shard_rx[at..];
+                for (k, &p) in rx_pos.iter().enumerate() {
                     let cursor = &mut self.shard_counts[usize::from(grid.locate(p))];
-                    group.shard_rx[*cursor as usize] = k as u32;
+                    shard_rx[*cursor as usize] = k as u32;
                     *cursor += 1;
                 }
             } else {
-                group.shard_rx.extend(0..group.rx.len() as u32);
+                self.stage.shard_rx.extend(0..group.rx.len() as u32);
                 group.unit_ranges.push((0, group.rx.len() as u32));
             }
             listeners += group.rx.len();
@@ -985,6 +1016,8 @@ impl<P: Protocol> Engine<P> {
         let Engine {
             groups,
             active,
+            stage,
+            index_scratch,
             actions,
             protocols,
             rngs,
@@ -1001,6 +1034,7 @@ impl<P: Protocol> Engine<P> {
         } = self;
         let actions: &[SlotAction<P::Msg>] = actions;
         let faults: &FaultPlan = faults;
+        let stage: &Stage = stage;
 
         /// What every unit of one listening channel shares.
         struct Work<'g> {
@@ -1077,15 +1111,16 @@ impl<P: Protocol> Engine<P> {
             let ChannelGroup {
                 tx,
                 rx,
-                tx_pos,
-                rx_pos,
+                tx_span,
+                rx_span,
+                shard_span,
                 cond,
                 params,
-                shard_rx,
                 unit_ranges,
                 cache,
             } = group;
-            let resolver = ChannelResolver::cached(params, tx_pos, cache);
+            let tx_pos = &stage.tx_pos[tx_span.clone()];
+            let resolver = ChannelResolver::cached(params, tx_pos, cache, index_scratch);
             let work_per_listener = resolver.estimated_work_per_listener().max(1);
             let (unit_out, tail) = out_rest.split_at_mut(rx.len());
             out_rest = tail;
@@ -1097,8 +1132,8 @@ impl<P: Protocol> Engine<P> {
                     resolver,
                     tx,
                     rx,
-                    rx_pos,
-                    shard_rx,
+                    rx_pos: &stage.rx_pos[rx_span.clone()],
+                    shard_rx: &stage.shard_rx[shard_span.clone()],
                     unit_ranges,
                     cond: *cond,
                     work_per_listener,
@@ -1490,6 +1525,9 @@ impl<P: Protocol> Engine<P> {
         for ch in self.active.drain(..) {
             self.groups[ch as usize].clear();
         }
+        self.stage.tx_pos.clear();
+        self.stage.rx_pos.clear();
+        self.stage.shard_rx.clear();
         let drain_ns = sw.elapsed_ns();
         let sw = Stopwatch::start_if(timing);
 
@@ -1568,10 +1606,11 @@ impl<P: Protocol> Engine<P> {
         let sw = Stopwatch::start_if(timing);
 
         // Phase 2a: stage each active channel's inputs — transmitter and
-        // listener positions (reused scratch), jamming, fading condition.
-        // A channel without a transmitter has nothing to resolve and
-        // stages nothing; on any other, the standing listeners join the
-        // polled ones in ascending id order.
+        // listener positions (appended to the slot's arena, ascending
+        // channel order), jamming, fading condition. A channel without a
+        // transmitter has nothing to resolve and stages nothing; on any
+        // other, the standing listeners join the polled ones in ascending
+        // id order.
         let mut silent_channels = 0u64;
         for &ch in &self.active {
             let jam = self.faults.jam_power(ch, slot);
@@ -1598,15 +1637,12 @@ impl<P: Protocol> Engine<P> {
             if group.rx.is_empty() {
                 continue;
             }
-            let ChannelGroup {
-                tx,
-                rx,
-                tx_pos,
-                rx_pos,
-                ..
-            } = group;
-            tx_pos.extend(tx.iter().map(|&i| self.positions[i as usize]));
-            rx_pos.extend(rx.iter().map(|&i| self.positions[i as usize]));
+            let Stage { tx_pos, rx_pos, .. } = &mut self.stage;
+            let (tx_at, rx_at) = (tx_pos.len(), rx_pos.len());
+            tx_pos.extend(group.tx.iter().map(|&i| self.positions[i as usize]));
+            rx_pos.extend(group.rx.iter().map(|&i| self.positions[i as usize]));
+            group.tx_span = tx_at..tx_pos.len();
+            group.rx_span = rx_at..rx_pos.len();
         }
 
         let stage_ns = sw.elapsed_ns();
@@ -1653,6 +1689,10 @@ impl<P: Protocol> Engine<P> {
             // were booked without being resolved.
             rec.add("nodes_standing", standing);
             rec.add("channels_silent", silent_channels);
+            // What Phase 2 staged: a position per transmitter and listener
+            // of every resolved channel — the arena's fill this slot.
+            let staged = self.stage.tx_pos.len() + self.stage.rx_pos.len();
+            rec.add("staged_positions", staged as u64);
             // Work-stealing pool activity, as per-slot deltas of the
             // process-global cumulative stats (see `obs_pool`).
             let ps = rayon::pool_stats();
@@ -2467,6 +2507,131 @@ mod tests {
         assert_eq!(get("nodes_woken"), Some(1));
         assert_eq!(get("parks_far"), Some(0));
         assert_eq!(e.metrics().idles, 2 * 4 - 3);
+    }
+
+    /// A flood that hops: through slot 31 every node is on channel
+    /// `slot % 16` (one active channel a slot, each of the 16 in turn —
+    /// the shape that made sixteen groups each grow buffers for the whole
+    /// world); from slot 32 the nodes split over three adjacent channels.
+    struct HopFlood {
+        id: u32,
+    }
+    impl Protocol for HopFlood {
+        type Msg = u32;
+        fn act(&mut self, slot: u64, rng: &mut SmallRng) -> Action<u32> {
+            use rand::Rng;
+            let spread = if slot < 32 { 1 } else { 3 };
+            let channel = Channel(((slot + u64::from(self.id % spread)) % 16) as u16);
+            if rng.gen_bool(0.2) {
+                let msg = self.id;
+                Action::Transmit { channel, msg }
+            } else {
+                Action::Listen { channel }
+            }
+        }
+        fn observe(&mut self, _slot: u64, _obs: Observation<u32>, _r: &mut SmallRng) {}
+    }
+
+    /// The memory-scaling regression: Phase 2's staged data is O(n), not
+    /// O(n · channels). After a 2 000-node flood has hopped through all 16
+    /// channels, each vector of the engine's one [`Stage`] holds at most
+    /// `2 · n` entries of capacity, and no group has a staged buffer to
+    /// grow: the exhaustive destructuring of [`ChannelGroup`] below stops
+    /// compiling the moment the struct gains a field, so a `Vec<Point>`
+    /// (or a `shard_rx` vector) cannot come back unnoticed. On a slot with
+    /// three resolved channels the groups' ranges tile the arena in
+    /// ascending channel order, each as long as its id list, every staged
+    /// position is its node's, and every channel's `shard_rx` stretch is a
+    /// permutation of its listener indices. Unsharded and on a 4 × 4 grid,
+    /// at 1, 2 and 8 pool workers (under `MCA_FORCE_PAR=1` every arm is
+    /// sharded and its units run on the pool; the worker count is
+    /// process-global but only steers scheduling, so sibling tests stay
+    /// correct).
+    #[test]
+    fn stage_arena_is_bounded_by_nodes_not_channels() {
+        use rand::{Rng, SeedableRng};
+        let n = 2_000usize;
+        for (shards, threads) in [(0u16, 1usize), (0, 2), (4, 1), (4, 2), (4, 8)] {
+            rayon::set_num_threads(threads);
+            let mut rng = SmallRng::seed_from_u64(5);
+            let side = (n as f64).sqrt();
+            let positions: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
+                .collect();
+            let protocols = (0..n as u32).map(|id| HopFlood { id }).collect();
+            let mut e =
+                Engine::new(SinrParams::default(), positions, protocols, 11).with_shards(shards);
+            e.attach_obs(mca_obs::Recorder::new());
+            let mut seen = [false; 16];
+            for _ in 0..32 {
+                e.step();
+                assert_eq!(e.active.len(), 1, "the flood hops as one");
+                seen[e.active[0] as usize] = true;
+            }
+            assert_eq!(seen, [true; 16], "every channel has been the active one");
+            e.step();
+            assert_eq!(e.active.len(), 3);
+
+            let Stage {
+                tx_pos,
+                rx_pos,
+                shard_rx,
+            } = &e.stage;
+            for (name, capacity) in [
+                ("tx_pos", tx_pos.capacity()),
+                ("rx_pos", rx_pos.capacity()),
+                ("shard_rx", shard_rx.capacity()),
+            ] {
+                assert!(capacity <= 2 * n, "{name} holds {capacity} entries");
+            }
+
+            let (mut tx_at, mut rx_at) = (0, 0);
+            for &ch in &e.active {
+                let ChannelGroup {
+                    tx,
+                    rx,
+                    tx_span,
+                    rx_span,
+                    shard_span,
+                    cond: _,
+                    params: _,
+                    unit_ranges,
+                    cache: _,
+                } = &e.groups[ch as usize];
+                let (tx, rx): (&Vec<u32>, &Vec<u32>) = (tx, rx);
+                assert!(!tx.is_empty() && !rx.is_empty(), "channel {ch} resolves");
+                assert_eq!(*tx_span, (tx_at..tx_at + tx.len()));
+                assert_eq!(*rx_span, (rx_at..rx_at + rx.len()));
+                assert_eq!(shard_span, rx_span);
+                (tx_at, rx_at) = (tx_span.end, rx_span.end);
+                let at = |ids: &[u32]| -> Vec<Point> {
+                    ids.iter().map(|&i| e.positions[i as usize]).collect()
+                };
+                assert_eq!(tx_pos[tx_span.clone()], at(tx)[..]);
+                assert_eq!(rx_pos[rx_span.clone()], at(rx)[..]);
+                let mut order = shard_rx[shard_span.clone()].to_vec();
+                order.sort_unstable();
+                assert!(order.iter().copied().eq(0..rx.len() as u32));
+                assert_eq!(unit_ranges.len() > 1, e.shards >= 2, "channel {ch}");
+            }
+            assert_eq!(tx_at, tx_pos.len());
+            assert_eq!(rx_at, rx_pos.len());
+            assert_eq!(rx_at, shard_rx.len());
+
+            // The recorder's view of the same thing: a position per
+            // transmitter and listener of every resolved channel.
+            let rec = e.obs().unwrap();
+            let resolved = rec
+                .channel_records()
+                .iter()
+                .filter(|c| c.tx > 0 && c.listens > 0);
+            let staged: u64 = resolved.map(|c| u64::from(c.tx + c.listens)).sum();
+            let counters = rec.counters();
+            let counted = counters.iter().find(|(k, _)| *k == "staged_positions");
+            assert_eq!(counted, Some(&("staged_positions", staged)));
+            assert_eq!(staged, 33 * n as u64, "every node is staged every slot");
+        }
+        rayon::set_num_threads(0);
     }
 
     const H: u64 = WHEEL_SLOTS as u64;

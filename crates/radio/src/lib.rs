@@ -30,11 +30,12 @@
 //!
 //! Reception is resolved per channel by the batched
 //! [`ChannelResolver`](mca_sinr::ChannelResolver) (mode selected via
-//! [`SinrParams::resolve`](mca_sinr::SinrParams)): the engine stages each
-//! channel's transmitter/listener positions once per slot in reused dense
-//! scratch buffers, keeps the resolver's spatial index alive across slots
+//! [`SinrParams::resolve`](mca_sinr::SinrParams)): the engine stages every
+//! channel's transmitter/listener positions once per slot into one arena
+//! (at most one entry per node, however many channels there are), keeps
+//! each channel's spatial index alive across slots
 //! ([`mca_sinr::ResolverCache`] — rebuilt only when the staged positions
-//! change), and resolves the resulting (channel × shard) units — a big
+//! change, through one shared [`mca_sinr::IndexScratch`]), and resolves the resulting (channel × shard) units — a big
 //! channel's listeners bucketed by [`Engine::with_shards`]' [`ShardMap`]
 //! grid over the positions staged for them — inline on the slot
 //! thread, or as tasks on the work-stealing pool when a slot has at least

@@ -628,16 +628,19 @@ mod tests {
     /// final protocol states, equal per-node RNG states, equal decode
     /// traces (listener order included) and equal per-channel outcome
     /// streams. One run per proptest case (`PROPTEST_CASES` deepens it);
-    /// a plain loop, because the run as a whole owes three more things:
+    /// a plain loop, because the run as a whole owes four more things:
     /// it must have reached channel-slots with at least a lane of
     /// transmitters *and* a lane of listeners, channel-slots big enough
     /// to be bucketed into shard units (a `Halo` span each), so that
-    /// sharding after a scripted move is part of what is compared, and
-    /// parks beyond the wake wheel (8 slots in this build), so that the
-    /// overflow heap and the migration out of it are.
+    /// sharding after a scripted move is part of what is compared, parks
+    /// beyond the wake wheel (8 slots in this build), so that the
+    /// overflow heap and the migration out of it are, and slots that
+    /// resolve two channels or more, so that several channels' ranges
+    /// share the staging arena.
     #[test]
     fn reference_oracle_matches_the_active_set_engine() {
         let (mut full_lane_channel_slots, mut sharded_units, mut parks_far) = (0, 0, 0);
+        let mut shared_arena_slots = 0;
         for i in 0..u64::from(ProptestConfig::default().cases) {
             let seed: u64 = proptest::test_rng(i).gen();
             let c = case(seed);
@@ -673,6 +676,11 @@ mod tests {
                 .iter()
                 .filter(|c| c.tx >= lane && c.listens >= lane)
                 .count();
+            shared_arena_slots += r
+                .channel_records
+                .chunk_by(|a, b| a.slot == b.slot)
+                .filter(|slot| slot.iter().filter(|c| c.tx > 0 && c.listens > 0).count() >= 2)
+                .count();
         }
         assert!(
             full_lane_channel_slots > 0,
@@ -683,6 +691,10 @@ mod tests {
             "no case bucketed a channel into shard units"
         );
         assert!(parks_far > 0, "no case parked a node beyond the wake wheel");
+        assert!(
+            shared_arena_slots > 0,
+            "no case resolved two channels in one slot"
+        );
     }
 
     /// A [`Probe`] that stretches its promises: quiet through its next

@@ -17,7 +17,8 @@
 //!   pyramid under one opening rule, all
 //!   error-bounded — see [`resolve_batch`] for the `α > 2` tail-bound
 //!   derivation). [`ResolverCache`] persists the spatial index across
-//!   slots; [`TaskResolver`] is the per-shard-task view the engine's
+//!   slots (what only a rebuild touches lives in one shared
+//!   [`IndexScratch`]); [`TaskResolver`] is the per-shard-task view the engine's
 //!   sharded resolve units go through (bit-identical to the resolver);
 //! * [`lanes`] — SIMD-friendly structure-of-arrays power kernels with a
 //!   deterministic reduction order, bit-identical to the scalar reference
@@ -50,4 +51,4 @@ pub use params::{NodeKnowledge, ParamInterval, PowerKernel, ResolveMode, SinrPar
 pub use resolve::{
     is_clear_reception, resolve_channel, resolve_listener, resolve_listener_ext, ListenOutcome,
 };
-pub use resolve_batch::{ChannelResolver, ResolverCache, TaskResolver, WalkStats};
+pub use resolve_batch::{ChannelResolver, IndexScratch, ResolverCache, TaskResolver, WalkStats};

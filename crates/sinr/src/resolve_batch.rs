@@ -162,7 +162,7 @@ struct FastIndex {
 }
 
 /// One occupied grid cell staged for [`FastIndex::build`]'s pre-order
-/// pass: its rectangle and its range of [`BuildScratch::flat`].
+/// pass: its rectangle and its range of [`IndexScratch::flat`].
 #[derive(Clone, Copy)]
 struct Placed {
     rect: BoundingBox,
@@ -170,15 +170,27 @@ struct Placed {
     hi: u32,
 }
 
-/// Reusable temporaries of [`FastIndex::build`]: the staged cells, the
-/// dense cell → staged-cell table (`0` = empty, else index + 1) and the
-/// flattened item copy. Owned by [`ResolverCache`] so steady-state
-/// rebuilds (mobile worlds re-index every slot) allocate nothing.
+/// Everything only an index *build* touches: the spatial grid (re-indexed
+/// in place, its CSR buffers surviving), the staged cells, the dense
+/// cell → staged-cell table (`0` = empty, else index + 1) and the
+/// flattened item copy. Nothing here outlives the build that filled it, so
+/// one scratch serves any number of [`ResolverCache`]s — the engine owns
+/// one and lends it to each channel's [`ChannelResolver::cached`] in turn
+/// — and steady-state rebuilds (mobile worlds re-index every slot)
+/// allocate nothing.
 #[derive(Default)]
-struct BuildScratch {
+pub struct IndexScratch {
+    grid: Option<SpatialGrid>,
     cell_of: Vec<u32>,
     placed: Vec<Placed>,
     flat: Vec<u32>,
+}
+
+impl IndexScratch {
+    /// An empty scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
 }
 
 /// The pre-order pass of [`FastIndex::build`]: staged cells in, nodes and
@@ -187,7 +199,7 @@ struct Emit<'a> {
     tx: &'a [Point],
     /// Grid dimensions in cells.
     dims: (usize, usize),
-    scratch: &'a BuildScratch,
+    scratch: &'a IndexScratch,
     out: &'a mut FastIndex,
     /// Nodes emitted per level (the work estimate's input).
     per_level: [u32; MAX_LEVELS],
@@ -255,16 +267,14 @@ impl FastIndex {
     /// Builds the hierarchy over `tx` under `params`, or `None` when the
     /// geometry cannot profit from one (mode is Exact, too few
     /// transmitters, an all-near world, or cell counts rivaling the
-    /// transmitter count). `grid` and `scratch` are persistent: the
-    /// spatial grid is re-indexed in place ([`SpatialGrid::rebuild`]) and
-    /// the build temporaries reused, so steady-state rebuilds allocate
-    /// nothing; `recycle` donates a previous index's buffers for the same
-    /// reason.
+    /// transmitter count). `scratch` is persistent: its spatial grid is
+    /// re-indexed in place ([`SpatialGrid::rebuild`]) and the build
+    /// temporaries reused, so steady-state rebuilds allocate nothing;
+    /// `recycle` donates a previous index's buffers for the same reason.
     fn build(
         params: &SinrParams,
         tx: &[Point],
-        grid: &mut Option<SpatialGrid>,
-        scratch: &mut BuildScratch,
+        scratch: &mut IndexScratch,
         recycle: Option<FastIndex>,
     ) -> Option<FastIndex> {
         let ResolveMode::Fast { cutoff_factor } = params.resolve else {
@@ -295,6 +305,12 @@ impl FastIndex {
         if diag_sq <= cutoff_sq || ncells * 2 > tx.len() {
             return None;
         }
+        let IndexScratch {
+            grid,
+            cell_of,
+            placed,
+            flat,
+        } = &mut *scratch;
         match grid {
             Some(g) => g.rebuild(tx, side),
             None => *grid = Some(SpatialGrid::build(tx, side)),
@@ -322,11 +338,6 @@ impl FastIndex {
         // Stage the occupied cells as the grid visits them, with a dense
         // table to find one by its coordinates, then emit the pyramid in
         // pre-order from the root.
-        let BuildScratch {
-            cell_of,
-            placed,
-            flat,
-        } = &mut *scratch;
         cell_of.clear();
         cell_of.resize(dims.0 * dims.1, 0);
         placed.clear();
@@ -423,10 +434,13 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Persistent per-channel resolver state: the spatial grid and the
-/// hierarchy over it survive across slots and are rebuilt **only when the transmitter
-/// positions (or physical parameters) actually change** — a static world
-/// builds its index once.
+/// Persistent per-channel resolver state — what a cache *hit* reads and
+/// nothing else: the hierarchy, and the transmitter positions and
+/// parameters it was built from. It survives across slots and is rebuilt
+/// **only when the transmitter positions (or physical parameters) actually
+/// change** — a static world builds its index once. What a rebuild needs
+/// on top (the spatial grid, the build temporaries) is the caller's
+/// [`IndexScratch`], shared by every cache it has.
 ///
 /// Invalidation is by exact snapshot comparison of the staged transmitter
 /// positions (cheap, early-exit, and *sound*: the index is a pure function
@@ -443,10 +457,6 @@ pub struct ResolverCache {
     snapshot: Vec<Point>,
     /// Parameters the current index was built under.
     params: Option<SinrParams>,
-    /// Reused spatial-grid scratch (CSR buffers survive rebuilds).
-    grid: Option<SpatialGrid>,
-    /// Reused build temporaries (see [`BuildScratch`]).
-    scratch: BuildScratch,
     /// The current index (`None` when Exact mode or the grid was refused).
     index: Option<FastIndex>,
     /// Indexes built (observable, for tests and diagnostics).
@@ -476,8 +486,8 @@ impl ResolverCache {
     }
 
     /// Ensures the cached index matches `(params, tx)`, rebuilding in
-    /// place (buffers reused) when it does not.
-    fn ensure(&mut self, params: &SinrParams, tx: &[Point]) {
+    /// place (buffers reused) through `scratch` when it does not.
+    fn ensure(&mut self, params: &SinrParams, tx: &[Point], scratch: &mut IndexScratch) {
         if params.resolve == ResolveMode::Exact {
             self.params = None;
             self.index = None;
@@ -490,13 +500,7 @@ impl ResolverCache {
         self.snapshot.clear();
         self.snapshot.extend_from_slice(tx);
         self.params = Some(*params);
-        self.index = FastIndex::build(
-            params,
-            tx,
-            &mut self.grid,
-            &mut self.scratch,
-            self.index.take(),
-        );
+        self.index = FastIndex::build(params, tx, scratch, self.index.take());
         if self.index.is_some() {
             self.builds += 1;
             self.build_ns += sw.elapsed_ns();
@@ -560,9 +564,7 @@ impl<'a> ChannelResolver<'a> {
     /// on a geometry the grid can help); without one there is nothing to
     /// build — the exact scan folds over `tx_positions` as they are.
     pub fn new(params: &'a SinrParams, tx_positions: &'a [Point]) -> Self {
-        let mut grid = None;
-        let mut scratch = BuildScratch::default();
-        let fast = match FastIndex::build(params, tx_positions, &mut grid, &mut scratch, None) {
+        let fast = match FastIndex::build(params, tx_positions, &mut IndexScratch::new(), None) {
             Some(ix) => IndexRef::Owned(Box::new(ix)),
             None => IndexRef::None,
         };
@@ -576,8 +578,10 @@ impl<'a> ChannelResolver<'a> {
 
     /// Like [`ChannelResolver::new`], but reusing `cache`: if the
     /// transmitter positions and parameters match the cache's snapshot the
-    /// index is reused as-is (zero build work — the static-world steady
-    /// state), otherwise it is rebuilt in place into the cache's buffers.
+    /// index is reused as-is (zero build work, `scratch` untouched — the
+    /// static-world steady state), otherwise it is rebuilt in place into
+    /// the cache's buffers through `scratch`, which is free again when
+    /// this returns: any number of caches can take turns on one.
     /// Outcomes are identical to a freshly built resolver's and computed
     /// by the same routes: the cache holds the index and nothing else, and
     /// an index-free resolver folds over `tx_positions` as they are.
@@ -585,8 +589,9 @@ impl<'a> ChannelResolver<'a> {
         params: &'a SinrParams,
         tx_positions: &'a [Point],
         cache: &'a mut ResolverCache,
+        scratch: &mut IndexScratch,
     ) -> Self {
-        cache.ensure(params, tx_positions);
+        cache.ensure(params, tx_positions, scratch);
         let fast = match &cache.index {
             Some(ix) => IndexRef::Cached(ix),
             None => IndexRef::None,
@@ -1496,7 +1501,8 @@ mod tests {
         let (mut txs, _) = dense_world(31, 5_000);
         let params = fast(1.5);
         let mut cache = ResolverCache::new();
-        let _ = ChannelResolver::cached(&params, &txs, &mut cache);
+        let mut scratch = IndexScratch::new();
+        let _ = ChannelResolver::cached(&params, &txs, &mut cache, &mut scratch);
         let buffers = |cache: &ResolverCache| {
             let ix = cache.index.as_ref().expect("index built");
             (
@@ -1511,7 +1517,7 @@ mod tests {
             for t in &mut txs {
                 *t = Point::new(t.x + 1e-3, t.y);
             }
-            let r = ChannelResolver::cached(&params, &txs, &mut cache);
+            let r = ChannelResolver::cached(&params, &txs, &mut cache, &mut scratch);
             assert!(r.is_fast());
             assert_eq!(cache.builds(), 1 + step);
             assert_eq!(buffers(&cache), before, "rebuild {step} reallocated");
@@ -1523,12 +1529,13 @@ mod tests {
         let (txs, listeners) = random_world(9, 400, 60.0);
         let params = fast(1.5);
         let mut cache = ResolverCache::new();
+        let mut scratch = IndexScratch::new();
         let fresh: Vec<ListenOutcome> = {
             let r = ChannelResolver::new(&params, &txs);
             listeners.iter().map(|&l| r.resolve(l, 0.0)).collect()
         };
         for _ in 0..5 {
-            let r = ChannelResolver::cached(&params, &txs, &mut cache);
+            let r = ChannelResolver::cached(&params, &txs, &mut cache, &mut scratch);
             assert!(r.is_fast());
             for (k, &l) in listeners.iter().enumerate() {
                 assert_eq!(r.resolve(l, 0.0), fresh[k], "cached outcome diverged");
@@ -1539,7 +1546,7 @@ mod tests {
         let mut moved = txs.clone();
         moved[7] = Point::new(moved[7].x + 0.5, moved[7].y);
         {
-            let r = ChannelResolver::cached(&params, &moved, &mut cache);
+            let r = ChannelResolver::cached(&params, &moved, &mut cache, &mut scratch);
             let direct = ChannelResolver::new(&params, &moved);
             assert_eq!(
                 r.resolve(listeners[0], 0.0),
@@ -1549,12 +1556,12 @@ mod tests {
         assert_eq!(cache.builds(), 2);
         // Parameter changes invalidate too (different cutoff → different index).
         let wide = fast(2.5);
-        let _ = ChannelResolver::cached(&wide, &moved, &mut cache);
+        let _ = ChannelResolver::cached(&wide, &moved, &mut cache, &mut scratch);
         assert_eq!(cache.builds(), 3);
         // Exact mode has nothing to build, whatever the cache held before.
         let pe = exact();
         for tx in [&txs, &moved] {
-            let r = ChannelResolver::cached(&pe, tx, &mut cache);
+            let r = ChannelResolver::cached(&pe, tx, &mut cache, &mut scratch);
             assert!(!r.is_fast());
             assert_eq!(
                 r.resolve(listeners[0], 0.0),

@@ -34,9 +34,12 @@ use multichannel_adhoc::sinr::lanes::{
     accumulate_span_lanes, far_terms_lanes, rect_metrics_lanes, LANE_WIDTH,
 };
 use multichannel_adhoc::sinr::{
-    resolve_listener_ext, ChannelResolver, ListenOutcome, ResolveMode, ResolverCache, SinrParams,
+    resolve_listener_ext, ChannelResolver, IndexScratch, ListenOutcome, ResolveMode, ResolverCache,
+    SinrParams,
 };
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng as _, SeedableRng};
 use std::hint::black_box;
 
 /// α values spanning every `PowerKernel` dispatch arm: the cubic,
@@ -354,7 +357,7 @@ proptest! {
         let mut cache = ResolverCache::new();
         for resolver in [
             ChannelResolver::new(&params, &txs),
-            ChannelResolver::cached(&params, &txs, &mut cache),
+            ChannelResolver::cached(&params, &txs, &mut cache, &mut IndexScratch::new()),
         ] {
             prop_assert!(!resolver.is_fast());
             let task = resolver.task(BoundingBox::from_points(listeners.iter().copied()).unwrap());
@@ -386,6 +389,63 @@ proptest! {
             }
         }
     }
+}
+
+/// Two caches take turns on one [`IndexScratch`] — the engine's
+/// arrangement, one scratch for sixteen channels. A build leaves nothing in
+/// the scratch a later hit could read: after A and B (worlds of different
+/// size, so different grids) have both built through it, A's unchanged set
+/// is a hit served from A's own index, B's moved transmitter is a rebuild,
+/// and every batch is bitwise what a resolver built fresh on the same set
+/// returns (Fast mode, an index on both sides, the lane walk).
+#[test]
+fn two_caches_share_one_index_scratch() {
+    let params = params_for(4.0, true);
+    let world = |seed: u64, n: usize, w: f64, h: f64| -> Vec<Point> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| Point::new(rng.gen_range(0.0..w), rng.gen_range(0.0..h)))
+            .collect()
+    };
+    let a_txs = world(1, 400, 120.0, 120.0);
+    let mut b_txs = world(2, 900, 200.0, 150.0);
+    let listeners = world(3, 61, 200.0, 150.0);
+    let check = |resolver: &ChannelResolver<'_>, txs: &[Point], what: &str| {
+        assert!(resolver.is_fast(), "{what}: no index");
+        let fresh = ChannelResolver::new(&params, txs);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        resolver.resolve_batch_into(&listeners, 0.25, &mut got);
+        fresh.resolve_batch_into(&listeners, 0.25, &mut want);
+        for (g, w) in got.iter().zip(&want) {
+            assert_bitwise(g, w).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        }
+    };
+    let mut scratch = IndexScratch::new();
+    let (mut a, mut b) = (ResolverCache::new(), ResolverCache::new());
+    check(
+        &ChannelResolver::cached(&params, &a_txs, &mut a, &mut scratch),
+        &a_txs,
+        "A, first build",
+    );
+    check(
+        &ChannelResolver::cached(&params, &b_txs, &mut b, &mut scratch),
+        &b_txs,
+        "B, first build",
+    );
+    assert_eq!((a.builds(), b.builds()), (1, 1));
+    check(
+        &ChannelResolver::cached(&params, &a_txs, &mut a, &mut scratch),
+        &a_txs,
+        "A again, after B used the scratch",
+    );
+    assert_eq!(a.builds(), 1, "an unchanged set is a hit");
+    b_txs[17] = Point::new(b_txs[17].x + 3.0, b_txs[17].y - 2.0);
+    check(
+        &ChannelResolver::cached(&params, &b_txs, &mut b, &mut scratch),
+        &b_txs,
+        "B, one transmitter moved",
+    );
+    assert_eq!((a.builds(), b.builds()), (1, 2));
 }
 
 fn assert_bitwise(
