@@ -27,15 +27,18 @@
 //! through the flood max-aggregation workload; `sweep` expands a
 //! `[matrix]` file into a keyed trial set and streams one JSONL record
 //! per trial with checkpoint/resume (see `docs/TRIAL_SERVICE.md`);
-//! `serve` polls a queue directory of such files; `export-scenarios`
-//! writes the built-in catalog; `check-scenarios` parse-validates a
-//! directory of scenario/matrix files (the CI gate for `scenarios/`);
-//! `golden-trials` checks (or `--write`s) the committed golden trial
-//! metrics the CI determinism job pins `MCA_FORCE_PAR=1` runs against.
-//! Unknown subcommands print usage and exit non-zero.
+//! `serve` polls a queue directory of such files; `check-scenarios`
+//! parse-validates a directory of scenario/matrix files (the CI gate for
+//! `scenarios/`).
+//!
+//! `artifacts` checks every committed artifact ([`mca_bench::artifacts`])
+//! byte for byte, one `ok|STALE|GATE` line per file (`--log-level off`
+//! keeps only the failures); `--write` rewrites the stale ones. Unknown
+//! subcommands print usage and exit non-zero.
 
+use mca_bench::artifacts::{self, Verdict};
 use mca_bench::{LogLevel, ServeConfig, SweepConfig};
-use mca_scenario::{builtin_scenarios, Scenario, SweepFile};
+use mca_scenario::{Scenario, SweepFile};
 use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -65,25 +68,13 @@ struct Cmd {
 /// dispatch through [`run_tables`] instead of a row here.
 const COMMANDS: &[Cmd] = &[
     Cmd {
-        name: "repair-bench",
-        args: "[seeds]",
-        summary: "incremental repair vs rebuild -> BENCH_repair.json\n\
-                  (REPAIR_BENCH_SMOKE=1 for the reduced CI gate;\n\
-                   exits non-zero if any world fails its gate)",
+        name: "artifacts",
+        args: "[--write]",
+        summary: "regenerate every committed artifact and compare it\n\
+                  byte for byte; exits non-zero naming each stale file\n\
+                  and each failed gate (--write: rewrite stale files)",
         help: "",
-        run: cmd_repair_bench,
-    },
-    Cmd {
-        name: "adversary-bench",
-        args: "[seeds]",
-        summary: "reactive vs proactive repair under adversaries\n\
-                  -> BENCH_adversary.json\n\
-                  (ADVERSARY_BENCH_SMOKE=1 for the reduced CI gate;\n\
-                   exits non-zero on audit regressions or if the\n\
-                   proactive arm fails to beat the censored\n\
-                   reactive time-to-repair)",
-        help: "",
-        run: cmd_adversary_bench,
+        run: cmd_artifacts,
     },
     Cmd {
         name: "profile",
@@ -96,21 +87,12 @@ const COMMANDS: &[Cmd] = &[
         run: run_profile,
     },
     Cmd {
-        name: "golden-trials",
-        args: "[--write] [path]",
-        summary: "check (default) or rewrite the committed golden\n\
-                  trial metrics (default: scenarios/GOLDEN_trials.json);\n\
-                  check exits non-zero on any metric divergence",
-        help: "",
-        run: golden_trials,
-    },
-    Cmd {
         name: "flip-audit",
-        args: "[--write] [<scenario.toml> | dense-slot]...",
+        args: "[<scenario.toml> | dense-slot]...",
         summary: "resolve every listen of a Fast-mode run in both modes,\n\
-                  list every decode flip and hold each to its bound;\n\
-                  no target = every committed run, checked against\n\
-                  (or --write: rewriting) scenarios/GOLDEN_flips.json",
+                  list every decode flip and hold each to its bound\n\
+                  (no target = every run of scenarios/GOLDEN_flips.json;\n\
+                  exits non-zero on a flip outside its bound)",
         help: "",
         run: cmd_flip_audit,
     },
@@ -153,13 +135,6 @@ const COMMANDS: &[Cmd] = &[
                \x20 --poll-ms N    milliseconds between scans (default 1000)\n\
                \x20 --sequential   resolve trials on one worker",
         run: cmd_serve,
-    },
-    Cmd {
-        name: "export-scenarios",
-        args: "[dir]",
-        summary: "write the built-in catalog (default: scenarios)",
-        help: "",
-        run: cmd_export_scenarios,
     },
     Cmd {
         name: "check-scenarios",
@@ -317,14 +292,17 @@ fn main() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Parses the optional positional run count (trials/repeats/seeds) shared
-/// by the table and bench subcommands.
+/// Parses the experiment tables' optional positional trial count. A table
+/// summarizes its trials, so the count must be at least 1.
 fn parse_runs(args: &[String], default: usize) -> Result<usize, ExitCode> {
     match args.first() {
         Some(t) => match t.parse() {
-            Ok(t) => Ok(t),
-            Err(_) => {
-                eprintln!("error: trial count `{t}` is not a number\n{}", usage());
+            Ok(t) if t > 0 => Ok(t),
+            _ => {
+                eprintln!(
+                    "error: trial count `{t}` must be a positive number\n{}",
+                    usage()
+                );
                 Err(ExitCode::from(2))
             }
         },
@@ -399,73 +377,6 @@ fn run_tables(which: &str, rest: &[String]) -> ExitCode {
         eprintln!("[experiments done in {:.1}s]", t0.elapsed().as_secs_f64());
     }
     ExitCode::SUCCESS
-}
-
-/// Shared body of the three gated bench subcommands: run, print the JSON,
-/// write the committed artifact (or log the smoke gate), fail on a gate
-/// violation. The `<env>=1` smoke mode (CI) shrinks the run count but
-/// still runs every arm and enforces the full gate.
-fn run_gated_bench(
-    args: &[String],
-    label: &str,
-    smoke_env: &str,
-    smoke_runs: usize,
-    artifact: &str,
-    gate_msg: &str,
-    json: impl Fn(usize, bool) -> (String, bool),
-) -> ExitCode {
-    let requested = match parse_runs(args, 3) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let smoke = env::var(smoke_env).is_ok_and(|v| v == "1");
-    let runs = if smoke { smoke_runs } else { requested.max(3) };
-    let (json, ok) = json(runs, smoke);
-    print!("{json}");
-    if smoke {
-        if logs(LogLevel::Summary) {
-            eprintln!(
-                "[{label} smoke: gate {}]",
-                if ok { "held" } else { "FAILED" }
-            );
-        }
-    } else {
-        std::fs::write(artifact, &json).unwrap_or_else(|_| panic!("write {artifact}"));
-        if logs(LogLevel::Summary) {
-            eprintln!("[wrote {artifact}]");
-        }
-    }
-    if !ok {
-        eprintln!("error: {gate_msg} (see JSON above)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// `experiments repair-bench [seeds]`
-fn cmd_repair_bench(args: &[String]) -> ExitCode {
-    run_gated_bench(
-        args,
-        "repair-bench",
-        "REPAIR_BENCH_SMOKE",
-        1,
-        "BENCH_repair.json",
-        "a repair-bench world failed its acceptance gate",
-        |seeds, _smoke| mca_bench::repair_bench_json(seeds),
-    )
-}
-
-/// `experiments adversary-bench [seeds]`
-fn cmd_adversary_bench(args: &[String]) -> ExitCode {
-    run_gated_bench(
-        args,
-        "adversary-bench",
-        "ADVERSARY_BENCH_SMOKE",
-        1,
-        "BENCH_adversary.json",
-        "an adversary-bench world failed its acceptance gate",
-        |seeds, _smoke| mca_bench::adversary_bench_json(seeds),
-    )
 }
 
 /// `experiments sweep <matrix.toml> [--out F] [--journal F] [--limit N]
@@ -738,59 +649,52 @@ fn run_scenario_file(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `experiments golden-trials [--write] [path]`
-fn golden_trials(args: &[String]) -> ExitCode {
-    let mut write = false;
-    let mut path = "scenarios/GOLDEN_trials.json";
-    for arg in args {
-        match arg.as_str() {
-            "--write" => write = true,
-            other if !other.starts_with('-') => path = other,
-            other => {
-                eprintln!("error: unexpected argument `{other}`\n{}", usage());
-                return ExitCode::from(2);
-            }
+/// `experiments artifacts [--write]`
+fn cmd_artifacts(args: &[String]) -> ExitCode {
+    let write = match args {
+        [] => false,
+        [w] if w == "--write" => true,
+        _ => {
+            eprintln!(
+                "error: unexpected arguments `{}`\n{}",
+                args.join(" "),
+                usage()
+            );
+            return ExitCode::from(2);
+        }
+    };
+    let t0 = Instant::now();
+    let entries = artifacts::registry();
+    let mut failed = 0;
+    for artifact in &entries {
+        let outcome = artifact.settle(Path::new("."), write);
+        failed += usize::from(!outcome.is_ok());
+        if outcome.verdict != Verdict::Ok || logs(LogLevel::Summary) {
+            println!("{outcome}");
         }
     }
-    if write {
-        let json = mca_bench::golden_trials_json();
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        return ExitCode::SUCCESS;
+    let (n, secs) = (entries.len(), t0.elapsed().as_secs_f64());
+    if failed > 0 {
+        eprintln!("error: {failed} of {n} artifacts failed");
+        return ExitCode::FAILURE;
     }
-    match mca_bench::check_golden_trials(path) {
-        Ok(()) => {
-            println!("golden trial metrics match {path} (bit-identical)");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+    if logs(LogLevel::Summary) {
+        eprintln!("[artifacts: {n} files in {secs:.1}s]");
     }
+    ExitCode::SUCCESS
 }
 
-/// `experiments flip-audit [--write] [<scenario.toml> | dense-slot]...`
-fn cmd_flip_audit(args: &[String]) -> ExitCode {
+/// `experiments flip-audit [<scenario.toml> | dense-slot]...`
+fn cmd_flip_audit(targets: &[String]) -> ExitCode {
     use mca_bench::flip_audit;
-    const GOLDEN: &str = "scenarios/GOLDEN_flips.json";
-    let write = args.iter().any(|a| a == "--write");
-    let targets: Vec<&String> = args.iter().filter(|a| *a != "--write").collect();
     if let Some(flag) = targets.iter().find(|a| a.starts_with('-')) {
         eprintln!("error: unexpected argument `{flag}`\n{}", usage());
         return ExitCode::from(2);
     }
-    if write && !targets.is_empty() {
-        eprintln!("error: --write rewrites every committed run; name no target");
-        return ExitCode::from(2);
-    }
     let t0 = Instant::now();
     let mut runs = Vec::new();
-    for target in &targets {
-        if *target == flip_audit::DENSE_SLOT {
+    for target in targets {
+        if target == flip_audit::DENSE_SLOT {
             runs.push(flip_audit::audit_dense_slot());
             continue;
         }
@@ -814,23 +718,9 @@ fn cmd_flip_audit(args: &[String]) -> ExitCode {
             t0.elapsed().as_secs_f64()
         );
     }
-    if write {
-        if let Err(e) = std::fs::write(GOLDEN, flip_audit::golden_flips_json(&runs)) {
-            eprintln!("error: cannot write {GOLDEN}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {GOLDEN}");
-    }
-    let committed = match std::fs::read_to_string(GOLDEN) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot read {GOLDEN}: {e} (run `experiments flip-audit --write`?)");
-            return ExitCode::FAILURE;
-        }
-    };
-    match flip_audit::check_flip_audit(&runs, &committed) {
+    match flip_audit::flips_inside_bounds(&runs) {
         Ok(()) => {
-            println!("flip audit matches {GOLDEN}: every flip inside its bound");
+            println!("every flip inside its bound");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -838,24 +728,6 @@ fn cmd_flip_audit(args: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// `experiments export-scenarios [dir]`
-fn cmd_export_scenarios(args: &[String]) -> ExitCode {
-    let dir = Path::new(args.first().map_or("scenarios", |s| s.as_str()));
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("error: cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    for entry in builtin_scenarios() {
-        let path = dir.join(entry.file_name());
-        if let Err(e) = std::fs::write(&path, entry.file_contents()) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
-    }
-    ExitCode::SUCCESS
 }
 
 /// `experiments check-scenarios [dir]`

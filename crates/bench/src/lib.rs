@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 
 pub mod adversary_bench;
+pub mod artifacts;
 pub mod flip_audit;
 pub mod golden;
 pub mod profile;
@@ -18,15 +19,13 @@ pub mod scenario_run;
 pub mod serve;
 pub mod sweep;
 
-pub use adversary_bench::{
-    adversary_bench_json, adversary_trial, run_adversary_bench, AdversaryBenchCase,
-};
-pub use golden::{check_golden_trials, golden_trials_json, golden_trials_json_observed};
+pub use adversary_bench::adversary_bench_json;
+pub use golden::{golden_trials_json, golden_trials_json_observed};
 pub use profile::{
     default_profile_scenario, profile_scenario, profile_table, ProfileRun, ResolveCost,
     COVERAGE_GATE, PROFILE_SEED,
 };
-pub use repair_bench::{repair_bench_json, repair_trial, run_repair_bench, RepairBenchCase};
+pub use repair_bench::repair_bench_json;
 pub use scenario_run::{
     run_scenario, scenario_flood_trial, scenario_flood_trial_observed, ScenarioTrial,
 };
@@ -35,10 +34,11 @@ pub use sweep::{run_sweep, run_sweep_file, SweepConfig, SweepError, SweepSummary
 
 /// Verbosity of the `experiments` binary's progress stream (stderr).
 /// Set once via the global `--log-level {off,summary,verbose}` flag;
-/// tables and JSON artifacts (stdout) are unaffected.
+/// tables (stdout) are unaffected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum LogLevel {
-    /// No progress output: stdout carries the results, stderr only errors.
+    /// No progress output: stdout carries the results (`artifacts` prints
+    /// only its failures), stderr only errors.
     Off,
     /// End-of-run summaries (`[wrote ...]`, `[... done in Ns]`) — the default.
     #[default]

@@ -1,6 +1,5 @@
 //! Incremental structure repair vs full rebuild, across the churn/mobility
-//! catalog worlds — the `experiments repair-bench` harness behind
-//! `BENCH_repair.json`.
+//! catalog worlds — the harness behind the committed `BENCH_repair.json`.
 //!
 //! For each (scenario, seed) the harness builds the §5 aggregation
 //! structure over the initial live set, then drives the scenario in
@@ -18,10 +17,9 @@
 //! Both costs are simulated protocol slots — the same currency as
 //! [`BuildReport`](mca_core::BuildReport) — so the headline number,
 //! `repair_fraction = repair_slots / rebuild_slots`, is
-//! implementation-independent. [`repair_bench_json`] renders the JSON and
-//! reports whether every world held its acceptance gate (audits clean,
-//! repair strictly cheaper than rebuild); `experiments repair-bench` exits
-//! non-zero otherwise, which is what the CI smoke mode enforces.
+//! implementation-independent. [`repair_bench_json`] renders the JSON, or
+//! names every world that failed its acceptance gate (audits clean, repair
+//! strictly cheaper than rebuild); `experiments artifacts` fails on it.
 
 use mca_core::{
     AlgoConfig, MaintainConfig, NetworkEnv, RepairKind, StructureConfig, StructureMaintainer,
@@ -222,10 +220,16 @@ pub struct RepairBenchCase {
 }
 
 impl RepairBenchCase {
-    /// Whether this world holds the acceptance gate: audit-clean at every
-    /// epoch and repair strictly cheaper than rebuild.
-    pub fn holds_gate(&self) -> bool {
-        self.audits_clean && self.repair_slots < self.rebuild_slots
+    /// The acceptance gate: audit-clean at every epoch and repair strictly
+    /// cheaper than rebuild.
+    pub fn gate(&self) -> Result<(), String> {
+        if self.audits_clean && self.repair_slots < self.rebuild_slots {
+            return Ok(());
+        }
+        Err(format!(
+            "`{}`: repair {} vs rebuild {} slots, first audit violation {:?}",
+            self.scenario, self.repair_slots, self.rebuild_slots, self.first_violation
+        ))
     }
 }
 
@@ -293,10 +297,13 @@ pub fn run_repair_bench(seeds: usize) -> Vec<RepairBenchCase> {
         .collect()
 }
 
-/// Renders `BENCH_repair.json` and returns `(json, all_gates_hold)`.
-pub fn repair_bench_json(seeds: usize) -> (String, bool) {
+/// Renders `BENCH_repair.json`, or names every world whose gate failed.
+pub fn repair_bench_json(seeds: usize) -> Result<String, String> {
     let cases = run_repair_bench(seeds);
-    let ok = cases.iter().all(RepairBenchCase::holds_gate);
+    let failed: Vec<String> = cases.iter().filter_map(|c| c.gate().err()).collect();
+    if !failed.is_empty() {
+        return Err(failed.join("\n"));
+    }
     let rows: Vec<String> = cases
         .iter()
         .map(|c| {
@@ -325,7 +332,7 @@ pub fn repair_bench_json(seeds: usize) -> (String, bool) {
             )
         })
         .collect();
-    let json = format!(
+    Ok(format!(
         concat!(
             "{{\n  \"bench\": \"structure_repair\",\n",
             "  \"baseline\": \"full rebuild over the live set each maintenance epoch\",\n",
@@ -334,8 +341,7 @@ pub fn repair_bench_json(seeds: usize) -> (String, bool) {
         ),
         seeds,
         rows.join(",\n")
-    );
-    (json, ok)
+    ))
 }
 
 #[cfg(test)]
@@ -395,14 +401,5 @@ mod tests {
     fn trials_are_deterministic() {
         let s = world("churn");
         assert_eq!(repair_trial(&s, 3), repair_trial(&s, 3));
-    }
-
-    #[test]
-    fn json_shape_smoke() {
-        // One seed over the full matrix is the CI smoke path.
-        let (json, ok) = repair_bench_json(1);
-        assert!(json.contains("\"bench\": \"structure_repair\""), "{json}");
-        assert!(json.contains("mobile-churn"), "{json}");
-        assert!(ok, "acceptance gate failed:\n{json}");
     }
 }

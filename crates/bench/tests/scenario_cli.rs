@@ -1,6 +1,6 @@
-//! End-to-end acceptance for scenario files: a world that went through
-//! TOML drives the simulator to *bit-identical* results, and every
-//! committed catalog file runs.
+//! End-to-end acceptance for scenario files and the `experiments` command
+//! line: a world that went through TOML drives the simulator to
+//! *bit-identical* results, and usage errors exit 2 naming the argument.
 
 use mca_bench::scenario_flood_trial;
 use mca_scenario::{builtin_scenarios, Scenario};
@@ -43,6 +43,20 @@ fn unknown_option_and_bad_seeds_exit_2() {
     let (code, _, stderr) = run_cli(&["--scenario", "x.toml", "--seeds", "zero"]);
     assert_eq!(code, 2);
     assert!(stderr.contains("--seeds"), "{stderr}");
+}
+
+#[test]
+fn a_zero_or_malformed_trial_count_exits_2_naming_it() {
+    // A table summarizes its trials; zero of them is a usage error, not a
+    // panic in the summary.
+    for args in [["e1", "0"], ["quick", "0"], ["e1", "two"]] {
+        let (code, _, stderr) = run_cli(&args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("trial count `{}`", args[1])),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]
@@ -123,19 +137,6 @@ fn round_tripped_scenarios_produce_bit_identical_trials() {
                 original.name
             );
         }
-    }
-}
-
-#[test]
-fn committed_scenario_files_run_end_to_end() {
-    for entry in builtin_scenarios() {
-        let path = scenarios_dir().join(entry.file_name());
-        let loaded = Scenario::load(&path).unwrap_or_else(|e| panic!("{e}"));
-        // The file-loaded world is the in-code world, down to the bit.
-        let from_file = scenario_flood_trial(&loaded, 3);
-        let from_code = scenario_flood_trial(&entry.scenario, 3);
-        assert_eq!(from_file, from_code, "{}", path.display());
-        assert!(from_file.slots > 0);
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! Eleven reference worlds spanning the dynamic-environment feature matrix —
 //! each one exercises a different axis (density, mobility model, channel
-//! dynamics, adversaries, churn). `experiments export-scenarios` writes
-//! them to the committed `scenarios/` directory, each headed by its
-//! [`CatalogEntry::blurb`] as a comment block, and CI re-parses the files
-//! so the catalog can never drift from the code.
+//! dynamics, adversaries, churn). Each is committed under `scenarios/`,
+//! headed by its [`CatalogEntry::blurb`] as a comment block; `experiments
+//! artifacts` holds the files to the code byte for byte and `--write`
+//! regenerates them, so the catalog can never drift from the code.
 
 use crate::spec::{
     AdversarySpec, ChurnSpec, DeploymentSpec, DutyCycleSpec, FadingSpec, MaintenanceSpec,
@@ -220,7 +220,7 @@ fn tracking_jammer() -> CatalogEntry {
                 Victims still sense jammer energy, so per-link SINR health decays\n\
                 before any structural audit would fail -- the world the\n\
                 degradation detector and proactive repair arm of\n\
-                `experiments adversary-bench` are measured on.",
+                BENCH_adversary.json are measured on.",
     }
 }
 
@@ -246,7 +246,7 @@ fn duty_cycle() -> CatalogEntry {
                 reactive repair never fires. Links to sleeping members fade in\n\
                 and out instead -- exactly the degradation signature the EWMA\n\
                 detector flags and proactive repair re-homes around\n\
-                (`experiments adversary-bench`, duty-cycle row).",
+                (BENCH_adversary.json, duty-cycle row).",
     }
 }
 
@@ -299,9 +299,8 @@ fn churn_maintained() -> CatalogEntry {
                 [maintenance] table: structure-driving harnesses repair the section-5\n\
                 overlay every 100 slots -- re-homing orphans of crashed dominators,\n\
                 admitting late joiners, re-electing reporters in dirty clusters --\n\
-                instead of letting it rot or rebuilding from scratch. The\n\
-                `experiments repair-bench` harness measures exactly that comparison\n\
-                (see BENCH_repair.json).",
+                instead of letting it rot or rebuilding from scratch.\n\
+                BENCH_repair.json measures exactly that comparison.",
     }
 }
 
@@ -338,7 +337,7 @@ fn mobile_churn() -> CatalogEntry {
                 late and 10% crash. The [maintenance] table repairs every 50 slots\n\
                 with a 1.25x handover hysteresis: the headline world for\n\
                 incremental structure repair vs full rebuild\n\
-                (`experiments repair-bench`).",
+                (BENCH_repair.json).",
     }
 }
 

@@ -29,7 +29,7 @@
 //!   version-controlled data files; the schema reference is
 //!   `docs/SCENARIO_FORMAT.md`;
 //! * [`catalog`] — the built-in worlds committed under `scenarios/` and
-//!   exported by `experiments export-scenarios`.
+//!   regenerated by `experiments artifacts --write`.
 //!
 //! # Determinism
 //!

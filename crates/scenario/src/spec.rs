@@ -409,7 +409,7 @@ impl ChurnSpec {
 
 /// Structure-maintenance policy for drivers that keep a §5 aggregation
 /// structure alive while the scenario churns (see `mca-core`'s `maintain`
-/// module and `experiments repair-bench`). Serialized as the scenario's
+/// module and `BENCH_repair.json`). Serialized as the scenario's
 /// `[maintenance]` table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintenanceSpec {
@@ -425,7 +425,7 @@ pub struct MaintenanceSpec {
 
 impl MaintenanceSpec {
     /// Default handover hysteresis. The single source of truth for the
-    /// policy defaults: the TOML decoder and the repair-bench fallback use
+    /// policy defaults: the TOML decoder and the repair bench's fallback use
     /// these, and `mca-bench` asserts `mca_core::MaintainConfig::default`
     /// agrees (the crates cannot reference each other directly).
     pub const DEFAULT_HYSTERESIS: f64 = 1.25;

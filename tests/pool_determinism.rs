@@ -2,7 +2,8 @@
 //! pool: the committed golden metrics (`scenarios/GOLDEN_trials.json`)
 //! must come out **byte-identical** whatever the pool looks like —
 //! any worker count, any steal schedule, any interleaving of unit
-//! execution. The determinism contract is architectural (per-listener
+//! execution — and with an `mca-obs` recorder attached to every engine.
+//! The determinism contract is architectural (per-listener
 //! outcomes are pure functions of the channel's transmitter set, and the
 //! merge is ordered channel-major/shard-minor), so scheduling is free to
 //! be greedy; these tests are the teeth behind that claim.
@@ -11,7 +12,11 @@
 //! process) and serialize through one lock because thread count and the
 //! steal-stress capacity are process-global pool configuration.
 
+use mca_bench::artifacts::{registry, Artifact, Outcome};
+use mca_bench::{golden_trials_json_observed, scenario_flood_trial_observed};
+use mca_scenario::builtin_scenarios;
 use proptest::prelude::*;
+use std::path::Path;
 use std::sync::Mutex;
 
 const GOLDEN: &str = "scenarios/GOLDEN_trials.json";
@@ -26,12 +31,21 @@ fn config_guard() -> std::sync::MutexGuard<'static, ()> {
     POOL_CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Renders the goldens on the live pool configuration and byte-compares
-/// them against the committed file.
+/// Renders `artifact` on the live pool configuration and byte-compares it
+/// against the committed file.
+fn settle(artifact: &Artifact) -> Outcome {
+    artifact.settle(Path::new(env!("CARGO_MANIFEST_DIR")), false)
+}
+
+/// The registered goldens, checked on the live pool configuration.
+fn check_goldens() -> Outcome {
+    let goldens = registry().into_iter().find(|a| a.path == GOLDEN);
+    settle(&goldens.expect("the goldens are a registered artifact"))
+}
+
 fn assert_goldens(what: &str) {
-    if let Err(e) = mca_bench::check_golden_trials(GOLDEN) {
-        panic!("goldens diverged ({what}): {e}");
-    }
+    let outcome = check_goldens();
+    assert!(outcome.is_ok(), "goldens diverged ({what}): {outcome}");
 }
 
 #[test]
@@ -63,6 +77,20 @@ fn goldens_byte_identical_under_injected_steal_storm() {
     rayon::set_num_threads(0);
 }
 
+#[test]
+fn observed_goldens_byte_identical_under_forced_fanout() {
+    // Observability never perturbs outcomes (`docs/OBSERVABILITY.md`).
+    let _g = config_guard();
+    rayon::set_num_threads(2);
+    // The recorder really is live (an empty one would make the byte
+    // comparison vacuous).
+    let (_, rec) = scenario_flood_trial_observed(&builtin_scenarios()[0].scenario, 1);
+    assert!(!rec.is_empty(), "an attached recorder must record spans");
+    let outcome = settle(&Artifact::new(GOLDEN, || Ok(golden_trials_json_observed())));
+    rayon::set_num_threads(0);
+    assert!(outcome.is_ok(), "recorded trials diverged: {outcome}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     /// Random pool shapes: a drawn worker count and deque capacity give
@@ -76,12 +104,12 @@ proptest! {
         let _g = config_guard();
         rayon::set_num_threads(threads);
         rayon::set_test_deque_capacity(cap);
-        let r = mca_bench::check_golden_trials(GOLDEN);
+        let r = check_goldens();
         rayon::set_test_deque_capacity(0);
         rayon::set_num_threads(0);
         prop_assert!(
             r.is_ok(),
-            "goldens diverged at {} threads, cap {}: {:?}", threads, cap, r.err()
+            "goldens diverged at {} threads, cap {}: {}", threads, cap, r
         );
     }
 }
