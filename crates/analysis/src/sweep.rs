@@ -1,8 +1,10 @@
-//! Seeded trial sweeps.
+//! Trial identity and seeds.
 //!
-//! All experiments report the median over several independent seeds. The
-//! helpers here derive per-trial seeds deterministically from a master seed
-//! so every table in `EXPERIMENTS.md` is reproducible bit-for-bit.
+//! Every experiment reports the median over several independent seeds.
+//! [`trial_seed`] derives them deterministically from a master seed, and
+//! [`TrialKey`] names one trial, so every table in `EXPERIMENTS.md` and
+//! every sweep record is reproducible bit-for-bit. The runners that
+//! execute trials live in `mca-scenario`.
 
 use crate::stats::Summary;
 
@@ -107,21 +109,6 @@ pub fn trial_seed(master: u64, i: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs `trials` independent executions of `f`, handing each a derived seed.
-///
-/// # Examples
-///
-/// ```
-/// use mca_analysis::run_trials;
-/// let out = run_trials(42, 5, |seed| seed % 7);
-/// assert_eq!(out.results.len(), 5);
-/// ```
-pub fn run_trials<T, F: FnMut(u64) -> T>(master: u64, trials: usize, mut f: F) -> TrialOutcome<T> {
-    let seeds: Vec<u64> = (0..trials as u64).map(|i| trial_seed(master, i)).collect();
-    let results = seeds.iter().map(|&s| f(s)).collect();
-    TrialOutcome { results, seeds }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,18 +126,18 @@ mod tests {
     }
 
     #[test]
-    fn run_trials_passes_seeds() {
-        let out = run_trials(1, 4, |s| s);
-        assert_eq!(out.results, out.seeds);
-    }
-
-    #[test]
     fn summarize_and_fraction() {
-        let out = run_trials(3, 10, |s| (s % 10) as f64);
-        let sum = out.summarize(|&x| x);
-        assert_eq!(sum.len(), 10);
-        let frac = out.fraction(|&x| x >= 0.0);
-        assert_eq!(frac, 1.0);
+        let out = TrialOutcome {
+            results: vec![4.0, 1.0, 3.0],
+            seeds: vec![1, 2, 3],
+        };
+        assert_eq!(out.summarize(|&x| x).median(), 3.0);
+        assert_eq!(out.fraction(|&x| x >= 3.0), 2.0 / 3.0);
+        let none = TrialOutcome::<f64> {
+            results: vec![],
+            seeds: vec![],
+        };
+        assert_eq!(none.fraction(|_| true), 0.0);
     }
 
     #[test]
@@ -165,12 +152,5 @@ mod tests {
         assert_eq!(TrialKey::parse_journal_line("name\tnot-a-seed"), None);
         assert_eq!(TrialKey::parse_journal_line("\t7"), None);
         assert_eq!(TrialKey::parse_journal_line(""), None);
-    }
-
-    #[test]
-    fn zero_trials() {
-        let out = run_trials(3, 0, |s| s);
-        assert!(out.results.is_empty());
-        assert_eq!(out.fraction(|_| true), 0.0);
     }
 }

@@ -14,6 +14,7 @@
 //! `MCA_FORCE_PAR=1` at any `--threads`, and a `target-cpu=x86-64` build.
 //! A new committed file is one more line in [`registry`].
 
+use crate::claims::experiments_md;
 use crate::{adversary_bench_json, flip_audit, golden_trials_json, repair_bench_json};
 use mca_scenario::builtin_scenarios;
 use std::fmt;
@@ -152,7 +153,8 @@ pub fn check(root: &Path, entries: &[Artifact]) -> Vec<Outcome> {
 }
 
 /// Every committed artifact, cheapest first: the scenario catalog, the
-/// golden trial metrics, the flip audit, and the two repair benches.
+/// golden trial metrics, the flip audit, the two repair benches, and the
+/// paper's claim tables.
 pub fn registry() -> Vec<Artifact> {
     let catalog = builtin_scenarios().into_iter().map(|entry| {
         let path = format!("scenarios/{}", entry.file_name());
@@ -164,6 +166,7 @@ pub fn registry() -> Vec<Artifact> {
             Artifact::new("scenarios/GOLDEN_flips.json", flip_audit::golden_flips),
             Artifact::new("BENCH_repair.json", || repair_bench_json(BENCH_SEEDS)),
             Artifact::new("BENCH_adversary.json", || adversary_bench_json(BENCH_SEEDS)),
+            Artifact::new("EXPERIMENTS.md", || Ok(experiments_md())),
         ])
         .collect()
 }

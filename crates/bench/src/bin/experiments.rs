@@ -1,11 +1,12 @@
-//! Regenerates every experiment of `EXPERIMENTS.md`, runs scenario files,
-//! and serves matrix sweeps.
+//! Prints the paper's claim tables (`EXPERIMENTS.md`), runs scenario
+//! files, and serves matrix sweeps.
 //!
 //! The binary is a declarative subcommand table ([`COMMANDS`]): each entry
 //! carries its name, argument synopsis, summary, extended help, and
 //! handler, so the overview usage, per-subcommand `--help`, and dispatch
-//! all read from one place. Experiment-table ids (`e1`..`quick`) are the
-//! default command and dispatch through the same main loop.
+//! all read from one place. The claim tables are the other registry
+//! ([`mca_bench::claim_tables`]): their ids and `all`, the default
+//! command, dispatch through the same main loop.
 //!
 //! Every form accepts a global `--threads N` flag pinning the worker
 //! count of all parallel paths (0 = one per core) — CI smoke jobs and
@@ -64,8 +65,8 @@ struct Cmd {
     run: fn(&[String]) -> ExitCode,
 }
 
-/// The subcommand table. Experiment-table ids (`e1`..`quick`, the default)
-/// dispatch through [`run_tables`] instead of a row here.
+/// The subcommand table. Claim-table ids and `all` (the default) dispatch
+/// through [`run_tables`] instead of a row here.
 const COMMANDS: &[Cmd] = &[
     Cmd {
         name: "artifacts",
@@ -146,11 +147,6 @@ const COMMANDS: &[Cmd] = &[
     },
 ];
 
-const TABLE_IDS: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "t1", "a1", "a2", "a3", "all", "quick",
-];
-
 const GLOBAL_FLAGS: &str = "\
 Global flags:
   --threads N       pin the parallel worker count (0 = one per core); takes
@@ -162,7 +158,7 @@ Global flags:
 /// The overview usage, composed from [`COMMANDS`].
 fn usage() -> String {
     let mut s = String::from(
-        "Usage:\n  experiments [SUBCOMMAND] [trials]   run experiment tables (default: quick)\n",
+        "Usage:\n  experiments [SUBCOMMAND] [trials]   run experiment tables (default: all)\n",
     );
     for cmd in COMMANDS {
         let invocation = format!("  experiments {} {}", cmd.name, cmd.args);
@@ -183,15 +179,16 @@ fn usage() -> String {
          \u{20}                                     run a scenario file end-to-end\n\n",
     );
     s.push_str(GLOBAL_FLAGS);
-    s.push_str(
+    let ids: Vec<&str> = mca_bench::claim_tables().iter().map(|c| c.id).collect();
+    s.push_str(&format!(
         "\nSubcommands:\n\
-         \u{20} e1..e8, e10..e16  individual experiment tables (see EXPERIMENTS.md)\n\
-         \u{20} t1                related-work comparison table\n\
-         \u{20} a1, a2, a3        ablation tables\n\
-         \u{20} all               every table, 3 trials by default\n\
-         \u{20} quick             every table, 2 trials by default\n\n\
+         \u{20} {}\n\
+         \u{20}     one claim table of EXPERIMENTS.md\n\
+         \u{20} all  every claim table, {} trials by default\n\n\
          `experiments <subcommand> --help` prints the subcommand's details.\n",
-    );
+        ids.join(", "),
+        mca_bench::CLAIM_TRIALS
+    ));
     s
 }
 
@@ -268,7 +265,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let which = args.first().map(String::as_str).unwrap_or("quick");
+    let which = args.first().map(String::as_str).unwrap_or("all");
     if let Some(cmd) = COMMANDS.iter().find(|c| c.name == which) {
         let rest = &args[1..];
         if wants_help(rest) {
@@ -277,7 +274,7 @@ fn main() -> ExitCode {
         }
         return (cmd.run)(rest);
     }
-    if TABLE_IDS.contains(&which) {
+    if which == "all" || mca_bench::claim_tables().iter().any(|c| c.id == which) {
         if wants_help(&args[1..]) {
             println!(
                 "Usage: experiments {which} [trials]\n\n\
@@ -310,69 +307,23 @@ fn parse_runs(args: &[String], default: usize) -> Result<usize, ExitCode> {
     }
 }
 
-/// `experiments [e1|...|quick] [trials]` — the experiment tables.
+/// `experiments [<id>|all] [trials]` — the claim tables.
 fn run_tables(which: &str, rest: &[String]) -> ExitCode {
-    let default = if which == "quick" { 2 } else { 3 };
-    let trials = match parse_runs(rest, default) {
+    let trials = match parse_runs(rest, mca_bench::CLAIM_TRIALS) {
         Ok(t) => t,
         Err(code) => return code,
     };
-
-    let all = which == "all" || which == "quick";
-    let want = |id: &str| all || which == id;
     let t0 = Instant::now();
-
-    // Each table section is timed so `--log-level verbose` can report
-    // per-table wall clock on the progress stream.
-    let section = |id: &str, print: &mut dyn FnMut()| {
-        if !want(id) {
-            return;
+    for claim in mca_bench::claim_tables() {
+        if which != "all" && which != claim.id {
+            continue;
         }
         let t = Instant::now();
-        print();
+        print!("{}", claim.section(trials));
         if logs(LogLevel::Verbose) {
-            eprintln!("[{id} in {:.1}s]", t.elapsed().as_secs_f64());
+            eprintln!("[{} in {:.1}s]", claim.id, t.elapsed().as_secs_f64());
         }
-    };
-    section("e1", &mut || println!("{}", mca_bench::e1_speedup(trials)));
-    section("e2", &mut || {
-        println!("{}", mca_bench::e2_scaling_n(trials))
-    });
-    section("e3", &mut || println!("{}", mca_bench::e3_delta(trials)));
-    section("e4", &mut || println!("{}", mca_bench::e4_coloring(trials)));
-    section("e5", &mut || println!("{}", mca_bench::e5_ruling(trials)));
-    section("e6", &mut || println!("{}", mca_bench::e6_dominate(trials)));
-    section("e7", &mut || println!("{}", mca_bench::e7_csa(trials)));
-    section("e8", &mut || {
-        println!("{}", mca_bench::e8_reporters(trials))
-    });
-    section("e10", &mut || {
-        let (a, b) = mca_bench::e10_lower_bounds(trials);
-        println!("{a}");
-        println!("{b}");
-    });
-    section("e11", &mut || println!("{}", mca_bench::e11_lemmas(trials)));
-    section("e12", &mut || {
-        println!("{}", mca_bench::e12_applications(trials))
-    });
-    section("e13", &mut || {
-        println!("{}", mca_bench::e13_multimessage(trials))
-    });
-    section("e14", &mut || {
-        println!("{}", mca_bench::e14_compressibility(trials))
-    });
-    section("e15", &mut || println!("{}", mca_bench::e15_mis(trials)));
-    section("e16", &mut || {
-        println!("{}", mca_bench::e16_mobility(trials))
-    });
-    section("t1", &mut || {
-        println!("{}", mca_bench::t1_comparison(trials))
-    });
-    section("a1", &mut || {
-        println!("{}", mca_bench::a1_ablations(trials))
-    });
-    section("a2", &mut || println!("{}", mca_bench::a2_faults(trials)));
-    section("a3", &mut || println!("{}", mca_bench::a3_gossip(trials)));
+    }
     if logs(LogLevel::Summary) {
         eprintln!("[experiments done in {:.1}s]", t0.elapsed().as_secs_f64());
     }

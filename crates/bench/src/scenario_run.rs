@@ -12,10 +12,10 @@
 //! round-trips: a deserialized scenario must produce a [`ScenarioTrial`]
 //! bit-identical to its in-code original.
 
-use mca_analysis::{run_trials, Table};
+use mca_analysis::Table;
 use mca_core::aggregate::intercluster::{FloodCfg, FloodCombine};
 use mca_core::{MaxAgg, Tdma};
-use mca_scenario::{Scenario, ScenarioSim};
+use mca_scenario::{run_seeded_rows, Scenario, ScenarioSim};
 
 /// The metrics of one scenario trial, comparable bit-for-bit.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,9 +133,10 @@ fn flood_trial_inner(
 /// Runs `trials` seeded trials of `scenario` and tabulates the outcome —
 /// the harness behind `experiments --scenario`.
 pub fn run_scenario(scenario: &Scenario, trials: usize) -> Table {
-    let out = run_trials(0x5CE_u64, trials, |seed| {
+    let out = run_seeded_rows(&[0x5CE], trials, true, |_, seed| {
         scenario_flood_trial(scenario, seed)
-    });
+    })
+    .remove(0);
     let mut t = Table::new(
         format!(
             "scenario `{}`: flood max-aggregation -- n={}, F={}, {} slot budget",

@@ -49,7 +49,7 @@ fn unknown_option_and_bad_seeds_exit_2() {
 fn a_zero_or_malformed_trial_count_exits_2_naming_it() {
     // A table summarizes its trials; zero of them is a usage error, not a
     // panic in the summary.
-    for args in [["e1", "0"], ["quick", "0"], ["e1", "two"]] {
+    for args in [["e1", "0"], ["all", "0"], ["e1", "two"]] {
         let (code, _, stderr) = run_cli(&args);
         assert_eq!(code, 2, "{args:?}: {stderr}");
         assert!(
@@ -57,6 +57,28 @@ fn a_zero_or_malformed_trial_count_exits_2_naming_it() {
             "{stderr}"
         );
     }
+}
+
+#[test]
+fn quick_is_not_a_subcommand() {
+    let (code, _, stderr) = run_cli(&["quick"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown subcommand `quick`"), "{stderr}");
+}
+
+#[test]
+fn one_claim_table_prints_its_section_of_the_committed_file() {
+    let committed = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md"),
+    )
+    .unwrap();
+    let start = committed.find("### E11 ").expect("an E11 section");
+    let len = committed[start + 1..]
+        .find("### ")
+        .map_or(committed.len() - start, |n| n + 1);
+    let (code, stdout, stderr) = run_cli(&["e11"]);
+    assert_eq!(code, 0, "{stderr}");
+    assert_eq!(stdout, committed[start..start + len]);
 }
 
 #[test]

@@ -18,9 +18,9 @@
 //! * [`TrialSet`] / [`TrialSink`] — the keyed-trial API: every trial is
 //!   named by a [`TrialKey`] `(scenario_id, seed)`, keys enumerate lazily,
 //!   and results stream out in enumeration order (the basis of sweep
-//!   checkpoint/resume); [`ScenarioRunner`] is the ordered-collection
-//!   compatibility layer over it, feeding
-//!   [`TrialOutcome`](mca_analysis::TrialOutcome) summaries;
+//!   checkpoint/resume); [`CollectSink`] keeps the stream as an ordered
+//!   `Vec`, and [`run_seeded_rows`] runs the same batch loop over rows
+//!   that each derive their own seeds (the paper's claim tables);
 //! * [`matrix`] — `[matrix]` sweep expansion: one TOML file describing a
 //!   base scenario plus axes (n × channels × speed × fading × seeds)
 //!   expands into a named [`TrialSet`];
@@ -44,7 +44,7 @@
 //!
 //! ```
 //! use mca_scenario::{
-//!     DeploymentSpec, FadingSpec, MobilitySpec, Scenario, ScenarioRunner, ScenarioSim,
+//!     CollectSink, DeploymentSpec, FadingSpec, MobilitySpec, Scenario, ScenarioSim, TrialSet,
 //! };
 //! use mca_radio::{Action, Channel, Observation, Protocol};
 //! use rand::rngs::SmallRng;
@@ -78,13 +78,15 @@
 //! sim.run(50);
 //! assert_eq!(sim.slot(), 50);
 //!
-//! // …or a parallel multi-trial sweep.
-//! let out = ScenarioRunner::new(scenario).trials(4).run(|s, seed| {
+//! // …or a parallel multi-trial sweep, collected in seed order.
+//! let set = TrialSet::with_derived_seeds(vec![scenario], 0xC0DE, 4).unwrap();
+//! let mut out = CollectSink::new();
+//! set.run_streaming(true, |s, seed| {
 //!     let mut sim = ScenarioSim::new(s, seed, |i, _| Beacon { id: i as u32, heard: 0 });
 //!     sim.run(50);
 //!     sim.metrics().receptions
-//! });
-//! assert_eq!(out[0].outcome.results.len(), 4);
+//! }, &mut out);
+//! assert_eq!(out.trials.len(), 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -107,7 +109,7 @@ pub use environment::{CompositeEnvironment, EnvironmentModel, StaticEnvironment,
 pub use fading::GilbertElliot;
 pub use matrix::{MatrixSpec, SweepFile};
 pub use mobility::{GroupConvoy, RandomWaypoint};
-pub use runner::{CollectSink, ScenarioRunner, ScenarioTrials, TrialSet, TrialSetError, TrialSink};
+pub use runner::{run_seeded_rows, CollectSink, TrialSet, TrialSetError, TrialSink};
 pub use sim::ScenarioSim;
 pub use spec::{
     AdversarySpec, ChurnSpec, DeploymentSpec, DutyCycleSpec, FadingSpec, MaintenanceSpec,

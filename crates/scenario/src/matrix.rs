@@ -43,7 +43,7 @@ use mca_analysis::trial_seed;
 use mca_serde::{parse, Fields, FromToml, Kind, Table, TomlError, Value};
 use std::path::Path;
 
-/// Default master seed for derived seed lists (matches [`crate::ScenarioRunner`]).
+/// Default master seed for derived seed lists.
 const DEFAULT_MASTER_SEED: u64 = 0xC0DE;
 
 /// The seed axis of a matrix: a count of derived seeds, or an explicit list.

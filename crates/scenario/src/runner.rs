@@ -10,9 +10,9 @@
 //! keys is always a prefix of the enumeration, and re-running the set with
 //! that prefix skipped produces the same remaining records byte for byte.
 //!
-//! [`ScenarioRunner`] is the compatibility layer over this API: the same
-//! builder surface as before, with results regrouped per scenario via an
-//! ordered [`CollectSink`].
+//! [`run_seeded_rows`] runs the same batch loop over rows that each derive
+//! their own seeds from a master seed: the paper's claim tables, where a
+//! row is one arm of a table rather than a named scenario.
 
 use crate::spec::Scenario;
 use mca_analysis::{trial_seed, KeyedTrial, TrialKey, TrialOutcome};
@@ -27,6 +27,75 @@ use std::ops::Range;
 /// exist at once; it has no effect on results or on the emitted byte
 /// stream (trials are pure functions of their keys).
 const EMIT_BATCH: usize = 64;
+
+/// The one trial executor: runs `trial(i)` for every `i` in `range`,
+/// [`EMIT_BATCH`] indices at a time (across the worker pool when
+/// `parallel`), and hands each result to `emit` in index order.
+fn run_batched<T, F, E>(range: Range<usize>, parallel: bool, trial: F, mut emit: E)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+    E: FnMut(usize, T),
+{
+    let mut next = range.start;
+    while next < range.end {
+        let batch = next..(next + EMIT_BATCH).min(range.end);
+        let results: Vec<T> = if parallel {
+            batch.clone().into_par_iter().map(&trial).collect()
+        } else {
+            batch.clone().map(&trial).collect()
+        };
+        for (i, result) in batch.clone().zip(results) {
+            emit(i, result);
+        }
+        next = batch.end;
+    }
+}
+
+/// Runs `trials` seeds of every row as one enumeration, row-major, and
+/// returns each row's results in seed order.
+///
+/// Row `r`'s trial `i` is `trial(r, trial_seed(masters[r], i))`, so a row
+/// keeps its own seed schedule whatever rows surround it, while the pool
+/// sees every trial of every row at once. `trial` must be a pure function
+/// of its arguments; the results are identical with `parallel` on or off.
+///
+/// # Examples
+///
+/// ```
+/// use mca_analysis::trial_seed;
+/// use mca_scenario::run_seeded_rows;
+///
+/// let rows = run_seeded_rows(&[7, 8], 3, true, |row, seed| (row, seed));
+/// assert_eq!(rows[1].results[2], (1, trial_seed(8, 2)));
+/// assert_eq!(rows[1].seeds, [0, 1, 2].map(|i| trial_seed(8, i)));
+/// ```
+pub fn run_seeded_rows<T, F>(
+    masters: &[u64],
+    trials: usize,
+    parallel: bool,
+    trial: F,
+) -> Vec<TrialOutcome<T>>
+where
+    T: Send,
+    F: Fn(usize, u64) -> T + Sync,
+{
+    let mut rows: Vec<TrialOutcome<T>> = masters
+        .iter()
+        .map(|&master| TrialOutcome {
+            results: Vec::with_capacity(trials),
+            seeds: (0..trials as u64).map(|i| trial_seed(master, i)).collect(),
+        })
+        .collect();
+    let seeds: Vec<u64> = rows.iter().flat_map(|r| r.seeds.clone()).collect();
+    run_batched(
+        0..seeds.len(),
+        parallel,
+        |i| trial(i / trials, seeds[i]),
+        |i, result| rows[i / trials].results.push(result),
+    );
+    rows
+}
 
 /// Validation errors raised when assembling a [`TrialSet`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,9 +131,6 @@ pub trait TrialSink<T> {
 }
 
 /// The ordered-collection sink: buffers every trial in enumeration order.
-///
-/// This is the compatibility path — [`ScenarioRunner::run`] streams into a
-/// `CollectSink` and regroups per scenario afterwards.
 #[derive(Debug, Clone)]
 pub struct CollectSink<T> {
     /// Every recorded trial, in key enumeration order.
@@ -139,7 +205,7 @@ impl TrialSet {
     }
 
     /// Builds a set whose seed list is derived from `master` via
-    /// [`trial_seed`] — the historical `ScenarioRunner` seed schedule.
+    /// [`trial_seed`]: seed `i` is `trial_seed(master, i)`.
     pub fn with_derived_seeds(
         scenarios: Vec<Scenario>,
         master: u64,
@@ -233,183 +299,20 @@ impl TrialSet {
         S: TrialSink<T> + ?Sized,
     {
         let end = range.end.min(self.len());
-        let mut next = range.start.min(end);
-        while next < end {
-            let batch_end = (next + EMIT_BATCH).min(end);
-            let indices: Vec<usize> = (next..batch_end).collect();
-            let results: Vec<T> = if parallel {
-                indices
-                    .clone()
-                    .into_par_iter()
-                    .map(|i| {
-                        let (s, seed) = self.pair(i);
-                        trial(s, seed)
-                    })
-                    .collect()
-            } else {
-                indices
-                    .iter()
-                    .map(|&i| {
-                        let (s, seed) = self.pair(i);
-                        trial(s, seed)
-                    })
-                    .collect()
-            };
-            for (i, result) in indices.into_iter().zip(results) {
+        run_batched(
+            range.start.min(end)..end,
+            parallel,
+            |i| {
+                let (s, seed) = self.pair(i);
+                trial(s, seed)
+            },
+            |i, result| {
                 sink.record(KeyedTrial {
                     key: self.key_at(i),
                     result,
-                });
-            }
-            next = batch_end;
-        }
-    }
-}
-
-/// All trials of one scenario, in seed order.
-#[derive(Debug, Clone)]
-pub struct ScenarioTrials<T> {
-    /// The scenario's name.
-    pub name: String,
-    /// Per-trial results and the seeds that produced them.
-    pub outcome: TrialOutcome<T>,
-}
-
-/// Runs every (scenario, seed) pair of a sweep, in parallel by default.
-///
-/// This is the compatibility layer over [`TrialSet`]: the same builder
-/// surface the repo has always had, now keyed underneath. Each trial is
-/// the pure function `trial(&scenario, seed)`, so the parallel schedule
-/// cannot affect results. Seeds are derived per trial index from the
-/// master seed (the *same* seed list for every scenario, giving paired
-/// comparisons across scenarios). Scenario names must be unique —
-/// [`ScenarioRunner::run`] panics on duplicates; use
-/// [`ScenarioRunner::try_run`] to handle the error.
-///
-/// # Examples
-///
-/// ```
-/// use mca_scenario::{DeploymentSpec, Scenario, ScenarioRunner};
-///
-/// let scenario = Scenario::builder("tiny")
-///     .deployment(DeploymentSpec::Line { n: 3, spacing: 1.0 })
-///     .build();
-/// let out = ScenarioRunner::new(scenario).trials(4).run(|s, seed| {
-///     (s.len(), seed % 2)
-/// });
-/// assert_eq!(out[0].outcome.results.len(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ScenarioRunner {
-    scenarios: Vec<Scenario>,
-    trials: usize,
-    master_seed: u64,
-    parallel: bool,
-}
-
-impl ScenarioRunner {
-    /// A runner over a single scenario.
-    pub fn new(scenario: Scenario) -> Self {
-        ScenarioRunner::sweep(vec![scenario])
-    }
-
-    /// A runner over a whole sweep of scenarios.
-    pub fn sweep(scenarios: Vec<Scenario>) -> Self {
-        ScenarioRunner {
-            scenarios,
-            trials: 8,
-            master_seed: 0xC0DE,
-            parallel: true,
-        }
-    }
-
-    /// Sets the number of trials per scenario.
-    pub fn trials(mut self, trials: usize) -> Self {
-        self.trials = trials;
-        self
-    }
-
-    /// Sets the master seed trial seeds are derived from.
-    pub fn master_seed(mut self, seed: u64) -> Self {
-        self.master_seed = seed;
-        self
-    }
-
-    /// Forces sequential execution (for debugging or baselining; results
-    /// are identical either way).
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
-    }
-
-    /// The per-trial seeds used for every scenario.
-    pub fn seeds(&self) -> Vec<u64> {
-        (0..self.trials as u64)
-            .map(|i| trial_seed(self.master_seed, i))
-            .collect()
-    }
-
-    /// The validated [`TrialSet`] this runner executes.
-    pub fn trial_set(&self) -> Result<TrialSet, TrialSetError> {
-        TrialSet::new(self.scenarios.clone(), self.seeds())
-    }
-
-    /// Executes the full (scenario × seed) matrix.
-    ///
-    /// `trial` must be a pure function of its arguments; it runs once per
-    /// pair, across all CPU cores unless [`ScenarioRunner::sequential`] was
-    /// called.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two scenarios share a name (keys would collide and
-    /// results could not be attributed); see [`ScenarioRunner::try_run`].
-    pub fn run<T, F>(&self, trial: F) -> Vec<ScenarioTrials<T>>
-    where
-        T: Send,
-        F: Fn(&Scenario, u64) -> T + Sync,
-    {
-        match self.try_run(trial) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Executes the matrix, returning the duplicate-name validation error
-    /// instead of panicking.
-    pub fn try_run<T, F>(&self, trial: F) -> Result<Vec<ScenarioTrials<T>>, TrialSetError>
-    where
-        T: Send,
-        F: Fn(&Scenario, u64) -> T + Sync,
-    {
-        let set = self.trial_set()?;
-        let mut sink = CollectSink::new();
-        set.run_streaming(self.parallel, trial, &mut sink);
-
-        // Group explicitly by each result's key (names are validated
-        // unique, so the id → slot mapping is unambiguous — this is the
-        // fix for the old positional `take(trials)` regrouping, which
-        // silently misassigned results under duplicate names).
-        let seeds = set.seeds().to_vec();
-        let mut out: Vec<ScenarioTrials<T>> = set
-            .scenarios()
-            .iter()
-            .map(|s| ScenarioTrials {
-                name: s.name.clone(),
-                outcome: TrialOutcome {
-                    results: Vec::with_capacity(seeds.len()),
-                    seeds: seeds.clone(),
-                },
-            })
-            .collect();
-        for trial in sink.trials {
-            let slot = out
-                .iter_mut()
-                .find(|st| st.name == trial.key.scenario_id)
-                .expect("recorded key names a scenario of the set");
-            slot.outcome.results.push(trial.result);
-        }
-        Ok(out)
+                })
+            },
+        );
     }
 }
 
@@ -425,56 +328,25 @@ mod tests {
     }
 
     #[test]
-    fn matrix_shape_and_seed_reuse() {
-        let out = ScenarioRunner::sweep(vec![tiny("a", 3), tiny("b", 4)])
-            .trials(5)
-            .master_seed(77)
-            .run(|s, seed| (s.name.clone(), seed));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].name, "a");
-        assert_eq!(out[1].name, "b");
-        for st in &out {
-            assert_eq!(st.outcome.results.len(), 5);
-            assert_eq!(st.outcome.seeds.len(), 5);
-            for (r, s) in st.outcome.results.iter().zip(&st.outcome.seeds) {
-                assert_eq!(r.1, *s, "result paired with its seed");
+    fn seeded_rows_run_as_one_enumeration_with_their_own_seeds() {
+        // 5 rows x 30 trials: every 64-trial batch straddles a row boundary.
+        // Two rows share a master, as the arms of one table may.
+        let masters = [1200, 7, 1200, u64::MAX, 0];
+        let f = |row: usize, seed: u64| (row, seed.rotate_left(17) ^ 0x5EED);
+        for parallel in [false, true] {
+            let rows = run_seeded_rows(&masters, 30, parallel, f);
+            assert_eq!(rows.len(), masters.len());
+            for (row, (out, &master)) in rows.iter().zip(&masters).enumerate() {
+                let seeds: Vec<u64> = (0..30).map(|i| trial_seed(master, i)).collect();
+                let expect: Vec<_> = seeds.iter().map(|&s| f(row, s)).collect();
+                assert_eq!(out.seeds, seeds, "row {row} (parallel: {parallel})");
+                assert_eq!(out.results, expect, "row {row} (parallel: {parallel})");
             }
         }
-        // Same seed list across scenarios → paired trials.
-        assert_eq!(out[0].outcome.seeds, out[1].outcome.seeds);
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let mk = || ScenarioRunner::sweep(vec![tiny("a", 6), tiny("b", 2)]).trials(16);
-        let par = mk().run(|s, seed| {
-            // A nontrivial pure function of (scenario, seed).
-            s.deployment_for(seed)
-                .points()
-                .iter()
-                .map(|p| p.x + 2.0 * p.y)
-                .sum::<f64>()
-        });
-        let seq = mk().sequential().run(|s, seed| {
-            s.deployment_for(seed)
-                .points()
-                .iter()
-                .map(|p| p.x + 2.0 * p.y)
-                .sum::<f64>()
-        });
-        for (a, b) in par.iter().zip(&seq) {
-            assert_eq!(a.outcome.results, b.outcome.results);
-            assert_eq!(a.outcome.seeds, b.outcome.seeds);
-        }
-    }
-
-    #[test]
-    fn summaries_compose_with_analysis() {
-        let out = ScenarioRunner::new(tiny("s", 10))
-            .trials(6)
-            .run(|s, seed| s.deployment_for(seed).len() as f64);
-        let med = out[0].outcome.summarize(|&x| x).median();
-        assert_eq!(med, 10.0);
+        let empty = run_seeded_rows(&masters, 0, true, f);
+        assert!(empty
+            .iter()
+            .all(|r| r.results.is_empty() && r.seeds.is_empty()));
     }
 
     #[test]
@@ -499,21 +371,6 @@ mod tests {
         let err = TrialSet::new(vec![tiny("same", 2), tiny("same", 3)], vec![1]).unwrap_err();
         assert_eq!(err, TrialSetError::DuplicateScenarioName("same".into()));
         assert!(err.to_string().contains("\"same\""), "{err}");
-        let res = ScenarioRunner::sweep(vec![tiny("dup", 2), tiny("dup", 3)])
-            .trials(2)
-            .try_run(|_, seed| seed);
-        assert!(matches!(
-            res,
-            Err(TrialSetError::DuplicateScenarioName(ref n)) if n == "dup"
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate scenario name")]
-    fn run_panics_on_duplicate_names() {
-        ScenarioRunner::sweep(vec![tiny("dup", 2), tiny("dup", 3)])
-            .trials(1)
-            .run(|_, seed| seed);
     }
 
     #[test]

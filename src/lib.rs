@@ -18,7 +18,7 @@
 //!   the exponential-chain lower-bound instance;
 //! * [`analysis`] — statistics and table rendering for experiments;
 //! * [`scenario`] — dynamic environments (mobility, fading, churn) and the
-//!   parallel scenario runner;
+//!   keyed parallel trial runner;
 //! * [`obs`] — the determinism-preserving observability layer (phase
 //!   spans, typed events, JSONL export); records only where a recorder
 //!   is attached.
@@ -62,9 +62,10 @@
 //! per-channel fading that composes with [`FaultPlan`](radio::FaultPlan)
 //! jamming, and churn (late joins, crash-stops). Drive one trial with
 //! [`ScenarioSim`](scenario::ScenarioSim), or a whole (scenario × seed)
-//! matrix across all cores with [`ScenarioRunner`](scenario::ScenarioRunner)
-//! — every trial is a pure function of `(scenario, seed)`, so tables
-//! replay bit-for-bit regardless of thread count.
+//! matrix across all cores with a [`TrialSet`](scenario::TrialSet), whose
+//! results stream into a sink in seed order — every trial is a pure
+//! function of `(scenario, seed)`, so tables replay bit-for-bit regardless
+//! of thread count.
 //!
 //! ```
 //! use multichannel_adhoc::prelude::*;
@@ -75,10 +76,11 @@
 //!     .fading(FadingSpec::interference(0.01, 0.1, 100.0))
 //!     .channels(4)
 //!     .build();
-//! let trials = ScenarioRunner::new(scenario).trials(4).run(|s, seed| {
-//!     s.deployment_for(seed).len()
-//! });
-//! assert_eq!(trials[0].outcome.results, vec![40, 40, 40, 40]);
+//! let set = TrialSet::with_derived_seeds(vec![scenario], 0xC0DE, 4).unwrap();
+//! let mut sink = CollectSink::new();
+//! set.run_streaming(true, |s, seed| s.deployment_for(seed).len(), &mut sink);
+//! let sizes: Vec<usize> = sink.trials.iter().map(|t| t.result).collect();
+//! assert_eq!(sizes, vec![40, 40, 40, 40]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -95,7 +97,7 @@ pub use mca_sinr as sinr;
 
 /// One-stop imports for the common workflow.
 pub mod prelude {
-    pub use mca_analysis::{run_trials, Summary, Table};
+    pub use mca_analysis::{Summary, Table};
     pub use mca_core::{
         aggregate, audit_structure, audit_structure_masked, broadcast, broadcast_many,
         build_structure, build_structure_masked, color_nodes, elect_leader,
@@ -110,9 +112,9 @@ pub mod prelude {
         Channel, ChannelCondition, Engine, FaultPlan, NodeEvent, NodeId, Protocol,
     };
     pub use mca_scenario::{
-        ChurnSpec, DeploymentSpec, EnvironmentModel, FadingSpec, GilbertElliot, GroupConvoy,
-        MaintenanceSpec, MobilitySpec, RandomWaypoint, Scenario, ScenarioRunner, ScenarioSim,
-        StaticEnvironment,
+        ChurnSpec, CollectSink, DeploymentSpec, EnvironmentModel, FadingSpec, GilbertElliot,
+        GroupConvoy, MaintenanceSpec, MobilitySpec, RandomWaypoint, Scenario, ScenarioSim,
+        StaticEnvironment, TrialSet,
     };
     pub use mca_sinr::{ChannelResolver, ResolveMode, SinrParams};
 }

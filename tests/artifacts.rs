@@ -3,6 +3,7 @@
 //! the check names exactly what is wrong when a file does not match.
 
 use mca_bench::artifacts::{check, registry, Artifact, Verdict};
+use mca_bench::claim_tables;
 use std::path::{Path, PathBuf};
 
 fn repo() -> &'static Path {
@@ -61,6 +62,36 @@ fn the_flip_audit_agrees_with_the_golden_trials() {
             .unwrap_or_else(|| panic!("no golden trial for {key}"));
         assert_eq!(field(run, "decodes"), field(trial, "receptions"), "{run}");
     }
+}
+
+#[test]
+fn experiments_md_holds_every_claim_table_in_registry_order() {
+    // The committed file against the registry: its `### ` headings, in
+    // order, are the ids of `claim_tables()` (E10 renders two tables), and
+    // every table has a header, a rule and at least one row.
+    let md = read("EXPERIMENTS.md");
+    let sections: Vec<&str> = md.split("\n### ").skip(1).collect();
+    let headed_by = |section: &str, id: &str| {
+        let id = id.to_uppercase();
+        section.starts_with(&id) && !section[id.len()..].starts_with(|c: char| c.is_ascii_digit())
+    };
+    let mut next = sections.iter();
+    for claim in claim_tables() {
+        let tables = if claim.id == "e10" { 2 } else { 1 };
+        for _ in 0..tables {
+            let section = next
+                .next()
+                .unwrap_or_else(|| panic!("no table for {}", claim.id));
+            assert!(
+                headed_by(section, claim.id),
+                "{} is not next: {section}",
+                claim.id
+            );
+            let rows = section.lines().filter(|l| l.starts_with('|')).count();
+            assert!(rows >= 3, "{} has no rows: {section}", claim.id);
+        }
+    }
+    assert_eq!(next.next(), None, "a table beyond the registry");
 }
 
 #[test]

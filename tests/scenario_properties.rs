@@ -4,7 +4,7 @@
 //! 1. a trial is a pure function of `(scenario, seed)` — metrics, final
 //!    positions, trajectories, and protocol results all replay exactly;
 //! 2. a static scenario is bit-identical to driving the plain `Engine`;
-//! 3. the parallel `ScenarioRunner` returns exactly the sequential results;
+//! 3. a parallel `TrialSet` run returns exactly the sequential results;
 //! 4. the dynamic-environment knobs (fading, churn, mobility) actually
 //!    change what protocols experience, deterministically.
 
@@ -120,32 +120,30 @@ fn parallel_runner_matches_sequential_exactly() {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mk = || {
-        ScenarioRunner::sweep(vec![
-            stress_scenario(),
-            Scenario::builder("static")
-                .deployment(DeploymentSpec::Uniform { n: 30, side: 10.0 })
-                .channels(4)
-                .max_slots(120)
-                .build(),
-        ])
-        .trials(8)
-        .master_seed(99)
-    };
+    let scenarios = vec![
+        stress_scenario(),
+        Scenario::builder("static")
+            .deployment(DeploymentSpec::Uniform { n: 30, side: 10.0 })
+            .channels(4)
+            .max_slots(120)
+            .build(),
+    ];
+    let set = TrialSet::with_derived_seeds(scenarios, 99, 8).unwrap();
     let trial = |s: &Scenario, seed: u64| {
         let mut sim = ScenarioSim::new(s, seed, |i, _| flood_protocol(i, s.channels));
         sim.run(s.max_slots.min(120));
         let vals: Vec<i64> = sim.protocols().iter().map(|p| *p.value()).collect();
         (vals, sim.metrics().receptions, sim.positions().to_vec())
     };
-    let par = mk().run(trial);
-    let seq = mk().sequential().run(trial);
-    assert_eq!(par.len(), seq.len());
-    for (a, b) in par.iter().zip(&seq) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.outcome.seeds, b.outcome.seeds);
+    let (mut par, mut seq) = (CollectSink::new(), CollectSink::new());
+    set.run_streaming(true, trial, &mut par);
+    set.run_streaming(false, trial, &mut seq);
+    assert_eq!(par.trials.len(), 16);
+    assert_eq!(par.trials.len(), seq.trials.len());
+    for (a, b) in par.trials.iter().zip(&seq.trials) {
+        assert_eq!(a.key, b.key);
         assert_eq!(
-            a.outcome.results, b.outcome.results,
+            a.result, b.result,
             "parallel schedule must not change results (threads={threads})"
         );
     }
