@@ -16,13 +16,15 @@
 //! A [`Recorder`] export whose retention caps discarded records ends with
 //! one more `"counter"` line, `"k":"records_dropped"`, carrying the tally.
 //!
-//! `"trace"` lines are emitted by `mca-radio`'s `TraceRecorder` export,
-//! `"trial"` lines by the `experiments sweep`/`serve` trial service
-//! ([`trial_line`]); the other four by [`Recorder`]. `"trial"` is the one
-//! record type carrying float (`coverage`, shortest-round-trip formatted,
-//! so byte equality is bit equality) and boolean (`full`) values. The
-//! schema is append-only: a future `"v": 2` may add record types or
-//! fields, but v1 lines stay valid.
+//! `"trial"` lines are emitted by the `experiments sweep`/`serve` trial
+//! service ([`trial_line`]); `"span"`, `"event"`, `"chan"` and
+//! `"counter"` lines by [`Recorder`]. Nothing in the workspace writes
+//! `"trace"` lines (decode events) any more, but the validator still
+//! accepts them: the schema is append-only, so a future `"v": 2` may add
+//! record types or fields, and every v1 line stays valid. `"trial"` is
+//! the one record type carrying float (`coverage`, shortest-round-trip
+//! formatted, so byte equality is bit equality) and boolean (`full`)
+//! values.
 
 use crate::kind::{EventKind, SpanKind};
 use crate::record::TrialRecord;
@@ -79,15 +81,6 @@ impl Recorder {
         }
         out
     }
-}
-
-/// Formats one `"trace"` line (a decode event) in the v1 schema —
-/// `mca-radio`'s trace export goes through here so the schema lives in
-/// one place.
-pub fn trace_line(slot: u64, channel: u16, from: u32, to: u32) -> String {
-    format!(
-        "{{\"v\":{SCHEMA_VERSION},\"t\":\"trace\",\"slot\":{slot},\"ch\":{channel},\"from\":{from},\"to\":{to}}}"
-    )
 }
 
 /// Formats one `"trial"` line in the v1 schema — the sweep/serve trial
@@ -357,8 +350,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trace_line_validates() {
-        validate_jsonl_line(&trace_line(3, 1, 17, 4)).unwrap();
+    fn v1_trace_records_stay_valid() {
+        validate_jsonl_line(r#"{"v":1,"t":"trace","slot":3,"ch":1,"from":17,"to":4}"#).unwrap();
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod kind;
 mod record;
 mod report;
 
-pub use jsonl::{trace_line, trial_line, validate_jsonl_line, SCHEMA_VERSION};
+pub use jsonl::{trial_line, validate_jsonl_line, SCHEMA_VERSION};
 pub use kind::{EventKind, SpanKind, EVENT_KINDS, SPAN_KINDS};
 pub use record::{ChannelSlotRecord, EventRecord, SpanRecord, TrialRecord};
 pub use report::{KindStats, Report};

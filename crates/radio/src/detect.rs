@@ -180,6 +180,11 @@ impl DegradationDetector {
         }
     }
 
+    /// The number of nodes the detector tracks.
+    pub(crate) fn nodes(&self) -> usize {
+        self.scores.len()
+    }
+
     /// Takes the transitions observed since the last drain.
     pub fn drain(&mut self) -> Vec<DetectionEvent> {
         std::mem::take(&mut self.events)

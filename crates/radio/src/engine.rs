@@ -10,13 +10,12 @@ use crate::condition::ChannelCondition;
 use crate::detect::{DegradationDetector, DetectionEvent};
 use crate::events::{EventWatch, NodeEvent};
 use crate::fault::FaultPlan;
-use crate::ids::{Channel, NodeId};
+use crate::ids::NodeId;
 use crate::message::{Action, Observation};
 use crate::metrics::Metrics;
 use crate::node::Protocol;
 use crate::rng::derive_rng;
 use crate::shard::ShardMap;
-use crate::trace::{TraceEvent, TraceRecorder};
 use mca_geom::{BoundingBox, Point};
 use mca_obs::{ChannelSlotRecord, SpanKind, Stopwatch};
 use mca_sinr::{
@@ -98,7 +97,6 @@ pub struct Engine<P: Protocol> {
     metrics: Metrics,
     faults: FaultPlan,
     conditions: Vec<ChannelCondition>,
-    trace: Option<TraceRecorder>,
     watch: Option<EventWatch>,
     /// SINR degradation detector ([`Engine::attach_detector`]). Like the
     /// obs recorder, it only observes delivery outcomes — attaching one
@@ -174,7 +172,7 @@ enum SlotAction<M> {
 ///
 /// Ascending order is architectural, not cosmetic: gather order fixes each
 /// channel's transmitter order and with it the Exact-mode summation order,
-/// and listener order is the order of the trace, detector and obs streams.
+/// and listener order is the order of the detector's samples.
 ///
 /// The wake queue is a timing wheel over an overflow heap. Slots advance by
 /// one, so an entry keyed `t` with `now ≤ t < now + WHEEL_SLOTS` sits in
@@ -503,21 +501,6 @@ fn standing_hint<P: Protocol>(
     (until > slot + 1).then_some((channel.0, until))
 }
 
-/// Asked of a polled node right after the `observe` of a slot it
-/// transmitted or listened in: if all it will do from here on is listen,
-/// it is booked for its channel's standing list.
-fn offer_standing<P: Protocol>(
-    slot: u64,
-    node: u32,
-    protocols: &[P],
-    faults: &FaultPlan,
-    roster: &mut Roster,
-) {
-    if let Some((channel, until)) = standing_hint(slot, node, protocols, faults) {
-        roster.stand_until(node, channel, until);
-    }
-}
-
 /// What the gather does with one roster node this slot.
 enum Poll {
     Act,
@@ -586,6 +569,284 @@ impl ChannelGroup {
     }
 }
 
+/// What every unit of one listening channel shares.
+struct Work<'g> {
+    ch: u16,
+    resolver: ChannelResolver<'g>,
+    tx: &'g [u32],
+    rx: &'g [u32],
+    rx_pos: &'g [Point],
+    shard_rx: &'g [u32],
+    unit_ranges: &'g [(u32, u32)],
+    cond: ChannelCondition,
+    /// Estimated power evaluations per listener (at least 1).
+    work_per_listener: usize,
+}
+
+impl Work<'_> {
+    fn sharded(&self) -> bool {
+        self.unit_ranges.len() > 1
+    }
+
+    /// The work estimate the pooling rule weighs unit `(s, e)` by.
+    fn unit_work(&self, (s, e): (u32, u32)) -> usize {
+        (e - s) as usize * self.work_per_listener
+    }
+}
+
+/// Where one channel's units write: its stretches of the slot's
+/// `unit_out` and `unit_ns`.
+struct Out<'g> {
+    unit_out: &'g mut [ListenOutcome],
+    unit_ns: &'g mut [(u64, u64)],
+}
+
+/// A channel somebody listens on and nobody transmits on: nothing to
+/// resolve, every listener's outcome is the one empty-set constant, and
+/// only the polled listeners are told.
+struct Silent<'g> {
+    ch: u16,
+    polled: &'g [u32],
+    /// Polled and standing listeners.
+    listens: usize,
+    /// What every listener senses: the environment's power on the channel.
+    total_power: f64,
+}
+
+/// Resolves unit `ui` of `w` into `out` — its range of the slot's output
+/// buffer — returning `(wall ns, halo ns)` (zeros unless `timing`).
+fn resolve_unit(w: &Work<'_>, ui: usize, out: &mut [ListenOutcome], timing: bool) -> (u64, u64) {
+    let sw = Stopwatch::start_if(timing);
+    let (s, e) = w.unit_ranges[ui];
+    let ks = &w.shard_rx[s as usize..e as usize];
+    let mut halo_ns = 0;
+    if w.sharded() {
+        let sw_halo = Stopwatch::start_if(timing);
+        let bbox = BoundingBox::from_points(ks.iter().map(|&k| w.rx_pos[k as usize]))
+            .expect("resolve units are never empty");
+        let task = w.resolver.task(bbox);
+        halo_ns = sw_halo.elapsed_ns();
+        task.resolve_indexed_into(w.rx_pos, ks, w.cond.extra_interference, out);
+    } else {
+        w.resolver
+            .resolve_indexed_into(w.rx_pos, ks, w.cond.extra_interference, out);
+    }
+    (sw.elapsed_ns(), halo_ns)
+}
+
+/// The one unit loop: channel-major, shard-minor. With a scope, units
+/// whose work estimate clears `bar` become pool tasks; all others (every
+/// unit, without a scope) run right here.
+fn run_units<'s>(
+    jobs: &'s mut [(Work<'_>, Out<'_>)],
+    scope: Option<&rayon::Scope<'s>>,
+    bar: usize,
+    timing: bool,
+) {
+    for (w, o) in jobs.iter_mut() {
+        let w: &Work<'_> = w;
+        let mut rest = &mut *o.unit_out;
+        for (ui, (&range, ns)) in w.unit_ranges.iter().zip(o.unit_ns.iter_mut()).enumerate() {
+            let (out, tail) = rest.split_at_mut((range.1 - range.0) as usize);
+            rest = tail;
+            match scope {
+                Some(scope) if w.unit_work(range) >= bar => {
+                    scope.spawn(move || *ns = resolve_unit(w, ui, out, timing));
+                }
+                _ => *ns = resolve_unit(w, ui, out, timing),
+            }
+        }
+    }
+}
+
+/// The protocol-free half of delivering one resolved channel. In
+/// listener order it applies the deep fade, then the zone jam, to each
+/// outcome in place (a destroyed decode counts once in `env_drops` and
+/// keeps its `total_power`), counts the listen as a reception, a busy
+/// failure or a silent listen, and samples the detector — every listen
+/// here is contested — then [`settle`]s the counts. It reads no protocol,
+/// roster or RNG, so it is compiled once for every protocol type; the
+/// outcomes it leaves are what the listeners observe.
+fn book(
+    slot: u64,
+    w: &Work<'_>,
+    outcomes: &mut [ListenOutcome],
+    faults: &FaultPlan,
+    metrics: &mut Metrics,
+    mut detector: Option<&mut DegradationDetector>,
+    obs: Option<&mut mca_obs::Recorder>,
+) {
+    let mut c = channel_record(slot, w.ch, w.tx.len(), w.rx.len());
+    // Whether a listener decodes is the one unpredictable bit, and the
+    // observe pass branches on it already: the counts are branch-free,
+    // and a channel that can lose no decode skips the drop test
+    // (`docs/EXECUTION_MODEL.md`, "The merge order").
+    let drops = w.cond.drop || !faults.zone_jams().is_empty();
+    for ((&li, &pos), outcome) in w.rx.iter().zip(w.rx_pos).zip(outcomes) {
+        if drops && outcome.decoded.is_some() && (w.cond.drop || faults.zone_drop(pos, w.ch, slot))
+        {
+            c.env += 1;
+            *outcome = ListenOutcome {
+                decoded: None,
+                signal: 0.0,
+                sinr: 0.0,
+                total_power: outcome.total_power,
+            };
+        }
+        let delivered = outcome.decoded.is_some();
+        c.rx += u32::from(delivered);
+        c.busy += u32::from(!delivered & (outcome.total_power > 0.0));
+        if let Some(det) = detector.as_deref_mut() {
+            det.sample(li, slot, delivered);
+        }
+    }
+    settle(c, metrics, obs);
+}
+
+/// Books a silent channel by count: every listen is busy if the
+/// environment puts power on the channel, silent otherwise.
+fn book_silent(
+    slot: u64,
+    s: &Silent<'_>,
+    metrics: &mut Metrics,
+    obs: Option<&mut mca_obs::Recorder>,
+) {
+    let mut c = channel_record(slot, s.ch, 0, s.listens);
+    if s.total_power > 0.0 {
+        c.busy = c.listens;
+    }
+    settle(c, metrics, obs);
+}
+
+/// A channel's record for the slot before any listen is counted.
+fn channel_record(slot: u64, channel: u16, tx: usize, listens: usize) -> ChannelSlotRecord {
+    let (tx, listens) = (tx as u32, listens as u32);
+    ChannelSlotRecord {
+        slot,
+        channel,
+        tx,
+        listens,
+        rx: 0,
+        busy: 0,
+        env: 0,
+    }
+}
+
+/// Books one channel's slot: adds its record's counts to the run's
+/// metrics and hands the record to the recorder, if one is attached. The
+/// one way a resolved, a silent and a transmit-only channel are booked.
+fn settle(c: ChannelSlotRecord, metrics: &mut Metrics, obs: Option<&mut mca_obs::Recorder>) {
+    metrics.receptions += u64::from(c.rx);
+    metrics.busy_failures += u64::from(c.busy);
+    metrics.silent_listens += u64::from(c.listens - c.rx - c.busy);
+    metrics.env_drops += u64::from(c.env);
+    if let Some(rec) = obs {
+        rec.chan(c);
+    }
+}
+
+/// The protocol half of delivery: everything an `observe` call reads or
+/// writes. Its methods are the only delivery code generic over the
+/// protocol; each node observes at most once per slot, with its own RNG
+/// stream, so the order they run in changes nothing.
+struct Nodes<'a, P: Protocol> {
+    slot: u64,
+    actions: &'a [SlotAction<P::Msg>],
+    protocols: &'a mut [P],
+    rngs: &'a mut [SmallRng],
+    faults: &'a FaultPlan,
+    roster: &'a mut Roster,
+}
+
+impl<P: Protocol> Nodes<'_, P> {
+    fn observe(&mut self, node: u32, obs: Observation<P::Msg>) {
+        let i = node as usize;
+        self.protocols[i].observe(self.slot, obs, &mut self.rngs[i]);
+    }
+
+    /// Asked of a polled node right after the `observe` of a slot it
+    /// transmitted or listened in: if all it will do from here on is
+    /// listen, it is booked for its channel's standing list.
+    fn offer_standing(&mut self, node: u32) {
+        if let Some((channel, until)) = standing_hint(self.slot, node, self.protocols, self.faults)
+        {
+            self.roster.stand_until(node, channel, until);
+        }
+    }
+
+    /// Phase-1 feedback: idle nodes' `Slept` observations depend only on
+    /// the gathered actions, never on resolution, so this loop commutes
+    /// with channel delivery bit-for-bit; a pooled slot runs it while its
+    /// units are in flight. After the gather the roster is exactly the
+    /// nodes that acted, so only they are visited; an idler that promises
+    /// quiet leaves the roster here.
+    fn slept(&mut self) {
+        let (slot, mut kept) = (self.slot, 0);
+        for r in 0..self.roster.live.len() {
+            let node = self.roster.live[r];
+            let i = node as usize;
+            if matches!(self.actions[i], SlotAction::Off) && !self.protocols[i].is_done() {
+                self.observe(node, Observation::Slept);
+                if let Some(until) = self.protocols[i]
+                    .quiet_until(slot)
+                    .filter(|&t| t > slot + 1)
+                {
+                    self.roster.park(node, until);
+                    continue;
+                }
+            }
+            self.roster.live[kept] = node;
+            kept += 1;
+        }
+        self.roster.live.truncate(kept);
+    }
+
+    /// Hands each listener of a resolved channel its booked outcome
+    /// ([`book`]).
+    fn listeners(&mut self, w: &Work<'_>, outcomes: &[ListenOutcome]) {
+        let actions = self.actions;
+        for (&li, outcome) in w.rx.iter().zip(outcomes) {
+            // A standing listener is told only what it waits for ...
+            let stands = self.roster.stands(li);
+            if stands && outcome.decoded.is_none() {
+                continue;
+            }
+            let obs = Observation::from_outcome(outcome, |j| match &actions[w.tx[j] as usize] {
+                SlotAction::Tx(m) => (NodeId(w.tx[j]), m.clone()),
+                _ => unreachable!("decoded node was not transmitting"),
+            });
+            self.observe(li, obs);
+            if !stands {
+                self.offer_standing(li);
+            } else {
+                // ... and stays only if it goes on waiting for the same.
+                let waits_on = Some((w.ch, self.roster.due[li as usize]));
+                if standing_hint(self.slot, li, self.protocols, self.faults) != waits_on {
+                    self.roster.park(li, self.slot + 1);
+                }
+            }
+        }
+    }
+
+    /// Transmitters learn nothing.
+    fn sent(&mut self, tx: &[u32]) {
+        for &ti in tx {
+            self.observe(ti, Observation::Sent);
+            self.offer_standing(ti);
+        }
+    }
+
+    /// A silent channel's polled listeners sense what it carries; the
+    /// standing ones promised it changes nothing.
+    fn silent(&mut self, s: &Silent<'_>) {
+        for &li in s.polled {
+            let total_power = s.total_power;
+            self.observe(li, Observation::Noise { total_power });
+            self.offer_standing(li);
+        }
+    }
+}
+
 impl<P: Protocol> Engine<P> {
     /// Creates an engine over `positions` with one protocol per node.
     ///
@@ -620,7 +881,6 @@ impl<P: Protocol> Engine<P> {
             metrics: Metrics::new(),
             faults: FaultPlan::none(),
             conditions: Vec::new(),
-            trace: None,
             watch: None,
             detector: None,
             obs: None,
@@ -729,11 +989,6 @@ impl<P: Protocol> Engine<P> {
         (&mut self.positions, &mut self.conditions, &mut self.faults)
     }
 
-    /// Enables reception tracing, retaining at most `capacity` events.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceRecorder::new(capacity));
-    }
-
     /// Starts watching node lifecycle transitions: every subsequent
     /// [`Engine::step`] detects crashes, joins, and motion beyond
     /// `move_threshold` (Euclidean drift from the last reported anchor) and
@@ -783,7 +1038,18 @@ impl<P: Protocol> Engine<P> {
     /// [`Engine::drain_detections`]. Detection is observation only —
     /// outcomes, metrics, and RNG draws are bit-identical with or without
     /// a detector attached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `detector` was built for a node count other than the
+    /// engine's.
     pub fn attach_detector(&mut self, detector: DegradationDetector) {
+        assert!(
+            detector.nodes() == self.len(),
+            "a degradation detector over {} nodes cannot watch a {}-node engine",
+            detector.nodes(),
+            self.len()
+        );
         self.detector = Some(detector);
     }
 
@@ -804,11 +1070,6 @@ impl<P: Protocol> Engine<P> {
             .as_mut()
             .map(DegradationDetector::drain)
             .unwrap_or_default()
-    }
-
-    /// The trace recorder, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceRecorder> {
-        self.trace.as_ref()
     }
 
     /// Attaches an observability recorder: every subsequent
@@ -935,19 +1196,21 @@ impl<P: Protocol> Engine<P> {
     /// two clear it, on a pool with more than one worker) submits those
     /// units to the persistent work-stealing pool and runs the rest —
     /// plus the Phase-1-derived idle feedback, which depends only on the
-    /// gathered actions — on the slot thread while they are in flight. Any other slot runs the very
-    /// same loop with every unit inline: no scope, no task, no handoff.
-    /// Then, in ascending channel order, each sharded channel's unit
-    /// ranges scatter shard-major into listener order and the channel is
-    /// delivered. Scheduling is greedy (workers steal across unbalanced
-    /// units; completion order is arbitrary); only the merge and delivery
-    /// order is architectural.
+    /// gathered actions — on the slot thread while they are in flight.
+    /// Any other slot runs the very same loop with every unit inline: no
+    /// scope, no task, no handoff. Then, in ascending channel order, each
+    /// sharded channel's unit ranges scatter shard-major into listener
+    /// order and the channel is delivered in two passes: [`book`], which
+    /// reads no protocol, then the `observe` calls of [`Nodes`].
+    /// Scheduling is greedy (workers steal across unbalanced units;
+    /// completion order is arbitrary); only the merge and delivery order
+    /// is architectural.
     ///
     /// Bit-identity rests on the sharding contract: a listener's outcome
     /// is a pure function of its channel's staged transmitter set, units
     /// write disjoint ranges, and delivery mutates only per-node
-    /// protocol/RNG state and commutative metric sums — never a staged
-    /// input.
+    /// protocol/RNG state, commutative metric sums and the detector, in
+    /// listener order — never a staged input.
     fn resolve_and_deliver(&mut self) -> (u64, u64) {
         let timing = self.obs.is_some();
         let sw_phase = Stopwatch::start_if(timing);
@@ -1011,8 +1274,8 @@ impl<P: Protocol> Engine<P> {
         self.unit_ns.resize(units, (0, 0));
 
         // Split borrows: everything delivery mutates (protocols, RNGs,
-        // metrics, trace, detector, recorder) is disjoint from the
-        // channel groups the units read and write.
+        // metrics, detector, recorder) is disjoint from the channel groups
+        // the units read and write.
         let Engine {
             groups,
             active,
@@ -1022,7 +1285,6 @@ impl<P: Protocol> Engine<P> {
             protocols,
             rngs,
             metrics,
-            trace,
             detector,
             obs,
             faults,
@@ -1032,55 +1294,12 @@ impl<P: Protocol> Engine<P> {
             merged,
             ..
         } = self;
-        let actions: &[SlotAction<P::Msg>] = actions;
         let faults: &FaultPlan = faults;
         let stage: &Stage = stage;
 
-        /// What every unit of one listening channel shares.
-        struct Work<'g> {
-            ch: u16,
-            resolver: ChannelResolver<'g>,
-            tx: &'g [u32],
-            rx: &'g [u32],
-            rx_pos: &'g [Point],
-            shard_rx: &'g [u32],
-            unit_ranges: &'g [(u32, u32)],
-            cond: ChannelCondition,
-            /// Estimated power evaluations per listener (at least 1).
-            work_per_listener: usize,
-        }
-
-        impl Work<'_> {
-            fn sharded(&self) -> bool {
-                self.unit_ranges.len() > 1
-            }
-
-            /// The work estimate the pooling rule weighs unit `(s, e)` by.
-            fn unit_work(&self, (s, e): (u32, u32)) -> usize {
-                (e - s) as usize * self.work_per_listener
-            }
-        }
-
-        /// Where one channel's units write: its stretches of the slot's
-        /// `unit_out` and `unit_ns`.
-        struct Out<'g> {
-            unit_out: &'g mut [ListenOutcome],
-            unit_ns: &'g mut [(u64, u64)],
-        }
-
-        /// A channel somebody listens on and nobody transmits on: nothing
-        /// to resolve, every listener's outcome is the one empty-set
-        /// constant, and only the polled listeners are told.
-        struct Silent<'g> {
-            ch: u16,
-            polled: &'g [u32],
-            standing: u64,
-            outcome: ListenOutcome,
-        }
-
         // One pass over the dense groups: a job per channel with both
         // transmitters and listeners, the silent channels beside them, the
-        // transmit-only leftovers for the post-delivery feedback loop.
+        // transmit-only leftovers for after them.
         let mut jobs: Vec<(Work<'_>, Out<'_>)> = Vec::with_capacity(active.len());
         let mut silent: Vec<Silent<'_>> = Vec::new();
         let mut txonly: Vec<(u16, &[u32])> = Vec::new();
@@ -1091,16 +1310,17 @@ impl<P: Protocol> Engine<P> {
                 continue;
             }
             if group.tx.is_empty() {
+                let empty = resolve_listener_ext(
+                    &group.params,
+                    &[],
+                    Point::ORIGIN,
+                    group.cond.extra_interference,
+                );
                 silent.push(Silent {
                     ch: ch as u16,
                     polled: &group.rx,
-                    standing: standing as u64,
-                    outcome: resolve_listener_ext(
-                        &group.params,
-                        &[],
-                        Point::ORIGIN,
-                        group.cond.extra_interference,
-                    ),
+                    listens: group.rx.len() + standing,
+                    total_power: empty.total_power,
                 });
                 continue;
             }
@@ -1141,243 +1361,14 @@ impl<P: Protocol> Engine<P> {
                 Out { unit_out, unit_ns },
             ));
         }
-
-        // Resolves unit `ui` of `w` into `out` — its range of the slot's
-        // output buffer — returning `(wall ns, halo ns)` (zeros unless
-        // `timing`).
-        fn resolve_unit(
-            w: &Work<'_>,
-            ui: usize,
-            out: &mut [ListenOutcome],
-            timing: bool,
-        ) -> (u64, u64) {
-            let sw = Stopwatch::start_if(timing);
-            let (s, e) = w.unit_ranges[ui];
-            let ks = &w.shard_rx[s as usize..e as usize];
-            let mut halo_ns = 0;
-            if w.sharded() {
-                let sw_halo = Stopwatch::start_if(timing);
-                let bbox = BoundingBox::from_points(ks.iter().map(|&k| w.rx_pos[k as usize]))
-                    .expect("resolve units are never empty");
-                let task = w.resolver.task(bbox);
-                halo_ns = sw_halo.elapsed_ns();
-                task.resolve_indexed_into(w.rx_pos, ks, w.cond.extra_interference, out);
-            } else {
-                w.resolver
-                    .resolve_indexed_into(w.rx_pos, ks, w.cond.extra_interference, out);
-            }
-            (sw.elapsed_ns(), halo_ns)
-        }
-
-        // The one unit loop: channel-major, shard-minor. With a scope,
-        // units whose work estimate clears `bar` become pool tasks; all
-        // others (every unit, without a scope) run right here.
-        fn run_units<'s>(
-            jobs: &'s mut [(Work<'_>, Out<'_>)],
-            scope: Option<&rayon::Scope<'s>>,
-            bar: usize,
-            timing: bool,
-        ) {
-            for (w, o) in jobs.iter_mut() {
-                let w: &Work<'_> = w;
-                let mut rest = &mut *o.unit_out;
-                for (ui, (&range, ns)) in w.unit_ranges.iter().zip(o.unit_ns.iter_mut()).enumerate()
-                {
-                    let (out, tail) = rest.split_at_mut((range.1 - range.0) as usize);
-                    rest = tail;
-                    match scope {
-                        Some(scope) if w.unit_work(range) >= bar => {
-                            scope.spawn(move || *ns = resolve_unit(w, ui, out, timing));
-                        }
-                        _ => *ns = resolve_unit(w, ui, out, timing),
-                    }
-                }
-            }
-        }
-
-        // Phase-1 feedback: idle nodes' Slept observations depend only
-        // on the gathered actions, never on resolution, and each node
-        // observes exactly once per slot with its own RNG stream — so
-        // this loop commutes with channel delivery bit-for-bit. A pooled
-        // slot runs it while its units are in flight. After the gather
-        // the roster is exactly the nodes that acted, so only they are
-        // visited; an idler that promises quiet leaves the roster here.
-        fn deliver_slept<P: Protocol>(
-            slot: u64,
-            actions: &[SlotAction<P::Msg>],
-            protocols: &mut [P],
-            rngs: &mut [SmallRng],
-            roster: &mut Roster,
-        ) {
-            let mut kept = 0;
-            for r in 0..roster.live.len() {
-                let node = roster.live[r];
-                let i = node as usize;
-                if matches!(actions[i], SlotAction::Off) && !protocols[i].is_done() {
-                    protocols[i].observe(slot, Observation::Slept, &mut rngs[i]);
-                    if let Some(until) = protocols[i].quiet_until(slot).filter(|&t| t > slot + 1) {
-                        roster.park(node, until);
-                        continue;
-                    }
-                }
-                roster.live[kept] = node;
-                kept += 1;
-            }
-            roster.live.truncate(kept);
-        }
-
-        // Delivers one resolved channel: listener observations (deep
-        // fades and zone jams applied), transmitter `Sent` feedback, and
-        // the per-channel outcome record. Always called in ascending
-        // channel order.
-        #[allow(clippy::too_many_arguments)]
-        fn deliver_channel<P: Protocol>(
-            slot: u64,
-            w: &Work<'_>,
-            outcomes: &[ListenOutcome],
-            actions: &[SlotAction<P::Msg>],
-            protocols: &mut [P],
-            rngs: &mut [SmallRng],
-            metrics: &mut Metrics,
-            trace: &mut Option<TraceRecorder>,
-            detector: &mut Option<DegradationDetector>,
-            faults: &FaultPlan,
-            roster: &mut Roster,
-            obs: &mut Option<mca_obs::Recorder>,
-        ) {
-            // Per-channel outcome stream: metric deltas around this
-            // channel's delivery, snapshotted outside the listener loop.
-            let (rx0c, busy0c, env0c) =
-                (metrics.receptions, metrics.busy_failures, metrics.env_drops);
-            for (k, &li) in w.rx.iter().enumerate() {
-                let mut outcome = outcomes[k];
-                // Deep fades (condition.drop) suppress decodes outright;
-                // the energy was still sensed during resolution.
-                if w.cond.drop && outcome.decoded.is_some() {
-                    metrics.env_drops += 1;
-                    outcome = ListenOutcome {
-                        decoded: None,
-                        signal: 0.0,
-                        sinr: 0.0,
-                        total_power: outcome.total_power,
-                    };
-                }
-                // Zone jams destroy decodes at victims inside the blast
-                // radius — a deep fade local to the listener.
-                if outcome.decoded.is_some() && faults.zone_drop(w.rx_pos[k], w.ch, slot) {
-                    metrics.env_drops += 1;
-                    outcome = ListenOutcome {
-                        decoded: None,
-                        signal: 0.0,
-                        sinr: 0.0,
-                        total_power: outcome.total_power,
-                    };
-                }
-                let obs_msg = Observation::from_outcome(&outcome, |j| {
-                    let sender = w.tx[j] as usize;
-                    let msg = match &actions[sender] {
-                        SlotAction::Tx(m) => m.clone(),
-                        _ => unreachable!("decoded node was not transmitting"),
-                    };
-                    (NodeId(w.tx[j]), msg)
-                });
-                match &obs_msg {
-                    Observation::Received(r) => {
-                        metrics.receptions += 1;
-                        if let Some(t) = trace.as_mut() {
-                            t.record(TraceEvent {
-                                slot,
-                                channel: Channel(w.ch),
-                                from: r.from,
-                                to: NodeId(li),
-                            });
-                        }
-                    }
-                    Observation::Noise { total_power } => {
-                        if *total_power > 0.0 {
-                            metrics.busy_failures += 1;
-                        } else {
-                            metrics.silent_listens += 1;
-                        }
-                    }
-                    _ => {}
-                }
-                // Every listen delivered here is contested (a resolved
-                // channel has a transmitter), so decode-or-not is evidence
-                // about this listener's link health.
-                if let Some(det) = detector.as_mut() {
-                    det.sample(li, slot, matches!(&obs_msg, Observation::Received(_)));
-                }
-                if !roster.stands(li) {
-                    protocols[li as usize].observe(slot, obs_msg, &mut rngs[li as usize]);
-                    offer_standing(slot, li, protocols, faults, roster);
-                } else if matches!(&obs_msg, Observation::Received(_)) {
-                    // A standing listener is told only what it waits for,
-                    // and stays only if it goes on waiting for the same.
-                    protocols[li as usize].observe(slot, obs_msg, &mut rngs[li as usize]);
-                    let waits_on = Some((w.ch, roster.due[li as usize]));
-                    if standing_hint(slot, li, protocols, faults) != waits_on {
-                        roster.park(li, slot + 1);
-                    }
-                }
-            }
-            // Transmitters learn nothing.
-            for &ti in w.tx {
-                protocols[ti as usize].observe(slot, Observation::Sent, &mut rngs[ti as usize]);
-                offer_standing(slot, ti, protocols, faults, roster);
-            }
-            if let Some(rec) = obs.as_mut() {
-                rec.chan(ChannelSlotRecord {
-                    slot,
-                    channel: w.ch,
-                    tx: w.tx.len() as u32,
-                    listens: w.rx.len() as u32,
-                    rx: (metrics.receptions - rx0c) as u32,
-                    busy: (metrics.busy_failures - busy0c) as u32,
-                    env: (metrics.env_drops - env0c) as u32,
-                });
-            }
-        }
-
-        // Delivers one silent channel: its listens are booked by count,
-        // busy if the environment puts power on the channel and silent
-        // otherwise; the polled listeners observe that, the standing ones
-        // promised it changes nothing. Called in ascending channel order
-        // with the resolved channels, so the outcome records interleave
-        // as they always did.
-        #[allow(clippy::too_many_arguments)]
-        fn deliver_silent<P: Protocol>(
-            slot: u64,
-            s: &Silent<'_>,
-            protocols: &mut [P],
-            rngs: &mut [SmallRng],
-            metrics: &mut Metrics,
-            faults: &FaultPlan,
-            roster: &mut Roster,
-            obs: &mut Option<mca_obs::Recorder>,
-        ) {
-            let listens = s.polled.len() as u64 + s.standing;
-            let total_power = s.outcome.total_power;
-            let busy = if total_power > 0.0 { listens } else { 0 };
-            metrics.busy_failures += busy;
-            metrics.silent_listens += listens - busy;
-            for &li in s.polled {
-                let heard = Observation::Noise { total_power };
-                protocols[li as usize].observe(slot, heard, &mut rngs[li as usize]);
-                offer_standing(slot, li, protocols, faults, roster);
-            }
-            if let Some(rec) = obs.as_mut() {
-                rec.chan(ChannelSlotRecord {
-                    slot,
-                    channel: s.ch,
-                    tx: 0,
-                    listens: listens as u32,
-                    rx: 0,
-                    busy: busy as u32,
-                    env: 0,
-                });
-            }
-        }
+        let mut nodes = Nodes {
+            slot,
+            actions,
+            protocols,
+            rngs,
+            faults,
+            roster,
+        };
 
         // A slot pools only when the pool can run two units at once and
         // at least two units are worth a task each.
@@ -1395,7 +1386,7 @@ impl<P: Protocol> Engine<P> {
             let sw_wait = rayon::scope(|s| {
                 run_units(&mut jobs, Some(s), bar, timing);
                 let sw = Stopwatch::start_if(timing);
-                deliver_slept::<P>(slot, actions, protocols, rngs, roster);
+                nodes.slept();
                 deliver_ns += sw.elapsed_ns();
                 // From here the slot thread only helps the pool finish.
                 Stopwatch::start_if(timing)
@@ -1406,21 +1397,23 @@ impl<P: Protocol> Engine<P> {
         } else {
             run_units(&mut jobs, None, bar, timing);
             let sw = Stopwatch::start_if(timing);
-            deliver_slept::<P>(slot, actions, protocols, rngs, roster);
+            nodes.slept();
             deliver_ns += sw.elapsed_ns();
         }
 
-        // Merge and deliver in ascending channel order. Unit timings,
-        // when a recorder is attached, flow out in the same fixed
-        // channel-major / shard-minor order, so the recorded stream is
-        // identical under every schedule (only the `ns` values differ).
+        // Merge and deliver in ascending channel order: each channel is
+        // booked, then observed. Unit timings, when a recorder is
+        // attached, flow out in the same fixed channel-major /
+        // shard-minor order, so the recorded stream is identical under
+        // every schedule (only the `ns` values differ).
         let mut merged_units = 0u32;
         let mut merge_ns = 0u64;
         let mut silent = silent.iter().peekable();
         for (w, o) in jobs.iter_mut() {
             let sw_del = Stopwatch::start_if(timing);
             while let Some(s) = silent.next_if(|s| s.ch < w.ch) {
-                deliver_silent::<P>(slot, s, protocols, rngs, metrics, faults, roster, obs);
+                book_silent(slot, s, metrics, obs.as_mut());
+                nodes.silent(s);
             }
             deliver_ns += sw_del.elapsed_ns();
             if let Some(rec) = obs.as_mut() {
@@ -1433,7 +1426,7 @@ impl<P: Protocol> Engine<P> {
             }
             // A single unit's shard_rx order is listener order already;
             // sharded channels scatter shard-major (disjoint targets).
-            let outcomes: &[ListenOutcome] = if w.sharded() {
+            let outcomes: &mut [ListenOutcome] = if w.sharded() {
                 let sw_merge = Stopwatch::start_if(timing);
                 merged.resize(w.rx.len(), ListenOutcome::SILENT);
                 for (&k, &outcome) in w.shard_rx.iter().zip(o.unit_out.iter()) {
@@ -1441,15 +1434,22 @@ impl<P: Protocol> Engine<P> {
                 }
                 merged_units += w.unit_ranges.len() as u32;
                 merge_ns += sw_merge.elapsed_ns();
-                merged
+                &mut merged[..]
             } else {
-                o.unit_out
+                &mut *o.unit_out
             };
             let sw_del = Stopwatch::start_if(timing);
-            deliver_channel::<P>(
-                slot, w, outcomes, actions, protocols, rngs, metrics, trace, detector, faults,
-                roster, obs,
+            book(
+                slot,
+                w,
+                outcomes,
+                faults,
+                metrics,
+                detector.as_mut(),
+                obs.as_mut(),
             );
+            nodes.listeners(w, outcomes);
+            nodes.sent(w.tx);
             deliver_ns += sw_del.elapsed_ns();
         }
 
@@ -1459,27 +1459,15 @@ impl<P: Protocol> Engine<P> {
         // outcome stream, as always.
         let sw = Stopwatch::start_if(timing);
         for s in silent {
-            deliver_silent::<P>(slot, s, protocols, rngs, metrics, faults, roster, obs);
+            book_silent(slot, s, metrics, obs.as_mut());
+            nodes.silent(s);
         }
         for &(ch, tx) in &txonly {
-            for &ti in tx {
-                protocols[ti as usize].observe(slot, Observation::Sent, &mut rngs[ti as usize]);
-                offer_standing(slot, ti, protocols, faults, roster);
-            }
-            if let Some(rec) = obs.as_mut() {
-                rec.chan(ChannelSlotRecord {
-                    slot,
-                    channel: ch,
-                    tx: tx.len() as u32,
-                    listens: 0,
-                    rx: 0,
-                    busy: 0,
-                    env: 0,
-                });
-            }
+            settle(channel_record(slot, ch, tx.len(), 0), metrics, obs.as_mut());
+            nodes.sent(tx);
         }
         // Whoever promised to only listen from here on leaves the roster.
-        roster.admit();
+        nodes.roster.admit();
         deliver_ns += sw.elapsed_ns();
 
         if let Some(rec) = obs.as_mut() {
@@ -1749,6 +1737,7 @@ impl<P: Protocol> Engine<P> {
 mod tests {
     use super::*;
     use crate::fault::{JamSpec, ZoneJam};
+    use crate::ids::Channel;
 
     /// Transmits `msg` on `channel` in every slot.
     struct Talker {
@@ -1838,7 +1827,6 @@ mod tests {
     #[test]
     fn same_channel_delivers() {
         let mut e = two_node_setup(Channel::FIRST);
-        e.enable_trace(16);
         e.step();
         match &e.protocols()[1] {
             Role::Hear(ear) => assert_eq!(ear.heard, vec![(NodeId(0), 99)]),
@@ -1846,7 +1834,6 @@ mod tests {
         }
         assert_eq!(e.metrics().receptions, 1);
         assert_eq!(e.metrics().transmissions, 1);
-        assert_eq!(e.trace().unwrap().len(), 1);
     }
 
     #[test]
@@ -2465,6 +2452,16 @@ mod tests {
         }
         assert!(!watched.detector().unwrap().is_flagged(1));
         assert!(watched.detector_mut().is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "a degradation detector over 2 nodes cannot watch a 3-node engine")]
+    fn detector_sized_for_another_engine_is_refused_at_attach() {
+        use crate::detect::{DegradationDetector, DetectorConfig};
+        let positions = vec![Point::ORIGIN, Point::new(1.0, 0.0), Point::new(2.0, 0.0)];
+        let protocols = (0..3).map(|_| Ear::new(Channel::FIRST)).collect();
+        let mut e = Engine::new(SinrParams::default(), positions, protocols, 7);
+        e.attach_detector(DegradationDetector::new(2, DetectorConfig::default()));
     }
 
     #[test]

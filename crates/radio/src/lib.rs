@@ -28,6 +28,12 @@
 //! of it is bit-identical to polling every node
 //! (`docs/EXECUTION_MODEL.md`, "Phase 1: who gets polled").
 //!
+//! Delivery splits at the protocol boundary. Each channel is first
+//! *booked* by code that reads no protocol and is compiled once: deep
+//! fades and zone jams, [`Metrics`], the degradation detector's samples
+//! and the channel's outcome record. Only then is each node handed its
+//! [`Observation`] through [`Protocol::observe`].
+//!
 //! Reception is resolved per channel by the batched
 //! [`ChannelResolver`](mca_sinr::ChannelResolver) (mode selected via
 //! [`SinrParams::resolve`](mca_sinr::SinrParams)): the engine stages every
@@ -60,7 +66,8 @@
 //! watches per-slot delivery outcomes and flags SINR-level damage — jammed
 //! zones, correlated deep fades, duty-cycled dominators — the structural
 //! audit cannot see, as [`DetectionEvent`]s drained with
-//! [`Engine::drain_detections`].
+//! [`Engine::drain_detections`]. It samples in channel order, then
+//! listener order, so its event stream is as deterministic as the run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,7 +85,6 @@ mod node;
 pub mod reference;
 pub mod rng;
 pub mod shard;
-mod trace;
 
 pub use condition::ChannelCondition;
 pub use detect::{DegradationDetector, DetectionEvent, DetectorConfig};
@@ -90,4 +96,3 @@ pub use message::{Action, Observation, Reception};
 pub use metrics::Metrics;
 pub use node::Protocol;
 pub use shard::ShardMap;
-pub use trace::{TraceEvent, TraceRecorder};

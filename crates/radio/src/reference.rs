@@ -8,13 +8,13 @@
 //! nothing in the production engine calls it.
 
 use crate::condition::ChannelCondition;
+use crate::detect::DegradationDetector;
 use crate::fault::FaultPlan;
 use crate::ids::NodeId;
 use crate::message::{Action, Observation};
 use crate::metrics::Metrics;
 use crate::node::Protocol;
 use crate::rng::derive_rng;
-use crate::trace::TraceEvent;
 use mca_geom::Point;
 use mca_obs::ChannelSlotRecord;
 use mca_sinr::{resolve_listener_ext, ListenOutcome, SinrParams};
@@ -41,9 +41,10 @@ pub struct ReferenceEngine<P: Protocol> {
     pub slot: u64,
     /// Run metrics so far.
     pub metrics: Metrics,
-    /// Every decode so far, in the order the engine owes its trace: by
-    /// slot, then channel, then listener id.
-    pub trace: Vec<TraceEvent>,
+    /// The degradation detector, if any. It samples every contested
+    /// listen (on a channel with at least one transmitter) in the order
+    /// the engine owes its own: by slot, then channel, then listener id.
+    pub detector: Option<DegradationDetector>,
     /// The per-channel outcome stream the engine owes a recorder: per
     /// slot, the channels somebody listened on in ascending order, then
     /// the transmit-only ones.
@@ -65,7 +66,7 @@ impl<P: Protocol> ReferenceEngine<P> {
             conditions: Vec::new(),
             slot: 0,
             metrics: Metrics::new(),
-            trace: Vec::new(),
+            detector: None,
             channel_records: Vec::new(),
         }
     }
@@ -104,7 +105,7 @@ impl<P: Protocol> ReferenceEngine<P> {
             actions.push(action);
         }
         // Phase 2: every node that acted observes exactly once.
-        let decodes = self.trace.len();
+        let mut samples: Vec<(u16, u32, bool)> = Vec::new();
         for i in 0..n {
             let obs = match &actions[i] {
                 None => continue,
@@ -114,19 +115,14 @@ impl<P: Protocol> ReferenceEngine<P> {
                 Some(Action::Listen { channel }) => {
                     let m = &self.metrics;
                     let before = [m.receptions, m.busy_failures, m.env_drops];
-                    let obs = self.listen(i, channel.0, &actions);
+                    let (obs, contested) = self.listen(i, channel.0, &actions);
                     let m = &self.metrics;
                     let rec = records.get_mut(&channel.0).expect("tallied in phase 1");
                     rec.rx += (m.receptions - before[0]) as u32;
                     rec.busy += (m.busy_failures - before[1]) as u32;
                     rec.env += (m.env_drops - before[2]) as u32;
-                    if let Observation::Received(r) = &obs {
-                        self.trace.push(TraceEvent {
-                            slot,
-                            channel: *channel,
-                            from: r.from,
-                            to: NodeId(i as u32),
-                        });
+                    if contested {
+                        samples.push((channel.0, i as u32, obs.reception().is_some()));
                     }
                     obs
                 }
@@ -134,7 +130,12 @@ impl<P: Protocol> ReferenceEngine<P> {
             self.protocols[i].observe(slot, obs, &mut self.rngs[i]);
         }
         // Visited by listener id; stable, so each channel keeps that order.
-        self.trace[decodes..].sort_by_key(|e| e.channel);
+        samples.sort_by_key(|&(channel, _, _)| channel);
+        if let Some(det) = self.detector.as_mut() {
+            for (_, node, delivered) in samples {
+                det.sample(node, slot, delivered);
+            }
+        }
         let listened = records.values().filter(|r| r.listens > 0);
         let transmit_only = records.values().filter(|r| r.listens == 0);
         self.channel_records.extend(listened.chain(transmit_only));
@@ -142,13 +143,14 @@ impl<P: Protocol> ReferenceEngine<P> {
         self.metrics.slots += 1;
     }
 
-    /// What listener `li` on channel `ch` experiences this slot.
+    /// What listener `li` on channel `ch` experiences this slot, and
+    /// whether the listen was contested (somebody transmitted on `ch`).
     fn listen(
         &mut self,
         li: usize,
         ch: u16,
         actions: &[Option<Action<P::Msg>>],
-    ) -> Observation<P::Msg> {
+    ) -> (Observation<P::Msg>, bool) {
         let slot = self.slot;
         let senders: Vec<(usize, &P::Msg)> = actions
             .iter()
@@ -194,7 +196,7 @@ impl<P: Protocol> ReferenceEngine<P> {
             }
             _ => self.metrics.silent_listens += 1,
         }
-        obs
+        (obs, !senders.is_empty())
     }
 }
 
@@ -310,6 +312,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::DetectorConfig;
     use crate::fault::{JamSpec, SleepSchedule, ZoneJam};
     use crate::ids::Channel;
     use crate::Engine;
@@ -624,23 +627,25 @@ mod tests {
     }
 
     /// Whole runs of the roster/wake-queue/standing-list engine against
-    /// the poll-everyone oracle: equal metrics after every slot, equal
-    /// final protocol states, equal per-node RNG states, equal decode
-    /// traces (listener order included) and equal per-channel outcome
+    /// the poll-everyone oracle: equal metrics and equal detection
+    /// streams after every slot (the detector samples in listener order,
+    /// so event order within a slot is compared), equal final protocol
+    /// states, equal per-node RNG states and equal per-channel outcome
     /// streams. One run per proptest case (`PROPTEST_CASES` deepens it);
-    /// a plain loop, because the run as a whole owes four more things:
+    /// a plain loop, because the run as a whole owes five more things:
     /// it must have reached channel-slots with at least a lane of
     /// transmitters *and* a lane of listeners, channel-slots big enough
     /// to be bucketed into shard units (a `Halo` span each), so that
     /// sharding after a scripted move is part of what is compared, parks
     /// beyond the wake wheel (8 slots in this build), so that the
-    /// overflow heap and the migration out of it are, and slots that
+    /// overflow heap and the migration out of it are, slots that
     /// resolve two channels or more, so that several channels' ranges
-    /// share the staging arena.
+    /// share the staging arena, and a slot that drained two detection
+    /// events or more, so that their order is.
     #[test]
     fn reference_oracle_matches_the_active_set_engine() {
         let (mut full_lane_channel_slots, mut sharded_units, mut parks_far) = (0, 0, 0);
-        let mut shared_arena_slots = 0;
+        let (mut shared_arena_slots, mut ordered_detection_slots) = (0, 0);
         for i in 0..u64::from(ProptestConfig::default().cases) {
             let seed: u64 = proptest::test_rng(i).gen();
             let c = case(seed);
@@ -648,10 +653,12 @@ mod tests {
             let mut e = Engine::new(params, c.positions.clone(), c.protocols.clone(), seed)
                 .with_faults(c.faults.clone())
                 .with_shards(c.shards);
-            e.enable_trace(1 << 20);
+            let n = c.positions.len();
+            e.attach_detector(DegradationDetector::new(n, DetectorConfig::default()));
             e.attach_obs(mca_obs::Recorder::new());
             let mut r = ReferenceEngine::new(params, c.positions, c.protocols, seed);
             r.faults = c.faults;
+            r.detector = Some(DegradationDetector::new(n, DetectorConfig::default()));
             for slot in 0..c.slots {
                 for (_, op) in c.script.iter().filter(|(at, _)| *at == slot) {
                     apply(op, &mut e, &mut r);
@@ -659,11 +666,13 @@ mod tests {
                 e.step();
                 r.step();
                 assert_eq!(e.metrics(), &r.metrics, "seed {seed} slot {slot}");
+                let detected = e.drain_detections();
+                let owed = r.detector.as_mut().expect("attached above").drain();
+                assert_eq!(detected, owed, "seed {seed} slot {slot}");
+                ordered_detection_slots += usize::from(detected.len() >= 2);
             }
             assert_eq!(e.protocols(), &r.protocols[..], "seed {seed}");
             assert_eq!(e.rngs(), &r.rngs[..], "seed {seed}");
-            let traced: Vec<_> = e.trace().expect("enabled above").iter().copied().collect();
-            assert_eq!(traced, r.trace, "seed {seed}");
             let rec = e.obs().expect("attached above");
             assert_eq!(rec.channel_records(), &r.channel_records[..], "seed {seed}");
             let halos = rec.spans().iter().filter(|s| s.kind == SpanKind::Halo);
@@ -694,6 +703,10 @@ mod tests {
         assert!(
             shared_arena_slots > 0,
             "no case resolved two channels in one slot"
+        );
+        assert!(
+            ordered_detection_slots > 0,
+            "no slot drained two detection events"
         );
     }
 
