@@ -21,8 +21,9 @@
 //!
 //! `profile` runs the flood workload with the `mca-obs` recorder attached
 //! and prints the per-phase time breakdown and the engine's counters; the
-//! run fails unless the phase spans cover ≥ 95% of slot wall time (CI
-//! profiles `scenarios/sharded-dense.toml` for 40 slots).
+//! run fails unless the phase spans cover ≥ 95% of slot wall time and
+//! both Phase-2 arenas stayed within twice the node count (CI profiles
+//! `scenarios/sharded-dense.toml` for 40 slots).
 //!
 //! `--scenario` runs any TOML world (see `docs/SCENARIO_FORMAT.md`)
 //! through the flood max-aggregation workload; `sweep` expands a
@@ -83,7 +84,7 @@ const COMMANDS: &[Cmd] = &[
         summary: "per-phase time breakdown and engine counters via the\n\
                   mca-obs recorder (default world: 100k dense nodes;\n\
                   exits non-zero if phase spans cover < 95% of slot\n\
-                  wall time)",
+                  wall time or an arena outgrew 2n entries)",
         help: "",
         run: run_profile,
     },
@@ -553,6 +554,13 @@ fn run_profile(args: &[String]) -> ExitCode {
             "error: phase spans cover {:.1}% of slot wall time, below the {:.0}% gate",
             run.slot_coverage() * 100.0,
             mca_bench::COVERAGE_GATE * 100.0
+        );
+        return ExitCode::FAILURE;
+    }
+    if !run.arenas_ok(scenario.len()) {
+        eprintln!(
+            "error: a Phase-2 arena outgrew twice the {} nodes (see the memory line)",
+            scenario.len()
         );
         return ExitCode::FAILURE;
     }

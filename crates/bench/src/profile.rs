@@ -5,13 +5,15 @@
 //! the engine's slot time goes: one row per span kind with wall, self,
 //! and p50/p95/max durations, what one resolved listen cost in time and in
 //! power evaluations, what the run held in memory (the process's peak
-//! RSS and the staging arena's high water), the engine's counters, and
-//! the per-phase slot coverage.
+//! RSS and the high water of the staging and index arenas), the engine's
+//! counters, and the per-phase slot coverage.
 //!
-//! The coverage figure is also the harness's acceptance gate: the phase
-//! spans (event drain, gather, stage, resolve, deliver) must account for
-//! at least [`COVERAGE_GATE`] of measured slot wall time, or the
-//! instrumentation has a hole — `experiments profile` exits non-zero.
+//! The coverage figure is the harness's acceptance gate: the phase spans
+//! (event drain, gather, stage, resolve, deliver) must account for at
+//! least [`COVERAGE_GATE`] of measured slot wall time, or the
+//! instrumentation has a hole — `experiments profile` exits non-zero. So
+//! it does when an arena outgrew `2·n` entries ([`ProfileRun::arenas_ok`]):
+//! a slot's Phase-2 memory is bounded by the nodes, not the channels.
 //! The default world is a 100k-node dense deployment (16 channels, 8×8
 //! shards, fast resolve): twice the benchmark's `dense-engine` world, the
 //! regime where nearly every slot runs its units on the pool.
@@ -94,6 +96,31 @@ impl ProfileRun {
             .filter(|&(tx, _)| tx > 0)
     }
 
+    /// The index arena's high water: the items and nodes its buffers hold
+    /// room for at the end of the run — the sums of the
+    /// `index_arena_items` / `index_arena_nodes` counters, which record
+    /// the buffers' growth slot by slot. Never less than the most any
+    /// slot's indexes held. `None` when no index was built (an Exact-mode
+    /// world, or sets too small for a grid).
+    pub fn index_high_water(&self) -> Option<(u64, u64)> {
+        let counter = |name: &str| {
+            let mut counters = self.report.counters.iter();
+            counters.find(|(k, _)| k == name).map_or(0, |c| c.1)
+        };
+        let room = (counter("index_arena_items"), counter("index_arena_nodes"));
+        (room.0 > 0).then_some(room)
+    }
+
+    /// Whether both arenas stayed within `2 · n` entries on a world of
+    /// `n` nodes: every staging high water, and the index arena's items
+    /// and nodes. A node acts on one channel a slot, so a run that
+    /// breaks this holds Phase-2 memory per channel.
+    pub fn arenas_ok(&self, n: usize) -> bool {
+        let (tx, rx) = self.stage_high_water().unwrap_or_default();
+        let (items, nodes) = self.index_high_water().unwrap_or_default();
+        [tx, rx, items, nodes].iter().all(|&v| v <= 2 * n as u64)
+    }
+
     /// What the resolver kernels cost per listen, read off the records
     /// the recorder already holds: the `unit` spans' total time over the
     /// listens of every channel-slot that had a transmitter (the resolved
@@ -165,7 +192,7 @@ fn peak_rss_kb() -> Option<u64> {
 /// Renders the profile as markdown: the per-phase breakdown (one row per
 /// span kind, in the report's fixed kind order), the derived cost of one
 /// resolved listen and its evaluation count, the memory line (peak RSS and
-/// the staging arena's high water), then the recorder's counters and how
+/// the high water of both arenas), then the recorder's counters and how
 /// many records its retention caps discarded.
 pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> String {
     let mut spans = Table::new(
@@ -215,14 +242,20 @@ pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> String {
         Some(kb) => format!("peak RSS {:.1} MB (VmHWM)", kb as f64 / 1024.0),
         None => "peak RSS unavailable".into(),
     };
-    let memory = match run.stage_high_water() {
+    let n = scenario.len();
+    let staged = match run.stage_high_water() {
         Some((tx, rx)) => format!(
-            "memory: {rss}; staging arena high water {tx} transmitter + {rx} listener \
-             positions of {} nodes",
-            scenario.len()
+            "staging arena high water {tx} transmitter + {rx} listener positions of {n} nodes"
         ),
-        None => format!("memory: {rss}; nothing was staged"),
+        None => "nothing was staged".into(),
     };
+    let indexed = match run.index_high_water() {
+        Some((items, nodes)) => {
+            format!("index arena high water {items} items + {nodes} nodes of {n} nodes")
+        }
+        None => "no index was built".into(),
+    };
+    let memory = format!("memory: {rss}; {staged}; {indexed}");
     format!("{spans}\n{resolve}\n{walk}\n{memory}\n\n{counters}")
 }
 
@@ -311,6 +344,18 @@ mod tests {
         assert!(staged.1 <= (tx + rx) * run.trial.slots);
         let table = profile_table(&s, &run);
         let line = format!("staging arena high water {tx} transmitter + {rx} listener positions");
+        assert!(table.contains(&line), "no `{line}` in:\n{table}");
+        // A Fast-mode world: its channels are indexed, into one arena
+        // whose items and nodes stay within twice the node count.
+        let (items, nodes) = run.index_high_water().expect("the flood builds indexes");
+        assert!(run.arenas_ok(s.len()), "{items}, {nodes} of {n}");
+        let builds = run
+            .report
+            .counters
+            .iter()
+            .find(|(k, _)| k == "index_builds");
+        assert!(builds.is_some_and(|b| b.1 > 0), "no index_builds counter");
+        let line = format!("; index arena high water {items} items + {nodes} nodes of {n} nodes");
         assert!(table.contains(&line), "no `{line}` in:\n{table}");
         if cfg!(target_os = "linux") {
             assert!(run.peak_rss_kb.is_some_and(|kb| kb > 0));

@@ -8,7 +8,7 @@
 //! {"v":1,"t":"span","k":"gather","slot":3,"a":0,"b":0,"ns":18250}
 //! {"v":1,"t":"event","k":"repair_rehome","slot":120,"epoch":2,"slots":14,"count":3}
 //! {"v":1,"t":"chan","slot":3,"ch":1,"tx":5,"listens":9,"rx":2,"busy":1,"env":0}
-//! {"v":1,"t":"counter","k":"resolver_cache_builds","n":7}
+//! {"v":1,"t":"counter","k":"index_builds","n":7}
 //! {"v":1,"t":"trace","slot":3,"ch":0,"from":17,"to":4}
 //! {"v":1,"t":"trial","scenario":"dense-16ch","seed":2,"coverage":0.98,"full":false,"rx":812,"busy":31,"env":0,"slots":400}
 //! ```
@@ -445,7 +445,7 @@ mod tests {
             busy: 1,
             env: 0,
         });
-        r.add("resolver_cache_builds", 7);
+        r.add("index_builds", 7);
         let jsonl = r.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 5);

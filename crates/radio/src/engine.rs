@@ -19,7 +19,7 @@ use crate::shard::ShardMap;
 use mca_geom::{BoundingBox, Point};
 use mca_obs::{ChannelSlotRecord, SpanKind, Stopwatch};
 use mca_sinr::{
-    resolve_listener_ext, ChannelResolver, IndexScratch, ListenOutcome, ResolverCache, SinrParams,
+    resolve_listener_ext, ChannelResolver, IndexArena, IndexSpan, ListenOutcome, SinrParams,
 };
 use rand::rngs::SmallRng;
 use std::cmp::Reverse;
@@ -107,10 +107,6 @@ pub struct Engine<P: Protocol> {
     /// never feeds back into simulation state, so outcomes are
     /// bit-identical with or without it.
     obs: Option<mca_obs::Recorder>,
-    /// Last reported totals of per-channel resolver-cache rebuilds and
-    /// rebuild nanoseconds (the `resolver_cache_builds` /
-    /// `resolver_cache_build_ns` counters record per-slot deltas).
-    obs_cache_builds: (u64, u64),
     /// Last reported work-stealing pool totals (steals, tasks, parks) —
     /// the `pool_steals` / `pool_tasks` / `pool_parks` counters record
     /// per-slot deltas. The underlying stats are process-global, so with
@@ -135,9 +131,10 @@ pub struct Engine<P: Protocol> {
     active: Vec<u16>,
     /// Everything Phase 2 stages, for every channel of the slot.
     stage: Stage,
-    /// What only an index rebuild touches, lent to each channel's
-    /// [`ChannelResolver::cached`] in turn (builds run one at a time).
-    index_scratch: IndexScratch,
+    /// The slot's spatial indexes: every resolving Fast-mode channel's,
+    /// built one after another in ascending channel order before any unit
+    /// runs, emptied at the top of the slot like [`Stage`].
+    index: IndexArena,
     /// Counting-sort scratch for the per-channel shard bucketing
     /// (`S² + 1` counters).
     shard_counts: Vec<u32>,
@@ -528,11 +525,9 @@ struct Stage {
 }
 
 /// Per-channel state for one slot: the id lists Phase 1 fills, the
-/// channel's ranges of the engine's [`Stage`] (a group owns no staged
-/// position and no shard order), its condition and unit layout. The
-/// resolver `cache` persists *across* slots: its spatial index is rebuilt
-/// only when the channel's staged transmitter positions actually change
-/// (static worlds build it once), through the engine's [`IndexScratch`].
+/// channel's ranges of the engine's [`Stage`] and [`IndexArena`] (a group
+/// owns no staged position, no shard order and no index), its condition
+/// and unit layout.
 #[derive(Default)]
 struct ChannelGroup {
     tx: Vec<u32>,
@@ -549,8 +544,9 @@ struct ChannelGroup {
     /// Half-open ranges into the channel's `shard_rx` stretch, one per
     /// resolve unit, in shard-id order; together they tile it.
     unit_ranges: Vec<(u32, u32)>,
-    /// Persistent spatial-index cache (survives `clear`).
-    cache: ResolverCache,
+    /// Where the channel's spatial index lies in the engine's arena
+    /// (`None`: the exact scan).
+    index: Option<IndexSpan>,
 }
 
 impl ChannelGroup {
@@ -560,8 +556,7 @@ impl ChannelGroup {
         (self.tx_span, self.rx_span, self.shard_span) = (0..0, 0..0, 0..0);
         self.unit_ranges.clear();
         self.cond = ChannelCondition::CLEAR;
-        // `cache` deliberately survives: it re-validates itself against the
-        // next slot's staged transmitter positions.
+        self.index = None;
     }
 
     fn is_idle(&self) -> bool {
@@ -884,7 +879,6 @@ impl<P: Protocol> Engine<P> {
             watch: None,
             detector: None,
             obs: None,
-            obs_cache_builds: (0, 0),
             obs_pool: {
                 let ps = rayon::pool_stats();
                 (ps.steals, ps.tasks, ps.parks)
@@ -895,7 +889,7 @@ impl<P: Protocol> Engine<P> {
             groups: Vec::new(),
             active: Vec::new(),
             stage: Stage::default(),
-            index_scratch: IndexScratch::new(),
+            index: IndexArena::new(),
             shard_counts: Vec::new(),
             unit_out: Vec::new(),
             unit_ns: Vec::new(),
@@ -1076,7 +1070,7 @@ impl<P: Protocol> Engine<P> {
     /// [`Engine::step`] records per-phase spans (gather, staging, each
     /// (channel × shard) resolve unit with its halo construction, merge,
     /// delivery, event drain), a per-channel outcome record per active
-    /// channel, and resolver-cache counters. Recording is observation
+    /// channel, and counters. Recording is observation
     /// only: trial outcomes are bit-identical with or without a recorder,
     /// under any execution schedule.
     pub fn attach_obs(&mut self, rec: mca_obs::Recorder) {
@@ -1182,8 +1176,9 @@ impl<P: Protocol> Engine<P> {
         group
     }
 
-    /// Phases 2b + 2c: stage each active channel's listener partition,
-    /// resolve all (channel × shard) units, and deliver every observation
+    /// Phases 2b + 2c: build each resolving channel's spatial index into
+    /// the slot's [`IndexArena`] and stage its listener partition, resolve
+    /// all (channel × shard) units, and deliver every observation
     /// — bit-identical for any shard count, worker count, and steal
     /// schedule (see [`Engine::with_shards`]). Returns
     /// `(resolve_ns, deliver_ns)` wall-clock attribution for the phase
@@ -1217,14 +1212,25 @@ impl<P: Protocol> Engine<P> {
         let mut deliver_ns = 0u64;
         let slot = self.slot;
 
-        // Stage the listener partition: shard-major bucketing (counting
-        // sort, reused scratch) where sharding engages, identity order
-        // otherwise.
+        // Build every resolving channel's spatial index into the slot's
+        // arena, and stage its listener partition: shard-major bucketing
+        // (counting sort, reused scratch) where sharding engages, identity
+        // order otherwise. Resolvers borrow the arena only once every
+        // index is in it.
         let (mut listeners, mut units) = (0, 0);
+        let (mut builds, mut build_ns) = (0u64, 0u64);
+        let room = self.index.capacity();
         for &ch in &self.active {
             let group = &mut self.groups[ch as usize];
             if group.tx.is_empty() || group.rx.is_empty() {
                 continue;
+            }
+            let sw = Stopwatch::start_if(timing);
+            let tx_pos = &self.stage.tx_pos[group.tx_span.clone()];
+            group.index = self.index.build(&group.params, tx_pos);
+            if group.index.is_some() {
+                builds += 1;
+                build_ns += sw.elapsed_ns();
             }
             // The channel's grid is coarsened so units stay large enough
             // to amortize their scheduling overhead, and laid over the box
@@ -1280,7 +1286,7 @@ impl<P: Protocol> Engine<P> {
             groups,
             active,
             stage,
-            index_scratch,
+            index,
             actions,
             protocols,
             rngs,
@@ -1296,6 +1302,7 @@ impl<P: Protocol> Engine<P> {
         } = self;
         let faults: &FaultPlan = faults;
         let stage: &Stage = stage;
+        let index: &IndexArena = index;
 
         // One pass over the dense groups: a job per channel with both
         // transmitters and listeners, the silent channels beside them, the
@@ -1337,10 +1344,10 @@ impl<P: Protocol> Engine<P> {
                 cond,
                 params,
                 unit_ranges,
-                cache,
+                index: span,
             } = group;
             let tx_pos = &stage.tx_pos[tx_span.clone()];
-            let resolver = ChannelResolver::cached(params, tx_pos, cache, index_scratch);
+            let resolver = ChannelResolver::with_index(params, tx_pos, index, *span);
             let work_per_listener = resolver.estimated_work_per_listener().max(1);
             let (unit_out, tail) = out_rest.split_at_mut(rx.len());
             out_rest = tail;
@@ -1471,6 +1478,14 @@ impl<P: Protocol> Engine<P> {
         deliver_ns += sw.elapsed_ns();
 
         if let Some(rec) = obs.as_mut() {
+            // What the index arena did: indexes built and their time, and
+            // how much its buffers grew (summed over a run, the room they
+            // reached).
+            let grown = index.capacity();
+            rec.add("index_builds", builds);
+            rec.add("index_build_ns", build_ns);
+            rec.add("index_arena_items", (grown.0 - room.0) as u64);
+            rec.add("index_arena_nodes", (grown.1 - room.1) as u64);
             if merged_units > 0 {
                 rec.span(SpanKind::Merge, slot, merged_units, 0, merge_ns);
             }
@@ -1516,6 +1531,7 @@ impl<P: Protocol> Engine<P> {
         self.stage.tx_pos.clear();
         self.stage.rx_pos.clear();
         self.stage.shard_rx.clear();
+        self.index.clear();
         let drain_ns = sw.elapsed_ns();
         let sw = Stopwatch::start_if(timing);
 
@@ -1656,14 +1672,6 @@ impl<P: Protocol> Engine<P> {
             );
             rec.span(SpanKind::Deliver, slot, 0, 0, deliver_ns);
             rec.span(SpanKind::Slot, slot, 0, 0, sw_slot.elapsed_ns());
-            let builds: u64 = self.groups.iter().map(|g| g.cache.builds()).sum();
-            let build_ns: u64 = self.groups.iter().map(|g| g.cache.build_ns()).sum();
-            rec.add("resolver_cache_builds", builds - self.obs_cache_builds.0);
-            rec.add(
-                "resolver_cache_build_ns",
-                build_ns - self.obs_cache_builds.1,
-            );
-            self.obs_cache_builds = (builds, build_ns);
             // What Phase 1 touched: `act` calls this slot, and nodes
             // waiting in the wake queue after it.
             rec.add("nodes_polled", polled);
@@ -2529,26 +2537,29 @@ mod tests {
         fn observe(&mut self, _slot: u64, _obs: Observation<u32>, _r: &mut SmallRng) {}
     }
 
-    /// The memory-scaling regression: Phase 2's staged data is O(n), not
-    /// O(n · channels). After a 2 000-node flood has hopped through all 16
-    /// channels, each vector of the engine's one [`Stage`] holds at most
-    /// `2 · n` entries of capacity, and no group has a staged buffer to
-    /// grow: the exhaustive destructuring of [`ChannelGroup`] below stops
-    /// compiling the moment the struct gains a field, so a `Vec<Point>`
-    /// (or a `shard_rx` vector) cannot come back unnoticed. On a slot with
-    /// three resolved channels the groups' ranges tile the arena in
+    /// The memory-scaling regression: Phase 2's staged data and spatial
+    /// indexes are O(n), not O(n · channels). After a 2 000-node Fast-mode
+    /// flood has hopped through all 16 channels, each vector of the
+    /// engine's one [`Stage`] holds at most `2 · n` entries of capacity,
+    /// so do the items and the nodes of its one [`IndexArena`], and no
+    /// group has a staged buffer or an index to grow: the exhaustive
+    /// destructuring of [`ChannelGroup`] below stops compiling the moment
+    /// the struct gains a field, so a `Vec<Point>` (or a `shard_rx` vector,
+    /// or a per-channel index cache) cannot come back unnoticed. On a slot
+    /// with three resolved channels the groups' ranges tile the arena in
     /// ascending channel order, each as long as its id list, every staged
-    /// position is its node's, and every channel's `shard_rx` stretch is a
-    /// permutation of its listener indices. Unsharded and on a 4 × 4 grid,
-    /// at 1, 2 and 8 pool workers (under `MCA_FORCE_PAR=1` every arm is
-    /// sharded and its units run on the pool; the worker count is
-    /// process-global but only steers scheduling, so sibling tests stay
-    /// correct).
+    /// position is its node's, every channel's `shard_rx` stretch is a
+    /// permutation of its listener indices, and every channel is indexed.
+    /// Unsharded and on a 4 × 4 grid, at 1, 2 and 8 pool workers (under
+    /// `MCA_FORCE_PAR=1` every arm is sharded and its units run on the
+    /// pool; the worker count is process-global but only steers
+    /// scheduling, so sibling tests stay correct).
     #[test]
     fn stage_arena_is_bounded_by_nodes_not_channels() {
         use rand::{Rng, SeedableRng};
         let n = 2_000usize;
-        for (shards, threads) in [(0u16, 1usize), (0, 2), (4, 1), (4, 2), (4, 8)] {
+        let params = SinrParams::default().with_resolve(mca_sinr::ResolveMode::fast());
+        for (shards, threads) in [(0u16, 1usize), (0, 2), (0, 8), (4, 1), (4, 2), (4, 8)] {
             rayon::set_num_threads(threads);
             let mut rng = SmallRng::seed_from_u64(5);
             let side = (n as f64).sqrt();
@@ -2556,8 +2567,7 @@ mod tests {
                 .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
                 .collect();
             let protocols = (0..n as u32).map(|id| HopFlood { id }).collect();
-            let mut e =
-                Engine::new(SinrParams::default(), positions, protocols, 11).with_shards(shards);
+            let mut e = Engine::new(params, positions, protocols, 11).with_shards(shards);
             e.attach_obs(mca_obs::Recorder::new());
             let mut seen = [false; 16];
             for _ in 0..32 {
@@ -2581,6 +2591,10 @@ mod tests {
             ] {
                 assert!(capacity <= 2 * n, "{name} holds {capacity} entries");
             }
+            let (items, nodes) = e.index.capacity();
+            assert!(items > 0, "the flood's channels are indexed");
+            assert!(items <= 2 * n, "the index arena holds {items} items");
+            assert!(nodes <= 2 * n, "the index arena holds {nodes} nodes");
 
             let (mut tx_at, mut rx_at) = (0, 0);
             for &ch in &e.active {
@@ -2593,7 +2607,7 @@ mod tests {
                     cond: _,
                     params: _,
                     unit_ranges,
-                    cache: _,
+                    index,
                 } = &e.groups[ch as usize];
                 let (tx, rx): (&Vec<u32>, &Vec<u32>) = (tx, rx);
                 assert!(!tx.is_empty() && !rx.is_empty(), "channel {ch} resolves");
@@ -2610,6 +2624,7 @@ mod tests {
                 order.sort_unstable();
                 assert!(order.iter().copied().eq(0..rx.len() as u32));
                 assert_eq!(unit_ranges.len() > 1, e.shards >= 2, "channel {ch}");
+                assert!(index.is_some(), "channel {ch} has no index");
             }
             assert_eq!(tx_at, tx_pos.len());
             assert_eq!(rx_at, rx_pos.len());
@@ -2627,6 +2642,12 @@ mod tests {
             let counted = counters.iter().find(|(k, _)| *k == "staged_positions");
             assert_eq!(counted, Some(&("staged_positions", staged)));
             assert_eq!(staged, 33 * n as u64, "every node is staged every slot");
+            // Summed over the run, the arena's growth is the room it holds;
+            // a build per indexed channel-slot: 32 hops, then three.
+            let count = |name: &str| counters.iter().find(|(k, _)| *k == name).map(|c| c.1);
+            assert_eq!(count("index_arena_items"), Some(items as u64));
+            assert_eq!(count("index_arena_nodes"), Some(nodes as u64));
+            assert_eq!(count("index_builds"), Some(35));
         }
         rayon::set_num_threads(0);
     }

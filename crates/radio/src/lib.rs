@@ -38,10 +38,10 @@
 //! [`ChannelResolver`](mca_sinr::ChannelResolver) (mode selected via
 //! [`SinrParams::resolve`](mca_sinr::SinrParams)): the engine stages every
 //! channel's transmitter/listener positions once per slot into one arena
-//! (at most one entry per node, however many channels there are), keeps
-//! each channel's spatial index alive across slots
-//! ([`mca_sinr::ResolverCache`] — rebuilt only when the staged positions
-//! change, through one shared [`mca_sinr::IndexScratch`]), and resolves the resulting (channel × shard) units — a big
+//! (at most one entry per node, however many channels there are), builds
+//! every resolving channel's spatial index into one
+//! [`mca_sinr::IndexArena`] (emptied every slot, so it too holds `O(n)`),
+//! and resolves the resulting (channel × shard) units — a big
 //! channel's listeners bucketed by [`Engine::with_shards`]' [`ShardMap`]
 //! grid over the positions staged for them — inline on the slot
 //! thread, or as tasks on the work-stealing pool when a slot has at least

@@ -16,10 +16,10 @@
 //!   exact near field, far field aggregated node by node up a quadtree
 //!   pyramid under one opening rule, all
 //!   error-bounded — see [`resolve_batch`] for the `α > 2` tail-bound
-//!   derivation). [`ResolverCache`] persists the spatial index across
-//!   slots (what only a rebuild touches lives in one shared
-//!   [`IndexScratch`]); [`TaskResolver`] is the per-shard-task view the engine's
-//!   sharded resolve units go through (bit-identical to the resolver);
+//!   derivation). An [`IndexArena`] holds the spatial indexes of many
+//!   channels of one slot, each named by an [`IndexSpan`];
+//!   [`TaskResolver`] is the per-shard-task view the engine's sharded
+//!   resolve units go through (bit-identical to the resolver);
 //! * [`lanes`] — SIMD-friendly structure-of-arrays power kernels with a
 //!   deterministic reduction order, bit-identical to the scalar reference
 //!   walks (the resolvers' one production path);
@@ -51,4 +51,4 @@ pub use params::{NodeKnowledge, ParamInterval, PowerKernel, ResolveMode, SinrPar
 pub use resolve::{
     is_clear_reception, resolve_channel, resolve_listener, resolve_listener_ext, ListenOutcome,
 };
-pub use resolve_batch::{ChannelResolver, IndexScratch, ResolverCache, TaskResolver, WalkStats};
+pub use resolve_batch::{ChannelResolver, IndexArena, IndexSpan, TaskResolver, WalkStats};

@@ -77,6 +77,7 @@ use crate::lanes::{self, LANE_WIDTH};
 use crate::params::{PowerKernel, ResolveMode, SinrParams};
 use crate::resolve::{decide, decide_lanes, resolve_listener_ext, ListenOutcome};
 use mca_geom::{BoundingBox, Point, SpatialGrid};
+use std::borrow::Cow;
 
 /// Transmitter count below which Fast mode falls back to the exact scan —
 /// the grid build would cost more than it saves.
@@ -114,36 +115,39 @@ pub struct WalkStats {
 
 /// One occupied node of the Fast-mode hierarchy: a grid cell (level 0) or
 /// the `2^level × 2^level` cells of one quadtree square. One cache line.
+#[derive(Clone)]
 struct Node {
     /// A cell's grid rectangle; above the cells, the tight bounding box of
     /// the occupied children's rectangles.
     rect: BoundingBox,
     /// Center of `rect` — the node's far-field evaluation point.
     center: Point,
-    /// The node's transmitters are `items[start..start + count]` (cells
-    /// of one subtree are contiguous in pre-order, so their items are).
+    /// The node's transmitters are `items[start..start + count]` of its
+    /// index (cells of one subtree are contiguous in pre-order, so their
+    /// items are).
     start: u32,
     count: u32,
-    /// Index of the next node in pre-order that is not below this one;
-    /// the nodes between are this node's subtree.
+    /// Position, counted from its index's first node, of the next node in
+    /// pre-order that is not below this one; the nodes between are this
+    /// node's subtree.
     skip: u32,
     level: u8,
 }
 
-/// Fast-mode spatial index: the occupied nodes of a quadtree pyramid over
-/// the adaptive grid in pre-order (children row-major), transmitter
-/// indices contiguous per cell — all orders deterministic.
-struct FastIndex {
-    nodes: Vec<Node>,
-    items: Vec<u32>,
-    /// Coordinates gathered into `items` order: `lane_xs[k]`/`lane_ys[k]`
-    /// are those of transmitter `items[k]`, so a cell's CSR slices feed
-    /// the near fold contiguous coordinates with no per-listener gather
-    /// through `tx`. Everything else the batch walk reads — a rectangle, a
-    /// center, a count — is a broadcast scalar and comes straight off
-    /// `nodes`.
-    lane_xs: Vec<f64>,
-    lane_ys: Vec<f64>,
+/// Where one index lies in an [`IndexArena`], and the constants its walk
+/// reads: what [`IndexArena::build`] returns and
+/// [`ChannelResolver::with_index`] takes back. It stays valid until the
+/// arena is next cleared.
+#[derive(Clone, Copy, Debug)]
+pub struct IndexSpan {
+    /// The index's nodes, `[start, end)` of the arena's node array: the
+    /// occupied nodes of a quadtree pyramid over the adaptive grid in
+    /// pre-order (children row-major).
+    nodes: (u32, u32),
+    /// The index's transmitters, `[start, end)` of the arena's item and
+    /// coordinate arrays: indices contiguous per cell — all orders
+    /// deterministic.
+    items: (u32, u32),
     /// Squared opening radius per level: `R_c²` for the cells (an opened
     /// cell is the near field), `max(R_c, BLOCK_FAR_FACTOR·diag_k)²` above
     /// them. Non-decreasing in the level, and a child's rectangle lies
@@ -161,7 +165,23 @@ struct FastIndex {
     cell_side: f64,
 }
 
-/// One occupied grid cell staged for [`FastIndex::build`]'s pre-order
+/// One Fast-mode index as the walks read it: an [`IndexSpan`]'s stretches
+/// of its arena.
+struct FastIndex<'r> {
+    nodes: &'r [Node],
+    items: &'r [u32],
+    /// Coordinates gathered into `items` order: `lane_xs[k]`/`lane_ys[k]`
+    /// are those of transmitter `items[k]`, so a cell's CSR slices feed
+    /// the near fold contiguous coordinates with no per-listener gather
+    /// through `tx`. Everything else the batch walk reads — a rectangle, a
+    /// center, a count — is a broadcast scalar and comes straight off
+    /// `nodes`.
+    lane_xs: &'r [f64],
+    lane_ys: &'r [f64],
+    span: &'r IndexSpan,
+}
+
+/// One occupied grid cell staged for [`IndexArena::build`]'s pre-order
 /// pass: its rectangle and its range of [`IndexScratch::flat`].
 #[derive(Clone, Copy)]
 struct Placed {
@@ -173,34 +193,68 @@ struct Placed {
 /// Everything only an index *build* touches: the spatial grid (re-indexed
 /// in place, its CSR buffers surviving), the staged cells, the dense
 /// cell → staged-cell table (`0` = empty, else index + 1) and the
-/// flattened item copy. Nothing here outlives the build that filled it, so
-/// one scratch serves any number of [`ResolverCache`]s — the engine owns
-/// one and lends it to each channel's [`ChannelResolver::cached`] in turn
-/// — and steady-state rebuilds (mobile worlds re-index every slot)
-/// allocate nothing.
-#[derive(Default)]
-pub struct IndexScratch {
+/// flattened item copy. Nothing here outlives the build that filled it,
+/// so steady-state builds (mobile worlds re-index every slot) allocate
+/// nothing.
+#[derive(Clone, Default)]
+struct IndexScratch {
     grid: Option<SpatialGrid>,
     cell_of: Vec<u32>,
     placed: Vec<Placed>,
     flat: Vec<u32>,
 }
 
-impl IndexScratch {
-    /// An empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Storage for any number of Fast-mode indexes: each
+/// [`IndexArena::build`] appends one and returns its [`IndexSpan`], and
+/// [`IndexArena::clear`] drops them all while keeping the buffers. The
+/// engine owns one, clears it at the top of every slot and builds every
+/// resolving channel's index into it before any unit runs; the units then
+/// only read it. A node transmits on at most one channel a slot, so a
+/// slot's indexes hold at most `n` items between them, and — a grid being
+/// refused once it has more than half as many cells as transmitters — `O(n)`
+/// nodes, however many channels the world has.
+///
+/// An index is a pure function of `(params, transmitter positions)`: where
+/// it lies in the arena, and what else the arena holds, never changes an
+/// outcome.
+///
+/// # Examples
+///
+/// ```
+/// use mca_sinr::{ChannelResolver, IndexArena, ResolveMode, SinrParams};
+/// use mca_geom::Point;
+///
+/// let params = SinrParams::default().with_resolve(ResolveMode::fast());
+/// let tx: Vec<Point> = (0..400)
+///     .map(|i| Point::new(f64::from(i % 20) * 4.0, f64::from(i / 20) * 4.0))
+///     .collect();
+/// let mut arena = IndexArena::new();
+/// let span = arena.build(&params, &tx);
+/// assert!(span.is_some(), "a spread-out set earns an index");
+/// let resolver = ChannelResolver::with_index(&params, &tx, &arena, span);
+/// let fresh = ChannelResolver::new(&params, &tx);
+/// let l = Point::new(30.5, 41.0);
+/// assert_eq!(resolver.resolve(l, 0.0), fresh.resolve(l, 0.0));
+/// ```
+#[derive(Clone, Default)]
+pub struct IndexArena {
+    nodes: Vec<Node>,
+    items: Vec<u32>,
+    lane_xs: Vec<f64>,
+    lane_ys: Vec<f64>,
+    scratch: IndexScratch,
 }
 
-/// The pre-order pass of [`FastIndex::build`]: staged cells in, nodes and
-/// gathered items out.
+/// The pre-order pass of [`IndexArena::build`]: staged cells in, nodes
+/// and items appended to the arena, numbered from the index's own start.
 struct Emit<'a> {
-    tx: &'a [Point],
     /// Grid dimensions in cells.
     dims: (usize, usize),
     scratch: &'a IndexScratch,
-    out: &'a mut FastIndex,
+    nodes: &'a mut Vec<Node>,
+    items: &'a mut Vec<u32>,
+    /// Where this index begins in `nodes` and `items`.
+    base: (usize, usize),
     /// Nodes emitted per level (the work estimate's input).
     per_level: [u32; MAX_LEVELS],
 }
@@ -217,9 +271,9 @@ impl Emit<'_> {
         }
         // The node precedes what is below it: hold its slot, fill it in
         // once that is known, give it back if nothing is.
-        let at = self.out.nodes.len();
-        let start = self.out.items.len() as u32;
-        self.out.nodes.push(Node {
+        let at = self.nodes.len();
+        let start = (self.items.len() - self.base.1) as u32;
+        self.nodes.push(Node {
             rect: BoundingBox::new(Point::ORIGIN, Point::ORIGIN),
             center: Point::ORIGIN,
             start,
@@ -241,42 +295,50 @@ impl Emit<'_> {
         } else if let Some(staged) = self.scratch.cell_of[by * nx + bx].checked_sub(1) {
             let cell = self.scratch.placed[staged as usize];
             let span = &self.scratch.flat[cell.lo as usize..cell.hi as usize];
-            self.out.items.extend_from_slice(span);
-            let tx = self.tx;
-            self.out
-                .lane_xs
-                .extend(span.iter().map(|&i| tx[i as usize].x));
-            self.out
-                .lane_ys
-                .extend(span.iter().map(|&i| tx[i as usize].y));
+            self.items.extend_from_slice(span);
             below = Some((cell.rect, cell.hi - cell.lo));
         }
         let Some((rect, count)) = below else {
-            self.out.nodes.pop();
+            self.nodes.pop();
             return None;
         };
-        let skip = self.out.nodes.len() as u32;
-        let node = &mut self.out.nodes[at];
+        let skip = (self.nodes.len() - self.base.0) as u32;
+        let node = &mut self.nodes[at];
         (node.rect, node.center, node.count, node.skip) = (rect, rect.center(), count, skip);
         self.per_level[level] += 1;
         Some((rect, count))
     }
 }
 
-impl FastIndex {
-    /// Builds the hierarchy over `tx` under `params`, or `None` when the
-    /// geometry cannot profit from one (mode is Exact, too few
+impl IndexArena {
+    /// An empty arena.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Drops every index the arena holds, keeping its buffers: every
+    /// [`IndexSpan`] it handed out is void from here on.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.items.clear();
+        self.lane_xs.clear();
+        self.lane_ys.clear();
+    }
+
+    /// Room the arena's buffers hold: `(items, nodes)`. They only grow, so
+    /// this is never less than the fullest the arena has been.
+    pub fn capacity(&self) -> (usize, usize) {
+        (self.items.capacity(), self.nodes.capacity())
+    }
+
+    /// Builds the hierarchy over `tx` under `params` at the end of the
+    /// arena and returns where it lies, or `None` (nothing appended) when
+    /// the geometry cannot profit from one (mode is Exact, too few
     /// transmitters, an all-near world, or cell counts rivaling the
-    /// transmitter count). `scratch` is persistent: its spatial grid is
-    /// re-indexed in place ([`SpatialGrid::rebuild`]) and the build
-    /// temporaries reused, so steady-state rebuilds allocate nothing;
-    /// `recycle` donates a previous index's buffers for the same reason.
-    fn build(
-        params: &SinrParams,
-        tx: &[Point],
-        scratch: &mut IndexScratch,
-        recycle: Option<FastIndex>,
-    ) -> Option<FastIndex> {
+    /// transmitter count). The spatial grid is re-indexed in place
+    /// ([`SpatialGrid::rebuild`]) and the build temporaries reused, so
+    /// steady-state builds allocate nothing.
+    pub fn build(&mut self, params: &SinrParams, tx: &[Point]) -> Option<IndexSpan> {
         let ResolveMode::Fast { cutoff_factor } = params.resolve else {
             return None;
         };
@@ -305,12 +367,19 @@ impl FastIndex {
         if diag_sq <= cutoff_sq || ncells * 2 > tx.len() {
             return None;
         }
+        let IndexArena {
+            nodes,
+            items,
+            lane_xs,
+            lane_ys,
+            scratch,
+        } = self;
         let IndexScratch {
             grid,
             cell_of,
             placed,
             flat,
-        } = &mut *scratch;
+        } = scratch;
         match grid {
             Some(g) => g.rebuild(tx, side),
             None => *grid = Some(SpatialGrid::build(tx, side)),
@@ -319,21 +388,6 @@ impl FastIndex {
         let dims = grid.dims();
         let root_level = dims.0.max(dims.1).next_power_of_two().trailing_zeros() as usize;
         debug_assert!(root_level < MAX_LEVELS, "grid of {dims:?} cells");
-
-        let mut index = recycle.unwrap_or_else(|| FastIndex {
-            nodes: Vec::new(),
-            items: Vec::with_capacity(tx.len()),
-            lane_xs: Vec::with_capacity(tx.len()),
-            lane_ys: Vec::with_capacity(tx.len()),
-            open_sq: [0.0; MAX_LEVELS],
-            work_per_listener: 0,
-            origin_y: 0.0,
-            cell_side: 0.0,
-        });
-        index.nodes.clear();
-        index.items.clear();
-        index.lane_xs.clear();
-        index.lane_ys.clear();
 
         // Stage the occupied cells as the grid visits them, with a dense
         // table to find one by its coordinates, then emit the pyramid in
@@ -352,18 +406,24 @@ impl FastIndex {
             });
             cell_of[cell.cy * dims.0 + cell.cx] = placed.len() as u32;
         });
+        let base = (nodes.len(), items.len());
         let mut emit = Emit {
-            tx,
             dims,
             scratch,
-            out: &mut index,
+            nodes,
+            items,
+            base,
             per_level: [0; MAX_LEVELS],
         };
         emit.subtree(root_level, 0, 0)
             .expect("a transmitter occupies a cell");
         let per_level = emit.per_level;
+        let mine = &items[base.1..];
+        lane_xs.extend(mine.iter().map(|&i| tx[i as usize].x));
+        lane_ys.extend(mine.iter().map(|&i| tx[i as usize].y));
 
-        for (k, open_sq) in index.open_sq.iter_mut().enumerate() {
+        let mut open_sq = [0.0; MAX_LEVELS];
+        for (k, open_sq) in open_sq.iter_mut().enumerate() {
             // A cell is the grain the side rule above already sized; only
             // the groupings of cells answer to their diagonal.
             let diag = if k == 0 {
@@ -387,7 +447,7 @@ impl FastIndex {
         for k in (0..=root_level).rev() {
             work += visited;
             let s = f64::from(1u32 << k) * side;
-            let r = index.open_sq[k].sqrt();
+            let r = open_sq[k].sqrt();
             let within = std::f64::consts::PI * r * r + 4.0 * r * s + s * s;
             let opened = visited.min(within * f64::from(per_level[k]) / area);
             let below = if k == 0 {
@@ -397,12 +457,31 @@ impl FastIndex {
             };
             visited = opened * below / f64::from(per_level[k]);
         }
-        index.work_per_listener = (work + visited) as usize;
-        index.origin_y = bb.min().y;
-        index.cell_side = side;
-        Some(index)
+        Some(IndexSpan {
+            nodes: (base.0 as u32, nodes.len() as u32),
+            items: (base.1 as u32, items.len() as u32),
+            open_sq,
+            work_per_listener: (work + visited) as usize,
+            origin_y: bb.min().y,
+            cell_side: side,
+        })
     }
 
+    /// The index `span` names, as the walks read it.
+    fn view<'r>(&'r self, span: &'r IndexSpan) -> FastIndex<'r> {
+        let (n0, n1) = (span.nodes.0 as usize, span.nodes.1 as usize);
+        let (i0, i1) = (span.items.0 as usize, span.items.1 as usize);
+        FastIndex {
+            nodes: &self.nodes[n0..n1],
+            items: &self.items[i0..i1],
+            lane_xs: &self.lane_xs[i0..i1],
+            lane_ys: &self.lane_ys[i0..i1],
+            span,
+        }
+    }
+}
+
+impl IndexSpan {
     /// Row-major spatial sort key for a listener: quantized grid row, then
     /// a monotone 32-bit image of `x`'s total order. Adjacent keys mean
     /// nearby listeners, so a sorted batch's lanes open almost the same
@@ -434,87 +513,14 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Persistent per-channel resolver state — what a cache *hit* reads and
-/// nothing else: the hierarchy, and the transmitter positions and
-/// parameters it was built from. It survives across slots and is rebuilt
-/// **only when the transmitter positions (or physical parameters) actually
-/// change** — a static world builds its index once. What a rebuild needs
-/// on top (the spatial grid, the build temporaries) is the caller's
-/// [`IndexScratch`], shared by every cache it has.
-///
-/// Invalidation is by exact snapshot comparison of the staged transmitter
-/// positions (cheap, early-exit, and *sound*: the index is a pure function
-/// of those positions). Event-driven invalidation off the engine's
-/// [`NodeEvent`](../mca_radio/enum.NodeEvent.html) stream was evaluated and
-/// rejected: motion below the watch threshold changes positions without an
-/// event, which would leave a stale index and break bit-reproducibility.
-///
-/// [`ResolveMode::Exact`] never has an index, so the cache does nothing
-/// for it: no snapshot, no comparison, no build counted.
-#[derive(Default)]
-pub struct ResolverCache {
-    /// Transmitter positions the current index was built from.
-    snapshot: Vec<Point>,
-    /// Parameters the current index was built under.
-    params: Option<SinrParams>,
-    /// The current index (`None` when Exact mode or the grid was refused).
-    index: Option<FastIndex>,
-    /// Indexes built (observable, for tests and diagnostics).
-    builds: u64,
-    /// Wall nanoseconds spent building them.
-    build_ns: u64,
-}
-
-impl ResolverCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of spatial indexes this cache has built — stays flat across
-    /// slots of a static world, and at 0 in Exact mode.
-    pub fn builds(&self) -> u64 {
-        self.builds
-    }
-
-    /// Wall nanoseconds spent in index builds (two clock reads per
-    /// rebuild, none on a cache hit or in Exact mode); an engine with a
-    /// recorder attached surfaces this as the `resolver_cache_build_ns`
-    /// counter.
-    pub fn build_ns(&self) -> u64 {
-        self.build_ns
-    }
-
-    /// Ensures the cached index matches `(params, tx)`, rebuilding in
-    /// place (buffers reused) through `scratch` when it does not.
-    fn ensure(&mut self, params: &SinrParams, tx: &[Point], scratch: &mut IndexScratch) {
-        if params.resolve == ResolveMode::Exact {
-            self.params = None;
-            self.index = None;
-            return;
-        }
-        if self.params.as_ref() == Some(params) && self.snapshot == tx {
-            return;
-        }
-        let sw = mca_obs::Stopwatch::start();
-        self.snapshot.clear();
-        self.snapshot.extend_from_slice(tx);
-        self.params = Some(*params);
-        self.index = FastIndex::build(params, tx, scratch, self.index.take());
-        if self.index.is_some() {
-            self.builds += 1;
-            self.build_ns += sw.elapsed_ns();
-        }
-    }
-}
-
 /// Batched reception resolution for one channel's transmitter set.
 ///
-/// Build once per (channel, slot) with [`ChannelResolver::new`] — or with
-/// [`ChannelResolver::cached`] to reuse a [`ResolverCache`] across slots —
-/// then resolve any number of listeners. Listener partitions (the engine's
-/// shard tasks) use [`ChannelResolver::task`] for a locality-optimized view
-/// that is bit-identical to resolving through the resolver directly.
+/// Build once per (channel, slot) with [`ChannelResolver::new`] — or, for
+/// many channels of one slot, build their indexes into one [`IndexArena`]
+/// and lend it to [`ChannelResolver::with_index`] — then resolve any
+/// number of listeners. Listener partitions (the engine's shard tasks) use
+/// [`ChannelResolver::task`] for a locality-optimized view that is
+/// bit-identical to resolving through the resolver directly.
 ///
 /// # Examples
 ///
@@ -533,29 +539,12 @@ impl ResolverCache {
 pub struct ChannelResolver<'a> {
     params: &'a SinrParams,
     tx: &'a [Point],
-    fast: IndexRef<'a>,
+    /// The index's arena — the resolver's own, or lent — and where in it
+    /// the index lies; `None` runs the exact scan.
+    fast: Option<(Cow<'a, IndexArena>, IndexSpan)>,
     /// The power kernel, extracted once (the α dispatch is hoisted out of
     /// every hot loop).
     kernel: PowerKernel,
-}
-
-/// Where the resolver's index lives: built fresh for this resolver, or
-/// borrowed from a [`ResolverCache`], or absent (exact scan).
-enum IndexRef<'a> {
-    None,
-    Owned(Box<FastIndex>),
-    Cached(&'a FastIndex),
-}
-
-impl IndexRef<'_> {
-    #[inline]
-    fn get(&self) -> Option<&FastIndex> {
-        match self {
-            IndexRef::None => None,
-            IndexRef::Owned(ix) => Some(ix),
-            IndexRef::Cached(ix) => Some(ix),
-        }
-    }
 }
 
 impl<'a> ChannelResolver<'a> {
@@ -564,10 +553,11 @@ impl<'a> ChannelResolver<'a> {
     /// on a geometry the grid can help); without one there is nothing to
     /// build — the exact scan folds over `tx_positions` as they are.
     pub fn new(params: &'a SinrParams, tx_positions: &'a [Point]) -> Self {
-        let fast = match FastIndex::build(params, tx_positions, &mut IndexScratch::new(), None) {
-            Some(ix) => IndexRef::Owned(Box::new(ix)),
-            None => IndexRef::None,
-        };
+        let mut arena = IndexArena::new();
+        let span = arena.build(params, tx_positions);
+        // Only the index outlives the build.
+        arena.scratch = IndexScratch::default();
+        let fast = span.map(|span| (Cow::Owned(arena), span));
         ChannelResolver {
             kernel: params.power_kernel(),
             params,
@@ -576,32 +566,32 @@ impl<'a> ChannelResolver<'a> {
         }
     }
 
-    /// Like [`ChannelResolver::new`], but reusing `cache`: if the
-    /// transmitter positions and parameters match the cache's snapshot the
-    /// index is reused as-is (zero build work, `scratch` untouched — the
-    /// static-world steady state), otherwise it is rebuilt in place into
-    /// the cache's buffers through `scratch`, which is free again when
-    /// this returns: any number of caches can take turns on one.
-    /// Outcomes are identical to a freshly built resolver's and computed
-    /// by the same routes: the cache holds the index and nothing else, and
-    /// an index-free resolver folds over `tx_positions` as they are.
-    pub fn cached(
+    /// A resolver over an index already built into `arena`: `index` is
+    /// what [`IndexArena::build`] returned for these very `params` and
+    /// `tx_positions` since the arena was last cleared (`None`: the exact
+    /// scan). Outcomes are bitwise those of [`ChannelResolver::new`] on the
+    /// same inputs.
+    pub fn with_index(
         params: &'a SinrParams,
         tx_positions: &'a [Point],
-        cache: &'a mut ResolverCache,
-        scratch: &mut IndexScratch,
+        arena: &'a IndexArena,
+        index: Option<IndexSpan>,
     ) -> Self {
-        cache.ensure(params, tx_positions, scratch);
-        let fast = match &cache.index {
-            Some(ix) => IndexRef::Cached(ix),
-            None => IndexRef::None,
-        };
+        // Every transmitter of an indexed set lies in exactly one cell.
+        let items = |s: IndexSpan| (s.items.1 - s.items.0) as usize;
+        debug_assert!(index.is_none_or(|s| items(s) == tx_positions.len()));
         ChannelResolver {
             kernel: params.power_kernel(),
             params,
             tx: tx_positions,
-            fast,
+            fast: index.map(|span| (Cow::Borrowed(arena), span)),
         }
+    }
+
+    /// The index, as the walks read it.
+    #[inline]
+    fn index(&self) -> Option<FastIndex<'_>> {
+        self.fast.as_ref().map(|(arena, span)| arena.view(span))
     }
 
     /// Whether this resolver is using the grid-accelerated Fast path —
@@ -611,20 +601,18 @@ impl<'a> ChannelResolver<'a> {
     /// counts rivaling the transmitter count), in which case the resolver
     /// transparently runs the exact scan.
     pub fn is_fast(&self) -> bool {
-        self.fast.get().is_some()
+        self.fast.is_some()
     }
 
     /// Number of nodes in the hierarchy (0 on the exact path).
     pub fn node_count(&self) -> usize {
-        self.fast.get().map_or(0, |ix| ix.nodes.len())
+        self.index().map_or(0, |ix| ix.nodes.len())
     }
 
     /// Number of levels in the hierarchy, cells included (0 on the exact
     /// path).
     pub fn levels(&self) -> usize {
-        self.fast
-            .get()
-            .map_or(0, |ix| ix.nodes[0].level as usize + 1)
+        self.index().map_or(0, |ix| ix.nodes[0].level as usize + 1)
     }
 
     /// Number of transmitters indexed.
@@ -642,8 +630,8 @@ impl<'a> ChannelResolver<'a> {
     /// measured in.
     pub fn estimated_work_per_listener(&self) -> usize {
         self.fast
-            .get()
-            .map_or(self.tx.len(), |ix| ix.work_per_listener)
+            .as_ref()
+            .map_or(self.tx.len(), |(_, span)| span.work_per_listener)
     }
 
     /// Resolves one listener. `extra_interference` is the per-channel
@@ -688,7 +676,7 @@ impl<'a> ChannelResolver<'a> {
         listener: Point,
         extra_interference: f64,
     ) -> (ListenOutcome, f64, WalkStats) {
-        match self.fast.get() {
+        match self.index() {
             None => (
                 resolve_listener_ext(self.params, self.tx, listener, extra_interference),
                 0.0,
@@ -697,7 +685,7 @@ impl<'a> ChannelResolver<'a> {
                     nodes: 0,
                 },
             ),
-            Some(index) => self.resolve_fast_scalar(index, listener, extra_interference),
+            Some(index) => self.resolve_fast_scalar(&index, listener, extra_interference),
         }
     }
 
@@ -712,14 +700,14 @@ impl<'a> ChannelResolver<'a> {
     /// branch decision is unchanged — [`TaskResolver::resolve`] is
     /// bit-for-bit [`ChannelResolver::resolve`].
     pub fn task(&self, listeners_bbox: BoundingBox) -> TaskResolver<'_, 'a> {
-        let candidates = self.fast.get().map(|ix| {
+        let candidates = self.index().map(|ix| {
             // A node that cannot open for the box has no descendant that
             // can (smaller rectangle, no larger radius): skip its subtree.
             let mut can_open = vec![false; ix.nodes.len()];
             let mut i = 0;
             while let Some(node) = ix.nodes.get(i) {
                 let d_sq = node.rect.dist_sq_to_box(&listeners_bbox);
-                can_open[i] = d_sq <= ix.open_sq[node.level as usize];
+                can_open[i] = d_sq <= ix.span.open_sq[node.level as usize];
                 i = if can_open[i] {
                     i + 1
                 } else {
@@ -745,7 +733,7 @@ impl<'a> ChannelResolver<'a> {
     /// bound, and to count what a walk evaluates.
     fn resolve_fast_scalar(
         &self,
-        index: &FastIndex,
+        index: &FastIndex<'_>,
         listener: Point,
         extra_interference: f64,
     ) -> (ListenOutcome, f64, WalkStats) {
@@ -762,7 +750,7 @@ impl<'a> ChannelResolver<'a> {
         while let Some(node) = index.nodes.get(at) {
             stats.nodes += 1;
             let d_min_sq = node.rect.dist_sq_to(listener);
-            if d_min_sq > index.open_sq[node.level as usize] {
+            if d_min_sq > index.span.open_sq[node.level as usize] {
                 // Aggregated: one term for everything below; the true
                 // power lies in [n·P/d_max^α, n·P/d_min^α] and so does
                 // the center estimate.
@@ -839,7 +827,7 @@ impl<'a> ChannelResolver<'a> {
     /// [`ChannelResolver::resolve_fast_scalar`] of that listener alone.
     fn resolve_fast_batch(
         &self,
-        index: &FastIndex,
+        index: &FastIndex<'_>,
         lxs: &[f64; LANE_WIDTH],
         lys: &[f64; LANE_WIDTH],
         extra_interference: f64,
@@ -892,7 +880,7 @@ impl<'a> ChannelResolver<'a> {
                 lxs,
                 lys,
             );
-            let open_sq = index.open_sq[level];
+            let open_sq = index.span.open_sq[level];
             let mut opens = [0.0f64; LANE_WIDTH];
             let mut nopen = 0.0f64;
             for l in 0..LANE_WIDTH {
@@ -966,14 +954,14 @@ impl<'a> ChannelResolver<'a> {
         candidates: Option<&[bool]>,
         out: &mut [ListenOutcome],
     ) {
-        let Some(index) = self.fast.get() else {
+        let Some(index) = self.index() else {
             self.resolve_scan_batch(get, extra_interference, out);
             return;
         };
         SORT_SCRATCH.with(|scratch| {
             let order = &mut *scratch.borrow_mut();
             order.clear();
-            order.extend((0..out.len()).map(|i| (index.batch_key(get(i)), i as u32)));
+            order.extend((0..out.len()).map(|i| (index.span.batch_key(get(i)), i as u32)));
             order.sort_unstable();
             let mut lxs = [0.0f64; LANE_WIDTH];
             let mut lys = [0.0f64; LANE_WIDTH];
@@ -985,7 +973,7 @@ impl<'a> ChannelResolver<'a> {
                     lys[j] = p.y;
                 }
                 let outs =
-                    self.resolve_fast_batch(index, &lxs, &lys, extra_interference, candidates);
+                    self.resolve_fast_batch(&index, &lxs, &lys, extra_interference, candidates);
                 for (&(_, i), o) in chunk.iter().zip(outs) {
                     out[i as usize] = o;
                 }
@@ -1492,83 +1480,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cache_rebuilds_recycle_the_node_array() {
-        // A mobile world re-indexes every slot: after the first build the
-        // node and item buffers are the previous index's, not fresh ones.
-        let (mut txs, _) = dense_world(31, 5_000);
-        let params = fast(1.5);
-        let mut cache = ResolverCache::new();
-        let mut scratch = IndexScratch::new();
-        let _ = ChannelResolver::cached(&params, &txs, &mut cache, &mut scratch);
-        let buffers = |cache: &ResolverCache| {
-            let ix = cache.index.as_ref().expect("index built");
-            (
-                (ix.nodes.as_ptr(), ix.nodes.capacity()),
-                (ix.items.as_ptr(), ix.items.capacity()),
-                (ix.lane_xs.as_ptr(), ix.lane_xs.capacity()),
-            )
-        };
-        let before = buffers(&cache);
-        for step in 1..=3u64 {
-            // Jitter inside the cells: same occupancy, new positions.
-            for t in &mut txs {
-                *t = Point::new(t.x + 1e-3, t.y);
-            }
-            let r = ChannelResolver::cached(&params, &txs, &mut cache, &mut scratch);
-            assert!(r.is_fast());
-            assert_eq!(cache.builds(), 1 + step);
-            assert_eq!(buffers(&cache), before, "rebuild {step} reallocated");
-        }
-    }
-
-    #[test]
-    fn cache_reuses_index_for_static_positions_and_rebuilds_on_change() {
-        let (txs, listeners) = random_world(9, 400, 60.0);
-        let params = fast(1.5);
-        let mut cache = ResolverCache::new();
-        let mut scratch = IndexScratch::new();
-        let fresh: Vec<ListenOutcome> = {
-            let r = ChannelResolver::new(&params, &txs);
-            listeners.iter().map(|&l| r.resolve(l, 0.0)).collect()
-        };
-        for _ in 0..5 {
-            let r = ChannelResolver::cached(&params, &txs, &mut cache, &mut scratch);
-            assert!(r.is_fast());
-            for (k, &l) in listeners.iter().enumerate() {
-                assert_eq!(r.resolve(l, 0.0), fresh[k], "cached outcome diverged");
-            }
-        }
-        assert_eq!(cache.builds(), 1, "static positions must not rebuild");
-        // Any position change invalidates.
-        let mut moved = txs.clone();
-        moved[7] = Point::new(moved[7].x + 0.5, moved[7].y);
-        {
-            let r = ChannelResolver::cached(&params, &moved, &mut cache, &mut scratch);
-            let direct = ChannelResolver::new(&params, &moved);
-            assert_eq!(
-                r.resolve(listeners[0], 0.0),
-                direct.resolve(listeners[0], 0.0)
-            );
-        }
-        assert_eq!(cache.builds(), 2);
-        // Parameter changes invalidate too (different cutoff → different index).
-        let wide = fast(2.5);
-        let _ = ChannelResolver::cached(&wide, &moved, &mut cache, &mut scratch);
-        assert_eq!(cache.builds(), 3);
-        // Exact mode has nothing to build, whatever the cache held before.
-        let pe = exact();
-        for tx in [&txs, &moved] {
-            let r = ChannelResolver::cached(&pe, tx, &mut cache, &mut scratch);
-            assert!(!r.is_fast());
-            assert_eq!(
-                r.resolve(listeners[0], 0.0),
-                resolve_listener(&pe, tx, listeners[0])
-            );
-        }
-        assert_eq!(cache.builds(), 3, "Exact mode never counts a build");
     }
 
     #[test]

@@ -34,8 +34,7 @@ use multichannel_adhoc::sinr::lanes::{
     accumulate_span_lanes, far_terms_lanes, rect_metrics_lanes, LANE_WIDTH,
 };
 use multichannel_adhoc::sinr::{
-    resolve_listener_ext, ChannelResolver, IndexScratch, ListenOutcome, ResolveMode, ResolverCache,
-    SinrParams,
+    resolve_listener_ext, ChannelResolver, IndexArena, ListenOutcome, ResolveMode, SinrParams,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -352,12 +351,14 @@ proptest! {
         }
         let listeners: Vec<Point> = lraw.iter().map(place).collect();
         let extra = if extra.0 == 1 { extra.1 } else { 0.0 };
-        // A resolver built fresh and one handed a cache nobody staged
-        // anything into: without an index they are the same scan.
-        let mut cache = ResolverCache::new();
+        // A resolver built fresh and one lent an arena the set earned no
+        // index in: without an index they are the same scan.
+        let mut arena = IndexArena::new();
+        let index = arena.build(&params, &txs);
+        prop_assert!(index.is_none());
         for resolver in [
             ChannelResolver::new(&params, &txs),
-            ChannelResolver::cached(&params, &txs, &mut cache, &mut IndexScratch::new()),
+            ChannelResolver::with_index(&params, &txs, &arena, index),
         ] {
             prop_assert!(!resolver.is_fast());
             let task = resolver.task(BoundingBox::from_points(listeners.iter().copied()).unwrap());
@@ -391,61 +392,56 @@ proptest! {
     }
 }
 
-/// Two caches take turns on one [`IndexScratch`] — the engine's
-/// arrangement, one scratch for sixteen channels. A build leaves nothing in
-/// the scratch a later hit could read: after A and B (worlds of different
-/// size, so different grids) have both built through it, A's unchanged set
-/// is a hit served from A's own index, B's moved transmitter is a rebuild,
-/// and every batch is bitwise what a resolver built fresh on the same set
-/// returns (Fast mode, an index on both sides, the lane walk).
+/// Several channels of one slot share one [`IndexArena`] — the engine's
+/// arrangement. Three Fast-mode sets of different size and extent (so
+/// different grids and node counts) are built into it one after another,
+/// with an Exact-mode set between them that appends nothing; only then
+/// are the resolvers sliced, and every batch through a lent index is
+/// bitwise what a resolver built fresh on the same set returns (the lane
+/// walk, an index on both sides). The next slot clears the arena and
+/// builds the same sets again into the buffers it already holds.
 #[test]
-fn two_caches_share_one_index_scratch() {
+fn several_channels_share_one_index_arena() {
     let params = params_for(4.0, true);
+    let exact = params_for(4.0, false);
     let world = |seed: u64, n: usize, w: f64, h: f64| -> Vec<Point> {
         let mut rng = SmallRng::seed_from_u64(seed);
         (0..n)
             .map(|_| Point::new(rng.gen_range(0.0..w), rng.gen_range(0.0..h)))
             .collect()
     };
-    let a_txs = world(1, 400, 120.0, 120.0);
-    let mut b_txs = world(2, 900, 200.0, 150.0);
-    let listeners = world(3, 61, 200.0, 150.0);
-    let check = |resolver: &ChannelResolver<'_>, txs: &[Point], what: &str| {
-        assert!(resolver.is_fast(), "{what}: no index");
-        let fresh = ChannelResolver::new(&params, txs);
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        resolver.resolve_batch_into(&listeners, 0.25, &mut got);
-        fresh.resolve_batch_into(&listeners, 0.25, &mut want);
-        for (g, w) in got.iter().zip(&want) {
-            assert_bitwise(g, w).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+    let channels = [
+        (params, world(1, 400, 120.0, 120.0)),
+        (exact, world(4, 300, 90.0, 90.0)),
+        (params, world(2, 900, 200.0, 150.0)),
+        (params, world(5, 160, 60.0, 200.0)),
+    ];
+    let listeners = world(3, 61, 200.0, 200.0);
+    let mut arena = IndexArena::new();
+    let mut room = (0, 0);
+    for slot in 0..2 {
+        arena.clear();
+        let spans: Vec<_> = channels.iter().map(|(p, tx)| arena.build(p, tx)).collect();
+        let fast: Vec<bool> = spans.iter().map(Option::is_some).collect();
+        assert_eq!(fast, [true, false, true, true], "slot {slot}");
+        for (ch, ((p, tx), span)) in channels.iter().zip(spans).enumerate() {
+            let resolver = ChannelResolver::with_index(p, tx, &arena, span);
+            let fresh = ChannelResolver::new(p, tx);
+            assert_eq!(resolver.is_fast(), fresh.is_fast());
+            assert_eq!(resolver.node_count(), fresh.node_count());
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            resolver.resolve_batch_into(&listeners, 0.25, &mut got);
+            fresh.resolve_batch_into(&listeners, 0.25, &mut want);
+            for (g, w) in got.iter().zip(&want) {
+                assert_bitwise(g, w).unwrap_or_else(|e| panic!("slot {slot}, channel {ch}: {e:?}"));
+            }
         }
-    };
-    let mut scratch = IndexScratch::new();
-    let (mut a, mut b) = (ResolverCache::new(), ResolverCache::new());
-    check(
-        &ChannelResolver::cached(&params, &a_txs, &mut a, &mut scratch),
-        &a_txs,
-        "A, first build",
-    );
-    check(
-        &ChannelResolver::cached(&params, &b_txs, &mut b, &mut scratch),
-        &b_txs,
-        "B, first build",
-    );
-    assert_eq!((a.builds(), b.builds()), (1, 1));
-    check(
-        &ChannelResolver::cached(&params, &a_txs, &mut a, &mut scratch),
-        &a_txs,
-        "A again, after B used the scratch",
-    );
-    assert_eq!(a.builds(), 1, "an unchanged set is a hit");
-    b_txs[17] = Point::new(b_txs[17].x + 3.0, b_txs[17].y - 2.0);
-    check(
-        &ChannelResolver::cached(&params, &b_txs, &mut b, &mut scratch),
-        &b_txs,
-        "B, one transmitter moved",
-    );
-    assert_eq!((a.builds(), b.builds()), (1, 2));
+        if slot == 0 {
+            room = arena.capacity();
+        } else {
+            assert_eq!(arena.capacity(), room, "the second slot grew the arena");
+        }
+    }
 }
 
 fn assert_bitwise(
