@@ -1,5 +1,5 @@
 //! Adversarial environments: reactive vs proactive repair — the harness
-//! behind the committed `BENCH_adversary.json`.
+//! behind claim table M2 of `EXPERIMENTS.md`.
 //!
 //! Three adversaries damage the network *below* the lifecycle event
 //! stream: the tracking jammer destroys decodes around the densest
@@ -31,12 +31,12 @@
 //! time-to-repair is censored at the horizon — the damage is never
 //! repaired. The acceptance gate requires every proactive arm to detect,
 //! act, audit clean at every epoch, and beat the censored reactive
-//! time-to-repair strictly; [`adversary_bench_json`] names every world
-//! that does not, and `experiments artifacts` fails on it.
+//! time-to-repair strictly; [`m2_adversary`] names every world that does
+//! not, and `experiments artifacts` fails on it.
 
-use mca_core::{
-    AlgoConfig, MaintainConfig, NetworkEnv, RepairKind, StructureConfig, StructureMaintainer,
-};
+use crate::repair_bench::{maintenance_for, structure_config};
+use mca_analysis::Table;
+use mca_core::{MaintainConfig, NetworkEnv, RepairKind, StructureMaintainer};
 use mca_geom::Point;
 use mca_radio::rng::derive_seed;
 use mca_radio::{
@@ -44,8 +44,8 @@ use mca_radio::{
     Observation, Protocol,
 };
 use mca_scenario::{
-    builtin_scenarios, AdversarySpec, DeploymentSpec, KeyedTrial, MaintenanceSpec, Scenario,
-    ScenarioSim, TrialSet,
+    builtin_scenarios, AdversarySpec, CollectSink, DeploymentSpec, KeyedTrial, MaintenanceSpec,
+    Scenario, ScenarioSim, TrialSet,
 };
 use rand::rngs::SmallRng;
 
@@ -138,7 +138,7 @@ fn mesh_roles(positions: &[Point], channels: u16) -> Vec<BeaconMesh> {
 }
 
 /// One arm's outcome over a single `(scenario, seed)` trial.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ArmOutcome {
     /// Maintenance epochs executed.
     pub epochs: u64,
@@ -180,11 +180,6 @@ pub struct AdversaryTrial {
     pub first_violation: Option<String>,
 }
 
-fn structure_config(scenario: &Scenario, seed: u64) -> StructureConfig {
-    let algo = AlgoConfig::practical(scenario.channels, &scenario.params, scenario.len().max(2));
-    StructureConfig::new(algo, derive_seed(seed, 0xB01D))
-}
-
 /// Runs one arm. `proactive` toggles the detector attachment and the
 /// detection-fed repair path; everything else is shared, so the world
 /// evolution is bit-identical between arms.
@@ -196,7 +191,7 @@ fn run_arm(
 ) -> (ArmOutcome, (u64, u64, u64)) {
     let n = scenario.len();
     let horizon = scenario.max_slots;
-    let maintenance = scenario.maintenance.unwrap_or(MaintenanceSpec::every(50));
+    let maintenance = maintenance_for(scenario);
     let cfg = structure_config(scenario, seed);
     let mcfg = MaintainConfig {
         handover_hysteresis: maintenance.handover_hysteresis,
@@ -234,17 +229,10 @@ fn run_arm(
             .attach_detector(DegradationDetector::new(n, DetectorConfig::default()));
     }
     let mut arm = ArmOutcome {
-        epochs: 0,
-        clean_epochs: 0,
-        detections: 0,
-        recoveries: 0,
-        proactive_rehomes: 0,
-        proactive_demotions: 0,
-        deferred: 0,
-        fallback_rebuilds: 0,
         time_to_detect: horizon,
         time_to_repair: horizon,
         censored: true,
+        ..ArmOutcome::default()
     };
     arm.epochs = sim.run_epochs(horizon, |sim, epoch| {
         for event in sim.engine_mut().drain_events() {
@@ -312,65 +300,6 @@ pub fn adversary_trial(scenario: &Scenario, seed: u64) -> AdversaryTrial {
     }
 }
 
-/// One adversary's aggregate over all seeds.
-#[derive(Debug, Clone)]
-pub struct AdversaryBenchCase {
-    /// The world name.
-    pub scenario: String,
-    /// Seeds run.
-    pub seeds: usize,
-    /// Slot horizon the reactive arm's latencies are censored at.
-    pub horizon: u64,
-    /// Reactive-arm aggregate (counters summed, latencies worst-case).
-    pub reactive: ArmOutcome,
-    /// Proactive-arm aggregate.
-    pub proactive: ArmOutcome,
-    /// Whether every epoch of every seed audited clean in both arms.
-    pub audits_clean: bool,
-    /// Whether both arms saw bit-identical engine metrics in every trial.
-    pub worlds_identical: bool,
-    /// First audit violation seen, if any.
-    pub first_violation: Option<String>,
-}
-
-fn fold(acc: &mut ArmOutcome, t: &ArmOutcome) {
-    acc.epochs += t.epochs;
-    acc.clean_epochs += t.clean_epochs;
-    acc.detections += t.detections;
-    acc.recoveries += t.recoveries;
-    acc.proactive_rehomes += t.proactive_rehomes;
-    acc.proactive_demotions += t.proactive_demotions;
-    acc.deferred += t.deferred;
-    acc.fallback_rebuilds += t.fallback_rebuilds;
-    // Worst case across seeds; a censored seed censors the aggregate.
-    acc.time_to_detect = acc.time_to_detect.max(t.time_to_detect);
-    acc.time_to_repair = acc.time_to_repair.max(t.time_to_repair);
-    acc.censored |= t.censored;
-}
-
-impl AdversaryBenchCase {
-    /// The acceptance gate: both arms audit clean everywhere, the worlds
-    /// matched bit-for-bit, the proactive arm detected *and acted*, and
-    /// its worst-case time-to-repair strictly undercuts the reactive
-    /// arm's (censored at the horizon — reactive never repairs this
-    /// damage at all).
-    pub fn gate(&self) -> Result<(), String> {
-        let (p, r) = (&self.proactive, &self.reactive);
-        if self.audits_clean
-            && self.worlds_identical
-            && p.detections > 0
-            && !p.censored
-            && p.time_to_repair < r.time_to_repair
-        {
-            return Ok(());
-        }
-        Err(format!(
-            "`{}`: worlds identical {}, proactive {p:?} vs reactive {r:?}, first audit violation {:?}",
-            self.scenario, self.worlds_identical, self.first_violation
-        ))
-    }
-}
-
 /// The bench worlds: the two catalog adversary worlds plus the in-code
 /// correlated-fading world.
 pub fn adversary_bench_worlds() -> Vec<Scenario> {
@@ -387,122 +316,114 @@ pub fn adversary_bench_worlds() -> Vec<Scenario> {
         .collect()
 }
 
-/// Runs `seeds` seeded trials of every adversary world.
-///
-/// Trials execute through the keyed runner ([`TrialSet::run_streaming`])
-/// — seeds of one world resolve in parallel but fold in enumeration
-/// (seed) order, so the aggregate is identical to the historical
-/// sequential loop and `BENCH_adversary.json` stays byte-compatible.
-pub fn run_adversary_bench(seeds: usize) -> Vec<AdversaryBenchCase> {
-    adversary_bench_worlds()
-        .into_iter()
-        .map(|scenario| {
-            let empty = ArmOutcome {
-                epochs: 0,
-                clean_epochs: 0,
-                detections: 0,
-                recoveries: 0,
-                proactive_rehomes: 0,
-                proactive_demotions: 0,
-                deferred: 0,
-                fallback_rebuilds: 0,
-                time_to_detect: 0,
-                time_to_repair: 0,
-                censored: false,
-            };
-            let mut case = AdversaryBenchCase {
-                scenario: scenario.name.clone(),
-                seeds,
-                horizon: scenario.max_slots,
-                reactive: empty,
-                proactive: empty,
-                audits_clean: true,
-                worlds_identical: true,
-                first_violation: None,
-            };
-            let set = TrialSet::new(vec![scenario], (1..=seeds as u64).collect())
-                .expect("one scenario cannot collide with itself");
-            set.run_streaming(true, adversary_trial, &mut |trial: KeyedTrial<
-                AdversaryTrial,
-            >| {
-                let (seed, t) = (trial.key.seed, trial.result);
-                fold(&mut case.reactive, &t.reactive);
-                fold(&mut case.proactive, &t.proactive);
-                case.worlds_identical &= t.world_identical;
-                if t.reactive.clean_epochs != t.reactive.epochs
-                    || t.proactive.clean_epochs != t.proactive.epochs
-                {
-                    case.audits_clean = false;
-                }
-                if case.first_violation.is_none() {
-                    case.first_violation = t.first_violation.map(|v| format!("seed {seed}, {v}"));
-                }
-            });
-            case
-        })
-        .collect()
+/// Sums `t` into `acc`; the latencies keep the worst seed, and a censored
+/// seed censors the sum.
+fn fold(acc: &mut ArmOutcome, t: &ArmOutcome) {
+    acc.epochs += t.epochs;
+    acc.clean_epochs += t.clean_epochs;
+    acc.detections += t.detections;
+    acc.recoveries += t.recoveries;
+    acc.proactive_rehomes += t.proactive_rehomes;
+    acc.proactive_demotions += t.proactive_demotions;
+    acc.deferred += t.deferred;
+    acc.fallback_rebuilds += t.fallback_rebuilds;
+    acc.time_to_detect = acc.time_to_detect.max(t.time_to_detect);
+    acc.time_to_repair = acc.time_to_repair.max(t.time_to_repair);
+    acc.censored |= t.censored;
 }
 
-fn arm_json(arm: &ArmOutcome) -> String {
-    format!(
-        concat!(
-            "{{\"epochs\": {}, \"clean_epochs\": {}, \"detections\": {}, ",
-            "\"recoveries\": {}, \"proactive_rehomes\": {}, ",
-            "\"proactive_demotions\": {}, \"deferred\": {}, ",
-            "\"fallback_rebuilds\": {}, \"time_to_detect\": {}, ",
-            "\"time_to_repair\": {}, \"censored\": {}}}"
+/// M2 — reactive vs proactive repair on the adversary worlds: seeds
+/// `1..=max(trials, 3)` of every world as one [`TrialSet`], one row per
+/// arm, counts summed over the seeds and latencies the worst seed's. `Err`
+/// names every world whose gate failed: both arms audit clean everywhere,
+/// the two arms' worlds matched bit for bit, and the proactive arm
+/// detected *and acted*, its worst-case time-to-repair strictly under the
+/// reactive arm's (censored at the horizon — reactive never repairs this
+/// damage at all).
+pub fn m2_adversary(trials: usize) -> Result<Vec<Table>, String> {
+    let seeds = trials.max(3);
+    let set = TrialSet::new(adversary_bench_worlds(), (1..=seeds as u64).collect())
+        .expect("the adversary worlds are named apart");
+    let mut sink = CollectSink::new();
+    set.run_streaming(true, adversary_trial, &mut sink);
+
+    let mut t = Table::new(
+        format!(
+            "M2: reactive vs proactive repair under adversaries -- seeds 1-{seeds}, \
+             counts summed, latencies worst seed; audits clean, both arms' worlds identical"
         ),
-        arm.epochs,
-        arm.clean_epochs,
-        arm.detections,
-        arm.recoveries,
-        arm.proactive_rehomes,
-        arm.proactive_demotions,
-        arm.deferred,
-        arm.fallback_rebuilds,
-        arm.time_to_detect,
-        arm.time_to_repair,
-        arm.censored,
-    )
-}
-
-/// Renders `BENCH_adversary.json`, or names every world whose gate failed.
-pub fn adversary_bench_json(seeds: usize) -> Result<String, String> {
-    let cases = run_adversary_bench(seeds);
-    let failed: Vec<String> = cases.iter().filter_map(|c| c.gate().err()).collect();
-    if !failed.is_empty() {
-        return Err(failed.join("\n"));
+        [
+            "world",
+            "arm",
+            "seeds",
+            "horizon",
+            "epochs",
+            "clean epochs",
+            "detections",
+            "recoveries",
+            "rehomes",
+            "demotions",
+            "deferred",
+            "fallback rebuilds",
+            "time to detect",
+            "time to repair",
+            "censored",
+        ],
+    );
+    let mut failed = Vec::new();
+    for (world, runs) in set.scenarios().iter().zip(sink.trials.chunks(seeds)) {
+        let (mut r, mut p) = (ArmOutcome::default(), ArmOutcome::default());
+        let (mut worlds_identical, mut first_violation) = (true, None);
+        for KeyedTrial { key, result } in runs {
+            fold(&mut r, &result.reactive);
+            fold(&mut p, &result.proactive);
+            worlds_identical &= result.world_identical;
+            if first_violation.is_none() {
+                let seed = key.seed;
+                first_violation = result
+                    .first_violation
+                    .as_ref()
+                    .map(|v| format!("seed {seed}, {v}"));
+            }
+        }
+        let audits_clean = r.clean_epochs == r.epochs && p.clean_epochs == p.epochs;
+        if !(audits_clean
+            && worlds_identical
+            && p.detections > 0
+            && !p.censored
+            && p.time_to_repair < r.time_to_repair)
+        {
+            failed.push(format!(
+                "`{}`: worlds identical {worlds_identical}, proactive {p:?} vs reactive {r:?}, first audit violation {first_violation:?}",
+                world.name
+            ));
+            continue;
+        }
+        for (name, arm) in [("reactive", r), ("proactive", p)] {
+            t.row([
+                world.name.clone(),
+                name.to_string(),
+                seeds.to_string(),
+                world.max_slots.to_string(),
+                arm.epochs.to_string(),
+                arm.clean_epochs.to_string(),
+                arm.detections.to_string(),
+                arm.recoveries.to_string(),
+                arm.proactive_rehomes.to_string(),
+                arm.proactive_demotions.to_string(),
+                arm.deferred.to_string(),
+                arm.fallback_rebuilds.to_string(),
+                arm.time_to_detect.to_string(),
+                arm.time_to_repair.to_string(),
+                if arm.censored { "yes" } else { "no" }.to_string(),
+            ]);
+        }
     }
-    let rows: Vec<String> = cases
-        .iter()
-        .map(|c| {
-            format!(
-                concat!(
-                    "    {{\"scenario\": \"{}\", \"seeds\": {}, \"horizon\": {}, ",
-                    "\"audits_clean\": {}, \"worlds_identical\": {},\n",
-                    "     \"reactive\": {},\n",
-                    "     \"proactive\": {}}}"
-                ),
-                c.scenario,
-                c.seeds,
-                c.horizon,
-                c.audits_clean,
-                c.worlds_identical,
-                arm_json(&c.reactive),
-                arm_json(&c.proactive),
-            )
-        })
-        .collect();
-    Ok(format!(
-        concat!(
-            "{{\n  \"bench\": \"adversary_repair\",\n",
-            "  \"baseline\": \"reactive-only maintenance (lifecycle events), blind to SINR damage\",\n",
-            "  \"unit\": \"simulated protocol slots (latencies censored at the horizon)\",\n",
-            "  \"seeds\": {},\n  \"cases\": [\n{}\n  ]\n}}\n"
-        ),
-        seeds,
-        rows.join(",\n")
-    ))
+    if failed.is_empty() {
+        Ok(vec![t])
+    } else {
+        Err(failed.join("\n"))
+    }
 }
 
 #[cfg(test)]

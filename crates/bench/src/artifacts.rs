@@ -3,11 +3,11 @@
 //!
 //! An [`Artifact`] is a repo-relative path plus a renderer that returns
 //! the file's bytes, or `Err` when a gate the file carries fails: a flip
-//! outside its bound, repair not cheaper than rebuild, proactive repair
-//! not beating reactive, an unclean audit. [`check`] regenerates every
-//! entry and compares it with the committed bytes. `experiments
-//! artifacts [--write]` runs it over [`registry`]; it is the only code
-//! that reads or writes a committed artifact.
+//! outside its bound, or a claim table's gate (repair not cheaper than
+//! rebuild, proactive repair not beating reactive, an unclean audit).
+//! [`check`] regenerates every entry and compares it with the committed
+//! bytes. `experiments artifacts [--write]` runs it over [`registry`]; it
+//! is the only code that reads or writes a committed artifact.
 //!
 //! Every renderer is deterministic whatever the thread count, shard grid
 //! or vector width, so one check serves every execution leg: plain,
@@ -15,14 +15,11 @@
 //! A new committed file is one more line in [`registry`].
 
 use crate::claims::experiments_md;
-use crate::{adversary_bench_json, flip_audit, golden_trials_json, repair_bench_json};
+use crate::{flip_audit, golden_pipeline_json, golden_trials_json};
 use mca_scenario::builtin_scenarios;
 use std::fmt;
 use std::path::Path;
 use std::time::Instant;
-
-/// Seeds the two `BENCH_*.json` files are committed at.
-const BENCH_SEEDS: usize = 3;
 
 /// One committed file: where it lives and how to render it.
 pub struct Artifact {
@@ -153,7 +150,7 @@ pub fn check(root: &Path, entries: &[Artifact]) -> Vec<Outcome> {
 }
 
 /// Every committed artifact, cheapest first: the scenario catalog, the
-/// golden trial metrics, the flip audit, the two repair benches, and the
+/// golden trial metrics, the golden pipeline, the flip audit, and the
 /// paper's claim tables.
 pub fn registry() -> Vec<Artifact> {
     let catalog = builtin_scenarios().into_iter().map(|entry| {
@@ -163,10 +160,11 @@ pub fn registry() -> Vec<Artifact> {
     catalog
         .chain([
             Artifact::new("scenarios/GOLDEN_trials.json", || Ok(golden_trials_json())),
+            Artifact::new("scenarios/GOLDEN_pipeline.json", || {
+                Ok(golden_pipeline_json())
+            }),
             Artifact::new("scenarios/GOLDEN_flips.json", flip_audit::golden_flips),
-            Artifact::new("BENCH_repair.json", || repair_bench_json(BENCH_SEEDS)),
-            Artifact::new("BENCH_adversary.json", || adversary_bench_json(BENCH_SEEDS)),
-            Artifact::new("EXPERIMENTS.md", || Ok(experiments_md())),
+            Artifact::new("EXPERIMENTS.md", experiments_md),
         ])
         .collect()
 }

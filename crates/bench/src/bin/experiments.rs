@@ -308,19 +308,28 @@ fn parse_runs(args: &[String], default: usize) -> Result<usize, ExitCode> {
     }
 }
 
-/// `experiments [<id>|all] [trials]` — the claim tables.
+/// `experiments [<id>|all] [trials]` — the claim tables. A table whose
+/// gate fails prints `GATE <id>: <reason>` to stderr instead, and the run
+/// exits 1.
 fn run_tables(which: &str, rest: &[String]) -> ExitCode {
     let trials = match parse_runs(rest, mca_bench::CLAIM_TRIALS) {
         Ok(t) => t,
         Err(code) => return code,
     };
     let t0 = Instant::now();
+    let mut code = ExitCode::SUCCESS;
     for claim in mca_bench::claim_tables() {
         if which != "all" && which != claim.id {
             continue;
         }
         let t = Instant::now();
-        print!("{}", claim.section(trials));
+        match claim.section(trials) {
+            Ok(section) => print!("{section}"),
+            Err(why) => {
+                eprintln!("GATE {}: {why}", claim.id);
+                code = ExitCode::FAILURE;
+            }
+        }
         if logs(LogLevel::Verbose) {
             eprintln!("[{} in {:.1}s]", claim.id, t.elapsed().as_secs_f64());
         }
@@ -328,7 +337,7 @@ fn run_tables(which: &str, rest: &[String]) -> ExitCode {
     if logs(LogLevel::Summary) {
         eprintln!("[experiments done in {:.1}s]", t0.elapsed().as_secs_f64());
     }
-    ExitCode::SUCCESS
+    code
 }
 
 /// `experiments sweep <matrix.toml> [--out F] [--journal F] [--limit N]

@@ -6,12 +6,18 @@
 //! order; a [`ClaimTable`] renders its tables for a trial count. Each row
 //! of a table is an *arm* with its own master seed, and a table runs every
 //! (arm, seed) trial as one enumeration of [`run_seeded_rows`], so the
-//! numbers do not depend on the thread count.
+//! numbers do not depend on the thread count. M1 and M2 (repair vs rebuild,
+//! reactive vs proactive repair) run seeds 1-3 of named catalog worlds
+//! through one [`TrialSet`](mca_scenario::TrialSet) each, the same batch
+//! executor.
 //!
+//! A render returns `Err` when a gate of its entry fails; the committed
+//! file then fails as a `GATE`, and `experiments <id>` exits non-zero.
 //! `experiments <id> [trials]` prints one entry and `experiments all
 //! [trials]` every entry; the committed `EXPERIMENTS.md`
 //! ([`experiments_md`]) is every entry at [`CLAIM_TRIALS`] trials.
 
+use crate::{adversary_bench, repair_bench};
 use mca_analysis::{Summary, Table, TrialOutcome};
 use mca_baselines as baselines;
 use mca_core::ruling::{self, ProbPolicy, RulingConfig, RulingOutcome, RulingSet, TimeoutRule};
@@ -29,17 +35,17 @@ use rand::{rngs::SmallRng, SeedableRng};
 pub struct ClaimTable {
     /// The id on the `experiments` command line (`e1`, `t1`, `a3`, …).
     pub id: &'static str,
-    /// Renders the entry's tables at `trials` trials per arm.
-    pub render: fn(trials: usize) -> Vec<Table>,
+    /// Renders the entry's tables at `trials` trials per arm, or says
+    /// which of the entry's gates failed.
+    pub render: fn(trials: usize) -> Result<Vec<Table>, String>,
 }
 
 impl ClaimTable {
-    /// The entry as printed: each table followed by a blank line.
-    pub fn section(&self, trials: usize) -> String {
-        (self.render)(trials)
-            .iter()
-            .map(|t| format!("{t}\n"))
-            .collect()
+    /// The entry as printed: each table followed by a blank line, or the
+    /// reason its gate failed.
+    pub fn section(&self, trials: usize) -> Result<String, String> {
+        let tables = (self.render)(trials)?;
+        Ok(tables.iter().map(|t| format!("{t}\n")).collect())
     }
 }
 
@@ -124,6 +130,14 @@ const CLAIMS: &[ClaimTable] = &[
         id: "a3",
         render: a3_gossip,
     },
+    ClaimTable {
+        id: "m1",
+        render: repair_bench::m1_repair,
+    },
+    ClaimTable {
+        id: "m2",
+        render: adversary_bench::m2_adversary,
+    },
 ];
 
 /// Every claim table, in print order.
@@ -132,25 +146,30 @@ pub fn claim_tables() -> &'static [ClaimTable] {
 }
 
 /// The committed `EXPERIMENTS.md`: a preamble, then every entry of
-/// [`claim_tables`] at [`CLAIM_TRIALS`] trials.
-pub fn experiments_md() -> String {
+/// [`claim_tables`] at [`CLAIM_TRIALS`] trials, or the first failed gate
+/// as `<id>: <reason>`.
+pub fn experiments_md() -> Result<String, String> {
     let mut md = format!(
         "# EXPERIMENTS\n\n\
          The source paper's claims (Theorems 22 and 24, Lemmas 2-16 and the\n\
          lower bounds) as scaling tables at reduced size: E1-E11 probe the\n\
          theorems and lemmas, E12-E16 the applications and dynamic worlds,\n\
-         T1 compares the related-work baselines, A1-A3 are ablations. Every\n\
-         cell is simulated (slots, counts, rates) and summarizes the row's\n\
-         seeds: the median, or the mean for fractional counts. No cell is a\n\
-         host time.\n\n\
+         T1 compares the related-work baselines, A1-A3 are ablations, and\n\
+         M1-M2 keep the hierarchy under churn, mobility and adversaries.\n\
+         Every cell is simulated (slots, counts, rates) and summarizes the\n\
+         row's seeds: the median, or the mean for fractional counts. M1-M2\n\
+         are the exception: their cells are sums over seeds 1-3, and their\n\
+         latencies are the worst seed's, not medians. No cell is a host\n\
+         time.\n\n\
          Generated from `crates/bench/src/claims.rs` by `experiments\n\
          artifacts --write` at {CLAIM_TRIALS} trials per row (E11 runs 3);\n\
          `experiments <id> [trials]` prints one section. Do not edit.\n\n"
     );
     for claim in claim_tables() {
-        md.push_str(&claim.section(CLAIM_TRIALS));
+        let section = claim.section(CLAIM_TRIALS);
+        md.push_str(&section.map_err(|why| format!("{}: {why}", claim.id))?);
     }
-    md
+    Ok(md)
 }
 
 /// Runs `trials` seeds of every arm as one enumeration: arm `a` derives
@@ -235,7 +254,7 @@ fn med(xs: &[u64]) -> f64 {
 }
 
 /// E1 — Theorem 22 headline: aggregation slots vs `F` (dense regime).
-fn e1_speedup(trials: usize) -> Vec<Table> {
+fn e1_speedup(trials: usize) -> Result<Vec<Table>, String> {
     let mut t = Table::new(
         "E1 (Theorem 22): aggregation slots vs channels -- n=500, dense",
         [
@@ -277,11 +296,11 @@ fn e1_speedup(trials: usize) -> Vec<Table> {
             format!("{peak:.2}"),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E2 — Theorem 22: slots vs `n` at fixed density, `F = 8`.
-fn e2_scaling_n(trials: usize) -> Vec<Table> {
+fn e2_scaling_n(trials: usize) -> Result<Vec<Table>, String> {
     let mut t = Table::new(
         "E2 (Theorem 22): slots vs n at fixed density, F = 8",
         ["n", "delta", "D", "build slots", "agg slots"],
@@ -313,11 +332,11 @@ fn e2_scaling_n(trials: usize) -> Vec<Table> {
             format!("{:.0}", out.summarize(|m| m.agg_slots as f64).median()),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E3 — Theorem 22: slots vs `delta` at fixed `n`, `F` in {1, 8}.
-fn e3_delta(trials: usize) -> Vec<Table> {
+fn e3_delta(trials: usize) -> Result<Vec<Table>, String> {
     let mut t = Table::new(
         "E3 (Theorem 22): follower slots vs delta at n = 400 -- F=1 vs F=8",
         ["side", "delta", "F=1 slots", "F=8 slots", "ratio"],
@@ -355,12 +374,12 @@ fn e3_delta(trials: usize) -> Vec<Table> {
             format!("{:.2}x", f1 / f8),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E4 — Theorem 24: coloring slots and palette vs `F` (`Some(F)`), with
 /// the single-channel baseline (`None`).
-fn e4_coloring(trials: usize) -> Vec<Table> {
+fn e4_coloring(trials: usize) -> Result<Vec<Table>, String> {
     let params = SinrParams::default();
     let mut t = Table::new(
         "E4 (Theorem 24): coloring -- n=300, dense",
@@ -414,11 +433,11 @@ fn e4_coloring(trials: usize) -> Vec<Table> {
             format!("{:.0}%", out.fraction(|r| r.2) * 100.0),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E5 — Lemma 6: ruling-set rounds vs `n` on constant-density sets.
-fn e5_ruling(trials: usize) -> Vec<Table> {
+fn e5_ruling(trials: usize) -> Result<Vec<Table>, String> {
     let params = SinrParams::default();
     let mut t = Table::new(
         "E5 (Lemma 6): ruling-set rounds vs n (constant-density inputs)",
@@ -494,11 +513,11 @@ fn e5_ruling(trials: usize) -> Vec<Table> {
             format!("{:.0}%", out.fraction(|r| r.3) * 100.0),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E6 — Lemma 7: distributed dominating set, rounds and density vs `n`.
-fn e6_dominate(trials: usize) -> Vec<Table> {
+fn e6_dominate(trials: usize) -> Result<Vec<Table>, String> {
     let mut t = Table::new(
         "E6 (Lemma 7): distributed dominating set (r_c = 1.5, fixed density)",
         ["n", "slots", "density", "coverage", "timeout joins"],
@@ -551,11 +570,11 @@ fn e6_dominate(trials: usize) -> Vec<Table> {
             format!("{:.0}", out.summarize(|r| r.3 as f64).median()),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E7 — Lemmas 12 vs 13: CSA variants across the crossover.
-fn e7_csa(trials: usize) -> Vec<Table> {
+fn e7_csa(trials: usize) -> Result<Vec<Table>, String> {
     let params = SinrParams::default();
     let mut t = Table::new(
         "E7 (Lemmas 12/13): CSA large vs small -- one cluster, F = 16",
@@ -646,11 +665,11 @@ fn e7_csa(trials: usize) -> Vec<Table> {
             format!("{:.2}", out.summarize(|r| r.3).median()),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E8 — Lemmas 15/16: reporter election quality and convergecast cost.
-fn e8_reporters(trials: usize) -> Vec<Table> {
+fn e8_reporters(trials: usize) -> Result<Vec<Table>, String> {
     let params = SinrParams::default();
     let mut t = Table::new(
         "E8 (Lemmas 15/16): reporter election + tree -- n=400 dense, F sweep",
@@ -705,11 +724,11 @@ fn e8_reporters(trials: usize) -> Vec<Table> {
             format!("{}", tree.lemma16_slots()),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E10 — lower bounds: the exponential chain and the `D` term.
-fn e10_lower_bounds(trials: usize) -> Vec<Table> {
+fn e10_lower_bounds(trials: usize) -> Result<Vec<Table>, String> {
     let params = SinrParams::default();
     let mut chain = Table::new(
         "E10a (lower bound): exponential chain -- max concurrent descending successes",
@@ -767,11 +786,11 @@ fn e10_lower_bounds(trials: usize) -> Vec<Table> {
             format!("{:.0}", out.summarize(|r| r.2 as f64).median()),
         ]);
     }
-    vec![chain, dterm]
+    Ok(vec![chain, dterm])
 }
 
 /// E11 — Lemma 2: guaranteed reception radius under `r1`-separation.
-fn e11_lemmas(trials: usize) -> Vec<Table> {
+fn e11_lemmas(trials: usize) -> Result<Vec<Table>, String> {
     let params = SinrParams::default();
     let mut t = Table::new(
         "E11 (Lemma 2): reception at r2 = t*r1 under r1-separated transmitters",
@@ -818,7 +837,7 @@ fn e11_lemmas(trials: usize) -> Vec<Table> {
             format!("{:.0}%", out.summarize(|r| r.1).median() * 100.0),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// An arm of T1: one algorithm on the same dense workload.
@@ -831,7 +850,7 @@ enum T1Arm {
 }
 
 /// T1 — related-work comparison at one dense configuration.
-fn t1_comparison(trials: usize) -> Vec<Table> {
+fn t1_comparison(trials: usize) -> Result<Vec<Table>, String> {
     use T1Arm::*;
     let params = SinrParams::default();
     let n = 400;
@@ -914,11 +933,11 @@ fn t1_comparison(trials: usize) -> Vec<Table> {
             format!("{:.0}%", out.fraction(|r| r.1) * 100.0),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// A1 — ablations: substrate, backoff, channel-allocation constant.
-fn a1_ablations(trials: usize) -> Vec<Table> {
+fn a1_ablations(trials: usize) -> Result<Vec<Table>, String> {
     let mut t = Table::new(
         "A1: ablations -- n=400 dense, F=8",
         [
@@ -968,11 +987,11 @@ fn a1_ablations(trials: usize) -> Vec<Table> {
             format!("{:.0}%", out.fraction(|m| m.correct) * 100.0),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// A2 — fault injection: jamming and crashes on the backbone flood.
-fn a2_faults(trials: usize) -> Vec<Table> {
+fn a2_faults(trials: usize) -> Result<Vec<Table>, String> {
     use mca_core::aggregate::intercluster::{FloodCfg, FloodCombine};
     use mca_radio::{FaultPlan, JamSpec};
     let params = SinrParams::default();
@@ -1046,12 +1065,12 @@ fn a2_faults(trials: usize) -> Vec<Table> {
             format!("{:.0}", out.summarize(|r| r.2 as f64).median()),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E12 — applications of the structure: leader election and single-source
 /// broadcast inherit Theorem 22's cost and channel speedup.
-fn e12_applications(trials: usize) -> Vec<Table> {
+fn e12_applications(trials: usize) -> Result<Vec<Table>, String> {
     use mca_core::{broadcast, elect_leader};
     let mut t = Table::new(
         "E12: leader election + broadcast on the structure -- n=300, dense",
@@ -1092,12 +1111,12 @@ fn e12_applications(trials: usize) -> Vec<Table> {
             format!("{:.0}%", out.summarize(|r| r.3).median() * 100.0),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E13 — multiple-message broadcast: the gossip phase grows linearly in
 /// `k` (each node must *receive* `k` distinct packets — incompressible).
-fn e13_multimessage(trials: usize) -> Vec<Table> {
+fn e13_multimessage(trials: usize) -> Result<Vec<Table>, String> {
     use mca_core::broadcast_many;
     let mut t = Table::new(
         "E13: k-message broadcast (hoist + backbone gossip) -- n=150, F=4",
@@ -1145,14 +1164,14 @@ fn e13_multimessage(trials: usize) -> Vec<Table> {
             format!("{:.0}%", out.summarize(|r| r.2).median() * 100.0),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E14 — the compressibility limit (paper's contrast with its reference
 /// \[37\]): on the same single-hop instance, aggregation speeds up
 /// linearly with `F` while local information exchange is flat — a
 /// listener decodes one packet per slot no matter how many channels exist.
-fn e14_compressibility(trials: usize) -> Vec<Table> {
+fn e14_compressibility(trials: usize) -> Result<Vec<Table>, String> {
     use baselines::{run_info_exchange, ExchangeConfig};
     let mut t = Table::new(
         "E14: exchange vs aggregation on a 100-node clique (Delta = 99)",
@@ -1221,14 +1240,14 @@ fn e14_compressibility(trials: usize) -> Vec<Table> {
             format!("{:.2}x", agg_base / agg_med),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E15 — ruling sets and MIS via §4 network-wide (the \[4\] comparison):
 /// the two-phase pipeline stays sound at every density; the direct
 /// (phase-two-only) MIS is sound while the input density is moderate and
 /// shows why the paper runs the dominating set first.
-fn e15_mis(trials: usize) -> Vec<Table> {
+fn e15_mis(trials: usize) -> Result<Vec<Table>, String> {
     use mca_core::{maximal_independent_set, ruling_set, MisConfig};
     let mut t = Table::new(
         "E15: (r,2r)-ruling set vs direct MIS (Sec. 4, r = R_T/4)",
@@ -1282,7 +1301,7 @@ fn e15_mis(trials: usize) -> Vec<Table> {
             ),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E16 — dynamic environments: aggregation success vs node speed.
@@ -1292,7 +1311,7 @@ fn e15_mis(trials: usize) -> Vec<Table> {
 /// speeds, plus one Gilbert–Elliot fading world as a channel-dynamics
 /// reference point. Every world runs the same seeds, so the rows are
 /// paired trials.
-fn e16_mobility(trials: usize) -> Vec<Table> {
+fn e16_mobility(trials: usize) -> Result<Vec<Table>, String> {
     use mca_core::aggregate::intercluster::{FloodCfg, FloodCombine};
     use mca_scenario::{DeploymentSpec, FadingSpec, MobilitySpec, Scenario, ScenarioSim};
     let n = 60usize;
@@ -1361,14 +1380,14 @@ fn e16_mobility(trials: usize) -> Vec<Table> {
             format!("{:.3}", out.summarize(|r| r.1).median()),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
 }
 
 /// A3 — ablation of the multi-message gossip: the backbone transmission
 /// probability `q` (the paper's "constant probability" sketch) trades
 /// collision losses against idle slots; completion is measured because the
 /// harness stops the run the moment every node holds every message.
-fn a3_gossip(trials: usize) -> Vec<Table> {
+fn a3_gossip(trials: usize) -> Result<Vec<Table>, String> {
     use mca_core::broadcast_many;
     let mut t = Table::new(
         "A3: gossip probability ablation -- n=120, F=4, k=8",
@@ -1409,5 +1428,34 @@ fn a3_gossip(trials: usize) -> Vec<Table> {
             format!("{:.0}%", out.summarize(|r| r.2).median() * 100.0),
         ]);
     }
-    vec![t]
+    Ok(vec![t])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_gate_is_the_sections_error() {
+        let gated = ClaimTable {
+            id: "x1",
+            render: |_| Err("`world`: repair 9 vs rebuild 8 slots".into()),
+        };
+        assert_eq!(
+            gated.section(CLAIM_TRIALS),
+            Err("`world`: repair 9 vs rebuild 8 slots".into())
+        );
+        let passing = ClaimTable {
+            id: "x2",
+            render: |trials| {
+                let mut t = Table::new("X2: trials", ["trials"]);
+                t.row([trials.to_string()]);
+                Ok(vec![t])
+            },
+        };
+        assert_eq!(
+            passing.section(3),
+            Ok("### X2: trials\n\n| trials |\n|---|\n| 3 |\n\n".into())
+        );
+    }
 }

@@ -20,14 +20,12 @@ pub mod scenario_run;
 pub mod serve;
 pub mod sweep;
 
-pub use adversary_bench::adversary_bench_json;
 pub use claims::{claim_tables, CLAIM_TRIALS};
-pub use golden::{golden_trials_json, golden_trials_json_observed};
+pub use golden::{golden_pipeline_json, golden_trials_json, golden_trials_json_observed};
 pub use profile::{
     default_profile_scenario, profile_scenario, profile_table, ProfileRun, ResolveCost,
     COVERAGE_GATE, PROFILE_SEED,
 };
-pub use repair_bench::repair_bench_json;
 pub use scenario_run::{
     run_scenario, scenario_flood_trial, scenario_flood_trial_observed, ScenarioTrial,
 };

@@ -1,5 +1,5 @@
 //! Incremental structure repair vs full rebuild, across the churn/mobility
-//! catalog worlds — the harness behind the committed `BENCH_repair.json`.
+//! catalog worlds — the harness behind claim table M1 of `EXPERIMENTS.md`.
 //!
 //! For each (scenario, seed) the harness builds the §5 aggregation
 //! structure over the initial live set, then drives the scenario in
@@ -16,17 +16,20 @@
 //!
 //! Both costs are simulated protocol slots — the same currency as
 //! [`BuildReport`](mca_core::BuildReport) — so the headline number,
-//! `repair_fraction = repair_slots / rebuild_slots`, is
-//! implementation-independent. [`repair_bench_json`] renders the JSON, or
-//! names every world that failed its acceptance gate (audits clean, repair
+//! `repair/rebuild = repair slots / rebuild slots`, is
+//! implementation-independent. [`m1_repair`] renders the table, or names
+//! every world that failed its acceptance gate (audits clean, repair
 //! strictly cheaper than rebuild); `experiments artifacts` fails on it.
 
+use mca_analysis::Table;
 use mca_core::{
     AlgoConfig, MaintainConfig, NetworkEnv, RepairKind, StructureConfig, StructureMaintainer,
 };
 use mca_radio::rng::derive_seed;
 use mca_radio::{Action, NodeEvent, Observation, Protocol};
-use mca_scenario::{builtin_scenarios, MaintenanceSpec, Scenario, ScenarioSim, TrialSet};
+use mca_scenario::{
+    builtin_scenarios, CollectSink, KeyedTrial, MaintenanceSpec, Scenario, ScenarioSim, TrialSet,
+};
 use rand::rngs::SmallRng;
 
 /// The catalog worlds the bench runs, in order. `churn` and
@@ -56,7 +59,7 @@ impl Protocol for Idle {
 }
 
 /// One (scenario, seed) trial of both arms.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RepairTrial {
     /// Maintenance epochs executed.
     pub epochs: u64,
@@ -88,7 +91,8 @@ pub fn maintenance_for(scenario: &Scenario) -> MaintenanceSpec {
     scenario.maintenance.unwrap_or(DEFAULT_MAINTENANCE)
 }
 
-fn structure_config(scenario: &Scenario, seed: u64) -> StructureConfig {
+/// The structure both arms of a `(scenario, seed)` trial build.
+pub(crate) fn structure_config(scenario: &Scenario, seed: u64) -> StructureConfig {
     let algo = AlgoConfig::practical(scenario.channels, &scenario.params, scenario.len().max(2));
     StructureConfig::new(algo, derive_seed(seed, 0xB01D))
 }
@@ -118,17 +122,8 @@ pub fn repair_trial(scenario: &Scenario, seed: u64) -> RepairTrial {
     let initial_build_slots = maintainer.structure().report.total_slots();
     let tolerances = maintainer.tolerances();
     let mut trial = RepairTrial {
-        epochs: 0,
         initial_build_slots,
-        repair_slots: 0,
-        rebuild_slots: 0,
-        clean_epochs: 0,
-        fallback_rebuilds: 0,
-        rehomed: 0,
-        handovers: 0,
-        new_dominators: 0,
-        retired_clusters: 0,
-        first_violation: None,
+        ..RepairTrial::default()
     };
     let mut sim = ScenarioSim::new(&scenario, seed, |_, _| Idle);
     sim.engine_mut().watch_events(move_threshold);
@@ -186,162 +181,100 @@ pub fn repair_trial(scenario: &Scenario, seed: u64) -> RepairTrial {
     trial
 }
 
-/// One scenario's aggregate over all seeds.
-#[derive(Debug, Clone)]
-pub struct RepairBenchCase {
-    /// The scenario name.
-    pub scenario: String,
-    /// Seeds run.
-    pub seeds: usize,
-    /// Epochs across all seeds.
-    pub epochs: u64,
-    /// Summed slot costs across seeds.
-    pub initial_build_slots: u64,
-    /// Repair slots across seeds (maintained arm).
-    pub repair_slots: u64,
-    /// Rebuild slots across seeds (rebuild arm).
-    pub rebuild_slots: u64,
-    /// `repair_slots / rebuild_slots`.
-    pub repair_fraction: f64,
-    /// Whether every epoch of every seed audited clean after repair.
-    pub audits_clean: bool,
-    /// Repair-op counters across seeds.
-    pub rehomed: usize,
-    /// Hysteresis handovers across seeds.
-    pub handovers: usize,
-    /// Fresh dominators across seeds.
-    pub new_dominators: usize,
-    /// Retired clusters across seeds.
-    pub retired_clusters: usize,
-    /// Threshold fallbacks across seeds.
-    pub fallback_rebuilds: u64,
-    /// First audit violation seen, if any.
-    pub first_violation: Option<String>,
-}
-
-impl RepairBenchCase {
-    /// The acceptance gate: audit-clean at every epoch and repair strictly
-    /// cheaper than rebuild.
-    pub fn gate(&self) -> Result<(), String> {
-        if self.audits_clean && self.repair_slots < self.rebuild_slots {
-            return Ok(());
-        }
-        Err(format!(
-            "`{}`: repair {} vs rebuild {} slots, first audit violation {:?}",
-            self.scenario, self.repair_slots, self.rebuild_slots, self.first_violation
-        ))
-    }
-}
-
-/// Runs `seeds` seeded trials of every bench world.
-///
-/// Trials execute through the keyed runner ([`TrialSet::run_streaming`])
-/// — seeds of one world resolve in parallel but fold in enumeration
-/// (seed) order, so the aggregate is identical to the historical
-/// sequential loop and `BENCH_repair.json` stays byte-compatible.
-pub fn run_repair_bench(seeds: usize) -> Vec<RepairBenchCase> {
+/// M1 — incremental repair vs full rebuild on [`REPAIR_BENCH_WORLDS`]:
+/// seeds `1..=max(trials, 3)` of every world as one [`TrialSet`], every
+/// cell summed over the seeds. `Err` names every world whose gate failed:
+/// an epoch that did not audit clean, or repair not strictly cheaper than
+/// rebuild.
+pub fn m1_repair(trials: usize) -> Result<Vec<Table>, String> {
     let catalog = builtin_scenarios();
-    REPAIR_BENCH_WORLDS
-        .iter()
-        .map(|&name| {
-            let scenario = catalog
-                .iter()
-                .find(|e| e.scenario.name == name)
-                .unwrap_or_else(|| panic!("catalog world `{name}` missing"))
-                .scenario
-                .clone();
-            let mut case = RepairBenchCase {
-                scenario: name.to_string(),
-                seeds,
-                epochs: 0,
-                initial_build_slots: 0,
-                repair_slots: 0,
-                rebuild_slots: 0,
-                repair_fraction: 0.0,
-                audits_clean: true,
-                rehomed: 0,
-                handovers: 0,
-                new_dominators: 0,
-                retired_clusters: 0,
-                fallback_rebuilds: 0,
-                first_violation: None,
-            };
-            let set = TrialSet::new(vec![scenario], (1..=seeds as u64).collect())
-                .expect("one scenario cannot collide with itself");
-            set.run_streaming(
-                true,
-                repair_trial,
-                &mut |trial: mca_scenario::KeyedTrial<RepairTrial>| {
-                    let (seed, t) = (trial.key.seed, trial.result);
-                    case.epochs += t.epochs;
-                    case.initial_build_slots += t.initial_build_slots;
-                    case.repair_slots += t.repair_slots;
-                    case.rebuild_slots += t.rebuild_slots;
-                    case.rehomed += t.rehomed;
-                    case.handovers += t.handovers;
-                    case.new_dominators += t.new_dominators;
-                    case.retired_clusters += t.retired_clusters;
-                    case.fallback_rebuilds += t.fallback_rebuilds;
-                    if t.clean_epochs != t.epochs {
-                        case.audits_clean = false;
-                        if case.first_violation.is_none() {
-                            case.first_violation =
-                                t.first_violation.map(|v| format!("seed {seed}, {v}"));
-                        }
-                    }
-                },
-            );
-            case.repair_fraction = case.repair_slots as f64 / case.rebuild_slots.max(1) as f64;
-            case
-        })
-        .collect()
-}
+    let worlds = REPAIR_BENCH_WORLDS.iter().map(|&name| {
+        catalog
+            .iter()
+            .find(|e| e.scenario.name == name)
+            .unwrap_or_else(|| panic!("catalog world `{name}` missing"))
+            .scenario
+            .clone()
+    });
+    let seeds = trials.max(3);
+    let set = TrialSet::new(worlds.collect(), (1..=seeds as u64).collect())
+        .expect("catalog names are unique");
+    let mut sink = CollectSink::new();
+    set.run_streaming(true, repair_trial, &mut sink);
 
-/// Renders `BENCH_repair.json`, or names every world whose gate failed.
-pub fn repair_bench_json(seeds: usize) -> Result<String, String> {
-    let cases = run_repair_bench(seeds);
-    let failed: Vec<String> = cases.iter().filter_map(|c| c.gate().err()).collect();
-    if !failed.is_empty() {
-        return Err(failed.join("\n"));
-    }
-    let rows: Vec<String> = cases
-        .iter()
-        .map(|c| {
-            format!(
-                concat!(
-                    "    {{\"scenario\": \"{}\", \"seeds\": {}, \"epochs\": {}, ",
-                    "\"initial_build_slots\": {}, \"repair_slots\": {}, ",
-                    "\"rebuild_slots\": {}, \"repair_fraction\": {:.3}, ",
-                    "\"audits_clean\": {}, \"rehomed\": {}, \"handovers\": {}, ",
-                    "\"new_dominators\": {}, \"retired_clusters\": {}, ",
-                    "\"fallback_rebuilds\": {}}}"
-                ),
-                c.scenario,
-                c.seeds,
-                c.epochs,
-                c.initial_build_slots,
-                c.repair_slots,
-                c.rebuild_slots,
-                c.repair_fraction,
-                c.audits_clean,
-                c.rehomed,
-                c.handovers,
-                c.new_dominators,
-                c.retired_clusters,
-                c.fallback_rebuilds,
-            )
-        })
-        .collect();
-    Ok(format!(
-        concat!(
-            "{{\n  \"bench\": \"structure_repair\",\n",
-            "  \"baseline\": \"full rebuild over the live set each maintenance epoch\",\n",
-            "  \"unit\": \"simulated protocol slots\",\n",
-            "  \"seeds\": {},\n  \"cases\": [\n{}\n  ]\n}}\n"
+    let mut t = Table::new(
+        format!(
+            "M1: incremental repair vs full rebuild -- seeds 1-{seeds} summed, \
+             every epoch audits clean"
         ),
-        seeds,
-        rows.join(",\n")
-    ))
+        [
+            "world",
+            "seeds",
+            "epochs",
+            "initial build slots",
+            "repair slots",
+            "rebuild slots",
+            "repair/rebuild",
+            "rehomed",
+            "handovers",
+            "new dominators",
+            "retired clusters",
+            "fallback rebuilds",
+        ],
+    );
+    let mut failed = Vec::new();
+    for (world, runs) in set.scenarios().iter().zip(sink.trials.chunks(seeds)) {
+        let mut sum = RepairTrial::default();
+        for KeyedTrial { key, result: r } in runs {
+            sum.epochs += r.epochs;
+            sum.clean_epochs += r.clean_epochs;
+            sum.initial_build_slots += r.initial_build_slots;
+            sum.repair_slots += r.repair_slots;
+            sum.rebuild_slots += r.rebuild_slots;
+            sum.rehomed += r.rehomed;
+            sum.handovers += r.handovers;
+            sum.new_dominators += r.new_dominators;
+            sum.retired_clusters += r.retired_clusters;
+            sum.fallback_rebuilds += r.fallback_rebuilds;
+            if r.clean_epochs != r.epochs && sum.first_violation.is_none() {
+                let seed = key.seed;
+                sum.first_violation = r
+                    .first_violation
+                    .as_ref()
+                    .map(|v| format!("seed {seed}, {v}"));
+            }
+        }
+        let audits_clean = sum.clean_epochs == sum.epochs;
+        if !(audits_clean && sum.repair_slots < sum.rebuild_slots) {
+            failed.push(format!(
+                "`{}`: repair {} vs rebuild {} slots, first audit violation {:?}",
+                world.name, sum.repair_slots, sum.rebuild_slots, sum.first_violation
+            ));
+            continue;
+        }
+        t.row([
+            world.name.clone(),
+            seeds.to_string(),
+            sum.epochs.to_string(),
+            sum.initial_build_slots.to_string(),
+            sum.repair_slots.to_string(),
+            sum.rebuild_slots.to_string(),
+            format!(
+                "{:.3}",
+                sum.repair_slots as f64 / sum.rebuild_slots.max(1) as f64
+            ),
+            sum.rehomed.to_string(),
+            sum.handovers.to_string(),
+            sum.new_dominators.to_string(),
+            sum.retired_clusters.to_string(),
+            sum.fallback_rebuilds.to_string(),
+        ]);
+    }
+    if failed.is_empty() {
+        Ok(vec![t])
+    } else {
+        Err(failed.join("\n"))
+    }
 }
 
 #[cfg(test)]

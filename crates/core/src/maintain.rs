@@ -30,7 +30,7 @@
 //! When churn outruns locality — more than
 //! [`MaintainConfig::rebuild_threshold`] of the live network needs
 //! re-homing — the maintainer falls back to a full masked rebuild, which is
-//! also the baseline `BENCH_repair.json` measures against.
+//! also the baseline claim table M1 of `EXPERIMENTS.md` measures against.
 //!
 //! After every repair the structure must satisfy
 //! [`audit_structure_masked`]

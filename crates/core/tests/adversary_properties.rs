@@ -1,6 +1,6 @@
 //! Adversarial-interleaving properties of the proactive maintainer.
 //!
-//! `crates/bench/src/adversary_bench.rs` measures three *concrete*
+//! Claim table M2 of `EXPERIMENTS.md` measures three *concrete*
 //! adversaries (tracking jammer, duty-cycled sleepers, correlated
 //! fading). From the maintainer's point of view every one of them
 //! reduces to the same stream: detector flags (`Degraded`/`Recovered`)

@@ -1,6 +1,6 @@
 //! The reference semantics the optimized [`Engine`](crate::Engine) is
 //! checked against: a poll-everyone engine with no roster, wake queue,
-//! channel groups, shards, resolver cache, lanes or pool, and a harness
+//! channel groups, shards, index arena, lanes or pool, and a harness
 //! that checks a protocol's [`Protocol::quiet_until`] and
 //! [`Protocol::listen_until`] promises.
 //!

@@ -220,7 +220,7 @@ fn tracking_jammer() -> CatalogEntry {
                 Victims still sense jammer energy, so per-link SINR health decays\n\
                 before any structural audit would fail -- the world the\n\
                 degradation detector and proactive repair arm of\n\
-                BENCH_adversary.json are measured on.",
+                EXPERIMENTS.md table M2 are measured on.",
     }
 }
 
@@ -246,7 +246,7 @@ fn duty_cycle() -> CatalogEntry {
                 reactive repair never fires. Links to sleeping members fade in\n\
                 and out instead -- exactly the degradation signature the EWMA\n\
                 detector flags and proactive repair re-homes around\n\
-                (BENCH_adversary.json, duty-cycle row).",
+                (EXPERIMENTS.md table M2, duty-cycle rows).",
     }
 }
 
@@ -300,7 +300,7 @@ fn churn_maintained() -> CatalogEntry {
                 overlay every 100 slots -- re-homing orphans of crashed dominators,\n\
                 admitting late joiners, re-electing reporters in dirty clusters --\n\
                 instead of letting it rot or rebuilding from scratch.\n\
-                BENCH_repair.json measures exactly that comparison.",
+                EXPERIMENTS.md table M1 measures exactly that comparison.",
     }
 }
 
@@ -337,7 +337,7 @@ fn mobile_churn() -> CatalogEntry {
                 late and 10% crash. The [maintenance] table repairs every 50 slots\n\
                 with a 1.25x handover hysteresis: the headline world for\n\
                 incremental structure repair vs full rebuild\n\
-                (BENCH_repair.json).",
+                (EXPERIMENTS.md table M1).",
     }
 }
 

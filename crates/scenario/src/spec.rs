@@ -409,8 +409,8 @@ impl ChurnSpec {
 
 /// Structure-maintenance policy for drivers that keep a §5 aggregation
 /// structure alive while the scenario churns (see `mca-core`'s `maintain`
-/// module and `BENCH_repair.json`). Serialized as the scenario's
-/// `[maintenance]` table.
+/// module and claim table M1 of `EXPERIMENTS.md`). Serialized as the
+/// scenario's `[maintenance]` table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintenanceSpec {
     /// Maintenance cadence: a repair epoch every `every` slots.
