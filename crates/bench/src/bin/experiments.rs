@@ -20,10 +20,11 @@
 //! progress stream on stderr (results on stdout are unaffected).
 //!
 //! `profile` runs the flood workload with the `mca-obs` recorder attached
-//! and prints the per-phase time breakdown and the engine's counters; the
-//! run fails unless the phase spans cover ≥ 95% of slot wall time and
-//! both Phase-2 arenas stayed within twice the node count (CI profiles
-//! `scenarios/sharded-dense.toml` for 40 slots).
+//! and prints the per-phase time breakdown (with the resolve units the
+//! engine made per resolved channel) and the engine's counters; the run
+//! fails unless the phase spans cover ≥ 95% of slot wall time and both
+//! Phase-2 arenas stayed within twice the node count (CI profiles
+//! `scenarios/sharded-dense.toml` for 40 slots at `--threads 2`).
 //!
 //! `--scenario` runs any TOML world (see `docs/SCENARIO_FORMAT.md`)
 //! through the flood max-aggregation workload; `sweep` expands a

@@ -236,7 +236,7 @@ impl<P: Protocol> Protocol for Tap<P> {
 }
 
 /// Audits a whole run of `scenario` at trial `seed`: the flood workload,
-/// stepped as configured (resolve mode, shards, environment), with every
+/// stepped as configured (resolve mode, environment), with every
 /// resolved channel-slot re-resolved in both modes.
 ///
 /// # Panics

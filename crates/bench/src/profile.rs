@@ -14,9 +14,11 @@
 //! instrumentation has a hole — `experiments profile` exits non-zero. So
 //! it does when an arena outgrew `2·n` entries ([`ProfileRun::arenas_ok`]):
 //! a slot's Phase-2 memory is bounded by the nodes, not the channels.
-//! The default world is a 100k-node dense deployment (16 channels, 8×8
-//! shards, fast resolve): twice the benchmark's `dense-engine` world, the
-//! regime where nearly every slot runs its units on the pool.
+//! The default world is a 100k-node dense deployment (16 channels, fast
+//! resolve): twice the benchmark's `dense-engine` world, the regime where
+//! nearly every slot runs its units on the pool once the pool has two
+//! workers (the engine then derives an 8×8 grid per channel; the resolve
+//! line reports the units it actually made).
 
 use crate::scenario_run::{scenario_flood_trial_observed, ScenarioTrial};
 use mca_analysis::Table;
@@ -32,7 +34,7 @@ pub const COVERAGE_GATE: f64 = 0.95;
 pub const PROFILE_SEED: u64 = 7;
 
 /// The default profile world: 100k nodes at 4 nodes per unit², 16
-/// channels, 8×8 shards, Fast-mode reception.
+/// channels, Fast-mode reception.
 pub fn default_profile_scenario(slots: u64) -> Scenario {
     let n = 100_000;
     Scenario::builder("profile-dense-100k")
@@ -43,7 +45,6 @@ pub fn default_profile_scenario(slots: u64) -> Scenario {
         .sinr(SinrParams::default().with_resolve(ResolveMode::fast()))
         .channels(16)
         .max_slots(slots)
-        .shards(8)
         .build()
 }
 
@@ -124,11 +125,13 @@ impl ProfileRun {
     /// What the resolver kernels cost per listen, read off the records
     /// the recorder already holds: the `unit` spans' total time over the
     /// listens of every channel-slot that had a transmitter (the resolved
-    /// ones; a silent channel is booked without a unit). `None` when no
+    /// ones; a silent channel is booked without a unit), and the `unit`
+    /// spans' count over those channel-slots — the shard grid the engine
+    /// derived, as the units it made of it. `None` when no
     /// such channel-slot was recorded (nothing resolved, or a scenario
     /// whose `[obs]` table turned the channel stream off).
     pub fn resolve_cost(&self) -> Option<ResolveCost> {
-        let unit_ns = self.report.kind(SpanKind::Unit)?.total_ns;
+        let unit = self.report.kind(SpanKind::Unit)?;
         let (mut channel_slots, mut listens, mut tx) = (0u64, 0u64, 0u64);
         for c in self.recorder.channel_records() {
             if c.tx > 0 && c.listens > 0 {
@@ -139,8 +142,9 @@ impl ProfileRun {
         }
         (channel_slots > 0).then(|| ResolveCost {
             listens,
-            ns_per_listen: unit_ns as f64 / listens as f64,
+            ns_per_listen: unit.total_ns as f64 / listens as f64,
             tx_per_channel: tx as f64 / channel_slots as f64,
+            units_per_channel: unit.count as f64 / channel_slots as f64,
         })
     }
 }
@@ -155,14 +159,18 @@ pub struct ResolveCost {
     /// Mean transmitters per resolved channel-slot — the set size each of
     /// those listens was resolved against.
     pub tx_per_channel: f64,
+    /// Mean resolve units per resolved channel-slot: 1 where the engine
+    /// left every channel whole, up to the square of its derived grid.
+    pub units_per_channel: f64,
 }
 
 impl std::fmt::Display for ResolveCost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "resolve: {:.1} ns per listen ({} listens, {:.1} transmitters per resolved channel)",
-            self.ns_per_listen, self.listens, self.tx_per_channel
+            "resolve: {:.1} ns per listen ({} listens; per resolved channel \
+             {:.1} transmitters, {:.1} units)",
+            self.ns_per_listen, self.listens, self.tx_per_channel, self.units_per_channel
         )
     }
 }
@@ -319,6 +327,12 @@ mod tests {
             cost.ns_per_listen,
             unit.total_ns as f64 / cost.listens as f64
         );
+        // A unit per resolved channel-slot at least, and one per span.
+        let resolved = run.recorder.channel_records();
+        let resolved = resolved.iter().filter(|c| c.tx > 0 && c.listens > 0);
+        let channel_slots = resolved.count() as f64;
+        assert!(cost.units_per_channel >= 1.0);
+        assert_eq!(cost.units_per_channel, unit.count as f64 / channel_slots);
         let table = profile_table(&s, &run);
         let line = format!("\n{cost}\nwalk: ");
         assert!(table.contains(&line), "no `{line}` in:\n{table}");
@@ -375,11 +389,10 @@ mod tests {
     }
 
     #[test]
-    fn default_profile_world_is_the_sharded_dense_100k() {
+    fn default_profile_world_is_the_dense_100k() {
         let s = default_profile_scenario(30);
         assert_eq!(s.len(), 100_000);
         assert_eq!(s.channels, 16);
-        assert_eq!(s.shards, 8);
         assert_eq!(s.max_slots, 30);
     }
 }

@@ -15,7 +15,7 @@ use crate::message::{Action, Observation};
 use crate::metrics::Metrics;
 use crate::node::Protocol;
 use crate::rng::derive_rng;
-use crate::shard::ShardMap;
+use crate::shard::{unit_grid, ShardMap, MIN_UNIT_RX};
 use mca_geom::{BoundingBox, Point};
 use mca_obs::{ChannelSlotRecord, SpanKind, Stopwatch};
 use mca_sinr::{
@@ -27,8 +27,8 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Shards per axis forced by `MCA_FORCE_PAR=1` when the caller left
-/// sharding off.
+/// Shards per axis `MCA_FORCE_PAR=1` lays over every channel big enough
+/// to shard, at every worker count.
 const FORCED_SHARDS: u16 = 4;
 
 /// The pooling rule's one constant: a resolve unit's work estimate
@@ -47,14 +47,27 @@ const FORCED_SHARDS: u16 = 4;
 pub const POOL_UNIT_WORK: usize = 16_384;
 
 /// Whether `MCA_FORCE_PAR=1` is set: the CI determinism override. It
-/// forces an [`FORCED_SHARDS`]-way shard grid onto every engine that left
-/// sharding off and zeroes the pooling bar ([`POOL_UNIT_WORK`]), so the
-/// whole test suite and the golden trial metrics re-run with every
-/// multi-unit slot on the pool. Sound because pooled and sharded
-/// resolution are bit-identical to the inline unsharded engine.
+/// replaces the derived grid ([`crate::shard::unit_grid`]) with an
+/// [`FORCED_SHARDS`]-way grid, coarsened only by listener count, and
+/// zeroes the pooling bar ([`POOL_UNIT_WORK`]), so the whole test suite
+/// and the golden trial metrics re-run with every multi-unit slot on the
+/// pool. Sound because pooled and sharded resolution are bit-identical to
+/// the inline unsharded engine.
 fn force_par() -> bool {
     static FORCE: OnceLock<bool> = OnceLock::new();
     *FORCE.get_or_init(|| std::env::var("MCA_FORCE_PAR").is_ok_and(|v| v == "1"))
+}
+
+/// The derived [`unit_grid`], or under `MCA_FORCE_PAR=1` [`FORCED_SHARDS`]
+/// coarsened only so units keep [`MIN_UNIT_RX`] listeners.
+fn grid_side(workers: usize, rx: usize, work: usize) -> u16 {
+    if force_par() {
+        (rx / MIN_UNIT_RX)
+            .isqrt()
+            .clamp(1, usize::from(FORCED_SHARDS)) as u16
+    } else {
+        unit_grid(workers, rx, work)
+    }
 }
 
 /// The simulation engine driving one protocol instance per node.
@@ -115,7 +128,6 @@ pub struct Engine<P: Protocol> {
     /// like span nanoseconds, they are measurement, never simulation
     /// input.
     obs_pool: (u64, u64, u64),
-    shards: u16,
     /// One slot per node, persistent across slots: a polled node's entry
     /// is overwritten by the gather, and only entries written this slot
     /// are ever read.
@@ -562,6 +574,13 @@ impl ChannelGroup {
     fn is_idle(&self) -> bool {
         self.tx.is_empty() && self.rx.is_empty()
     }
+
+    /// Estimated power evaluations per listener, at least 1: the index's
+    /// estimate, or the transmitter count for the exact scan.
+    fn work_per_listener(&self) -> usize {
+        let work = self.index.map_or(self.tx.len(), |s| s.work_per_listener());
+        work.max(1)
+    }
 }
 
 /// What every unit of one listening channel shares.
@@ -883,7 +902,6 @@ impl<P: Protocol> Engine<P> {
                 let ps = rayon::pool_stats();
                 (ps.steals, ps.tasks, ps.parks)
             },
-            shards: if force_par() { FORCED_SHARDS } else { 0 },
             actions,
             roster: Roster::new(),
             groups: Vec::new(),
@@ -911,39 +929,12 @@ impl<P: Protocol> Engine<P> {
         self
     }
 
-    /// Partitions each channel's listeners over an `s × s` grid of shards
-    /// (builder-style; `0` or `1` disables sharding). The listeners are
-    /// grouped by shard and resolved as independent (channel × shard)
-    /// units with a deterministic shard-major merge — **bit-identical to
-    /// the unsharded engine for any `s`**, because per-listener outcomes
-    /// are pure functions of the channel's transmitter set (see
-    /// [`crate::shard`]). The engine keeps nothing about the partition: a
-    /// listener's shard is read off the position staged for it, slot by
-    /// slot. Whether the units run on the pool is decided per slot from
-    /// their work estimates ([`POOL_UNIT_WORK`]), never by a flag. Under
-    /// `MCA_FORCE_PAR=1`, leaving sharding off forces a 4-way grid
-    /// instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` exceeds [`crate::shard::MAX_SHARDS_PER_AXIS`].
-    pub fn with_shards(mut self, s: u16) -> Self {
-        assert!(
-            s <= crate::shard::MAX_SHARDS_PER_AXIS,
-            "shard count per axis must be at most {}, got {s}",
-            crate::shard::MAX_SHARDS_PER_AXIS
-        );
-        self.shards = if force_par() && s < 2 {
-            FORCED_SHARDS
-        } else {
-            s
-        };
+    // Kept only because the frozen `benchmark/` crate calls it; removed
+    // when the benchmark is next re-baselined. The engine derives each
+    // channel's shard grid itself (`shard::unit_grid`).
+    #[doc(hidden)]
+    pub fn with_shards(self, _s: u16) -> Self {
         self
-    }
-
-    /// Shards per axis (0 or 1 = sharding disabled).
-    pub fn shards(&self) -> u16 {
-        self.shards
     }
 
     // Kept only because the frozen `benchmark/` crate calls it; removed
@@ -1179,8 +1170,8 @@ impl<P: Protocol> Engine<P> {
     /// Phases 2b + 2c: build each resolving channel's spatial index into
     /// the slot's [`IndexArena`] and stage its listener partition, resolve
     /// all (channel × shard) units, and deliver every observation
-    /// — bit-identical for any shard count, worker count, and steal
-    /// schedule (see [`Engine::with_shards`]). Returns
+    /// — bit-identical for any shard grid, worker count, and steal
+    /// schedule (see [`crate::shard`]). Returns
     /// `(resolve_ns, deliver_ns)` wall-clock attribution for the phase
     /// spans (zeros when no recorder is attached).
     ///
@@ -1211,6 +1202,9 @@ impl<P: Protocol> Engine<P> {
         let sw_phase = Stopwatch::start_if(timing);
         let mut deliver_ns = 0u64;
         let slot = self.slot;
+        // Read once: the pool's width steers both the grids and whether
+        // the slot pools.
+        let workers = rayon::current_num_threads();
 
         // Build every resolving channel's spatial index into the slot's
         // arena, and stage its listener partition: shard-major bucketing
@@ -1232,19 +1226,20 @@ impl<P: Protocol> Engine<P> {
                 builds += 1;
                 build_ns += sw.elapsed_ns();
             }
-            // The channel's grid is coarsened so units stay large enough
-            // to amortize their scheduling overhead, and laid over the box
-            // of the listeners staged this slot (execution-only: the
+            // The channel's grid follows the pool's width, its listener
+            // count and its index's work estimate, and is laid over the
+            // box of the listeners staged this slot (execution-only: the
             // chosen grid never changes an outcome).
-            let s_eff = crate::shard::effective_shards(self.shards, group.rx.len());
+            let rx = group.rx.len();
+            let side = grid_side(workers, rx, group.work_per_listener());
             let at = self.stage.shard_rx.len();
-            group.shard_span = at..at + group.rx.len();
-            if s_eff >= 2 {
+            group.shard_span = at..at + rx;
+            if side >= 2 {
                 // Sliced once: the loops below index a plain slice.
                 let rx_pos = &self.stage.rx_pos[group.rx_span.clone()];
                 let bounds = BoundingBox::from_points(rx_pos.iter().copied())
                     .expect("a sharded channel has listeners");
-                let grid = ShardMap::over(s_eff, bounds);
+                let grid = ShardMap::over(side, bounds);
                 let nshards = grid.shard_count();
                 self.shard_counts.clear();
                 self.shard_counts.resize(nshards + 1, 0);
@@ -1269,10 +1264,10 @@ impl<P: Protocol> Engine<P> {
                     *cursor += 1;
                 }
             } else {
-                self.stage.shard_rx.extend(0..group.rx.len() as u32);
-                group.unit_ranges.push((0, group.rx.len() as u32));
+                self.stage.shard_rx.extend(0..rx as u32);
+                group.unit_ranges.push((0, rx as u32));
             }
-            listeners += group.rx.len();
+            listeners += rx;
             units += group.unit_ranges.len();
         }
         // Every element is overwritten by the unit that owns it.
@@ -1335,6 +1330,7 @@ impl<P: Protocol> Engine<P> {
                 txonly.push((ch as u16, &group.tx));
                 continue;
             }
+            let work_per_listener = group.work_per_listener();
             let ChannelGroup {
                 tx,
                 rx,
@@ -1348,7 +1344,6 @@ impl<P: Protocol> Engine<P> {
             } = group;
             let tx_pos = &stage.tx_pos[tx_span.clone()];
             let resolver = ChannelResolver::with_index(params, tx_pos, index, *span);
-            let work_per_listener = resolver.estimated_work_per_listener().max(1);
             let (unit_out, tail) = out_rest.split_at_mut(rx.len());
             out_rest = tail;
             let (unit_ns, tail) = ns_rest.split_at_mut(unit_ranges.len());
@@ -1380,7 +1375,7 @@ impl<P: Protocol> Engine<P> {
         // A slot pools only when the pool can run two units at once and
         // at least two units are worth a task each.
         let bar = if force_par() { 0 } else { POOL_UNIT_WORK };
-        let pool_units = if rayon::current_num_threads() > 1 {
+        let pool_units = if workers > 1 {
             jobs.iter()
                 .flat_map(|(w, _)| w.unit_ranges.iter().map(|&range| w.unit_work(range)))
                 .filter(|&work| work >= bar)
@@ -1742,10 +1737,23 @@ impl<P: Protocol> Engine<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fault::{JamSpec, ZoneJam};
     use crate::ids::Channel;
+
+    /// Runs `f` with the pool pinned to `workers` threads, then restores
+    /// the automatic width. The width is process-global and steers the
+    /// shard grid, so tests that pin it, or read the grid it yields, take
+    /// turns.
+    pub(crate) fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+        static POOL_CONFIG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _turn = POOL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
+        rayon::set_num_threads(workers);
+        let out = f();
+        rayon::set_num_threads(0);
+        out
+    }
 
     /// Transmits `msg` on `channel` in every slot.
     struct Talker {
@@ -2161,43 +2169,46 @@ mod tests {
     #[test]
     fn one_schedule_bit_identical_across_threads_shards_and_steal_stress() {
         // 90% of 2400 nodes crowd onto channels 0 and 1 — ~650
-        // transmitters × ~430 listeners each, so their units clear the
-        // pooling bar whether the channel is one unit or a 3×3 grid —
+        // transmitters × ~430 listeners each, so at two workers or more
+        // they shard into a 3×3 grid whose units clear the pooling bar —
         // while channels 2..6 carry a few dozen nodes and stay inline:
-        // every slot mixes pooled and inline units. Each (shards,
-        // threads) arm must replay the unsharded one-thread run
-        // bit-for-bit — including when the stress hook funnels every task
-        // through one deque so the other workers only progress by
-        // stealing — and every multi-worker arm must really have used the
-        // pool. Thread-count and capacity changes are process-global, but
-        // they only steer scheduling, never outcomes, so racing sibling
-        // tests stay correct (none of them pins the thread count).
-        let run = |shards: u16, threads: usize, cap: usize| {
-            rayon::set_num_threads(threads);
-            rayon::set_test_deque_capacity(cap);
-            let tasks0 = rayon::pool_stats().tasks;
-            let mut e = hopper_net(2400, 6, 0.9, SinrParams::default()).with_shards(shards);
-            e.run(12);
-            let pooled = rayon::pool_stats().tasks > tasks0;
-            rayon::set_test_deque_capacity(0);
-            rayon::set_num_threads(0);
-            let metrics = e.metrics().clone();
-            let logs: Vec<_> = e
-                .into_protocols()
-                .into_iter()
-                .map(|h| (h.heard, h.noise))
-                .collect();
-            (pooled, metrics, logs)
+        // every slot mixes pooled and inline units. Each threads arm must
+        // replay the one-thread (unsharded) run bit-for-bit — including
+        // when the stress hook funnels every task through one deque so the
+        // other workers only progress by stealing — and every multi-worker
+        // arm must really have sharded and used the pool. The capacity
+        // change is process-global, but it only steers scheduling, never
+        // outcomes, so racing sibling tests stay correct.
+        let run = |threads: usize, cap: usize| {
+            with_workers(threads, || {
+                rayon::set_test_deque_capacity(cap);
+                let tasks0 = rayon::pool_stats().tasks;
+                let mut e = hopper_net(2400, 6, 0.9, SinrParams::default());
+                e.attach_obs(mca_obs::Recorder::new());
+                e.run(12);
+                let pooled = rayon::pool_stats().tasks > tasks0;
+                rayon::set_test_deque_capacity(0);
+                let rec = e.obs().expect("attached above");
+                let sharded = rec.spans().iter().any(|s| s.kind == SpanKind::Halo);
+                let metrics = e.metrics().clone();
+                let logs: Vec<_> = e
+                    .into_protocols()
+                    .into_iter()
+                    .map(|h| (h.heard, h.noise))
+                    .collect();
+                (pooled && sharded, metrics, logs)
+            })
         };
-        let (_, m_ref, l_ref) = run(0, 1, 0);
-        for shards in [0u16, 4] {
-            for (threads, cap) in [(1usize, 0usize), (2, 0), (4, 1), (8, 2)] {
-                let (pooled, m, l) = run(shards, threads, cap);
-                let arm = format!("shards {shards}, {threads} threads, deque cap {cap}");
-                assert_eq!(m_ref, m, "metrics diverged: {arm}");
-                assert_eq!(l_ref, l, "an observation diverged: {arm}");
-                assert!(threads == 1 || pooled, "the pool was bypassed: {arm}");
-            }
+        let (_, m_ref, l_ref) = run(1, 0);
+        for (threads, cap) in [(1usize, 0usize), (2, 0), (4, 1), (8, 2)] {
+            let (pooled, m, l) = run(threads, cap);
+            let arm = format!("{threads} threads, deque cap {cap}");
+            assert_eq!(m_ref, m, "metrics diverged: {arm}");
+            assert_eq!(l_ref, l, "an observation diverged: {arm}");
+            assert!(
+                threads == 1 || pooled,
+                "the pool or the grid was bypassed: {arm}"
+            );
         }
     }
 
@@ -2549,107 +2560,114 @@ mod tests {
     /// with three resolved channels the groups' ranges tile the arena in
     /// ascending channel order, each as long as its id list, every staged
     /// position is its node's, every channel's `shard_rx` stretch is a
-    /// permutation of its listener indices, and every channel is indexed.
-    /// Unsharded and on a 4 × 4 grid, at 1, 2 and 8 pool workers (under
+    /// permutation of its listener indices, a channel has several units
+    /// exactly when its derived grid is 2 × 2 or finer, and every channel
+    /// is indexed. At 1, 2 and 8 pool workers: one worker resolves every
+    /// channel as one unit, more shard every one of these channels (under
     /// `MCA_FORCE_PAR=1` every arm is sharded and its units run on the
-    /// pool; the worker count is process-global but only steers
-    /// scheduling, so sibling tests stay correct).
+    /// pool).
     #[test]
     fn stage_arena_is_bounded_by_nodes_not_channels() {
-        use rand::{Rng, SeedableRng};
-        let n = 2_000usize;
-        let params = SinrParams::default().with_resolve(mca_sinr::ResolveMode::fast());
-        for (shards, threads) in [(0u16, 1usize), (0, 2), (0, 8), (4, 1), (4, 2), (4, 8)] {
-            rayon::set_num_threads(threads);
-            let mut rng = SmallRng::seed_from_u64(5);
-            let side = (n as f64).sqrt();
-            let positions: Vec<Point> = (0..n)
-                .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
-                .collect();
-            let protocols = (0..n as u32).map(|id| HopFlood { id }).collect();
-            let mut e = Engine::new(params, positions, protocols, 11).with_shards(shards);
-            e.attach_obs(mca_obs::Recorder::new());
-            let mut seen = [false; 16];
-            for _ in 0..32 {
-                e.step();
-                assert_eq!(e.active.len(), 1, "the flood hops as one");
-                seen[e.active[0] as usize] = true;
-            }
-            assert_eq!(seen, [true; 16], "every channel has been the active one");
-            e.step();
-            assert_eq!(e.active.len(), 3);
-
-            let Stage {
-                tx_pos,
-                rx_pos,
-                shard_rx,
-            } = &e.stage;
-            for (name, capacity) in [
-                ("tx_pos", tx_pos.capacity()),
-                ("rx_pos", rx_pos.capacity()),
-                ("shard_rx", shard_rx.capacity()),
-            ] {
-                assert!(capacity <= 2 * n, "{name} holds {capacity} entries");
-            }
-            let (items, nodes) = e.index.capacity();
-            assert!(items > 0, "the flood's channels are indexed");
-            assert!(items <= 2 * n, "the index arena holds {items} items");
-            assert!(nodes <= 2 * n, "the index arena holds {nodes} nodes");
-
-            let (mut tx_at, mut rx_at) = (0, 0);
-            for &ch in &e.active {
-                let ChannelGroup {
-                    tx,
-                    rx,
-                    tx_span,
-                    rx_span,
-                    shard_span,
-                    cond: _,
-                    params: _,
-                    unit_ranges,
-                    index,
-                } = &e.groups[ch as usize];
-                let (tx, rx): (&Vec<u32>, &Vec<u32>) = (tx, rx);
-                assert!(!tx.is_empty() && !rx.is_empty(), "channel {ch} resolves");
-                assert_eq!(*tx_span, (tx_at..tx_at + tx.len()));
-                assert_eq!(*rx_span, (rx_at..rx_at + rx.len()));
-                assert_eq!(shard_span, rx_span);
-                (tx_at, rx_at) = (tx_span.end, rx_span.end);
-                let at = |ids: &[u32]| -> Vec<Point> {
-                    ids.iter().map(|&i| e.positions[i as usize]).collect()
-                };
-                assert_eq!(tx_pos[tx_span.clone()], at(tx)[..]);
-                assert_eq!(rx_pos[rx_span.clone()], at(rx)[..]);
-                let mut order = shard_rx[shard_span.clone()].to_vec();
-                order.sort_unstable();
-                assert!(order.iter().copied().eq(0..rx.len() as u32));
-                assert_eq!(unit_ranges.len() > 1, e.shards >= 2, "channel {ch}");
-                assert!(index.is_some(), "channel {ch} has no index");
-            }
-            assert_eq!(tx_at, tx_pos.len());
-            assert_eq!(rx_at, rx_pos.len());
-            assert_eq!(rx_at, shard_rx.len());
-
-            // The recorder's view of the same thing: a position per
-            // transmitter and listener of every resolved channel.
-            let rec = e.obs().unwrap();
-            let resolved = rec
-                .channel_records()
-                .iter()
-                .filter(|c| c.tx > 0 && c.listens > 0);
-            let staged: u64 = resolved.map(|c| u64::from(c.tx + c.listens)).sum();
-            let counters = rec.counters();
-            let counted = counters.iter().find(|(k, _)| *k == "staged_positions");
-            assert_eq!(counted, Some(&("staged_positions", staged)));
-            assert_eq!(staged, 33 * n as u64, "every node is staged every slot");
-            // Summed over the run, the arena's growth is the room it holds;
-            // a build per indexed channel-slot: 32 hops, then three.
-            let count = |name: &str| counters.iter().find(|(k, _)| *k == name).map(|c| c.1);
-            assert_eq!(count("index_arena_items"), Some(items as u64));
-            assert_eq!(count("index_arena_nodes"), Some(nodes as u64));
-            assert_eq!(count("index_builds"), Some(35));
+        for threads in [1usize, 2, 8] {
+            with_workers(threads, || stage_arena_at(threads));
         }
-        rayon::set_num_threads(0);
+    }
+
+    fn stage_arena_at(threads: usize) {
+        use rand::{Rng, SeedableRng};
+        let n = 4_000usize;
+        let params = SinrParams::default().with_resolve(mca_sinr::ResolveMode::fast());
+        let mut rng = SmallRng::seed_from_u64(5);
+        let side = (n as f64).sqrt();
+        let positions: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
+            .collect();
+        let protocols = (0..n as u32).map(|id| HopFlood { id }).collect();
+        let mut e = Engine::new(params, positions, protocols, 11);
+        e.attach_obs(mca_obs::Recorder::new());
+        let mut seen = [false; 16];
+        for _ in 0..32 {
+            e.step();
+            assert_eq!(e.active.len(), 1, "the flood hops as one");
+            seen[e.active[0] as usize] = true;
+        }
+        assert_eq!(seen, [true; 16], "every channel has been the active one");
+        e.step();
+        assert_eq!(e.active.len(), 3);
+
+        let Stage {
+            tx_pos,
+            rx_pos,
+            shard_rx,
+        } = &e.stage;
+        for (name, capacity) in [
+            ("tx_pos", tx_pos.capacity()),
+            ("rx_pos", rx_pos.capacity()),
+            ("shard_rx", shard_rx.capacity()),
+        ] {
+            assert!(capacity <= 2 * n, "{name} holds {capacity} entries");
+        }
+        let (items, nodes) = e.index.capacity();
+        assert!(items > 0, "the flood's channels are indexed");
+        assert!(items <= 2 * n, "the index arena holds {items} items");
+        assert!(nodes <= 2 * n, "the index arena holds {nodes} nodes");
+
+        let (mut tx_at, mut rx_at) = (0, 0);
+        for &ch in &e.active {
+            let ChannelGroup {
+                tx,
+                rx,
+                tx_span,
+                rx_span,
+                shard_span,
+                cond: _,
+                params: _,
+                unit_ranges,
+                index,
+            } = &e.groups[ch as usize];
+            let (tx, rx): (&Vec<u32>, &Vec<u32>) = (tx, rx);
+            assert!(!tx.is_empty() && !rx.is_empty(), "channel {ch} resolves");
+            assert_eq!(*tx_span, (tx_at..tx_at + tx.len()));
+            assert_eq!(*rx_span, (rx_at..rx_at + rx.len()));
+            assert_eq!(shard_span, rx_span);
+            (tx_at, rx_at) = (tx_span.end, rx_span.end);
+            let at = |ids: &[u32]| -> Vec<Point> {
+                ids.iter().map(|&i| e.positions[i as usize]).collect()
+            };
+            assert_eq!(tx_pos[tx_span.clone()], at(tx)[..]);
+            assert_eq!(rx_pos[rx_span.clone()], at(rx)[..]);
+            let mut order = shard_rx[shard_span.clone()].to_vec();
+            order.sort_unstable();
+            assert!(order.iter().copied().eq(0..rx.len() as u32));
+            let work = e.groups[ch as usize].work_per_listener();
+            let grid = grid_side(threads, rx.len(), work);
+            assert_eq!(unit_ranges.len() > 1, grid >= 2, "channel {ch}");
+            let derived = unit_grid(threads, rx.len(), work);
+            assert_eq!(derived >= 2, threads > 1, "channel {ch}: grid {derived}");
+            assert!(index.is_some(), "channel {ch} has no index");
+        }
+        assert_eq!(tx_at, tx_pos.len());
+        assert_eq!(rx_at, rx_pos.len());
+        assert_eq!(rx_at, shard_rx.len());
+
+        // The recorder's view of the same thing: a position per
+        // transmitter and listener of every resolved channel.
+        let rec = e.obs().unwrap();
+        let resolved = rec
+            .channel_records()
+            .iter()
+            .filter(|c| c.tx > 0 && c.listens > 0);
+        let staged: u64 = resolved.map(|c| u64::from(c.tx + c.listens)).sum();
+        let counters = rec.counters();
+        let counted = counters.iter().find(|(k, _)| *k == "staged_positions");
+        assert_eq!(counted, Some(&("staged_positions", staged)));
+        assert_eq!(staged, 33 * n as u64, "every node is staged every slot");
+        // Summed over the run, the arena's growth is the room it holds;
+        // a build per indexed channel-slot: 32 hops, then three.
+        let count = |name: &str| counters.iter().find(|(k, _)| *k == name).map(|c| c.1);
+        assert_eq!(count("index_arena_items"), Some(items as u64));
+        assert_eq!(count("index_arena_nodes"), Some(nodes as u64));
+        assert_eq!(count("index_builds"), Some(35));
     }
 
     const H: u64 = WHEEL_SLOTS as u64;

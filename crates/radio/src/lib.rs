@@ -42,13 +42,15 @@
 //! every resolving channel's spatial index into one
 //! [`mca_sinr::IndexArena`] (emptied every slot, so it too holds `O(n)`),
 //! and resolves the resulting (channel × shard) units — a big
-//! channel's listeners bucketed by [`Engine::with_shards`]' [`ShardMap`]
-//! grid over the positions staged for them — inline on the slot
-//! thread, or as tasks on the work-stealing pool when a slot has at least
-//! two units past [`POOL_UNIT_WORK`]. The engine decides that per slot;
-//! there is no flag. Every schedule is **bit-identical**: per-listener
+//! channel's listeners bucketed by a [`ShardMap`] grid over the positions
+//! staged for them, its side derived per channel by
+//! [`shard::unit_grid`] from the pool's width, the listener count and
+//! the index's work estimate — inline on the slot thread, or as tasks on
+//! the work-stealing pool when a slot has at least two units past
+//! [`POOL_UNIT_WORK`]. The engine decides both per slot; there is no
+//! flag and no setting. Every schedule is **bit-identical**: per-listener
 //! outcomes are pure functions of the channel's transmitter set, so shard
-//! count and thread count never change a result (the `MCA_FORCE_PAR=1`
+//! grid and thread count never change a result (the `MCA_FORCE_PAR=1`
 //! override CI uses to prove it; see `docs/EXECUTION_MODEL.md`).
 //!
 //! The engine also exposes dynamic-environment hooks used by the

@@ -468,7 +468,9 @@ mod tests {
         positions: Vec<Point>,
         protocols: Vec<Probe>,
         faults: FaultPlan,
-        shards: u16,
+        /// Pool workers the engine runs on: one resolves every channel
+        /// as a single unit, two shard the channels big enough.
+        workers: usize,
         slots: u64,
         script: Vec<(u64, Op)>,
     }
@@ -476,21 +478,26 @@ mod tests {
     /// A quarter of the cases are *wide*: up to 640 nodes on one channel,
     /// so that channel-slots with a full lane of transmitters and a full
     /// lane of listeners — the resolver's widest Exact batches — are
-    /// common, and some reach the 128 listeners from which a channel is
-    /// bucketed into shard units; the rest spread at most 64 nodes over
+    /// common. A sixteenth are *crowded*: 1000–1600 nodes on one
+    /// channel, every one acting every slot, on two workers, so that the
+    /// channel carries the work ([`crate::shard::unit_grid`]) for which it
+    /// is bucketed into shard units. The rest spread at most 64 nodes over
     /// 1–4 channels.
     fn case(seed: u64) -> Case {
         let mut g = SmallRng::seed_from_u64(seed);
-        let (n, channels) = if g.gen_bool(0.25) {
-            (g.gen_range(65..=640usize), 1)
-        } else {
-            (g.gen_range(1..=64usize), g.gen_range(1..=4u16))
+        let kind = g.gen_range(0..16u8);
+        let (n, channels) = match kind {
+            0 => (g.gen_range(1000..=1600usize), 1),
+            1..=4 => (g.gen_range(65..=640usize), 1),
+            _ => (g.gen_range(1..=64usize), g.gen_range(1..=4u16)),
         };
-        let slots = g.gen_range(30..=120u64);
+        // Crowded runs are the costly ones, and sharding needs no depth.
+        let slots = g.gen_range(30..=if kind == 0 { 40 } else { 120u64 });
         let side = (n as f64).sqrt() * g.gen_range(0.5..3.0);
         let point = |g: &mut SmallRng| Point::new(g.gen_range(0.0..side), g.gen_range(0.0..side));
         let positions: Vec<Point> = (0..n).map(|_| point(&mut g)).collect();
-        let (phi, spr) = (g.gen_range(1..=5u64), g.gen_range(1..=3u64));
+        let phi = if kind == 0 { 1 } else { g.gen_range(1..=5u64) };
+        let spr = g.gen_range(1..=3u64);
         let protocols = (0..n)
             .map(|_| Probe {
                 phi,
@@ -572,7 +579,7 @@ mod tests {
             positions,
             protocols,
             faults,
-            shards: if g.gen_bool(0.5) { 0 } else { 3 },
+            workers: if kind == 0 || g.gen_bool(0.5) { 2 } else { 1 },
             slots,
             script,
         }
@@ -631,8 +638,10 @@ mod tests {
     /// streams after every slot (the detector samples in listener order,
     /// so event order within a slot is compared), equal final protocol
     /// states, equal per-node RNG states and equal per-channel outcome
-    /// streams. One run per proptest case (`PROPTEST_CASES` deepens it);
-    /// a plain loop, because the run as a whole owes five more things:
+    /// streams. One run per proptest case (`PROPTEST_CASES` deepens it),
+    /// on the pool width the case pins, so which channels shard follows
+    /// from the case alone and not from the host's core count; a plain
+    /// loop, because the run as a whole owes five more things:
     /// it must have reached channel-slots with at least a lane of
     /// transmitters *and* a lane of listeners, channel-slots big enough
     /// to be bucketed into shard units (a `Halo` span each), so that
@@ -649,47 +658,48 @@ mod tests {
         for i in 0..u64::from(ProptestConfig::default().cases) {
             let seed: u64 = proptest::test_rng(i).gen();
             let c = case(seed);
-            let params = SinrParams::default();
-            let mut e = Engine::new(params, c.positions.clone(), c.protocols.clone(), seed)
-                .with_faults(c.faults.clone())
-                .with_shards(c.shards);
-            let n = c.positions.len();
-            e.attach_detector(DegradationDetector::new(n, DetectorConfig::default()));
-            e.attach_obs(mca_obs::Recorder::new());
-            let mut r = ReferenceEngine::new(params, c.positions, c.protocols, seed);
-            r.faults = c.faults;
-            r.detector = Some(DegradationDetector::new(n, DetectorConfig::default()));
-            for slot in 0..c.slots {
-                for (_, op) in c.script.iter().filter(|(at, _)| *at == slot) {
-                    apply(op, &mut e, &mut r);
+            crate::engine::tests::with_workers(c.workers, || {
+                let params = SinrParams::default();
+                let mut e = Engine::new(params, c.positions.clone(), c.protocols.clone(), seed)
+                    .with_faults(c.faults.clone());
+                let n = c.positions.len();
+                e.attach_detector(DegradationDetector::new(n, DetectorConfig::default()));
+                e.attach_obs(mca_obs::Recorder::new());
+                let mut r = ReferenceEngine::new(params, c.positions, c.protocols, seed);
+                r.faults = c.faults;
+                r.detector = Some(DegradationDetector::new(n, DetectorConfig::default()));
+                for slot in 0..c.slots {
+                    for (_, op) in c.script.iter().filter(|(at, _)| *at == slot) {
+                        apply(op, &mut e, &mut r);
+                    }
+                    e.step();
+                    r.step();
+                    assert_eq!(e.metrics(), &r.metrics, "seed {seed} slot {slot}");
+                    let detected = e.drain_detections();
+                    let owed = r.detector.as_mut().expect("attached above").drain();
+                    assert_eq!(detected, owed, "seed {seed} slot {slot}");
+                    ordered_detection_slots += usize::from(detected.len() >= 2);
                 }
-                e.step();
-                r.step();
-                assert_eq!(e.metrics(), &r.metrics, "seed {seed} slot {slot}");
-                let detected = e.drain_detections();
-                let owed = r.detector.as_mut().expect("attached above").drain();
-                assert_eq!(detected, owed, "seed {seed} slot {slot}");
-                ordered_detection_slots += usize::from(detected.len() >= 2);
-            }
-            assert_eq!(e.protocols(), &r.protocols[..], "seed {seed}");
-            assert_eq!(e.rngs(), &r.rngs[..], "seed {seed}");
-            let rec = e.obs().expect("attached above");
-            assert_eq!(rec.channel_records(), &r.channel_records[..], "seed {seed}");
-            let halos = rec.spans().iter().filter(|s| s.kind == SpanKind::Halo);
-            sharded_units += halos.count();
-            let far = rec.counters().into_iter().find(|(k, _)| *k == "parks_far");
-            parks_far += far.map_or(0, |(_, v)| v);
-            let lane = mca_sinr::lanes::LANE_WIDTH as u32;
-            full_lane_channel_slots += r
-                .channel_records
-                .iter()
-                .filter(|c| c.tx >= lane && c.listens >= lane)
-                .count();
-            shared_arena_slots += r
-                .channel_records
-                .chunk_by(|a, b| a.slot == b.slot)
-                .filter(|slot| slot.iter().filter(|c| c.tx > 0 && c.listens > 0).count() >= 2)
-                .count();
+                assert_eq!(e.protocols(), &r.protocols[..], "seed {seed}");
+                assert_eq!(e.rngs(), &r.rngs[..], "seed {seed}");
+                let rec = e.obs().expect("attached above");
+                assert_eq!(rec.channel_records(), &r.channel_records[..], "seed {seed}");
+                let halos = rec.spans().iter().filter(|s| s.kind == SpanKind::Halo);
+                sharded_units += halos.count();
+                let far = rec.counters().into_iter().find(|(k, _)| *k == "parks_far");
+                parks_far += far.map_or(0, |(_, v)| v);
+                let lane = mca_sinr::lanes::LANE_WIDTH as u32;
+                full_lane_channel_slots += r
+                    .channel_records
+                    .iter()
+                    .filter(|c| c.tx >= lane && c.listens >= lane)
+                    .count();
+                shared_arena_slots += r
+                    .channel_records
+                    .chunk_by(|a, b| a.slot == b.slot)
+                    .filter(|slot| slot.iter().filter(|c| c.tx > 0 && c.listens > 0).count() >= 2)
+                    .count();
+            });
         }
         assert!(
             full_lane_channel_slots > 0,

@@ -1,13 +1,14 @@
 //! Spatial sharding of a channel's listeners.
 //!
 //! A [`ShardMap`] slices a bounding box into an `S×S` grid of shards. The
-//! engine's sharded Phase 2 ([`Engine::with_shards`](crate::Engine::with_shards))
-//! lays one over the box of each big channel's staged listener positions,
-//! every slot, groups the listeners by the cell they stand in and resolves
-//! the resulting (channel × shard) units independently — inline, or across
-//! the pool's threads when the slot's units are big enough
-//! ([`POOL_UNIT_WORK`](crate::POOL_UNIT_WORK)) — merging outcomes in
-//! deterministic shard-major order.
+//! engine's Phase 2 lays one over the box of each big channel's staged
+//! listener positions, every slot, groups the listeners by the cell they
+//! stand in and resolves the resulting (channel × shard) units
+//! independently — inline, or across the pool's threads when the slot's
+//! units are big enough ([`POOL_UNIT_WORK`]) — merging outcomes in
+//! deterministic shard-major order. Nobody configures the grid:
+//! [`unit_grid`] derives it per channel from the pool's width, the
+//! channel's listener count and its index's work estimate.
 //!
 //! # The partition is a hint, never an input to physics
 //!
@@ -19,32 +20,40 @@
 //! actually holds, not from its cell's rectangle, so it is sound wherever
 //! the grid lines fall. That is also why nothing about the partition is
 //! kept: a listener's shard is a function of the position the slot staged
-//! for it, read off when the channel is bucketed and forgotten after.
+//! for it, read off when the channel is bucketed and forgotten after, and
+//! why the grid may follow the worker count.
 
+use crate::POOL_UNIT_WORK;
 use mca_geom::{BoundingBox, Point};
 
 /// Hard cap on shards per axis (the scratch the engine's bucketing pass
 /// keeps is `S² + 1` counters).
 pub const MAX_SHARDS_PER_AXIS: u16 = 64;
 
-/// Target minimum listeners per resolve unit: a channel's shard grid is
-/// coarsened (see [`effective_shards`]) until the *expected* unit size
-/// reaches this, so per-unit scheduling overhead (bucketing, bounding
-/// box, halo classification) stays amortized. A channel therefore shards
-/// at all only with at least `4 · MIN_UNIT_RX` listeners (the smallest
-/// count whose effective grid reaches 2×2); below that it resolves as a
-/// single unit. Execution-only: whether and how finely sharding engages
-/// never changes an outcome.
+/// Target minimum listeners per resolve unit, so per-unit overhead
+/// (bucketing, bounding box, halo classification) stays amortized: a
+/// channel shards only from `4 · MIN_UNIT_RX` listeners up.
 pub const MIN_UNIT_RX: usize = 32;
 
-/// Effective shards per axis for a channel with `rx` listeners: the
-/// configured `s`, coarsened so `rx / s_eff²` stays at or above
-/// [`MIN_UNIT_RX`]. Returns 1 (a single unit) for small channels. A pure
-/// function of the two counts — which grid a channel resolves under is
-/// an execution choice and never changes an outcome.
-pub fn effective_shards(s: u16, rx: usize) -> u16 {
-    let cap = ((rx / MIN_UNIT_RX) as f64).sqrt() as u16;
-    s.min(cap).max(1)
+/// Shards per axis for one channel of one slot: `rx` listeners at an
+/// estimated `work_per_listener` power evaluations each, on a pool of
+/// `workers` threads. One worker gets one unit: a grid buys no locality,
+/// only a parallel grain. Otherwise the side is the smallest of
+/// `√(32 · workers)` (cells enough for stealing to balance; 8 at two
+/// workers), `√(rx / MIN_UNIT_RX)` and `√(rx · work_per_listener /
+/// POOL_UNIT_WORK)` (every unit worth a pool task), clamped to
+/// `1..=MAX_SHARDS_PER_AXIS`. An execution choice only: the grid never
+/// changes an outcome.
+pub fn unit_grid(workers: usize, rx: usize, work_per_listener: usize) -> u16 {
+    if workers <= 1 {
+        return 1;
+    }
+    // The floor of a square root is monotone: the smallest side is the
+    // side of the smallest cell count.
+    let cells = (32 * workers)
+        .min(rx / MIN_UNIT_RX)
+        .min(rx.saturating_mul(work_per_listener) / POOL_UNIT_WORK);
+    cells.isqrt().clamp(1, usize::from(MAX_SHARDS_PER_AXIS)) as u16
 }
 
 /// An `S×S` grid over a bounding box: dimensions, bounds and the two
@@ -200,6 +209,45 @@ mod tests {
                 assert_eq!(map.locate(spot[0]), 0, "S = {s}");
                 // Clamping still holds around a grid of one point.
                 assert_eq!(map.locate(Point::new(-7.0, 9.0)), 0, "S = {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn unit_grid_follows_workers_listeners_and_work() {
+        for (workers, rx, wpl, grid) in [
+            // One worker: one unit, however big the channel.
+            (1, 40_000, 850, 1),
+            (1, 1_000_000, 10_000, 1),
+            // `dense-engine`'s channel (≈ 40 000 listeners at ≈ 850
+            // evaluations each): the worker term binds.
+            (2, 40_000, 850, 8),
+            (4, 40_000, 850, 11),
+            (8, 40_000, 850, 16),
+            (1024, 1_000_000, 10_000, MAX_SHARDS_PER_AXIS),
+            // The listener term binds: 32 listeners per unit.
+            (8, 4 * MIN_UNIT_RX, 1 << 20, 2),
+            (8, 4 * MIN_UNIT_RX - 1, 1 << 20, 1),
+            (8, 9 * MIN_UNIT_RX, 1 << 20, 3),
+            // The work term binds: a pool task's worth per unit.
+            (8, POOL_UNIT_WORK, 9, 3),
+            (8, POOL_UNIT_WORK, 4, 2),
+            (8, POOL_UNIT_WORK, 3, 1),
+            (8, usize::MAX, usize::MAX, 16),
+            (2, 0, 0, 1),
+        ] {
+            assert_eq!(
+                unit_grid(workers, rx, wpl),
+                grid,
+                "{workers} × {rx} × {wpl}"
+            );
+        }
+        // Under `4 · POOL_UNIT_WORK` of work, a channel is one unit at any
+        // width and any split of its work into listeners.
+        for workers in [2, 8, 64] {
+            for rx in [128, 500, 4 * POOL_UNIT_WORK - 1] {
+                let wpl = (4 * POOL_UNIT_WORK - 1) / rx;
+                assert_eq!(unit_grid(workers, rx, wpl), 1, "{workers} × {rx} × {wpl}");
             }
         }
     }

@@ -110,19 +110,19 @@ fn sharded_dense() -> CatalogEntry {
             .channels(8)
             .max_slots(300)
             .resolve_mode(ResolveMode::fast())
-            .shards(4)
             .build(),
         blurb: "sharded-dense: the dense regime at engine scale, resolved in shards.\n\
                 2000 nodes at 4 nodes per unit area -- per-channel groups of hundreds\n\
-                of transmitters, the workload the sharded engine targets. The\n\
-                [engine] table partitions the plane into a 4 x 4 shard grid whose\n\
-                (channel x shard) units resolve independently -- as pool tasks\n\
-                whenever a slot has two or more units past the engine's pooling bar,\n\
-                inline otherwise -- with the grid-batched fast resolver underneath.\n\
-                Sharding is an execution knob, not a physics knob: trial metrics are\n\
-                bit-identical to the same world with shards = 0 under any thread\n\
-                count -- the contract the CI determinism job (MCA_FORCE_PAR=1) pins\n\
-                against the committed golden trial metrics.",
+                of transmitters, the workload the sharded engine targets. The engine\n\
+                picks each channel's shard grid itself, from the pool's width, the\n\
+                channel's listener count and its index's work estimate: one unit on\n\
+                one worker, a grid of (channel x shard) units on two or more, which\n\
+                resolve independently -- as pool tasks whenever a slot has two or\n\
+                more units past the engine's pooling bar, inline otherwise -- with the\n\
+                grid-batched fast resolver underneath. The grid is an execution\n\
+                choice, not physics: trial metrics are bit-identical under any\n\
+                thread count -- the contract the CI determinism job (MCA_FORCE_PAR=1)\n\
+                pins against the committed golden trial metrics.",
     }
 }
 
@@ -344,6 +344,8 @@ fn mobile_churn() -> CatalogEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mca_radio::{Action, Channel, Observation, Protocol};
+    use rand::{rngs::SmallRng, Rng};
 
     #[test]
     fn catalog_has_eleven_distinct_named_entries() {
@@ -353,6 +355,48 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 11, "names must be unique");
+    }
+
+    /// Every node on channel `slot % channels`, one in five transmitting:
+    /// the one-channel-a-slot traffic of the flood the golden trials run.
+    struct HopAll(u16);
+
+    impl Protocol for HopAll {
+        type Msg = ();
+        fn act(&mut self, slot: u64, rng: &mut SmallRng) -> Action<()> {
+            let channel = Channel((slot % u64::from(self.0)) as u16);
+            if rng.gen_bool(0.2) {
+                Action::Transmit { channel, msg: () }
+            } else {
+                Action::Listen { channel }
+            }
+        }
+        fn observe(&mut self, _slot: u64, _obs: Observation<()>, _rng: &mut SmallRng) {}
+    }
+
+    /// Sharded-engine coverage: at two workers the engine lays a grid of
+    /// 2 × 2 or finer over every channel `sharded-dense` resolves, so its
+    /// slots run as several (channel × shard) units.
+    #[test]
+    fn sharded_dense_channels_shard_at_two_workers() {
+        let entry = builtin_scenarios()
+            .into_iter()
+            .find(|e| e.scenario.name == "sharded-dense")
+            .expect("in the catalog");
+        let channels = entry.scenario.channels;
+        rayon::set_num_threads(2);
+        let mut sim = crate::ScenarioSim::new(&entry.scenario, 1, |_, _| HopAll(channels));
+        sim.engine_mut().attach_obs(mca_obs::Recorder::new());
+        sim.run(u64::from(channels));
+        rayon::set_num_threads(0);
+        let spans = sim.obs().expect("attached above").spans();
+        for slot in 0..u64::from(channels) {
+            let units = spans
+                .iter()
+                .filter(|s| s.kind == mca_obs::SpanKind::Unit && s.slot == slot)
+                .count();
+            assert!(units >= 2, "slot {slot} resolved as {units} unit(s)");
+        }
     }
 
     #[test]
@@ -389,9 +433,6 @@ mod tests {
             .iter()
             .any(|e| !matches!(e.scenario.churn, ChurnSpec::None)));
         assert!(entries.iter().any(|e| !e.scenario.faults.is_trivial()));
-        // Sharded-engine coverage: at least one world resolves as
-        // (channel × shard) units.
-        assert!(entries.iter().any(|e| e.scenario.shards >= 2));
         // Maintenance coverage: one churn-only and one mobility+churn world.
         assert!(entries.iter().any(|e| e.scenario.maintenance.is_some()
             && matches!(e.scenario.mobility, MobilitySpec::Static)));

@@ -38,9 +38,8 @@ impl<P: Protocol> ScenarioSim<P> {
             .map(|(i, &p)| make(i, p))
             .collect();
         let faults = scenario.faults_for(seed);
-        let mut engine = Engine::new(scenario.params, deploy.into_points(), protocols, seed)
-            .with_faults(faults)
-            .with_shards(scenario.shards);
+        let mut engine =
+            Engine::new(scenario.params, deploy.into_points(), protocols, seed).with_faults(faults);
         if let Some(o) = scenario.obs.filter(|o| o.enabled) {
             engine.attach_obs(mca_obs::Recorder::new().with_channel_stream(o.channel_stream));
         }

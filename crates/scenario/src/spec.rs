@@ -503,10 +503,10 @@ pub struct Scenario {
     // Removed when the benchmark is next re-baselined.
     #[doc(hidden)]
     pub par_channels: bool,
-    /// Shards per axis for the engine's spatial partition (0 or 1 = off;
-    /// bit-identical for any value — see
-    /// [`Engine::with_shards`](mca_radio::Engine::with_shards)).
-    /// Serialized as the `[engine]` table's `shards` key.
+    // Ignored (the engine derives its shard grid); kept only because the
+    // frozen `benchmark/` crate reads and assigns it. Removed when the
+    // benchmark is next re-baselined.
+    #[doc(hidden)]
     pub shards: u16,
     // Ignored; kept only because the frozen `benchmark/` crate assigns it.
     // Removed when the benchmark is next re-baselined.
@@ -686,21 +686,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Shards the engine's plane into an `s × s` grid (0 or 1 = off).
-    /// Sharding is an execution knob: trial results are bit-identical for
-    /// any value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` exceeds
-    /// [`MAX_SHARDS_PER_AXIS`](mca_radio::shard::MAX_SHARDS_PER_AXIS).
-    pub fn shards(mut self, s: u16) -> Self {
-        assert!(
-            s <= mca_radio::shard::MAX_SHARDS_PER_AXIS,
-            "shard count per axis must be at most {}, got {s}",
-            mca_radio::shard::MAX_SHARDS_PER_AXIS
-        );
-        self.scenario.shards = s;
+    // Ignored (the engine derives its shard grid); kept only because the
+    // frozen `benchmark/` crate calls it. Removed when the benchmark is
+    // next re-baselined.
+    #[doc(hidden)]
+    pub fn shards(self, _s: u16) -> Self {
         self
     }
 

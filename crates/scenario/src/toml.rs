@@ -47,9 +47,6 @@ impl ToToml for Scenario {
                 "deployment",
                 Value::table(deployment_table(&self.deployment)),
             );
-        if self.shards > 0 {
-            root.insert("engine", Value::table(engine_table(self)));
-        }
         if let Some(area) = self.area {
             root.insert("area", Value::table(area_table(&area)));
         }
@@ -81,18 +78,12 @@ impl ToToml for Scenario {
     }
 }
 
-/// The `[obs]` table: an observability request. Like `[engine]`, purely an
-/// execution knob — recording never changes trial results.
+/// The `[obs]` table: an observability request. Purely an execution knob
+/// — recording never changes trial results.
 fn obs_table(o: &ObsSpec) -> Table {
     Table::new()
         .with("enabled", Value::bool(o.enabled))
         .with("channel_stream", Value::bool(o.channel_stream))
-}
-
-/// The `[engine]` table: execution knobs (sharding) that never change
-/// trial results, only how the engine schedules the work.
-fn engine_table(s: &Scenario) -> Table {
-    Table::new().with("shards", Value::int(s.shards))
 }
 
 fn maintenance_table(m: &MaintenanceSpec) -> Table {
@@ -339,17 +330,16 @@ impl FromToml for Scenario {
         }
         let max_slots = root.opt_u64("max_slots")?.unwrap_or(10_000);
         // Accepted and ignored (deprecated): files written before the
-        // engine chose its own schedule carry `par_channels` here and
-        // `par_shards` under `[engine]`.
+        // engine chose its own schedule carry `par_channels` here and an
+        // `[engine]` table.
         root.opt_bool("par_channels")?;
         let params = match root.opt_fields("sinr")? {
             Some(f) => decode_sinr(f)?,
             None => SinrParams::default(),
         };
-        let shards = match root.opt_fields("engine")? {
-            Some(f) => decode_engine(f)?,
-            None => 0,
-        };
+        if let Some(f) = root.opt_fields("engine")? {
+            decode_engine(f)?;
+        }
         let deployment = {
             let line = root.line();
             let f = root
@@ -409,7 +399,7 @@ impl FromToml for Scenario {
             channels,
             max_slots,
             par_channels: false,
-            shards,
+            shards: 0,
             par_shards: false,
             maintenance,
             obs,
@@ -427,20 +417,13 @@ fn decode_obs(mut f: Fields<'_>) -> Result<ObsSpec, TomlError> {
     })
 }
 
-fn decode_engine(mut f: Fields<'_>) -> Result<u16, TomlError> {
-    let shards = f.opt_u16("shards")?.unwrap_or(0);
-    if shards > mca_radio::shard::MAX_SHARDS_PER_AXIS {
-        return Err(f.invalid(
-            "shards",
-            format!(
-                "shard count per axis must be at most {}, got {shards}",
-                mca_radio::shard::MAX_SHARDS_PER_AXIS
-            ),
-        ));
-    }
+/// The deprecated `[engine]` table: its two keys, `shards` and
+/// `par_shards`, are type-checked and ignored — the engine derives its
+/// shard grid and its schedule itself.
+fn decode_engine(mut f: Fields<'_>) -> Result<(), TomlError> {
+    f.opt_u16("shards")?;
     f.opt_bool("par_shards")?;
-    f.finish()?;
-    Ok(shards)
+    f.finish()
 }
 
 fn decode_maintenance(mut f: Fields<'_>) -> Result<MaintenanceSpec, TomlError> {
@@ -1113,7 +1096,6 @@ mod tests {
             .faults(faults)
             .channels(4)
             .max_slots(2_000)
-            .shards(3)
             .maintenance(crate::spec::MaintenanceSpec {
                 every: 150,
                 handover_hysteresis: 1.4,
@@ -1159,22 +1141,21 @@ mod tests {
     }
 
     #[test]
-    fn engine_table_defaults_round_trip_and_validation() {
+    fn engine_table_is_accepted_ignored_and_never_emitted() {
         let base = "name = \"e\"\n[deployment]\nkind = \"line\"\nn = 4\nspacing = 2.0\n";
-        // Absent table: sharding off, and the emitter omits the table.
-        let s = Scenario::from_toml_str(base).unwrap();
-        assert_eq!(s.shards, 0);
-        assert!(!s.to_toml().contains("[engine]"));
-        // Present table round-trips.
-        let s = Scenario::from_toml_str(&format!("{base}[engine]\nshards = 4\n")).unwrap();
-        assert_eq!(s.shards, 4);
-        let back = Scenario::from_toml_str(&s.to_toml()).unwrap();
-        assert_eq!(back, s);
-        // Out-of-range shard counts are rejected with the field path.
-        let e = Scenario::from_toml_str(&format!("{base}[engine]\nshards = 1000\n")).unwrap_err();
+        let plain = Scenario::from_toml_str(base).unwrap();
+        assert!(!plain.to_toml().contains("[engine]"));
+        // Any shard count loads — in range or not — as the same scenario,
+        // and re-emits without the table.
+        for shards in [4, 1000] {
+            let s =
+                Scenario::from_toml_str(&format!("{base}[engine]\nshards = {shards}\n")).unwrap();
+            assert_eq!(s, plain, "shards = {shards}");
+            assert_eq!(s.to_toml(), plain.to_toml(), "shards = {shards}");
+        }
+        // Still type-checked, and unknown keys are rejected.
+        let e = Scenario::from_toml_str(&format!("{base}[engine]\nshards = -1\n")).unwrap_err();
         assert_eq!(e.path, "engine.shards");
-        assert!(e.message.contains("at most"), "{e}");
-        // Unknown keys are rejected.
         let e = Scenario::from_toml_str(&format!("{base}[engine]\nthreads = 4\n")).unwrap_err();
         assert_eq!(e.path, "engine.threads");
     }
@@ -1191,7 +1172,6 @@ mod tests {
             .unwrap();
         let without = Scenario::from_toml_str(&file(("", ""))).unwrap();
         assert_eq!(with, without);
-        assert_eq!(with.shards, 4);
         let emitted = with.to_toml();
         assert_eq!(emitted, without.to_toml());
         assert!(!emitted.contains("par_"), "{emitted}");

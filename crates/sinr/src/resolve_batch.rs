@@ -482,6 +482,12 @@ impl IndexArena {
 }
 
 impl IndexSpan {
+    /// Estimated power evaluations per resolved listener of this index's
+    /// walk (an exact scan's is its transmitter count).
+    pub fn work_per_listener(&self) -> usize {
+        self.work_per_listener
+    }
+
     /// Row-major spatial sort key for a listener: quantized grid row, then
     /// a monotone 32-bit image of `x`'s total order. Adjacent keys mean
     /// nearby listeners, so a sorted batch's lanes open almost the same
@@ -623,15 +629,6 @@ impl<'a> ChannelResolver<'a> {
     /// Whether the channel has no transmitters.
     pub fn is_empty(&self) -> bool {
         self.tx.is_empty()
-    }
-
-    /// Estimated power evaluations per resolved listener (exact scan: all
-    /// transmitters) — the quantity the engine's pooling threshold is
-    /// measured in.
-    pub fn estimated_work_per_listener(&self) -> usize {
-        self.fast
-            .as_ref()
-            .map_or(self.tx.len(), |(_, span)| span.work_per_listener)
     }
 
     /// Resolves one listener. `extra_interference` is the per-channel
@@ -1334,7 +1331,11 @@ mod tests {
             .map(|stats| stats.near + stats.nodes)
             .sum();
         let measured = evaluated as f64 / listeners.len() as f64;
-        let estimate = resolver.estimated_work_per_listener() as f64;
+        let mut arena = IndexArena::new();
+        let span = arena
+            .build(&params, &txs)
+            .expect("the dense slot is indexed");
+        let estimate = span.work_per_listener() as f64;
         assert!(
             (estimate - measured).abs() <= 0.25 * measured,
             "estimated {estimate} evaluations per listener, measured {measured:.0}"

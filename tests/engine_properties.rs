@@ -165,7 +165,6 @@ fn run_scripted(
     p: f64,
     seed: u64,
     script: &[ScriptEvent],
-    shards: u16,
     slots: u64,
 ) -> (Metrics, Vec<NodeLog>) {
     use multichannel_adhoc::radio::FaultPlan;
@@ -192,9 +191,8 @@ fn run_scripted(
             tx_count: 0,
         })
         .collect();
-    let mut engine = Engine::new(SinrParams::default(), positions.to_vec(), protocols, seed)
-        .with_faults(faults)
-        .with_shards(shards);
+    let mut engine =
+        Engine::new(SinrParams::default(), positions.to_vec(), protocols, seed).with_faults(faults);
     for slot in 0..slots {
         for &(at, kind, node, dx, dy) in script {
             if kind == 2 && at == slot {
@@ -219,14 +217,14 @@ proptest! {
     /// Phase-overlap stress: in a pooled slot the Phase-1-derived
     /// feedback and the light channels' units run on the slot thread
     /// while the heavy units are in flight. Channels 0 and 1 carry ~1000
-    /// nodes each — enough that their units clear the pooling bar as one
-    /// unit or as a shard grid — and the others a few dozen, so every
-    /// slot mixes pooled and inline units. A run with random
-    /// crash/join/motion interleavings must be bit-identical — metrics
-    /// and every node's decode log — to the unsharded one-thread run at
-    /// every (shards, threads) pair, even when a tiny test deque capacity
-    /// forces near-every task to be stolen; and the multi-worker arms
-    /// must really have used the pool.
+    /// nodes each — enough that the engine shards them at two workers or
+    /// more and their units clear the pooling bar — and the others a few
+    /// dozen, so every slot mixes pooled and inline units. A run with
+    /// random crash/join/motion interleavings must be bit-identical —
+    /// metrics and every node's decode log — to the one-thread
+    /// (unsharded) run at every worker count, even when a tiny test deque
+    /// capacity forces near-every task to be stolen; and the multi-worker
+    /// arms must really have used the pool.
     #[test]
     fn overlapped_pipeline_matches_sequential_under_random_churn(
         seed in 0u64..10_000,
@@ -242,34 +240,30 @@ proptest! {
         let deploy = Deployment::uniform(2400, 49.0, &mut rng);
         let positions = deploy.into_points();
 
-        // Reference: no sharding, single-threaded pool (every unit runs
-        // inline).
+        // Reference: single-threaded pool (every channel one unit, every
+        // unit inline).
         rayon::set_num_threads(1);
-        let baseline = run_scripted(&positions, channels, p, seed, &script, 0, SLOTS);
+        let baseline = run_scripted(&positions, channels, p, seed, &script, SLOTS);
 
-        // Each thread count with a steal funnel of a different severity
-        // (0 = normal submission).
-        for shards in [0u16, 4] {
-            for (threads, cap) in [(1usize, 0usize), (2, 0), (4, 1), (8, 2)] {
-                rayon::set_num_threads(threads);
-                rayon::set_test_deque_capacity(cap);
-                let tasks = rayon::pool_stats().tasks;
-                let run = run_scripted(&positions, channels, p, seed, &script, shards, SLOTS);
-                let pooled = rayon::pool_stats().tasks > tasks;
-                rayon::set_test_deque_capacity(0);
-                prop_assert_eq!(
-                    &baseline.0, &run.0,
-                    "metrics diverged at shards {}, {} threads (cap {})", shards, threads, cap
-                );
-                prop_assert_eq!(
-                    &baseline.1, &run.1,
-                    "decode logs diverged at shards {}, {} threads (cap {})", shards, threads, cap
-                );
-                prop_assert!(
-                    threads == 1 || pooled,
-                    "the pool was bypassed at shards {}, {} threads (cap {})", shards, threads, cap
-                );
-            }
+        // Each thread count (from two workers on, channels 0 and 1 shard)
+        // with a steal funnel of a different severity (0 = normal
+        // submission).
+        for (threads, cap) in [(2usize, 0usize), (4, 1), (8, 2)] {
+            rayon::set_num_threads(threads);
+            rayon::set_test_deque_capacity(cap);
+            let tasks = rayon::pool_stats().tasks;
+            let run = run_scripted(&positions, channels, p, seed, &script, SLOTS);
+            let pooled = rayon::pool_stats().tasks > tasks;
+            rayon::set_test_deque_capacity(0);
+            prop_assert_eq!(
+                &baseline.0, &run.0,
+                "metrics diverged at {} threads (cap {})", threads, cap
+            );
+            prop_assert_eq!(
+                &baseline.1, &run.1,
+                "decode logs diverged at {} threads (cap {})", threads, cap
+            );
+            prop_assert!(pooled, "the pool was bypassed at {} threads (cap {})", threads, cap);
         }
         rayon::set_num_threads(0);
     }

@@ -1,13 +1,15 @@
 //! The `MCA_FORCE_PAR=1` override — the lever CI's determinism job pulls
 //! to re-run the whole suite with every multi-unit slot on the pool: it
-//! forces a 4×4 shard grid onto engines that left sharding off and zeroes
-//! the pooling bar.
+//! replaces the engine's derived shard grid with a 4×4 grid at every
+//! worker count and zeroes the pooling bar.
 //!
 //! Lives in its own test binary: the override is read once per process,
 //! so it must be set before the first `Engine` is built and would leak
 //! into unrelated tests otherwise.
 
+use multichannel_adhoc::obs::SpanKind;
 use multichannel_adhoc::prelude::*;
+use multichannel_adhoc::radio::shard::unit_grid;
 use multichannel_adhoc::radio::{Action, Observation, Protocol};
 use rand::rngs::SmallRng;
 
@@ -34,20 +36,14 @@ fn mca_force_par_forces_every_fanout_axis() {
     let positions: Vec<Point> = (0..4)
         .map(|i| Point::new(2.0 * f64::from(i), 0.0))
         .collect();
-    let engine = Engine::new(
+    // The retired shard setting is inert: no value changes the run.
+    let mut engine = Engine::new(
         SinrParams::default(),
         positions,
         (0..4).map(Beacon).collect(),
         42,
-    );
-    assert!(engine.shards() >= 2, "a shard grid must be forced on");
-
-    // A builder call cannot switch the forced grid back off...
-    let engine = engine.with_shards(0);
-    assert!(engine.shards() >= 2);
-    // ...and an explicit larger shard grid is respected as-is.
-    let mut engine = engine.with_shards(9);
-    assert_eq!(engine.shards(), 9);
+    )
+    .with_shards(9);
 
     // The pooling bar is zero: two one-listener units — microseconds of
     // work no unforced engine would hand to the pool — make the slot enter
@@ -64,4 +60,24 @@ fn mca_force_par_forces_every_fanout_axis() {
         2,
         "the forced engine still runs"
     );
+
+    // The grid is forced at every worker count — one worker included,
+    // where the derived grid leaves every channel whole. 600 listeners
+    // spread over a 25 × 24 lattice around one transmitter fill every
+    // cell of the 4 × 4 grid.
+    rayon::set_num_threads(1);
+    let positions: Vec<Point> = (0..601)
+        .map(|i| Point::new(f64::from(i % 25), f64::from(i / 25)))
+        .collect();
+    let beacons = (0..601)
+        .map(|i| Beacon(if i == 0 { 0 } else { 1 }))
+        .collect();
+    let mut engine = Engine::new(SinrParams::default(), positions, beacons, 42);
+    engine.attach_obs(multichannel_adhoc::obs::Recorder::new());
+    engine.step();
+    rayon::set_num_threads(0);
+    assert_eq!(unit_grid(1, 600, 1), 1, "unforced, one worker is one unit");
+    let spans = engine.obs().expect("attached above").spans();
+    let units = spans.iter().filter(|s| s.kind == SpanKind::Unit).count();
+    assert_eq!(units, 16, "a 4 × 4 grid is forced at one worker");
 }

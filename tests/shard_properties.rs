@@ -1,17 +1,20 @@
 //! Shard-boundary correctness of the sharded engine.
 //!
-//! The contract under test (see `docs/EXECUTION_MODEL.md`): sharding is an
-//! *execution* knob — for any shard count and worker count, under churn
-//! and motion, every observation a protocol makes is bit-for-bit what the
-//! unsharded one-thread engine delivers. The proptests place
+//! The contract under test (see `docs/EXECUTION_MODEL.md`): the shard
+//! grid is an *execution* choice — the engine derives it from the pool's
+//! width ([`unit_grid`]), so a one-worker engine resolves every channel
+//! whole and a wider one shards the big channels, and for any worker
+//! count, under churn and motion, every observation a protocol makes is
+//! bit-for-bit what the one-thread engine delivers. The proptests place
 //! transmitters at arbitrary positions (including exactly on shard edges
 //! and inside halo rings) and interleave churn; the deterministic tests
 //! pin transmitters *exactly* onto the partition lines, where any
-//! off-by-one in halo classification would first bite.
+//! off-by-one in halo classification would first bite. Every test pins
+//! its worker counts, so each shards on any host, one core included.
 
 use multichannel_adhoc::obs::SpanKind;
 use multichannel_adhoc::prelude::*;
-use multichannel_adhoc::radio::shard::{effective_shards, ShardMap};
+use multichannel_adhoc::radio::shard::{unit_grid, ShardMap};
 use multichannel_adhoc::radio::{Action, Metrics, Observation, Protocol};
 use multichannel_adhoc::sinr::ResolveMode;
 use proptest::prelude::*;
@@ -65,36 +68,66 @@ impl Protocol for Recorder {
 
 type Logs = Vec<(Vec<(u64, u32, u64, f64, f64, f64)>, Vec<(u64, f64)>)>;
 
+/// Whether `MCA_FORCE_PAR=1` is set: the engine then lays a 4 × 4 grid
+/// over every channel of 512 listeners or more, at any worker count.
+fn forced_par() -> bool {
+    std::env::var("MCA_FORCE_PAR").is_ok_and(|v| v == "1")
+}
+
 /// The pool's worker count is process-global; runs that pin it take turns.
 static POOL_CONFIG: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// Runs `f` with the pool pinned to `threads` workers, taking turns with
+/// every other run that pins it.
+fn with_workers<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let _turn = POOL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
+    rayon::set_num_threads(threads);
+    let out = f();
+    rayon::set_num_threads(0);
+    out
+}
+
+/// What a run's schedule did: whether pool workers executed any task, and
+/// whether any channel resolved as several shard units.
+struct Schedule {
+    pooled: bool,
+    sharded: bool,
+}
+
 /// Runs `slots` slots of chatter over `positions` on a `threads`-worker
-/// pool with the given shard grid, churn, and a deterministic motion
-/// schedule (node `slot % n` drifts a little each slot — enough to cross
-/// shard boundaries and stretch the listeners' box). Returns the full
-/// metrics, every node's verbatim observation log, and whether pool
-/// workers executed any task during the run.
-#[allow(clippy::too_many_arguments)]
+/// pool with the given churn and a deterministic motion schedule (node
+/// `slot % n` drifts a little each slot — enough to cross shard
+/// boundaries and stretch the listeners' box). Returns the full metrics,
+/// every node's verbatim observation log, and what the schedule did.
 fn run_chatter(
     positions: &[Point],
     channels: u16,
     mode: ResolveMode,
     faults: FaultPlan,
-    shards: u16,
     threads: usize,
     slots: u64,
     moving: bool,
-) -> (Metrics, Logs, bool) {
-    let _turn = POOL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    rayon::set_num_threads(threads);
+) -> (Metrics, Logs, Schedule) {
+    with_workers(threads, || {
+        chatter_on_pinned_pool(positions, channels, mode, faults, slots, moving)
+    })
+}
+
+fn chatter_on_pinned_pool(
+    positions: &[Point],
+    channels: u16,
+    mode: ResolveMode,
+    faults: FaultPlan,
+    slots: u64,
+    moving: bool,
+) -> (Metrics, Logs, Schedule) {
     let tasks = rayon::pool_stats().tasks;
     let params = SinrParams::default().with_resolve(mode);
     let protocols = (0..positions.len())
         .map(|_| Recorder::new(channels, 0.4))
         .collect();
-    let mut engine = Engine::new(params, positions.to_vec(), protocols, 9)
-        .with_faults(faults)
-        .with_shards(shards);
+    let mut engine = Engine::new(params, positions.to_vec(), protocols, 9).with_faults(faults);
+    engine.attach_obs(multichannel_adhoc::obs::Recorder::new());
     for slot in 0..slots {
         if moving && !positions.is_empty() {
             // Deterministic drift, identical across configurations: one
@@ -106,33 +139,36 @@ fn run_chatter(
         engine.step();
     }
     let pooled = rayon::pool_stats().tasks > tasks;
-    rayon::set_num_threads(0);
+    let spans = engine.obs().expect("attached above").spans();
+    let sharded = spans.iter().any(|s| s.kind == SpanKind::Halo);
     let metrics = engine.metrics().clone();
     let logs = engine
         .into_protocols()
         .into_iter()
         .map(|r| (r.heard, r.noise))
         .collect();
-    (metrics, logs, pooled)
+    (metrics, logs, Schedule { pooled, sharded })
 }
 
-/// A world large enough that single-channel sharding actually engages
-/// (listeners comfortably beyond the engagement threshold) — and, from
-/// ~1500 nodes, that its shard units clear the engine's pooling bar —
-/// with corner pins so the shard partition's bounding box — and therefore its edge
-/// coordinates — are exactly known.
-fn pinned_world(n: usize, side: f64, shards: u16) -> Vec<Point> {
+/// A world large enough that, at two workers or more, the engine shards
+/// its one channel and the shard units clear its pooling bar (~1500
+/// nodes), with corner pins so the shard partition's bounding box — and
+/// therefore its edge coordinates — are exactly known.
+fn pinned_world(n: usize, side: f64) -> Vec<Point> {
     let mut rng = SmallRng::seed_from_u64(77);
     let mut positions = vec![Point::new(0.0, 0.0), Point::new(side, side)];
-    // Transmitters exactly on every interior shard edge, and in the halo
-    // ring just inside/outside of each.
-    let step = side / f64::from(shards);
-    for k in 1..shards {
-        let x = f64::from(k) * step;
-        positions.push(Point::new(x, side * 0.25));
-        positions.push(Point::new(side * 0.75, x));
-        positions.push(Point::new(x + 1e-9, side * 0.5));
-        positions.push(Point::new(x - 1e-9, side * 0.35));
+    // Transmitters exactly on every interior shard edge of every grid the
+    // engine may derive here, and in the halo ring just inside/outside of
+    // each.
+    for shards in 2..=8u16 {
+        let step = side / f64::from(shards);
+        for k in 1..shards {
+            let x = f64::from(k) * step;
+            positions.push(Point::new(x, side * 0.25));
+            positions.push(Point::new(side * 0.75, x));
+            positions.push(Point::new(x + 1e-9, side * 0.5));
+            positions.push(Point::new(x - 1e-9, side * 0.35));
+        }
     }
     while positions.len() < n {
         positions.push(Point::new(
@@ -146,24 +182,17 @@ fn pinned_world(n: usize, side: f64, shards: u16) -> Vec<Point> {
 #[test]
 fn shard_edge_transmitters_heard_identically_exact_and_fast() {
     for mode in [ResolveMode::Exact, ResolveMode::fast()] {
-        let positions = pinned_world(1500, 32.0, 4);
-        let (m_ref, l_ref, _) =
-            run_chatter(&positions, 1, mode, FaultPlan::none(), 0, 1, 20, false);
-        for (shards, threads) in [(4, 1), (4, 2), (3, 4), (7, 8)] {
-            let (m, l, pooled) = run_chatter(
-                &positions,
-                1,
-                mode,
-                FaultPlan::none(),
-                shards,
-                threads,
-                20,
-                false,
-            );
-            let arm = format!("shards={shards}, threads={threads}, mode={mode:?}");
+        let positions = pinned_world(1500, 32.0);
+        let (m_ref, l_ref, one) = run_chatter(&positions, 1, mode, FaultPlan::none(), 1, 20, false);
+        assert_eq!(one.sharded, forced_par(), "one worker ({mode:?})");
+        for threads in [2, 4, 8] {
+            let (m, l, schedule) =
+                run_chatter(&positions, 1, mode, FaultPlan::none(), threads, 20, false);
+            let arm = format!("threads={threads}, mode={mode:?}");
             assert_eq!(m_ref, m, "metrics diverged ({arm})");
             assert_eq!(l_ref, l, "an observation diverged ({arm})");
-            assert!(threads == 1 || pooled, "the pool was bypassed ({arm})");
+            assert!(schedule.sharded, "the channel was not sharded ({arm})");
+            assert!(schedule.pooled, "the pool was bypassed ({arm})");
         }
     }
 }
@@ -171,19 +200,21 @@ fn shard_edge_transmitters_heard_identically_exact_and_fast() {
 /// A listener's shard is read off the position staged for it in the very
 /// slot it is resolved in: drag a block of nodes across the plane (out of
 /// the deployment's box, so every grid line moves) between two slots, and
-/// the slot after already resolves as many `Unit`s as the grid over its
-/// listeners' *current* positions has occupied cells — observations equal
-/// to the unsharded run's throughout.
+/// the slot after already resolves as many `Unit`s as the grid the engine
+/// derives at two workers ([`unit_grid`]) over its listeners' *current*
+/// positions has occupied cells — observations equal to the one-worker
+/// (unsharded) run's throughout.
 #[test]
 fn sharded_units_follow_the_positions_staged_in_the_same_slot() {
-    let positions = pinned_world(600, 32.0, 4);
-    let engine = |shards: u16| {
+    const WORKERS: usize = 2;
+    let positions = pinned_world(1500, 32.0);
+    let engine = || {
         let protocols = (0..positions.len())
             .map(|_| Recorder::new(1, 0.4))
             .collect();
-        Engine::new(SinrParams::default(), positions.clone(), protocols, 3).with_shards(shards)
+        Engine::new(SinrParams::default(), positions.clone(), protocols, 3)
     };
-    let (mut sharded, mut plain) = (engine(4), engine(0));
+    let (mut sharded, mut plain) = (engine(), engine());
     sharded.attach_obs(multichannel_adhoc::obs::Recorder::new());
     let mut occupied_per_slot = Vec::new();
     for slot in 0..4u64 {
@@ -194,8 +225,8 @@ fn sharded_units_follow_the_positions_staged_in_the_same_slot() {
                 }
             }
         }
-        sharded.step();
-        plain.step();
+        with_workers(WORKERS, || sharded.step());
+        with_workers(1, || plain.step());
         // Who listened this slot: whoever logged a reception or noise.
         let listeners: Vec<Point> = sharded
             .protocols()
@@ -207,10 +238,17 @@ fn sharded_units_follow_the_positions_staged_in_the_same_slot() {
             })
             .map(|(_, &p)| p)
             .collect();
-        let s_eff = effective_shards(sharded.shards(), listeners.len());
-        assert!(s_eff >= 2, "slot {slot}: the channel must shard");
+        // Exact mode: a listener costs one evaluation per transmitter, and
+        // every node that did not listen transmitted.
+        let transmitters = positions.len() - listeners.len();
+        let side = if forced_par() {
+            4
+        } else {
+            unit_grid(WORKERS, listeners.len(), transmitters)
+        };
+        assert!(side >= 4, "slot {slot}: the channel must shard finely");
         let bounds = BoundingBox::from_points(listeners.iter().copied()).unwrap();
-        let grid = ShardMap::over(s_eff, bounds);
+        let grid = ShardMap::over(side, bounds);
         let mut cells: Vec<u16> = listeners.iter().map(|&p| grid.locate(p)).collect();
         cells.sort_unstable();
         cells.dedup();
@@ -234,15 +272,15 @@ fn sharded_units_follow_the_positions_staged_in_the_same_slot() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tentpole property: for random worlds, shard counts, worker counts,
-    /// resolve modes, churn interleavings, and motion, the sharded
-    /// engine's observations are bit-for-bit the unsharded one-thread
-    /// engine's.
+    /// Tentpole property: for random worlds, worker counts, resolve
+    /// modes, churn interleavings, and motion, the observations of an
+    /// engine whose channels shard (two workers or more, channels of
+    /// ~600 nodes or more) are bit-for-bit the one-thread engine's, which
+    /// resolves every channel whole.
     #[test]
     fn sharded_runs_are_bit_identical_to_unsharded(
-        raw in proptest::collection::vec((0.0..50.0f64, 0.0..50.0f64), 280..400),
-        shards in 2u16..7,
-        threads_log2 in 0u32..4,
+        raw in proptest::collection::vec((0.0..50.0f64, 0.0..50.0f64), 1300..1600),
+        threads_log2 in 1u32..4,
         channels in 1u16..3,
         fastmode in 0u8..2,
         moving in 0u8..2,
@@ -260,11 +298,12 @@ proptest! {
         }
         let mode = if fastmode == 1 { ResolveMode::fast() } else { ResolveMode::Exact };
         let (m_ref, l_ref, _) = run_chatter(
-            &positions, channels, mode, faults.clone(), 0, 1, 40, moving,
+            &positions, channels, mode, faults.clone(), 1, 40, moving,
         );
-        let (m_shard, l_shard, _) = run_chatter(
-            &positions, channels, mode, faults, shards, 1 << threads_log2, 40, moving,
+        let (m_shard, l_shard, schedule) = run_chatter(
+            &positions, channels, mode, faults, 1 << threads_log2, 40, moving,
         );
+        prop_assert!(schedule.sharded, "no channel was sharded");
         prop_assert_eq!(m_ref, m_shard);
         prop_assert_eq!(l_ref, l_shard);
     }

@@ -104,10 +104,9 @@ fn dynamic_scenario() -> Scenario {
         .build()
 }
 
-fn run_scenario(threads: usize, shards: u16) -> (Metrics, Vec<Vec<(u64, String)>>) {
+fn run_scenario(threads: usize) -> (Metrics, Vec<Vec<(u64, String)>>) {
     rayon::set_num_threads(threads);
-    let mut scenario = dynamic_scenario();
-    scenario.shards = shards;
+    let scenario = dynamic_scenario();
     let mut sim = ScenarioSim::new(&scenario, 11, |_, _| Recorder {
         channels: 5,
         log: Vec::new(),
@@ -128,15 +127,12 @@ use multichannel_adhoc::radio::Metrics;
 
 #[test]
 fn scenario_runs_bit_identical_across_threads_and_shards() {
-    let (m_ref, l_ref) = run_scenario(1, 0);
+    let (m_ref, l_ref) = run_scenario(1);
     assert!(m_ref.receptions > 0, "the workload should deliver traffic");
-    for threads in [1, 2, 4, 8] {
-        for shards in [0, 4] {
-            let (m, l) = run_scenario(threads, shards);
-            let arm = format!("{threads} threads, shards {shards}");
-            assert_eq!(m_ref, m, "metrics diverged at {arm}");
-            assert_eq!(l_ref, l, "an observation diverged at {arm}");
-        }
+    for threads in [2, 4, 8] {
+        let (m, l) = run_scenario(threads);
+        assert_eq!(m_ref, m, "metrics diverged at {threads} threads");
+        assert_eq!(l_ref, l, "an observation diverged at {threads} threads");
     }
 }
 
