@@ -141,8 +141,4 @@ impl EventWatch {
     pub(crate) fn drain(&mut self) -> Vec<NodeEvent> {
         std::mem::take(&mut self.events)
     }
-
-    pub(crate) fn pending(&self) -> usize {
-        self.events.len()
-    }
 }

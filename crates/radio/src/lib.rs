@@ -28,11 +28,11 @@
 //! of it is bit-identical to polling every node
 //! (`docs/EXECUTION_MODEL.md`, "Phase 1: who gets polled").
 //!
-//! Delivery splits at the protocol boundary. Each channel is first
-//! *booked* by code that reads no protocol and is compiled once: deep
-//! fades and zone jams, [`Metrics`], the degradation detector's samples
-//! and the channel's outcome record. Only then is each node handed its
-//! [`Observation`] through [`Protocol::observe`].
+//! The slot splits at the protocol boundary: [`Engine`] compiles per
+//! protocol type only the loops that ask for actions and hand out each
+//! [`Observation`]; grouping, staging, resolution and the *booking* of
+//! every channel ([`Metrics`], fades, jams, detector samples, outcome
+//! records) are non-generic phases, run before any node observes.
 //!
 //! Reception is resolved per channel by the batched
 //! [`ChannelResolver`](mca_sinr::ChannelResolver) (mode selected via
@@ -55,8 +55,8 @@
 //!
 //! The engine also exposes dynamic-environment hooks used by the
 //! `mca-scenario` crate: [`Engine::positions_mut`] (mobility),
-//! [`Engine::channel_conditions_mut`] (per-channel fading via
-//! [`ChannelCondition`]), and [`Engine::faults_mut`] (runtime churn).
+//! [`Engine::env_parts`] (per-channel fading via [`ChannelCondition`],
+//! with positions and plan), and [`Engine::faults_mut`] (runtime churn).
 //! With none of these touched, a run is bit-identical to the static
 //! engine of the original reproduction.
 //!
@@ -86,11 +86,13 @@ mod node;
 #[doc(hidden)]
 pub mod reference;
 pub mod rng;
+mod roster;
 pub mod shard;
+mod slot;
 
 pub use condition::ChannelCondition;
 pub use detect::{DegradationDetector, DetectionEvent, DetectorConfig};
-pub use engine::{Engine, POOL_UNIT_WORK};
+pub use engine::Engine;
 pub use events::NodeEvent;
 pub use fault::{FaultPlan, JamSpec, SleepSchedule, ZoneJam};
 pub use ids::{Channel, NodeId};
@@ -98,3 +100,4 @@ pub use message::{Action, Observation, Reception};
 pub use metrics::Metrics;
 pub use node::Protocol;
 pub use shard::ShardMap;
+pub use slot::POOL_UNIT_WORK;
