@@ -30,7 +30,8 @@
 //! same simulator — compressibility is exactly what the linear channel
 //! speedup of the paper buys.
 
-use mca_radio::{Action, Channel, Engine, NodeId, Observation, Protocol};
+use mca_core::NetworkEnv;
+use mca_radio::{Action, Channel, NodeId, Observation, Protocol};
 use mca_sinr::SinrParams;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -211,12 +212,13 @@ pub fn run_info_exchange(
     let protocols: Vec<ExchangeNode> = (0..n)
         .map(|i| ExchangeNode::new(NodeId(i as u32), n, cfg))
         .collect();
-    let mut engine = Engine::new(*params, positions.to_vec(), protocols, seed);
-    engine.run_until(cfg.max_slots, |ps: &[ExchangeNode]| {
+    let env = NetworkEnv {
+        params: *params,
+        positions: positions.to_vec(),
+    };
+    let (out, slots) = env.run_phase(protocols, None, seed, cfg.max_slots, |_, ps| {
         ps.iter().all(|p| p.complete_at().is_some())
     });
-    let slots = engine.slot();
-    let out = engine.into_protocols();
     ExchangeOutcome {
         complete_at: out.iter().map(|p| p.complete_at()).collect(),
         coverage: out.iter().map(|p| p.coverage()).collect(),

@@ -8,7 +8,7 @@
 //! aggregation on it, so experiment T1 can report how the model choice
 //! changes the picture.
 
-use mca_geom::{CommGraph, Point};
+use mca_geom::Point;
 use mca_radio::rng::derive_rng;
 use rand::Rng;
 
@@ -36,51 +36,51 @@ pub fn run_graph_flood(
 ) -> GraphModelOutcome {
     assert_eq!(positions.len(), inputs.len());
     assert!(channels >= 1 && q > 0.0 && q <= 1.0);
+    assert!(
+        radius.is_finite() && radius > 0.0,
+        "radius must be positive"
+    );
     let n = positions.len();
-    let graph = CommGraph::build(positions, radius);
+    let r_sq = radius * radius;
     let mut values = inputs.to_vec();
     let expect = *inputs.iter().max().unwrap_or(&0);
+    let mut missing = values.iter().filter(|&&v| v != expect).count();
     let mut rng = derive_rng(seed, 0x6AF);
 
-    let mut tx_channel: Vec<Option<u16>> = vec![None; n];
-    let mut listen_channel: Vec<u16> = vec![0; n];
+    // Per slot: the listeners with their channels, and the transmitters
+    // bucketed by channel. A transmitter's value cannot change within its
+    // slot (only listeners update), so listeners read `values` directly.
+    let mut listeners: Vec<(usize, u16)> = Vec::with_capacity(n);
+    let mut senders: Vec<Vec<usize>> = vec![Vec::new(); channels as usize];
     for slot in 0..max_slots {
-        if values.iter().all(|&v| v == expect) {
+        if missing == 0 {
             return GraphModelOutcome {
                 values,
                 slots: slot,
             };
         }
+        listeners.clear();
+        senders.iter_mut().for_each(Vec::clear);
         for i in 0..n {
             let ch = rng.gen_range(0..channels);
             if rng.gen_bool(q) {
-                tx_channel[i] = Some(ch);
+                senders[ch as usize].push(i);
             } else {
-                tx_channel[i] = None;
-                listen_channel[i] = ch;
+                listeners.push((i, ch));
             }
         }
-        // Graph-model resolution: exactly one transmitting neighbor on the
-        // listened channel delivers.
-        let snapshot = values.clone();
-        for i in 0..n {
-            if tx_channel[i].is_some() {
-                continue;
-            }
-            let ch = listen_channel[i];
-            let mut heard: Option<usize> = None;
-            let mut collision = false;
-            for &j in graph.neighbors(i) {
-                if tx_channel[j as usize] == Some(ch) {
-                    if heard.is_some() {
-                        collision = true;
-                        break;
-                    }
-                    heard = Some(j as usize);
+        // Graph-model resolution: exactly one transmitting neighbor (within
+        // `radius`, the communication graph's predicate) on the listened
+        // channel delivers.
+        for &(i, ch) in &listeners {
+            let mut near = senders[ch as usize]
+                .iter()
+                .filter(|&&j| positions[j].dist_sq(positions[i]) <= r_sq);
+            if let (Some(&j), None) = (near.next(), near.next()) {
+                if values[i] != expect && values[j] == expect {
+                    missing -= 1;
                 }
-            }
-            if let (Some(j), false) = (heard, collision) {
-                values[i] = values[i].max(snapshot[j]);
+                values[i] = values[i].max(values[j]);
             }
         }
     }

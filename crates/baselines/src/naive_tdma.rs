@@ -11,8 +11,9 @@
 //! one-cluster world (n = 400, D = 2) the paper's constants still
 //! dominate, and the naive scheme finishes first.
 
+use mca_core::structure::{all_done, NetworkEnv};
 use mca_geom::Point;
-use mca_radio::{Action, Channel, Engine, NodeId, Observation, Protocol};
+use mca_radio::{Action, Channel, NodeId, Observation, Protocol};
 use mca_sinr::SinrParams;
 use rand::rngs::SmallRng;
 
@@ -94,13 +95,12 @@ pub fn run_naive_tdma(
     let protocols: Vec<NaiveTdma> = (0..n)
         .map(|i| NaiveTdma::new(NodeId(i), n, frames, inputs[i as usize]))
         .collect();
-    let mut engine = Engine::new(*params, positions.to_vec(), protocols, seed);
-    engine.run_until_done(n as u64 * frames as u64);
-    let slots = engine.slot();
-    (
-        engine.into_protocols().iter().map(|p| p.value()).collect(),
-        slots,
-    )
+    let env = NetworkEnv {
+        params: *params,
+        positions: positions.to_vec(),
+    };
+    let (out, slots) = env.run_phase(protocols, None, seed, n as u64 * frames as u64, all_done);
+    (out.iter().map(|p| p.value()).collect(), slots)
 }
 
 #[cfg(test)]

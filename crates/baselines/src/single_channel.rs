@@ -9,9 +9,9 @@
 //! serially), which is exactly the term the multichannel structure divides
 //! by `F`.
 
-use mca_core::Tdma;
+use mca_core::{NetworkEnv, Tdma};
 use mca_geom::Point;
-use mca_radio::{Action, Channel, Engine, NodeId, Observation, Protocol};
+use mca_radio::{Action, Channel, NodeId, Observation, Protocol};
 use mca_sinr::SinrParams;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -239,13 +239,17 @@ pub fn run_single_channel(
     let protocols: Vec<SingleChannelAgg> = (0..positions.len())
         .map(|i| SingleChannelAgg::new(cfg, NodeId(i as u32), inputs[i], NodeId(i as u32) == sink))
         .collect();
-    let mut engine = Engine::new(*params, positions.to_vec(), protocols, seed);
-    let cap = cfg.total_rounds() * SLOTS_PER_ROUND as u64;
-    engine.run_until(cap, |ps: &[SingleChannelAgg]| {
-        ps.iter().all(|p| p.result().is_some())
-    });
-    let slots = engine.slot();
-    let out = engine.into_protocols();
+    let env = NetworkEnv {
+        params: *params,
+        positions: positions.to_vec(),
+    };
+    let (out, slots) = env.run_phase(
+        protocols,
+        None,
+        seed,
+        cfg.total_rounds() * SLOTS_PER_ROUND as u64,
+        |_, ps| ps.iter().all(|p| p.result().is_some()),
+    );
     BaselineOutcome {
         results: out.iter().map(|p| p.result()).collect(),
         slots,

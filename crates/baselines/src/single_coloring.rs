@@ -8,9 +8,10 @@
 //! and hence the round count — grows linearly with `Δ`.
 
 use mca_core::ruling::{self, ProbPolicy, RulingConfig, RulingSet};
+use mca_core::structure::{all_done, NetworkEnv};
 use mca_core::{AlgoConfig, Tdma};
 use mca_geom::Point;
-use mca_radio::{Channel, Engine, NodeId};
+use mca_radio::{Channel, NodeId};
 use mca_sinr::SinrParams;
 
 /// Outcome of the baseline coloring.
@@ -46,6 +47,10 @@ pub fn run_single_coloring(
     seed: u64,
 ) -> ColoringBaselineOutcome {
     let n = positions.len();
+    let env = NetworkEnv {
+        params: *params,
+        positions: positions.to_vec(),
+    };
     let node_params = algo.node_params();
     // r must satisfy the ruling set's r <= R_T/2; R_eps does at eps = 1/2.
     let r = node_params
@@ -80,15 +85,14 @@ pub fn run_single_coloring(
                 }
             })
             .collect();
-        let mut engine = Engine::new(
-            *params,
-            positions.to_vec(),
+        let (out, phase_slots) = env.run_phase(
             protocols,
+            None,
             mca_radio::rng::derive_seed(seed, 0xB_C010 + phase as u64),
+            rcfg.tdma.slots_for_rounds(rcfg.rounds) + 3,
+            all_done,
         );
-        engine.run_until_done(rcfg.tdma.slots_for_rounds(rcfg.rounds) + 3);
-        slots += engine.slot();
-        let out = engine.into_protocols();
+        slots += phase_slots;
         uncolored.retain(|&i| {
             if out[i].in_set() {
                 colors[i] = Some(phase);

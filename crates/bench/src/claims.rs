@@ -620,13 +620,12 @@ fn e7_csa(trials: usize) -> Result<Vec<Table>, String> {
                     mca_core::csa::CsaProtocol::new(role, NodeId(0), 0, csa_cfg)
                 })
                 .collect();
-            let mut engine = Engine::new(params, positions.clone(), protocols, seed);
+            let env = NetworkEnv { params, positions };
             let cap = csa_cfg.tdma.slots_for_rounds(csa_cfg.total_rounds()) + 1;
-            engine.run_until(cap, |ps: &[mca_core::csa::CsaProtocol]| {
+            let (large, large_slots) = env.run_phase(protocols, None, seed, cap, |_, ps| {
                 ps.iter().all(|p| p.is_satisfied())
             });
-            let large_slots = engine.slot();
-            let large_est = engine.protocols()[0].coordinator_estimate().unwrap_or(0);
+            let large_est = large[0].coordinator_estimate().unwrap_or(0);
 
             let seats: Vec<Option<mca_core::csa_small::SmallSeat>> = (0..=m)
                 .map(|i| {
@@ -638,8 +637,7 @@ fn e7_csa(trials: usize) -> Result<Vec<Table>, String> {
                 })
                 .collect();
             let small = mca_core::csa_small::run_csa_small(
-                &params,
-                &positions,
+                &env,
                 &seats,
                 &algo,
                 1,

@@ -10,7 +10,10 @@
 //!    `O(D + log n)` for idempotent aggregates, exact tree upcast for
 //!    duplicate-sensitive ones (Theorem 22; DESIGN.md deviation #2).
 //!
-//! The end-to-end driver lives in [`crate::structure`].
+//! The end-to-end entry point is [`crate::structure::aggregate`]. Procedures 1
+//! and 2 run there as the shared phases `follower_phase` and `tree_phase`,
+//! which §7 colouring ([`crate::coloring::color_nodes`]) calls as its
+//! procedures 1 and 2.
 
 pub mod follower;
 pub mod intercluster;

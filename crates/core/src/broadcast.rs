@@ -30,7 +30,7 @@ use crate::aggfun::Aggregate;
 use crate::config::AlgoConfig;
 use crate::schedule::Tdma;
 use crate::structure::{aggregate, AggregationStructure, InterclusterMode, NetworkEnv};
-use mca_radio::{Action, Channel, Engine, NodeId, Observation, Protocol};
+use mca_radio::{Action, Channel, NodeId, Observation, Protocol};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -515,16 +515,13 @@ pub fn broadcast_many(
             }
         })
         .collect();
-    let mut engine = Engine::new(
-        env.params,
-        env.positions.clone(),
+    let (hoisted, hoist_slots) = env.run_phase(
         protocols,
+        None,
         mca_radio::rng::derive_seed(seed, 0xB0A57),
+        hoist_cfg.tdma.slots_for_rounds(hoist_cfg.rounds) + 1,
+        |_, ps| ps.iter().all(|p| p.is_delivered()),
     );
-    let cap = hoist_cfg.tdma.slots_for_rounds(hoist_cfg.rounds) + 1;
-    engine.run_until(cap, |ps: &[HoistCast]| ps.iter().all(|p| p.is_delivered()));
-    let hoist_slots = engine.slot();
-    let hoisted = engine.into_protocols();
     let unhoisted = hoisted.iter().filter(|p| !p.is_delivered()).count();
 
     // --- Phase 2: backbone gossip. ---
@@ -548,19 +545,14 @@ pub fn broadcast_many(
             GossipCast::new(gossip_cfg, color, r.role.is_dominator(), held)
         })
         .collect();
-    let mut engine = Engine::new(
-        env.params,
-        env.positions.clone(),
-        protocols,
-        mca_radio::rng::derive_seed(seed, 0xB0A58),
-    );
     let want: BTreeSet<Sourced> = by_source.values().copied().collect();
-    let cap = gossip_cfg.tdma.slots_for_rounds(gossip_cfg.rounds) + 1;
-    engine.run_until(cap, |ps: &[GossipCast]| {
-        ps.iter().all(|p| p.held().is_superset(&want))
-    });
-    let gossip_slots = engine.slot();
-    let out = engine.into_protocols();
+    let (out, gossip_slots) = env.run_phase(
+        protocols,
+        None,
+        mca_radio::rng::derive_seed(seed, 0xB0A58),
+        gossip_cfg.tdma.slots_for_rounds(gossip_cfg.rounds) + 1,
+        |_, ps| ps.iter().all(|p| p.held().is_superset(&want)),
+    );
 
     let delivered: Vec<usize> = out
         .iter()

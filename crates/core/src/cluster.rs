@@ -1,22 +1,21 @@
 //! Cluster coloring and the cluster announce/attach phase (paper §5.1.2).
 //!
 //! *Coloring*: dominators are colored so that any two within `R_{ε/2}` get
-//! different colors. Phase `i` runs the §4 ruling set among still-uncolored
-//! dominators with `r = R_{ε/2}`; ruling-set members take color `i`
-//! (Lemma 8). The number of phases needed is the local density `φ ∈ O(1)`;
-//! we run adaptively until all dominators are colored (capped), and report
-//! the φ actually used — see `DESIGN.md` deviation #4.
+//! different colors. Instead of §5.1.2's phases of ruling sets (Lemma 8),
+//! every dominator claims a color in the claim-based greedy of
+//! [`crate::greedy_color`] (`DESIGN.md` deviation #9), run as the
+//! [`stages::color_patch_stage`] with every dominator a claimant. We report
+//! the `φ` actually used.
 //!
 //! *Announce*: colored dominators beacon `(id, color)` with the
 //! constant-density probability; every other node attaches to the nearest
 //! announcing dominator within `r_c` (preferring the dominator that
 //! recruited it in the dominating-set phase) and learns the cluster color.
 
-use crate::config::AlgoConfig;
 use crate::dominate::DominatingOutcome;
-use crate::greedy_color::{ClaimCfg, GreedyColor};
-use mca_geom::Point;
-use mca_radio::{Action, Channel, Engine, NodeId, Observation, Protocol};
+use crate::stages::{self, ColorSeat};
+use crate::structure::{all_done, NetworkEnv, StructureConfig};
+use mca_radio::{Action, Channel, NodeId, Observation, Protocol};
 use mca_sinr::SinrParams;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -155,8 +154,6 @@ pub struct ClusterOutcome {
     pub coloring_slots: u64,
     /// Slots spent announcing/attaching.
     pub announce_slots: u64,
-    /// Number of coloring phases run.
-    pub phases: u16,
 }
 
 impl ClusterOutcome {
@@ -168,89 +165,48 @@ impl ClusterOutcome {
 
 /// Runs dominator coloring followed by announce/attach.
 ///
-/// `max_phases` caps the adaptive phase loop (the paper's `φ` is a constant
-/// given the density bound; we measure it). `alive` masks out nodes that are
+/// The coloring is the claim-based greedy of [`stages::color_patch_stage`]
+/// with every dominator a claimant (the paper's `φ` is a constant given
+/// the density bound; we measure it). `alive` masks out nodes that are
 /// not part of the network (crashed, or not yet joined): they are absent
 /// from both phase engines and end the phase unclustered.
-#[allow(clippy::too_many_arguments)] // the stage layer wraps this (stages::cluster_stage)
 pub fn build_clusters(
-    true_params: &SinrParams,
-    positions: &[Point],
+    env: &NetworkEnv,
+    cfg: &StructureConfig,
     dominating: &DominatingOutcome,
-    cfg: &AlgoConfig,
     seed: u64,
-    max_phases: u16,
-    attach_radius: f64,
     alive: Option<&[bool]>,
 ) -> ClusterOutcome {
-    assert!(attach_radius > 0.0, "attach radius must be positive");
-    let _ = max_phases; // retained for API stability; the greedy coloring is single-pass
-    let n = positions.len();
+    assert!(cfg.cluster_radius > 0.0, "attach radius must be positive");
+    let n = env.len();
     assert_eq!(dominating.is_dominator.len(), n);
-    let absence = crate::stages::absence_plan(alive);
-    let node_params = cfg.node_params();
-    // Separation that makes the final coloring proper across clusters:
-    // adjacent nodes' dominators are within 2·r_c + R_ε (the paper's
-    // R_{ε/2}, given its r_c = ε·R_T/4 relation). Using the general form
-    // keeps correctness when the practical cluster radius differs.
-    let r_sep = (2.0 * attach_radius + node_params.r_eps()).max(node_params.r_eps_half());
+    let algo = &cfg.algo;
 
     // --- Dominator coloring: claim-based greedy (DESIGN.md deviation #9).
     // Same-color separation at R_{eps/2} with ordinary receptions; the
     // ruling-set phase loop of §5.1.2 serializes under Definition 4's
     // clear-reception threshold and inflates φ (and with it the TDMA
     // overhead of every later phase).
-    let mut color: Vec<Option<u16>> = vec![None; n];
-    let claim_cfg = ClaimCfg {
-        radius: r_sep,
-        p: cfg.density_tx_prob(),
-        busy_threshold: node_params.received_power(1.5 * r_sep),
-        p_committed: cfg.density_tx_prob() / 2.0,
-        stable_tx: 6,
-        rounds: cfg.announce_rounds() * 8,
-        params: node_params,
-    };
-    let protocols: Vec<GreedyColor> = (0..n)
-        .map(|i| {
-            if dominating.is_dominator[i] {
-                GreedyColor::new(NodeId(i as u32), claim_cfg)
+    let seats: Vec<ColorSeat> = dominating
+        .is_dominator
+        .iter()
+        .map(|&d| {
+            if d {
+                ColorSeat::Claimant
             } else {
-                GreedyColor::passive(NodeId(i as u32), claim_cfg)
+                ColorSeat::Out
             }
         })
         .collect();
-    let mut engine = Engine::new(
-        *true_params,
-        positions.to_vec(),
-        protocols,
-        mca_radio::rng::derive_seed(seed, 0xC0100),
-    )
-    .with_faults(absence.clone());
-    // Run until every dominator committed, then a healing tail in which
-    // residual same-color conflicts resolve via the Committed beacons.
-    engine.run_until(claim_cfg.rounds, |ps: &[GreedyColor]| {
-        ps.iter()
-            .enumerate()
-            .all(|(i, p)| !dominating.is_dominator[i] || p.color().is_some())
-    });
-    let tail = (2 * cfg.announce_rounds()).min(claim_cfg.rounds.saturating_sub(engine.slot()));
-    engine.run(tail);
-    let coloring_slots = engine.slot();
-    let out = engine.into_protocols();
-    let mut uncolored: Vec<usize> = Vec::new();
-    for i in 0..n {
-        if dominating.is_dominator[i] {
-            match out[i].color() {
-                Some(c) => color[i] = Some(c),
-                None => uncolored.push(i),
-            }
-        }
-    }
-    let phases = 1u16;
+    let coloring = stages::color_patch_stage(env, cfg, &seats, alive, seed, 0xC0100);
+    let mut color = coloring.colors;
 
     // Any dominator still uncolored after the cap gets a fresh unique color:
     // correctness (separation) is preserved at the cost of a larger phi.
     let next_fresh = color.iter().flatten().copied().max().map_or(0, |c| c + 1);
+    let uncolored: Vec<usize> = (0..n)
+        .filter(|&i| dominating.is_dominator[i] && color[i].is_none())
+        .collect();
     for (c, &i) in (next_fresh..).zip(&uncolored) {
         color[i] = Some(c);
     }
@@ -258,10 +214,10 @@ pub fn build_clusters(
 
     // --- Announce/attach. ---
     let acfg = AnnounceConfig {
-        radius: attach_radius,
-        p: cfg.density_tx_prob(),
-        rounds: cfg.announce_rounds(),
-        params: node_params,
+        radius: cfg.cluster_radius,
+        p: algo.density_tx_prob(),
+        rounds: algo.announce_rounds(),
+        params: algo.node_params(),
     };
     let protocols: Vec<AnnounceProtocol> = (0..n)
         .map(|i| match color[i] {
@@ -274,16 +230,13 @@ pub fn build_clusters(
             ),
         })
         .collect();
-    let mut engine = Engine::new(
-        *true_params,
-        positions.to_vec(),
+    let (out, announce_slots) = env.run_phase(
         protocols,
+        alive,
         mca_radio::rng::derive_seed(seed, 0xA110),
-    )
-    .with_faults(absence);
-    engine.run_until_done(acfg.rounds + 1);
-    let announce_slots = engine.slot();
-    let out = engine.into_protocols();
+        acfg.rounds + 1,
+        all_done,
+    );
 
     let membership: Vec<Option<(NodeId, u16, f64)>> = (0..n)
         .map(|i| match color[i] {
@@ -296,17 +249,18 @@ pub fn build_clusters(
         dominator_color: color,
         phi,
         membership,
-        coloring_slots,
+        coloring_slots: coloring.slots,
         announce_slots,
-        phases,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AlgoConfig;
     use crate::dominate;
-    use mca_geom::Deployment;
+    use mca_geom::{Deployment, Point};
+    use mca_radio::Engine;
     use rand::SeedableRng;
 
     fn setup(n: usize, side: f64, seed: u64) -> (SinrParams, Vec<Point>, DominatingOutcome) {
@@ -317,11 +271,28 @@ mod tests {
         (params, d.points().to_vec(), dom)
     }
 
+    /// Clusters of radius 1.0 over `positions`.
+    fn clusters(
+        params: SinrParams,
+        positions: &[Point],
+        dom: &DominatingOutcome,
+        channels: u16,
+        seed: u64,
+    ) -> ClusterOutcome {
+        let env = NetworkEnv {
+            params,
+            positions: positions.to_vec(),
+        };
+        let algo = AlgoConfig::practical(channels, &params, positions.len().max(4));
+        let mut cfg = StructureConfig::new(algo, seed);
+        cfg.cluster_radius = 1.0;
+        build_clusters(&env, &cfg, dom, seed, None)
+    }
+
     #[test]
     fn coloring_separates_nearby_dominators() {
         let (params, positions, dom) = setup(150, 12.0, 4);
-        let cfg = AlgoConfig::practical(4, &params, 150);
-        let out = build_clusters(&params, &positions, &dom, &cfg, 9, 64, 1.0, None);
+        let out = clusters(params, &positions, &dom, 4, 9);
         let r_sep = params.r_eps_half();
         // All dominators colored.
         for (i, &is_dom) in dom.is_dominator.iter().enumerate() {
@@ -350,8 +321,7 @@ mod tests {
     #[test]
     fn attach_finds_nearby_cluster() {
         let (params, positions, dom) = setup(200, 15.0, 5);
-        let cfg = AlgoConfig::practical(4, &params, 200);
-        let out = build_clusters(&params, &positions, &dom, &cfg, 11, 64, 1.0, None);
+        let out = clusters(params, &positions, &dom, 4, 11);
         assert_eq!(out.unclustered(), 0, "every node should attach");
         for (i, m) in out.membership.iter().enumerate() {
             let (dm, color, _) = m.unwrap();
@@ -372,8 +342,7 @@ mod tests {
         let params = SinrParams::default();
         let positions = vec![Point::ORIGIN, Point::new(0.5, 0.0), Point::new(0.0, 0.5)];
         let dom = dominate::oracle(&positions, 1.0, 1);
-        let cfg = AlgoConfig::practical(2, &params, 4);
-        let out = build_clusters(&params, &positions, &dom, &cfg, 2, 8, 1.0, None);
+        let out = clusters(params, &positions, &dom, 2, 2);
         assert_eq!(out.phi, 1);
         assert_eq!(out.unclustered(), 0);
         let cluster_ids: Vec<NodeId> = out.membership.iter().map(|m| m.unwrap().0).collect();

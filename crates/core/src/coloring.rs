@@ -5,11 +5,12 @@
 //! dominators are within `R_{ε/2}` and therefore differently colored) can
 //! never collide. Within a cluster, four procedures assign distinct `k`:
 //!
-//! 1. followers register their IDs with the reporters (the §6 follower
-//!    aggregation with the ID as payload — here we reuse the follower-id
-//!    lists the reporters collect anyway);
-//! 2. subtree *counts* converge up the reporter tree (the §6 tree
-//!    convergecast with the Sum aggregate, retaining per-child counts);
+//! 1. followers register their IDs with the reporters: a call to the §6
+//!    follower phase that [`aggregate`](crate::structure::aggregate) runs, with a
+//!    zero Sum input, keeping the follower-id lists the reporters collect;
+//! 2. subtree *counts* converge up the reporter tree: a call to the §6
+//!    tree phase, each holder starting from `1 + own followers` and
+//!    keeping its per-child counts;
 //! 3. disjoint *color ranges* cascade back down the tree ([`RangeCast`]);
 //! 4. each reporter announces one follower color per round on its own
 //!    channel ([`AssignColors`]).
@@ -18,14 +19,13 @@
 //! interleaves them in four slots per round with identical asymptotics.
 
 use crate::aggfun::SumAgg;
-use crate::aggregate::follower::{self, FollowerAgg, FollowerCfg};
-use crate::aggregate::treecast::{self, TreeCast, TreeCfg};
 use crate::config::AlgoConfig;
 use crate::knowledge::Role;
 use crate::schedule::Tdma;
-use crate::structure::{AggregationStructure, NetworkEnv};
+use crate::structure::{all_done, follower_phase, tree_phase, AggregationStructure, NetworkEnv};
 use crate::tree::HeapTree;
-use mca_radio::{Action, Channel, Engine, NodeId, Observation, Protocol};
+use mca_radio::rng::derive_seed;
+use mca_radio::{Action, Channel, NodeId, Observation, Protocol};
 use rand::rngs::SmallRng;
 
 // ---------------------------------------------------------------------------
@@ -468,122 +468,40 @@ pub fn color_nodes(
     let n = env.len();
     let phi = structure.phi.max(1) as u32;
     let records = &structure.records;
-    let lambda = algo.consts.lambda;
 
-    // --- Procedure 1: followers register IDs (payload irrelevant). ---
-    let fcfg = FollowerCfg {
-        rounds_per_phase: algo.agg_rounds_per_phase(),
-        backoff_threshold: algo.agg_backoff_threshold(),
-        lambda,
-        tdma: Tdma::new(phi as u16, follower::SLOTS_PER_ROUND),
-        max_phases: 24
-            + 2 * (algo.know.log2_n() as u64)
-            + algo.know.n_bound as u64
-                / ((algo.channels as u64) * algo.agg_rounds_per_phase().max(1)),
-    };
-    let protocols: Vec<FollowerAgg<SumAgg>> = (0..n)
-        .map(|i| {
-            let r = &records[i];
-            let color = r.cluster_color.unwrap_or(0);
-            match (r.role, r.cluster) {
-                (Role::Dominator, Some(_)) => {
-                    FollowerAgg::dominator(SumAgg, fcfg, NodeId(i as u32), color, r.serves_channel0)
-                }
-                (Role::Reporter { heap_pos }, Some(c)) => FollowerAgg::reporter(
-                    SumAgg,
-                    fcfg,
-                    NodeId(i as u32),
-                    c,
-                    color,
-                    Channel(heap_pos - 1),
-                    0,
-                ),
-                (Role::Follower, Some(c)) => {
-                    let fv = r.cluster_channels.unwrap_or(1);
-                    let est = r.cluster_size_est.unwrap_or(1).max(1);
-                    let pu = (lambda * fv as f64 / est as f64).clamp(1e-6, lambda / 2.0);
-                    FollowerAgg::follower(SumAgg, fcfg, NodeId(i as u32), c, color, fv, 0, pu)
-                }
-                _ => FollowerAgg::passive(SumAgg, fcfg, NodeId(i as u32)),
-            }
-        })
-        .collect();
-    let mut engine = Engine::new(
-        env.params,
-        env.positions.clone(),
-        protocols,
-        mca_radio::rng::derive_seed(seed, 0xC0102),
+    // --- Procedure 1: followers register IDs (the count is irrelevant). ---
+    let (p1, p1_slots, _) = follower_phase(
+        env,
+        structure,
+        algo,
+        SumAgg,
+        |_| 0,
+        derive_seed(seed, 0xC0102),
     );
-    let cap = fcfg.tdma.slots_for_rounds(fcfg.total_rounds());
-    engine.run_until(cap, |ps: &[FollowerAgg<SumAgg>]| {
-        ps.iter().all(|p| p.is_delivered())
-    });
-    let p1_slots = engine.slot();
-    let p1 = engine.into_protocols();
+    let own_followers = |i: usize| p1[i].reporter_state().map_or(0, |(_, ids)| ids.len());
 
     // --- Procedure 2: subtree counts up the tree. ---
-    let tcfg_of = |fv: u16| TreeCfg {
-        fv: fv.max(1),
-        tdma: Tdma::new(phi as u16, treecast::SLOTS_PER_ROUND),
-    };
+    let (p2, p2_slots) = tree_phase(
+        env,
+        structure,
+        SumAgg,
+        |i| 1 + own_followers(i) as i64,
+        derive_seed(seed, 0xC0103),
+    );
+
+    // --- Procedure 3: ranges down the tree. ---
     let max_fv = records
         .iter()
         .filter_map(|r| r.cluster_channels)
         .max()
         .unwrap_or(1);
-    let protocols: Vec<TreeCast<SumAgg>> = (0..n)
-        .map(|i| {
-            let r = &records[i];
-            let color = r.cluster_color.unwrap_or(0);
-            let own_followers = p1[i]
-                .reporter_state()
-                .map(|(_, ids)| ids.len() as i64)
-                .unwrap_or(0);
-            match (r.role, r.cluster) {
-                (Role::Dominator, Some(c)) => TreeCast::dominator(
-                    SumAgg,
-                    tcfg_of(r.cluster_channels.unwrap_or(1)),
-                    c,
-                    color,
-                    1 + own_followers,
-                ),
-                (Role::Reporter { heap_pos }, Some(c)) => TreeCast::reporter(
-                    SumAgg,
-                    tcfg_of(r.cluster_channels.unwrap_or(1)),
-                    c,
-                    color,
-                    heap_pos,
-                    1 + own_followers,
-                ),
-                _ => TreeCast::passive(SumAgg, tcfg_of(1), r.cluster.unwrap_or(NodeId(i as u32))),
-            }
-        })
-        .collect();
-    let mut engine = Engine::new(
-        env.params,
-        env.positions.clone(),
-        protocols,
-        mca_radio::rng::derive_seed(seed, 0xC0103),
-    );
-    let tcap = tcfg_of(max_fv)
-        .tdma
-        .slots_for_rounds(tcfg_of(max_fv).rounds())
-        + treecast::SLOTS_PER_ROUND as u64;
-    engine.run_until_done(tcap);
-    let p2_slots = engine.slot();
-    let p2 = engine.into_protocols();
-
-    // --- Procedure 3: ranges down the tree. ---
     let rc_tdma = Tdma::new(phi as u16, 1);
     let protocols: Vec<RangeCast> = (0..n)
         .map(|i| {
             let r = &records[i];
             let color = r.cluster_color.unwrap_or(0);
             let fv = r.cluster_channels.unwrap_or(1);
-            let followers = p1[i]
-                .reporter_state()
-                .map(|(_, ids)| ids.len() as u64)
-                .unwrap_or(0);
+            let followers = own_followers(i) as u64;
             let child_counts: Vec<(u16, u64)> = p2[i]
                 .child_values()
                 .iter()
@@ -617,24 +535,13 @@ pub fn color_nodes(
             }
         })
         .collect();
-    let mut engine = Engine::new(
-        env.params,
-        env.positions.clone(),
-        protocols,
-        mca_radio::rng::derive_seed(seed, 0xC0104),
-    );
     let rcap = rc_tdma.slots_for_rounds(HeapTree::new(max_fv).max_depth() as u64 + 1) + 1;
-    engine.run_until_done(rcap);
-    let p3_slots = engine.slot();
-    let p3 = engine.into_protocols();
+    let (p3, p3_slots) = env.run_phase(protocols, None, derive_seed(seed, 0xC0104), rcap, all_done);
 
     // --- Procedure 4: announce follower colors. ---
     let a_tdma = Tdma::new(phi as u16, 1);
     // Senders: reporters (and rescue dominators) with their follower queues.
-    let max_queue = (0..n)
-        .map(|i| p1[i].reporter_state().map_or(0, |(_, ids)| ids.len()))
-        .max()
-        .unwrap_or(0) as u64;
+    let max_queue = (0..n).map(own_followers).max().unwrap_or(0) as u64;
     let rounds_cap = 2 * max_queue + 4;
     let protocols: Vec<AssignColors> = (0..n)
         .map(|i| {
@@ -673,15 +580,13 @@ pub fn color_nodes(
             }
         })
         .collect();
-    let mut engine = Engine::new(
-        env.params,
-        env.positions.clone(),
+    let (p4, p4_slots) = env.run_phase(
         protocols,
-        mca_radio::rng::derive_seed(seed, 0xC0105),
+        None,
+        derive_seed(seed, 0xC0105),
+        a_tdma.slots_for_rounds(rounds_cap) + 1,
+        all_done,
     );
-    engine.run_until_done(a_tdma.slots_for_rounds(rounds_cap) + 1);
-    let p4_slots = engine.slot();
-    let p4 = engine.into_protocols();
 
     // --- Assemble final colors: k·φ + cluster_color. ---
     let mut colors: Vec<Option<u32>> = vec![None; n];

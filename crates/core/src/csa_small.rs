@@ -20,9 +20,8 @@ use crate::config::AlgoConfig;
 use crate::csa::{CsaConfig, CsaProtocol, CsaRole};
 use crate::ruling::{self, ProbPolicy, RulingConfig, RulingOutcome, RulingSet};
 use crate::schedule::Tdma;
-use mca_geom::Point;
-use mca_radio::{Action, Channel, Engine, NodeId, Observation, Protocol};
-use mca_sinr::SinrParams;
+use crate::structure::{all_done, NetworkEnv};
+use mca_radio::{Action, Channel, NodeId, Observation, Protocol};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -153,10 +152,8 @@ impl CsaSmallOutcome {
 /// `delta_hat` is the (small) bound on cluster sizes — the caller checks
 /// the `Δ̂ ≤ F·log² n` crossover via
 /// [`AlgoConfig::csa_small_applies`].
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
 pub fn run_csa_small(
-    true_params: &SinrParams,
-    positions: &[Point],
+    env: &NetworkEnv,
     seats: &[Option<SmallSeat>],
     algo: &AlgoConfig,
     phi: u16,
@@ -164,7 +161,7 @@ pub fn run_csa_small(
     delta_hat: u64,
     seed: u64,
 ) -> CsaSmallOutcome {
-    let n = positions.len();
+    let n = env.len();
     assert_eq!(seats.len(), n);
     let node_params = algo.node_params();
     let f_total = algo.channels;
@@ -217,15 +214,13 @@ pub fn run_csa_small(
             }
         })
         .collect();
-    let mut engine = Engine::new(
-        *true_params,
-        positions.to_vec(),
+    let (elect, election_slots) = env.run_phase(
         protocols,
+        None,
         mca_radio::rng::derive_seed(seed, 0x5CA11),
+        e_tdma.slots_for_rounds(e_rounds) + 3,
+        all_done,
     );
-    engine.run_until_done(e_tdma.slots_for_rounds(e_rounds) + 3);
-    let election_slots = engine.slot();
-    let elect = engine.into_protocols();
     let is_leader: Vec<bool> = elect
         .iter()
         .map(|p| matches!(p.outcome(), RulingOutcome::Elected))
@@ -261,18 +256,13 @@ pub fn run_csa_small(
             ),
         })
         .collect();
-    let mut engine = Engine::new(
-        *true_params,
-        positions.to_vec(),
+    let (channel_csa, channel_csa_slots) = env.run_phase(
         protocols,
+        None,
         mca_radio::rng::derive_seed(seed, 0x5CA12),
+        c_tdma.slots_for_rounds(csa_cfg_for(Channel::FIRST).total_rounds()) + 1,
+        |_, ps| ps.iter().all(|p| p.is_satisfied()),
     );
-    let ccap = c_tdma.slots_for_rounds(csa_cfg_for(Channel::FIRST).total_rounds()) + 1;
-    engine.run_until(ccap, |ps: &[CsaProtocol]| {
-        ps.iter().all(|p| p.is_satisfied())
-    });
-    let channel_csa_slots = engine.slot();
-    let channel_csa = engine.into_protocols();
 
     // --- Procedure 3: aggregate per-channel counts over the channel tree. ---
     let t_cfg = TreeCfg {
@@ -300,15 +290,13 @@ pub fn run_csa_small(
             _ => TreeCast::passive(SumAgg, t_cfg, NodeId(i as u32)),
         })
         .collect();
-    let mut engine = Engine::new(
-        *true_params,
-        positions.to_vec(),
+    let (tree, tree_slots) = env.run_phase(
         protocols,
+        None,
         mca_radio::rng::derive_seed(seed, 0x5CA13),
+        t_cfg.tdma.slots_for_rounds(t_cfg.rounds()) + 4,
+        all_done,
     );
-    engine.run_until_done(t_cfg.tdma.slots_for_rounds(t_cfg.rounds()) + 4);
-    let tree_slots = engine.slot();
-    let tree = engine.into_protocols();
 
     // --- Procedure 4: dominator broadcasts the summed estimate. ---
     let b_tdma = Tdma::new(phi, 1);
@@ -339,15 +327,13 @@ pub fn run_csa_small(
             },
         })
         .collect();
-    let mut engine = Engine::new(
-        *true_params,
-        positions.to_vec(),
+    let (bcast, broadcast_slots) = env.run_phase(
         protocols,
+        None,
         mca_radio::rng::derive_seed(seed, 0x5CA14),
+        b_tdma.slots_for_rounds(b_rounds) + 1,
+        all_done,
     );
-    engine.run_until_done(b_tdma.slots_for_rounds(b_rounds) + 1);
-    let broadcast_slots = engine.slot();
-    let bcast = engine.into_protocols();
 
     let estimate: Vec<Option<u64>> = (0..n)
         .map(|i| match seats[i] {
@@ -369,6 +355,8 @@ pub fn run_csa_small(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mca_geom::Point;
+    use mca_sinr::SinrParams;
 
     /// One cluster of `m` members packed around a dominator at the origin.
     fn run_one(m: usize, channels: u16, seed: u64) -> (CsaSmallOutcome, usize) {
@@ -389,16 +377,8 @@ mod tests {
                 is_dominator: false,
             }));
         }
-        let out = run_csa_small(
-            &params,
-            &positions,
-            &seats,
-            &algo,
-            1,
-            1.0,
-            (m as u64).max(4),
-            seed,
-        );
+        let env = NetworkEnv { params, positions };
+        let out = run_csa_small(&env, &seats, &algo, 1, 1.0, (m as u64).max(4), seed);
         (out, m + 1)
     }
 

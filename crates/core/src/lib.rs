@@ -48,7 +48,7 @@ pub use ruling::{ProbPolicy, RulingConfig, RulingMsg, RulingOutcome, RulingSet};
 pub use schedule::{Tdma, TdmaSlot};
 pub use structure::{
     aggregate, build_structure, build_structure_masked, build_structure_observed, AggregateOutcome,
-    AggregationStructure, BuildReport, CsaVariant, InterclusterMode, NetworkEnv, StructureConfig,
+    AggregationStructure, BuildReport, InterclusterMode, NetworkEnv, StructureConfig,
     SubstrateMode,
 };
 pub use validate::{audit_structure, audit_structure_masked, AuditTolerances, StructureAudit};

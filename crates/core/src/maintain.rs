@@ -41,15 +41,13 @@
 use crate::knowledge::{NodeRecord, Role};
 use crate::stages::{self, ColorSeat};
 use crate::structure::{
-    build_structure_masked, build_structure_observed, AggregationStructure, NetworkEnv,
+    all_done, build_structure_masked, build_structure_observed, AggregationStructure, NetworkEnv,
     StructureConfig,
 };
 use crate::validate::{audit_structure_masked, AuditTolerances, StructureAudit};
 use mca_geom::SpatialGrid;
 use mca_radio::rng::derive_seed;
-use mca_radio::{
-    Action, Channel, DetectionEvent, Engine, NodeEvent, NodeId, Observation, Protocol,
-};
+use mca_radio::{Action, Channel, DetectionEvent, NodeEvent, NodeId, Observation, Protocol};
 use mca_sinr::SinrParams;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -1004,8 +1002,14 @@ impl StructureMaintainer {
                     }
                 })
                 .collect();
-            let patch =
-                stages::color_patch_stage(env, &self.cfg, &seats, derive_seed(seed, 0x4E03));
+            let patch = stages::color_patch_stage(
+                env,
+                &self.cfg,
+                &seats,
+                None,
+                derive_seed(seed, 0x4E03),
+                0xC0102,
+            );
             report.color_slots += patch.slots;
             report.recolored = recolor.len();
             let mut next_fresh = self
@@ -1242,11 +1246,13 @@ impl StructureMaintainer {
                 RehomeProtocol::new(id, role, cfg)
             })
             .collect();
-        let mut engine = Engine::new(env.params, env.positions.clone(), protocols, engine_seed)
-            .with_faults(stages::absence_plan(Some(&participates)));
-        engine.run_until_done(2 * cfg.rounds + 2);
-        let slots = engine.slot();
-        let out = engine.into_protocols();
+        let (out, slots) = env.run_phase(
+            protocols,
+            Some(&participates),
+            engine_seed,
+            2 * cfg.rounds + 2,
+            all_done,
+        );
 
         let mut attached = 0;
         let mut still = Vec::new();

@@ -24,11 +24,11 @@
 //! SINR-model counterpart built from the paper's own toolbox.
 
 use crate::config::AlgoConfig;
-use crate::dominate::{self, DominateConfig, DominateProtocol};
 use crate::ruling::{self, ProbPolicy, RulingConfig, RulingOutcome, RulingSet, TimeoutRule};
 use crate::schedule::Tdma;
-use crate::structure::{NetworkEnv, SubstrateMode};
-use mca_radio::{Channel, Engine, NodeId};
+use crate::stages;
+use crate::structure::{all_done, NetworkEnv, SubstrateMode};
+use mca_radio::{Channel, NodeId};
 
 /// Configuration of a ruling-set / MIS computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -179,15 +179,13 @@ fn run_ruling_phase(
             }
         })
         .collect();
-    let mut engine = Engine::new(
-        env.params,
-        env.positions.clone(),
+    env.run_phase(
         protocols,
+        None,
         mca_radio::rng::derive_seed(seed, 0x3315),
-    );
-    engine.run_until_done(rcfg.tdma.slots_for_rounds(rounds) + ruling::SLOTS_PER_ROUND as u64);
-    let slots = engine.slot();
-    (engine.into_protocols(), slots)
+        rcfg.tdma.slots_for_rounds(rounds) + ruling::SLOTS_PER_ROUND as u64,
+        all_done,
+    )
 }
 
 /// Computes an `(r, 2r)`-ruling set with the paper's full two-phase §4
@@ -222,41 +220,10 @@ pub fn ruling_set(env: &NetworkEnv, algo: &AlgoConfig, cfg: MisConfig, seed: u64
     check_radius(algo, cfg.radius);
 
     // --- Phase 1: constant-density r-dominating set (Lemma 7). ---
-    let (dominators, dominate_slots): (Vec<bool>, u64) = match cfg.substrate {
-        SubstrateMode::Oracle => {
-            let out = dominate::oracle(&env.positions, cfg.radius, seed);
-            let mut is_dom = vec![false; n];
-            for d in out.dominators() {
-                is_dom[d.index()] = true;
-            }
-            (is_dom, 0)
-        }
-        SubstrateMode::Distributed => {
-            let mut dc = DominateConfig::from_algo(algo);
-            dc.radius = cfg.radius;
-            dc.busy_threshold = algo.node_params().received_power(2.0 * cfg.radius);
-            let protocols: Vec<DominateProtocol> = (0..n)
-                .map(|i| DominateProtocol::new(NodeId(i as u32), dc))
-                .collect();
-            let mut engine = Engine::new(
-                env.params,
-                env.positions.clone(),
-                protocols,
-                mca_radio::rng::derive_seed(seed, 0x3314),
-            );
-            engine.run_until_done(dc.rounds * dominate::SLOTS_PER_ROUND as u64 + 3);
-            let slots = engine.slot();
-            let is_dom: Vec<bool> = engine
-                .protocols()
-                .iter()
-                .map(|p| p.is_dominator())
-                .collect();
-            (is_dom, slots)
-        }
-    };
+    let phase1 = stages::dominating_set(env, algo, cfg.substrate, cfg.radius, None, seed, 0x3314);
 
     // --- Phase 2: ruling set among the (constant-density) dominators. ---
-    let (out, ruling_slots) = run_ruling_phase(env, algo, &cfg, &dominators, seed);
+    let (out, ruling_slots) = run_ruling_phase(env, algo, &cfg, &phase1.is_dominator, seed);
 
     MisOutcome {
         radius: cfg.radius,
@@ -264,7 +231,7 @@ pub fn ruling_set(env: &NetworkEnv, algo: &AlgoConfig, cfg: MisConfig, seed: u64
         in_set: out.iter().map(|p| p.in_set()).collect(),
         outcomes: out.iter().map(|p| p.outcome()).collect(),
         halt_round: out.iter().map(|p| p.halt_round()).collect(),
-        dominate_slots,
+        dominate_slots: phase1.slots,
         ruling_slots,
     }
 }

@@ -17,9 +17,8 @@
 use crate::config::AlgoConfig;
 use crate::ruling::{self, ProbPolicy, RulingConfig, RulingOutcome, RulingSet};
 use crate::schedule::Tdma;
-use mca_geom::Point;
-use mca_radio::{Channel, Engine, NodeId};
-use mca_sinr::SinrParams;
+use crate::structure::{all_done, NetworkEnv};
+use mca_radio::{Channel, NodeId};
 
 /// Per-node input to the election: what the node learned so far.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,15 +68,14 @@ impl ElectionOutcome {
 /// (they stay silent). `phi` is the TDMA color count; `cluster_radius` the
 /// dominating radius actually used (the election radius is twice it).
 pub fn elect_reporters(
-    true_params: &SinrParams,
-    positions: &[Point],
+    env: &NetworkEnv,
     seats: &[Option<ElectionSeat>],
     cfg: &AlgoConfig,
     phi: u16,
     cluster_radius: f64,
     seed: u64,
 ) -> ElectionOutcome {
-    let n = positions.len();
+    let n = env.len();
     assert_eq!(seats.len(), n);
     assert!(cluster_radius > 0.0);
     let node_params = cfg.node_params();
@@ -143,16 +141,13 @@ pub fn elect_reporters(
     // hashing to stay independent of construction order).
     let _ = rand::Rng::gen::<u64>(&mut rng);
 
-    let mut engine = Engine::new(
-        *true_params,
-        positions.to_vec(),
+    let (out, slots) = env.run_phase(
         protocols,
+        None,
         mca_radio::rng::derive_seed(seed, 0xE1EC8),
+        tdma.slots_for_rounds(rounds) + ruling::SLOTS_PER_ROUND as u64,
+        all_done,
     );
-    let max_slots = tdma.slots_for_rounds(rounds) + ruling::SLOTS_PER_ROUND as u64;
-    engine.run_until_done(max_slots);
-    let slots = engine.slot();
-    let out = engine.into_protocols();
 
     ElectionOutcome {
         channel,
@@ -168,6 +163,8 @@ pub fn elect_reporters(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mca_geom::Point;
+    use mca_sinr::SinrParams;
     use std::collections::HashMap;
 
     /// One tight cluster of `m` members around a dominator, `size_est = m`.
@@ -196,7 +193,8 @@ mod tests {
                 is_dominator: false,
             }));
         }
-        let out = elect_reporters(&params, &positions, &seats, &cfg, 1, 1.0, seed);
+        let env = NetworkEnv { params, positions };
+        let out = elect_reporters(&env, &seats, &cfg, 1, 1.0, seed);
         (out, seats, cfg)
     }
 

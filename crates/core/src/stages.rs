@@ -17,7 +17,7 @@
 //! All stages report their slot count, so repair cost is measured in the
 //! same currency as construction cost.
 
-use crate::cluster::{self, ClusterOutcome};
+use crate::config::AlgoConfig;
 use crate::csa::{CsaConfig, CsaProtocol, CsaRole};
 use crate::csa_small::{run_csa_small, SmallSeat};
 use crate::dominate::{self, DominateConfig, DominateProtocol, DominatingOutcome};
@@ -25,8 +25,8 @@ use crate::greedy_color::{ClaimCfg, GreedyColor};
 use crate::knowledge::{NodeRecord, Role};
 use crate::reporter::{elect_reporters, ElectionSeat};
 use crate::schedule::Tdma;
-use crate::structure::{CsaVariant, NetworkEnv, StructureConfig, SubstrateMode};
-use mca_radio::{Channel, Engine, FaultPlan, NodeId};
+use crate::structure::{all_done, NetworkEnv, StructureConfig, SubstrateMode};
+use mca_radio::{Channel, FaultPlan, NodeId};
 use std::collections::{HashMap, HashSet};
 
 /// A fault plan that keeps every node not marked alive out of a stage
@@ -50,54 +50,54 @@ pub fn dominating_stage(
     active: &[bool],
     seed: u64,
 ) -> DominatingOutcome {
-    let n = env.len();
-    assert_eq!(active.len(), n, "one participation flag per node required");
-    let algo = &cfg.algo;
-    match cfg.substrate {
-        SubstrateMode::Oracle => {
-            dominate::oracle_masked(&env.positions, cfg.cluster_radius, seed, Some(active))
-        }
-        SubstrateMode::Distributed => {
-            let mut dc = DominateConfig::from_algo(algo);
-            dc.radius = cfg.cluster_radius;
-            dc.busy_threshold = algo.node_params().received_power(2.0 * cfg.cluster_radius);
-            let protocols: Vec<DominateProtocol> = (0..n)
-                .map(|i| DominateProtocol::new(NodeId(i as u32), dc))
-                .collect();
-            let mut engine = Engine::new(
-                env.params,
-                env.positions.clone(),
-                protocols,
-                mca_radio::rng::derive_seed(seed, 0xD011),
-            )
-            .with_faults(absence_plan(Some(active)));
-            engine.run_until_done(dc.rounds * dominate::SLOTS_PER_ROUND as u64 + 3);
-            let slots = engine.slot();
-            dominate::collect(engine.protocols(), slots)
-        }
-    }
+    assert_eq!(
+        active.len(),
+        env.len(),
+        "one participation flag per node required"
+    );
+    dominating_set(
+        env,
+        &cfg.algo,
+        cfg.substrate,
+        cfg.cluster_radius,
+        Some(active),
+        seed,
+        0xD011,
+    )
 }
 
-/// Phases 2+3 — dominator coloring and announce/attach (see
-/// [`cluster::build_clusters`]), with absent nodes masked out of both
-/// engines.
-pub fn cluster_stage(
+/// A constant-density `radius`-dominating set over the `active` nodes
+/// (all of them for `None`), centrally or by the distributed protocol,
+/// whose engine seed is `seed` derived with `tag`. The build's stage and
+/// the §4 ruling set's phase 1 ([`crate::mis::ruling_set`]) both run it.
+pub(crate) fn dominating_set(
     env: &NetworkEnv,
-    cfg: &StructureConfig,
-    dominating: &DominatingOutcome,
+    algo: &AlgoConfig,
+    substrate: SubstrateMode,
+    radius: f64,
+    active: Option<&[bool]>,
     seed: u64,
-    alive: Option<&[bool]>,
-) -> ClusterOutcome {
-    cluster::build_clusters(
-        &env.params,
-        &env.positions,
-        dominating,
-        &cfg.algo,
-        seed,
-        cfg.max_phi,
-        cfg.cluster_radius,
-        alive,
-    )
+    tag: u64,
+) -> DominatingOutcome {
+    match substrate {
+        SubstrateMode::Oracle => dominate::oracle_masked(&env.positions, radius, seed, active),
+        SubstrateMode::Distributed => {
+            let mut dc = DominateConfig::from_algo(algo);
+            dc.radius = radius;
+            dc.busy_threshold = algo.node_params().received_power(2.0 * radius);
+            let protocols: Vec<DominateProtocol> = (0..env.len())
+                .map(|i| DominateProtocol::new(NodeId(i as u32), dc))
+                .collect();
+            let (out, slots) = env.run_phase(
+                protocols,
+                active,
+                mca_radio::rng::derive_seed(seed, tag),
+                dc.rounds * dominate::SLOTS_PER_ROUND as u64 + 3,
+                all_done,
+            );
+            dominate::collect(&out, slots)
+        }
+    }
 }
 
 /// Outcome of the cluster-size-approximation stage.
@@ -126,12 +126,7 @@ pub fn csa_stage(
     assert_eq!(records.len(), n);
     let algo = &cfg.algo;
     let mut out = CsaStageOutcome::default();
-    let use_small = match cfg.csa_variant {
-        CsaVariant::Large => false,
-        CsaVariant::Small => true,
-        CsaVariant::Auto => algo.channels > 1 && algo.csa_small_applies(cfg.delta_hat()),
-    };
-    if use_small {
+    if algo.channels > 1 && algo.csa_small_applies(cfg.delta_hat()) {
         let seats: Vec<Option<SmallSeat>> = (0..n)
             .map(|i| {
                 if !is_live(alive, i) {
@@ -148,8 +143,7 @@ pub fn csa_stage(
             })
             .collect();
         let small = run_csa_small(
-            &env.params,
-            &env.positions,
+            env,
             &seats,
             algo,
             phi,
@@ -209,19 +203,14 @@ pub fn csa_stage(
             }
         })
         .collect();
-    let mut engine = Engine::new(
-        env.params,
-        env.positions.clone(),
+    let (csa_out, slots) = env.run_phase(
         protocols,
+        alive,
         mca_radio::rng::derive_seed(seed, 0xC5A),
-    )
-    .with_faults(absence_plan(alive));
-    let csa_cap = csa_cfg.tdma.slots_for_rounds(csa_cfg.total_rounds()) + 1;
-    engine.run_until(csa_cap, |ps: &[CsaProtocol]| {
-        ps.iter().all(|p| p.is_satisfied())
-    });
-    out.slots = engine.slot();
-    let csa_out = engine.into_protocols();
+        csa_cfg.tdma.slots_for_rounds(csa_cfg.total_rounds()) + 1,
+        |_, ps| ps.iter().all(|p| p.is_satisfied()),
+    );
+    out.slots = slots;
     // Coordinator estimates per cluster (for back-filling members that
     // missed the notify; counted as a quality metric).
     let mut estimates: HashMap<NodeId, u64> = HashMap::new();
@@ -333,15 +322,7 @@ pub fn election_stage(
     } else {
         (seats, phi)
     };
-    let election = elect_reporters(
-        &env.params,
-        &env.positions,
-        &seats,
-        &cfg.algo,
-        phi.max(1),
-        cfg.cluster_radius,
-        seed,
-    );
+    let election = elect_reporters(env, &seats, &cfg.algo, phi.max(1), cfg.cluster_radius, seed);
     for (i, rec) in records.iter_mut().enumerate() {
         if seats[i].is_none() {
             continue;
@@ -384,17 +365,27 @@ pub struct ColorPatchOutcome {
 /// A local recoloring patch: `Claimant` seats run the claim-based greedy
 /// coloring while `Committed` seats anchor the existing palette, so fresh
 /// colors respect the `R_{ε/2}` separation against established dominators
-/// without re-running the global coloring phase.
+/// without re-running the global coloring phase. The build's dominator
+/// coloring ([`crate::cluster::build_clusters`]) is the same phase with every
+/// dominator a claimant and nobody committed. Nodes outside `alive` are
+/// absent; `tag` derives the engine seed from `seed` (`0xC0100` for the
+/// build, `0xC0102` for a repair patch).
 pub fn color_patch_stage(
     env: &NetworkEnv,
     cfg: &StructureConfig,
     seats: &[ColorSeat],
+    alive: Option<&[bool]>,
     seed: u64,
+    tag: u64,
 ) -> ColorPatchOutcome {
     let n = env.len();
     assert_eq!(seats.len(), n, "one color seat per node required");
     let algo = &cfg.algo;
     let node_params = algo.node_params();
+    // Separation that makes the final coloring proper across clusters:
+    // adjacent nodes' dominators are within 2·r_c + R_ε (the paper's
+    // R_{ε/2}, given its r_c = ε·R_T/4 relation). Using the general form
+    // keeps correctness when the practical cluster radius differs.
     let r_sep = (2.0 * cfg.cluster_radius + node_params.r_eps()).max(node_params.r_eps_half());
     let claim_cfg = ClaimCfg {
         radius: r_sep,
@@ -414,21 +405,25 @@ pub fn color_patch_stage(
             ColorSeat::Out => GreedyColor::passive(NodeId(i as u32), claim_cfg),
         })
         .collect();
-    let mut engine = Engine::new(
-        env.params,
-        env.positions.clone(),
+    // Run until every claimant committed, then a healing tail in which
+    // residual same-color conflicts resolve via the Committed beacons.
+    let tail = 2 * algo.announce_rounds();
+    let mut committed_at = None;
+    let (out, slots) = env.run_phase(
         protocols,
-        mca_radio::rng::derive_seed(seed, 0xC0102),
+        alive,
+        mca_radio::rng::derive_seed(seed, tag),
+        claim_cfg.rounds,
+        |slot, ps: &[GreedyColor]| {
+            let claimed = |(p, s): (&GreedyColor, &ColorSeat)| {
+                *s != ColorSeat::Claimant || p.color().is_some()
+            };
+            if committed_at.is_none() && ps.iter().zip(seats).all(claimed) {
+                committed_at = Some(slot);
+            }
+            committed_at.is_some_and(|at| slot >= at + tail)
+        },
     );
-    engine.run_until(claim_cfg.rounds, |ps: &[GreedyColor]| {
-        ps.iter()
-            .zip(seats)
-            .all(|(p, s)| *s != ColorSeat::Claimant || p.color().is_some())
-    });
-    let tail = (2 * algo.announce_rounds()).min(claim_cfg.rounds.saturating_sub(engine.slot()));
-    engine.run(tail);
-    let slots = engine.slot();
-    let out = engine.into_protocols();
     let colors = out
         .iter()
         .zip(seats)
@@ -531,7 +526,7 @@ mod tests {
             ColorSeat::Committed(1),
             ColorSeat::Claimant,
         ];
-        let out = color_patch_stage(&env, &cfg, &seats, 9);
+        let out = color_patch_stage(&env, &cfg, &seats, None, 9, 0xC0102);
         assert!(out.slots > 0, "the patch must consume slots");
         assert_eq!(out.colors[0], None, "anchors report no new color");
         let c = out.colors[2].expect("claimant must commit");

@@ -15,13 +15,14 @@ use crate::aggfun::Aggregate;
 use crate::aggregate::follower::{self, FollowerAgg, FollowerCfg};
 use crate::aggregate::intercluster::{ExactCfg, FloodCfg, FloodCombine, TreeExact};
 use crate::aggregate::treecast::{self, TreeCast, TreeCfg};
-use crate::cluster::ClusterOutcome;
+use crate::cluster;
 use crate::config::AlgoConfig;
 use crate::knowledge::{NodeRecord, Role};
 use crate::schedule::Tdma;
 use crate::stages;
 use mca_geom::{CommGraph, Deployment, Point};
-use mca_radio::{Channel, Engine, NodeId};
+use mca_radio::rng::derive_seed;
+use mca_radio::{Channel, Engine, NodeId, Protocol};
 use mca_sinr::SinrParams;
 
 /// The simulated network: true physics plus node positions.
@@ -57,18 +58,34 @@ impl NetworkEnv {
     pub fn comm_graph(&self) -> CommGraph {
         CommGraph::build(&self.positions, self.params.r_eps())
     }
+
+    /// Runs one protocol phase: a fresh engine over this network with one
+    /// protocol per node, master seed `seed`, and every node outside
+    /// `alive` absent (crash-stopped from slot 0). The engine steps until
+    /// `stop(slot, protocols)` holds or `cap` slots have run; `stop` is
+    /// asked before every slot and once more at the cap. Returns the
+    /// protocols' end states and the number of slots run.
+    pub fn run_phase<P: Protocol>(
+        &self,
+        protocols: Vec<P>,
+        alive: Option<&[bool]>,
+        seed: u64,
+        cap: u64,
+        mut stop: impl FnMut(u64, &[P]) -> bool,
+    ) -> (Vec<P>, u64) {
+        let mut engine = Engine::new(self.params, self.positions.clone(), protocols, seed)
+            .with_faults(stages::absence_plan(alive));
+        while !stop(engine.slot(), engine.protocols()) && engine.slot() < cap {
+            engine.step();
+        }
+        let slots = engine.slot();
+        (engine.into_protocols(), slots)
+    }
 }
 
-/// Which Cluster-Size-Approximation variant to run (paper Lemma 14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CsaVariant {
-    /// Pick by the paper's crossover: small iff `Δ̂ ≤ F·ln² n`.
-    #[default]
-    Auto,
-    /// Force the large-`Δ̂` single-channel variant (§5.2.1, Lemma 12).
-    Large,
-    /// Force the small-`Δ̂` multi-channel variant (Appendix A, Lemma 13).
-    Small,
+/// The stop rule of a phase that runs until every protocol is done.
+pub fn all_done<P: Protocol>(_slot: u64, protocols: &[P]) -> bool {
+    protocols.iter().all(Protocol::is_done)
 }
 
 /// How the dominating-set substrate is obtained (`DESIGN.md` #1, A1).
@@ -95,13 +112,9 @@ pub struct StructureConfig {
     /// `ε·R_T/4` (the second term of the paper's own `r_c` definition),
     /// with cluster separation still enforced at `R_{ε/2}` by the coloring.
     pub cluster_radius: f64,
-    /// Cap on cluster-coloring phases.
-    pub max_phi: u16,
     /// Known upper bound `Δ̂` on cluster sizes for the CSA (defaults to
     /// `n̂`).
     pub delta_hat: Option<u64>,
-    /// CSA variant selection.
-    pub csa_variant: CsaVariant,
 }
 
 impl StructureConfig {
@@ -113,9 +126,7 @@ impl StructureConfig {
             seed,
             substrate: SubstrateMode::Distributed,
             cluster_radius: p.eps * p.transmission_range() / 4.0,
-            max_phi: 64,
             delta_hat: None,
-            csa_variant: CsaVariant::Auto,
         }
     }
 
@@ -304,7 +315,7 @@ pub fn build_structure_observed(
 
     // --- Phase 2+3: dominator coloring + announce/attach. ---
     let sw = Stopwatch::start_if(timing);
-    let clusters: ClusterOutcome = stages::cluster_stage(env, cfg, &dominating, cfg.seed, alive);
+    let clusters = cluster::build_clusters(env, cfg, &dominating, cfg.seed, alive);
     report.coloring_slots = clusters.coloring_slots;
     report.announce_slots = clusters.announce_slots;
     report.phi = clusters.phi;
@@ -439,160 +450,33 @@ pub fn aggregate<A: Aggregate>(
     let n = env.len();
     assert_eq!(inputs.len(), n, "one input per node required");
     let phi = structure.phi.max(1);
-    let lambda = algo.consts.lambda;
 
     // --- Procedure 1: followers → reporters. ---
-    let fcfg = FollowerCfg {
-        rounds_per_phase: algo.agg_rounds_per_phase(),
-        backoff_threshold: algo.agg_backoff_threshold(),
-        lambda,
-        tdma: Tdma::new(phi, follower::SLOTS_PER_ROUND),
-        max_phases: 24
-            + 2 * (algo.know.log2_n() as u64)
-            + algo.know.n_bound as u64
-                / ((algo.channels as u64) * algo.agg_rounds_per_phase().max(1)),
-    };
-    let protocols: Vec<FollowerAgg<A>> = (0..n)
-        .map(|i| {
-            let r = &structure.records[i];
-            let color = r.cluster_color.unwrap_or(0);
-            match (r.role, r.cluster) {
-                (Role::Dominator, Some(_)) => FollowerAgg::dominator(
-                    agg.clone(),
-                    fcfg,
-                    NodeId(i as u32),
-                    color,
-                    r.serves_channel0,
-                ),
-                (Role::Reporter { heap_pos }, Some(c)) => FollowerAgg::reporter(
-                    agg.clone(),
-                    fcfg,
-                    NodeId(i as u32),
-                    c,
-                    color,
-                    Channel(heap_pos - 1),
-                    inputs[i].clone(),
-                ),
-                (Role::Follower, Some(c)) => {
-                    let fv = r.cluster_channels.unwrap_or(1);
-                    let est = r.cluster_size_est.unwrap_or(1).max(1);
-                    let pu = (lambda * fv as f64 / est as f64).clamp(1e-6, lambda / 2.0);
-                    FollowerAgg::follower(
-                        agg.clone(),
-                        fcfg,
-                        NodeId(i as u32),
-                        c,
-                        color,
-                        fv,
-                        inputs[i].clone(),
-                        pu,
-                    )
-                }
-                _ => FollowerAgg::passive(agg.clone(), fcfg, NodeId(i as u32)),
-            }
-        })
-        .collect();
-    let mut engine = Engine::new(
-        env.params,
-        env.positions.clone(),
-        protocols,
-        mca_radio::rng::derive_seed(seed, 0xF0110),
+    let (fprotocols, follower_slots, contention_peak) = follower_phase(
+        env,
+        structure,
+        algo,
+        agg.clone(),
+        |i| inputs[i].clone(),
+        derive_seed(seed, 0xF0110),
     );
-    let cap = fcfg.tdma.slots_for_rounds(fcfg.total_rounds());
-    // Sample the Lemma-19 contention invariant once per super-round while
-    // running to (slot-accurate) completion of all deliveries.
-    let sample_every = fcfg.tdma.slots_per_super_round().max(1);
-    let mut contention_peak: f64 = 0.0;
-    let mut since_sample = 0u64;
-    let records = &structure.records;
-    engine.run_until(cap, |ps: &[FollowerAgg<A>]| {
-        since_sample += 1;
-        if since_sample >= sample_every {
-            since_sample = 0;
-            let mut by_cluster: std::collections::HashMap<NodeId, f64> =
-                std::collections::HashMap::new();
-            for p in ps {
-                if let (Some(pu), Some(c)) = (p.current_pu(), p.cluster()) {
-                    *by_cluster.entry(c).or_default() += pu;
-                }
-            }
-            for (c, total) in by_cluster {
-                let fv = records[c.index()].cluster_channels.unwrap_or(1).max(1) as f64;
-                contention_peak = contention_peak.max(total / fv);
-            }
-        }
-        ps.iter().all(|p| p.is_delivered())
-    });
-    let follower_slots = engine.slot();
-    let fprotocols = engine.into_protocols();
     let undelivered = fprotocols.iter().filter(|p| !p.is_delivered()).count();
 
     // --- Procedure 2: reporter-tree convergecast. ---
-    let tcfg_of = |fv: u16| TreeCfg {
-        fv: fv.max(1),
-        tdma: Tdma::new(phi, treecast::SLOTS_PER_ROUND),
+    // A dominator adds what it collected as the channel-0 reporter to its
+    // own input; a reporter's collection already holds its own.
+    let start = |i: usize| match (structure.records[i].role, fprotocols[i].reporter_state()) {
+        (Role::Dominator, Some((v, _))) => agg.combine(&inputs[i], v),
+        (_, Some((v, _))) => v.clone(),
+        (_, None) => inputs[i].clone(),
     };
-    let max_fv = structure
-        .records
-        .iter()
-        .filter_map(|r| r.cluster_channels)
-        .max()
-        .unwrap_or(1);
-    let protocols: Vec<TreeCast<A>> = (0..n)
-        .map(|i| {
-            let r = &structure.records[i];
-            let color = r.cluster_color.unwrap_or(0);
-            match (r.role, r.cluster) {
-                (Role::Dominator, Some(c)) => {
-                    // Own input, plus anything collected while serving as
-                    // the channel-0 reporter.
-                    let mut seed = inputs[i].clone();
-                    if let Some((v, _)) = fprotocols[i].reporter_state() {
-                        seed = agg.combine(&seed, v);
-                    }
-                    TreeCast::dominator(
-                        agg.clone(),
-                        tcfg_of(r.cluster_channels.unwrap_or(1)),
-                        c,
-                        color,
-                        seed,
-                    )
-                }
-                (Role::Reporter { heap_pos }, Some(c)) => {
-                    let collected = fprotocols[i]
-                        .reporter_state()
-                        .map(|(v, _)| v.clone())
-                        .unwrap_or_else(|| inputs[i].clone());
-                    TreeCast::reporter(
-                        agg.clone(),
-                        tcfg_of(r.cluster_channels.unwrap_or(1)),
-                        c,
-                        color,
-                        heap_pos,
-                        collected,
-                    )
-                }
-                _ => TreeCast::passive(
-                    agg.clone(),
-                    tcfg_of(1),
-                    r.cluster.unwrap_or(NodeId(i as u32)),
-                ),
-            }
-        })
-        .collect();
-    let mut engine = Engine::new(
-        env.params,
-        env.positions.clone(),
-        protocols,
-        mca_radio::rng::derive_seed(seed, 0xF0111),
+    let (tprotocols, tree_slots) = tree_phase(
+        env,
+        structure,
+        agg.clone(),
+        start,
+        derive_seed(seed, 0xF0111),
     );
-    let tree_cap = tcfg_of(max_fv)
-        .tdma
-        .slots_for_rounds(tcfg_of(max_fv).rounds())
-        + treecast::SLOTS_PER_ROUND as u64;
-    engine.run_until_done(tree_cap);
-    let tree_slots = engine.slot();
-    let tprotocols = engine.into_protocols();
     let tree_losses = (0..n)
         .filter(|&i| {
             matches!(structure.records[i].role, Role::Reporter { .. })
@@ -629,15 +513,13 @@ pub fn aggregate<A: Aggregate>(
                     }
                 })
                 .collect();
-            let mut engine = Engine::new(
-                env.params,
-                env.positions.clone(),
+            let (out, slots) = env.run_phase(
                 protocols,
-                mca_radio::rng::derive_seed(seed, 0xF0112),
+                None,
+                derive_seed(seed, 0xF0112),
+                fl.tdma.slots_for_rounds(fl.total_rounds()) + 1,
+                all_done,
             );
-            engine.run_until_done(fl.tdma.slots_for_rounds(fl.total_rounds()) + 1);
-            let slots = engine.slot();
-            let out = engine.into_protocols();
             (
                 out.iter()
                     .map(|p| p.heard_any().then(|| p.value().clone()))
@@ -673,18 +555,13 @@ pub fn aggregate<A: Aggregate>(
                     }
                 })
                 .collect();
-            let mut engine = Engine::new(
-                env.params,
-                env.positions.clone(),
+            let (out, slots) = env.run_phase(
                 protocols,
-                mca_radio::rng::derive_seed(seed, 0xF0113),
+                None,
+                derive_seed(seed, 0xF0113),
+                ex.tdma.slots_for_rounds(ex.total_rounds()) + 1,
+                |_, ps| ps.iter().all(|p| p.result().is_some()),
             );
-            let cap = ex.tdma.slots_for_rounds(ex.total_rounds()) + 1;
-            engine.run_until(cap, |ps: &[TreeExact<A>]| {
-                ps.iter().all(|p| p.result().is_some())
-            });
-            let slots = engine.slot();
-            let out = engine.into_protocols();
             (out.iter().map(|p| p.result().cloned()).collect(), slots)
         }
     };
@@ -698,6 +575,141 @@ pub fn aggregate<A: Aggregate>(
         tree_losses,
         contention_peak,
     }
+}
+
+/// §6 procedure 1, followers → reporters, over a built structure: each
+/// follower delivers `input(i)` to a reporter of its cluster. Returns the
+/// protocols' end states, the slots run, and the peak of `P_c(v)/f_v`
+/// sampled once per super-round (Lemma 19). [`aggregate`] runs it with the
+/// inputs, and [`crate::coloring::color_nodes`] (§7 procedure 1) with a
+/// zero count to register follower ids.
+pub(crate) fn follower_phase<A: Aggregate>(
+    env: &NetworkEnv,
+    structure: &AggregationStructure,
+    algo: &AlgoConfig,
+    agg: A,
+    input: impl Fn(usize) -> A::Value,
+    seed: u64,
+) -> (Vec<FollowerAgg<A>>, u64, f64) {
+    let phi = structure.phi.max(1);
+    let lambda = algo.consts.lambda;
+    let records = &structure.records;
+    let fcfg = FollowerCfg {
+        rounds_per_phase: algo.agg_rounds_per_phase(),
+        backoff_threshold: algo.agg_backoff_threshold(),
+        lambda,
+        tdma: Tdma::new(phi, follower::SLOTS_PER_ROUND),
+        max_phases: 24
+            + 2 * (algo.know.log2_n() as u64)
+            + algo.know.n_bound as u64
+                / ((algo.channels as u64) * algo.agg_rounds_per_phase().max(1)),
+    };
+    let protocols: Vec<FollowerAgg<A>> = records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let id = NodeId(i as u32);
+            let color = r.cluster_color.unwrap_or(0);
+            match (r.role, r.cluster) {
+                (Role::Dominator, Some(_)) => {
+                    FollowerAgg::dominator(agg.clone(), fcfg, id, color, r.serves_channel0)
+                }
+                (Role::Reporter { heap_pos }, Some(c)) => FollowerAgg::reporter(
+                    agg.clone(),
+                    fcfg,
+                    id,
+                    c,
+                    color,
+                    Channel(heap_pos - 1),
+                    input(i),
+                ),
+                (Role::Follower, Some(c)) => {
+                    let fv = r.cluster_channels.unwrap_or(1);
+                    let est = r.cluster_size_est.unwrap_or(1).max(1);
+                    let pu = (lambda * fv as f64 / est as f64).clamp(1e-6, lambda / 2.0);
+                    FollowerAgg::follower(agg.clone(), fcfg, id, c, color, fv, input(i), pu)
+                }
+                _ => FollowerAgg::passive(agg.clone(), fcfg, id),
+            }
+        })
+        .collect();
+    // Sample the Lemma-19 contention invariant once per super-round while
+    // running to (slot-accurate) completion of all deliveries.
+    let sample_every = fcfg.tdma.slots_per_super_round().max(1);
+    let mut contention_peak: f64 = 0.0;
+    let mut since_sample = 0u64;
+    let cap = fcfg.tdma.slots_for_rounds(fcfg.total_rounds());
+    let (out, slots) = env.run_phase(protocols, None, seed, cap, |_, ps: &[FollowerAgg<A>]| {
+        since_sample += 1;
+        if since_sample >= sample_every {
+            since_sample = 0;
+            let mut by_cluster: std::collections::HashMap<NodeId, f64> =
+                std::collections::HashMap::new();
+            for p in ps {
+                if let (Some(pu), Some(c)) = (p.current_pu(), p.cluster()) {
+                    *by_cluster.entry(c).or_default() += pu;
+                }
+            }
+            for (c, total) in by_cluster {
+                let fv = records[c.index()].cluster_channels.unwrap_or(1).max(1) as f64;
+                contention_peak = contention_peak.max(total / fv);
+            }
+        }
+        ps.iter().all(|p| p.is_delivered())
+    });
+    (out, slots, contention_peak)
+}
+
+/// §6 procedure 2, the reporter-tree convergecast, over a built structure:
+/// every dominator and reporter starts from `start(i)` and the cluster's
+/// combined value converges at its dominator. Returns the protocols' end
+/// states and the slots run. [`aggregate`] starts from the collected
+/// inputs, and [`crate::coloring::color_nodes`] (§7 procedure 2) from
+/// `1 + own followers` to count subtrees.
+pub(crate) fn tree_phase<A: Aggregate>(
+    env: &NetworkEnv,
+    structure: &AggregationStructure,
+    agg: A,
+    start: impl Fn(usize) -> A::Value,
+    seed: u64,
+) -> (Vec<TreeCast<A>>, u64) {
+    let phi = structure.phi.max(1);
+    let tcfg_of = |fv: u16| TreeCfg {
+        fv: fv.max(1),
+        tdma: Tdma::new(phi, treecast::SLOTS_PER_ROUND),
+    };
+    let records = &structure.records;
+    let max_fv = records
+        .iter()
+        .filter_map(|r| r.cluster_channels)
+        .max()
+        .unwrap_or(1);
+    let protocols: Vec<TreeCast<A>> = records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let color = r.cluster_color.unwrap_or(0);
+            let tcfg = tcfg_of(r.cluster_channels.unwrap_or(1));
+            match (r.role, r.cluster) {
+                (Role::Dominator, Some(c)) => {
+                    TreeCast::dominator(agg.clone(), tcfg, c, color, start(i))
+                }
+                (Role::Reporter { heap_pos }, Some(c)) => {
+                    TreeCast::reporter(agg.clone(), tcfg, c, color, heap_pos, start(i))
+                }
+                _ => TreeCast::passive(
+                    agg.clone(),
+                    tcfg_of(1),
+                    r.cluster.unwrap_or(NodeId(i as u32)),
+                ),
+            }
+        })
+        .collect();
+    let cap = tcfg_of(max_fv)
+        .tdma
+        .slots_for_rounds(tcfg_of(max_fv).rounds())
+        + treecast::SLOTS_PER_ROUND as u64;
+    env.run_phase(protocols, None, seed, cap, all_done)
 }
 
 #[cfg(test)]

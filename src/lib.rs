@@ -103,9 +103,9 @@ pub mod prelude {
         build_structure, build_structure_masked, color_nodes, elect_leader,
         maximal_independent_set, AggregateOutcome, AggregationStructure, AlgoConfig,
         AuditTolerances, AvgAgg, AvgValue, BroadcastOutcome, Candidate, ColoringOutcome, Constants,
-        CsaVariant, FmSketch, FmValue, GossipOutcome, InterclusterMode, LeaderOutcome,
-        MaintainConfig, MaxAgg, MinAgg, MisConfig, MisOutcome, NetworkEnv, OrAgg, RepairKind,
-        RepairReport, Sourced, StructureConfig, StructureMaintainer, SubstrateMode, SumAgg,
+        FmSketch, FmValue, GossipOutcome, InterclusterMode, LeaderOutcome, MaintainConfig, MaxAgg,
+        MinAgg, MisConfig, MisOutcome, NetworkEnv, OrAgg, RepairKind, RepairReport, Sourced,
+        StructureConfig, StructureMaintainer, SubstrateMode, SumAgg,
     };
     pub use mca_geom::{BoundingBox, CommGraph, Deployment, Point};
     pub use mca_radio::{

@@ -146,14 +146,31 @@ fn determinism_same_seed_same_everything() {
             d_hat,
             29,
         );
+        let col = color_nodes(&env, &structure, &algo, 29);
         (
             structure.report.total_slots(),
             structure.phi,
-            out.total_slots(),
+            [out.follower_slots, out.tree_slots, out.inter_slots],
             out.values.clone(),
+            [col.p1_slots, col.p2_slots, col.p3_slots, col.p4_slots],
+            col.colors,
         )
     };
-    assert_eq!(run(), run(), "whole pipeline must replay bit-for-bit");
+    let first = run();
+    assert_eq!(first, run(), "whole pipeline must replay bit-for-bit");
+    // The per-procedure split that `GOLDEN_pipeline.json` (totals only)
+    // does not pin: aggregation's follower / tree / inter-cluster slots and
+    // colouring's four procedures.
+    assert_eq!(
+        first.2,
+        [2291, 100, 5801],
+        "aggregate's per-procedure slots moved"
+    );
+    assert_eq!(
+        first.4,
+        [2102, 100, 25, 251],
+        "color_nodes' per-procedure slots moved"
+    );
 }
 
 #[test]
