@@ -1,6 +1,6 @@
 //! # `mca-analysis` — experiment harness utilities
 //!
-//! Statistics ([`stats`]), markdown/CSV table rendering ([`table`]), and
+//! Statistics ([`stats`]), markdown table rendering ([`table`]), and
 //! trial keys and seeds ([`sweep`]) shared by the trial runners, the
 //! `experiments` binary and the integration tests.
 

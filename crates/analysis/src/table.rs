@@ -1,4 +1,4 @@
-//! Result tables rendered as markdown or CSV.
+//! Result tables rendered as markdown.
 //!
 //! The experiment binary prints every regenerated "figure" as a table of
 //! rows (the paper is a theory paper, so figures are scaling curves — a
@@ -61,15 +61,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of floats, formatted with `decimals` fraction digits.
-    pub fn row_f64<I: IntoIterator<Item = f64>>(&mut self, cells: I, decimals: usize) -> &mut Self {
-        let cells: Vec<String> = cells
-            .into_iter()
-            .map(|v| format!("{v:.decimals$}"))
-            .collect();
-        self.row(cells)
-    }
-
     /// Table title.
     pub fn title(&self) -> &str {
         &self.title
@@ -104,33 +95,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders RFC-4180-ish CSV (cells containing commas/quotes/newlines are
-    /// quoted; embedded quotes doubled).
-    pub fn to_csv(&self) -> String {
-        fn esc(s: &str) -> String {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .columns
-                .iter()
-                .map(|c| esc(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -153,24 +117,6 @@ mod tests {
         assert!(md.contains("| 2 | y |"));
         assert_eq!(t.len(), 2);
         assert_eq!(t.cell(1, 1), "y");
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new("csv", ["name", "note"]);
-        t.row(["plain", "a,b"]).row(["q\"uote", "line\nbreak"]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("name,note\n"));
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"q\"\"uote\""));
-        assert!(csv.contains("\"line\nbreak\""));
-    }
-
-    #[test]
-    fn row_f64_formats() {
-        let mut t = Table::new("f", ["v"]);
-        t.row_f64([1.23456], 2);
-        assert_eq!(t.cell(0, 0), "1.23");
     }
 
     #[test]

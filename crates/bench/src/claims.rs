@@ -7,8 +7,9 @@
 //! of a table is an *arm* with its own master seed, and a table runs every
 //! (arm, seed) trial as one enumeration of [`run_seeded_rows`], so the
 //! numbers do not depend on the thread count. M1 and M2 (repair vs rebuild,
-//! reactive vs proactive repair) run seeds 1-3 of named catalog worlds
-//! through one [`TrialSet`](mca_scenario::TrialSet) each, the same batch
+//! reactive vs proactive repair) come from one maintained-world harness,
+//! [`maintained`], which runs seeds 1-3 of named worlds through one
+//! [`TrialSet`](mca_scenario::TrialSet) per table, the same batch
 //! executor.
 //!
 //! A render returns `Err` when a gate of its entry fails; the committed
@@ -17,7 +18,7 @@
 //! [trials]` every entry; the committed `EXPERIMENTS.md`
 //! ([`experiments_md`]) is every entry at [`CLAIM_TRIALS`] trials.
 
-use crate::{adversary_bench, repair_bench};
+use crate::maintained;
 use mca_analysis::{Summary, Table, TrialOutcome};
 use mca_baselines as baselines;
 use mca_core::ruling::{self, ProbPolicy, RulingConfig, RulingOutcome, RulingSet, TimeoutRule};
@@ -132,11 +133,11 @@ const CLAIMS: &[ClaimTable] = &[
     },
     ClaimTable {
         id: "m1",
-        render: repair_bench::m1_repair,
+        render: maintained::m1_repair,
     },
     ClaimTable {
         id: "m2",
-        render: adversary_bench::m2_adversary,
+        render: maintained::m2_adversary,
     },
 ];
 

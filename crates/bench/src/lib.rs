@@ -1,7 +1,8 @@
 //! # `mca-bench` — experiment harness
 //!
 //! The paper's claim tables ([`claims`]: one registry, printed by the
-//! `experiments` binary and committed as `EXPERIMENTS.md`), the committed
+//! `experiments` binary and committed as `EXPERIMENTS.md`; M1 and M2 run on
+//! the maintained-world harness, [`maintained`]), the committed
 //! artifacts ([`artifacts`]), the scenario/sweep service ([`sweep`],
 //! [`mod@serve`]) and the profiling harness ([`profile`]). Host time is
 //! tracked by the repository's benchmark (`benchmark/`), not here.
@@ -9,13 +10,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adversary_bench;
 pub mod artifacts;
 pub mod claims;
 pub mod flip_audit;
 pub mod golden;
+pub mod maintained;
 pub mod profile;
-pub mod repair_bench;
 pub mod scenario_run;
 pub mod serve;
 pub mod sweep;

@@ -1687,9 +1687,22 @@ mod tests {
         let (env, cfg) = world(150, 11.0, 7);
         let mut m = StructureMaintainer::build(&env, cfg, MaintainConfig::default(), None);
         m.observe_detection(&degraded(some_member(&m), 30, 20));
+        let mut timed = m.clone();
         let report = m.repair(&env, 123);
         assert_eq!(report.time_to_detect, 10);
         assert_eq!(report.time_to_repair, 0, "no clock without repair_at");
+        // The clock changes the report's `time_to_repair` and nothing else:
+        // the same seed repairs the same structure either way.
+        let timed_report = timed.repair_at(&env, 123, 40);
+        assert_eq!(timed_report.time_to_repair, 20);
+        assert_eq!(
+            RepairReport {
+                time_to_repair: 0,
+                ..timed_report
+            },
+            report
+        );
+        assert_eq!(timed.structure().records, m.structure().records);
     }
 
     #[test]

@@ -112,9 +112,6 @@ pub struct StructureConfig {
     /// `ε·R_T/4` (the second term of the paper's own `r_c` definition),
     /// with cluster separation still enforced at `R_{ε/2}` by the coloring.
     pub cluster_radius: f64,
-    /// Known upper bound `Δ̂` on cluster sizes for the CSA (defaults to
-    /// `n̂`).
-    pub delta_hat: Option<u64>,
 }
 
 impl StructureConfig {
@@ -126,14 +123,12 @@ impl StructureConfig {
             seed,
             substrate: SubstrateMode::Distributed,
             cluster_radius: p.eps * p.transmission_range() / 4.0,
-            delta_hat: None,
         }
     }
 
+    /// The CSA's bound `Δ̂` on cluster sizes: the network-size bound `n̂`.
     pub(crate) fn delta_hat(&self) -> u64 {
-        self.delta_hat
-            .unwrap_or(self.algo.know.n_bound as u64)
-            .max(2)
+        (self.algo.know.n_bound as u64).max(2)
     }
 }
 

@@ -101,15 +101,6 @@ impl CommGraph {
         (0..self.n).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
-    /// Average degree.
-    pub fn avg_degree(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.adj.len() as f64 / self.n as f64
-        }
-    }
-
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
         self.adj.len() / 2

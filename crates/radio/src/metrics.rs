@@ -88,12 +88,6 @@ impl Metrics {
             self.tx_per_channel[i] += v;
         }
     }
-
-    /// Alias for [`Metrics::merge`], kept for the multi-phase harness
-    /// call sites that predate it.
-    pub fn absorb(&mut self, other: &Metrics) {
-        self.merge(other);
-    }
 }
 
 impl fmt::Display for Metrics {
@@ -134,23 +128,6 @@ mod tests {
         m.transmissions = 2;
         assert!((m.reception_rate() - 0.4).abs() < 1e-12);
         assert!((m.decodes_per_transmission() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorb_sums_everything() {
-        let mut a = Metrics::new();
-        a.record_tx(0);
-        a.slots = 5;
-        a.listens = 2;
-        let mut b = Metrics::new();
-        b.record_tx(2);
-        b.slots = 3;
-        b.receptions = 1;
-        a.absorb(&b);
-        assert_eq!(a.slots, 8);
-        assert_eq!(a.transmissions, 2);
-        assert_eq!(a.receptions, 1);
-        assert_eq!(a.tx_per_channel, vec![1, 0, 1]);
     }
 
     #[test]
