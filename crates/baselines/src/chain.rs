@@ -32,6 +32,7 @@ pub fn descending_successes_for_subset(
             continue;
         }
         if let Some(k) = resolve_listener(params, &tx_pos, lpos).decoded {
+            let k = k as usize;
             if tx_pos[k].x > lpos.x {
                 decoded[k] = true;
             }

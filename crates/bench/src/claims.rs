@@ -818,10 +818,10 @@ fn e11_lemmas(trials: usize) -> Result<Vec<Table>, String> {
             let l2 = tx + Point::unit(theta) * (2.0 * r2).min(r1 * 0.49);
             let o1 = mca_sinr::resolve_listener(&params, &txs, l1);
             let o2 = mca_sinr::resolve_listener(&params, &txs, l2);
-            if o1.decoded == Some(k) {
+            if o1.decoded == Some(k as u32) {
                 ok_r2 += 1;
             }
-            if o2.decoded == Some(k) {
+            if o2.decoded == Some(k as u32) {
                 ok_far += 1;
             }
         }

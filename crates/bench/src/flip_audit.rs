@@ -55,9 +55,9 @@ pub struct Flip {
     /// Where the listener stood.
     pub listener: Point,
     /// Fast mode's decoded transmitter (index into the channel's set).
-    pub fast: Option<usize>,
+    pub fast: Option<u32>,
     /// Exact mode's decoded transmitter.
-    pub exact: Option<usize>,
+    pub exact: Option<u32>,
     /// Exact SINR of the strongest transmitter — its distance from `β` is
     /// the margin the flip crossed.
     pub sinr: f64,

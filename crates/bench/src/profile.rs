@@ -80,11 +80,11 @@ impl ProfileRun {
     }
 
     /// The staging arena's high water: the most transmitter positions and
-    /// the most listener positions (one `shard_rx` entry rides with each)
-    /// any slot staged — the per-slot sums over the channel-slots that had
-    /// both, the only ones staged. Neither exceeds the node count, however
-    /// many channels the world has. `None` like
-    /// [`ProfileRun::resolve_cost`].
+    /// the most listener ids (an outcome rides with each, and a `shard_rx`
+    /// entry where the channel is sharded) any slot staged — the per-slot
+    /// sums over the channel-slots that had both, the only ones staged.
+    /// Neither exceeds the node count, however many channels the world
+    /// has. `None` like [`ProfileRun::resolve_cost`].
     pub fn stage_high_water(&self) -> Option<(u64, u64)> {
         let records = self.recorder.channel_records();
         let sums = records.chunk_by(|a, b| a.slot == b.slot).map(|slot| {
@@ -113,9 +113,9 @@ impl ProfileRun {
     }
 
     /// Whether both arenas stayed within `2 · n` entries on a world of
-    /// `n` nodes: every staging high water, and the index arena's items
-    /// and nodes. A node acts on one channel a slot, so a run that
-    /// breaks this holds Phase-2 memory per channel.
+    /// `n` nodes: the staged transmitter positions and listener ids, and
+    /// the index arena's items and nodes. A node acts on one channel a
+    /// slot, so a run that breaks this holds Phase-2 memory per channel.
     pub fn arenas_ok(&self, n: usize) -> bool {
         let (tx, rx) = self.stage_high_water().unwrap_or_default();
         let (items, nodes) = self.index_high_water().unwrap_or_default();
@@ -253,7 +253,7 @@ pub fn profile_table(scenario: &Scenario, run: &ProfileRun) -> String {
     let n = scenario.len();
     let staged = match run.stage_high_water() {
         Some((tx, rx)) => format!(
-            "staging arena high water {tx} transmitter + {rx} listener positions of {n} nodes"
+            "staging arena high water {tx} transmitter positions + {rx} listener ids of {n} nodes"
         ),
         None => "nothing was staged".into(),
     };
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn memory_line_reads_the_arena_off_the_channel_stream() {
         let (s, run) = small_run();
-        let (tx, rx) = run.stage_high_water().expect("the flood stages positions");
+        let (tx, rx) = run.stage_high_water().expect("the flood stages listeners");
         // A node acts on one channel a slot: neither arena vector can
         // outgrow the world, and no slot staged more than both peaks (the
         // two may come from different slots).
@@ -357,7 +357,8 @@ mod tests {
             .expect("counted");
         assert!(staged.1 <= (tx + rx) * run.trial.slots);
         let table = profile_table(&s, &run);
-        let line = format!("staging arena high water {tx} transmitter + {rx} listener positions");
+        let line =
+            format!("staging arena high water {tx} transmitter positions + {rx} listener ids");
         assert!(table.contains(&line), "no `{line}` in:\n{table}");
         // A Fast-mode world: its channels are indexed, into one arena
         // whose items and nodes stay within twice the node count.

@@ -14,7 +14,8 @@ pub enum SpanKind {
     EventDrain,
     /// Phase 1: protocol `act` gather plus the active-channel sort.
     Gather,
-    /// Phase 2a: staging transmitter/listener positions per channel.
+    /// Phase 2a: staging transmitter positions per channel (listeners
+    /// stay ids).
     Stage,
     /// Phase 2b: resolving all (channel × shard) units (attrs: `a` =
     /// active channel count).

@@ -20,7 +20,7 @@ use crate::metrics::Metrics;
 use crate::node::Protocol;
 use crate::rng::derive_rng;
 use crate::roster::Roster;
-use crate::slot::{Hints, SlotCore};
+use crate::slot::{Hints, SlotCore, IDLED};
 use mca_geom::Point;
 use mca_sinr::SinrParams;
 use rand::rngs::SmallRng;
@@ -59,18 +59,11 @@ use rand::rngs::SmallRng;
 pub struct Engine<P: Protocol> {
     protocols: Vec<P>,
     rngs: Vec<SmallRng>,
-    /// One entry per node, persistent across slots: a polled node's entry
-    /// is overwritten by the act loop, and only entries written this slot
-    /// are ever read.
-    actions: Vec<SlotAction<P::Msg>>,
+    /// This slot's transmitted messages, in act (ascending node) order —
+    /// a transmitter's action record in the core holds the index of its
+    /// own. Emptied by the act loop; room for `n` from the start.
+    msgs: Vec<P::Msg>,
     core: SlotCore,
-}
-
-/// Internal, flattened per-node action for one slot.
-enum SlotAction<M> {
-    Tx(M),
-    Rx,
-    Off,
 }
 
 /// `p`'s [`Protocol::listen_until`] answer at `slot`, kept only if `p` is
@@ -91,7 +84,7 @@ fn slept<P: Protocol>(
     slot: u64,
     protocols: &mut [P],
     rngs: &mut [SmallRng],
-    actions: &[SlotAction<P::Msg>],
+    acts: &[u32],
     roster: &mut Roster,
 ) {
     let mut kept = 0;
@@ -99,7 +92,7 @@ fn slept<P: Protocol>(
         let node = roster.live[r];
         let i = node as usize;
         let p = &mut protocols[i];
-        if matches!(actions[i], SlotAction::Off) && !p.is_done() {
+        if acts[i] == IDLED && !p.is_done() {
             p.observe(slot, Observation::Slept, &mut rngs[i]);
             if let Some(until) = p.quiet_until(slot).filter(|&t| t > slot + 1) {
                 roster.park(node, until);
@@ -136,11 +129,10 @@ impl<P: Protocol> Engine<P> {
         let rngs = (0..positions.len())
             .map(|i| derive_rng(master_seed, i as u64))
             .collect();
-        let actions = (0..positions.len()).map(|_| SlotAction::Off).collect();
         Engine {
             protocols,
             rngs,
-            actions,
+            msgs: Vec::with_capacity(positions.len()),
             core: SlotCore::new(params, positions),
         }
     }
@@ -347,11 +339,11 @@ impl<P: Protocol> Engine<P> {
         let Engine {
             protocols,
             rngs,
-            actions,
+            msgs: _,
             core,
         } = self;
         let slot = core.slot;
-        core.resolve(&mut |roster| slept(slot, protocols, rngs, actions, roster));
+        core.resolve(&mut |roster, acts| slept(slot, protocols, rngs, acts, roster));
         self.core.book();
         self.observe();
         self.core.admit();
@@ -361,37 +353,35 @@ impl<P: Protocol> Engine<P> {
     /// Phase 1: asks every roster node that can act for its action, in
     /// ascending id order (which fixes each channel's transmitter order).
     /// Whoever is not on the roster idles or listens on its standing
-    /// channel without being asked.
+    /// channel without being asked. A node that is not asked leaves the
+    /// roster, so its action record is never read this slot.
     fn act(&mut self) {
         let Engine {
             protocols,
             rngs,
-            actions,
+            msgs,
             core,
         } = self;
         let slot = core.slot;
+        msgs.clear();
         let mut kept = 0;
         for r in 0..core.roster.live.len() {
             let node = core.roster.live[r];
             let i = node as usize;
             // A node that is done now gets no call that could undo it.
             if protocols[i].is_done() || !core.poll(node) {
-                actions[i] = SlotAction::Off;
                 continue;
             }
             core.roster.live[kept] = node;
             kept += 1;
-            actions[i] = match protocols[i].act(slot, &mut rngs[i]) {
+            match protocols[i].act(slot, &mut rngs[i]) {
                 Action::Transmit { channel, msg } => {
                     core.sends(channel, node);
-                    SlotAction::Tx(msg)
+                    msgs.push(msg);
                 }
-                Action::Listen { channel } => {
-                    core.listens(channel, node);
-                    SlotAction::Rx
-                }
-                Action::Idle => SlotAction::Off,
-            };
+                Action::Listen { channel } => core.listens(channel, node),
+                Action::Idle => core.idles(node),
+            }
         }
         core.roster.live.truncate(kept);
     }
@@ -404,7 +394,7 @@ impl<P: Protocol> Engine<P> {
         let Engine {
             protocols,
             rngs,
-            actions,
+            msgs,
             core,
         } = self;
         let slot = core.slot;
@@ -423,11 +413,10 @@ impl<P: Protocol> Engine<P> {
                 if stands && outcome.decoded.is_none() {
                     continue;
                 }
-                let obs =
-                    Observation::from_outcome(outcome, |j| match &actions[d.tx[j] as usize] {
-                        SlotAction::Tx(m) => (NodeId(d.tx[j]), m.clone()),
-                        _ => unreachable!("decoded node was not transmitting"),
-                    });
+                let obs = Observation::from_outcome(outcome, |j| {
+                    let (from, msg) = d.sender(j);
+                    (NodeId(from), msgs[msg].clone())
+                });
                 tell(&mut hints, li, obs, stands.then_some(d.ch));
             }
             // A silent channel's polled listeners sense what it carries; the
@@ -490,6 +479,11 @@ pub(crate) mod tests {
         /// The slot machinery, for the tests that read its arenas.
         pub(crate) fn core(&self) -> &SlotCore {
             &self.core
+        }
+
+        /// The last slot's transmitted messages, for the same tests.
+        pub(crate) fn msgs(&self) -> &Vec<P::Msg> {
+            &self.msgs
         }
     }
 

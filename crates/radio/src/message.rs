@@ -117,7 +117,7 @@ impl<M> Observation<M> {
     {
         match outcome.decoded {
             Some(i) => {
-                let (from, msg) = msg_of(i);
+                let (from, msg) = msg_of(i as usize);
                 Observation::Received(Reception {
                     from,
                     msg,

@@ -65,11 +65,11 @@ fn grid_side(workers: usize, rx: usize, work: usize) -> u16 {
 }
 
 /// Everything of an engine but its protocols, their RNG streams and the
-/// slot's actions: the world (parameters, positions, plan, channel
+/// slot's messages: the world (parameters, positions, plan, channel
 /// conditions), the run's [`Metrics`] and attachments, Phase 1's roster,
-/// and the slot's arenas — the [`Stage`] and the outcome buffer sized to
-/// the node count once, in [`SlotCore::new`]. Its methods are the slot's
-/// phases.
+/// each node's action record, and the slot's arenas — the [`Stage`] and
+/// the outcome buffer sized to the node count once, in [`SlotCore::new`].
+/// Its methods are the slot's phases.
 pub(crate) struct SlotCore {
     params: SinrParams,
     pub(crate) positions: Vec<Point>,
@@ -99,6 +99,12 @@ pub(crate) struct SlotCore {
     /// Phase 1's polling set (see `docs/EXECUTION_MODEL.md`, "Phase 1: who
     /// gets polled").
     pub(crate) roster: Roster,
+    /// One record per node, persistent across slots: what a polled node
+    /// did this slot — its message's index among the slot's transmissions
+    /// (its place in `tx_pairs`, and in the shell's message buffer), or
+    /// [`LISTENED`] or [`IDLED`]. The act loop writes the entry of every
+    /// node it polls, and only entries written this slot are ever read.
+    acts: Vec<u32>,
     /// Per channel, dense (index = channel), so iteration order is the
     /// channel order — deterministic, no hashing; `active` lists the
     /// channels in use this slot, ascending once grouped, so clearing is
@@ -115,9 +121,9 @@ pub(crate) struct SlotCore {
     shard_counts: Vec<u32>,
     /// The slot's outcomes, one per listener of a resolving channel,
     /// channel-major (a channel's stretch is its `rx_span`): in `shard_rx`
-    /// order while the units write them, in listener order once
-    /// [`SlotCore::resolve`] returns, booked in place by [`SlotCore::book`].
-    /// Sized to `n` with the [`Stage`], like `rx_pos`.
+    /// order while a sharded channel's units write them, in listener order
+    /// once [`SlotCore::resolve`] returns, booked in place by
+    /// [`SlotCore::book`]. Sized to `n` with the [`Stage`].
     unit_out: Vec<ListenOutcome>,
     /// Per-unit `(wall ns, halo ns)`, parallel to [`Stage`]'s `units`
     /// (zeros unless a recorder is attached).
@@ -135,7 +141,10 @@ pub(crate) struct SlotCore {
 /// at most one channel a slot, so each vector holds at most `n` entries
 /// however the channels hop. All but `units` (one range per shard) are
 /// sized to `n` once, when the engine is built, so no slot reallocates them
-/// (`docs/EXECUTION_MODEL.md`, "Staging").
+/// (`docs/EXECUTION_MODEL.md`, "Staging"). Listeners are staged as ids
+/// only: every phase after `group` reads a listener's position in place,
+/// through its id; transmitter positions are copied, because the resolver
+/// and the index walk a channel's as one slice.
 struct Stage {
     /// The act loop's `(channel, node)` pairs, transmitters and listeners,
     /// each in roster (ascending node) order.
@@ -145,15 +154,17 @@ struct Stage {
     /// the polled ones and, where it has a transmitter, the standing
     /// ones — each run ascending.
     ids: Vec<u32>,
-    /// The resolving channels' transmitter and listener positions.
+    /// The resolving channels' transmitter positions.
     tx_pos: Vec<Point>,
-    rx_pos: Vec<Point>,
-    /// Parallel to `rx_pos`: per channel, its listener indices grouped
-    /// shard-major while the units run; the identity once
-    /// [`SlotCore::resolve`] has put the outcomes in listener order.
+    /// Per bucketed channel only: its listener indices (into its listener
+    /// ids) grouped shard-major while the units run; the identity once
+    /// [`SlotCore::resolve`] has put the outcomes in listener order. A
+    /// channel left whole reads its ids in listener order and writes
+    /// nothing here.
     shard_rx: Vec<u32>,
     /// The resolve units: per resolving channel, half-open ranges into its
-    /// `shard_rx` stretch in shard-id order, together tiling it.
+    /// listeners — through its `shard_rx` stretch when it is sharded — in
+    /// shard-id order, together tiling them.
     units: Vec<(u32, u32)>,
 }
 
@@ -166,12 +177,16 @@ impl Stage {
             rx_pairs: Vec::with_capacity(n),
             ids: Vec::with_capacity(n),
             tx_pos: Vec::with_capacity(n),
-            rx_pos: Vec::with_capacity(n),
             shard_rx: Vec::with_capacity(n),
             units: Vec::new(),
         }
     }
 }
+
+/// [`SlotCore`]'s action record of a polled node that listened.
+const LISTENED: u32 = u32::MAX;
+/// [`SlotCore`]'s action record of a polled node that idled.
+pub(crate) const IDLED: u32 = u32::MAX - 1;
 
 /// Per-channel state for one slot: the channel's ranges of the core's
 /// [`Stage`] and [`IndexArena`] (a group owns no id, position, shard
@@ -181,10 +196,13 @@ struct ChannelGroup {
     /// The channel's transmitters and listeners: stretches of `ids`.
     tx: Range<usize>,
     rx: Range<usize>,
-    /// A resolving channel's stretch of `tx_pos`, and of `rx_pos` — also
-    /// of `shard_rx` and of the slot's outcomes.
+    /// A resolving channel's stretch of `tx_pos`, and of the slot's
+    /// outcomes (one per listener).
     tx_span: Range<usize>,
     rx_span: Range<usize>,
+    /// Its stretch of `shard_rx`, as long as its listeners, where it was
+    /// bucketed (a grid of 2 × 2 or finer); empty otherwise.
+    shard_span: Range<usize>,
     /// Its resolve units: a stretch of `units`, and of the unit timings.
     units: Range<usize>,
     cond: ChannelCondition,
@@ -204,7 +222,7 @@ impl ChannelGroup {
     /// condition, parameters and silence for every channel in use.
     fn clear(&mut self) {
         (self.tx, self.rx, self.tx_span, self.rx_span) = (0..0, 0..0, 0..0, 0..0);
-        self.units = 0..0;
+        (self.shard_span, self.units) = (0..0, 0..0);
         self.index = None;
     }
 
@@ -244,7 +262,11 @@ fn touch<'g>(
 struct Work<'g> {
     ch: u16,
     resolver: ChannelResolver<'g>,
-    rx_pos: &'g [Point],
+    /// Every node's position, read through `rx`.
+    positions: &'g [Point],
+    /// The channel's listener ids, in listener order.
+    rx: &'g [u32],
+    /// Its `shard_rx` stretch (read only when sharded).
     shard_rx: &'g [u32],
     unit_ranges: &'g [(u32, u32)],
     extra_interference: f64,
@@ -274,19 +296,21 @@ struct Out<'g> {
 /// buffer — returning `(wall ns, halo ns)` (zeros unless `timing`).
 fn resolve_unit(w: &Work<'_>, ui: usize, out: &mut [ListenOutcome], timing: bool) -> (u64, u64) {
     let sw = Stopwatch::start_if(timing);
-    let (s, e) = w.unit_ranges[ui];
-    let ks = &w.shard_rx[s as usize..e as usize];
     let mut halo_ns = 0;
     if w.sharded() {
+        let (s, e) = w.unit_ranges[ui];
+        let ks = &w.shard_rx[s as usize..e as usize];
         let sw_halo = Stopwatch::start_if(timing);
-        let bbox = BoundingBox::from_points(ks.iter().map(|&k| w.rx_pos[k as usize]))
-            .expect("resolve units are never empty");
+        let at = |&k: &u32| w.positions[w.rx[k as usize] as usize];
+        let bbox =
+            BoundingBox::from_points(ks.iter().map(at)).expect("resolve units are never empty");
         let task = w.resolver.task(bbox);
         halo_ns = sw_halo.elapsed_ns();
-        task.resolve_indexed_into(w.rx_pos, ks, w.extra_interference, out);
+        task.resolve_subset_into(w.positions, w.rx, ks, w.extra_interference, out);
     } else {
+        // The one unit is every listener, in listener order.
         w.resolver
-            .resolve_indexed_into(w.rx_pos, ks, w.extra_interference, out);
+            .resolve_indexed_into(w.positions, w.rx, w.extra_interference, out);
     }
     (sw.elapsed_ns(), halo_ns)
 }
@@ -340,16 +364,17 @@ fn unshard(out: &mut [ListenOutcome], order: &mut [u32]) {
 fn book_listens(
     c: &mut ChannelSlotRecord,
     rx: &[u32],
-    rx_pos: &[Point],
+    positions: &[Point],
     outcomes: &mut [ListenOutcome],
     drop: bool,
     faults: &FaultPlan,
     mut detector: Option<&mut DegradationDetector>,
 ) {
     let drops = drop || !faults.zone_jams().is_empty();
-    for ((&li, &pos), outcome) in rx.iter().zip(rx_pos).zip(outcomes) {
-        if drops && outcome.decoded.is_some() && (drop || faults.zone_drop(pos, c.channel, c.slot))
-        {
+    let (channel, slot) = (c.channel, c.slot);
+    let zone_drop = |li: u32| faults.zone_drop(positions[li as usize], channel, slot);
+    for (&li, outcome) in rx.iter().zip(outcomes) {
+        if drops && outcome.decoded.is_some() && (drop || zone_drop(li)) {
             c.env += 1;
             *outcome = ListenOutcome {
                 decoded: None,
@@ -372,6 +397,8 @@ pub(crate) struct Delivery<'a> {
     pub(crate) ch: u16,
     /// Its transmitters, ascending; a decoded outcome's index points here.
     pub(crate) tx: &'a [u32],
+    /// Every node's action record ([`SlotCore`]'s `acts`).
+    acts: &'a [u32],
     /// The listeners to tell, ascending: on a resolved channel the polled
     /// and the standing ones, each with its booked outcome in `outcomes`;
     /// on one nobody transmits on the polled ones only, `outcomes` empty,
@@ -379,6 +406,18 @@ pub(crate) struct Delivery<'a> {
     pub(crate) rx: &'a [u32],
     pub(crate) outcomes: &'a [ListenOutcome],
     pub(crate) silence: f64,
+}
+
+impl Delivery<'_> {
+    /// Transmitter `j` of the channel and the index of its message in the
+    /// slot's message buffer.
+    #[inline]
+    pub(crate) fn sender(&self, j: usize) -> (u32, usize) {
+        let node = self.tx[j];
+        let msg = self.acts[node as usize];
+        debug_assert!(msg < IDLED, "decoded node {node} was not transmitting");
+        (node, msg as usize)
+    }
 }
 
 /// What the observe loop files `listen_until` answers with: the roster,
@@ -416,9 +455,11 @@ impl Hints<'_> {
 impl SlotCore {
     /// A core over `positions`, its [`Stage`] and outcome buffer sized to
     /// the node count up front: a slot never stages more than `n` pairs,
-    /// ids, positions or outcomes, so growing them slot by slot would only
-    /// copy (`docs/EXECUTION_MODEL.md`, "Why each vector is bounded by
-    /// `n`").
+    /// ids, transmitter positions or outcomes, so growing them slot by slot
+    /// would only copy (`docs/EXECUTION_MODEL.md`, "Why each vector is
+    /// bounded by `n`"). The action record is 4 B per node, whatever the
+    /// protocol's message type: the messages themselves live in the shell,
+    /// one per transmitter.
     pub(crate) fn new(params: SinrParams, positions: Vec<Point>) -> Self {
         let ps = rayon::pool_stats();
         let n = positions.len();
@@ -434,6 +475,7 @@ impl SlotCore {
             obs: None,
             obs_pool: (ps.steals, ps.tasks, ps.parks),
             roster: Roster::new(),
+            acts: vec![IDLED; n],
             groups: Vec::new(),
             active: Vec::new(),
             stage: Stage::sized(n),
@@ -498,7 +540,6 @@ impl SlotCore {
         stage.rx_pairs.clear();
         stage.ids.clear();
         stage.tx_pos.clear();
-        stage.rx_pos.clear();
         stage.shard_rx.clear();
         stage.units.clear();
         self.index.clear();
@@ -534,11 +575,13 @@ impl SlotCore {
 
     /// Files a polled node's transmission on `channel`: one pair, counted
     /// in its channel's range until [`SlotCore::group`] places it (counting
-    /// between `act` calls keeps it off any critical path).
+    /// between `act` calls keeps it off any critical path), and the node's
+    /// record points at its message — the shell's next.
     #[inline]
     pub(crate) fn sends(&mut self, channel: Channel, node: u32) {
         self.metrics.record_tx(channel.index());
         touch(&mut self.groups, &mut self.active, channel.0).tx.end += 1;
+        self.acts[node as usize] = self.stage.tx_pairs.len() as u32;
         self.stage.tx_pairs.push((channel.0, node));
     }
 
@@ -546,7 +589,14 @@ impl SlotCore {
     #[inline]
     pub(crate) fn listens(&mut self, channel: Channel, node: u32) {
         touch(&mut self.groups, &mut self.active, channel.0).rx.end += 1;
+        self.acts[node as usize] = LISTENED;
         self.stage.rx_pairs.push((channel.0, node));
+    }
+
+    /// Files a polled node's idle slot.
+    #[inline]
+    pub(crate) fn idles(&mut self, node: u32) {
+        self.acts[node as usize] = IDLED;
     }
 
     /// Phase 1b: a stable counting sort keyed by channel (the act loop
@@ -611,11 +661,12 @@ impl SlotCore {
 
     /// Phase 2a: stages each active channel's effective parameters
     /// (jamming folded into the noise floor) and condition, and a
-    /// resolving channel's positions; a channel without a transmitter keeps
-    /// only the power its listeners sense.
+    /// resolving channel's transmitter positions and stretch of the slot's
+    /// outcomes; a channel without a transmitter keeps only the power its
+    /// listeners sense.
     pub(crate) fn stage(&mut self) {
         let (stage, positions) = (&mut self.stage, &self.positions);
-        let mut silent_channels = 0u64;
+        let (mut silent_channels, mut rx_at) = (0u64, 0);
         for &ch in &self.active {
             let group = &mut self.groups[ch as usize];
             group.params = self.params;
@@ -632,12 +683,11 @@ impl SlotCore {
                 group.silence = empty.total_power;
             } else if !group.rx.is_empty() {
                 let at = |i: &u32| positions[*i as usize];
-                let (tx_at, rx_at) = (stage.tx_pos.len(), stage.rx_pos.len());
-                let ids = &stage.ids;
+                let (tx_at, ids) = (stage.tx_pos.len(), &stage.ids);
                 stage.tx_pos.extend(ids[group.tx.clone()].iter().map(at));
-                stage.rx_pos.extend(ids[group.rx.clone()].iter().map(at));
                 group.tx_span = tx_at..stage.tx_pos.len();
-                group.rx_span = rx_at..stage.rx_pos.len();
+                group.rx_span = rx_at..rx_at + group.rx.len();
+                rx_at = group.rx_span.end;
             }
         }
         if let Some(rec) = self.obs.as_mut() {
@@ -654,9 +704,10 @@ impl SlotCore {
     /// outcome in listener order, channel by channel. Bit-identical for any
     /// grid, worker count and steal schedule (`docs/EXECUTION_MODEL.md`,
     /// "Units" and "The merge order").
-    pub(crate) fn resolve(&mut self, slept: &mut dyn FnMut(&mut Roster)) {
+    pub(crate) fn resolve(&mut self, slept: &mut dyn FnMut(&mut Roster, &[u32])) {
         let (slot, timing) = (self.slot, self.obs.is_some());
         let (stage, groups, index) = (&mut self.stage, &mut self.groups, &mut self.index);
+        let positions = &self.positions;
         // Read once: the pool's width steers both the grids and whether
         // the slot pools.
         let workers = rayon::current_num_threads();
@@ -683,19 +734,20 @@ impl SlotCore {
             // count and its index's work estimate, and is laid over the
             // box of the listeners staged this slot (execution-only: the
             // chosen grid never changes an outcome).
-            let rx_pos = &stage.rx_pos[group.rx_span.clone()];
-            let rx = rx_pos.len();
+            let rx_ids = &stage.ids[group.rx.clone()];
+            let rx = rx_ids.len();
+            let rx_points = || rx_ids.iter().map(|&i| positions[i as usize]);
             let side = grid_side(workers, rx, group.work_per_listener());
-            let (at, first) = (stage.shard_rx.len(), stage.units.len());
+            let first = stage.units.len();
             if side >= 2 {
-                let bounds = BoundingBox::from_points(rx_pos.iter().copied())
-                    .expect("a sharded channel has listeners");
+                let bounds =
+                    BoundingBox::from_points(rx_points()).expect("a sharded channel has listeners");
                 let grid = ShardMap::over(side, bounds);
                 let nshards = grid.shard_count();
                 let counts = &mut self.shard_counts;
                 counts.clear();
                 counts.resize(nshards + 1, 0);
-                for &p in rx_pos {
+                for p in rx_points() {
                     counts[usize::from(grid.locate(p)) + 1] += 1;
                 }
                 for sid in 0..nshards {
@@ -704,21 +756,25 @@ impl SlotCore {
                 let ranges = counts.windows(2).map(|w| (w[0], w[1]));
                 stage.units.extend(ranges.filter(|(s, e)| s != e));
                 // Scatter, reusing the prefix sums as cursors.
+                let at = stage.shard_rx.len();
                 stage.shard_rx.resize(at + rx, 0);
-                for (k, &p) in rx_pos.iter().enumerate() {
+                for (k, p) in rx_points().enumerate() {
                     let cursor = &mut counts[usize::from(grid.locate(p))];
                     stage.shard_rx[at + *cursor as usize] = k as u32;
                     *cursor += 1;
                 }
+                group.shard_span = at..stage.shard_rx.len();
             } else {
-                stage.shard_rx.extend(0..rx as u32);
                 stage.units.push((0, rx as u32));
             }
             group.units = first..stage.units.len();
         }
         // Every element is overwritten by the unit that owns it.
-        self.unit_out
-            .resize(stage.rx_pos.len(), ListenOutcome::SILENT);
+        let listens = self
+            .active
+            .iter()
+            .map(|&ch| groups[ch as usize].rx_span.len());
+        self.unit_out.resize(listens.sum(), ListenOutcome::SILENT);
         self.unit_ns.resize(stage.units.len(), (0, 0));
 
         // A job per resolving channel, its output ranges split off the
@@ -740,8 +796,9 @@ impl SlotCore {
             let work = Work {
                 ch,
                 resolver,
-                rx_pos: &stage_ro.rx_pos[group.rx_span.clone()],
-                shard_rx: &stage_ro.shard_rx[group.rx_span.clone()],
+                positions,
+                rx: &stage_ro.ids[group.rx.clone()],
+                shard_rx: &stage_ro.shard_rx[group.shard_span.clone()],
                 unit_ranges: &stage_ro.units[group.units.clone()],
                 extra_interference: group.cond.extra_interference,
                 work_per_listener: group.work_per_listener(),
@@ -756,13 +813,13 @@ impl SlotCore {
             .iter()
             .flat_map(|(w, _)| w.unit_ranges.iter().map(|&u| w.unit_work(u)));
         let pool_units = works.filter(|&work| workers > 1 && work >= bar).count();
-        let roster = &mut self.roster;
+        let (roster, acts) = (&mut self.roster, &self.acts);
         let mut slept_ns = 0;
         let sw_wait = if pool_units >= 2 {
             rayon::scope(|s| {
                 run_units(&mut jobs, Some(s), bar, timing);
                 let sw = Stopwatch::start_if(timing);
-                slept(roster);
+                slept(roster, acts);
                 slept_ns = sw.elapsed_ns();
                 // From here the slot thread only helps the pool finish.
                 Some(Stopwatch::start_if(timing))
@@ -770,7 +827,7 @@ impl SlotCore {
         } else {
             run_units(&mut jobs, None, bar, timing);
             let sw = Stopwatch::start_if(timing);
-            slept(roster);
+            slept(roster, acts);
             slept_ns = sw.elapsed_ns();
             None
         };
@@ -797,8 +854,8 @@ impl SlotCore {
         for &ch in &self.active {
             let group = &groups[ch as usize];
             if group.units.len() > 1 {
-                let span = group.rx_span.clone();
-                unshard(&mut self.unit_out[span.clone()], &mut stage.shard_rx[span]);
+                let out = &mut self.unit_out[group.rx_span.clone()];
+                unshard(out, &mut stage.shard_rx[group.shard_span.clone()]);
                 merged_units += group.units.len() as u32;
             }
         }
@@ -831,6 +888,7 @@ impl SlotCore {
     /// no protocol, RNG or roster state an `observe` or a hint writes.
     pub(crate) fn book(&mut self) {
         let (slot, groups, stage) = (self.slot, &self.groups, &self.stage);
+        let positions = &self.positions;
         let (faults, roster, metrics) = (&self.faults, &self.roster, &mut self.metrics);
         let obs = &mut self.obs;
         let trails = |ch: u16| {
@@ -856,10 +914,9 @@ impl SlotCore {
                     c.busy = c.listens;
                 }
             } else {
-                let rx_pos = &stage.rx_pos[group.rx_span.clone()];
                 let outcomes = &mut self.unit_out[group.rx_span.clone()];
                 let (drop, detector) = (group.cond.drop, self.detector.as_mut());
-                book_listens(&mut c, rx, rx_pos, outcomes, drop, faults, detector);
+                book_listens(&mut c, rx, positions, outcomes, drop, faults, detector);
             }
             metrics.receptions += u64::from(c.rx);
             metrics.busy_failures += u64::from(c.busy);
@@ -876,11 +933,13 @@ impl SlotCore {
     /// answers with.
     pub(crate) fn deliveries(&mut self) -> (impl Iterator<Item = Delivery<'_>>, Hints<'_>) {
         let (groups, ids, outcomes) = (&self.groups, &self.stage.ids, &self.unit_out);
+        let acts = &self.acts;
         let channels = self.active.iter().map(move |&ch| {
             let group = &groups[ch as usize];
             Delivery {
                 ch,
                 tx: &ids[group.tx.clone()],
+                acts,
                 rx: &ids[group.rx.clone()],
                 outcomes: &outcomes[group.rx_span.clone()],
                 silence: group.silence,
@@ -917,9 +976,10 @@ impl SlotCore {
             rec.add("nodes_parked", waiting as u64);
             rec.add("nodes_woken", roster.woken.len() as u64);
             rec.add("parks_far", roster.parks_far);
-            // What Phase 2 staged: a position per transmitter and listener
-            // of every resolved channel — the arena's fill this slot.
-            let staged = self.stage.tx_pos.len() + self.stage.rx_pos.len();
+            // What Phase 2 staged: a position per transmitter and an id
+            // (and outcome) per listener of every resolved channel — the
+            // arena's fill this slot.
+            let staged = self.stage.tx_pos.len() + self.unit_out.len();
             rec.add("staged_positions", staged as u64);
             // Work-stealing pool activity, as per-slot deltas of the
             // process-global cumulative stats (see `obs_pool`).
@@ -1004,11 +1064,12 @@ mod tests {
     }
 
     /// The arena is sized once: right after [`Engine::new`] every vector
-    /// of the [`Stage`] bounded by the node count, and the slot's outcome
-    /// buffer, has room for exactly `n` entries, and a slot that stages
-    /// one listener followed by one that stages `n − 1` leaves every
-    /// capacity where it was — no slot reallocates, so no slot holds an
-    /// old and a new buffer at once. At 1, 2 and 8 pool workers.
+    /// of the [`Stage`] bounded by the node count, the slot's outcome
+    /// buffer, the action records and the shell's message buffer have room
+    /// for exactly `n` entries, and a slot that stages one listener
+    /// followed by one that stages `n − 1` leaves every capacity where it
+    /// was — no slot reallocates, so no slot holds an old and a new buffer
+    /// at once. At 1, 2 and 8 pool workers.
     #[test]
     fn stage_arena_is_sized_once() {
         for threads in [1usize, 2, 8] {
@@ -1021,29 +1082,73 @@ mod tests {
         let positions = (0..n).map(|i| Point::new((i % 64) as f64, (i / 64) as f64));
         let protocols = (0..n as u32).map(|id| Widening { id }).collect();
         let mut e = Engine::new(SinrParams::default(), positions.collect(), protocols, 3);
-        let capacities = |core: &SlotCore| {
-            let s = &core.stage;
+        let capacities = |e: &Engine<Widening>| {
+            let (core, s) = (e.core(), &e.core().stage);
             [
                 ("tx_pairs", s.tx_pairs.capacity()),
                 ("rx_pairs", s.rx_pairs.capacity()),
                 ("ids", s.ids.capacity()),
                 ("tx_pos", s.tx_pos.capacity()),
-                ("rx_pos", s.rx_pos.capacity()),
                 ("shard_rx", s.shard_rx.capacity()),
                 ("unit_out", core.unit_out.capacity()),
+                ("acts", core.acts.capacity()),
+                ("msgs", e.msgs().capacity()),
             ]
         };
-        for (name, capacity) in capacities(e.core()) {
+        for (name, capacity) in capacities(&e) {
             assert_eq!(capacity, n, "{name} is sized to the node count");
         }
         for listeners in [1, n - 1] {
             e.step();
             let core = e.core();
-            assert_eq!(core.stage.rx_pos.len(), listeners);
+            assert_eq!(core.stage.tx_pos.len(), 1);
             assert_eq!(core.unit_out.len(), listeners);
-            for (name, capacity) in capacities(core) {
+            assert_eq!(e.msgs().len(), 1, "only the transmitter holds a message");
+            for (name, capacity) in capacities(&e) {
                 assert_eq!(capacity, n, "{name} kept its room");
             }
+        }
+    }
+
+    /// A quarter of the nodes transmit a 64-byte message on channel 0
+    /// each slot, in turn; the others listen.
+    struct Wide {
+        id: u32,
+    }
+    impl Protocol for Wide {
+        type Msg = [u64; 8];
+        fn act(&mut self, slot: u64, _rng: &mut SmallRng) -> Action<[u64; 8]> {
+            let channel = Channel(0);
+            if u64::from(self.id) % 4 == slot % 4 {
+                let msg = [u64::from(self.id); 8];
+                Action::Transmit { channel, msg }
+            } else {
+                Action::Listen { channel }
+            }
+        }
+        fn observe(&mut self, _slot: u64, _obs: Observation<[u64; 8]>, _r: &mut SmallRng) {}
+    }
+
+    /// What an entry of the slot's per-listener and per-node records
+    /// costs: a listen outcome is 32 bytes (a `u32` transmitter index
+    /// beside three `f64`s, no padding), and the action record is 4 bytes
+    /// per node even where the message is 64 — the messages live in the
+    /// shell's buffer, one per transmitter.
+    #[test]
+    fn stage_arena_entry_sizes() {
+        use std::mem::{size_of, size_of_val};
+        assert_eq!(size_of::<ListenOutcome>(), 32);
+        assert_eq!(size_of::<<Wide as Protocol>::Msg>(), 64);
+        let n = 64usize;
+        let positions = (0..n).map(|i| Point::new((i % 8) as f64, (i / 8) as f64));
+        let protocols = (0..n as u32).map(|id| Wide { id }).collect();
+        let mut e = Engine::new(SinrParams::default(), positions.collect(), protocols, 3);
+        for _ in 0..2 {
+            assert_eq!(e.core().acts.len(), n);
+            assert_eq!(size_of_val(&e.core().acts[..]), 4 * n);
+            e.step();
+            assert_eq!(e.msgs().len(), n / 4, "a message per transmitter");
+            assert_eq!(e.core().unit_out.len(), n - n / 4);
         }
     }
 
@@ -1055,15 +1160,16 @@ mod tests {
     /// group has a buffer or an index to grow: the exhaustive
     /// destructuring of [`ChannelGroup`] below stops compiling the moment
     /// the struct gains a field, so a `Vec` (of ids, positions, shard
-    /// order, or a per-channel index cache) cannot come back unnoticed. On
-    /// a slot with three resolved channels the groups' ranges tile the
-    /// arena in ascending channel order — each channel's transmitters,
-    /// then its listeners, in `ids`; each as long as its ids in `tx_pos`
-    /// and `rx_pos` — every staged position is its node's, every
-    /// channel's `shard_rx` stretch is back in listener order after the
-    /// merge, its units tile its listeners, a channel has several units
-    /// exactly when its derived grid is 2 × 2 or finer, and every channel
-    /// is indexed. At 1, 2 and 8 pool workers: one worker resolves every
+    /// order, or a per-channel index cache) cannot come back unnoticed —
+    /// nor, by the [`Stage`]'s, a per-listener copy. On a slot with three
+    /// resolved channels the groups' ranges tile the arena in ascending
+    /// channel order — each channel's transmitters, then its listeners, in
+    /// `ids`; each as long as its ids in `tx_pos` and in the outcome
+    /// buffer — every staged position is its node's, a channel has a
+    /// `shard_rx` stretch exactly when it has several units, and that
+    /// stretch is back in listener order after the merge, its units tile
+    /// its listeners, a channel has several units exactly when its derived
+    /// grid is 2 × 2 or finer, and every channel is indexed. At 1, 2 and 8 pool workers: one worker resolves every
     /// channel as one unit, more shard every one of these channels (under
     /// `MCA_FORCE_PAR=1` every arm is sharded and its units run on the
     /// pool).
@@ -1103,15 +1209,14 @@ mod tests {
             rx_pairs: _,
             ids,
             tx_pos,
-            rx_pos,
             shard_rx,
             units,
         } = &core.stage;
         for (name, capacity) in [
             ("ids", ids.capacity()),
             ("tx_pos", tx_pos.capacity()),
-            ("rx_pos", rx_pos.capacity()),
             ("shard_rx", shard_rx.capacity()),
+            ("unit_out", core.unit_out.capacity()),
             ("units", units.capacity()),
         ] {
             assert!(capacity <= 2 * n, "{name} holds {capacity} entries");
@@ -1122,6 +1227,7 @@ mod tests {
         assert!(nodes <= 2 * n, "the index arena holds {nodes} nodes");
 
         let (mut id_at, mut tx_at, mut rx_at, mut unit_at) = (0, 0, 0, 0);
+        let mut shard_at = 0;
         for &ch in &core.active {
             let group = &core.groups[ch as usize];
             let ChannelGroup {
@@ -1129,6 +1235,7 @@ mod tests {
                 rx,
                 tx_span,
                 rx_span,
+                shard_span,
                 units: unit_span,
                 cond: _,
                 params: _,
@@ -1145,9 +1252,14 @@ mod tests {
                 ids.iter().map(|&i| core.positions[i as usize]).collect()
             };
             assert_eq!(tx_pos[tx_span.clone()], at(&ids[tx.clone()])[..]);
-            assert_eq!(rx_pos[rx_span.clone()], at(&ids[rx.clone()])[..]);
-            let order = &shard_rx[rx_span.clone()];
-            assert!(order.iter().copied().eq(0..rx.len() as u32));
+            if unit_span.len() > 1 {
+                assert_eq!(*shard_span, (shard_at..shard_at + rx.len()));
+                shard_at = shard_span.end;
+                let order = &shard_rx[shard_span.clone()];
+                assert!(order.iter().copied().eq(0..rx.len() as u32));
+            } else {
+                assert!(shard_span.is_empty(), "channel {ch}: one unit, no order");
+            }
             assert_eq!(unit_span.start, unit_at);
             unit_at = unit_span.end;
             let tiles = units[unit_span.clone()].iter();
@@ -1165,12 +1277,12 @@ mod tests {
         }
         assert_eq!(id_at, ids.len());
         assert_eq!(tx_at, tx_pos.len());
-        assert_eq!(rx_at, rx_pos.len());
-        assert_eq!(rx_at, shard_rx.len());
+        assert_eq!(rx_at, core.unit_out.len());
+        assert_eq!(shard_at, shard_rx.len());
         assert_eq!(unit_at, units.len());
 
         // The recorder's view of the same thing: a position per
-        // transmitter and listener of every resolved channel.
+        // transmitter and an id per listener of every resolved channel.
         let rec = e.obs().unwrap();
         let resolved = rec
             .channel_records()

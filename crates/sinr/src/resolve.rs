@@ -10,12 +10,15 @@ use crate::lanes::LANE_WIDTH;
 use crate::params::SinrParams;
 use mca_geom::Point;
 
-/// What one listener experienced in one slot on one channel.
+/// What one listener experienced in one slot on one channel: 32 bytes, a
+/// `u32` index beside three `f64`s, so an engine's outcome buffer — one
+/// per listener of every resolved channel — costs 32 B per listener.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ListenOutcome {
     /// Index (into the transmitter slice passed to the resolver) of the
-    /// decoded transmitter, if any.
-    pub decoded: Option<usize>,
+    /// decoded transmitter, if any. A channel never holds more than
+    /// `u32::MAX` transmitters: an engine's node ids are `u32`.
+    pub decoded: Option<u32>,
     /// Received power of the decoded signal (0 if none decoded).
     pub signal: f64,
     /// SINR of the decoded signal (0 if none decoded).
@@ -106,7 +109,7 @@ pub(crate) fn decide(params: &SinrParams, best: usize, best_pow: f64, total: f64
     let sinr = params.sinr(best_pow, interference);
     if sinr >= params.beta {
         ListenOutcome {
-            decoded: Some(best),
+            decoded: Some(best as u32),
             signal: best_pow,
             sinr,
             total_power: total,
@@ -145,7 +148,7 @@ pub(crate) fn decide_lanes(
     let (decodes, signal, sinr) = threshold_lanes(params.noise, params.beta, best_pow, total);
     for (l, o) in out.iter_mut().enumerate().take(LANE_WIDTH) {
         *o = ListenOutcome {
-            decoded: (decodes[l] != 0.0).then_some(best[l] as usize),
+            decoded: (decodes[l] != 0.0).then_some(best[l] as u32),
             signal: signal[l],
             sinr: sinr[l],
             total_power: total[l],
@@ -383,7 +386,7 @@ mod tests {
             let out = resolve_listener(&params, &txs, l);
             if let Some(i) = out.decoded {
                 // Decoded transmitter has the (weakly) strongest signal.
-                let pi = params.received_power(txs[i].dist(l));
+                let pi = params.received_power(txs[i as usize].dist(l));
                 for t in &txs {
                     prop_assert!(params.received_power(t.dist(l)) <= pi + 1e-12);
                 }

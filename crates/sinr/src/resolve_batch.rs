@@ -1120,31 +1120,30 @@ impl TaskResolver<'_, '_> {
         );
     }
 
-    /// Indexed form of [`TaskResolver::resolve_batch_into`]: `out[i]`
-    /// receives the outcome for `positions[keys[i]]`. This is the engine's
-    /// hot entry: a resolve unit hands over its listener keys and its
-    /// slice of the channel's output buffer, and the batch walk amortizes
-    /// one traversal of the hierarchy across [`LANE_WIDTH`] listeners.
+    /// Doubly indexed form of [`TaskResolver::resolve_batch_into`]:
+    /// `out[i]` receives the outcome for `positions[ids[keys[i]] as
+    /// usize]`. This is the engine's hot entry for a sharded unit: `ids`
+    /// is the channel's listener ids, `keys` the unit's stretch of the
+    /// channel's shard-major listener order, and `positions` every node's,
+    /// so no listener position is copied; the batch walk amortizes one
+    /// traversal of the hierarchy across [`LANE_WIDTH`] listeners.
     ///
     /// # Panics
     ///
     /// Panics if `out` and `keys` differ in length.
-    pub fn resolve_indexed_into(
+    pub fn resolve_subset_into(
         &self,
         positions: &[Point],
+        ids: &[u32],
         keys: &[u32],
         extra_interference: f64,
         out: &mut [ListenOutcome],
     ) {
         assert_eq!(out.len(), keys.len(), "one outcome slot per key");
-        keys.iter()
-            .for_each(|&k| self.debug_assert_inside(positions[k as usize]));
-        self.resolver.resolve_batch_core(
-            |i| positions[keys[i] as usize],
-            extra_interference,
-            self.candidates.as_deref(),
-            out,
-        );
+        let at = |i: usize| positions[ids[keys[i] as usize] as usize];
+        (0..keys.len()).for_each(|i| self.debug_assert_inside(at(i)));
+        self.resolver
+            .resolve_batch_core(at, extra_interference, self.candidates.as_deref(), out);
     }
 
     /// Number of nodes this task may open (0 on the exact path) — the
@@ -1439,10 +1438,10 @@ mod tests {
     #[test]
     fn lane_scalar_and_task_walks_are_bitwise_identical_at_every_batch_length() {
         // Every batch length around the lane width — sub-lane batches and
-        // short final chunks ride a padded batch — through the resolver
-        // and through a task's candidate list, slice and indexed entries,
-        // on every edge geometry, with listeners inside the transmitters'
-        // bounding box and outside it.
+        // short final chunks ride a padded batch — through the resolver's
+        // slice and indexed entries and a task's candidate list, through
+        // its slice and subset entries, on every edge geometry, with
+        // listeners inside the transmitters' bounding box and outside it.
         for alpha in [3.0, 3.7] {
             for (what, cutoff_factor, txs) in edge_worlds() {
                 let params = SinrParams::with_range(alpha, 1.5, 1.0, 8.0, 0.5)
@@ -1464,18 +1463,25 @@ mod tests {
                     let mut out = Vec::new();
                     let mut task_out = Vec::new();
                     let mut indexed = vec![ListenOutcome::SILENT; n];
-                    let mut task_indexed = vec![ListenOutcome::SILENT; n];
+                    let mut task_keys = vec![ListenOutcome::SILENT; n];
+                    let mut task_ids = vec![ListenOutcome::SILENT; n];
+                    let identity: Vec<u32> = (0..n as u32).collect();
                     resolver.resolve_batch_into(batch, 0.25, &mut out);
                     task.resolve_batch_into(batch, 0.25, &mut task_out);
                     resolver.resolve_indexed_into(batch, &keys, 0.25, &mut indexed);
-                    task.resolve_indexed_into(batch, &keys, 0.25, &mut task_indexed);
+                    // The subset entry reads `batch[ids[keys[i]]]`: reversed
+                    // keys through identity ids, and identity keys through
+                    // reversed ids, both put listener `n - 1 - i` at `i`.
+                    task.resolve_subset_into(batch, &identity, &keys, 0.25, &mut task_keys);
+                    task.resolve_subset_into(batch, &keys, &identity, 0.25, &mut task_ids);
                     for (k, &l) in batch.iter().enumerate() {
                         let what = format!("{what}: batch of {n}, listener {k} (α={alpha})");
                         let scalar = resolver.resolve_with_bound(l, 0.25).0;
                         assert_bitwise(out[k], scalar, &what);
                         assert_bitwise(task_out[k], scalar, &what);
                         assert_bitwise(indexed[n - 1 - k], scalar, &what);
-                        assert_bitwise(task_indexed[n - 1 - k], scalar, &what);
+                        assert_bitwise(task_keys[n - 1 - k], scalar, &what);
+                        assert_bitwise(task_ids[n - 1 - k], scalar, &what);
                         assert_bitwise(task.resolve(l, 0.25), scalar, &what);
                     }
                 }

@@ -114,7 +114,7 @@ fn decodes_match_offline_sinr_resolution() {
                 })
                 .unwrap()
                 .0;
-            assert_eq!(k, best);
+            assert_eq!(k as usize, best);
             assert!(out.sinr >= params.beta);
         }
     }
@@ -212,6 +212,120 @@ fn run_scripted(
     (metrics, logs)
 }
 
+/// Runs `f` with the pool pinned to `workers` threads, then restores the
+/// automatic width. The width is process-global, so the tests that pin it
+/// take turns.
+fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    static POOL_CONFIG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _turn = POOL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
+    rayon::set_num_threads(workers);
+    let out = f();
+    rayon::set_num_threads(0);
+    out
+}
+
+/// The 64-byte message node `node` sends in `slot`: its first word names
+/// both, so a delivered copy can be checked against the one sent.
+fn stamp(node: u32, slot: u64) -> [u64; 8] {
+    let word = u64::from(node) << 32 | slot;
+    std::array::from_fn(|k| word.wrapping_mul(2 * k as u64 + 1))
+}
+
+/// Transmits its [`stamp`] with probability 0.3, idles with 0.1 and
+/// listens otherwise, 60% of the time on channel 0 and else on any of the
+/// three; keeps every decode verbatim.
+#[derive(Clone, Debug, PartialEq)]
+struct Stamper {
+    id: u32,
+    heard: Vec<(u64, NodeId, [u64; 8], u64)>,
+}
+
+impl Protocol for Stamper {
+    type Msg = [u64; 8];
+    fn act(&mut self, slot: u64, rng: &mut SmallRng) -> Action<[u64; 8]> {
+        let channel = Channel(if rng.gen_bool(0.6) {
+            0
+        } else {
+            rng.gen_range(0..3)
+        });
+        match rng.gen_range(0..10u8) {
+            0..=2 => Action::Transmit {
+                channel,
+                msg: stamp(self.id, slot),
+            },
+            3 => Action::Idle,
+            _ => Action::Listen { channel },
+        }
+    }
+    fn observe(&mut self, slot: u64, obs: Observation<[u64; 8]>, _rng: &mut SmallRng) {
+        if let Observation::Received(r) = obs {
+            self.heard.push((slot, r.from, r.msg, r.signal.to_bits()));
+        }
+    }
+}
+
+/// A message is looked up through its transmitter's index among the
+/// slot's transmissions, not stored per node: with 64-byte messages on
+/// three channels, crash-stops and late joins, every `Received` carries
+/// its sender's own message of that slot, and metrics and every node's
+/// end state equal the poll-everyone reference engine's, at 1, 2 and 8
+/// pool workers. Channel 0 is crowded enough to shard from two workers
+/// on, so its sharded units are part of what is compared.
+#[test]
+fn received_messages_are_their_senders_under_churn() {
+    use multichannel_adhoc::radio::reference::ReferenceEngine;
+    use multichannel_adhoc::radio::FaultPlan;
+    const SLOTS: u64 = 16;
+    let n = 1500;
+    let mut rng = SmallRng::seed_from_u64(21);
+    let positions = Deployment::uniform(n, 30.0, &mut rng).into_points();
+    let mut faults = FaultPlan::none();
+    for node in (0..n as u32).step_by(7) {
+        faults.crash_at(node, rng.gen_range(1..SLOTS));
+    }
+    for node in (3..n as u32).step_by(11) {
+        faults.join_at(node, rng.gen_range(1..SLOTS));
+    }
+    let protocols: Vec<Stamper> = (0..n as u32)
+        .map(|id| Stamper {
+            id,
+            heard: Vec::new(),
+        })
+        .collect();
+    let params = SinrParams::default();
+    let mut reference = ReferenceEngine::new(params, positions.clone(), protocols.clone(), 5);
+    reference.faults = faults.clone();
+    for _ in 0..SLOTS {
+        reference.step();
+    }
+    let heard: usize = reference.protocols.iter().map(|p| p.heard.len()).sum();
+    assert!(heard > 100, "only {heard} decodes");
+    for workers in [1, 2, 8] {
+        let (engine, sharded) = with_workers(workers, || {
+            let mut engine = Engine::new(params, positions.clone(), protocols.clone(), 5)
+                .with_faults(faults.clone());
+            engine.attach_obs(multichannel_adhoc::obs::Recorder::new());
+            engine.run(SLOTS);
+            let rec = engine.obs().expect("attached above");
+            let halo = multichannel_adhoc::obs::SpanKind::Halo;
+            let sharded = rec.spans().iter().any(|s| s.kind == halo);
+            (engine, sharded)
+        });
+        assert!(workers == 1 || sharded, "{workers} workers never sharded");
+        for p in engine.protocols() {
+            for &(slot, from, msg, _) in &p.heard {
+                assert_eq!(msg, stamp(from.0, slot), "node {} slot {slot}", p.id);
+            }
+        }
+        assert_eq!(engine.metrics(), &reference.metrics, "{workers} workers");
+        assert_eq!(
+            engine.protocols(),
+            &reference.protocols[..],
+            "{workers} workers"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
     /// Phase-overlap stress: in a pooled slot the Phase-1-derived
@@ -242,19 +356,21 @@ proptest! {
 
         // Reference: single-threaded pool (every channel one unit, every
         // unit inline).
-        rayon::set_num_threads(1);
-        let baseline = run_scripted(&positions, channels, p, seed, &script, SLOTS);
+        let baseline =
+            with_workers(1, || run_scripted(&positions, channels, p, seed, &script, SLOTS));
 
         // Each thread count (from two workers on, channels 0 and 1 shard)
         // with a steal funnel of a different severity (0 = normal
         // submission).
         for (threads, cap) in [(2usize, 0usize), (4, 1), (8, 2)] {
-            rayon::set_num_threads(threads);
-            rayon::set_test_deque_capacity(cap);
-            let tasks = rayon::pool_stats().tasks;
-            let run = run_scripted(&positions, channels, p, seed, &script, SLOTS);
-            let pooled = rayon::pool_stats().tasks > tasks;
-            rayon::set_test_deque_capacity(0);
+            let (run, pooled) = with_workers(threads, || {
+                rayon::set_test_deque_capacity(cap);
+                let tasks = rayon::pool_stats().tasks;
+                let run = run_scripted(&positions, channels, p, seed, &script, SLOTS);
+                let pooled = rayon::pool_stats().tasks > tasks;
+                rayon::set_test_deque_capacity(0);
+                (run, pooled)
+            });
             prop_assert_eq!(
                 &baseline.0, &run.0,
                 "metrics diverged at {} threads (cap {})", threads, cap
@@ -265,7 +381,6 @@ proptest! {
             );
             prop_assert!(pooled, "the pool was bypassed at {} threads (cap {})", threads, cap);
         }
-        rayon::set_num_threads(0);
     }
 }
 

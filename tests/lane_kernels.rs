@@ -12,8 +12,8 @@
 //!    independent scalar accumulator chains, masks included — over
 //!    continuous geometry, and over lattice geometry with shuffled ids,
 //!    where powers tie and the tie clause and the mask meet;
-//! 3. batched resolution (`resolve_batch_into` / `resolve_indexed_into`)
-//!    is bitwise the per-listener `resolve` and the scalar reference walk
+//! 3. batched resolution (`resolve_batch_into` / `resolve_indexed_into` /
+//!    `resolve_subset_into`) is bitwise the per-listener `resolve` and the scalar reference walk
 //!    (`resolve_with_bound`), in Exact and Fast modes, for any batch
 //!    length (padded remainder lanes included);
 //! 4. without an index the batch rides the listener lanes of the exact
@@ -370,7 +370,8 @@ proptest! {
             resolver.resolve_batch_into(&listeners, extra, &mut batch);
             task.resolve_batch_into(&listeners, extra, &mut task_batch);
             resolver.resolve_indexed_into(&listeners, &keys, extra, &mut indexed);
-            task.resolve_indexed_into(&listeners, &keys, extra, &mut task_indexed);
+            let identity: Vec<u32> = (0..listeners.len() as u32).collect();
+            task.resolve_subset_into(&listeners, &identity, &keys, extra, &mut task_indexed);
             for (k, &l) in listeners.iter().enumerate() {
                 let one = resolve_listener_ext(&params, &txs, l, extra);
                 let back = listeners.len() - 1 - k;
