@@ -61,6 +61,23 @@ pub struct AnnounceConfig {
     pub params: SinrParams,
 }
 
+impl AnnounceConfig {
+    /// The attach limit on a distance estimate: `1.02·r_c`.
+    fn attach_limit(&self) -> f64 {
+        self.radius * 1.02
+    }
+
+    /// A received-signal floor below which the distance estimate is beyond
+    /// [`AnnounceConfig::attach_limit`]: the node-side power at the limit
+    /// stretched by a relative `1e-9`, far more than the rounding of
+    /// `powf` on either side, so the floor never turns away a sender the
+    /// estimate would accept.
+    fn signal_floor(&self) -> f64 {
+        self.params
+            .received_power(self.attach_limit() * (1.0 + 1e-9))
+    }
+}
+
 /// The announce/attach protocol.
 #[derive(Debug, Clone)]
 pub struct AnnounceProtocol {
@@ -70,7 +87,10 @@ pub struct AnnounceProtocol {
     best: Option<(NodeId, u16, f64)>,
     /// Whether `best` is the prior dominator (sticky once found).
     locked: bool,
-    rounds_done: u64,
+    /// [`AnnounceConfig::signal_floor`], computed once at construction:
+    /// receptions below it are dropped without the `powf` of a distance
+    /// estimate.
+    floor: f64,
     finished: bool,
 }
 
@@ -83,7 +103,7 @@ impl AnnounceProtocol {
             role,
             best: None,
             locked: false,
-            rounds_done: 0,
+            floor: cfg.signal_floor(),
             finished: false,
         }
     }
@@ -115,28 +135,42 @@ impl Protocol for AnnounceProtocol {
         }
     }
 
-    fn observe(&mut self, _slot: u64, obs: Observation<AnnounceMsg>, _rng: &mut SmallRng) {
+    /// Finishes after the last round's observation: the phase's engine
+    /// starts at slot 0, so slot `rounds − 1` is the last round.
+    fn observe(&mut self, slot: u64, obs: Observation<AnnounceMsg>, _rng: &mut SmallRng) {
         if let (AnnounceRole::Listener { prior }, Observation::Received(r)) = (self.role, &obs) {
             let AnnounceMsg::Announce { color, .. } = r.msg;
-            let dist = r.distance_estimate(&self.cfg.params);
-            if dist <= self.cfg.radius * 1.02 {
-                let from = r.from;
-                if Some(from) == prior {
-                    self.best = Some((from, color, dist));
-                    self.locked = true;
-                } else if !self.locked && self.best.is_none_or(|(_, _, bd)| dist < bd) {
-                    self.best = Some((from, color, dist));
+            let from = r.from;
+            // A locked listener hears only its prior; a signal under the
+            // floor is estimated beyond the attach limit.
+            let heeded = !self.locked || Some(from) == prior;
+            if heeded && r.signal >= self.floor {
+                let dist = r.distance_estimate(&self.cfg.params);
+                if dist <= self.cfg.attach_limit() {
+                    if Some(from) == prior {
+                        self.best = Some((from, color, dist));
+                        self.locked = true;
+                    } else if !self.locked && self.best.is_none_or(|(_, _, bd)| dist < bd) {
+                        self.best = Some((from, color, dist));
+                    }
                 }
             }
         }
-        self.rounds_done += 1;
-        if self.rounds_done >= self.cfg.rounds {
+        if slot + 1 >= self.cfg.rounds {
             self.finished = true;
         }
     }
 
     fn is_done(&self) -> bool {
         self.finished
+    }
+
+    /// An unfinished listener listens on the first channel every round and
+    /// counts none of them, so it stands until the last round, whose
+    /// observation finishes it.
+    fn listen_until(&self, _slot: u64) -> Option<(Channel, u64)> {
+        let listens = matches!(self.role, AnnounceRole::Listener { .. }) && !self.finished;
+        listens.then_some((Channel::FIRST, self.cfg.rounds - 1))
     }
 }
 
@@ -380,5 +414,72 @@ mod tests {
         let (dom, color, _) = engine.protocols()[2].attachment().unwrap();
         assert_eq!(dom, NodeId(0));
         assert_eq!(color, 0);
+    }
+
+    #[test]
+    fn announce_listen_hints_are_sound() {
+        use mca_radio::reference::{assert_hints_sound, random_observation};
+        let params = SinrParams::default();
+        for seed in 0..24u64 {
+            let acfg = AnnounceConfig {
+                radius: 0.5 + (seed % 4) as f64 * 0.5,
+                p: 0.3,
+                rounds: 20 + seed * 7,
+                params,
+            };
+            let roles = [
+                AnnounceRole::Dominator { color: 1 },
+                AnnounceRole::Listener { prior: None },
+                AnnounceRole::Listener {
+                    prior: Some(NodeId(2)),
+                },
+            ];
+            for role in roles {
+                let p = AnnounceProtocol::new(role, acfg);
+                assert_hints_sound(p, seed, acfg.rounds + 2, |_, _, g| {
+                    let color = g.gen_range(0..4);
+                    random_observation(g, 5, AnnounceMsg::Announce { color })
+                });
+            }
+        }
+    }
+
+    /// Signals swept across the floor and across the attach limit: a
+    /// listener attaches exactly when the distance estimate is within
+    /// `1.02·r_c`, so the floor turns away no sender the estimate accepts.
+    #[test]
+    fn announce_signal_floor_never_rejects_an_attachable_sender() {
+        use std::hint::black_box;
+        let mut rng = mca_radio::rng::derive_rng(0, 0);
+        for (alpha, radius) in [(3.0, 1.0), (3.0, 1.5), (2.5, 0.7), (4.0, 2.0)] {
+            let params = SinrParams::with_range(alpha, 1.5, 1.0, 8.0, 0.5);
+            let acfg = AnnounceConfig {
+                radius: black_box(radius),
+                p: 0.5,
+                rounds: 4,
+                params,
+            };
+            let limit = acfg.attach_limit();
+            let at_limit = params.received_power(limit);
+            let (mut attached, mut turned_away) = (0, 0);
+            for k in -4000..=4000 {
+                let signal = black_box(at_limit * (1.0 + k as f64 * 2e-12));
+                let accepts = params.distance_from_power(signal) <= limit;
+                let mut p = AnnounceProtocol::new(AnnounceRole::Listener { prior: None }, acfg);
+                let r = mca_radio::Reception {
+                    from: NodeId(1),
+                    msg: AnnounceMsg::Announce { color: 0 },
+                    signal,
+                    sinr: 10.0,
+                    total_power: signal,
+                };
+                p.observe(0, Observation::Received(r), &mut rng);
+                assert_eq!(p.attachment().is_some(), accepts, "signal {signal:e}");
+                assert!(!accepts || signal >= p.floor, "floor over {signal:e}");
+                attached += usize::from(accepts);
+                turned_away += usize::from(signal < p.floor);
+            }
+            assert!(attached > 0 && turned_away > 0, "the sweep crosses both");
+        }
     }
 }

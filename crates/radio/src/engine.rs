@@ -74,6 +74,12 @@ fn listen_hint<P: Protocol>(p: &P, slot: u64) -> Option<(Channel, u64)> {
         .filter(|&(_, until)| until > slot + 1 && !p.is_done())
 }
 
+/// `p`'s [`Protocol::quiet_until`] answer at `slot`, kept only if the
+/// window reaches past the next slot.
+fn quiet_hint<P: Protocol>(p: &P, slot: u64) -> Option<u64> {
+    p.quiet_until(slot).filter(|&t| t > slot + 1)
+}
+
 /// The idle feedback: `Slept` for every polled node that idled and is not
 /// done. It depends only on the gathered actions, never on resolution, so
 /// it commutes with delivery bit-for-bit, and a pooled slot runs it while
@@ -94,7 +100,7 @@ fn slept<P: Protocol>(
         let p = &mut protocols[i];
         if acts[i] == IDLED && !p.is_done() {
             p.observe(slot, Observation::Slept, &mut rngs[i]);
-            if let Some(until) = p.quiet_until(slot).filter(|&t| t > slot + 1) {
+            if let Some(until) = quiet_hint(p, slot) {
                 roster.park(node, until);
                 continue;
             }
@@ -389,7 +395,11 @@ impl<P: Protocol> Engine<P> {
     /// The protocol half of delivery, once every channel is booked: in
     /// ascending channel order, each listener is handed its booked outcome
     /// and each transmitter its `Sent`, and each node is asked
-    /// [`Protocol::listen_until`] right after.
+    /// [`Protocol::listen_until`] right after. A polled node that is not
+    /// done and leaves no standing window is asked
+    /// [`Protocol::quiet_until`] next, and a quiet window parks it in the
+    /// wake queue at once: a TDMA node that acts in one slot of its block
+    /// is not polled again the next slot only to idle and promise it.
     fn observe(&mut self) {
         let Engine {
             protocols,
@@ -399,11 +409,20 @@ impl<P: Protocol> Engine<P> {
         } = self;
         let slot = core.slot;
         let (channels, mut hints) = core.deliveries();
-        // Hands `node` its observation, then files its `listen_until`.
-        let mut tell = |hints: &mut Hints, node: u32, obs, stood| {
+        // Hands `node` its observation, then files its `listen_until`, or
+        // for a polled node with none, its `quiet_until`.
+        let mut tell = |hints: &mut Hints, node: u32, obs, stood: Option<u16>| {
             let i = node as usize;
-            protocols[i].observe(slot, obs, &mut rngs[i]);
-            hints.file(node, stood, listen_hint(&protocols[i], slot));
+            let p = &mut protocols[i];
+            p.observe(slot, obs, &mut rngs[i]);
+            let hint = listen_hint(p, slot);
+            if hint.is_some() || stood.is_some() {
+                hints.file(node, stood, hint);
+            } else if let Some(until) = quiet_hint(p, slot).filter(|_| !p.is_done()) {
+                // Asked before `is_done`, so a protocol that never promises
+                // quiet pays nothing here.
+                hints.roster.leave(node, until);
+            }
         };
         for d in channels {
             for (&li, outcome) in d.rx.iter().zip(d.outcomes) {

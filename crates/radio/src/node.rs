@@ -48,13 +48,17 @@ pub trait Protocol {
     /// ([`Protocol::is_done`] included). The engine then skips the node
     /// until slot `t` instead of polling it, bit-identically.
     ///
-    /// Asked only right after the node idled in `slot` and was handed its
-    /// `Slept` observation; the promise must hold given the state at that
-    /// moment, and it is void once anyone takes
-    /// [`Engine::protocols_mut`](crate::Engine::protocols_mut). `None` (the
-    /// default) and any `t <= slot + 1` mean "poll me next slot". A
-    /// protocol that listens outside its own schedule block must not
-    /// promise quiet for those slots.
+    /// Asked right after every `observe` of a polled node that is not done
+    /// and left no standing window: after the `Slept` of a slot it idled
+    /// in, and after the `Sent` or listen outcome of a slot it transmitted
+    /// or listened in when [`Protocol::listen_until`] gave no window
+    /// reaching past the next slot. So a node that acts in one slot of its
+    /// schedule block can be parked from that very slot. The promise must
+    /// hold given the state at that moment, and it is void once anyone
+    /// takes [`Engine::protocols_mut`](crate::Engine::protocols_mut).
+    /// `None` (the default) and any `t <= slot + 1` mean "poll me next
+    /// slot". A protocol that listens outside its own schedule block must
+    /// not promise quiet for those slots.
     fn quiet_until(&self, slot: u64) -> Option<u64> {
         let _ = slot;
         None

@@ -231,8 +231,10 @@ pub fn random_observation<M>(rng: &mut SmallRng, nodes: u32, msg: M) -> Observat
 /// action and the harness RNG — return receptions, noise, whatever the
 /// protocol should cope with; `Sent`/`Slept` are supplied for
 /// transmit/idle). After every slot it asks the hint the engine would ask
-/// — `quiet_until` if the node idled, `listen_until` if it transmitted or
-/// listened — and walks a clone through every slot of the promised window:
+/// — `quiet_until` if the node idled; `listen_until` if it transmitted or
+/// listened, and `quiet_until` after all if that gave no window reaching
+/// past the next slot — and walks a clone through every slot of the
+/// promised window:
 /// the ghost must idle (resp. listen on the promised channel) without
 /// touching its RNG and come out of each `Slept` (resp. each `Noise`, of
 /// random power) unchanged (`Debug` rendering and `is_done`).
@@ -261,14 +263,21 @@ where
             Action::Listen { .. } => feed(slot, &action, &mut env_rng),
         };
         proto.observe(slot, obs, &mut rng);
-        // Like the engine, ask only a node that is still running, and only
-        // the hint that goes with what it just did.
+        // Like the engine, ask only a node that is still running: after a
+        // transmission or a listen first for a standing window, and for a
+        // quiet one if there is none.
         if proto.is_done() {
             continue;
         }
-        let hint = match action {
-            Action::Idle => proto.quiet_until(slot).map(|until| (None, until)),
-            _ => proto.listen_until(slot).map(|(c, until)| (Some(c), until)),
+        let standing = match action {
+            Action::Idle => None,
+            _ => proto
+                .listen_until(slot)
+                .filter(|&(_, until)| until > slot + 1),
+        };
+        let hint = match standing {
+            Some((c, until)) => Some((Some(c), until)),
+            None => proto.quiet_until(slot).map(|until| (None, until)),
         };
         let Some((channel, until)) = hint else {
             continue;
@@ -770,6 +779,66 @@ mod tests {
                 assert_hints_sound(Liar(probe(hints, stands)), 1, 200, feed);
             });
             assert!(lied.is_err(), "a {lie} promise past its end must fail");
+        }
+    }
+
+    /// A φ = 4 TDMA with one-slot blocks: every node acts in its block and
+    /// promises quiet until the next one, so after the first slot (which
+    /// polls everyone) a node is polled once per block — in the slot it
+    /// acts, where it is asked `quiet_until` right after its `Sent` or
+    /// listen outcome, not again in the slot after only to idle. Metrics,
+    /// end states and RNG states are the poll-everyone engine's on any
+    /// pool width.
+    #[test]
+    fn reference_tdma_node_is_polled_once_per_block() {
+        const PHI: u64 = 4;
+        let mut g = SmallRng::seed_from_u64(5);
+        let n = 40;
+        let positions: Vec<Point> = (0..n)
+            .map(|_| Point::new(g.gen_range(0.0..6.0), g.gen_range(0.0..6.0)))
+            .collect();
+        let protocols: Vec<Probe> = (0..n)
+            .map(|v| Probe {
+                phi: PHI,
+                spr: 1,
+                colour: v % PHI,
+                channels: 2,
+                finish_at: u64::MAX,
+                done: false,
+                hints: true,
+                stands: false,
+                wait: None,
+                digest: 0,
+            })
+            .collect();
+        let slots = 4 * PHI;
+        let owed: u64 = (0..slots)
+            .map(|slot| {
+                let acting = protocols.iter().filter(|p| slot == 0 || p.in_block(slot));
+                acting.count() as u64
+            })
+            .sum();
+        for workers in [1, 2, 8] {
+            crate::engine::tests::with_workers(workers, || {
+                let params = SinrParams::default();
+                let mut e = Engine::new(params, positions.clone(), protocols.clone(), 9);
+                e.attach_obs(mca_obs::Recorder::new());
+                let mut r = ReferenceEngine::new(params, positions.clone(), protocols.clone(), 9);
+                e.run(slots);
+                for _ in 0..slots {
+                    r.step();
+                }
+                assert!(e.metrics().transmissions > 0 && e.metrics().listens > 0);
+                assert_eq!(e.metrics(), &r.metrics, "{workers} workers");
+                assert_eq!(e.protocols(), &r.protocols[..], "{workers} workers");
+                assert_eq!(e.rngs(), &r.rngs[..], "{workers} workers");
+                let rec = e.obs().expect("attached above");
+                let counters = rec.counters().into_iter();
+                let polled = counters
+                    .filter(|(k, _)| *k == "nodes_polled")
+                    .map(|(_, v)| v);
+                assert_eq!(polled.sum::<u64>(), owed, "{workers} workers");
+            });
         }
     }
 

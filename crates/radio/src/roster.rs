@@ -71,6 +71,9 @@ pub(crate) struct Roster {
     /// Parks since the last refresh that went to `far` (the `parks_far`
     /// counter).
     pub(crate) parks_far: u64,
+    /// Whether a polled node parked or stood during this slot's delivery,
+    /// so [`Roster::admit`] has `live` to prune.
+    leaving: bool,
 }
 
 /// The [`Roster::due`] value of a node with no valid wake entry: every
@@ -149,6 +152,7 @@ impl Roster {
             epoch: 0,
             stale: true,
             parks_far: 0,
+            leaving: false,
         }
     }
 
@@ -287,21 +291,31 @@ impl Roster {
         self.stands_on[node as usize].is_some()
     }
 
-    /// Books `node` for `channel`'s standing list until slot `until`; it
-    /// moves there once the slot's deliveries are over ([`Roster::admit`]).
-    pub(crate) fn stand_until(&mut self, node: u32, channel: u16, until: u64) {
+    /// Parks polled `node` until slot `until` from the slot's delivery; it
+    /// leaves `live` once the deliveries are over ([`Roster::admit`]).
+    pub(crate) fn leave(&mut self, node: u32, until: u64) {
         self.park(node, until);
+        self.leaving = true;
+    }
+
+    /// Books polled `node` for `channel`'s standing list until slot
+    /// `until`; it moves there once the slot's deliveries are over
+    /// ([`Roster::admit`]).
+    pub(crate) fn stand_until(&mut self, node: u32, channel: u16, until: u64) {
+        self.leave(node, until);
         self.moves.push((channel, node));
     }
 
     /// Moves the nodes booked this slot from `live` to their standing
-    /// lists.
+    /// lists, and drops from `live` every node that parked or stood during
+    /// delivery: the only `live` nodes with a wake entry.
     pub(crate) fn admit(&mut self) {
-        if self.moves.is_empty() {
+        if !std::mem::take(&mut self.leaving) {
             return;
         }
         let Roster {
             live,
+            due,
             stands_on,
             standing,
             standing_channels,
@@ -323,7 +337,7 @@ impl Roster {
                 stands_on[v as usize] = Some(ch);
             }
         });
-        live.retain(|&v| stands_on[v as usize].is_none());
+        live.retain(|&v| due[v as usize] == UNSET);
     }
 }
 
@@ -428,6 +442,19 @@ mod tests {
             assert_eq!(wake(&mut r, slot), [], "slot {slot}");
         }
         assert_eq!(r.waiting, 0);
+    }
+
+    #[test]
+    fn admit_drops_the_nodes_that_parked_or_stood_during_delivery() {
+        let mut r = roster(4);
+        r.leave(1, 3);
+        r.stand_until(2, 0, 5);
+        assert_eq!(r.live, [0, 1, 2, 3], "both stay until delivery is over");
+        r.admit();
+        assert_eq!((&r.live[..], &r.standing[0][..]), (&[0, 3][..], &[2][..]));
+        let woke: Vec<_> = (1..=5).map(|slot| wake(&mut r, slot)).collect();
+        assert_eq!(woke, [vec![], vec![], vec![1], vec![], vec![2]]);
+        assert!(r.standing_channels.is_empty() && r.waiting == 0);
     }
 
     #[test]

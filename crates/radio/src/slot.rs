@@ -420,8 +420,8 @@ impl Delivery<'_> {
     }
 }
 
-/// What the observe loop files `listen_until` answers with: the roster,
-/// and the plan that decides whether a node may stand.
+/// What the observe loop files its hint answers with: the roster, and the
+/// plan that decides whether a node may stand.
 pub(crate) struct Hints<'a> {
     slot: u64,
     pub(crate) roster: &'a mut Roster,
@@ -930,7 +930,7 @@ impl SlotCore {
 
     /// The booked slot, channel by channel in ascending order, for the
     /// shell's observe loop, beside the [`Hints`] it files `listen_until`
-    /// answers with.
+    /// and `quiet_until` answers with.
     pub(crate) fn deliveries(&mut self) -> (impl Iterator<Item = Delivery<'_>>, Hints<'_>) {
         let (groups, ids, outcomes) = (&self.groups, &self.stage.ids, &self.unit_out);
         let acts = &self.acts;
@@ -957,7 +957,8 @@ impl SlotCore {
     }
 
     /// Phase 3: whoever promised during delivery to only listen from here
-    /// on leaves the roster for its channel's standing list.
+    /// on leaves the roster for its channel's standing list, and whoever
+    /// promised quiet leaves it for the wake queue.
     pub(crate) fn admit(&mut self) {
         self.roster.admit();
         self.lap(SpanKind::Deliver, 0, 0, self.lent_ns);
