@@ -140,14 +140,6 @@ impl BoundingBox {
             .max(0.0);
         dx * dx + dy * dy
     }
-
-    /// Whether `other` intersects this box (boundary inclusive).
-    pub fn intersects(&self, other: &BoundingBox) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
-    }
 }
 
 #[cfg(test)]
@@ -228,19 +220,6 @@ mod tests {
         for p in [Point::new(4.0, 0.5), Point::new(5.0, 1.0)] {
             assert!(a.dist_sq_to(p) >= a.dist_sq_to_box(&b));
         }
-    }
-
-    #[test]
-    fn intersection_cases() {
-        let a = BoundingBox::square(1.0);
-        let b = BoundingBox::new(Point::new(0.5, 0.5), Point::new(2.0, 2.0));
-        let c = BoundingBox::new(Point::new(5.0, 5.0), Point::new(6.0, 6.0));
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
-        // Touching boundary counts as intersecting.
-        let d = BoundingBox::new(Point::new(1.0, 0.0), Point::new(2.0, 1.0));
-        assert!(a.intersects(&d));
     }
 
     proptest! {

@@ -59,12 +59,6 @@ impl Point {
         (self.x * self.x + self.y * self.y).sqrt()
     }
 
-    /// Dot product with `other`, treating both as vectors.
-    #[inline]
-    pub fn dot(self, other: Point) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
     /// Midpoint of the segment between `self` and `other`.
     #[inline]
     pub fn midpoint(self, other: Point) -> Point {
@@ -236,11 +230,6 @@ mod tests {
         fn dist_sq_consistent(a in arb_point(), b in arb_point()) {
             let d = a.dist(b);
             prop_assert!((d * d - a.dist_sq(b)).abs() < 1e-6 * (1.0 + a.dist_sq(b)));
-        }
-
-        #[test]
-        fn dot_self_is_norm_sq(a in arb_point()) {
-            prop_assert!((a.dot(a) - a.norm() * a.norm()).abs() < 1e-6 * (1.0 + a.dot(a)));
         }
     }
 }

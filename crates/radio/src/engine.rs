@@ -19,8 +19,7 @@ use crate::message::{Action, Observation};
 use crate::metrics::Metrics;
 use crate::node::Protocol;
 use crate::rng::derive_rng;
-use crate::roster::Roster;
-use crate::slot::{Hints, SlotCore, IDLED};
+use crate::slot::{Hints, SlotCore};
 use mca_geom::Point;
 use mca_sinr::SinrParams;
 use rand::rngs::SmallRng;
@@ -78,37 +77,6 @@ fn listen_hint<P: Protocol>(p: &P, slot: u64) -> Option<(Channel, u64)> {
 /// window reaches past the next slot.
 fn quiet_hint<P: Protocol>(p: &P, slot: u64) -> Option<u64> {
     p.quiet_until(slot).filter(|&t| t > slot + 1)
-}
-
-/// The idle feedback: `Slept` for every polled node that idled and is not
-/// done. It depends only on the gathered actions, never on resolution, so
-/// it commutes with delivery bit-for-bit, and a pooled slot runs it while
-/// its units are in flight. After the act loop the roster is exactly the
-/// nodes that acted, so only they are visited; an idler that promises
-/// quiet ([`Protocol::quiet_until`]) leaves the roster here.
-fn slept<P: Protocol>(
-    slot: u64,
-    protocols: &mut [P],
-    rngs: &mut [SmallRng],
-    acts: &[u32],
-    roster: &mut Roster,
-) {
-    let mut kept = 0;
-    for r in 0..roster.live.len() {
-        let node = roster.live[r];
-        let i = node as usize;
-        let p = &mut protocols[i];
-        if acts[i] == IDLED && !p.is_done() {
-            p.observe(slot, Observation::Slept, &mut rngs[i]);
-            if let Some(until) = quiet_hint(p, slot) {
-                roster.park(node, until);
-                continue;
-            }
-        }
-        roster.live[kept] = node;
-        kept += 1;
-    }
-    roster.live.truncate(kept);
 }
 
 impl<P: Protocol> Engine<P> {
@@ -331,25 +299,18 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Executes one slot: the core's phases in order, with `act` after
-    /// `open`, the idle feedback inside `resolve` and `observe` after
-    /// `book`. Booking every channel before observing any is bit-identical
-    /// to delivering channel by channel: each node observes at most once
-    /// per slot, with its own RNG stream, its hint moves only its own
-    /// roster entry, and `book` reads no protocol, RNG or roster state an
-    /// `observe` or a hint writes.
+    /// `open` and `observe` after `book` — the only two places a protocol
+    /// is called. Booking every channel before observing any is
+    /// bit-identical to delivering channel by channel: each node observes
+    /// at most once per slot, with its own RNG stream, its hint moves only
+    /// its own roster entry, and `book` reads no protocol, RNG or roster
+    /// state an `observe` or a hint writes.
     pub fn step(&mut self) {
         self.core.open();
         self.act();
         self.core.group();
         self.core.stage();
-        let Engine {
-            protocols,
-            rngs,
-            msgs: _,
-            core,
-        } = self;
-        let slot = core.slot;
-        core.resolve(&mut |roster, acts| slept(slot, protocols, rngs, acts, roster));
+        self.core.resolve();
         self.core.book();
         self.observe();
         self.core.admit();
@@ -399,7 +360,10 @@ impl<P: Protocol> Engine<P> {
     /// done and leaves no standing window is asked
     /// [`Protocol::quiet_until`] next, and a quiet window parks it in the
     /// wake queue at once: a TDMA node that acts in one slot of its block
-    /// is not polled again the next slot only to idle and promise it.
+    /// is not polled again the next slot only to idle and promise it. Then
+    /// every polled node that idled and is not done gets `Slept` and is
+    /// asked `quiet_until` the same way; a slot in which no polled node
+    /// idled skips that pass in O(1).
     fn observe(&mut self) {
         let Engine {
             protocols,
@@ -447,6 +411,20 @@ impl<P: Protocol> Engine<P> {
             // Transmitters learn nothing.
             for &ti in d.tx {
                 tell(&mut hints, ti, Observation::Sent, None);
+            }
+        }
+        // Idlers sleep. `Slept` hangs on the node's own action, state and
+        // RNG stream alone, so it may come after every channel's delivery.
+        for r in 0..core.idler_scan() {
+            let Some(node) = core.idler(r) else { continue };
+            let i = node as usize;
+            let p = &mut protocols[i];
+            if p.is_done() {
+                continue;
+            }
+            p.observe(slot, Observation::Slept, &mut rngs[i]);
+            if let Some(until) = quiet_hint(p, slot) {
+                core.roster.leave(node, until);
             }
         }
     }

@@ -55,18 +55,6 @@ impl Metrics {
         }
     }
 
-    /// Decodes per transmission. The fraction of transmissions decoded by
-    /// at least one listener is not cheaply measurable per-transmission,
-    /// so this reports total decodes over total transmissions instead —
-    /// it can exceed 1 when several listeners decode one sender.
-    pub fn decodes_per_transmission(&self) -> f64 {
-        if self.transmissions == 0 {
-            0.0
-        } else {
-            self.receptions as f64 / self.transmissions as f64
-        }
-    }
-
     /// Merges another metrics block into this one, element-wise:
     /// every counter sums, and `tx_per_channel` extends to cover the
     /// longer of the two before summing per channel. Combining runs or
@@ -122,12 +110,9 @@ mod tests {
     fn rates() {
         let mut m = Metrics::new();
         assert_eq!(m.reception_rate(), 0.0);
-        assert_eq!(m.decodes_per_transmission(), 0.0);
         m.listens = 10;
         m.receptions = 4;
-        m.transmissions = 2;
         assert!((m.reception_rate() - 0.4).abs() < 1e-12);
-        assert!((m.decodes_per_transmission() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! which [`Engine::step`](crate::Engine::step) calls in order, its own
 //! generic loops in brackets —
 //! `open → [act] → group → stage → resolve → book → [observe] → admit → close`.
-//! No phase calls another; what one leaves for the next lives in the
-//! core's fields, reset by `open` (`docs/EXECUTION_MODEL.md`).
+//! No phase calls another, and none calls a protocol: every `act`,
+//! `observe` and hint call is in the shell's two loops. What one phase
+//! leaves for the next lives in the core's fields, reset by `open`
+//! (`docs/EXECUTION_MODEL.md`).
 
 use crate::condition::ChannelCondition;
 use crate::detect::DegradationDetector;
@@ -129,11 +131,9 @@ pub(crate) struct SlotCore {
     /// (zeros unless a recorder is attached).
     unit_ns: Vec<(u64, u64)>,
     /// Wall-clock starts of the slot and of the phase in progress (running
-    /// only while a recorder is attached), and the idle feedback's time
-    /// inside the resolve phase, owed to the deliver phase.
+    /// only while a recorder is attached).
     slot_clock: Stopwatch,
     phase_clock: Stopwatch,
-    lent_ns: u64,
 }
 
 /// The slot's arena, every channel's stretch after the last's in
@@ -186,7 +186,7 @@ impl Stage {
 /// [`SlotCore`]'s action record of a polled node that listened.
 const LISTENED: u32 = u32::MAX;
 /// [`SlotCore`]'s action record of a polled node that idled.
-pub(crate) const IDLED: u32 = u32::MAX - 1;
+const IDLED: u32 = u32::MAX - 1;
 
 /// Per-channel state for one slot: the channel's ranges of the core's
 /// [`Stage`] and [`IndexArena`] (a group owns no id, position, shard
@@ -485,7 +485,6 @@ impl SlotCore {
             unit_ns: Vec::new(),
             slot_clock: Stopwatch::start_if(false),
             phase_clock: Stopwatch::start_if(false),
-            lent_ns: 0,
         }
     }
 
@@ -503,13 +502,11 @@ impl SlotCore {
         self.watch = Some(EventWatch::new(present, anchors, move_threshold));
     }
 
-    /// Ends the phase `kind`, recording its wall time less `lent` ns of
-    /// another phase's work, plus `owed` ns it did elsewhere, if a recorder
-    /// is attached.
-    fn lap(&mut self, kind: SpanKind, a: u32, lent: u64, owed: u64) {
+    /// Ends the phase `kind`, recording its wall time if a recorder is
+    /// attached.
+    fn lap(&mut self, kind: SpanKind, a: u32) {
         if let Some(rec) = self.obs.as_mut() {
-            let ns = (self.phase_clock.elapsed_ns() + owed).saturating_sub(lent);
-            rec.span(kind, self.slot, a, 0, ns);
+            rec.span(kind, self.slot, a, 0, self.phase_clock.elapsed_ns());
             self.phase_clock = Stopwatch::start();
         }
     }
@@ -519,7 +516,7 @@ impl SlotCore {
     /// to date.
     pub(crate) fn open(&mut self) {
         let sw = Stopwatch::start_if(self.obs.is_some());
-        (self.slot_clock, self.phase_clock, self.lent_ns) = (sw, sw, 0);
+        (self.slot_clock, self.phase_clock) = (sw, sw);
         let slot = self.slot;
         // Lifecycle observation first: the slot's presence verdicts and the
         // (possibly environment-mutated) positions are what this slot runs
@@ -543,7 +540,7 @@ impl SlotCore {
         stage.shard_rx.clear();
         stage.units.clear();
         self.index.clear();
-        self.lap(SpanKind::EventDrain, 0, 0, 0);
+        self.lap(SpanKind::EventDrain, 0);
         let n = self.positions.len();
         self.roster.refresh(n, slot, self.faults.lifecycle_epoch());
     }
@@ -656,7 +653,7 @@ impl SlotCore {
             rec.add("nodes_polled", roster.live.len() as u64);
             rec.add("nodes_standing", standing as u64);
         }
-        self.lap(SpanKind::Gather, 0, 0, 0);
+        self.lap(SpanKind::Gather, 0);
     }
 
     /// Phase 2a: stages each active channel's effective parameters
@@ -693,18 +690,16 @@ impl SlotCore {
         if let Some(rec) = self.obs.as_mut() {
             rec.add("channels_silent", silent_channels);
         }
-        self.lap(SpanKind::Stage, 0, 0, 0);
+        self.lap(SpanKind::Stage, 0);
     }
 
     /// Phase 2b: builds each resolving channel's index and listener
-    /// partition, resolves every (channel × shard) unit — on the pool,
-    /// with `slept` (the shell's idle feedback, which depends only on the
-    /// gathered actions) run meanwhile, when two units clear
-    /// [`POOL_UNIT_WORK`]; inline, then `slept`, otherwise — and puts every
-    /// outcome in listener order, channel by channel. Bit-identical for any
-    /// grid, worker count and steal schedule (`docs/EXECUTION_MODEL.md`,
-    /// "Units" and "The merge order").
-    pub(crate) fn resolve(&mut self, slept: &mut dyn FnMut(&mut Roster, &[u32])) {
+    /// partition, resolves every (channel × shard) unit — those that clear
+    /// [`POOL_UNIT_WORK`] on the pool when two do, the rest inline on the
+    /// slot thread — and puts every outcome in listener order, channel by
+    /// channel. Bit-identical for any grid, worker count and steal schedule
+    /// (`docs/EXECUTION_MODEL.md`, "Units" and "The merge order").
+    pub(crate) fn resolve(&mut self) {
         let (slot, timing) = (self.slot, self.obs.is_some());
         let (stage, groups, index) = (&mut self.stage, &mut self.groups, &mut self.index);
         let positions = &self.positions;
@@ -813,22 +808,14 @@ impl SlotCore {
             .iter()
             .flat_map(|(w, _)| w.unit_ranges.iter().map(|&u| w.unit_work(u)));
         let pool_units = works.filter(|&work| workers > 1 && work >= bar).count();
-        let (roster, acts) = (&mut self.roster, &self.acts);
-        let mut slept_ns = 0;
         let sw_wait = if pool_units >= 2 {
             rayon::scope(|s| {
                 run_units(&mut jobs, Some(s), bar, timing);
-                let sw = Stopwatch::start_if(timing);
-                slept(roster, acts);
-                slept_ns = sw.elapsed_ns();
                 // From here the slot thread only helps the pool finish.
                 Some(Stopwatch::start_if(timing))
             })
         } else {
             run_units(&mut jobs, None, bar, timing);
-            let sw = Stopwatch::start_if(timing);
-            slept(roster, acts);
-            slept_ns = sw.elapsed_ns();
             None
         };
 
@@ -876,8 +863,7 @@ impl SlotCore {
                 rec.span(SpanKind::Pool, slot, pool_units as u32, 0, sw.elapsed_ns());
             }
         }
-        self.lent_ns = slept_ns;
-        self.lap(SpanKind::Resolve, self.active.len() as u32, slept_ns, 0);
+        self.lap(SpanKind::Resolve, self.active.len() as u32);
     }
 
     /// Phase 2c, the protocol-free half of delivery: books every channel
@@ -956,12 +942,33 @@ impl SlotCore {
         )
     }
 
+    /// How many roster entries the observe loop's idler pass walks: every
+    /// polled node, or none when each of them transmitted or listened —
+    /// known in O(1), as the act loop filed a pair for every other.
+    pub(crate) fn idler_scan(&self) -> usize {
+        let (live, stage) = (self.roster.live.len(), &self.stage);
+        if live == stage.tx_pairs.len() + stage.rx_pairs.len() {
+            0
+        } else {
+            live
+        }
+    }
+
+    /// Roster entry `r`, if that node idled this slot: until `admit`, the
+    /// roster is exactly the nodes the act loop polled.
+    #[inline]
+    pub(crate) fn idler(&self, r: usize) -> Option<u32> {
+        let node = self.roster.live[r];
+        (self.acts[node as usize] == IDLED).then_some(node)
+    }
+
     /// Phase 3: whoever promised during delivery to only listen from here
     /// on leaves the roster for its channel's standing list, and whoever
-    /// promised quiet leaves it for the wake queue.
+    /// promised quiet — after a `Sent`, a listen or a `Slept` — leaves it
+    /// for the wake queue.
     pub(crate) fn admit(&mut self) {
         self.roster.admit();
-        self.lap(SpanKind::Deliver, 0, 0, self.lent_ns);
+        self.lap(SpanKind::Deliver, 0);
     }
 
     /// Closes the slot: hands the recorder the slot's span and counters,

@@ -47,17 +47,6 @@ impl GilbertElliot {
             .filter(|(_, &b)| b)
             .map(|(i, _)| i as u16)
     }
-
-    /// Long-run fraction of time a channel spends bad,
-    /// `p_degrade / (p_degrade + p_recover)` (0 if both probabilities are 0).
-    pub fn stationary_bad_fraction(&self) -> f64 {
-        let s = self.p_degrade + self.p_recover;
-        if s == 0.0 {
-            0.0
-        } else {
-            self.p_degrade / s
-        }
-    }
 }
 
 impl EnvironmentModel for GilbertElliot {
@@ -142,7 +131,6 @@ mod tests {
         assert_eq!(bad, 0);
         let env = GilbertElliot::new(2, 0.0, 0.5, ChannelCondition::dropped(0.0));
         assert!(env.is_static());
-        assert_eq!(env.stationary_bad_fraction(), 0.0);
     }
 
     #[test]

@@ -1100,27 +1100,8 @@ impl TaskResolver<'_, '_> {
             .resolve_one(listener, extra_interference, self.candidates.as_deref())
     }
 
-    /// Resolves a batch of this task's listeners into `out` (cleared
-    /// first; outcomes in listener order) through the batch walk — each
-    /// outcome bit-for-bit [`TaskResolver::resolve`] of that listener.
-    pub fn resolve_batch_into(
-        &self,
-        listeners: &[Point],
-        extra_interference: f64,
-        out: &mut Vec<ListenOutcome>,
-    ) {
-        listeners.iter().for_each(|&l| self.debug_assert_inside(l));
-        out.clear();
-        out.resize(listeners.len(), ListenOutcome::SILENT);
-        self.resolver.resolve_batch_core(
-            |i| listeners[i],
-            extra_interference,
-            self.candidates.as_deref(),
-            out,
-        );
-    }
-
-    /// Doubly indexed form of [`TaskResolver::resolve_batch_into`]:
+    /// Resolves a batch of this task's listeners through the batch walk —
+    /// each outcome bit-for-bit [`TaskResolver::resolve`] of that listener:
     /// `out[i]` receives the outcome for `positions[ids[keys[i]] as
     /// usize]`. This is the engine's hot entry for a sharded unit: `ids`
     /// is the channel's listener ids, `keys` the unit's stretch of the
@@ -1461,13 +1442,13 @@ mod tests {
                         resolver.task(BoundingBox::from_points(batch.iter().copied()).unwrap());
                     assert!(task.halo_nodes() < resolver.node_count(), "{what}");
                     let mut out = Vec::new();
-                    let mut task_out = Vec::new();
+                    let mut task_out = vec![ListenOutcome::SILENT; n];
                     let mut indexed = vec![ListenOutcome::SILENT; n];
                     let mut task_keys = vec![ListenOutcome::SILENT; n];
                     let mut task_ids = vec![ListenOutcome::SILENT; n];
                     let identity: Vec<u32> = (0..n as u32).collect();
                     resolver.resolve_batch_into(batch, 0.25, &mut out);
-                    task.resolve_batch_into(batch, 0.25, &mut task_out);
+                    task.resolve_subset_into(batch, &identity, &identity, 0.25, &mut task_out);
                     resolver.resolve_indexed_into(batch, &keys, 0.25, &mut indexed);
                     // The subset entry reads `batch[ids[keys[i]]]`: reversed
                     // keys through identity ids, and identity keys through

@@ -234,15 +234,38 @@ fn stamp(node: u32, slot: u64) -> [u64; 8] {
 /// Transmits its [`stamp`] with probability 0.3, idles with 0.1 and
 /// listens otherwise, 60% of the time on channel 0 and else on any of the
 /// three; keeps every decode verbatim.
+///
+/// A sleeper (`block` set) instead listens on channel 0 in its block —
+/// slots `2b` and `2b + 1` of every eight — and idles outside it without
+/// drawing from its RNG. It records that it slept, and promises quiet
+/// until its next block only once it has: no promise may cover the
+/// `Slept` that changes its state.
 #[derive(Clone, Debug, PartialEq)]
 struct Stamper {
     id: u32,
+    block: Option<u64>,
+    slept: bool,
     heard: Vec<(u64, NodeId, [u64; 8], u64)>,
+}
+
+impl Stamper {
+    fn in_block(b: u64, slot: u64) -> bool {
+        (slot / 2) % 4 == b
+    }
 }
 
 impl Protocol for Stamper {
     type Msg = [u64; 8];
     fn act(&mut self, slot: u64, rng: &mut SmallRng) -> Action<[u64; 8]> {
+        if let Some(b) = self.block {
+            return if Self::in_block(b, slot) {
+                Action::Listen {
+                    channel: Channel(0),
+                }
+            } else {
+                Action::Idle
+            };
+        }
         let channel = Channel(if rng.gen_bool(0.6) {
             0
         } else {
@@ -258,9 +281,16 @@ impl Protocol for Stamper {
         }
     }
     fn observe(&mut self, slot: u64, obs: Observation<[u64; 8]>, _rng: &mut SmallRng) {
-        if let Observation::Received(r) = obs {
-            self.heard.push((slot, r.from, r.msg, r.signal.to_bits()));
+        match obs {
+            Observation::Received(r) => self.heard.push((slot, r.from, r.msg, r.signal.to_bits())),
+            Observation::Slept => self.slept = true,
+            _ => {}
         }
+    }
+
+    fn quiet_until(&self, slot: u64) -> Option<u64> {
+        let b = self.block.filter(|_| self.slept)?;
+        (slot + 1..).find(|&u| Self::in_block(b, u))
     }
 }
 
@@ -270,7 +300,9 @@ impl Protocol for Stamper {
 /// its sender's own message of that slot, and metrics and every node's
 /// end state equal the poll-everyone reference engine's, at 1, 2 and 8
 /// pool workers. Channel 0 is crowded enough to shard from two workers
-/// on, so its sharded units are part of what is compared.
+/// on and to pool, so its sharded units are part of what is compared, and
+/// so are the sleepers (every fourth node) that idle, get `Slept` and
+/// park on their quiet promise in a pooled slot.
 #[test]
 fn received_messages_are_their_senders_under_churn() {
     use multichannel_adhoc::radio::reference::ReferenceEngine;
@@ -289,6 +321,8 @@ fn received_messages_are_their_senders_under_churn() {
     let protocols: Vec<Stamper> = (0..n as u32)
         .map(|id| Stamper {
             id,
+            block: (id % 4 == 1).then_some(u64::from(id / 4) % 4),
+            slept: false,
             heard: Vec::new(),
         })
         .collect();
@@ -300,18 +334,22 @@ fn received_messages_are_their_senders_under_churn() {
     }
     let heard: usize = reference.protocols.iter().map(|p| p.heard.len()).sum();
     assert!(heard > 100, "only {heard} decodes");
+    let slept = reference.protocols.iter().filter(|p| p.slept).count();
+    assert!(slept > 300, "only {slept} sleepers slept");
     for workers in [1, 2, 8] {
-        let (engine, sharded) = with_workers(workers, || {
+        let (engine, sharded, pooled) = with_workers(workers, || {
+            use multichannel_adhoc::obs::SpanKind;
             let mut engine = Engine::new(params, positions.clone(), protocols.clone(), 5)
                 .with_faults(faults.clone());
             engine.attach_obs(multichannel_adhoc::obs::Recorder::new());
             engine.run(SLOTS);
-            let rec = engine.obs().expect("attached above");
-            let halo = multichannel_adhoc::obs::SpanKind::Halo;
-            let sharded = rec.spans().iter().any(|s| s.kind == halo);
-            (engine, sharded)
+            let spans = engine.obs().expect("attached above").spans();
+            let seen = |kind| spans.iter().any(|s| s.kind == kind);
+            let (sharded, pooled) = (seen(SpanKind::Halo), seen(SpanKind::Pool));
+            (engine, sharded, pooled)
         });
         assert!(workers == 1 || sharded, "{workers} workers never sharded");
+        assert!(workers == 1 || pooled, "{workers} workers never pooled");
         for p in engine.protocols() {
             for &(slot, from, msg, _) in &p.heard {
                 assert_eq!(msg, stamp(from.0, slot), "node {} slot {slot}", p.id);

@@ -213,8 +213,9 @@ proptest! {
         // Task-scoped batches agree too (candidate-pruned walk).
         let bbox = BoundingBox::from_points(listeners.iter().copied()).unwrap();
         let task = resolver.task(bbox);
-        let mut task_out = Vec::new();
-        task.resolve_batch_into(&listeners, extra, &mut task_out);
+        let identity: Vec<u32> = (0..listeners.len() as u32).collect();
+        let mut task_out = vec![batch[0]; listeners.len()];
+        task.resolve_subset_into(&listeners, &identity, &identity, extra, &mut task_out);
         for (k, o) in batch.iter().enumerate() {
             prop_assert_eq!(&task_out[k], o);
         }
@@ -364,13 +365,13 @@ proptest! {
             let task = resolver.task(BoundingBox::from_points(listeners.iter().copied()).unwrap());
             let keys: Vec<u32> = (0..listeners.len() as u32).rev().collect();
             let mut batch = Vec::new();
-            let mut task_batch = Vec::new();
             let mut indexed = vec![ListenOutcome::SILENT; keys.len()];
+            let mut task_batch = indexed.clone();
             let mut task_indexed = indexed.clone();
-            resolver.resolve_batch_into(&listeners, extra, &mut batch);
-            task.resolve_batch_into(&listeners, extra, &mut task_batch);
-            resolver.resolve_indexed_into(&listeners, &keys, extra, &mut indexed);
             let identity: Vec<u32> = (0..listeners.len() as u32).collect();
+            resolver.resolve_batch_into(&listeners, extra, &mut batch);
+            task.resolve_subset_into(&listeners, &identity, &identity, extra, &mut task_batch);
+            resolver.resolve_indexed_into(&listeners, &keys, extra, &mut indexed);
             task.resolve_subset_into(&listeners, &identity, &keys, extra, &mut task_indexed);
             for (k, &l) in listeners.iter().enumerate() {
                 let one = resolve_listener_ext(&params, &txs, l, extra);
