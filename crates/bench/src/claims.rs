@@ -1,16 +1,33 @@
-//! The paper's claims as tables: one registry on one trial runner.
+//! The paper's claims as tables: one registry, one harness, one trial runner.
 //!
 //! The source paper is a theory paper, so its "tables and figures" are the
 //! complexity claims of Theorems 22/24 and Lemmas 2-16, reproduced here as
 //! scaling tables at reduced size. [`claim_tables`] lists them in print
-//! order; a [`ClaimTable`] renders its tables for a trial count. Each row
-//! of a table is an *arm* with its own master seed, and a table runs every
-//! (arm, seed) trial as one enumeration of [`run_seeded_rows`], so the
-//! numbers do not depend on the thread count. M1 and M2 (repair vs rebuild,
-//! reactive vs proactive repair) come from one maintained-world harness,
-//! [`maintained`], which runs seeds 1-3 of named worlds through one
-//! [`TrialSet`](mca_scenario::TrialSet) per table, the same batch
-//! executor.
+//! order; a [`ClaimTable`] renders its tables for a trial count, never
+//! fewer than its `floor`.
+//!
+//! A seeded table is a declaration, a `ClaimSpec`: its title and columns;
+//! its arms, one row each, every arm with its knob, its master seed (a
+//! literal), its world and its substrate; the cluster radius of its
+//! structure builds; what one trial measures; and how an arm's trials print
+//! as cells. The measurement and the cells are the only per-table code. The
+//! harness, `ClaimSpec::render`, owns the policy:
+//! - *seeds*: it runs every (arm, seed) trial as one enumeration of
+//!   [`run_seeded_rows`], arm `i` on `trial_seed(master_i, 0..trials)`, so
+//!   the numbers do not depend on the thread count;
+//! - *worlds*: it draws each trial's uniform, corridor or disk deployment
+//!   from the trial seed (`World::draw`);
+//! - *substrate*: `Trial::structure_config` is the one place a
+//!   `StructureConfig` is made, with the arm's substrate and the spec's
+//!   cluster radius, and `arm` gives every arm the tables' substrate (the
+//!   oracle; A1 declares each arm's own);
+//! - *trial floor*: the registry entry's `floor`, applied by
+//!   [`ClaimTable::section`].
+//!
+//! M1 and M2 (repair vs rebuild, reactive vs proactive repair) come from one
+//! maintained-world harness, [`maintained`], which runs seeds 1-3 of named
+//! worlds through one [`TrialSet`](mca_scenario::TrialSet) per table, the
+//! same batch executor.
 //!
 //! A render returns `Err` when a gate of its entry fails; the committed
 //! file then fails as a `GATE`, and `experiments <id>` exits non-zero.
@@ -22,6 +39,7 @@ use crate::maintained;
 use mca_analysis::{Summary, Table, TrialOutcome};
 use mca_baselines as baselines;
 use mca_core::ruling::{self, ProbPolicy, RulingConfig, RulingOutcome, RulingSet, TimeoutRule};
+use mca_core::structure::all_done;
 use mca_core::{
     aggregate, audit_structure, build_structure, color_nodes, AlgoConfig, Constants,
     InterclusterMode, MaxAgg, NetworkEnv, StructureConfig, SubstrateMode, Tdma,
@@ -36,16 +54,20 @@ use rand::{rngs::SmallRng, SeedableRng};
 pub struct ClaimTable {
     /// The id on the `experiments` command line (`e1`, `t1`, `a3`, …).
     pub id: &'static str,
+    /// The fewest trials per arm the entry runs, whatever it is asked for.
+    /// (M1 and M2 keep their own floor of 3 seeds in [`maintained`].)
+    pub floor: usize,
     /// Renders the entry's tables at `trials` trials per arm, or says
     /// which of the entry's gates failed.
     pub render: fn(trials: usize) -> Result<Vec<Table>, String>,
 }
 
 impl ClaimTable {
-    /// The entry as printed: each table followed by a blank line, or the
+    /// The entry as printed at `trials` trials per arm (at least
+    /// [`ClaimTable::floor`]): each table followed by a blank line, or the
     /// reason its gate failed.
     pub fn section(&self, trials: usize) -> Result<String, String> {
-        let tables = (self.render)(trials)?;
+        let tables = (self.render)(trials.max(self.floor))?;
         Ok(tables.iter().map(|t| format!("{t}\n")).collect())
     }
 }
@@ -54,91 +76,37 @@ impl ClaimTable {
 /// `experiments all`.
 pub const CLAIM_TRIALS: usize = 2;
 
+/// A registry entry.
+const fn entry(
+    id: &'static str,
+    floor: usize,
+    render: fn(usize) -> Result<Vec<Table>, String>,
+) -> ClaimTable {
+    ClaimTable { id, floor, render }
+}
+
 const CLAIMS: &[ClaimTable] = &[
-    ClaimTable {
-        id: "e1",
-        render: e1_speedup,
-    },
-    ClaimTable {
-        id: "e2",
-        render: e2_scaling_n,
-    },
-    ClaimTable {
-        id: "e3",
-        render: e3_delta,
-    },
-    ClaimTable {
-        id: "e4",
-        render: e4_coloring,
-    },
-    ClaimTable {
-        id: "e5",
-        render: e5_ruling,
-    },
-    ClaimTable {
-        id: "e6",
-        render: e6_dominate,
-    },
-    ClaimTable {
-        id: "e7",
-        render: e7_csa,
-    },
-    ClaimTable {
-        id: "e8",
-        render: e8_reporters,
-    },
-    ClaimTable {
-        id: "e10",
-        render: e10_lower_bounds,
-    },
-    ClaimTable {
-        id: "e11",
-        render: e11_lemmas,
-    },
-    ClaimTable {
-        id: "e12",
-        render: e12_applications,
-    },
-    ClaimTable {
-        id: "e13",
-        render: e13_multimessage,
-    },
-    ClaimTable {
-        id: "e14",
-        render: e14_compressibility,
-    },
-    ClaimTable {
-        id: "e15",
-        render: e15_mis,
-    },
-    ClaimTable {
-        id: "e16",
-        render: e16_mobility,
-    },
-    ClaimTable {
-        id: "t1",
-        render: t1_comparison,
-    },
-    ClaimTable {
-        id: "a1",
-        render: a1_ablations,
-    },
-    ClaimTable {
-        id: "a2",
-        render: a2_faults,
-    },
-    ClaimTable {
-        id: "a3",
-        render: a3_gossip,
-    },
-    ClaimTable {
-        id: "m1",
-        render: maintained::m1_repair,
-    },
-    ClaimTable {
-        id: "m2",
-        render: maintained::m2_adversary,
-    },
+    entry("e1", 1, |t| Ok(vec![e1_speedup().render(t)])),
+    entry("e2", 1, |t| Ok(vec![e2_scaling_n().render(t)])),
+    entry("e3", 1, |t| Ok(vec![e3_delta().render(t)])),
+    entry("e4", 1, |t| Ok(vec![e4_coloring().render(t)])),
+    entry("e5", 1, |t| Ok(vec![e5_ruling().render(t)])),
+    entry("e6", 1, |t| Ok(vec![e6_dominate().render(t)])),
+    entry("e7", 1, |t| Ok(vec![e7_csa().render(t)])),
+    entry("e8", 1, |t| Ok(vec![e8_reporters().render(t)])),
+    entry("e10", 1, |t| Ok(vec![e10a_chain(), e10b_dterm().render(t)])),
+    entry("e11", 3, |t| Ok(vec![e11_lemmas().render(t)])),
+    entry("e12", 1, |t| Ok(vec![e12_applications().render(t)])),
+    entry("e13", 1, |t| Ok(vec![e13_multimessage().render(t)])),
+    entry("e14", 1, |t| Ok(vec![e14_compressibility().render(t)])),
+    entry("e15", 1, |t| Ok(vec![e15_mis().render(t)])),
+    entry("e16", 2, |t| Ok(vec![e16_mobility().render(t)])),
+    entry("t1", 1, |t| Ok(vec![t1_comparison().render(t)])),
+    entry("a1", 1, |t| Ok(vec![a1_ablations().render(t)])),
+    entry("a2", 1, |t| Ok(vec![a2_faults().render(t)])),
+    entry("a3", 1, |t| Ok(vec![a3_gossip().render(t)])),
+    entry("m1", 1, maintained::m1_repair),
+    entry("m2", 1, maintained::m2_adversary),
 ];
 
 /// Every claim table, in print order.
@@ -150,6 +118,15 @@ pub fn claim_tables() -> &'static [ClaimTable] {
 /// [`claim_tables`] at [`CLAIM_TRIALS`] trials, or the first failed gate
 /// as `<id>: <reason>`.
 pub fn experiments_md() -> Result<String, String> {
+    let floors: Vec<String> = claim_tables()
+        .iter()
+        .filter(|c| c.floor > CLAIM_TRIALS)
+        .map(|c| format!("{} runs {}", c.id.to_uppercase(), c.floor))
+        .collect();
+    let floors = match floors.is_empty() {
+        true => String::new(),
+        false => format!(" ({})", floors.join(", ")),
+    };
     let mut md = format!(
         "# EXPERIMENTS\n\n\
          The source paper's claims (Theorems 22 and 24, Lemmas 2-16 and the\n\
@@ -163,7 +140,7 @@ pub fn experiments_md() -> Result<String, String> {
          latencies are the worst seed's, not medians. No cell is a host\n\
          time.\n\n\
          Generated from `crates/bench/src/claims.rs` by `experiments\n\
-         artifacts --write` at {CLAIM_TRIALS} trials per row (E11 runs 3);\n\
+         artifacts --write` at {CLAIM_TRIALS} trials per row{floors};\n\
          `experiments <id> [trials]` prints one section. Do not edit.\n\n"
     );
     for claim in claim_tables() {
@@ -173,16 +150,153 @@ pub fn experiments_md() -> Result<String, String> {
     Ok(md)
 }
 
-/// Runs `trials` seeds of every arm as one enumeration: arm `a` derives
-/// its seeds from `master(a)`, and its results come back in seed order.
-fn sweep<A: Sync, T: Send>(
-    arms: &[A],
-    master: impl Fn(&A) -> u64,
-    trials: usize,
-    trial: impl Fn(&A, u64) -> T + Sync,
-) -> Vec<TrialOutcome<T>> {
-    let masters: Vec<u64> = arms.iter().map(master).collect();
-    run_seeded_rows(&masters, trials, true, |row, seed| trial(&arms[row], seed))
+/// A seeded claim table, declared: [`ClaimSpec::render`] is its harness.
+struct ClaimSpec<K, T> {
+    /// The table's title.
+    title: &'static str,
+    /// Column headers; each arm's row has one cell per column.
+    columns: &'static [&'static str],
+    /// One row each, in print order.
+    arms: Vec<Arm<K>>,
+    /// The cluster radius of the table's structure builds; `None` keeps
+    /// the default, `ε·R_T/4`.
+    cluster_radius: Option<f64>,
+    /// What one trial measures.
+    measure: fn(&Trial<K>) -> T,
+    /// An arm's row from its knob and its trials; the third argument is
+    /// the first arm's trials, the base of a speedup column.
+    cells: fn(&K, &TrialOutcome<T>, &TrialOutcome<T>) -> Vec<String>,
+}
+
+/// One arm (row) of a seeded table.
+struct Arm<K> {
+    /// What the arm varies: channels, size, algorithm, fault, …
+    knob: K,
+    /// The arm's master seed: its trials run `trial_seed(master, 0..trials)`.
+    master: u64,
+    /// The world each trial draws from its seed.
+    world: World,
+    /// The dominating-set substrate of the arm's structure builds.
+    substrate: SubstrateMode,
+}
+
+/// An arm on the claim tables' substrate: the oracle, which factors §4's
+/// distributed dominating set out of every build (an ablation).
+fn arm<K>(knob: K, master: u64, world: World) -> Arm<K> {
+    Arm {
+        knob,
+        master,
+        world,
+        substrate: SubstrateMode::Oracle,
+    }
+}
+
+/// The deployment a trial draws from its seed.
+#[derive(Debug, Clone, Copy)]
+enum World {
+    /// `n` nodes uniform on a `side × side` square.
+    Uniform { n: usize, side: f64 },
+    /// `n` nodes uniform on a `len × width` corridor.
+    Corridor { n: usize, len: f64, width: f64 },
+    /// `n` nodes uniform in a disk of radius `radius`.
+    Disk { n: usize, radius: f64 },
+    /// No deployment: the measurement places its own nodes (E7, E11) or
+    /// runs a scenario (E16).
+    Own,
+}
+
+impl World {
+    /// Arms that all draw this world, one per `(knob, master)`.
+    fn arms<K, const N: usize>(self, arms: [(K, u64); N]) -> Vec<Arm<K>> {
+        arms.into_iter()
+            .map(|(knob, master)| arm(knob, master, self))
+            .collect()
+    }
+
+    /// The deployment of trial `seed` (empty for [`World::Own`]).
+    fn draw(self, seed: u64) -> Deployment {
+        let rng = &mut SmallRng::seed_from_u64(seed);
+        match self {
+            World::Uniform { n, side } => Deployment::uniform(n, side, rng),
+            World::Corridor { n, len, width } => Deployment::corridor(n, len, width, rng),
+            World::Disk { n, radius } => Deployment::disk(n, radius, rng),
+            World::Own => Deployment::from_points("own", Vec::new()),
+        }
+    }
+}
+
+/// One trial as its measurement sees it.
+struct Trial<'a, K> {
+    knob: &'a K,
+    seed: u64,
+    /// The arm's world, drawn from `seed`.
+    deploy: Deployment,
+    substrate: SubstrateMode,
+    cluster_radius: Option<f64>,
+}
+
+impl<K> Trial<'_, K> {
+    /// The network over the trial's world at the default SINR parameters.
+    fn env(&self) -> NetworkEnv {
+        NetworkEnv::new(SinrParams::default(), &self.deploy)
+    }
+
+    /// Every claim table's structure build configuration: the arm's
+    /// substrate and the spec's cluster radius, seeded by the trial.
+    fn structure_config(&self, algo: AlgoConfig) -> StructureConfig {
+        let mut cfg = StructureConfig::new(algo, self.seed);
+        cfg.substrate = self.substrate;
+        cfg.cluster_radius = self.cluster_radius.unwrap_or(cfg.cluster_radius);
+        cfg
+    }
+}
+
+impl<K: Sync, T: Send> ClaimSpec<K, T> {
+    /// Trial `seed` of arm `row`.
+    fn trial(&self, row: usize, seed: u64) -> Trial<'_, K> {
+        let arm = &self.arms[row];
+        Trial {
+            knob: &arm.knob,
+            seed,
+            deploy: arm.world.draw(seed),
+            substrate: arm.substrate,
+            cluster_radius: self.cluster_radius,
+        }
+    }
+
+    /// Runs `trials` seeds of every arm as one enumeration: arm `i` on
+    /// `trial_seed(master_i, 0..trials)`, its results in seed order.
+    fn run(&self, trials: usize) -> Vec<TrialOutcome<T>> {
+        let masters: Vec<u64> = self.arms.iter().map(|a| a.master).collect();
+        run_seeded_rows(&masters, trials, true, |row, seed| {
+            (self.measure)(&self.trial(row, seed))
+        })
+    }
+
+    /// The table at `trials` trials per arm, one row per arm.
+    fn render(&self, trials: usize) -> Table {
+        let outs = self.run(trials);
+        let mut t = Table::new(self.title, self.columns.iter().copied());
+        for (arm, out) in self.arms.iter().zip(&outs) {
+            t.row((self.cells)(&arm.knob, out, &outs[0]));
+        }
+        t
+    }
+}
+
+/// The median of `f` over an arm's trials.
+fn median<T>(out: &TrialOutcome<T>, f: impl Fn(&T) -> f64) -> f64 {
+    out.summarize(f).median()
+}
+
+/// The median of `f` over an arm's trials, as a whole number.
+fn whole<T>(out: &TrialOutcome<T>, f: impl Fn(&T) -> f64) -> String {
+    format!("{:.0}", median(out, f))
+}
+
+/// A share as a whole percentage.
+fn percent(share: f64) -> String {
+    format!("{:.0}%", share * 100.0)
 }
 
 /// One full build+aggregate measurement.
@@ -204,27 +318,18 @@ struct AggMeasurement {
     contention_peak: f64,
 }
 
-/// Standard workload: uniform deployment, max-aggregation via the flood
+/// Standard workload on the trial's world: max-aggregation via the flood
 /// inter-cluster mode.
-fn measure_aggregation(
-    n: usize,
-    side: f64,
-    channels: u16,
-    cluster_radius: f64,
-    substrate: SubstrateMode,
-    consts: Constants,
-    seed: u64,
-) -> AggMeasurement {
-    let params = SinrParams::default();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let deploy = Deployment::uniform(n, side, &mut rng);
-    let env = NetworkEnv::new(params, &deploy);
+fn measure_aggregation<K>(t: &Trial<K>, channels: u16, consts: Constants) -> AggMeasurement {
+    let env = t.env();
+    let n = env.len();
     let graph = env.comm_graph();
-    let algo = AlgoConfig::new(channels, mca_sinr::NodeKnowledge::exact(&params, n), consts);
-    let mut cfg = StructureConfig::new(algo, seed);
-    cfg.substrate = substrate;
-    cfg.cluster_radius = cluster_radius;
-    let structure = build_structure(&env, &cfg);
+    let algo = AlgoConfig::new(
+        channels,
+        mca_sinr::NodeKnowledge::exact(&env.params, n),
+        consts,
+    );
+    let structure = build_structure(&env, &t.structure_config(algo));
 
     let inputs: Vec<i64> = (0..n).map(|i| (i as i64 * 7919) % 100_000).collect();
     let expect = *inputs.iter().max().unwrap();
@@ -237,7 +342,7 @@ fn measure_aggregation(
         &inputs,
         InterclusterMode::Flood,
         d_hat,
-        seed ^ 0xA66,
+        t.seed ^ 0xA66,
     );
     AggMeasurement {
         build_slots: structure.report.total_slots(),
@@ -250,216 +355,163 @@ fn measure_aggregation(
     }
 }
 
-fn med(xs: &[u64]) -> f64 {
-    Summary::of_counts(xs.iter().copied()).median()
-}
-
 /// E1 — Theorem 22 headline: aggregation slots vs `F` (dense regime).
-fn e1_speedup(trials: usize) -> Result<Vec<Table>, String> {
-    let mut t = Table::new(
-        "E1 (Theorem 22): aggregation slots vs channels -- n=500, dense",
-        [
+fn e1_speedup() -> ClaimSpec<u16, AggMeasurement> {
+    let world = World::Uniform { n: 500, side: 6.5 };
+    ClaimSpec {
+        title: "E1 (Theorem 22): aggregation slots vs channels -- n=500, dense",
+        columns: &[
             "F",
             "follower slots",
             "agg slots",
             "speedup",
             "contention peak",
         ],
-    );
-    let fs = [1u16, 2, 4, 8, 16];
-    let outs = sweep(
-        &fs,
-        |&f| 100 + f as u64,
-        trials,
-        |&f, seed| {
-            measure_aggregation(
-                500,
-                6.5,
-                f,
-                2.0,
-                SubstrateMode::Oracle,
-                Constants::practical(),
-                seed,
-            )
+        arms: world.arms([(1, 101), (2, 102), (4, 104), (8, 108), (16, 116)]),
+        cluster_radius: Some(2.0),
+        measure: |t| measure_aggregation(t, *t.knob, Constants::practical()),
+        cells: |f, out, first| {
+            let fol = median(out, |m| m.follower_slots as f64);
+            vec![
+                f.to_string(),
+                format!("{fol:.0}"),
+                whole(out, |m| m.agg_slots as f64),
+                format!("{:.2}x", median(first, |m| m.follower_slots as f64) / fol),
+                format!("{:.2}", median(out, |m| m.contention_peak)),
+            ]
         },
-    );
-    let mut base: Option<f64> = None;
-    for (f, out) in fs.iter().zip(&outs) {
-        let fol: Vec<u64> = out.results.iter().map(|m| m.follower_slots).collect();
-        let tot: Vec<u64> = out.results.iter().map(|m| m.agg_slots).collect();
-        let peak = out.summarize(|m| m.contention_peak).median();
-        let b = *base.get_or_insert(med(&fol));
-        t.row([
-            f.to_string(),
-            format!("{:.0}", med(&fol)),
-            format!("{:.0}", med(&tot)),
-            format!("{:.2}x", b / med(&fol)),
-            format!("{peak:.2}"),
-        ]);
     }
-    Ok(vec![t])
 }
 
 /// E2 — Theorem 22: slots vs `n` at fixed density, `F = 8`.
-fn e2_scaling_n(trials: usize) -> Result<Vec<Table>, String> {
-    let mut t = Table::new(
-        "E2 (Theorem 22): slots vs n at fixed density, F = 8",
-        ["n", "delta", "D", "build slots", "agg slots"],
-    );
-    let ns = [150usize, 300, 600, 1200];
-    let outs = sweep(
-        &ns,
-        |&n| 200 + n as u64,
-        trials,
-        |&n, seed| {
-            let side = (n as f64 / 8.0).sqrt();
-            measure_aggregation(
-                n,
-                side,
-                8,
-                1.5,
-                SubstrateMode::Oracle,
-                Constants::practical(),
-                seed,
-            )
+fn e2_scaling_n() -> ClaimSpec<usize, AggMeasurement> {
+    ClaimSpec {
+        title: "E2 (Theorem 22): slots vs n at fixed density, F = 8",
+        columns: &["n", "delta", "D", "build slots", "agg slots"],
+        arms: [(150usize, 350), (300, 500), (600, 800), (1200, 1400)]
+            .map(|(n, master)| {
+                let side = (n as f64 / 8.0).sqrt();
+                arm(n, master, World::Uniform { n, side })
+            })
+            .into(),
+        cluster_radius: Some(1.5),
+        measure: |t| measure_aggregation(t, 8, Constants::practical()),
+        cells: |n, out, _| {
+            vec![
+                n.to_string(),
+                whole(out, |m| m.delta as f64),
+                whole(out, |m| m.diameter as f64),
+                whole(out, |m| m.build_slots as f64),
+                whole(out, |m| m.agg_slots as f64),
+            ]
         },
-    );
-    for (n, out) in ns.iter().zip(&outs) {
-        t.row([
-            n.to_string(),
-            format!("{:.0}", out.summarize(|m| m.delta as f64).median()),
-            format!("{:.0}", out.summarize(|m| m.diameter as f64).median()),
-            format!("{:.0}", out.summarize(|m| m.build_slots as f64).median()),
-            format!("{:.0}", out.summarize(|m| m.agg_slots as f64).median()),
-        ]);
     }
-    Ok(vec![t])
 }
 
-/// E3 — Theorem 22: slots vs `delta` at fixed `n`, `F` in {1, 8}.
-fn e3_delta(trials: usize) -> Result<Vec<Table>, String> {
-    let mut t = Table::new(
-        "E3 (Theorem 22): follower slots vs delta at n = 400 -- F=1 vs F=8",
-        ["side", "delta", "F=1 slots", "F=8 slots", "ratio"],
-    );
-    // Both arms of a side run the same seeds (one master for the table).
-    let arms: Vec<(f64, u16)> = [11.0, 8.0, 6.0, 4.5]
-        .into_iter()
-        .flat_map(|side| [(side, 1), (side, 8)])
-        .collect();
-    let outs = sweep(
-        &arms,
-        |_| 300,
-        trials,
-        |&(side, f), seed| {
-            measure_aggregation(
-                400,
-                side,
-                f,
-                2.0,
-                SubstrateMode::Oracle,
-                Constants::practical(),
-                seed,
-            )
+/// E3 — Theorem 22: slots vs `delta` at fixed `n`, `F` in {1, 8}. Each
+/// trial runs both channel counts on its world, and every side runs the
+/// same seeds (one master for the table).
+fn e3_delta() -> ClaimSpec<f64, [AggMeasurement; 2]> {
+    ClaimSpec {
+        title: "E3 (Theorem 22): follower slots vs delta at n = 400 -- F=1 vs F=8",
+        columns: &["side", "delta", "F=1 slots", "F=8 slots", "ratio"],
+        arms: [11.0, 8.0, 6.0, 4.5]
+            .map(|side| arm(side, 300, World::Uniform { n: 400, side }))
+            .into(),
+        cluster_radius: Some(2.0),
+        measure: |t| [1, 8].map(|f| measure_aggregation(t, f, Constants::practical())),
+        cells: |side, out, _| {
+            let f1 = median(out, |m| m[0].follower_slots as f64);
+            let f8 = median(out, |m| m[1].follower_slots as f64);
+            vec![
+                format!("{side:.1}"),
+                whole(out, |m| m[0].delta as f64),
+                format!("{f1:.0}"),
+                format!("{f8:.0}"),
+                format!("{:.2}x", f1 / f8),
+            ]
         },
-    );
-    for (arm, out) in arms.chunks(2).zip(outs.chunks(2)) {
-        let (one, eight) = (&out[0], &out[1]);
-        let f1 = one.summarize(|m| m.follower_slots as f64).median();
-        let f8 = eight.summarize(|m| m.follower_slots as f64).median();
-        t.row([
-            format!("{:.1}", arm[0].0),
-            format!("{:.0}", one.summarize(|m| m.delta as f64).median()),
-            format!("{f1:.0}"),
-            format!("{f8:.0}"),
-            format!("{:.2}x", f1 / f8),
-        ]);
     }
-    Ok(vec![t])
 }
 
 /// E4 — Theorem 24: coloring slots and palette vs `F` (`Some(F)`), with
 /// the single-channel baseline (`None`).
-fn e4_coloring(trials: usize) -> Result<Vec<Table>, String> {
-    let params = SinrParams::default();
-    let mut t = Table::new(
-        "E4 (Theorem 24): coloring -- n=300, dense",
-        ["algorithm", "F", "slots", "colors / (delta+1)", "proper"],
-    );
-    let arms = [Some(1u16), Some(4), Some(16), None];
-    let master = |arm: &Option<u16>| arm.map_or(444, |f| 400 + f as u64);
-    let outs = sweep(&arms, master, trials, |&arm, seed| {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let deploy = Deployment::uniform(300, 6.0, &mut rng);
-        let Some(f) = arm else {
-            let graph = mca_geom::CommGraph::build(deploy.points(), 4.0);
-            let algo = AlgoConfig::practical(1, &params, 300);
-            let b = baselines::run_single_coloring(&params, deploy.points(), &algo, 1024, seed);
-            let colors: Vec<u32> = b.colors.iter().map(|c| c.unwrap()).collect();
-            return (
-                b.slots,
-                b.palette_size() as f64 / (graph.max_degree() + 1) as f64,
-                graph.coloring_violation(&colors).is_none(),
-            );
-        };
-        let env = NetworkEnv::new(params, &deploy);
-        let graph = env.comm_graph();
-        let algo = AlgoConfig::practical(f, &params, 300);
-        let mut cfg = StructureConfig::new(algo, seed);
-        cfg.substrate = SubstrateMode::Oracle;
+fn e4_coloring() -> ClaimSpec<Option<u16>, (u64, f64, bool)> {
+    let world = World::Uniform { n: 300, side: 6.0 };
+    ClaimSpec {
+        title: "E4 (Theorem 24): coloring -- n=300, dense",
+        columns: &["algorithm", "F", "slots", "colors / (delta+1)", "proper"],
+        arms: world.arms([(Some(1), 401), (Some(4), 404), (Some(16), 416), (None, 444)]),
         // Coloring correctness requires the paper's r_c ≤ ε·R_T/4.
-        cfg.cluster_radius = 1.0;
-        let structure = build_structure(&env, &cfg);
-        let col = color_nodes(&env, &structure, &algo, seed);
-        let proper = col.uncolored == 0 && {
-            let colors: Vec<u32> = col.colors.iter().map(|c| c.unwrap_or(u32::MAX)).collect();
-            graph.coloring_violation(&colors).is_none()
-        };
-        (
-            col.total_slots(),
-            col.palette_size() as f64 / (graph.max_degree() + 1) as f64,
-            proper,
-        )
-    });
-    for (arm, out) in arms.iter().zip(&outs) {
-        let (algorithm, f) = match arm {
-            Some(f) => ("structure coloring (paper s7)", f.to_string()),
-            None => ("single-channel ruling phases", "1".to_string()),
-        };
-        t.row([
-            algorithm.to_string(),
-            f,
-            format!("{:.0}", out.summarize(|r| r.0 as f64).median()),
-            format!("{:.2}", out.summarize(|r| r.1).median()),
-            format!("{:.0}%", out.fraction(|r| r.2) * 100.0),
-        ]);
+        cluster_radius: Some(1.0),
+        measure: |t| {
+            let params = SinrParams::default();
+            let Some(f) = *t.knob else {
+                let points = t.deploy.points();
+                let graph = mca_geom::CommGraph::build(points, 4.0);
+                let algo = AlgoConfig::practical(1, &params, 300);
+                let b = baselines::run_single_coloring(&params, points, &algo, 1024, t.seed);
+                let colors: Vec<u32> = b.colors.iter().map(|c| c.unwrap()).collect();
+                return (
+                    b.slots,
+                    b.palette_size() as f64 / (graph.max_degree() + 1) as f64,
+                    graph.coloring_violation(&colors).is_none(),
+                );
+            };
+            let env = t.env();
+            let graph = env.comm_graph();
+            let algo = AlgoConfig::practical(f, &params, 300);
+            let structure = build_structure(&env, &t.structure_config(algo));
+            let col = color_nodes(&env, &structure, &algo, t.seed);
+            let proper = col.uncolored == 0 && {
+                let colors: Vec<u32> = col.colors.iter().map(|c| c.unwrap_or(u32::MAX)).collect();
+                graph.coloring_violation(&colors).is_none()
+            };
+            (
+                col.total_slots(),
+                col.palette_size() as f64 / (graph.max_degree() + 1) as f64,
+                proper,
+            )
+        },
+        cells: |f, out, _| {
+            let (algorithm, f) = match f {
+                Some(f) => ("structure coloring (paper s7)", f.to_string()),
+                None => ("single-channel ruling phases", "1".to_string()),
+            };
+            vec![
+                algorithm.to_string(),
+                f,
+                whole(out, |r| r.0 as f64),
+                format!("{:.2}", median(out, |r| r.1)),
+                percent(out.fraction(|r| r.2)),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
 /// E5 — Lemma 6: ruling-set rounds vs `n` on constant-density sets.
-fn e5_ruling(trials: usize) -> Result<Vec<Table>, String> {
-    let params = SinrParams::default();
-    let mut t = Table::new(
-        "E5 (Lemma 6): ruling-set rounds vs n (constant-density inputs)",
-        [
+fn e5_ruling() -> ClaimSpec<u32, (usize, f64, bool, bool)> {
+    ClaimSpec {
+        title: "E5 (Lemma 6): ruling-set rounds vs n (constant-density inputs)",
+        columns: &[
             "n (field)",
             "participants",
             "median halt round",
             "independent",
             "dominating",
         ],
-    );
-    let exps = [8u32, 10, 12];
-    let outs = sweep(
-        &exps,
-        |&exp| 500 + (1u64 << exp),
-        trials,
-        |&exp, seed| {
-            let n = 1usize << exp;
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let side = (n as f64 / 2.0).sqrt();
-            let d = Deployment::uniform(n, side, &mut rng);
+        arms: [(8u32, 756), (10, 1524), (12, 4596)]
+            .map(|(exp, master)| {
+                let n = 1usize << exp;
+                let side = (n as f64 / 2.0).sqrt();
+                arm(exp, master, World::Uniform { n, side })
+            })
+            .into(),
+        cluster_radius: None,
+        measure: |t| {
+            let (exp, seed) = (*t.knob, t.seed);
+            let params = SinrParams::default();
+            let d = &t.deploy;
             let dom = mca_core::dominate::oracle(d.points(), 1.5, seed);
             let positions: Vec<Point> = dom
                 .dominators()
@@ -486,9 +538,10 @@ fn e5_ruling(trials: usize) -> Result<Vec<Table>, String> {
             let protocols: Vec<RulingSet> = (0..k)
                 .map(|i| RulingSet::new(NodeId(i as u32), rcfg))
                 .collect();
-            let mut engine = Engine::new(params, positions.clone(), protocols, seed);
-            engine.run_until_done(rcfg.tdma.slots_for_rounds(rcfg.rounds) + 3);
-            let out = engine.into_protocols();
+            let env = NetworkEnv { params, positions };
+            let cap = rcfg.tdma.slots_for_rounds(rcfg.rounds) + 3;
+            let (out, _) = env.run_phase(protocols, None, seed, cap, all_done);
+            let positions = &env.positions;
             let members: Vec<usize> = (0..k).filter(|&i| out[i].in_set()).collect();
             let mut independent = true;
             for (a, &i) in members.iter().enumerate() {
@@ -504,50 +557,49 @@ fn e5_ruling(trials: usize) -> Result<Vec<Table>, String> {
             let halt = Summary::of_counts(out.iter().filter_map(|p| p.halt_round()));
             (k, halt.median(), independent, dominated)
         },
-    );
-    for (exp, out) in exps.iter().zip(&outs) {
-        t.row([
-            format!("{}", 1usize << exp),
-            format!("{:.0}", out.summarize(|r| r.0 as f64).median()),
-            format!("{:.0}", out.summarize(|r| r.1).median()),
-            format!("{:.0}%", out.fraction(|r| r.2) * 100.0),
-            format!("{:.0}%", out.fraction(|r| r.3) * 100.0),
-        ]);
+        cells: |exp, out, _| {
+            vec![
+                format!("{}", 1usize << exp),
+                whole(out, |r| r.0 as f64),
+                whole(out, |r| r.1),
+                percent(out.fraction(|r| r.2)),
+                percent(out.fraction(|r| r.3)),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
 /// E6 — Lemma 7: distributed dominating set, rounds and density vs `n`.
-fn e6_dominate(trials: usize) -> Result<Vec<Table>, String> {
-    let mut t = Table::new(
-        "E6 (Lemma 7): distributed dominating set (r_c = 1.5, fixed density)",
-        ["n", "slots", "density", "coverage", "timeout joins"],
-    );
-    let ns = [200usize, 400, 800, 1600];
-    let outs = sweep(
-        &ns,
-        |&n| 600 + n as u64,
-        trials,
-        |&n, seed| {
-            let params = SinrParams::default();
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let side = (n as f64 / 6.0).sqrt();
-            let d = Deployment::uniform(n, side, &mut rng);
+fn e6_dominate() -> ClaimSpec<usize, (u64, usize, f64, usize)> {
+    use mca_core::dominate::{self, DominateConfig, DominateProtocol};
+    ClaimSpec {
+        title: "E6 (Lemma 7): distributed dominating set (r_c = 1.5, fixed density)",
+        columns: &["n", "slots", "density", "coverage", "timeout joins"],
+        arms: [(200usize, 800), (400, 1000), (800, 1400), (1600, 2200)]
+            .map(|(n, master)| {
+                let side = (n as f64 / 6.0).sqrt();
+                arm(n, master, World::Uniform { n, side })
+            })
+            .into(),
+        cluster_radius: None,
+        measure: |t| {
+            let n = *t.knob;
+            let env = t.env();
+            let params = env.params;
             let algo = AlgoConfig::practical(4, &params, n);
-            let mut dc = mca_core::dominate::DominateConfig::from_algo(&algo);
+            let mut dc = DominateConfig::from_algo(&algo);
             dc.radius = 1.5;
             dc.busy_threshold = params.received_power(3.0);
-            let protocols: Vec<mca_core::dominate::DominateProtocol> = (0..n)
-                .map(|i| mca_core::dominate::DominateProtocol::new(NodeId(i as u32), dc))
+            let protocols: Vec<DominateProtocol> = (0..n)
+                .map(|i| DominateProtocol::new(NodeId(i as u32), dc))
                 .collect();
-            let mut engine = Engine::new(params, d.points().to_vec(), protocols, seed);
-            engine.run_until_done(dc.rounds * mca_core::dominate::SLOTS_PER_ROUND as u64 + 3);
-            let slots = engine.slot();
-            let out = mca_core::dominate::collect(engine.protocols(), slots);
+            let cap = dc.rounds * dominate::SLOTS_PER_ROUND as u64 + 3;
+            let (protocols, slots) = env.run_phase(protocols, None, t.seed, cap, all_done);
+            let out = dominate::collect(&protocols, slots);
             let doms: Vec<Point> = out
                 .dominators()
                 .iter()
-                .map(|id| d.points()[id.index()])
+                .map(|id| env.positions[id.index()])
                 .collect();
             let density = if doms.is_empty() {
                 0
@@ -561,38 +613,34 @@ fn e6_dominate(trials: usize) -> Result<Vec<Table>, String> {
                 out.timeout_joins,
             )
         },
-    );
-    for (n, out) in ns.iter().zip(&outs) {
-        t.row([
-            n.to_string(),
-            format!("{:.0}", out.summarize(|r| r.0 as f64).median()),
-            format!("{:.0}", out.summarize(|r| r.1 as f64).median()),
-            format!("{:.1}%", out.summarize(|r| r.2).median() * 100.0),
-            format!("{:.0}", out.summarize(|r| r.3 as f64).median()),
-        ]);
+        cells: |n, out, _| {
+            vec![
+                n.to_string(),
+                whole(out, |r| r.0 as f64),
+                whole(out, |r| r.1 as f64),
+                format!("{:.1}%", median(out, |r| r.2) * 100.0),
+                whole(out, |r| r.3 as f64),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
 /// E7 — Lemmas 12 vs 13: CSA variants across the crossover.
-fn e7_csa(trials: usize) -> Result<Vec<Table>, String> {
-    let params = SinrParams::default();
-    let mut t = Table::new(
-        "E7 (Lemmas 12/13): CSA large vs small -- one cluster, F = 16",
-        [
+fn e7_csa() -> ClaimSpec<usize, (u64, u64, f64, f64)> {
+    ClaimSpec {
+        title: "E7 (Lemmas 12/13): CSA large vs small -- one cluster, F = 16",
+        columns: &[
             "cluster size",
             "large slots",
             "small slots",
             "large est ratio",
             "small est ratio",
         ],
-    );
-    let ms = [12usize, 24, 48, 96];
-    let outs = sweep(
-        &ms,
-        |&m| 700 + m as u64,
-        trials,
-        |&m, seed| {
+        arms: World::Own.arms([(12, 712), (24, 724), (48, 748), (96, 796)]),
+        cluster_radius: None,
+        measure: |t| {
+            let (m, seed) = (*t.knob, t.seed);
+            let params = SinrParams::default();
             let mut positions = vec![Point::ORIGIN];
             let mut rng = SmallRng::seed_from_u64(seed);
             for i in 0..m {
@@ -653,45 +701,36 @@ fn e7_csa(trials: usize) -> Result<Vec<Table>, String> {
                 small_est as f64 / (m + 1) as f64,
             )
         },
-    );
-    for (m, out) in ms.iter().zip(&outs) {
-        t.row([
-            (m + 1).to_string(),
-            format!("{:.0}", out.summarize(|r| r.0 as f64).median()),
-            format!("{:.0}", out.summarize(|r| r.1 as f64).median()),
-            format!("{:.2}", out.summarize(|r| r.2).median()),
-            format!("{:.2}", out.summarize(|r| r.3).median()),
-        ]);
+        cells: |m, out, _| {
+            vec![
+                (m + 1).to_string(),
+                whole(out, |r| r.0 as f64),
+                whole(out, |r| r.1 as f64),
+                format!("{:.2}", median(out, |r| r.2)),
+                format!("{:.2}", median(out, |r| r.3)),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
 /// E8 — Lemmas 15/16: reporter election quality and convergecast cost.
-fn e8_reporters(trials: usize) -> Result<Vec<Table>, String> {
-    let params = SinrParams::default();
-    let mut t = Table::new(
-        "E8 (Lemmas 15/16): reporter election + tree -- n=400 dense, F sweep",
-        [
+fn e8_reporters() -> ClaimSpec<u16, (f64, usize, u64)> {
+    let world = World::Uniform { n: 400, side: 6.0 };
+    ClaimSpec {
+        title: "E8 (Lemmas 15/16): reporter election + tree -- n=400 dense, F sweep",
+        columns: &[
             "F",
             "channel fill",
             "multi-reporter channels",
             "tree slots/phi",
             "Lemma-16 send slots",
         ],
-    );
-    let fs = [2u16, 4, 8, 16];
-    let outs = sweep(
-        &fs,
-        |&f| 800 + f as u64,
-        trials,
-        |&f, seed| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let deploy = Deployment::uniform(400, 6.0, &mut rng);
-            let env = NetworkEnv::new(params, &deploy);
-            let algo = AlgoConfig::practical(f, &params, 400);
-            let mut cfg = StructureConfig::new(algo, seed);
-            cfg.substrate = SubstrateMode::Oracle;
-            cfg.cluster_radius = 2.0;
+        arms: world.arms([(2, 802), (4, 804), (8, 808), (16, 816)]),
+        cluster_radius: Some(2.0),
+        measure: |t| {
+            let env = t.env();
+            let algo = AlgoConfig::practical(*t.knob, &env.params, 400);
+            let cfg = t.structure_config(algo);
             let structure = build_structure(&env, &cfg);
             let audit = audit_structure(&env, &structure, cfg.cluster_radius);
             let inputs = vec![1i64; 400];
@@ -703,7 +742,7 @@ fn e8_reporters(trials: usize) -> Result<Vec<Table>, String> {
                 &inputs,
                 InterclusterMode::Flood,
                 env.comm_graph().diameter_approx() + 2,
-                seed,
+                t.seed,
             );
             (
                 audit.channel_fill,
@@ -711,22 +750,20 @@ fn e8_reporters(trials: usize) -> Result<Vec<Table>, String> {
                 agg.tree_slots / structure.phi.max(1) as u64,
             )
         },
-    );
-    for (&f, out) in fs.iter().zip(&outs) {
-        let tree = mca_core::tree::HeapTree::new(f);
-        t.row([
-            f.to_string(),
-            format!("{:.0}%", out.summarize(|r| r.0).median() * 100.0),
-            format!("{:.1}", out.summarize(|r| r.1 as f64).mean()),
-            format!("{:.0}", out.summarize(|r| r.2 as f64).median()),
-            format!("{}", tree.lemma16_slots()),
-        ]);
+        cells: |&f, out, _| {
+            vec![
+                f.to_string(),
+                percent(median(out, |r| r.0)),
+                format!("{:.1}", out.summarize(|r| r.1 as f64).mean()),
+                whole(out, |r| r.2 as f64),
+                format!("{}", mca_core::tree::HeapTree::new(f).lemma16_slots()),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
-/// E10 — lower bounds: the exponential chain and the `D` term.
-fn e10_lower_bounds(trials: usize) -> Result<Vec<Table>, String> {
+/// E10a — lower bound: the exponential chain (exhaustive, no seeds).
+fn e10a_chain() -> Table {
     let params = SinrParams::default();
     let mut chain = Table::new(
         "E10a (lower bound): exponential chain -- max concurrent descending successes",
@@ -740,24 +777,30 @@ fn e10_lower_bounds(trials: usize) -> Result<Vec<Table>, String> {
             params.chain_lower_bound_applies().to_string(),
         ]);
     }
-    let mut dterm = Table::new(
-        "E10b (lower bound): inter-cluster slots vs D -- corridors, F = 4",
-        ["length", "D", "inter rounds (slots/phi)", "follower slots"],
-    );
-    let lens = [25.0, 50.0, 100.0];
-    let outs = sweep(
-        &lens,
-        |&len| 1000 + len as u64,
-        trials,
-        |&len, seed| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let deploy = Deployment::corridor(240, len, 4.0, &mut rng);
-            let env = NetworkEnv::new(params, &deploy);
+    chain
+}
+
+/// E10b — lower bound: the `D` term on corridors.
+fn e10b_dterm() -> ClaimSpec<f64, (u32, u64, u64)> {
+    ClaimSpec {
+        title: "E10b (lower bound): inter-cluster slots vs D -- corridors, F = 4",
+        columns: &["length", "D", "inter rounds (slots/phi)", "follower slots"],
+        arms: [(25.0, 1025), (50.0, 1050), (100.0, 1100)]
+            .map(|(len, master)| {
+                let world = World::Corridor {
+                    n: 240,
+                    len,
+                    width: 4.0,
+                };
+                arm(len, master, world)
+            })
+            .into(),
+        cluster_radius: None,
+        measure: |t| {
+            let env = t.env();
             let graph = env.comm_graph();
-            let algo = AlgoConfig::practical(4, &params, 240);
-            let mut cfg = StructureConfig::new(algo, seed);
-            cfg.substrate = SubstrateMode::Oracle;
-            let structure = build_structure(&env, &cfg);
+            let algo = AlgoConfig::practical(4, &env.params, 240);
+            let structure = build_structure(&env, &t.structure_config(algo));
             let inputs = vec![1i64; 240];
             let agg = aggregate(
                 &env,
@@ -767,7 +810,7 @@ fn e10_lower_bounds(trials: usize) -> Result<Vec<Table>, String> {
                 &inputs,
                 InterclusterMode::Flood,
                 graph.diameter_approx() + 2,
-                seed,
+                t.seed,
             );
             (
                 graph.diameter_approx(),
@@ -775,67 +818,72 @@ fn e10_lower_bounds(trials: usize) -> Result<Vec<Table>, String> {
                 agg.follower_slots,
             )
         },
-    );
-    for (len, out) in lens.iter().zip(&outs) {
-        dterm.row([
-            format!("{len:.0}"),
-            format!("{:.0}", out.summarize(|r| r.0 as f64).median()),
-            format!("{:.0}", out.summarize(|r| r.1 as f64).median()),
-            format!("{:.0}", out.summarize(|r| r.2 as f64).median()),
-        ]);
+        cells: |len, out, _| {
+            vec![
+                format!("{len:.0}"),
+                whole(out, |r| r.0 as f64),
+                whole(out, |r| r.1 as f64),
+                whole(out, |r| r.2 as f64),
+            ]
+        },
     }
-    Ok(vec![chain, dterm])
 }
 
-/// E11 — Lemma 2: guaranteed reception radius under `r1`-separation.
-fn e11_lemmas(trials: usize) -> Result<Vec<Table>, String> {
+/// E11 — Lemma 2: guaranteed reception radius under `r1`-separation. The
+/// knob is `(r1, r2)`, `r2` the lemma's analytic radius.
+fn e11_lemmas() -> ClaimSpec<(f64, f64), (f64, f64)> {
     let params = SinrParams::default();
-    let mut t = Table::new(
-        "E11 (Lemma 2): reception at r2 = t*r1 under r1-separated transmitters",
-        [
+    ClaimSpec {
+        title: "E11 (Lemma 2): reception at r2 = t*r1 under r1-separated transmitters",
+        columns: &[
             "r1",
             "analytic r2",
             "reception rate at r2",
             "rate at min(2*r2, r1/2)",
         ],
-    );
-    let arms = [3.0f64, 6.0, 12.0].map(|r1| (r1, mca_sinr::bounds::lemma2_max_r2(&params, r1)));
-    let master = |&(r1, _): &(f64, f64)| 1100 + r1 as u64;
-    let outs = sweep(&arms, master, trials.max(3), |&(r1, r2), seed| {
-        let mut txs = Vec::new();
-        for i in 0..12 {
-            for j in 0..12 {
-                txs.push(Point::new(i as f64 * r1, j as f64 * r1));
+        arms: [(3.0, 1103), (6.0, 1106), (12.0, 1112)]
+            .map(|(r1, master)| {
+                let r2 = mca_sinr::bounds::lemma2_max_r2(&params, r1);
+                arm((r1, r2), master, World::Own)
+            })
+            .into(),
+        cluster_radius: None,
+        measure: |t| {
+            let ((r1, r2), params) = (*t.knob, SinrParams::default());
+            let mut txs = Vec::new();
+            for i in 0..12 {
+                for j in 0..12 {
+                    txs.push(Point::new(i as f64 * r1, j as f64 * r1));
+                }
             }
-        }
-        let mut ok_r2 = 0;
-        let mut ok_far = 0;
-        let total = txs.len();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for (k, &tx) in txs.iter().enumerate() {
-            let theta = rand::Rng::gen::<f64>(&mut rng) * std::f64::consts::TAU;
-            let l1 = tx + Point::unit(theta) * r2;
-            let l2 = tx + Point::unit(theta) * (2.0 * r2).min(r1 * 0.49);
-            let o1 = mca_sinr::resolve_listener(&params, &txs, l1);
-            let o2 = mca_sinr::resolve_listener(&params, &txs, l2);
-            if o1.decoded == Some(k as u32) {
-                ok_r2 += 1;
+            let mut ok_r2 = 0;
+            let mut ok_far = 0;
+            let total = txs.len();
+            let mut rng = SmallRng::seed_from_u64(t.seed);
+            for (k, &tx) in txs.iter().enumerate() {
+                let theta = rand::Rng::gen::<f64>(&mut rng) * std::f64::consts::TAU;
+                let l1 = tx + Point::unit(theta) * r2;
+                let l2 = tx + Point::unit(theta) * (2.0 * r2).min(r1 * 0.49);
+                let o1 = mca_sinr::resolve_listener(&params, &txs, l1);
+                let o2 = mca_sinr::resolve_listener(&params, &txs, l2);
+                if o1.decoded == Some(k as u32) {
+                    ok_r2 += 1;
+                }
+                if o2.decoded == Some(k as u32) {
+                    ok_far += 1;
+                }
             }
-            if o2.decoded == Some(k as u32) {
-                ok_far += 1;
-            }
-        }
-        (ok_r2 as f64 / total as f64, ok_far as f64 / total as f64)
-    });
-    for ((r1, r2), out) in arms.iter().zip(&outs) {
-        t.row([
-            format!("{r1:.0}"),
-            format!("{r2:.2}"),
-            format!("{:.0}%", out.summarize(|r| r.0).median() * 100.0),
-            format!("{:.0}%", out.summarize(|r| r.1).median() * 100.0),
-        ]);
+            (ok_r2 as f64 / total as f64, ok_far as f64 / total as f64)
+        },
+        cells: |(r1, r2), out, _| {
+            vec![
+                format!("{r1:.0}"),
+                format!("{r2:.2}"),
+                percent(median(out, |r| r.0)),
+                percent(median(out, |r| r.1)),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
 /// An arm of T1: one algorithm on the same dense workload.
@@ -848,173 +896,140 @@ enum T1Arm {
 }
 
 /// T1 — related-work comparison at one dense configuration.
-fn t1_comparison(trials: usize) -> Result<Vec<Table>, String> {
+fn t1_comparison() -> ClaimSpec<T1Arm, (u64, bool)> {
     use T1Arm::*;
-    let params = SinrParams::default();
-    let n = 400;
-    let side = 6.0;
-    let mut t = Table::new(
-        "T1: max-aggregation comparison -- n=400, dense, SINR unless noted",
-        ["algorithm", "slots (median)", "correct"],
-    );
-    let world = |seed: u64| {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let deploy = Deployment::uniform(n, side, &mut rng);
-        let inputs: Vec<i64> = (0..n).map(|i| (i as i64 * 7919) % 100_000).collect();
-        let expect = *inputs.iter().max().unwrap();
-        (deploy, inputs, expect)
-    };
-    let arms = [Structure(8), Structure(1), DecayTree, NaiveTdma, GraphFlood];
-    let master = |arm: &T1Arm| match *arm {
-        Structure(f) => 1200 + f as u64,
-        DecayTree => 1250,
-        NaiveTdma => 1260,
-        GraphFlood => 1270,
-    };
-    let outs = sweep(&arms, master, trials, |&arm, seed| match arm {
-        Structure(f) => {
-            let m = measure_aggregation(
-                n,
-                side,
-                f,
-                2.0,
-                SubstrateMode::Oracle,
-                Constants::practical(),
-                seed,
-            );
-            (m.build_slots + m.agg_slots, m.correct)
-        }
-        DecayTree => {
-            let (deploy, inputs, expect) = world(seed);
-            let graph = mca_geom::CommGraph::build(deploy.points(), 4.0);
-            let b = baselines::run_single_channel(
-                &params,
-                deploy.points(),
-                &inputs,
-                NodeId(0),
-                graph.diameter_approx() + 2,
-                graph.max_degree() as u64,
-                n,
-                seed,
-            );
-            (b.slots, b.results[0] == Some(expect))
-        }
-        NaiveTdma => {
-            let (deploy, inputs, expect) = world(seed);
-            let graph = mca_geom::CommGraph::build(deploy.points(), 4.0);
-            let (values, slots) = baselines::run_naive_tdma(
-                &params,
-                deploy.points(),
-                &inputs,
-                graph.diameter_approx() + 2,
-                seed,
-            );
-            (slots, values.iter().all(|&v| v == expect))
-        }
-        GraphFlood => {
-            let (deploy, inputs, expect) = world(seed);
-            let g =
-                baselines::run_graph_flood(deploy.points(), 4.0, &inputs, 8, 0.2, 400_000, seed);
-            (g.slots, g.values.iter().all(|&v| v == expect))
-        }
-    });
-    for (arm, out) in arms.iter().zip(&outs) {
-        let algorithm = match arm {
-            Structure(f) => format!("aggregation structure (F = {f}, incl. build)"),
-            DecayTree => "single-channel decay tree ([24]-style)".into(),
-            NaiveTdma => "naive deterministic TDMA".into(),
-            GraphFlood => "graph-model multichannel flood ([4]-style, F = 8)".into(),
-        };
-        t.row([
-            algorithm,
-            format!("{:.0}", out.summarize(|r| r.0 as f64).median()),
-            format!("{:.0}%", out.fraction(|r| r.1) * 100.0),
-        ]);
+    let world = World::Uniform { n: 400, side: 6.0 };
+    ClaimSpec {
+        title: "T1: max-aggregation comparison -- n=400, dense, SINR unless noted",
+        columns: &["algorithm", "slots (median)", "correct"],
+        arms: world.arms([
+            (Structure(8), 1208),
+            (Structure(1), 1201),
+            (DecayTree, 1250),
+            (NaiveTdma, 1260),
+            (GraphFlood, 1270),
+        ]),
+        cluster_radius: Some(2.0),
+        measure: |t| {
+            let (params, points, seed) = (SinrParams::default(), t.deploy.points(), t.seed);
+            let n = points.len();
+            let inputs: Vec<i64> = (0..n).map(|i| (i as i64 * 7919) % 100_000).collect();
+            let expect = *inputs.iter().max().unwrap();
+            match *t.knob {
+                Structure(f) => {
+                    let m = measure_aggregation(t, f, Constants::practical());
+                    (m.build_slots + m.agg_slots, m.correct)
+                }
+                DecayTree => {
+                    let graph = mca_geom::CommGraph::build(points, 4.0);
+                    let b = baselines::run_single_channel(
+                        &params,
+                        points,
+                        &inputs,
+                        NodeId(0),
+                        graph.diameter_approx() + 2,
+                        graph.max_degree() as u64,
+                        n,
+                        seed,
+                    );
+                    (b.slots, b.results[0] == Some(expect))
+                }
+                NaiveTdma => {
+                    let graph = mca_geom::CommGraph::build(points, 4.0);
+                    let d_hat = graph.diameter_approx() + 2;
+                    let (values, slots) =
+                        baselines::run_naive_tdma(&params, points, &inputs, d_hat, seed);
+                    (slots, values.iter().all(|&v| v == expect))
+                }
+                GraphFlood => {
+                    let g = baselines::run_graph_flood(points, 4.0, &inputs, 8, 0.2, 400_000, seed);
+                    (g.slots, g.values.iter().all(|&v| v == expect))
+                }
+            }
+        },
+        cells: |algorithm, out, _| {
+            let algorithm = match algorithm {
+                Structure(f) => format!("aggregation structure (F = {f}, incl. build)"),
+                DecayTree => "single-channel decay tree ([24]-style)".into(),
+                NaiveTdma => "naive deterministic TDMA".into(),
+                GraphFlood => "graph-model multichannel flood ([4]-style, F = 8)".into(),
+            };
+            vec![
+                algorithm,
+                whole(out, |r| r.0 as f64),
+                percent(out.fraction(|r| r.1)),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
-/// A1 — ablations: substrate, backoff, channel-allocation constant.
-fn a1_ablations(trials: usize) -> Result<Vec<Table>, String> {
-    let mut t = Table::new(
-        "A1: ablations -- n=400 dense, F=8",
-        [
+/// A1 — ablations: substrate, backoff, channel-allocation constant. Every
+/// arm declares its substrate.
+fn a1_ablations() -> ClaimSpec<(&'static str, Constants), AggMeasurement> {
+    use SubstrateMode::{Distributed, Oracle};
+    let world = World::Uniform { n: 400, side: 6.0 };
+    let practical = Constants::practical();
+    let mut no_backoff = practical;
+    no_backoff.omega2 = 1e6;
+    let mut coarse = practical;
+    coarse.c1 = 8.0;
+    ClaimSpec {
+        title: "A1: ablations -- n=400 dense, F=8",
+        columns: &[
             "variant",
             "build slots",
             "agg slots",
             "contention peak",
             "correct",
         ],
-    );
-    let mut no_backoff = Constants::practical();
-    no_backoff.omega2 = 1e6;
-    let mut coarse = Constants::practical();
-    coarse.c1 = 8.0;
-    let arms = [
-        (
-            "baseline (oracle substrate)",
-            SubstrateMode::Oracle,
-            Constants::practical(),
-        ),
-        (
-            "distributed substrate",
-            SubstrateMode::Distributed,
-            Constants::practical(),
-        ),
-        (
-            "backoff disabled (omega2 huge)",
-            SubstrateMode::Oracle,
-            no_backoff,
-        ),
-        (
-            "coarse channel allocation (c1 = 8)",
-            SubstrateMode::Oracle,
-            coarse,
-        ),
-    ];
-    let master = |(name, _, _): &(&str, SubstrateMode, Constants)| 1300 + name.len() as u64;
-    let outs = sweep(&arms, master, trials, |&(_, substrate, consts), seed| {
-        measure_aggregation(400, 6.0, 8, 2.0, substrate, consts, seed)
-    });
-    for ((name, _, _), out) in arms.iter().zip(&outs) {
-        t.row([
-            name.to_string(),
-            format!("{:.0}", out.summarize(|m| m.build_slots as f64).median()),
-            format!("{:.0}", out.summarize(|m| m.agg_slots as f64).median()),
-            format!("{:.2}", out.summarize(|m| m.contention_peak).median()),
-            format!("{:.0}%", out.fraction(|m| m.correct) * 100.0),
-        ]);
+        arms: [
+            ("baseline (oracle substrate)", 1327, Oracle, practical),
+            ("distributed substrate", 1321, Distributed, practical),
+            ("backoff disabled (omega2 huge)", 1330, Oracle, no_backoff),
+            ("coarse channel allocation (c1 = 8)", 1334, Oracle, coarse),
+        ]
+        .map(|(name, master, substrate, consts)| Arm {
+            substrate,
+            ..arm((name, consts), master, world)
+        })
+        .into(),
+        cluster_radius: Some(2.0),
+        measure: |t| measure_aggregation(t, 8, t.knob.1),
+        cells: |(name, _), out, _| {
+            vec![
+                name.to_string(),
+                whole(out, |m| m.build_slots as f64),
+                whole(out, |m| m.agg_slots as f64),
+                format!("{:.2}", median(out, |m| m.contention_peak)),
+                percent(out.fraction(|m| m.correct)),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
+/// An A2 fault: its name, jam power, jam duty, crashed dominators and hop
+/// channels.
+type Fault = (&'static str, f64, u16, usize, u16);
+
 /// A2 — fault injection: jamming and crashes on the backbone flood.
-fn a2_faults(trials: usize) -> Result<Vec<Table>, String> {
-    use mca_core::aggregate::intercluster::{FloodCfg, FloodCombine};
-    use mca_radio::{FaultPlan, JamSpec};
-    let params = SinrParams::default();
-    let mut t = Table::new(
-        "A2: flood-combine under faults -- 24-dominator backbone",
-        ["scenario", "nodes with global max", "slots"],
-    );
-    let arms = [
-        ("fault-free", 0.0f64, 1u16, 0usize, 0u16),
-        ("25%-duty jammer (100x noise)", 100.0, 4, 0, 0),
-        ("constant jammer (100x noise)", 100.0, 1, 0, 0),
-        ("3 crashed dominators", 0.0, 1, 3, 0),
-        ("constant jammer + 4-ch hopping", 100.0, 1, 0, 4),
-    ];
-    let master = |&(_, jam, _, crashes, hop): &(&str, f64, u16, usize, u16)| {
-        1400 + crashes as u64 + jam as u64 + hop as u64
-    };
-    let outs = sweep(
-        &arms,
-        master,
-        trials,
-        |&(_, jam, duty, crashes, hop), seed| {
-            let k = 24;
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let deploy = Deployment::uniform(k, 25.0, &mut rng);
+fn a2_faults() -> ClaimSpec<Fault, (usize, usize, u64)> {
+    let world = World::Uniform { n: 24, side: 25.0 };
+    ClaimSpec {
+        title: "A2: flood-combine under faults -- 24-dominator backbone",
+        columns: &["scenario", "nodes with global max", "slots"],
+        arms: world.arms([
+            (("fault-free", 0.0, 1, 0, 0), 1400),
+            (("25%-duty jammer (100x noise)", 100.0, 4, 0, 0), 1500),
+            (("constant jammer (100x noise)", 100.0, 1, 0, 0), 1500),
+            (("3 crashed dominators", 0.0, 1, 3, 0), 1403),
+            (("constant jammer + 4-ch hopping", 100.0, 1, 0, 4), 1504),
+        ]),
+        cluster_radius: None,
+        measure: |t| {
+            use mca_core::aggregate::intercluster::{FloodCfg, FloodCombine};
+            use mca_radio::{FaultPlan, JamSpec};
+            let (_, jam, duty, crashes, hop) = *t.knob;
+            let (seed, k) = (t.seed, t.deploy.len());
             let cfg = FloodCfg {
                 q: 0.2,
                 flood_rounds: 600,
@@ -1039,8 +1054,9 @@ fn a2_faults(trials: usize) -> Result<Vec<Table>, String> {
             for c in 0..crashes {
                 faults.crash_at(c as u32, 150);
             }
-            let mut engine =
-                Engine::new(params, deploy.points().to_vec(), protocols, seed).with_faults(faults);
+            let params = SinrParams::default();
+            let positions = t.deploy.points().to_vec();
+            let mut engine = Engine::new(params, positions, protocols, seed).with_faults(faults);
             engine.run_until_done(cfg.flood_rounds + cfg.tail_rounds + 1);
             let expect = (k - 1) as i64;
             let holders = engine
@@ -1051,44 +1067,30 @@ fn a2_faults(trials: usize) -> Result<Vec<Table>, String> {
                 .count();
             (holders, k - crashes, engine.slot())
         },
-    );
-    for ((name, ..), out) in arms.iter().zip(&outs) {
-        t.row([
-            name.to_string(),
-            format!(
-                "{:.0}/{}",
-                out.summarize(|r| r.0 as f64).median(),
-                out.results[0].1
-            ),
-            format!("{:.0}", out.summarize(|r| r.2 as f64).median()),
-        ]);
+        cells: |(name, ..), out, _| {
+            vec![
+                name.to_string(),
+                format!("{:.0}/{}", median(out, |r| r.0 as f64), out.results[0].1),
+                whole(out, |r| r.2 as f64),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
 /// E12 — applications of the structure: leader election and single-source
 /// broadcast inherit Theorem 22's cost and channel speedup.
-fn e12_applications(trials: usize) -> Result<Vec<Table>, String> {
+fn e12_applications() -> ClaimSpec<u16, (u64, f64, u64, f64)> {
     use mca_core::{broadcast, elect_leader};
-    let mut t = Table::new(
-        "E12: leader election + broadcast on the structure -- n=300, dense",
-        ["F", "leader slots", "agreement", "bcast slots", "coverage"],
-    );
-    let params = SinrParams::default();
-    let fs = [1u16, 4, 8];
-    let outs = sweep(
-        &fs,
-        |&f| 1500 + f as u64,
-        trials,
-        |&channels, seed| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let deploy = Deployment::uniform(300, 6.0, &mut rng);
-            let env = NetworkEnv::new(params, &deploy);
-            let algo = AlgoConfig::practical(channels, &params, 300);
-            let mut cfg = StructureConfig::new(algo, seed);
-            cfg.substrate = SubstrateMode::Oracle;
-            cfg.cluster_radius = 2.0;
-            let s = build_structure(&env, &cfg);
+    let world = World::Uniform { n: 300, side: 6.0 };
+    ClaimSpec {
+        title: "E12: leader election + broadcast on the structure -- n=300, dense",
+        columns: &["F", "leader slots", "agreement", "bcast slots", "coverage"],
+        arms: world.arms([(1, 1501), (4, 1504), (8, 1508)]),
+        cluster_radius: Some(2.0),
+        measure: |t| {
+            let (env, seed) = (t.env(), t.seed);
+            let algo = AlgoConfig::practical(*t.knob, &env.params, 300);
+            let s = build_structure(&env, &t.structure_config(algo));
             let d_hat = env.comm_graph().diameter_approx() + 2;
             let lead = elect_leader(&env, &s, &algo, d_hat, seed ^ 0x1EAD);
             let bc = broadcast(&env, &s, &algo, NodeId(1), 0xCAFE, d_hat, seed ^ 0xBC);
@@ -1099,114 +1101,91 @@ fn e12_applications(trials: usize) -> Result<Vec<Table>, String> {
                 bc.coverage as f64 / 300.0,
             )
         },
-    );
-    for (channels, out) in fs.iter().zip(&outs) {
-        t.row([
-            format!("{channels}"),
-            format!("{:.0}", out.summarize(|r| r.0 as f64).median()),
-            format!("{:.0}%", out.summarize(|r| r.1).median() * 100.0),
-            format!("{:.0}", out.summarize(|r| r.2 as f64).median()),
-            format!("{:.0}%", out.summarize(|r| r.3).median() * 100.0),
-        ]);
+        cells: |f, out, _| {
+            vec![
+                format!("{f}"),
+                whole(out, |r| r.0 as f64),
+                percent(median(out, |r| r.1)),
+                whole(out, |r| r.2 as f64),
+                percent(median(out, |r| r.3)),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
 /// E13 — multiple-message broadcast: the gossip phase grows linearly in
 /// `k` (each node must *receive* `k` distinct packets — incompressible).
-fn e13_multimessage(trials: usize) -> Result<Vec<Table>, String> {
-    use mca_core::broadcast_many;
-    let mut t = Table::new(
-        "E13: k-message broadcast (hoist + backbone gossip) -- n=150, F=4",
-        [
+fn e13_multimessage() -> ClaimSpec<usize, (u64, u64, f64)> {
+    let world = World::Uniform { n: 150, side: 10.0 };
+    ClaimSpec {
+        title: "E13: k-message broadcast (hoist + backbone gossip) -- n=150, F=4",
+        columns: &[
             "k",
             "hoist slots",
             "gossip slots",
             "gossip slots/k",
             "full coverage",
         ],
-    );
-    let params = SinrParams::default();
-    let ks = [1usize, 2, 4, 8, 16];
-    let outs = sweep(
-        &ks,
-        |&k| 1600 + k as u64,
-        trials,
-        |&k, seed| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let deploy = Deployment::uniform(150, 10.0, &mut rng);
-            let env = NetworkEnv::new(params, &deploy);
-            let algo = AlgoConfig::practical(4, &params, 150);
-            let mut cfg = StructureConfig::new(algo, seed);
-            cfg.substrate = SubstrateMode::Oracle;
-            let s = build_structure(&env, &cfg);
+        arms: world.arms([(1, 1601), (2, 1602), (4, 1604), (8, 1608), (16, 1616)]),
+        cluster_radius: None,
+        measure: |t| {
+            let (env, k) = (t.env(), *t.knob);
+            let algo = AlgoConfig::practical(4, &env.params, 150);
+            let s = build_structure(&env, &t.structure_config(algo));
             let d_hat = env.comm_graph().diameter_approx() + 2;
             let messages: Vec<(NodeId, u64)> = (0..k)
                 .map(|i| (NodeId((i * 150 / k) as u32), i as u64))
                 .collect();
-            let out = broadcast_many(&env, &s, &algo, &messages, d_hat, seed ^ 0x60551);
+            let out = mca_core::broadcast_many(&env, &s, &algo, &messages, d_hat, t.seed ^ 0x60551);
             (
                 out.hoist_slots,
                 out.gossip_slots,
                 out.full_coverage as f64 / 150.0,
             )
         },
-    );
-    for (k, out) in ks.iter().zip(&outs) {
-        let gossip = out.summarize(|r| r.1 as f64).median();
-        t.row([
-            format!("{k}"),
-            format!("{:.0}", out.summarize(|r| r.0 as f64).median()),
-            format!("{gossip:.0}"),
-            format!("{:.0}", gossip / *k as f64),
-            format!("{:.0}%", out.summarize(|r| r.2).median() * 100.0),
-        ]);
+        cells: |k, out, _| {
+            let gossip = median(out, |r| r.1 as f64);
+            vec![
+                format!("{k}"),
+                whole(out, |r| r.0 as f64),
+                format!("{gossip:.0}"),
+                format!("{:.0}", gossip / *k as f64),
+                percent(median(out, |r| r.2)),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
 /// E14 — the compressibility limit (paper's contrast with its reference
 /// \[37\]): on the same single-hop instance, aggregation speeds up
 /// linearly with `F` while local information exchange is flat — a
 /// listener decodes one packet per slot no matter how many channels exist.
-fn e14_compressibility(trials: usize) -> Result<Vec<Table>, String> {
+fn e14_compressibility() -> ClaimSpec<u16, (u64, u64)> {
     use baselines::{run_info_exchange, ExchangeConfig};
-    let mut t = Table::new(
-        "E14: exchange vs aggregation on a 100-node clique (Delta = 99)",
-        [
+    let radius = SinrParams::default().r_eps() / 4.0;
+    let world = World::Disk { n: 100, radius };
+    ClaimSpec {
+        title: "E14: exchange vs aggregation on a 100-node clique (Delta = 99)",
+        columns: &[
             "F",
             "exchange slots",
             "exchange speedup",
             "agg follower slots",
             "agg speedup",
         ],
-    );
-    let params = SinrParams::default();
-    let n = 100usize;
-    let fs = [1u16, 2, 4, 8, 16];
-    let outs = sweep(
-        &fs,
-        |&f| 1700 + f as u64,
-        trials,
-        |&channels, seed| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let deploy = Deployment::disk(n, params.r_eps() / 4.0, &mut rng);
+        arms: world.arms([(1, 1701), (2, 1702), (4, 1704), (8, 1708), (16, 1716)]),
+        cluster_radius: None,
+        measure: |t| {
+            let (channels, seed, n) = (*t.knob, t.seed, t.deploy.len());
+            let params = SinrParams::default();
             // Exchange on the clique.
-            let ex = run_info_exchange(
-                &params,
-                deploy.points(),
-                ExchangeConfig::new(channels, n),
-                seed ^ 0xE8,
-            );
-            let ex_slots = ex
-                .median_completion()
-                .unwrap_or(ExchangeConfig::new(channels, n).max_slots);
+            let config = ExchangeConfig::new(channels, n);
+            let ex = run_info_exchange(&params, t.deploy.points(), config, seed ^ 0xE8);
+            let ex_slots = ex.median_completion().unwrap_or(config.max_slots);
             // Aggregation on the same instance.
-            let env = NetworkEnv::new(params, &deploy);
+            let env = t.env();
             let algo = AlgoConfig::practical(channels, &params, n);
-            let mut cfg = StructureConfig::new(algo, seed);
-            cfg.substrate = SubstrateMode::Oracle;
-            let s = build_structure(&env, &cfg);
+            let s = build_structure(&env, &t.structure_config(algo));
             let inputs: Vec<i64> = (0..n as i64).collect();
             let agg = aggregate(
                 &env,
@@ -1220,25 +1199,18 @@ fn e14_compressibility(trials: usize) -> Result<Vec<Table>, String> {
             );
             (ex_slots, agg.follower_slots)
         },
-    );
-    let mut ex_base = 0.0f64;
-    let mut agg_base = 0.0f64;
-    for (&channels, out) in fs.iter().zip(&outs) {
-        let ex_med = out.summarize(|r| r.0 as f64).median();
-        let agg_med = out.summarize(|r| r.1 as f64).median();
-        if channels == 1 {
-            ex_base = ex_med;
-            agg_base = agg_med;
-        }
-        t.row([
-            format!("{channels}"),
-            format!("{ex_med:.0}"),
-            format!("{:.2}x", ex_base / ex_med),
-            format!("{agg_med:.0}"),
-            format!("{:.2}x", agg_base / agg_med),
-        ]);
+        cells: |f, out, first| {
+            let ex_med = median(out, |r| r.0 as f64);
+            let agg_med = median(out, |r| r.1 as f64);
+            vec![
+                format!("{f}"),
+                format!("{ex_med:.0}"),
+                format!("{:.2}x", median(first, |r| r.0 as f64) / ex_med),
+                format!("{agg_med:.0}"),
+                format!("{:.2}x", median(first, |r| r.1 as f64) / agg_med),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
 /// E15 — ruling sets and MIS via §4 network-wide (the \[4\] comparison):
@@ -1251,61 +1223,50 @@ fn e14_compressibility(trials: usize) -> Result<Vec<Table>, String> {
 /// fall — the round budget, not chance (ROADMAP item 1) — and the direct
 /// MIS's are worse still at the densest row, which shows why the paper
 /// runs the dominating set first.
-fn e15_mis(trials: usize) -> Result<Vec<Table>, String> {
+fn e15_mis() -> ClaimSpec<usize, [usize; 6]> {
     use mca_core::{maximal_independent_set, ruling_set, MisConfig};
-    let mut t = Table::new(
-        "E15: (r,2r)-ruling set vs direct MIS (Sec. 4, r = R_T/4)",
-        [
+    ClaimSpec {
+        title: "E15: (r,2r)-ruling set vs direct MIS (Sec. 4, r = R_T/4)",
+        columns: &[
             "n",
             "2-phase members",
             "2-phase viol/holes",
             "slots",
             "direct-MIS viol/holes",
         ],
-    );
-    let params = SinrParams::default();
-    let ns = [128usize, 512, 2048];
-    let outs = sweep(
-        &ns,
-        |&n| 1800 + n as u64,
-        trials,
-        |&n, seed| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let side = (n as f64 / 2.0).sqrt();
-            let deploy = Deployment::uniform(n, side, &mut rng);
-            let env = NetworkEnv::new(params, &deploy);
-            let algo = AlgoConfig::practical(4, &params, n);
-            let r = params.transmission_range() / 4.0;
+        arms: [(128usize, 1928), (512, 2312), (2048, 3848)]
+            .map(|(n, master)| {
+                let side = (n as f64 / 2.0).sqrt();
+                arm(n, master, World::Uniform { n, side })
+            })
+            .into(),
+        cluster_radius: None,
+        measure: |t| {
+            let (env, seed) = (t.env(), t.seed);
+            let algo = AlgoConfig::practical(4, &env.params, *t.knob);
+            let r = env.params.transmission_range() / 4.0;
             let two = ruling_set(&env, &algo, MisConfig::new(r), seed ^ 0x315);
             let direct = maximal_independent_set(&env, &algo, MisConfig::new(r), seed ^ 0x316);
-            (
+            [
                 two.members().len(),
                 two.independence_violations(&env.positions),
                 two.domination_holes(&env.positions),
-                two.total_slots(),
+                two.total_slots() as usize,
                 direct.independence_violations(&env.positions),
                 direct.domination_holes(&env.positions),
-            )
+            ]
         },
-    );
-    for (n, out) in ns.iter().zip(&outs) {
-        t.row([
-            format!("{n}"),
-            format!("{:.0}", out.summarize(|r| r.0 as f64).median()),
-            format!(
-                "{:.1} / {:.1}",
-                out.summarize(|r| r.1 as f64).mean(),
-                out.summarize(|r| r.2 as f64).mean()
-            ),
-            format!("{:.0}", out.summarize(|r| r.3 as f64).median()),
-            format!(
-                "{:.1} / {:.1}",
-                out.summarize(|r| r.4 as f64).mean(),
-                out.summarize(|r| r.5 as f64).mean()
-            ),
-        ]);
+        cells: |n, out, _| {
+            let mean = |i: usize| out.summarize(|r| r[i] as f64).mean();
+            vec![
+                format!("{n}"),
+                whole(out, |r| r[0] as f64),
+                format!("{:.1} / {:.1}", mean(1), mean(2)),
+                whole(out, |r| r[3] as f64),
+                format!("{:.1} / {:.1}", mean(4), mean(5)),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
 /// E16 — dynamic environments: aggregation success vs node speed.
@@ -1315,17 +1276,15 @@ fn e15_mis(trials: usize) -> Result<Vec<Table>, String> {
 /// speeds, plus one Gilbert–Elliot fading world as a channel-dynamics
 /// reference point. Every world runs the same seeds, so the rows are
 /// paired trials.
-fn e16_mobility(trials: usize) -> Result<Vec<Table>, String> {
-    use mca_core::aggregate::intercluster::{FloodCfg, FloodCombine};
-    use mca_scenario::{DeploymentSpec, FadingSpec, MobilitySpec, Scenario, ScenarioSim};
-    let n = 60usize;
-    let channels = 4u16;
-    let slots = 400u64;
+fn e16_mobility() -> ClaimSpec<mca_scenario::Scenario, (f64, f64)> {
+    use mca_scenario::{DeploymentSpec, FadingSpec, MobilitySpec, Scenario};
+    const N: usize = 60;
+    const CHANNELS: u16 = 4;
     let base = |name: &str| {
         Scenario::builder(name)
-            .deployment(DeploymentSpec::Uniform { n, side: 30.0 })
-            .channels(channels)
-            .max_slots(slots)
+            .deployment(DeploymentSpec::Uniform { n: N, side: 30.0 })
+            .channels(CHANNELS)
+            .max_slots(400)
             .sinr(SinrParams::default())
     };
     let mut scenarios = vec![base("static").build()];
@@ -1345,104 +1304,95 @@ fn e16_mobility(trials: usize) -> Result<Vec<Table>, String> {
             .fading(FadingSpec::interference(0.05, 0.15, 500.0))
             .build(),
     );
-
-    let cfg = FloodCfg {
-        q: 0.2,
-        flood_rounds: slots - 100,
-        tail_rounds: 100,
-        tdma: Tdma::new(1, 1),
-        hop_channels: channels,
-    };
-    let expect = (n - 1) as i64;
-    let outs = sweep(
-        &scenarios,
-        |_| 1600,
-        trials.max(2),
-        |scenario, seed| {
-            let mut sim = ScenarioSim::new(scenario, seed, |i, _| {
+    ClaimSpec {
+        title: "E16: flood aggregation in dynamic environments -- n=60, F=4",
+        columns: &["scenario", "coverage (median)", "full coverage", "rx rate"],
+        arms: scenarios
+            .into_iter()
+            .map(|scenario| arm(scenario, 1600, World::Own))
+            .collect(),
+        cluster_radius: None,
+        measure: |t| {
+            use mca_core::aggregate::intercluster::{FloodCfg, FloodCombine};
+            let scenario = t.knob;
+            let cfg = FloodCfg {
+                q: 0.2,
+                flood_rounds: scenario.max_slots - 100,
+                tail_rounds: 100,
+                tdma: Tdma::new(1, 1),
+                hop_channels: CHANNELS,
+            };
+            let mut sim = mca_scenario::ScenarioSim::new(scenario, t.seed, |i, _| {
                 FloodCombine::dominator(MaxAgg, cfg, 0, i as i64)
             });
             sim.run_until_done(scenario.max_slots);
+            let expect = (N - 1) as i64;
             let holders = sim
                 .protocols()
                 .iter()
                 .filter(|p| *p.value() == expect)
                 .count();
-            (holders as f64 / n as f64, sim.metrics().reception_rate())
+            (holders as f64 / N as f64, sim.metrics().reception_rate())
         },
-    );
-
-    let mut t = Table::new(
-        "E16: flood aggregation in dynamic environments -- n=60, F=4",
-        ["scenario", "coverage (median)", "full coverage", "rx rate"],
-    );
-    for (scenario, out) in scenarios.iter().zip(&outs) {
-        t.row([
-            scenario.name.clone(),
-            format!("{:.0}%", out.summarize(|r| r.0).median() * 100.0),
-            format!("{:.0}%", out.fraction(|r| r.0 >= 1.0) * 100.0),
-            format!("{:.3}", out.summarize(|r| r.1).median()),
-        ]);
+        cells: |scenario, out, _| {
+            vec![
+                scenario.name.clone(),
+                percent(median(out, |r| r.0)),
+                percent(out.fraction(|r| r.0 >= 1.0)),
+                format!("{:.3}", median(out, |r| r.1)),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
 /// A3 — ablation of the multi-message gossip: the backbone transmission
 /// probability `q` (the paper's "constant probability" sketch) trades
 /// collision losses against idle slots; completion is measured because the
 /// harness stops the run the moment every node holds every message.
-fn a3_gossip(trials: usize) -> Result<Vec<Table>, String> {
-    use mca_core::broadcast_many;
-    let mut t = Table::new(
-        "A3: gossip probability ablation -- n=120, F=4, k=8",
-        ["q", "gossip slots", "hoist slots", "full coverage"],
-    );
-    let params = SinrParams::default();
-    let qs = [0.05f64, 0.2, 0.35, 0.5];
-    let outs = sweep(
-        &qs,
-        |&q| 1900 + (q * 100.0) as u64,
-        trials,
-        |&q, seed| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let deploy = Deployment::uniform(120, 9.0, &mut rng);
-            let env = NetworkEnv::new(params, &deploy);
+fn a3_gossip() -> ClaimSpec<f64, (u64, u64, f64)> {
+    let world = World::Uniform { n: 120, side: 9.0 };
+    ClaimSpec {
+        title: "A3: gossip probability ablation -- n=120, F=4, k=8",
+        columns: &["q", "gossip slots", "hoist slots", "full coverage"],
+        arms: world.arms([(0.05, 1905), (0.2, 1920), (0.35, 1935), (0.5, 1950)]),
+        cluster_radius: Some(2.0),
+        measure: |t| {
+            let env = t.env();
             let mut consts = Constants::practical();
-            consts.flood_prob = q;
-            let algo = AlgoConfig::new(4, mca_sinr::NodeKnowledge::exact(&params, 120), consts);
-            let mut cfg = StructureConfig::new(algo, seed);
-            cfg.substrate = SubstrateMode::Oracle;
-            cfg.cluster_radius = 2.0;
-            let s = build_structure(&env, &cfg);
+            consts.flood_prob = *t.knob;
+            let know = mca_sinr::NodeKnowledge::exact(&env.params, 120);
+            let algo = AlgoConfig::new(4, know, consts);
+            let s = build_structure(&env, &t.structure_config(algo));
             let d_hat = env.comm_graph().diameter_approx() + 2;
             let messages: Vec<(NodeId, u64)> = (0..8).map(|i| (NodeId(i * 14), i as u64)).collect();
-            let out = broadcast_many(&env, &s, &algo, &messages, d_hat, seed ^ 0xA3);
+            let out = mca_core::broadcast_many(&env, &s, &algo, &messages, d_hat, t.seed ^ 0xA3);
             (
                 out.gossip_slots,
                 out.hoist_slots,
                 out.full_coverage as f64 / 120.0,
             )
         },
-    );
-    for (q, out) in qs.iter().zip(&outs) {
-        t.row([
-            format!("{q:.2}"),
-            format!("{:.0}", out.summarize(|r| r.0 as f64).median()),
-            format!("{:.0}", out.summarize(|r| r.1 as f64).median()),
-            format!("{:.0}%", out.summarize(|r| r.2).median() * 100.0),
-        ]);
+        cells: |q, out, _| {
+            vec![
+                format!("{q:.2}"),
+                whole(out, |r| r.0 as f64),
+                whole(out, |r| r.1 as f64),
+                percent(median(out, |r| r.2)),
+            ]
+        },
     }
-    Ok(vec![t])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mca_analysis::trial_seed;
 
     #[test]
     fn a_failed_gate_is_the_sections_error() {
         let gated = ClaimTable {
             id: "x1",
+            floor: 1,
             render: |_| Err("`world`: repair 9 vs rebuild 8 slots".into()),
         };
         assert_eq!(
@@ -1451,6 +1401,7 @@ mod tests {
         );
         let passing = ClaimTable {
             id: "x2",
+            floor: 1,
             render: |trials| {
                 let mut t = Table::new("X2: trials", ["trials"]);
                 t.row([trials.to_string()]);
@@ -1461,5 +1412,72 @@ mod tests {
             passing.section(3),
             Ok("### X2: trials\n\n| trials |\n|---|\n| 3 |\n\n".into())
         );
+    }
+
+    /// Two arms whose trials report the seed and world size they ran on.
+    fn seeds_spec() -> ClaimSpec<u64, (u64, usize)> {
+        ClaimSpec {
+            title: "X3: seeds",
+            columns: &["master", "seeds", "nodes"],
+            arms: vec![
+                arm(7, 7, World::Own),
+                arm(1234, 1234, World::Uniform { n: 5, side: 1.0 }),
+            ],
+            cluster_radius: None,
+            measure: |t| (t.seed, t.deploy.len()),
+            cells: |master, out, _| {
+                let seeds: Vec<u64> = out.results.iter().map(|r| r.0).collect();
+                assert_eq!(seeds, out.seeds);
+                vec![
+                    master.to_string(),
+                    format!("{seeds:?}"),
+                    format!("{:?}", out.results.iter().map(|r| r.1).collect::<Vec<_>>()),
+                ]
+            },
+        }
+    }
+
+    #[test]
+    fn an_entry_runs_its_floor_of_seeds_from_each_arms_master() {
+        let entry = ClaimTable {
+            id: "x3",
+            floor: 3,
+            render: |trials| Ok(vec![seeds_spec().render(trials)]),
+        };
+        let mut want = Table::new("X3: seeds", ["master", "seeds", "nodes"]);
+        for (master, n) in [(7u64, 0), (1234, 5)] {
+            let seeds: Vec<u64> = (0..3).map(|i| trial_seed(master, i)).collect();
+            want.row([
+                master.to_string(),
+                format!("{seeds:?}"),
+                format!("{:?}", [n; 3]),
+            ]);
+        }
+        assert_eq!(entry.section(2), Ok(format!("{want}\n")));
+        // Above the floor, the entry runs what it is asked for.
+        assert_eq!(seeds_spec().run(4)[1].seeds.len(), 4);
+    }
+
+    #[test]
+    fn the_structure_config_carries_each_arms_substrate() {
+        let a1 = a1_ablations();
+        let algo = AlgoConfig::practical(8, &SinrParams::default(), 400);
+        for (row, arm) in a1.arms.iter().enumerate() {
+            let cfg = a1.trial(row, 1).structure_config(algo);
+            let want = match arm.knob.0 {
+                "distributed substrate" => SubstrateMode::Distributed,
+                _ => SubstrateMode::Oracle,
+            };
+            assert_eq!(
+                (cfg.substrate, cfg.cluster_radius),
+                (want, 2.0),
+                "{}",
+                arm.knob.0
+            );
+        }
+        assert!(a1
+            .arms
+            .iter()
+            .any(|a| a.substrate == SubstrateMode::Distributed));
     }
 }
