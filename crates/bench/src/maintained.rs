@@ -281,7 +281,6 @@ fn run_arm(scenario: &Scenario, seed: u64, arm: Arm) -> (ArmRun, [u64; 3]) {
     let mcfg = MaintainConfig {
         handover_hysteresis: maintenance.handover_hysteresis,
         rebuild_threshold: maintenance.rebuild_threshold,
-        ..MaintainConfig::default()
     };
     let mut maintainer = StructureMaintainer::build(&env0, cfg, mcfg, Some(&alive));
     let tolerances = maintainer.tolerances();

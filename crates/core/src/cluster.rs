@@ -237,14 +237,12 @@ pub fn build_clusters(
 
     // Any dominator still uncolored after the cap gets a fresh unique color:
     // correctness (separation) is preserved at the cost of a larger phi.
-    let next_fresh = color.iter().flatten().copied().max().map_or(0, |c| c + 1);
-    let uncolored: Vec<usize> = (0..n)
-        .filter(|&i| dominating.is_dominator[i] && color[i].is_none())
-        .collect();
-    for (c, &i) in (next_fresh..).zip(&uncolored) {
-        color[i] = Some(c);
+    let dominators: Vec<usize> = (0..n).filter(|&i| dominating.is_dominator[i]).collect();
+    let mut claimed: Vec<Option<u16>> = dominators.iter().map(|&i| color[i]).collect();
+    let phi = stages::fill_fresh_colors(&mut claimed, 0).max(1);
+    for (&i, c) in dominators.iter().zip(claimed) {
+        color[i] = c;
     }
-    let phi = color.iter().flatten().copied().max().map_or(1, |c| c + 1);
 
     // --- Announce/attach. ---
     let acfg = AnnounceConfig {

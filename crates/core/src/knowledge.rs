@@ -101,6 +101,16 @@ impl NodeRecord {
         self.dominator_dist = Some(dist);
     }
 
+    /// Clears everything the node learned about its cluster (it keeps
+    /// existing, and keeps its §7 color, but belongs to no cluster until
+    /// re-homed).
+    pub fn detach(&mut self) {
+        *self = NodeRecord {
+            color: self.color,
+            ..NodeRecord::new(self.id)
+        };
+    }
+
     /// Whether the node completed clustering (has a cluster).
     pub fn is_clustered(&self) -> bool {
         self.cluster.is_some()

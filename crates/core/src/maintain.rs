@@ -22,10 +22,17 @@
 //! * **recoloring patch** — fresh dominators (and moved dominators caught
 //!   in a same-color conflict) claim colors against the committed palette
 //!   beaconed by established neighbors
-//!   ([`stages::color_patch_stage`]);
+//!   ([`stages::color_patch_stage`]); a claimant that fails to commit gets
+//!   a fresh color above every color in force, including those claimed in
+//!   the same patch ([`stages::fill_fresh_colors`]);
 //! * **local re-election** — clusters whose membership changed re-run
 //!   reporter election under the cluster-color TDMA, everyone else keeping
 //!   their reporters.
+//!
+//! Every path that breaks a node out of its cluster — a dominator crash, a
+//! merge, a handover, a proactive action — goes through one helper that
+//! detaches the node and queues it as a seeker; a dissolved cluster is that
+//! helper applied to each live member.
 //!
 //! When churn outruns locality — more than
 //! [`MaintainConfig::rebuild_threshold`] of the live network needs
@@ -53,7 +60,28 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// Maintenance policy knobs.
+/// Motion watch granularity, as a fraction of the cluster radius: the
+/// engine reports motion only on drifts beyond `MOVE_THRESHOLD · r_c` from
+/// the last anchor ([`StructureMaintainer::move_threshold`]). Between a
+/// pair's events its true distance can exceed what the maintainer last
+/// acted on by up to four anchors' worth, which
+/// [`StructureMaintainer::tolerances`] accounts for.
+const MOVE_THRESHOLD: f64 = 0.05;
+
+/// Epochs a node waits after its first proactive action before it can be
+/// acted on again while still flagged; each further action doubles the wait
+/// (bounded exponential backoff, capped at [`BACKOFF_CAP`]). A recovery
+/// notice resets the node's backoff. Keeps a transiently faded link from
+/// thrashing handovers epoch after epoch.
+const BACKOFF_BASE: u64 = 1;
+
+/// Upper bound on the proactive backoff wait, in epochs.
+const BACKOFF_CAP: u64 = 16;
+
+/// Maintenance policy: the two knobs a scenario's `[maintenance]` table
+/// sets. The motion watch granularity (5 % of the cluster radius) and the
+/// proactive backoff (1 epoch, doubling per action, capped at 16) are
+/// fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintainConfig {
     /// Handover hysteresis `h ≥ 1`: a member is re-homed once its distance
@@ -63,24 +91,6 @@ pub struct MaintainConfig {
     /// Fraction of the live network that may need re-homing before the
     /// maintainer gives up on locality and rebuilds from scratch.
     pub rebuild_threshold: f64,
-    /// Motion watch granularity, as a fraction of the cluster radius: the
-    /// engine reports motion only on drifts beyond
-    /// `move_threshold · r_c` from the last anchor
-    /// ([`Engine::watch_events`](mca_radio::Engine::watch_events) — pass
-    /// [`StructureMaintainer::move_threshold`]). Between a pair's events
-    /// its true distance can exceed what the maintainer last acted on by
-    /// up to four anchors' worth, which
-    /// [`StructureMaintainer::tolerances`] accounts for.
-    pub move_threshold: f64,
-    /// Epochs a node waits after its first proactive action before it can
-    /// be acted on again while still flagged; each further action doubles
-    /// the wait (bounded exponential backoff, capped at
-    /// [`MaintainConfig::backoff_cap`]). A recovery notice resets the
-    /// node's backoff. Keeps a transiently faded link from thrashing
-    /// handovers epoch after epoch.
-    pub backoff_base: u64,
-    /// Upper bound on the proactive backoff wait, in epochs.
-    pub backoff_cap: u64,
 }
 
 impl Default for MaintainConfig {
@@ -88,9 +98,6 @@ impl Default for MaintainConfig {
         MaintainConfig {
             handover_hysteresis: 1.25,
             rebuild_threshold: 0.5,
-            move_threshold: 0.05,
-            backoff_base: 1,
-            backoff_cap: 16,
         }
     }
 }
@@ -161,7 +168,8 @@ pub struct RepairReport {
     /// Flagged dominators demoted into scoped re-election this epoch.
     pub proactive_demotions: usize,
     /// Flagged nodes whose proactive action was deferred by the bounded
-    /// exponential backoff ([`MaintainConfig::backoff_base`]).
+    /// exponential backoff (one epoch after the first action, doubling per
+    /// further action, capped at 16).
     pub deferred_flags: usize,
     /// Recovery notices consumed this epoch (flags cleared without action).
     pub recovered_flags: usize,
@@ -246,10 +254,8 @@ pub enum RehomeMsg {
 struct RehomeCfg {
     /// Attach radius (`r_c`).
     radius: f64,
-    /// Anchor announce probability (`1/(2µ)`).
-    p_announce: f64,
-    /// Seeker join-confirm probability.
-    p_join: f64,
+    /// Anchor announce and seeker join-confirm probability (`1/(2µ)`).
+    p: f64,
     /// Two-slot rounds.
     rounds: u64,
     /// Conservative node-side parameters (RSSI distance filter).
@@ -279,7 +285,6 @@ struct RehomeProtocol {
     best: Option<(NodeId, u16, f64)>,
     /// Anchor: JOIN confirmations decoded for this anchor.
     joins_heard: u32,
-    rounds_done: u64,
     finished: bool,
 }
 
@@ -291,13 +296,8 @@ impl RehomeProtocol {
             role,
             best: None,
             joins_heard: 0,
-            rounds_done: 0,
             finished: role == RehomeRole::Out,
         }
-    }
-
-    fn attachment(&self) -> Option<(NodeId, u16, f64)> {
-        self.best
     }
 }
 
@@ -312,7 +312,7 @@ impl Protocol for RehomeProtocol {
                     Action::Listen {
                         channel: Channel::FIRST,
                     }
-                } else if rng.gen_bool(self.cfg.p_announce) {
+                } else if rng.gen_bool(self.cfg.p) {
                     Action::Transmit {
                         channel: Channel::FIRST,
                         msg: RehomeMsg::Announce { color },
@@ -327,7 +327,7 @@ impl Protocol for RehomeProtocol {
                         channel: Channel::FIRST,
                     }
                 } else if let Some((to, _, _)) = self.best {
-                    if rng.gen_bool(self.cfg.p_join) {
+                    if rng.gen_bool(self.cfg.p) {
                         Action::Transmit {
                             channel: Channel::FIRST,
                             msg: RehomeMsg::Join { to },
@@ -343,6 +343,8 @@ impl Protocol for RehomeProtocol {
         }
     }
 
+    /// Finishes after the last round's JOIN slot: the phase's engine
+    /// starts at slot 0, so slot `2·rounds − 1` is the last one.
     fn observe(&mut self, slot: u64, obs: Observation<RehomeMsg>, _rng: &mut SmallRng) {
         if let Observation::Received(r) = &obs {
             match (self.role, r.msg) {
@@ -360,11 +362,8 @@ impl Protocol for RehomeProtocol {
                 _ => {}
             }
         }
-        if slot % 2 == 1 {
-            self.rounds_done += 1;
-            if self.rounds_done >= self.cfg.rounds {
-                self.finished = true;
-            }
+        if slot + 1 >= 2 * self.cfg.rounds {
+            self.finished = true;
         }
     }
 
@@ -420,8 +419,6 @@ pub struct StructureMaintainer {
     backoff: HashMap<u32, (u32, u64)>,
     /// Recovery notices consumed since the last repair.
     recovered: usize,
-    /// World slot of the in-flight [`StructureMaintainer::repair_at`] call.
-    now: Option<u64>,
 }
 
 impl StructureMaintainer {
@@ -472,7 +469,6 @@ impl StructureMaintainer {
             flag_meta: HashMap::new(),
             backoff: HashMap::new(),
             recovered: 0,
-            now: None,
         }
     }
 
@@ -564,7 +560,7 @@ impl StructureMaintainer {
     /// policy expects — pass to
     /// [`Engine::watch_events`](mca_radio::Engine::watch_events).
     pub fn move_threshold(&self) -> f64 {
-        self.mcfg.move_threshold * self.cfg.cluster_radius
+        MOVE_THRESHOLD * self.cfg.cluster_radius
     }
 
     /// The audit tolerances this maintainer certifies against: attachment
@@ -573,7 +569,7 @@ impl StructureMaintainer {
     /// build's RSSI slack.
     pub fn tolerances(&self) -> AuditTolerances {
         AuditTolerances {
-            attach_ratio: (self.mcfg.handover_hysteresis + 4.0 * self.mcfg.move_threshold) * 1.05,
+            attach_ratio: (self.mcfg.handover_hysteresis + 4.0 * MOVE_THRESHOLD) * 1.05,
             ..AuditTolerances::default()
         }
     }
@@ -596,7 +592,7 @@ impl StructureMaintainer {
                 let i = node.index();
                 self.alive[i] = true;
                 self.structure.records[i] = NodeRecord::new(node);
-                self.seekers.insert(node.0);
+                self.unseat(node.0);
             }
             NodeEvent::Crashed { node, .. } => {
                 let i = node.index();
@@ -611,18 +607,8 @@ impl StructureMaintainer {
                 let rec = &self.structure.records[i];
                 if rec.role.is_dominator() {
                     // Cluster retired: orphan every surviving member.
-                    self.dirty.remove(&node.0);
                     self.retired += 1;
-                    let members: Vec<NodeId> = self.structure.members_of(node).to_vec();
-                    for m in members {
-                        if m == node || !self.alive[m.index()] {
-                            continue;
-                        }
-                        if self.structure.records[m.index()].cluster == Some(node) {
-                            detach(&mut self.structure.records[m.index()]);
-                            self.seekers.insert(m.0);
-                        }
-                    }
+                    self.demote(node.0);
                 } else if let Some(c) = rec.cluster {
                     // A member (possibly a reporter) died: its cluster's
                     // census and elections are stale.
@@ -647,75 +633,7 @@ impl StructureMaintainer {
     /// the threshold. `seed` must vary per epoch (it parameterizes every
     /// protocol phase of the repair).
     pub fn repair(&mut self, env: &NetworkEnv, seed: u64) -> RepairReport {
-        use mca_obs::{EventKind, SpanKind, Stopwatch};
-        let sw = Stopwatch::start_if(self.obs.is_some());
-        let before = self.repair_slots;
-        let report = self.repair_inner(env, seed);
-        self.repair_slots = before + report.total_slots();
-        if let Some(rec) = self.obs.as_mut() {
-            let epoch = self.epochs;
-            rec.span(SpanKind::Repair, before, 0, 0, sw.elapsed_ns());
-            let acted = (report.proactive_rehomes + report.proactive_demotions) as u64;
-            if acted > 0 {
-                rec.event(EventKind::DetectDegraded, before, epoch, 0, acted);
-            }
-            if report.recovered_flags > 0 {
-                rec.event(
-                    EventKind::DetectRecovered,
-                    before,
-                    epoch,
-                    0,
-                    report.recovered_flags as u64,
-                );
-            }
-            match report.kind {
-                RepairKind::Clean => rec.event(EventKind::RepairClean, before, epoch, 0, 1),
-                RepairKind::Rebuilt => rec.event(
-                    EventKind::RepairRebuild,
-                    before,
-                    epoch,
-                    report.rebuild_slots,
-                    1,
-                ),
-                RepairKind::Repaired => {
-                    // One event per action class that did anything.
-                    let actions: [(EventKind, u64, u64); 6] = [
-                        (
-                            EventKind::RepairProactive,
-                            0,
-                            (report.proactive_rehomes + report.proactive_demotions) as u64,
-                        ),
-                        (EventKind::RepairMerge, 0, report.merged_clusters as u64),
-                        (
-                            EventKind::RepairRehome,
-                            report.rehome_slots,
-                            report.rehomed as u64,
-                        ),
-                        (
-                            EventKind::RepairMisPatch,
-                            report.patch_slots,
-                            report.new_dominators as u64,
-                        ),
-                        (
-                            EventKind::RepairRecolor,
-                            report.color_slots,
-                            report.recolored as u64,
-                        ),
-                        (
-                            EventKind::RepairElection,
-                            report.election_slots,
-                            report.reporter_appointments as u64,
-                        ),
-                    ];
-                    for (kind, slots, count) in actions {
-                        if slots > 0 || count > 0 {
-                            rec.event(kind, before, epoch, slots, count);
-                        }
-                    }
-                }
-            }
-        }
-        report
+        self.repair_epoch(env, seed, None)
     }
 
     /// [`StructureMaintainer::repair`] with the current world slot
@@ -725,14 +643,59 @@ impl StructureMaintainer {
     /// Plain `repair` leaves that field `0` (the maintainer has no clock
     /// of its own).
     pub fn repair_at(&mut self, env: &NetworkEnv, seed: u64, now: u64) -> RepairReport {
-        self.now = Some(now);
-        let report = self.repair(env, seed);
-        self.now = None;
+        self.repair_epoch(env, seed, Some(now))
+    }
+
+    /// One instrumented repair epoch: the repair body plus its span and
+    /// one typed event per action class on the attached recorder.
+    fn repair_epoch(&mut self, env: &NetworkEnv, seed: u64, now: Option<u64>) -> RepairReport {
+        use mca_obs::{EventKind, SpanKind, Stopwatch};
+        let sw = Stopwatch::start_if(self.obs.is_some());
+        let before = self.repair_slots;
+        let report = self.repair_inner(env, seed, now);
+        self.repair_slots = before + report.total_slots();
+        if let Some(rec) = self.obs.as_mut() {
+            let (r, epoch) = (&report, self.epochs);
+            rec.span(SpanKind::Repair, before, 0, 0, sw.elapsed_ns());
+            let acted = (r.proactive_rehomes + r.proactive_demotions) as u64;
+            let outcome = match r.kind {
+                RepairKind::Clean => vec![(EventKind::RepairClean, 0, 1)],
+                RepairKind::Rebuilt => vec![(EventKind::RepairRebuild, r.rebuild_slots, 1)],
+                RepairKind::Repaired => vec![
+                    (EventKind::RepairProactive, 0, acted),
+                    (EventKind::RepairMerge, 0, r.merged_clusters as u64),
+                    (EventKind::RepairRehome, r.rehome_slots, r.rehomed as u64),
+                    (
+                        EventKind::RepairMisPatch,
+                        r.patch_slots,
+                        r.new_dominators as u64,
+                    ),
+                    (EventKind::RepairRecolor, r.color_slots, r.recolored as u64),
+                    (
+                        EventKind::RepairElection,
+                        r.election_slots,
+                        r.reporter_appointments as u64,
+                    ),
+                ],
+            };
+            let detector = [
+                (EventKind::DetectDegraded, 0, acted),
+                (EventKind::DetectRecovered, 0, r.recovered_flags as u64),
+            ];
+            // The detector's transitions, then the outcome: one event per
+            // class that did anything.
+            for (kind, slots, count) in detector.into_iter().chain(outcome) {
+                if slots > 0 || count > 0 {
+                    rec.event(kind, before, epoch, slots, count);
+                }
+            }
+        }
         report
     }
 
-    /// The uninstrumented repair body (see [`StructureMaintainer::repair`]).
-    fn repair_inner(&mut self, env: &NetworkEnv, seed: u64) -> RepairReport {
+    /// The uninstrumented repair body (see [`StructureMaintainer::repair`]);
+    /// `now` is the world slot [`StructureMaintainer::repair_at`] supplies.
+    fn repair_inner(&mut self, env: &NetworkEnv, seed: u64, now: Option<u64>) -> RepairReport {
         let n = env.len();
         assert_eq!(n, self.structure.records.len());
         self.epochs += 1;
@@ -745,9 +708,6 @@ impl StructureMaintainer {
         let hyst = self.mcfg.handover_hysteresis.max(1.0) * self.cfg.cluster_radius;
         let mut recolor: BTreeSet<u32> = BTreeSet::new();
         self.refresh_dominator_grid(env);
-        let node_params = self.cfg.algo.node_params();
-        let r_sep =
-            (2.0 * self.cfg.cluster_radius + node_params.r_eps()).max(node_params.r_eps_half());
         let movers: Vec<u32> = std::mem::take(&mut self.movers).into_iter().collect();
 
         // Cluster merges: mobility can push two dominators inside the
@@ -787,20 +747,12 @@ impl StructureMaintainer {
                 continue;
             };
             let (mv, mu) = (
-                self.live_member_count(NodeId(v)),
-                self.live_member_count(NodeId(u)),
+                self.live_members(NodeId(v)).len(),
+                self.live_members(NodeId(u)).len(),
             );
             let loser = if mv < mu || (mv == mu && u < v) { v } else { u };
             let winner = if loser == v { u } else { v };
-            for m in self.live_members(NodeId(loser)) {
-                if m.0 != loser {
-                    detach(&mut self.structure.records[m.index()]);
-                    self.seekers.insert(m.0);
-                }
-            }
-            detach(&mut self.structure.records[loser as usize]);
-            self.seekers.insert(loser);
-            self.dirty.remove(&loser);
+            self.demote(loser);
             self.dirty.insert(winner);
             demoted.insert(loser);
             report.merged_clusters += 1;
@@ -819,13 +771,8 @@ impl StructureMaintainer {
             if rec.role.is_dominator() {
                 // Members left behind by a moving dominator.
                 for m in self.live_members(NodeId(v)) {
-                    if m.0 == v {
-                        continue;
-                    }
-                    if env.positions[m.index()].dist(env.positions[vi]) > hyst {
-                        detach(&mut self.structure.records[m.index()]);
-                        self.seekers.insert(m.0);
-                        self.dirty.insert(v);
+                    if m.0 != v && env.positions[m.index()].dist(env.positions[vi]) > hyst {
+                        self.unseat(m.0);
                         report.handovers += 1;
                     }
                 }
@@ -833,26 +780,13 @@ impl StructureMaintainer {
                 // the larger id of the pair yields (whether or not it is
                 // the one that moved), mirroring the coloring protocol's
                 // own healing rule.
-                let my_color = self.structure.records[vi].cluster_color;
-                if my_color.is_some() {
-                    self.grid
-                        .for_each_within(&self.grid_pts, env.positions[vi], r_sep, |k| {
-                            let other = self.grid_doms[k];
-                            if other != v
-                                && self.structure.records[other as usize].cluster_color == my_color
-                            {
-                                recolor.insert(other.max(v));
-                            }
-                        });
-                }
+                self.for_each_color_conflict(env, v, |other| {
+                    recolor.insert(other.max(v));
+                });
             } else if let Some(c) = rec.cluster {
                 if !self.alive[c.index()] || env.positions[vi].dist(env.positions[c.index()]) > hyst
                 {
-                    detach(&mut self.structure.records[vi]);
-                    self.seekers.insert(v);
-                    if self.alive[c.index()] {
-                        self.dirty.insert(c.0);
-                    }
+                    self.unseat(v);
                     report.handovers += 1;
                 }
             }
@@ -869,8 +803,7 @@ impl StructureMaintainer {
         let epoch = self.epochs;
         let mut proactive_demoted = false;
         for f in self.flagged.iter().copied().collect::<Vec<u32>>() {
-            let fi = f as usize;
-            if !self.alive[fi] {
+            if !self.alive[f as usize] {
                 continue;
             }
             if let Some(&(_, until)) = self.backoff.get(&f) {
@@ -879,41 +812,23 @@ impl StructureMaintainer {
                     continue;
                 }
             }
-            if self.structure.records[fi].role.is_dominator() {
-                for m in self.live_members(NodeId(f)) {
-                    if m.0 != f {
-                        detach(&mut self.structure.records[m.index()]);
-                        self.seekers.insert(m.0);
-                    }
-                }
-                detach(&mut self.structure.records[fi]);
-                self.seekers.insert(f);
-                self.dirty.remove(&f);
+            if self.structure.records[f as usize].role.is_dominator() {
+                self.demote(f);
                 proactive_demoted = true;
                 report.proactive_demotions += 1;
             } else {
-                if let Some(c) = self.structure.records[fi].cluster {
-                    if self.alive[c.index()] {
-                        self.dirty.insert(c.0);
-                    }
-                }
-                detach(&mut self.structure.records[fi]);
-                self.seekers.insert(f);
+                self.unseat(f);
                 report.proactive_rehomes += 1;
             }
             if let Some(&(since, detect_slot)) = self.flag_meta.get(&f) {
                 report.time_to_detect =
                     report.time_to_detect.max(detect_slot.saturating_sub(since));
-                if let Some(now) = self.now {
+                if let Some(now) = now {
                     report.time_to_repair = report.time_to_repair.max(now.saturating_sub(since));
                 }
             }
             let level = self.backoff.get(&f).map_or(0, |&(l, _)| l);
-            let wait = self
-                .mcfg
-                .backoff_base
-                .saturating_mul(1u64 << level.min(16))
-                .clamp(1, self.mcfg.backoff_cap.max(1));
+            let wait = (BACKOFF_BASE << level.min(16)).min(BACKOFF_CAP);
             self.backoff
                 .insert(f, (level.saturating_add(1), epoch + wait));
         }
@@ -950,11 +865,7 @@ impl StructureMaintainer {
 
         // --- R1: re-home seekers onto surviving dominators. ---
         let seekers: Vec<u32> = std::mem::take(&mut self.seekers).into_iter().collect();
-        let (attached, mut uncovered, confirms, slots) =
-            self.rehome(env, &seekers, derive_seed(seed, 0x4E01));
-        report.rehome_slots += slots;
-        report.join_confirms += confirms;
-        report.rehomed += attached;
+        let mut uncovered = self.rehome(env, &seekers, derive_seed(seed, 0x4E01), &mut report);
 
         // --- R2: MIS patch among uncovered seekers. ---
         let mut new_doms: Vec<u32> = Vec::new();
@@ -990,15 +901,13 @@ impl StructureMaintainer {
             }
             let seats: Vec<ColorSeat> = (0..n)
                 .map(|i| {
-                    if claimants.contains(&(i as u32)) {
-                        ColorSeat::Claimant
-                    } else if self.alive[i] && self.structure.records[i].role.is_dominator() {
-                        match self.structure.records[i].cluster_color {
-                            Some(c) => ColorSeat::Committed(c),
-                            None => ColorSeat::Out,
+                    let rec = &self.structure.records[i];
+                    match rec.cluster_color {
+                        _ if claimants.contains(&(i as u32)) => ColorSeat::Claimant,
+                        Some(c) if self.alive[i] && rec.role.is_dominator() => {
+                            ColorSeat::Committed(c)
                         }
-                    } else {
-                        ColorSeat::Out
+                        _ => ColorSeat::Out,
                     }
                 })
                 .collect();
@@ -1012,27 +921,15 @@ impl StructureMaintainer {
             );
             report.color_slots += patch.slots;
             report.recolored = recolor.len();
-            let mut next_fresh = self
-                .structure
-                .records
+            // Uncommitted within the round budget: fresh unique colors above
+            // every color in force, exactly as the build's cap fallback.
+            let mut colors: Vec<Option<u16>> = claimants
                 .iter()
-                .filter_map(|r| r.cluster_color)
-                .max()
-                .map_or(0, |c| c + 1)
-                .max(self.structure.phi);
-            for &c in &claimants {
-                let color = match patch.colors[c as usize] {
-                    Some(col) => col,
-                    None => {
-                        // Uncommitted within the round budget: fresh unique
-                        // color, exactly as the build's cap fallback.
-                        let col = next_fresh;
-                        next_fresh += 1;
-                        col
-                    }
-                };
-                self.structure.records[c as usize].cluster_color = Some(color);
-                self.structure.phi = self.structure.phi.max(color + 1);
+                .map(|&c| patch.colors[c as usize])
+                .collect();
+            self.structure.phi = stages::fill_fresh_colors(&mut colors, self.structure.phi);
+            for (&c, color) in claimants.iter().zip(colors) {
+                self.structure.records[c as usize].cluster_color = color;
             }
             // Separation exceeds the decode range by a thin annulus (r_sep
             // can top R_T), so a claimant may commit a color it could never
@@ -1041,21 +938,10 @@ impl StructureMaintainer {
             // orchestrator fallback the build applies past its cap.
             self.refresh_dominator_grid(env);
             for &c in &claimants {
-                let my_color = self.structure.records[c as usize].cluster_color;
                 let mut conflicted = false;
-                self.grid
-                    .for_each_within(&self.grid_pts, env.positions[c as usize], r_sep, |k| {
-                        let other = self.grid_doms[k];
-                        if other != c
-                            && self.structure.records[other as usize].cluster_color == my_color
-                        {
-                            conflicted = true;
-                        }
-                    });
+                self.for_each_color_conflict(env, c, |_| conflicted = true);
                 if conflicted {
-                    self.structure.records[c as usize].cluster_color = Some(next_fresh);
-                    self.structure.phi = self.structure.phi.max(next_fresh + 1);
-                    next_fresh += 1;
+                    self.structure.records[c as usize].cluster_color = Some(self.fresh_color());
                 }
             }
         }
@@ -1063,19 +949,14 @@ impl StructureMaintainer {
         // --- R4: admit remaining seekers to the now-colored patch
         // dominators (second ANNOUNCE/JOIN pass). ---
         if !uncovered.is_empty() {
-            let (attached, still, confirms, slots) =
-                self.rehome(env, &uncovered, derive_seed(seed, 0x4E04));
-            report.rehome_slots += slots;
-            report.join_confirms += confirms;
-            report.rehomed += attached;
+            let still = self.rehome(env, &uncovered, derive_seed(seed, 0x4E04), &mut report);
             // Every protocol avenue failed (isolated node, lost announces):
             // it heads its own singleton cluster with a fresh color.
             for u in still {
+                let color = self.fresh_color();
                 let rec = &mut self.structure.records[u as usize];
                 rec.make_dominator();
-                let color = self.structure.phi;
                 rec.cluster_color = Some(color);
-                self.structure.phi += 1;
                 self.dirty.insert(u);
                 report.forced_singletons += 1;
             }
@@ -1131,41 +1012,29 @@ impl StructureMaintainer {
         report.reporter_dedups += dedups;
         report.reporter_appointments += appointments;
 
-        // --- Bookkeeping: the structure-level accounting experiments read.
-        self.structure.rebuild_members_index();
-        self.structure.report.phi = self.structure.phi;
-        self.structure.report.clusters = self
-            .structure
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(i, r)| self.alive[*i] && r.role.is_dominator())
-            .count();
-        self.structure.report.unclustered = self
-            .structure
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(i, r)| self.alive[*i] && r.cluster.is_none())
-            .count();
-        let (filled, total) = stages::channel_accounting(&self.structure.records);
-        self.structure.report.channels_filled = filled;
-        self.structure.report.channels_total = total;
+        // --- Bookkeeping: the structure-level accounting experiments read,
+        // counted by the same function the build uses.
+        let s = &mut self.structure;
+        s.rebuild_members_index();
+        s.report.phi = s.phi;
+        stages::recount(&mut s.report, &s.records, Some(&self.alive));
         report
     }
 
     /// Runs one ANNOUNCE/JOIN re-homing pass for `seekers`. Anchors are the
     /// live dominators within reach of any seeker; everyone else is absent.
-    /// Returns `(attached, still_uncovered, join_confirms, slots)` and
-    /// applies successful attachments to the records.
+    /// Applies successful attachments to the records, adds the pass's
+    /// slots, attachments and JOIN confirmations to `report`, and returns
+    /// the seekers still uncovered.
     fn rehome(
         &mut self,
         env: &NetworkEnv,
         seekers: &[u32],
         seed: u64,
-    ) -> (usize, Vec<u32>, usize, u64) {
+        report: &mut RepairReport,
+    ) -> Vec<u32> {
         if seekers.is_empty() {
-            return (0, Vec::new(), 0, 0);
+            return Vec::new();
         }
         self.refresh_dominator_grid(env);
         // The affected neighborhood: anchors a seeker could attach to, with
@@ -1190,42 +1059,34 @@ impl StructureMaintainer {
             anchors
         };
         let clean = nearby(self, seekers, false);
-        let (attached, still, confirms, slots) =
-            self.rehome_pass(env, seekers, &clean, derive_seed(seed, 0x4E40));
+        let still = self.rehome_pass(env, seekers, &clean, derive_seed(seed, 0x4E40), report);
         if still.is_empty() {
-            return (attached, still, confirms, slots);
+            return still;
         }
         let flagged = nearby(self, &still, true);
         if flagged.is_empty() {
-            return (attached, still, confirms, slots);
+            return still;
         }
-        let (attached2, still2, confirms2, slots2) =
-            self.rehome_pass(env, &still, &flagged, derive_seed(seed, 0x4E41));
-        (
-            attached + attached2,
-            still2,
-            confirms + confirms2,
-            slots + slots2,
-        )
+        self.rehome_pass(env, &still, &flagged, derive_seed(seed, 0x4E41), report)
     }
 
     /// One simulated announce/join pass of [`StructureMaintainer::rehome`]
     /// over a fixed anchor set, with `engine_seed` as the engine's RNG
-    /// seed. Returns `(attached, leftover_seekers, confirms, slots)`.
+    /// seed. Adds into `report` and returns the leftover seekers.
     fn rehome_pass(
         &mut self,
         env: &NetworkEnv,
         seekers: &[u32],
         anchors: &BTreeSet<u32>,
         engine_seed: u64,
-    ) -> (usize, Vec<u32>, usize, u64) {
+        report: &mut RepairReport,
+    ) -> Vec<u32> {
         let n = env.len();
         let algo = &self.cfg.algo;
         let seeker_set: BTreeSet<u32> = seekers.iter().copied().collect();
         let cfg = RehomeCfg {
             radius: self.cfg.cluster_radius,
-            p_announce: algo.density_tx_prob(),
-            p_join: algo.density_tx_prob(),
+            p: algo.density_tx_prob(),
             rounds: algo.announce_rounds(),
             params: algo.node_params(),
         };
@@ -1253,28 +1114,22 @@ impl StructureMaintainer {
             2 * cfg.rounds + 2,
             all_done,
         );
-
-        let mut attached = 0;
+        report.rehome_slots += slots;
+        report.join_confirms += out.iter().map(|p| p.joins_heard as usize).sum::<usize>();
         let mut still = Vec::new();
-        let mut confirms = 0;
-        for p in &out {
-            if let RehomeRole::Anchor { .. } = p.role {
-                confirms += p.joins_heard as usize;
-            }
-        }
         for &s in seekers {
-            match out[s as usize].attachment() {
+            match out[s as usize].best {
                 Some((dom, color, dist)) => {
                     let rec = &mut self.structure.records[s as usize];
                     rec.make_member(dom, dist);
                     rec.cluster_color = Some(color);
                     self.dirty.insert(dom.0);
-                    attached += 1;
+                    report.rehomed += 1;
                 }
                 None => still.push(s),
             }
         }
-        (attached, still, confirms, slots)
+        still
     }
 
     /// Reporter certification over every live cluster: demotes duplicate
@@ -1363,15 +1218,50 @@ impl StructureMaintainer {
             .collect()
     }
 
-    /// Number of live members attached to `head`, allocation-free.
-    fn live_member_count(&self, head: NodeId) -> usize {
-        self.structure
-            .members_of(head)
-            .iter()
-            .filter(|m| {
-                self.alive[m.index()] && self.structure.records[m.index()].cluster == Some(head)
-            })
-            .count()
+    /// Detaches node `v` from its cluster and queues it as a seeker; a
+    /// live cluster it leaves is marked dirty. The one path by which a node
+    /// leaves a cluster without crashing.
+    fn unseat(&mut self, v: u32) {
+        let rec = &mut self.structure.records[v as usize];
+        if let Some(c) = rec.cluster.filter(|c| self.alive[c.index()]) {
+            self.dirty.insert(c.0);
+        }
+        rec.detach();
+        self.seekers.insert(v);
+    }
+
+    /// Dissolves `head`'s cluster: every live member (the head too, unless
+    /// it crashed) is unseated, and the cluster leaves the dirty set.
+    fn demote(&mut self, head: u32) {
+        for m in self.live_members(NodeId(head)) {
+            self.unseat(m.0);
+        }
+        self.dirty.remove(&head);
+    }
+
+    /// Calls `f` with every live dominator other than `v` that holds `v`'s
+    /// cluster color within the separation radius of `v` (none if `v` is
+    /// uncolored). Reads the dominator grid as last refreshed.
+    fn for_each_color_conflict(&self, env: &NetworkEnv, v: u32, mut f: impl FnMut(u32)) {
+        let color = self.structure.records[v as usize].cluster_color;
+        if color.is_none() {
+            return;
+        }
+        let r_sep = self.cfg.separation_radius();
+        self.grid
+            .for_each_within(&self.grid_pts, env.positions[v as usize], r_sep, |k| {
+                let other = self.grid_doms[k];
+                if other != v && self.structure.records[other as usize].cluster_color == color {
+                    f(other);
+                }
+            });
+    }
+
+    /// A fresh color: `φ`, which then grows by one.
+    fn fresh_color(&mut self) -> u16 {
+        let color = self.structure.phi;
+        self.structure.phi += 1;
+        color
     }
 
     /// Rebuilds the reused grid over the current live dominator positions.
@@ -1387,20 +1277,6 @@ impl StructureMaintainer {
         self.grid
             .rebuild(&self.grid_pts, self.cfg.cluster_radius.max(1e-9));
     }
-}
-
-/// Clears a record's membership (the node keeps existing but belongs to no
-/// cluster until re-homed).
-fn detach(rec: &mut NodeRecord) {
-    rec.role = Role::Undecided;
-    rec.cluster = None;
-    rec.dominator_dist = None;
-    rec.cluster_color = None;
-    rec.cluster_size_est = None;
-    rec.cluster_channels = None;
-    rec.channel = None;
-    rec.reporter = None;
-    rec.serves_channel0 = false;
 }
 
 #[cfg(test)]
@@ -1738,26 +1614,17 @@ mod tests {
     #[test]
     fn backoff_defers_reflagged_nodes_then_rearms() {
         let (env, cfg) = world(150, 11.0, 7);
-        let mcfg = MaintainConfig {
-            backoff_base: 4,
-            ..MaintainConfig::default()
-        };
-        let mut m = StructureMaintainer::build(&env, cfg, mcfg, None);
+        let mut m = StructureMaintainer::build(&env, cfg, MaintainConfig::default(), None);
         let victim = some_member(&m);
         m.observe_detection(&degraded(victim, 30, 20));
-        let first = m.repair(&env, 1);
-        assert_eq!(first.proactive_rehomes, 1);
-        // Epochs 2..=4 sit inside the backoff window: the still-flagged
-        // node is deferred, not thrashed.
-        for seed in 2..=4 {
-            let r = m.repair(&env, seed);
-            assert_eq!(r.proactive_rehomes, 0, "epoch {seed} must defer");
-            assert_eq!(r.deferred_flags, 1);
+        // The still-flagged node is acted on, then waits 1, 2 and 4 epochs
+        // (BACKOFF_BASE doubling per action) before each retry.
+        for epoch in 1..=8 {
+            let r = m.repair(&env, epoch);
+            let acts = [1, 2, 4, 8].contains(&epoch);
+            assert_eq!(r.proactive_rehomes, usize::from(acts), "epoch {epoch}");
+            assert_eq!(r.deferred_flags, usize::from(!acts), "epoch {epoch}");
         }
-        // Epoch 5 re-arms (and doubles the next wait).
-        let again = m.repair(&env, 5);
-        assert_eq!(again.proactive_rehomes, 1);
-        assert_eq!(again.deferred_flags, 0);
         m.audit(&env).assert_sound_with(&m.tolerances());
     }
 
@@ -1831,6 +1698,228 @@ mod tests {
         let report = m.repair(&env, 9);
         assert_eq!(report.proactive_rehomes, 0);
         m.audit(&env).assert_sound_with(&m.tolerances());
+    }
+
+    /// FNV-1a over the `Debug` rendering (floats print shortest
+    /// round-trip, so equal digests mean equal bits).
+    fn digest<T: std::fmt::Debug>(value: &T) -> u64 {
+        format!("{value:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// Moves `node` to `to` in `env` and reports it to the maintainer.
+    fn teleport(m: &mut StructureMaintainer, env: &mut NetworkEnv, node: u32, to: mca_geom::Point) {
+        let from = env.positions[node as usize];
+        env.positions[node as usize] = to;
+        m.observe(&NodeEvent::Moved {
+            node: NodeId(node),
+            slot: 0,
+            from,
+            to,
+        });
+    }
+
+    /// One seeded world through every repair path: a dominator crash, a
+    /// member crash and a late join; a dominator moved onto another
+    /// (merge); a dominator moved within the separation radius but outside
+    /// `r_c` of a same-coloured one (recolour); a flagged member and a
+    /// flagged dominator. Every epoch's report and the records are pinned,
+    /// so a refactor of the repair path must reproduce them bit for bit.
+    #[test]
+    fn scripted_repair_run_is_pinned() {
+        let (mut env, cfg) = world(150, 11.0, 5);
+        let (r_c, r_sep) = (cfg.cluster_radius, cfg.separation_radius());
+        let mut alive = vec![true; 150];
+        alive[40] = false;
+        let mut m = StructureMaintainer::build(&env, cfg, MaintainConfig::default(), Some(&alive));
+        let heads = |m: &StructureMaintainer| -> Vec<u32> {
+            m.structure().dominators().iter().map(|d| d.0).collect()
+        };
+        let mut reports = Vec::new();
+        let mut epoch = |m: &mut StructureMaintainer, env: &NetworkEnv, seed: u64, now: u64| {
+            reports.push(m.repair_at(env, seed, now));
+            m.audit(env).assert_sound_with(&m.tolerances());
+        };
+
+        // Epoch 1: the largest cluster's dominator crashes, a member of
+        // another cluster crashes, and node 40 joins late.
+        let big = *heads(&m)
+            .iter()
+            .max_by_key(|&&d| m.structure().members_of(NodeId(d)).len())
+            .unwrap();
+        let member = (0..150u32)
+            .find(|&i| {
+                let r = &m.structure().records[i as usize];
+                !r.role.is_dominator() && r.cluster.is_some_and(|c| c.0 != big)
+            })
+            .unwrap();
+        crash(&mut m, big, 10);
+        crash(&mut m, member, 10);
+        m.observe(&NodeEvent::Joined {
+            node: NodeId(40),
+            slot: 10,
+        });
+        epoch(&mut m, &env, 101, 20);
+
+        // Epoch 2: the first dominator lands next to the second (merge).
+        let hs = heads(&m);
+        let (a, b) = (hs[0], hs[1]);
+        let pb = env.positions[b as usize];
+        teleport(
+            &mut m,
+            &mut env,
+            a,
+            mca_geom::Point::new(pb.x + 0.3 * r_c, pb.y),
+        );
+        epoch(&mut m, &env, 102, 40);
+
+        // Epoch 3: a dominator lands between r_c and r_sep of a
+        // same-coloured one, clear of every other dominator (recolour).
+        let hs = heads(&m);
+        let color = |d: u32| m.structure().records[d as usize].cluster_color;
+        let spot = hs
+            .iter()
+            .flat_map(|&c| hs.iter().map(move |&d| (c, d)))
+            .filter(|&(c, d)| c != d && color(c) == color(d))
+            .find_map(|(c, d)| {
+                let pd = env.positions[d as usize];
+                (0..8).find_map(|k| {
+                    let t = k as f64 * std::f64::consts::FRAC_PI_4;
+                    let dist = 0.5 * (r_c + r_sep);
+                    let to = mca_geom::Point::new(pd.x + dist * t.cos(), pd.y + dist * t.sin());
+                    let clear = hs
+                        .iter()
+                        .all(|&o| o == c || env.positions[o as usize].dist(to) > 1.2 * r_c);
+                    clear.then_some((c, to))
+                })
+            });
+        let (c, to) = spot.expect("a same-coloured pair with a clear spot");
+        teleport(&mut m, &mut env, c, to);
+        epoch(&mut m, &env, 103, 60);
+
+        // Epoch 4: a member and a dominator are flagged.
+        let flagged_member = some_member(&m);
+        let flagged_head = *heads(&m).last().unwrap();
+        m.observe_detection(&degraded(flagged_member, 200, 190));
+        m.observe_detection(&degraded(flagged_head, 201, 185));
+        epoch(&mut m, &env, 104, 220);
+        // Epochs 5 and 6: the flags stay up. Epoch 5 acts on both again
+        // (one epoch's wait), epoch 6 defers both (two epochs' wait).
+        epoch(&mut m, &env, 105, 240);
+        epoch(&mut m, &env, 106, 260);
+
+        assert_eq!(
+            [big, member, a, b, c, flagged_member, flagged_head],
+            [27, 1, 0, 7, 0, 2, 149],
+            "the script picked other nodes"
+        );
+        use RepairKind::{Clean, Repaired};
+        let pinned = [
+            RepairReport {
+                kind: Repaired,
+                rehome_slots: 724,
+                color_slots: 564,
+                election_slots: 576,
+                seekers: 6,
+                rehomed: 4,
+                new_dominators: 2,
+                retired_clusters: 1,
+                dirty_clusters: 4,
+                reporter_appointments: 1,
+                join_confirms: 53,
+                ..RepairReport::default()
+            },
+            RepairReport {
+                kind: Repaired,
+                rehome_slots: 724,
+                color_slots: 622,
+                election_slots: 432,
+                seekers: 9,
+                rehomed: 8,
+                handovers: 5,
+                new_dominators: 1,
+                merged_clusters: 1,
+                dirty_clusters: 3,
+                join_confirms: 86,
+                ..RepairReport::default()
+            },
+            RepairReport {
+                kind: Repaired,
+                rehome_slots: 724,
+                color_slots: 532,
+                election_slots: 432,
+                seekers: 4,
+                rehomed: 3,
+                handovers: 4,
+                new_dominators: 1,
+                dirty_clusters: 4,
+                recolored: 1,
+                join_confirms: 41,
+                ..RepairReport::default()
+            },
+            RepairReport {
+                kind: Repaired,
+                rehome_slots: 1086,
+                color_slots: 532,
+                election_slots: 576,
+                seekers: 5,
+                rehomed: 4,
+                new_dominators: 1,
+                dirty_clusters: 4,
+                join_confirms: 48,
+                proactive_rehomes: 1,
+                proactive_demotions: 1,
+                time_to_detect: 16,
+                time_to_repair: 35,
+                ..RepairReport::default()
+            },
+            RepairReport {
+                kind: Repaired,
+                rehome_slots: 724,
+                color_slots: 441,
+                election_slots: 288,
+                seekers: 3,
+                rehomed: 2,
+                new_dominators: 1,
+                dirty_clusters: 2,
+                reporter_appointments: 1,
+                join_confirms: 26,
+                proactive_rehomes: 1,
+                proactive_demotions: 1,
+                time_to_detect: 16,
+                time_to_repair: 55,
+                ..RepairReport::default()
+            },
+            RepairReport {
+                kind: Clean,
+                deferred_flags: 2,
+                ..RepairReport::default()
+            },
+        ];
+        for (e, (got, want)) in reports.iter().zip(&pinned).enumerate() {
+            assert_eq!(got, want, "epoch {} report moved", e + 1);
+        }
+        assert_eq!(reports.len(), pinned.len());
+        assert_eq!(m.structure().phi, 34);
+        assert_eq!(digest(&m.structure().records), 0xc6b4_17e7_8c79_6af0);
+        // The script reaches every repair path at least once.
+        let total = reports.iter().fold(RepairReport::default(), |mut t, r| {
+            t.merge(r);
+            t
+        });
+        for (name, count) in [
+            ("merged_clusters", total.merged_clusters),
+            ("handovers", total.handovers),
+            ("recolored", total.recolored),
+            ("proactive_demotions", total.proactive_demotions),
+            ("retired_clusters", total.retired_clusters),
+            ("new_dominators", total.new_dominators),
+        ] {
+            assert!(count > 0, "no epoch exercised {name}");
+        }
     }
 
     #[test]

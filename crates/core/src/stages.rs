@@ -25,7 +25,7 @@ use crate::greedy_color::{ClaimCfg, GreedyColor};
 use crate::knowledge::{NodeRecord, Role};
 use crate::reporter::{elect_reporters, ElectionSeat};
 use crate::schedule::Tdma;
-use crate::structure::{all_done, NetworkEnv, StructureConfig, SubstrateMode};
+use crate::structure::{all_done, BuildReport, NetworkEnv, StructureConfig, SubstrateMode};
 use mca_radio::{Channel, FaultPlan, NodeId};
 use std::collections::{HashMap, HashSet};
 
@@ -355,7 +355,8 @@ pub enum ColorSeat {
 pub struct ColorPatchOutcome {
     /// Committed color per claimant (`None` for non-claimants, and for the
     /// rare claimant that failed to commit within the round budget —
-    /// callers assign those a fresh unique color, as the build does).
+    /// callers assign those a fresh unique color with
+    /// [`fill_fresh_colors`]).
     pub colors: Vec<Option<u16>>,
     /// Slots consumed.
     pub slots: u64,
@@ -381,11 +382,7 @@ pub fn color_patch_stage(
     assert_eq!(seats.len(), n, "one color seat per node required");
     let algo = &cfg.algo;
     let node_params = algo.node_params();
-    // Separation that makes the final coloring proper across clusters:
-    // adjacent nodes' dominators are within 2·r_c + R_ε (the paper's
-    // R_{ε/2}, given its r_c = ε·R_T/4 relation). Using the general form
-    // keeps correctness when the practical cluster radius differs.
-    let r_sep = (2.0 * cfg.cluster_radius + node_params.r_eps()).max(node_params.r_eps_half());
+    let r_sep = cfg.separation_radius();
     let claim_cfg = ClaimCfg {
         radius: r_sep,
         p: algo.density_tx_prob(),
@@ -434,11 +431,35 @@ pub fn color_patch_stage(
     ColorPatchOutcome { colors, slots }
 }
 
-/// Channel-fill accounting over finished records: `(filled, total)` where
-/// `filled` counts cluster channels with an elected reporter and `total`
-/// counts the electable channels (`min(f_v, members)` per cluster — a
-/// channel can only be filled if the cluster has a member to elect).
-pub fn channel_accounting(records: &[NodeRecord]) -> (usize, usize) {
+/// Gives every claimant that failed to commit (`None` in `colors`, one
+/// entry per claimant) a fresh unique color, and returns the color count
+/// `φ` afterwards. Every committed color is folded into `floor` (the
+/// current `φ`) first, so a fresh color never repeats one committed in the
+/// same patch; the uncommitted then take the next colors in order.
+pub fn fill_fresh_colors(colors: &mut [Option<u16>], floor: u16) -> u16 {
+    let mut phi = colors
+        .iter()
+        .flatten()
+        .fold(floor, |phi, &c| phi.max(c + 1));
+    for color in colors.iter_mut().filter(|c| c.is_none()) {
+        *color = Some(phi);
+        phi += 1;
+    }
+    phi
+}
+
+/// Recounts the structure-level tallies of `report` from finished
+/// `records`: the clusters, the live nodes without one, and the channel
+/// fill — `channels_filled` counts cluster channels with an elected
+/// reporter, `channels_total` the electable ones (`min(f_v, members)` per
+/// cluster; a channel can only be filled if the cluster has a member to
+/// elect). The build and every repair epoch count through it.
+pub fn recount(report: &mut BuildReport, records: &[NodeRecord], alive: Option<&[bool]>) {
+    let live = |i: usize| is_live(alive, i);
+    report.clusters = records.iter().filter(|r| r.role.is_dominator()).count();
+    report.unclustered = (0..records.len())
+        .filter(|&i| live(i) && records[i].cluster.is_none())
+        .count();
     let mut filled: HashSet<(NodeId, u16)> = HashSet::new();
     for rec in records.iter().filter(|r| r.role.is_reporter()) {
         if let (Some(c), Some(ch)) = (rec.cluster, rec.channel) {
@@ -451,7 +472,8 @@ pub fn channel_accounting(records: &[NodeRecord]) -> (usize, usize) {
             *member_count.entry(c).or_default() += 1;
         }
     }
-    let total = records
+    report.channels_filled = filled.len();
+    report.channels_total = records
         .iter()
         .filter(|r| r.role.is_dominator())
         .map(|r| {
@@ -460,7 +482,6 @@ pub fn channel_accounting(records: &[NodeRecord]) -> (usize, usize) {
             fv.min(members)
         })
         .sum();
-    (filled.len(), total)
 }
 
 #[cfg(test)]
@@ -533,11 +554,34 @@ mod tests {
     }
 
     #[test]
-    fn channel_accounting_matches_build_report() {
+    fn recount_agrees_with_the_audit() {
         let (env, cfg) = env_and_cfg(150, 10.0, 11);
-        let s = crate::structure::build_structure(&env, &cfg);
-        let (filled, total) = channel_accounting(&s.records);
-        assert_eq!(filled, s.report.channels_filled);
-        assert_eq!(total, s.report.channels_total);
+        let mut alive = vec![true; 150];
+        alive[..10].fill(false);
+        let s = crate::structure::build_structure_masked(&env, &cfg, Some(&alive));
+        let audit =
+            crate::validate::audit_structure_masked(&env, &s, cfg.cluster_radius, Some(&alive));
+        assert_eq!(s.report.clusters, audit.clusters);
+        assert_eq!(s.report.unclustered, audit.unclustered);
+        assert!(s.report.channels_filled <= s.report.channels_total);
+        let mut again = s.report;
+        recount(&mut again, &s.records, Some(&alive));
+        assert_eq!(again, s.report, "recounting finished records is idempotent");
+    }
+
+    #[test]
+    fn fresh_colors_clear_every_color_claimed_in_the_patch() {
+        // One claimant commits the current φ = 5, one fails to commit: the
+        // fresh color must clear 5, not repeat it.
+        let mut colors = [Some(5), None, Some(2)];
+        assert_eq!(fill_fresh_colors(&mut colors, 5), 7);
+        assert_eq!(colors, [Some(5), Some(6), Some(2)]);
+        // Below the floor nothing moves but the uncommitted, in order.
+        let mut colors = [None, Some(1), None];
+        assert_eq!(fill_fresh_colors(&mut colors, 4), 6);
+        assert_eq!(colors, [Some(4), Some(1), Some(5)]);
+        // The build's cap fallback: floor 0, nothing claimed.
+        let mut colors: [Option<u16>; 0] = [];
+        assert_eq!(fill_fresh_colors(&mut colors, 0), 0);
     }
 }

@@ -126,6 +126,16 @@ impl StructureConfig {
         }
     }
 
+    /// The same-color separation radius on the node-side parameters,
+    /// `max(2·r_c + R_ε, R_{ε/2})`: adjacent nodes' dominators are within
+    /// `2·r_c + R_ε` (the paper's `R_{ε/2}`, given its `r_c = ε·R_T/4`
+    /// relation), and the general form keeps the coloring proper when the
+    /// practical cluster radius differs.
+    pub fn separation_radius(&self) -> f64 {
+        let p = self.algo.node_params();
+        (2.0 * self.cluster_radius + p.r_eps()).max(p.r_eps_half())
+    }
+
     /// The CSA's bound `Δ̂` on cluster sizes: the network-size bound `n̂`.
     pub(crate) fn delta_hat(&self) -> u64 {
         (self.algo.know.n_bound as u64).max(2)
@@ -276,7 +286,7 @@ pub fn build_structure_observed(
     env: &NetworkEnv,
     cfg: &StructureConfig,
     alive: Option<&[bool]>,
-    mut obs: Option<&mut mca_obs::Recorder>,
+    obs: Option<&mut mca_obs::Recorder>,
 ) -> AggregationStructure {
     use mca_obs::{EventKind, SpanKind, Stopwatch};
     let n = env.len();
@@ -288,25 +298,14 @@ pub fn build_structure_observed(
     let sw_build = Stopwatch::start_if(timing);
     let mut report = BuildReport::default();
     let mut records: Vec<NodeRecord> = (0..n).map(|i| NodeRecord::new(NodeId(i as u32))).collect();
-    let live = |i: usize| alive.is_none_or(|a| a[i]);
 
     // --- Phase 1: dominating set / clustering. ---
     let sw = Stopwatch::start_if(timing);
-    let active: Vec<bool> = (0..n).map(live).collect();
+    let active: Vec<bool> = (0..n).map(|i| stages::is_live(alive, i)).collect();
     let dominating = stages::dominating_stage(env, cfg, &active, cfg.seed);
     report.dominate_slots = dominating.slots;
     report.timeout_joins = dominating.timeout_joins;
-    if let Some(rec) = obs.as_deref_mut() {
-        rec.span(SpanKind::BuildDominate, 0, 0, 0, sw.elapsed_ns());
-        rec.event(
-            EventKind::StageDominate,
-            0,
-            0,
-            dominating.slots,
-            dominating.timeout_joins as u64,
-        );
-    }
-    let mut offset = dominating.slots;
+    let dominate_ns = sw.elapsed_ns();
 
     // --- Phase 2+3: dominator coloring + announce/attach. ---
     let sw = Stopwatch::start_if(timing);
@@ -314,10 +313,6 @@ pub fn build_structure_observed(
     report.coloring_slots = clusters.coloring_slots;
     report.announce_slots = clusters.announce_slots;
     report.phi = clusters.phi;
-    // Coverage holes are only meaningful among live nodes.
-    report.unclustered = (0..n)
-        .filter(|&i| live(i) && clusters.membership[i].is_none())
-        .count();
     for (i, rec) in records.iter_mut().enumerate() {
         // None = coverage hole: stays out of the structure (counted).
         if let Some((dom, color, dist)) = clusters.membership[i] {
@@ -329,60 +324,68 @@ pub fn build_structure_observed(
             rec.cluster_color = Some(color);
         }
     }
-    report.clusters = records.iter().filter(|r| r.role.is_dominator()).count();
-    if let Some(rec) = obs.as_deref_mut() {
-        rec.span(SpanKind::BuildCluster, offset, 0, 0, sw.elapsed_ns());
-        rec.event(
-            EventKind::StageColor,
-            offset,
-            0,
-            clusters.coloring_slots,
-            clusters.phi as u64,
-        );
-        rec.event(
-            EventKind::StageAnnounce,
-            offset + clusters.coloring_slots,
-            0,
-            clusters.announce_slots,
-            report.unclustered as u64,
-        );
-    }
-    offset += clusters.coloring_slots + clusters.announce_slots;
+    let cluster_ns = sw.elapsed_ns();
 
     // --- Phase 4: cluster-size approximation (Lemma 14 dispatch). ---
     let sw = Stopwatch::start_if(timing);
     let csa = stages::csa_stage(env, cfg, &mut records, clusters.phi, cfg.seed, alive);
     report.csa_slots = csa.slots;
     report.estimate_fills = csa.estimate_fills;
-    if let Some(rec) = obs.as_deref_mut() {
-        rec.span(SpanKind::BuildCsa, offset, 0, 0, sw.elapsed_ns());
-        rec.event(
-            EventKind::StageCsa,
-            offset,
-            0,
-            csa.slots,
-            csa.estimate_fills as u64,
-        );
-    }
-    offset += csa.slots;
+    let csa_ns = sw.elapsed_ns();
 
     // --- Phase 5: reporter election + implicit tree (Lemmas 15–16). ---
     let sw = Stopwatch::start_if(timing);
     report.election_slots =
         stages::election_stage(env, cfg, &mut records, clusters.phi, None, cfg.seed, alive);
-    let (filled, total) = stages::channel_accounting(&records);
-    report.channels_filled = filled;
-    report.channels_total = total;
+    let election_ns = sw.elapsed_ns();
+    stages::recount(&mut report, &records, alive);
+
     if let Some(rec) = obs {
-        rec.span(SpanKind::BuildElection, offset, 0, 0, sw.elapsed_ns());
-        rec.event(
-            EventKind::StageElection,
-            offset,
-            0,
-            report.election_slots,
-            filled as u64,
-        );
-        rec.span(SpanKind::Build, 0, 0, 0, sw_build.elapsed_ns());
+        // Each stage's span and typed event at its slot offset within the
+        // build. Memberships are final after phase 3, so the announce
+        // event's coverage holes are the recounted ones.
+        let r = &report;
+        let at_cluster = r.dominate_slots;
+        let at_csa = at_cluster + r.coloring_slots + r.announce_slots;
+        let at_election = at_csa + r.csa_slots;
+        for (kind, slot, ns) in [
+            (SpanKind::BuildDominate, 0, dominate_ns),
+            (SpanKind::BuildCluster, at_cluster, cluster_ns),
+            (SpanKind::BuildCsa, at_csa, csa_ns),
+            (SpanKind::BuildElection, at_election, election_ns),
+            (SpanKind::Build, 0, sw_build.elapsed_ns()),
+        ] {
+            rec.span(kind, slot, 0, 0, ns);
+        }
+        for (kind, slot, slots, count) in [
+            (
+                EventKind::StageDominate,
+                0,
+                r.dominate_slots,
+                r.timeout_joins,
+            ),
+            (
+                EventKind::StageColor,
+                at_cluster,
+                r.coloring_slots,
+                r.phi as usize,
+            ),
+            (
+                EventKind::StageAnnounce,
+                at_cluster + r.coloring_slots,
+                r.announce_slots,
+                r.unclustered,
+            ),
+            (EventKind::StageCsa, at_csa, r.csa_slots, r.estimate_fills),
+            (
+                EventKind::StageElection,
+                at_election,
+                r.election_slots,
+                r.channels_filled,
+            ),
+        ] {
+            rec.event(kind, slot, 0, slots, count as u64);
+        }
     }
 
     AggregationStructure::new(records, clusters.phi, report)

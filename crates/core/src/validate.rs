@@ -229,7 +229,9 @@ pub fn audit_structure_masked(
     };
 
     // Cluster-color separation at max(R_{eps/2}, 2·r_c + R_ε) — the radius
-    // the construction actually enforces (see cluster.rs).
+    // the construction actually enforces — but on the physical parameters:
+    // `StructureConfig::separation_radius` is the node-side (conservative)
+    // copy the protocols use, and the audit measures the ground truth.
     let r_sep = (2.0 * cluster_radius + env.params.r_eps()).max(env.params.r_eps_half());
     let mut color_violations = 0;
     for (a, &ia) in dominators.iter().enumerate() {

@@ -125,8 +125,16 @@ fn evolve(
     Ok((reports, m.flagged_nodes()))
 }
 
+/// 12 cases, or `PROPTEST_CASES` when set, so a deep run needs no edit.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(12)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Any flag/recover/crash/join interleaving, chunked into epochs of
     /// any size, leaves the structure audit-clean after every proactive

@@ -41,8 +41,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
+/// 12 cases, or `PROPTEST_CASES` when set, so a deep run needs no edit.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(12)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Random interleavings of crashes, joins, and motion, digested over
     /// several repair epochs: the masked audit holds after every repair.
