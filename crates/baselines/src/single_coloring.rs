@@ -7,11 +7,11 @@
 //! coloring is proper on the communication graph; the number of phases —
 //! and hence the round count — grows linearly with `Δ`.
 
-use mca_core::ruling::{self, ProbPolicy, RulingConfig, RulingSet};
+use mca_core::ruling::{Budget, Election, RulingConfig, RulingSet, TimeoutRule};
 use mca_core::structure::{all_done, NetworkEnv};
-use mca_core::{AlgoConfig, Tdma};
+use mca_core::AlgoConfig;
 use mca_geom::Point;
-use mca_radio::{Channel, NodeId};
+use mca_radio::NodeId;
 use mca_sinr::SinrParams;
 
 /// Outcome of the baseline coloring.
@@ -56,26 +56,14 @@ pub fn run_single_coloring(
     let r = node_params
         .r_eps()
         .min(node_params.transmission_range() / 2.0);
+    let n_hat = algo.know.n_bound as u64;
+    let election = Election::network(r, n_hat, Budget::Lemma6, TimeoutRule::JoinIfQuiet);
+    let rcfg = RulingConfig::election(algo, election);
     let mut colors: Vec<Option<u32>> = vec![None; n];
     let mut uncolored: Vec<usize> = (0..n).collect();
     let mut slots = 0u64;
     let mut phase = 0u32;
     while !uncolored.is_empty() && phase < max_phases {
-        let rcfg = RulingConfig {
-            radius: r,
-            prob: ProbPolicy::Adaptive {
-                start: (algo.consts.lambda / algo.know.n_bound.max(2) as f64).min(0.25),
-                busy_threshold: node_params.clear_threshold_for(r),
-            },
-            p_cap: algo.consts.p_cap,
-            rounds: algo.ruling_rounds(),
-            channel: Channel::FIRST,
-            group: None,
-            tdma: Tdma::trivial(ruling::SLOTS_PER_ROUND),
-            color: 0,
-            params: node_params,
-            timeout_join: ruling::TimeoutRule::JoinIfQuiet,
-        };
         let protocols: Vec<RulingSet> = (0..n)
             .map(|i| {
                 if colors[i].is_none() {
@@ -89,7 +77,7 @@ pub fn run_single_coloring(
             protocols,
             None,
             mca_radio::rng::derive_seed(seed, 0xB_C010 + phase as u64),
-            rcfg.tdma.slots_for_rounds(rcfg.rounds) + 3,
+            rcfg.slot_cap(),
             all_done,
         );
         slots += phase_slots;

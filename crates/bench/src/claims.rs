@@ -38,7 +38,8 @@
 use crate::maintained;
 use mca_analysis::{Summary, Table, TrialOutcome};
 use mca_baselines as baselines;
-use mca_core::ruling::{self, ProbPolicy, RulingConfig, RulingOutcome, RulingSet, TimeoutRule};
+use mca_core::reporter::ElectionSeat;
+use mca_core::ruling::{Budget, Election, RulingConfig, RulingOutcome, RulingSet, TimeoutRule};
 use mca_core::structure::all_done;
 use mca_core::{
     aggregate, audit_structure, build_structure, color_nodes, AlgoConfig, Constants,
@@ -489,6 +490,10 @@ fn e4_coloring() -> ClaimSpec<Option<u16>, (u64, f64, bool)> {
     }
 }
 
+/// E5's rounds per `⌈log₂ n⌉` ([`Budget::Ramp`]): its committed rows were
+/// measured with 60, above the pipeline's 48 (`mis.rs`).
+const E5_ROUNDS_PER_LOG2: u64 = 60;
+
 /// E5 — Lemma 6: ruling-set rounds vs `n` on constant-density sets.
 fn e5_ruling() -> ClaimSpec<u32, (usize, f64, bool, bool)> {
     ClaimSpec {
@@ -520,27 +525,20 @@ fn e5_ruling() -> ClaimSpec<u32, (usize, f64, bool, bool)> {
                 .collect();
             let k = positions.len();
             let r = 3.0;
-            let rcfg = RulingConfig {
-                radius: r,
-                prob: ProbPolicy::Adaptive {
-                    start: 0.5 / k as f64,
-                    busy_threshold: params.clear_threshold_for(r),
-                },
-                p_cap: 0.25,
-                rounds: 60 * (exp as u64),
-                channel: Channel::FIRST,
-                group: None,
-                tdma: Tdma::trivial(ruling::SLOTS_PER_ROUND),
-                color: 0,
-                params,
-                timeout_join: TimeoutRule::Join, // the paper's §4 rule
+            // The pipeline's election over the `k` dominators of a field of
+            // `n = 2^exp` nodes, each of which may contend, under the
+            // paper's §4 timeout rule.
+            let algo = AlgoConfig::practical(1, &params, 1 << exp);
+            let budget = Budget::Ramp {
+                per_log2: E5_ROUNDS_PER_LOG2,
             };
+            let election = Election::network(r, k as u64, budget, TimeoutRule::Join);
+            let rcfg = RulingConfig::election(&algo, election);
             let protocols: Vec<RulingSet> = (0..k)
                 .map(|i| RulingSet::new(NodeId(i as u32), rcfg))
                 .collect();
             let env = NetworkEnv { params, positions };
-            let cap = rcfg.tdma.slots_for_rounds(rcfg.rounds) + 3;
-            let (out, _) = env.run_phase(protocols, None, seed, cap, all_done);
+            let (out, _) = env.run_phase(protocols, None, seed, rcfg.slot_cap(), all_done);
             let positions = &env.positions;
             let members: Vec<usize> = (0..k).filter(|&i| out[i].in_set()).collect();
             let mut independent = true;
@@ -675,24 +673,19 @@ fn e7_csa() -> ClaimSpec<usize, (u64, u64, f64, f64)> {
             });
             let large_est = large[0].coordinator_estimate().unwrap_or(0);
 
-            let seats: Vec<Option<mca_core::csa_small::SmallSeat>> = (0..=m)
+            let delta_hat = (m as u64 * 4).max(8);
+            let seats: Vec<Option<ElectionSeat>> = (0..=m)
                 .map(|i| {
-                    Some(mca_core::csa_small::SmallSeat {
+                    Some(ElectionSeat {
                         cluster: NodeId(0),
                         color: 0,
+                        size_est: delta_hat,
                         is_dominator: i == 0,
                     })
                 })
                 .collect();
-            let small = mca_core::csa_small::run_csa_small(
-                &env,
-                &seats,
-                &algo,
-                1,
-                1.0,
-                (m as u64 * 4).max(8),
-                seed,
-            );
+            let small =
+                mca_core::csa_small::run_csa_small(&env, &seats, &algo, 1, 1.0, delta_hat, seed);
             let small_est = small.estimate[0].unwrap_or(0);
             (
                 large_slots,

@@ -5,8 +5,9 @@
 //! Four procedures per cluster:
 //!
 //! 1. every dominatee picks one of the `F` channels uniformly at random and
-//!    each channel elects a *leader* (the §4 ruling set, cluster-scoped,
-//!    radius `2·r_c`);
+//!    each channel elects a *leader*: the per-channel cluster election of
+//!    the reporters ([`elect_per_channel`] with [`Spread::Leaders`]), which
+//!    plans for `Δ̂/F` members per channel;
 //! 2. each channel runs the CSA of §5.2.1 with the leader as coordinator
 //!    and the much smaller bound `Δ̂' = Θ(Δ̂/F)` — hence the `log log n`;
 //! 3. leaders aggregate their per-channel counts to the dominator over the
@@ -18,23 +19,12 @@ use crate::aggfun::SumAgg;
 use crate::aggregate::treecast::{self, TreeCast, TreeCfg};
 use crate::config::AlgoConfig;
 use crate::csa::{CsaConfig, CsaProtocol, CsaRole};
-use crate::ruling::{self, ProbPolicy, RulingConfig, RulingOutcome, RulingSet};
+use crate::reporter::{elect_per_channel, ElectionSeat, Spread};
 use crate::schedule::Tdma;
 use crate::structure::{all_done, NetworkEnv};
 use mca_radio::{Action, Channel, NodeId, Observation, Protocol};
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// Per-node input: cluster membership facts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SmallSeat {
-    /// The node's cluster.
-    pub cluster: NodeId,
-    /// Cluster TDMA color.
-    pub color: u16,
-    /// Whether this node is the dominator.
-    pub is_dominator: bool,
-}
 
 /// Procedure-4 broadcast message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,7 +144,7 @@ impl CsaSmallOutcome {
 /// [`AlgoConfig::csa_small_applies`].
 pub fn run_csa_small(
     env: &NetworkEnv,
-    seats: &[Option<SmallSeat>],
+    seats: &[Option<ElectionSeat>],
     algo: &AlgoConfig,
     phi: u16,
     cluster_radius: f64,
@@ -163,68 +153,13 @@ pub fn run_csa_small(
 ) -> CsaSmallOutcome {
     let n = env.len();
     assert_eq!(seats.len(), n);
-    let node_params = algo.node_params();
     let f_total = algo.channels;
     let phi = phi.max(1);
 
     // --- Procedure 1: channel choice + per-channel leader election. ---
-    let mut channel_of: Vec<Option<Channel>> = vec![None; n];
-    let e_tdma = Tdma::new(phi, ruling::SLOTS_PER_ROUND);
-    let e_rounds = algo.ruling_rounds() * 3;
-    let protocols: Vec<RulingSet> = (0..n)
-        .map(|i| {
-            let base = |ch: Channel, color: u16, group: NodeId| RulingConfig {
-                radius: 2.0 * cluster_radius,
-                prob: ProbPolicy::Fixed(0.25),
-                p_cap: algo.consts.p_cap,
-                rounds: e_rounds,
-                channel: ch,
-                group: Some(group),
-                tdma: e_tdma,
-                color,
-                params: node_params,
-                timeout_join: ruling::TimeoutRule::JoinIfQuiet,
-            };
-            match seats[i] {
-                Some(seat) if !seat.is_dominator => {
-                    let ch = Channel(
-                        (mca_radio::rng::mix64(
-                            mca_radio::rng::derive_seed(seed, i as u64) ^ 0x5CA1,
-                        ) % f_total as u64) as u16,
-                    );
-                    channel_of[i] = Some(ch);
-                    // Expected per-channel population is Δ̂/F ≤ log² n.
-                    let m_hat = delta_hat.div_ceil(f_total as u64).max(1);
-                    let mut cfg = base(ch, seat.color, seat.cluster);
-                    cfg.prob = ProbPolicy::Adaptive {
-                        start: (algo.consts.lambda / (2.0 * m_hat as f64)).min(algo.consts.p_cap),
-                        busy_threshold: node_params.clear_threshold_for(2.0 * cluster_radius),
-                    };
-                    RulingSet::new(NodeId(i as u32), cfg)
-                }
-                Some(seat) => {
-                    // The dominator helps channel-0 elections with ACKs.
-                    let mut cfg = base(Channel::FIRST, seat.color, seat.cluster);
-                    cfg.prob = ProbPolicy::Fixed((algo.consts.lambda / 2.0).min(algo.consts.p_cap));
-                    RulingSet::helper(NodeId(i as u32), cfg)
-                }
-                None => {
-                    RulingSet::passive(NodeId(i as u32), base(Channel::FIRST, 0, NodeId(i as u32)))
-                }
-            }
-        })
-        .collect();
-    let (elect, election_slots) = env.run_phase(
-        protocols,
-        None,
-        mca_radio::rng::derive_seed(seed, 0x5CA11),
-        e_tdma.slots_for_rounds(e_rounds) + 3,
-        all_done,
-    );
-    let is_leader: Vec<bool> = elect
-        .iter()
-        .map(|p| matches!(p.outcome(), RulingOutcome::Elected))
-        .collect();
+    let spread = Spread::Leaders { delta_hat };
+    let elect = elect_per_channel(env, seats, algo, phi, cluster_radius, spread, seed);
+    let (channel_of, is_leader, election_slots) = (elect.channel, elect.elected, elect.slots);
 
     // --- Procedure 2: per-channel CSA with the leader as coordinator. ---
     let delta_channel = (2 * delta_hat.div_ceil(f_total as u64)).max(4);
@@ -362,22 +297,21 @@ mod tests {
         let params = SinrParams::default();
         let algo = AlgoConfig::practical(channels, &params, (m + 1).max(64));
         let mut positions = vec![Point::ORIGIN];
-        let mut seats = vec![Some(SmallSeat {
+        let delta_hat = (m as u64).max(4);
+        let seat = |is_dominator| ElectionSeat {
             cluster: NodeId(0),
             color: 0,
-            is_dominator: true,
-        })];
+            size_est: delta_hat,
+            is_dominator,
+        };
+        let mut seats = vec![Some(seat(true))];
         for i in 0..m {
             let theta = i as f64 / m as f64 * std::f64::consts::TAU;
             positions.push(Point::unit(theta) * (0.3 + 0.5 * ((i % 4) as f64 / 4.0)));
-            seats.push(Some(SmallSeat {
-                cluster: NodeId(0),
-                color: 0,
-                is_dominator: false,
-            }));
+            seats.push(Some(seat(false)));
         }
         let env = NetworkEnv { params, positions };
-        let out = run_csa_small(&env, &seats, &algo, 1, 1.0, (m as u64).max(4), seed);
+        let out = run_csa_small(&env, &seats, &algo, 1, 1.0, delta_hat, seed);
         (out, m + 1)
     }
 

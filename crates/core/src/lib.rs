@@ -44,7 +44,7 @@ pub use knowledge::{NodeRecord, Role};
 pub use leader::{elect_leader, Candidate, LeaderAgg, LeaderOutcome};
 pub use maintain::{MaintainConfig, RepairKind, RepairReport, StructureMaintainer};
 pub use mis::{maximal_independent_set, ruling_set, MisConfig, MisOutcome};
-pub use ruling::{ProbPolicy, RulingConfig, RulingMsg, RulingOutcome, RulingSet};
+pub use ruling::{Budget, Election, RulingConfig, RulingMsg, RulingOutcome, RulingSet};
 pub use schedule::{Tdma, TdmaSlot};
 pub use structure::{
     aggregate, build_structure, build_structure_masked, build_structure_observed, AggregateOutcome,

@@ -24,23 +24,24 @@
 //! SINR-model counterpart built from the paper's own toolbox.
 
 use crate::config::AlgoConfig;
-use crate::ruling::{self, ProbPolicy, RulingConfig, RulingOutcome, RulingSet, TimeoutRule};
-use crate::schedule::Tdma;
+use crate::ruling::{Budget, Election, RulingConfig, RulingOutcome, RulingSet, TimeoutRule};
 use crate::stages;
 use crate::structure::{all_done, NetworkEnv, SubstrateMode};
-use mca_radio::{Channel, NodeId};
+use mca_radio::NodeId;
 
-/// Configuration of a ruling-set / MIS computation.
+/// The ruling phase's rounds per `⌈log₂ n̂⌉` ([`Budget::Ramp`]): the ramp
+/// starts at the network-wide floor `λ/n̂` and takes `Θ(log n̂)` rounds to
+/// reach the local contention (calibrated on E5 and E15).
+pub(crate) const ROUNDS_PER_LOG2: u64 = 48;
+
+/// Configuration of a ruling-set / MIS computation. The ruling phase
+/// always runs the paper's [`TimeoutRule::Join`] (required for
+/// maximality) over a [`Budget::Ramp`] budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MisConfig {
     /// Independence radius `r` (must be `≤ R_T/2`, the §4 clear-reception
     /// precondition).
     pub radius: f64,
-    /// Ruling-phase rounds; `None` uses a calibrated default.
-    pub rounds: Option<u64>,
-    /// Behavior for nodes still active at the round cap. The paper's rule
-    /// is [`TimeoutRule::Join`] (required for maximality).
-    pub timeout: TimeoutRule,
     /// How the phase-one dominating set is obtained ([`ruling_set`] only).
     pub substrate: SubstrateMode,
 }
@@ -50,8 +51,6 @@ impl MisConfig {
     pub fn new(radius: f64) -> Self {
         MisConfig {
             radius,
-            rounds: None,
-            timeout: TimeoutRule::Join,
             substrate: SubstrateMode::Distributed,
         }
     }
@@ -143,33 +142,18 @@ fn run_ruling_phase(
     seed: u64,
 ) -> (Vec<RulingSet>, u64) {
     let n = env.len();
-    let params = algo.node_params();
-    // The paper's fixed `1/(2µ)` policy is theory-faithful but its success
-    // constant `κ` is astronomically small whenever many participants
-    // share a `4r`-ball (clear receptions need near-global silence), so at
-    // simulable scales elections starve. The carrier-sense ramp — already
-    // standing in for the [28] black box elsewhere (`DESIGN.md` #1) —
-    // self-normalizes to the local contention instead; the round budget
-    // carries a ramp-up allowance (cf. E5/E15 calibration).
-    let policy = ProbPolicy::Adaptive {
-        start: (algo.consts.lambda / algo.know.n_bound as f64).max(1e-9),
-        busy_threshold: params.clear_threshold_for(cfg.radius),
-    };
-    let rounds = cfg
-        .rounds
-        .unwrap_or_else(|| algo.ruling_rounds().max(48 * algo.know.log2_n() as u64));
-    let rcfg = RulingConfig {
-        radius: cfg.radius,
-        prob: policy,
-        p_cap: algo.consts.p_cap,
-        rounds,
-        channel: Channel::FIRST,
-        group: None,
-        tdma: Tdma::trivial(ruling::SLOTS_PER_ROUND),
-        color: 0,
-        params,
-        timeout_join: cfg.timeout,
-    };
+    // Any of the `n̂` participants may contend: the ramp's floor is `λ/n̂`.
+    let rcfg = RulingConfig::election(
+        algo,
+        Election::network(
+            cfg.radius,
+            algo.know.n_bound as u64,
+            Budget::Ramp {
+                per_log2: ROUNDS_PER_LOG2,
+            },
+            TimeoutRule::Join,
+        ),
+    );
     let protocols: Vec<RulingSet> = (0..n)
         .map(|i| {
             if participants[i] {
@@ -183,7 +167,7 @@ fn run_ruling_phase(
         protocols,
         None,
         mca_radio::rng::derive_seed(seed, 0x3315),
-        rcfg.tdma.slots_for_rounds(rounds) + ruling::SLOTS_PER_ROUND as u64,
+        rcfg.slot_cap(),
         all_done,
     )
 }
@@ -362,18 +346,5 @@ mod tests {
         let (env, algo) = env_of(10, 5.0, 1);
         let r = env.params.transmission_range(); // too large
         let _ = maximal_independent_set(&env, &algo, MisConfig::new(r), 1);
-    }
-
-    #[test]
-    fn expire_timeout_leaves_holes_possible_but_stays_independent() {
-        let (env, algo) = env_of(200, 12.0, 11);
-        let r = env.params.transmission_range() / 4.0;
-        let mut cfg = MisConfig::new(r);
-        cfg.timeout = TimeoutRule::Expire;
-        cfg.rounds = Some(40);
-        let out = maximal_independent_set(&env, &algo, cfg, 9);
-        assert_eq!(out.independence_violations(&env.positions), 0);
-        // Domination may have holes (Expire sacrifices maximality) — the
-        // point is that independence is never traded away.
     }
 }

@@ -1,23 +1,26 @@
-//! Reporter election (paper §5.2.2, Lemma 15).
+//! Per-channel cluster elections: the reporter election (paper §5.2.2,
+//! Lemma 15) and CSA-small's leader election (Appendix A, procedure 1) are
+//! one procedure, [`elect_per_channel`], told apart by a [`Spread`].
 //!
-//! Every cluster member knows the CSA size estimate `|Ĉ_v|`, hence computes
-//! the same channel count `f_v = min{⌈|Ĉ_v|/(c₁·ln n)⌉, F}`, picks one of
-//! the first `f_v` channels uniformly at random, and runs the §4 ruling set
-//! *within its cluster on its channel* with radius `2·r_c` (any two cluster
-//! members are within `2·r_c`, so the set has at most one member per
-//! channel — the *reporter*). Elections across clusters run simultaneously
-//! under the cluster-color TDMA; elections across channels of one cluster
-//! run in parallel on their channels.
+//! Each cluster member hashes itself onto one of its cluster's first `f`
+//! channels and runs the §4 ruling set within its cluster on that channel,
+//! at radius `2·r_c` (any two members are within `2·r_c`, so each channel
+//! elects at most one). The dominator never competes: it acks clear HELLOs
+//! on the first channel, so a one-member cluster can still elect. Clusters
+//! run under the cluster-color TDMA, a cluster's channels in parallel.
 //!
-//! The transmission probability is `λ/(2·m̂)` with `m̂ = ⌈|Ĉ_v|/f_v⌉`, the
-//! expected per-channel population — the contention-correct instantiation
-//! of the paper's `1/(2µ)` (which presumes constant density; see
-//! `DESIGN.md` deviation #8).
+//! A reporter election spreads the CSA estimate `|Ĉ_v|` over `f_v`
+//! channels ([`AlgoConfig::cluster_channels`]); CSA-small spreads its bound
+//! `Δ̂` over all `F`. Members start their ramp at `λ/(2·m̂)`, `m̂ = ⌈size/f⌉`
+//! the expected per-channel population: the paper's `1/(2µ)` presumes
+//! constant density (deviation #8). The dominator acks at `λ/2`, the same
+//! rule at `m̂ = 1`.
 
 use crate::config::AlgoConfig;
-use crate::ruling::{self, ProbPolicy, RulingConfig, RulingOutcome, RulingSet};
+use crate::ruling::{self, Budget, Election, RulingConfig, RulingOutcome, RulingSet, TimeoutRule};
 use crate::schedule::Tdma;
 use crate::structure::{all_done, NetworkEnv};
+use mca_radio::rng::{derive_seed, mix64};
 use mca_radio::{Channel, NodeId};
 
 /// Per-node input to the election: what the node learned so far.
@@ -27,135 +30,134 @@ pub struct ElectionSeat {
     pub cluster: NodeId,
     /// The cluster's TDMA color.
     pub color: u16,
-    /// CSA size estimate shared by the cluster.
+    /// CSA size estimate shared by the cluster (the reporter election
+    /// spreads members by it; CSA-small, which computes it, spreads by its
+    /// bound `Δ̂` instead).
     pub size_est: u64,
     /// Whether this node is the cluster's dominator (doesn't run).
     pub is_dominator: bool,
 }
 
-/// Result of the reporter-election phase.
+/// Result of a per-channel cluster election.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElectionOutcome {
     /// Per node: the channel it selected (members only).
     pub channel: Vec<Option<Channel>>,
-    /// Per node: elected reporter on its channel?
-    pub is_reporter: Vec<bool>,
+    /// Per node: elected on its channel (a reporter, or CSA-small's
+    /// channel leader)?
+    pub elected: Vec<bool>,
     /// Per node (meaningful for dominators): whether an `IN` announcement
     /// was heard on the first channel — i.e. the dominator observed that
-    /// channel 0 elected a reporter. Dominators that heard none serve as
+    /// channel 0 elected a member. Dominators that heard none serve as
     /// channel-0 reporters during aggregation (rescue for clusters whose
     /// elections all failed).
-    pub dominator_heard_in: Vec<bool>,
+    pub heard_in: Vec<bool>,
     /// Slots consumed.
     pub slots: u64,
 }
 
 impl ElectionOutcome {
-    /// Reporters of `cluster`, as `(channel, node)` pairs.
+    /// Elected members of `cluster`, as `(channel, node)` pairs.
     pub fn reporters_of(
         &self,
         cluster: NodeId,
         seats: &[Option<ElectionSeat>],
     ) -> Vec<(Channel, NodeId)> {
-        (0..self.is_reporter.len())
-            .filter(|&i| self.is_reporter[i] && seats[i].is_some_and(|s| s.cluster == cluster))
+        (0..self.elected.len())
+            .filter(|&i| self.elected[i] && seats[i].is_some_and(|s| s.cluster == cluster))
             .map(|i| (self.channel[i].unwrap(), NodeId(i as u32)))
             .collect()
     }
 }
 
-/// Runs the election. `seats[i] = None` for nodes outside any cluster
-/// (they stay silent). `phi` is the TDMA color count; `cluster_radius` the
-/// dominating radius actually used (the election radius is twice it).
-pub fn elect_reporters(
+/// Who runs a per-channel election, which fixes how members spread over
+/// channels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Spread {
+    /// The reporter election: each cluster spreads its CSA estimate over
+    /// its `f_v` channels.
+    Reporters,
+    /// CSA-small's leader election: every cluster spreads the bound `Δ̂`
+    /// over all `F` channels.
+    Leaders {
+        /// The cluster-size bound `Δ̂`.
+        delta_hat: u64,
+    },
+}
+
+/// Runs one per-channel election in every cluster (see the module docs).
+/// `seats[i] = None` for nodes outside any cluster (they stay silent).
+/// `phi` is the TDMA color count; `cluster_radius` the dominating radius
+/// actually used (the election radius is twice it).
+pub fn elect_per_channel(
     env: &NetworkEnv,
     seats: &[Option<ElectionSeat>],
-    cfg: &AlgoConfig,
+    algo: &AlgoConfig,
     phi: u16,
     cluster_radius: f64,
+    spread: Spread,
     seed: u64,
 ) -> ElectionOutcome {
     let n = env.len();
     assert_eq!(seats.len(), n);
     assert!(cluster_radius > 0.0);
-    let node_params = cfg.node_params();
     let tdma = Tdma::new(phi.max(1), ruling::SLOTS_PER_ROUND);
-    // Elections need both a lone HELLO *and* a lone ACK on the channel, so
-    // the per-round success rate is ~λ²·e^{-2λ}; three γ·ln n batches push
-    // the per-channel failure probability into the noise.
-    let rounds = cfg.ruling_rounds() * 3;
-    let mut rng = mca_radio::rng::derive_rng(seed, 0xE1EC7);
-
-    let mut channel: Vec<Option<Channel>> = vec![None; n];
-    let protocols: Vec<RulingSet> = (0..n)
-        .map(|i| {
-            let make_passive = |ch: Channel, color: u16, group: NodeId| RulingConfig {
+    // Salts of `seed` that keep the two elections' draws apart.
+    let [channel_salt, run_salt] = match spread {
+        Spread::Reporters => [0xC4A, 0xE1EC8],
+        Spread::Leaders { .. } => [0x5CA1, 0x5CA11],
+    };
+    // `m̂` expected members of one channel count as `2·m̂` contenders.
+    let config = |m_hat: u64, channel: Channel, color: u16, group: NodeId| {
+        RulingConfig::election(
+            algo,
+            Election {
                 radius: 2.0 * cluster_radius,
-                prob: ProbPolicy::Fixed(0.25),
-                p_cap: cfg.consts.p_cap,
-                rounds,
-                channel: ch,
+                contenders: 2 * m_hat,
+                budget: Budget::Handshake,
+                channel,
                 group: Some(group),
                 tdma,
                 color,
-                params: node_params,
-                timeout_join: ruling::TimeoutRule::JoinIfQuiet,
-            };
+                timeout: TimeoutRule::JoinIfQuiet,
+            },
+        )
+    };
+    let mut channel: Vec<Option<Channel>> = vec![None; n];
+    let protocols: Vec<RulingSet> = (0..n)
+        .map(|i| {
+            let me = NodeId(i as u32);
             match seats[i] {
                 Some(seat) if seat.is_dominator => {
-                    // The dominator helps elections on the first channel by
-                    // acknowledging clear HELLOs (it never competes); this
-                    // lets single-member clusters elect their reporter.
-                    let mut rcfg = make_passive(Channel::FIRST, seat.color, seat.cluster);
-                    rcfg.prob = ProbPolicy::Fixed((cfg.consts.lambda / 2.0).min(cfg.consts.p_cap));
-                    RulingSet::helper(NodeId(i as u32), rcfg)
+                    RulingSet::helper(me, config(1, Channel::FIRST, seat.color, seat.cluster))
                 }
-                Some(seat) if !seat.is_dominator => {
-                    let fv = cfg.cluster_channels(seat.size_est);
+                Some(seat) => {
+                    let (f, size) = match spread {
+                        Spread::Reporters => (algo.cluster_channels(seat.size_est), seat.size_est),
+                        Spread::Leaders { delta_hat } => (algo.channels, delta_hat),
+                    };
+                    // Hashing keeps the choice independent of construction
+                    // order.
                     let ch = Channel(
-                        (mca_radio::rng::mix64(mca_radio::rng::derive_seed(seed, i as u64) ^ 0xC4A)
-                            % fv as u64) as u16,
+                        (mix64(derive_seed(seed, i as u64) ^ channel_salt) % f as u64) as u16,
                     );
                     channel[i] = Some(ch);
-                    let m_hat = (seat.size_est.div_ceil(fv as u64)).max(1);
-                    let p = (cfg.consts.lambda / (2.0 * m_hat as f64)).min(cfg.consts.p_cap);
-                    let mut rcfg = make_passive(ch, seat.color, seat.cluster);
-                    // CSA estimates are only constant-factor accurate, so a
-                    // fixed probability can undershoot badly on small
-                    // clusters; the carrier-sense ramp self-corrects.
-                    rcfg.prob = ProbPolicy::Adaptive {
-                        start: p,
-                        busy_threshold: node_params.clear_threshold_for(2.0 * cluster_radius),
-                    };
-                    RulingSet::new(NodeId(i as u32), rcfg)
+                    let m_hat = size.div_ceil(f as u64).max(1);
+                    RulingSet::new(me, config(m_hat, ch, seat.color, seat.cluster))
                 }
-                _ => {
-                    // Dominators and unclustered nodes sit out.
-                    let rcfg = make_passive(Channel::FIRST, 0, NodeId(i as u32));
-                    RulingSet::passive(NodeId(i as u32), rcfg)
-                }
+                None => RulingSet::passive(me, config(1, Channel::FIRST, 0, me)),
             }
         })
         .collect();
-    // Consume rng so the borrow checker sees it used (channel choice uses
-    // hashing to stay independent of construction order).
-    let _ = rand::Rng::gen::<u64>(&mut rng);
-
-    let (out, slots) = env.run_phase(
-        protocols,
-        None,
-        mca_radio::rng::derive_seed(seed, 0xE1EC8),
-        tdma.slots_for_rounds(rounds) + ruling::SLOTS_PER_ROUND as u64,
-        all_done,
-    );
-
+    let cap = config(1, Channel::FIRST, 0, NodeId(0)).slot_cap();
+    let (out, slots) = env.run_phase(protocols, None, derive_seed(seed, run_salt), cap, all_done);
     ElectionOutcome {
         channel,
-        is_reporter: out
+        elected: out
             .iter()
             .map(|p| matches!(p.outcome(), RulingOutcome::Elected))
             .collect(),
-        dominator_heard_in: out.iter().map(|p| p.heard_in()).collect(),
+        heard_in: out.iter().map(|p| p.heard_in()).collect(),
         slots,
     }
 }
@@ -194,7 +196,7 @@ mod tests {
             }));
         }
         let env = NetworkEnv { params, positions };
-        let out = elect_reporters(&env, &seats, &cfg, 1, 1.0, seed);
+        let out = elect_per_channel(&env, &seats, &cfg, 1, 1.0, Spread::Reporters, seed);
         (out, seats, cfg)
     }
 
@@ -204,7 +206,7 @@ mod tests {
             let (out, seats, _) = one_cluster(60, 60, 8, seed);
             let mut per_channel: HashMap<Channel, usize> = HashMap::new();
             for i in 0..seats.len() {
-                if out.is_reporter[i] {
+                if out.elected[i] {
                     *per_channel.entry(out.channel[i].unwrap()).or_default() += 1;
                 }
             }
@@ -227,7 +229,7 @@ mod tests {
             total += fv as usize;
             let mut seen = std::collections::HashSet::new();
             for i in 0..seats.len() {
-                if out.is_reporter[i] {
+                if out.elected[i] {
                     seen.insert(out.channel[i].unwrap());
                 }
             }
@@ -242,7 +244,7 @@ mod tests {
     #[test]
     fn dominator_never_reporter() {
         let (out, _, _) = one_cluster(30, 30, 4, 1);
-        assert!(!out.is_reporter[0]);
+        assert!(!out.elected[0]);
         assert!(out.channel[0].is_none());
     }
 
@@ -263,7 +265,7 @@ mod tests {
         for i in 1..seats.len() {
             assert_eq!(out.channel[i], Some(Channel::FIRST));
         }
-        let reporters = out.is_reporter.iter().filter(|&&r| r).count();
+        let reporters = out.elected.iter().filter(|&&r| r).count();
         assert!(reporters <= 1);
     }
 
@@ -272,7 +274,7 @@ mod tests {
         let (out, seats, _) = one_cluster(40, 40, 8, 4);
         let reps = out.reporters_of(NodeId(0), &seats);
         for (ch, node) in &reps {
-            assert!(out.is_reporter[node.index()]);
+            assert!(out.elected[node.index()]);
             assert_eq!(out.channel[node.index()], Some(*ch));
         }
     }

@@ -12,17 +12,15 @@
 //! Nodes still active after all rounds join `S` (Lemma 6 shows `r`-neighbors
 //! survive together only with probability `n^{-3}`).
 //!
-//! Two probability policies are supported:
-//!
-//! * [`ProbPolicy::Fixed`] — the paper's `1/(2µ)` for constant-density
-//!   inputs (dominator coloring) or `λ/m̂` when the caller knows the local
-//!   participant count (reporter and leader elections);
-//! * [`ProbPolicy::Adaptive`] — carrier-sense ramp-up used by the
-//!   dominating-set substrate: start at `λ/n̂` and double per quiet round,
-//!   halve per busy round (sensed total power above a threshold), capped at
-//!   `p_cap`. This stands in for the Scheideler–Richa–Santi black box
-//!   (substitution #1 in `DESIGN.md`).
+//! `p` starts at `start`, doubles per quiet round and halves per busy one
+//! (sensed power above the clear-reception threshold), within
+//! `[start, p_cap]`. This carrier-sense ramp stands in for the
+//! Scheideler–Richa–Santi black box \[28\] (deviation #1): the paper's fixed
+//! `1/(2µ)` (`start = p_cap`) presumes constant density and starves
+//! elections wherever many participants share a `4r`-ball. Every caller
+//! gets its configuration from [`RulingConfig::election`].
 
+use crate::config::AlgoConfig;
 use crate::schedule::Tdma;
 use mca_radio::{Action, Channel, NodeId, Observation, Protocol};
 use mca_sinr::SinrParams;
@@ -71,8 +69,6 @@ pub enum TimeoutRule {
     /// Join the set unconditionally (the paper's §4 default — needed for
     /// maximality, safe when the round count carries the full union bound).
     Join,
-    /// Never join; end as `Expired` and retry in a later phase.
-    Expire,
     /// Join only if the whole run was locally silent (no clear-threshold
     /// interference sensed, no group message received): an isolated node
     /// can safely self-elect, a contended one cannot. This keeps lone
@@ -80,46 +76,117 @@ pub enum TimeoutRule {
     JoinIfQuiet,
 }
 
-/// Transmission-probability policy (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ProbPolicy {
-    /// Constant probability every round.
-    Fixed(f64),
-    /// Carrier-sense ramp: start at `start`, double on quiet rounds, halve
-    /// on rounds where sensed power exceeded `busy_threshold`, cap at the
-    /// config's `p_cap`, floor at `start`.
-    Adaptive {
-        /// Initial (and minimum) probability.
-        start: f64,
-        /// Total-power level above which a listening slot counts as busy.
-        busy_threshold: f64,
+/// How many 3-slot rounds an election runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Budget {
+    /// Lemma 6's `⌈γ·ln n̂⌉` ([`AlgoConfig::ruling_rounds`]).
+    Lemma6,
+    /// [`HANDSHAKE_BATCHES`] Lemma 6 budgets: a cluster-channel round elects
+    /// only if its HELLO and its ACK are both lone (~`λ²·e^{-2λ}`).
+    Handshake,
+    /// Lemma 6's budget, but at least `per_log2·⌈log₂ n̂⌉` rounds: room for
+    /// the ramp to climb from a network-wide floor of `λ/n̂`.
+    Ramp {
+        /// Rounds per `⌈log₂ n̂⌉`.
+        per_log2: u64,
     },
 }
 
-/// Configuration of one ruling-set execution.
+/// Lemma 6 budgets in a [`Budget::Handshake`] election.
+pub const HANDSHAKE_BATCHES: u64 = 3;
+
+/// What a caller knows about one election; [`RulingConfig::election`]
+/// derives the rest.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RulingConfig {
+pub struct Election {
     /// Independence/domination radius `r`.
     pub radius: f64,
-    /// Probability policy.
-    pub prob: ProbPolicy,
-    /// Probability cap for the adaptive policy.
-    pub p_cap: f64,
-    /// Number of 3-slot protocol rounds to run.
-    pub rounds: u64,
+    /// How many participants may contend in one `r`-ball: the ramp's floor
+    /// is `min(λ/contenders, p_cap)`.
+    pub contenders: u64,
+    /// Round budget.
+    pub budget: Budget,
     /// Channel the protocol operates on.
     pub channel: Channel,
-    /// Restrict participation to one group (cluster): messages from other
-    /// groups are ignored (they still count as sensed interference).
+    /// Restrict participation to one group (cluster): other groups'
+    /// messages only count as sensed interference.
     pub group: Option<NodeId>,
     /// TDMA schedule; `slots_per_round` must be [`SLOTS_PER_ROUND`].
     pub tdma: Tdma,
     /// This node's TDMA color (clusters act only in their own block).
     pub color: u16,
-    /// Conservative SINR parameters for RSSI/clear-reception checks.
-    pub params: SinrParams,
-    /// Behavior at the round cap (see [`TimeoutRule`]).
-    pub timeout_join: TimeoutRule,
+    /// Behavior at the round cap.
+    pub timeout: TimeoutRule,
+}
+
+impl Election {
+    /// A network-wide election: the first channel, no group, no TDMA.
+    pub fn network(radius: f64, contenders: u64, budget: Budget, timeout: TimeoutRule) -> Self {
+        Election {
+            radius,
+            contenders,
+            budget,
+            channel: Channel::FIRST,
+            group: None,
+            tdma: Tdma::trivial(SLOTS_PER_ROUND),
+            color: 0,
+            timeout,
+        }
+    }
+}
+
+/// Configuration of one ruling-set execution, built by
+/// [`RulingConfig::election`]. `params` are the conservative SINR
+/// parameters nodes compute with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RulingConfig {
+    radius: f64,
+    start: f64,
+    busy_threshold: f64,
+    p_cap: f64,
+    rounds: u64,
+    channel: Channel,
+    group: Option<NodeId>,
+    tdma: Tdma,
+    color: u16,
+    params: SinrParams,
+    timeout: TimeoutRule,
+}
+
+impl RulingConfig {
+    /// The configuration of one election under `algo`: `p` ramps within
+    /// `[min(λ/contenders, p_cap), p_cap]`, a slot is busy at the
+    /// node-known clear-reception threshold for the radius, and the
+    /// budget's rounds run.
+    pub fn election(algo: &AlgoConfig, e: Election) -> Self {
+        let params = algo.node_params();
+        let rounds = match e.budget {
+            Budget::Lemma6 => algo.ruling_rounds(),
+            Budget::Handshake => HANDSHAKE_BATCHES * algo.ruling_rounds(),
+            Budget::Ramp { per_log2 } => algo
+                .ruling_rounds()
+                .max(per_log2 * algo.know.log2_n() as u64),
+        };
+        RulingConfig {
+            radius: e.radius,
+            start: (algo.consts.lambda / e.contenders as f64).min(algo.consts.p_cap),
+            busy_threshold: params.clear_threshold_for(e.radius),
+            p_cap: algo.consts.p_cap,
+            rounds,
+            channel: e.channel,
+            group: e.group,
+            tdma: e.tdma,
+            color: e.color,
+            params,
+            timeout: e.timeout,
+        }
+    }
+
+    /// Slots a phase running this election needs: every round of every
+    /// color block, plus one round of slack.
+    pub fn slot_cap(&self) -> u64 {
+        self.tdma.slots_for_rounds(self.rounds) + SLOTS_PER_ROUND as u64
+    }
 }
 
 /// Slots per protocol round (HELLO, ACK, IN).
@@ -139,11 +206,9 @@ pub enum RulingOutcome {
         /// RSSI distance estimate to it.
         dist: f64,
     },
-    /// Did not participate.
+    /// Did not participate, or did not join under
+    /// [`TimeoutRule::JoinIfQuiet`].
     Passive,
-    /// Ran out of rounds without joining or being dominated
-    /// (only with `timeout_join = false`).
-    Expired,
 }
 
 impl RulingOutcome {
@@ -160,7 +225,6 @@ enum Status {
     /// Listens and acknowledges clear HELLOs but never competes (used by
     /// dominators so that lone cluster members can still be elected).
     Helper,
-    Expired,
     /// Will announce IN in the next slot-2 of its block, then halt in-set.
     Joining,
     InSet {
@@ -198,25 +262,23 @@ impl RulingSet {
     /// # Panics
     ///
     /// Panics if the TDMA schedule's slot count differs from
-    /// [`SLOTS_PER_ROUND`] or probabilities are out of `(0, 1]`.
+    /// [`SLOTS_PER_ROUND`] or the probabilities break `0 < start ≤ p_cap ≤ 1`.
     pub fn new(me: NodeId, cfg: RulingConfig) -> Self {
         assert_eq!(
             cfg.tdma.slots_per_round(),
             SLOTS_PER_ROUND,
             "ruling set needs 3 slots per round"
         );
-        let p0 = match cfg.prob {
-            ProbPolicy::Fixed(p) => p,
-            ProbPolicy::Adaptive { start, .. } => start,
-        };
-        assert!(p0 > 0.0 && p0 <= 1.0, "probability must lie in (0,1]");
-        assert!(cfg.p_cap > 0.0 && cfg.p_cap <= 1.0);
+        assert!(
+            cfg.start > 0.0 && cfg.start <= cfg.p_cap && cfg.p_cap <= 1.0,
+            "probabilities must satisfy 0 < start <= p_cap <= 1"
+        );
         assert!(cfg.radius > 0.0, "radius must be positive");
         RulingSet {
             cfg,
             me,
             status: Status::Active,
-            p: p0,
+            p: cfg.start,
             sent_hello: false,
             clear_hello: None,
             got_ack: false,
@@ -235,26 +297,27 @@ impl RulingSet {
         s
     }
 
-    /// An ACK-only helper: listens and acknowledges clear HELLOs with the
-    /// configured probability but never competes for membership. Dominators
-    /// help this way during reporter elections, so clusters with a single
-    /// member can still elect it.
-    pub fn helper(me: NodeId, cfg: RulingConfig) -> Self {
+    /// An ACK-only helper: listens and acknowledges clear HELLOs at the
+    /// configuration's start probability, which it never ramps, and never
+    /// competes for membership. Dominators help this way during cluster
+    /// elections, so clusters with a single member can still elect it.
+    pub fn helper(me: NodeId, mut cfg: RulingConfig) -> Self {
+        cfg.p_cap = cfg.start;
         let mut s = RulingSet::new(me, cfg);
         s.status = Status::Helper;
         s
     }
 
     /// Terminal outcome (meaningful once [`Protocol::is_done`] is true; a
-    /// still-active node reports `Passive`-like placeholder via `None`).
+    /// still-active node reports [`RulingOutcome::Passive`]).
     pub fn outcome(&self) -> RulingOutcome {
         match self.status {
-            Status::Passive => RulingOutcome::Passive,
             Status::InSet { timed_out: true } => RulingOutcome::TimedOut,
             Status::InSet { timed_out: false } => RulingOutcome::Elected,
             Status::Dominated { by, dist } => RulingOutcome::Dominated { by, dist },
-            Status::Expired => RulingOutcome::Expired,
-            Status::Active | Status::Joining | Status::Helper => RulingOutcome::Passive,
+            Status::Passive | Status::Active | Status::Joining | Status::Helper => {
+                RulingOutcome::Passive
+            }
         }
     }
 
@@ -295,10 +358,8 @@ impl RulingSet {
     }
 
     fn sense_busy(&mut self, interference: f64) {
-        if let ProbPolicy::Adaptive { busy_threshold, .. } = self.cfg.prob {
-            if interference >= busy_threshold {
-                self.busy_seen = true;
-            }
+        if interference >= self.cfg.busy_threshold {
+            self.busy_seen = true;
         }
     }
 
@@ -308,28 +369,25 @@ impl RulingSet {
             self.status = Status::Passive;
             return;
         }
-        if let ProbPolicy::Adaptive { start, .. } = self.cfg.prob {
-            if self.busy_seen {
-                self.p = (self.p / 2.0).max(start);
-            } else {
-                self.p = (self.p * 2.0).min(self.cfg.p_cap);
-            }
-        }
+        self.p = if self.busy_seen {
+            (self.p / 2.0).max(self.cfg.start)
+        } else {
+            (self.p * 2.0).min(self.cfg.p_cap)
+        };
         self.sent_hello = false;
         self.clear_hello = None;
         self.got_ack = false;
         self.busy_seen = false;
         if self.rounds_done >= self.cfg.rounds && matches!(self.status, Status::Active) {
-            let join = match self.cfg.timeout_join {
+            let join = match self.cfg.timeout {
                 TimeoutRule::Join => true,
-                TimeoutRule::Expire => false,
                 TimeoutRule::JoinIfQuiet => !self.ever_disturbed,
             };
             self.status = if join {
                 // Timeout: enter the set without announcement (paper §4).
                 Status::InSet { timed_out: true }
             } else {
-                Status::Expired
+                Status::Passive
             };
             self.halt_round = Some(self.rounds_done);
         }
@@ -345,22 +403,7 @@ impl Protocol for RulingSet {
         };
         let ch = self.cfg.channel;
         match (ts.slot_in_round, self.status) {
-            (0, Status::Helper) => Action::Listen { channel: ch },
-            (1, Status::Helper) => {
-                if let Some(h) = self.clear_hello {
-                    if rng.gen_bool(self.p.min(1.0)) {
-                        return Action::Transmit {
-                            channel: ch,
-                            msg: RulingMsg::Ack {
-                                to: h,
-                                group: self.cfg.group,
-                            },
-                        };
-                    }
-                }
-                Action::Listen { channel: ch }
-            }
-            (2, Status::Helper) => Action::Listen { channel: ch },
+            (0 | 2, Status::Helper) | (2, Status::Active) => Action::Listen { channel: ch },
             (0, Status::Active) => {
                 if rng.gen_bool(self.p.min(1.0)) {
                     self.sent_hello = true;
@@ -375,7 +418,7 @@ impl Protocol for RulingSet {
                     Action::Listen { channel: ch }
                 }
             }
-            (1, Status::Active) => {
+            (1, Status::Active | Status::Helper) => {
                 if let Some(h) = self.clear_hello {
                     if rng.gen_bool(self.p.min(1.0)) {
                         return Action::Transmit {
@@ -396,7 +439,6 @@ impl Protocol for RulingSet {
                     group: self.cfg.group,
                 },
             },
-            (2, Status::Active) => Action::Listen { channel: ch },
             _ => Action::Idle,
         }
     }
@@ -499,7 +541,7 @@ impl Protocol for RulingSet {
     fn is_done(&self) -> bool {
         matches!(
             self.status,
-            Status::Passive | Status::InSet { .. } | Status::Dominated { .. } | Status::Expired
+            Status::Passive | Status::InSet { .. } | Status::Dominated { .. }
         )
     }
 
@@ -517,10 +559,12 @@ mod tests {
     use mca_radio::Engine;
     use mca_sinr::SinrParams;
 
+    /// The paper's fixed `p = 1/4` (`start = p_cap`).
     fn base_cfg(radius: f64, rounds: u64) -> RulingConfig {
         RulingConfig {
             radius,
-            prob: ProbPolicy::Fixed(0.25),
+            start: 0.25,
+            busy_threshold: f64::INFINITY,
             p_cap: 0.25,
             rounds,
             channel: Channel::FIRST,
@@ -528,7 +572,7 @@ mod tests {
             tdma: Tdma::trivial(SLOTS_PER_ROUND),
             color: 0,
             params: SinrParams::default(),
-            timeout_join: TimeoutRule::Join,
+            timeout: TimeoutRule::Join,
         }
     }
 
@@ -537,10 +581,108 @@ mod tests {
         let protocols: Vec<RulingSet> = (0..n)
             .map(|i| RulingSet::new(NodeId(i as u32), cfg))
             .collect();
-        let max_slots = cfg.tdma.slots_for_rounds(cfg.rounds) + 3;
         let mut engine = Engine::new(SinrParams::default(), positions, protocols, seed);
-        engine.run_until_done(max_slots);
+        engine.run_until_done(cfg.slot_cap());
         engine.into_protocols()
+    }
+
+    /// Each caller's election inputs give exactly the start, cap, busy
+    /// threshold, budget, timeout and helper ACK probability that its
+    /// committed tables were produced with.
+    #[test]
+    fn election_reproduces_each_callers_former_config() {
+        let default = SinrParams::default();
+        for (n_hat, k, size, f) in [
+            (64usize, 2u64, 6u64, 1u16),
+            (300, 37, 60, 8),
+            (1200, 150, 95, 16),
+            (4096, 400, 500, 4),
+        ] {
+            let algo = AlgoConfig::practical(f, &default, n_hat);
+            let (lambda, p_cap) = (algo.consts.lambda, algo.consts.p_cap);
+            let node = algo.node_params();
+            let r = node.transmission_range() / 4.0;
+            let check = |cfg: RulingConfig, start: f64, busy: f64, rounds: u64, t: TimeoutRule| {
+                assert_eq!(
+                    (
+                        cfg.start,
+                        cfg.p_cap,
+                        cfg.busy_threshold,
+                        cfg.rounds,
+                        cfg.timeout
+                    ),
+                    (start, p_cap, busy, rounds, t),
+                    "n̂ = {n_hat}, k = {k}, size = {size}, F = {f}"
+                );
+                assert_eq!(cfg.params, node);
+                assert_eq!(cfg.slot_cap(), cfg.tdma.slots_for_rounds(rounds) + 3);
+            };
+            // Network-wide MIS (`mis.rs`).
+            let per_log2 = crate::mis::ROUNDS_PER_LOG2;
+            let mis = Election::network(
+                r,
+                n_hat as u64,
+                Budget::Ramp { per_log2 },
+                TimeoutRule::Join,
+            );
+            check(
+                RulingConfig::election(&algo, mis),
+                (lambda / n_hat as f64).max(1e-9),
+                node.clear_threshold_for(r),
+                algo.ruling_rounds().max(48 * algo.know.log2_n() as u64),
+                TimeoutRule::Join,
+            );
+            // Single-channel colouring baseline.
+            let phase =
+                Election::network(r, n_hat as u64, Budget::Lemma6, TimeoutRule::JoinIfQuiet);
+            check(
+                RulingConfig::election(&algo, phase),
+                (lambda / n_hat.max(2) as f64).min(0.25),
+                node.clear_threshold_for(r),
+                algo.ruling_rounds(),
+                TimeoutRule::JoinIfQuiet,
+            );
+            // E5: `k` constant-density participants in a field of `2^exp`.
+            let exp = 6 + f as u64;
+            let e5_algo = AlgoConfig::practical(1, &default, 1 << exp);
+            let e5 = Election::network(3.0, k, Budget::Ramp { per_log2: 60 }, TimeoutRule::Join);
+            let cfg = RulingConfig::election(&e5_algo, e5);
+            assert_eq!(cfg.params, default);
+            assert_eq!(
+                (cfg.start, cfg.p_cap, cfg.busy_threshold, cfg.rounds),
+                (
+                    0.5 / k as f64,
+                    0.25,
+                    default.clear_threshold_for(3.0),
+                    60 * exp
+                )
+            );
+            // Per-channel cluster elections: reporters spread `size` over
+            // `f_v` channels, CSA-small's leaders `Δ̂ = size` over `F`.
+            let cluster = |contenders| Election {
+                radius: 2.0 * r,
+                contenders,
+                budget: Budget::Handshake,
+                channel: Channel(f - 1),
+                group: Some(NodeId(7)),
+                tdma: Tdma::new(3, SLOTS_PER_ROUND),
+                color: 2,
+                timeout: TimeoutRule::JoinIfQuiet,
+            };
+            for fv in [algo.cluster_channels(size), f] {
+                let m_hat = size.div_ceil(fv as u64).max(1);
+                check(
+                    RulingConfig::election(&algo, cluster(2 * m_hat)),
+                    (lambda / (2.0 * m_hat as f64)).min(p_cap),
+                    node.clear_threshold_for(2.0 * r),
+                    algo.ruling_rounds() * 3,
+                    TimeoutRule::JoinIfQuiet,
+                );
+            }
+            let helper = RulingSet::helper(NodeId(0), RulingConfig::election(&algo, cluster(2)));
+            assert_eq!(helper.current_prob(), (lambda / 2.0).min(p_cap));
+            assert_eq!(helper.cfg.p_cap, helper.cfg.start, "a helper never ramps");
+        }
     }
 
     #[test]
@@ -627,10 +769,8 @@ mod tests {
         let positions: Vec<Point> = (0..20).map(|i| Point::new(0.3 * i as f64, 0.0)).collect();
         for seed in 0..5 {
             let mut cfg = base_cfg(1.0, 300);
-            cfg.prob = ProbPolicy::Adaptive {
-                start: 0.01,
-                busy_threshold: SinrParams::default().clear_threshold(),
-            };
+            cfg.start = 0.01;
+            cfg.busy_threshold = SinrParams::default().clear_threshold();
             let out = run(positions.clone(), cfg, seed);
             let members: Vec<usize> = (0..20).filter(|&i| out[i].in_set()).collect();
             assert!(!members.is_empty());
@@ -676,7 +816,7 @@ mod tests {
             RulingSet::new(NodeId(3), cfg_b),
         ];
         let mut engine = Engine::new(SinrParams::default(), positions, protocols, 5);
-        engine.run_until_done(cfg_a.tdma.slots_for_rounds(80) + 3);
+        engine.run_until_done(cfg_a.slot_cap());
         let out = engine.into_protocols();
         let group_a_members = out[..2].iter().filter(|o| o.in_set()).count();
         let group_b_members = out[2..].iter().filter(|o| o.in_set()).count();
@@ -694,11 +834,7 @@ mod tests {
     #[test]
     fn adaptive_policy_ramps_up_when_quiet() {
         let mut cfg = base_cfg(1.0, 10);
-        cfg.prob = ProbPolicy::Adaptive {
-            start: 0.01,
-            busy_threshold: 1e9,
-        };
-        cfg.p_cap = 0.25;
+        cfg.start = 0.01;
         let out = run(vec![Point::ORIGIN], cfg, 2);
         // With no traffic the probability should have doubled to the cap.
         assert!((out[0].current_prob() - 0.25).abs() < 1e-12);

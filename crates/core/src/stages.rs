@@ -19,11 +19,11 @@
 
 use crate::config::AlgoConfig;
 use crate::csa::{CsaConfig, CsaProtocol, CsaRole};
-use crate::csa_small::{run_csa_small, SmallSeat};
+use crate::csa_small::run_csa_small;
 use crate::dominate::{self, DominateConfig, DominateProtocol, DominatingOutcome};
 use crate::greedy_color::{ClaimCfg, GreedyColor};
 use crate::knowledge::{NodeRecord, Role};
-use crate::reporter::{elect_reporters, ElectionSeat};
+use crate::reporter::{elect_per_channel, ElectionSeat, Spread};
 use crate::schedule::Tdma;
 use crate::structure::{all_done, BuildReport, NetworkEnv, StructureConfig, SubstrateMode};
 use mca_radio::{Channel, FaultPlan, NodeId};
@@ -127,15 +127,16 @@ pub fn csa_stage(
     let algo = &cfg.algo;
     let mut out = CsaStageOutcome::default();
     if algo.channels > 1 && algo.csa_small_applies(cfg.delta_hat()) {
-        let seats: Vec<Option<SmallSeat>> = (0..n)
+        let seats: Vec<Option<ElectionSeat>> = (0..n)
             .map(|i| {
                 if !is_live(alive, i) {
                     return None;
                 }
                 match (records[i].cluster, records[i].cluster_color) {
-                    (Some(c), Some(col)) => Some(SmallSeat {
+                    (Some(c), Some(col)) => Some(ElectionSeat {
                         cluster: c,
                         color: col,
+                        size_est: cfg.delta_hat(),
                         is_dominator: records[i].role.is_dominator(),
                     }),
                     _ => None,
@@ -321,17 +322,18 @@ pub fn election_stage(
     } else {
         (seats, phi)
     };
-    let election = elect_reporters(env, &seats, &cfg.algo, phi.max(1), cfg.cluster_radius, seed);
+    let (algo, r_c) = (&cfg.algo, cfg.cluster_radius);
+    let election = elect_per_channel(env, &seats, algo, phi, r_c, Spread::Reporters, seed);
     for (i, rec) in records.iter_mut().enumerate() {
         if seats[i].is_none() {
             continue;
         }
         rec.channel = election.channel[i];
-        if election.is_reporter[i] {
+        if election.elected[i] {
             let heap_pos = election.channel[i].map(|c| c.0 + 1).unwrap_or(1);
             rec.role = Role::Reporter { heap_pos };
         }
-        if rec.role.is_dominator() && !election.dominator_heard_in[i] {
+        if rec.role.is_dominator() && !election.heard_in[i] {
             rec.serves_channel0 = true;
         }
     }
